@@ -10,7 +10,9 @@ t* <= 1 certifies that the extension exists.
 
 Partial traces and partial transposes act on the real vectorization directly
 through index arithmetic (coefficient +-1 sparse maps), never through
-permutation matrices, so the 243-dimensional instances stay cheap.
+permutation matrices, so the 243-dimensional instances stay cheap.  SE-B
+reuses the SE trace map of one copy, composed with a sparse congruence by the
+symmetric-subspace isometry.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 import scipy.sparse as sp
 
-from .qmat import DensityMatrix, trace_out
-from .solver import Block, ConicProgram, mat_real, solve, vec_real
+from .qmat import DensityMatrix
+from .solver import Block, ConicProgram, solve, vec_real, vec_real_map
 
 MAX_EXTENSION_DIM = 243
 
@@ -259,30 +261,21 @@ def _build_sqe_program(q: ExtensionQuery) -> ConicProgram:
 
 
 def _build_bosonic_program(q: ExtensionQuery) -> ConicProgram:
-    d_ext = q.dims[q.copy_positions[0]]
-    d_other = q.dims[q.other_position]
-    w = symmetric_subspace_isometry(d_ext, q.k)
-    s_dim = w.shape[1]
-    if q.side == "A":
-        w_full = np.kron(w, np.eye(d_other))
-        sigma_dim = s_dim * d_other
-    else:
-        w_full = np.kron(np.eye(d_other), w)
-        sigma_dim = d_other * s_dim
+    w = sp.csr_matrix(symmetric_subspace_isometry(q.dims[q.copy_positions[0]], q.k))
+    eye = sp.identity(q.dims[q.other_position], format="csr")
+    w_full = sp.kron(w, eye) if q.side == "A" else sp.kron(eye, w)
+    n_ext, sigma_dim = w_full.shape
+    # right to left: vec_real(sigma) -> vec(sigma) -> vec(W sigma W^H) -> vec_real -> marginal;
+    # the composition maps real vectors to real vectors, so its imaginary part is rounding
+    marginal = (
+        real_trace_map(q.dims, [q.copy_positions[0], q.other_position])
+        @ vec_real_map(n_ext)
+        @ sp.kron(w_full, w_full.conj())
+        @ vec_real_map(sigma_dim).conj().T
+    ).real
+    marginal.eliminate_zeros()
     rhs, eye_term = _marginal_rhs(q)
-    dims = q.dims
-    traced = [p for p in q.copy_positions[1:]]
-    keep = sorted([q.copy_positions[0], q.other_position])
-    # dense column-by-column build: embed each basis element and trace it down
-    cols = np.empty((len(rhs), sigma_dim * sigma_dim))
-    for comp in range(sigma_dim * sigma_dim):
-        e = np.zeros(sigma_dim * sigma_dim)
-        e[comp] = 1.0
-        h = mat_real(e, sigma_dim)
-        big = w_full @ h @ w_full.conj().T
-        reduced = trace_out(big, dims, [p for p in range(len(dims)) if p not in keep])
-        cols[:, comp] = vec_real(reduced)
-    a = sp.hstack([sp.csr_matrix(cols), sp.csr_matrix(-eye_term[:, None])]).tocsr()
+    a = sp.hstack([marginal, sp.csr_matrix(-eye_term[:, None])]).tocsr()
     blocks = (Block("psd", sigma_dim), Block("nonneg", 1))
     c = np.zeros(sigma_dim * sigma_dim + 1)
     c[-1] = 1.0

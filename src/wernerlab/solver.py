@@ -73,6 +73,17 @@ def mat_real(x: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
+def vec_real_map(n: int) -> sp.csr_matrix:
+    """Sparse unitary U with U @ vec(H) = vec_real(H) for row-major vec(H); U^H inverts it."""
+    iu, ju = np.triu_indices(n, 1)
+    pair, upper, lower = n + 2 * np.arange(len(iu)), iu * n + ju, ju * n + iu
+    rows = np.concatenate([np.arange(n), pair, pair, pair + 1, pair + 1])
+    cols = np.concatenate([np.arange(n) * (n + 1), upper, lower, upper, lower])
+    r = np.full(len(iu), np.sqrt(0.5))
+    data = np.concatenate([np.ones(n), r, r, -1j * r, 1j * r])
+    return sp.csr_matrix((data, (rows, cols)), shape=(n * n, n * n))
+
+
 @dataclass
 class ConicProgram:
     """min c.x s.t. A x = b with x partitioned into cone blocks."""
@@ -184,7 +195,7 @@ class _ConeProjector:
             h[:, ju, iu] = upper.conj()
             w, q = np.linalg.eigh(h)
             w = np.clip(w, 0.0, None)
-            hp = np.einsum("bik,bk,bjk->bij", q, w, q.conj())
+            hp = (q * w[:, None, :]) @ q.conj().transpose(0, 2, 1)
             segs = np.empty((nb, size))
             segs[:, :n] = hp[:, np.arange(n), np.arange(n)].real
             segs[:, n::2] = np.sqrt(2.0) * hp[:, iu, ju].real
@@ -273,14 +284,12 @@ def solve(
     prog: ConicProgram,
     tol: float = 1e-7,
     max_iter: int = 200000,
-    seed: int = 0,
     over_relax: float = 1.5,
     check_every: int = 25,
 ) -> ConicSolution:
     """Run the operator-splitting iteration until the KKT residuals certify optimality.
 
-    Deterministic for fixed inputs; ``seed`` is accepted for interface stability
-    but the iteration itself uses no randomness.
+    Deterministic for fixed inputs.
     """
     prog = presolve(prog)
     n, m = prog.n, prog.m

@@ -6,6 +6,7 @@ import pytest
 from wernerlab.extend import (
     ExtensionQuery,
     bosonic_extension,
+    build_program,
     critical_weight,
     extension_threshold,
     quasi_extension,
@@ -16,7 +17,7 @@ from wernerlab.extend import (
     symmetric_subspace_isometry,
 )
 from wernerlab.qmat import partial_transpose_dims, trace_out
-from wernerlab.solver import vec_real
+from wernerlab.solver import Block, ConicProgram, mat_real, presolve, vec_real
 from wernerlab.states import NoiseSpec, noisy_surrogate, swap_operator, sym_projector, werner
 
 
@@ -60,6 +61,38 @@ def test_symmetric_isometry_projector_is_sym_projector():
     assert np.allclose(w @ w.conj().T, sym_projector(3), atol=1e-13)
     # exact permutation invariance
     assert np.array_equal(swap_operator(3).real @ w.real, w.real)
+
+
+def column_by_column_bosonic_program(q):
+    """Reference SE_B program: embed each basis element by W, trace it down, one column at a time."""
+    w = symmetric_subspace_isometry(q.dims[q.copy_positions[0]], q.k)
+    eye = np.eye(q.dims[q.other_position])
+    w_full = np.kron(w, eye) if q.side == "A" else np.kron(eye, w)
+    s = w_full.shape[1]
+    traced = [p for p in range(len(q.dims)) if p not in (q.copy_positions[0], q.other_position)]
+    eye_term = vec_real(np.eye(q.rho.dim) / q.rho.dim)
+    rhs = vec_real(q.rho.mat) - eye_term
+    a = np.empty((len(rhs), s * s + 1))
+    for comp in range(s * s):
+        e = np.zeros(s * s)
+        e[comp] = 1.0
+        a[:, comp] = vec_real(trace_out(w_full @ mat_real(e, s) @ w_full.conj().T, q.dims, traced))
+    a[:, -1] = -eye_term
+    c = np.zeros(s * s + 1)
+    c[-1] = 1.0
+    return ConicProgram((Block("psd", s), Block("nonneg", 1)), c, a, rhs)
+
+
+@pytest.mark.parametrize("d,k,side", [(2, 2, "B"), (2, 3, "A"), (3, 2, "B"), (3, 3, "A"), (3, 4, "B"), (5, 2, "B")])
+def test_bosonic_builder_matches_column_by_column_reference(d, k, side):
+    q = ExtensionQuery(werner(d, 0.2), k, side, "SE_B")
+    prog = build_program(q)
+    ref = column_by_column_bosonic_program(q)
+    assert prog.blocks == ref.blocks
+    assert np.allclose(prog.A.toarray(), ref.A.toarray(), rtol=0, atol=1e-12)
+    assert np.allclose(prog.b, ref.b, rtol=0, atol=1e-12)
+    assert np.allclose(prog.c, ref.c, rtol=0, atol=1e-12)
+    assert presolve(prog).m == presolve(ref).m
 
 
 def test_se_matches_known_werner_values():

@@ -15,6 +15,7 @@ from wernerlab.solver import (
     presolve,
     solve,
     vec_real,
+    vec_real_map,
 )
 
 
@@ -64,6 +65,33 @@ def test_vec_real_isometry():
     v1, v2 = vec_real(h1), vec_real(h2)
     assert np.vdot(h1, h2).real == pytest.approx(v1 @ v2, abs=1e-12)
     assert np.allclose(mat_real(v1, 5), h1, atol=1e-14)
+    u = vec_real_map(5)
+    assert np.allclose(u @ h1.ravel(), v1, atol=1e-14)
+    assert np.allclose((u.conj().T @ u).toarray(), np.eye(25), atol=1e-14)
+
+
+def test_cone_projection_matches_per_block_reference():
+    # PSD sides 1, 2, 3 and 9 each appear twice so they project as batches
+    psd_sides = (2, 9, 1, 3, 45, 2, 9, 3, 1)
+    blocks = (Block("free", 3), Block("nonneg", 4)) + tuple(Block("psd", n) for n in psd_sides)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(sum(bl.size for bl in blocks))
+    proj = solver._ConeProjector(blocks)
+    out = proj.project(x)
+    pos = 0
+    for bl in blocks:
+        seg, got = x[pos : pos + bl.size], out[pos : pos + bl.size]
+        pos += bl.size
+        if bl.kind == "free":
+            expect = seg
+        elif bl.kind == "nonneg":
+            expect = np.maximum(seg, 0.0)
+        else:
+            w, q = np.linalg.eigh(mat_real(seg, bl.n))
+            expect = vec_real((q * np.clip(w, 0.0, None)) @ q.conj().T)
+            assert np.linalg.eigvalsh(mat_real(got, bl.n))[0] >= -1e-12
+        assert np.allclose(got, expect, rtol=0, atol=1e-12)
+    assert np.allclose(proj.project(out), out, rtol=0, atol=1e-12)
 
 
 def test_embedding_linear_solve():
