@@ -228,7 +228,8 @@ def fef_embedding_check(rho: DensityMatrix, d: int) -> bool:
                     big[i * d + j, k * d + l] = rho.mat[i * 2 + j, k * 2 + l]
     psi_d = kron(np.eye(d), u_d) @ max_entangled_ket(d)
     attained = float(np.real(np.vdot(psi_d, big @ psi_d)))
-    assert attained >= (2.0 / d) * f2 - 1e-10
+    if attained < (2.0 / d) * f2 - 1e-10:
+        raise RuntimeError("embedded unitary attains less than (2/d) F_2")
     return attained > 1.0 / d
 
 

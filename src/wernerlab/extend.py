@@ -8,11 +8,17 @@ positive (SE), a decomposable-witness combination P + sum_p Q_p^(T_p) (SQE),
 or supported on the permutation-symmetric subspace of the copies (SE-B).
 t* <= 1 certifies that the extension exists.
 
-Partial traces and partial transposes act on the real vectorization directly
-through index arithmetic (coefficient +-1 sparse maps), never through
-permutation matrices, so the 243-dimensional instances stay cheap.  SE-B
-reuses the SE trace map of one copy, composed with a sparse congruence by the
-symmetric-subspace isometry.
+SE and SE-B search only extensions invariant under permutations of the k
+copies, which loses nothing: averaging an extension over the permutations
+keeps every marginal.  Such an X is block diagonal in the S_k isotypic
+decomposition (Gatermann & Parrilo 2004), X = sum_lambda I_(d_lambda) (x)
+M_lambda, with irreps built from Young's orthogonal form.  Each partition
+lambda of k with at most d rows gets one PSD block M_lambda, and one copy's
+marginal constraint stands for all k: for (d, k) = (3, 4) the 243-side block
+becomes blocks of 45, 45, 18 and 9 under 81 instead of 324 constraints.  SE-B
+is the trivial-irrep block alone.  SQE keeps the full program, with partial
+traces and partial transposes acting on the real vectorization through index
+arithmetic (coefficient +-1 sparse maps), never through permutation matrices.
 """
 
 from __future__ import annotations
@@ -133,6 +139,107 @@ def symmetric_subspace_isometry(d: int, k: int) -> np.ndarray:
     return w
 
 
+def _partitions(k: int, max_rows: int, cap: int | None = None) -> list[tuple[int, ...]]:
+    """Partitions of k into at most ``max_rows`` parts no larger than ``cap``, largest first part first."""
+    if k == 0:
+        return [()]
+    if max_rows == 0:
+        return []
+    cap = k if cap is None else cap
+    return [
+        (first,) + tail
+        for first in range(min(k, cap), 0, -1)
+        for tail in _partitions(k - first, max_rows - 1, first)
+    ]
+
+
+def _standard_tableaux(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Standard Young tableaux of ``shape``, each given as the rows holding 1, 2, ..., k."""
+    tableaux = [()]
+    for _ in range(sum(shape)):
+        tableaux = [
+            t + (r,)
+            for t in tableaux
+            for r in range(len(shape))
+            if t.count(r) < shape[r] and (r == 0 or t.count(r - 1) > t.count(r))
+        ]
+    return tableaux
+
+
+def young_orthogonal_form(shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Real orthogonal matrices of the adjacent transpositions (i+1, i+2), i = 0..k-2, in the
+    S_k irrep ``shape``, over its standard tableaux (Young's orthogonal form)."""
+    tableaux = _standard_tableaux(shape)
+    index = {t: n for n, t in enumerate(tableaux)}
+
+    def content(t, x):  # column minus row of the box holding x+1
+        return t[:x].count(t[x]) - t[x]
+
+    gens = []
+    for i in range(sum(shape) - 1):
+        g = np.zeros((len(tableaux), len(tableaux)))
+        for n, t in enumerate(tableaux):
+            axial = content(t, i + 1) - content(t, i)  # +1: same row, -1: same column
+            g[n, n] = 1.0 / axial
+            if abs(axial) > 1:
+                swapped = t[:i] + (t[i + 1], t[i]) + t[i + 2 :]
+                g[index[swapped], n] = np.sqrt(1.0 - 1.0 / axial**2)
+        gens.append(g)
+    return gens
+
+
+def _s_k_words(k: int) -> list[tuple[int, int]]:
+    """Every element of S_k once, breadth-first from the identity: entry n = (p, i) says
+    element n is the adjacent transposition (i+1, i+2) times element p."""
+    arrangements = [tuple(range(k))]
+    seen = {arrangements[0]}
+    steps = [(-1, -1)]
+    n = 0
+    while n < len(arrangements):
+        a = arrangements[n]
+        for i in range(k - 1):
+            nxt = a[:i] + (a[i + 1], a[i]) + a[i + 2 :]
+            if nxt not in seen:
+                seen.add(nxt)
+                arrangements.append(nxt)
+                steps.append((n, i))
+        n += 1
+    return steps
+
+
+def s_k_isometries(d: int, k: int) -> dict[tuple[int, ...], np.ndarray]:
+    """Isotypic isometries of the copy permutations P_pi on (C^d)^k.
+
+    Maps each partition lambda of k with at most d rows to an array V of shape
+    (d_lambda, d^k, m_lambda) with P_pi V[i] = sum_j rho_lambda(pi)[j, i] V[j],
+    where V[i]^H V'[j] is delta delta I across all irreps.  V[0] spans the range
+    of the matrix unit E_11 = (d_lambda/k!) sum_pi rho(pi)_11 P_pi and V[i] =
+    E_i1 V[0]; the trivial irrep uses the symmetric-subspace isometry.
+    """
+    n = d**k
+    steps = _s_k_words(k)
+    swaps = [np.arange(n).reshape((d,) * k).swapaxes(i, i + 1).ravel() for i in range(k - 1)]
+    perms = [np.arange(n)]  # P(g) e_x = e_{perms[g][x]}
+    for parent, i in steps[1:]:
+        perms.append(swaps[i][perms[parent]])
+    out = {}
+    for shape in _partitions(k, d):
+        if len(shape) == 1:
+            out[shape] = symmetric_subspace_isometry(d, k)[None]
+            continue
+        gens = young_orthogonal_form(shape)
+        reps = [np.eye(len(gens[0]))]
+        for parent, i in steps[1:]:
+            reps.append(gens[i] @ reps[parent])
+        units = np.zeros((len(reps[0]), n, n))  # E_i1
+        for rep, perm in zip(reps, perms):
+            units[:, perm, np.arange(n)] += rep[:, :1]
+        units *= len(reps[0]) / len(reps)
+        w, vecs = np.linalg.eigh(units[0])
+        out[shape] = units @ vecs[:, w > 0.5]
+    return out
+
+
 @dataclass(frozen=True)
 class ExtensionQuery:
     """Which extension to search for: k copies of one side, in one of three flavors."""
@@ -177,9 +284,11 @@ class ExtensionQuery:
 
 @dataclass
 class ExtensionResult:
+    """``extension_exists`` is None unless the solve ended OPTIMAL: an unconverged t* is no verdict."""
+
     t_star: float
     status: str
-    extension_exists: bool
+    extension_exists: bool | None
     gap: float
     iterations: int = 0
 
@@ -224,22 +333,6 @@ def _copy_trace_maps(q: ExtensionQuery) -> list[sp.csr_matrix]:
     return maps
 
 
-def _build_se_program(q: ExtensionQuery) -> ConicProgram:
-    n_ext = int(np.prod(q.dims))
-    rhs, eye_term = _marginal_rhs(q)
-    dd2 = len(rhs)
-    trace_maps = _copy_trace_maps(q)
-    a_blocks = []
-    for tm in trace_maps:
-        a_blocks.append(sp.hstack([tm, sp.csr_matrix(-eye_term[:, None])]))
-    a = sp.vstack(a_blocks).tocsr()
-    b = np.tile(rhs, q.k)
-    blocks = (Block("psd", n_ext), Block("nonneg", 1))
-    c = np.zeros(n_ext * n_ext + 1)
-    c[-1] = 1.0
-    return ConicProgram(blocks, c, a, b)
-
-
 def _build_sqe_program(q: ExtensionQuery) -> ConicProgram:
     n_ext = int(np.prod(q.dims))
     parts = q.partitions if q.partitions is not None else tuple(_default_partitions(q))
@@ -260,34 +353,56 @@ def _build_sqe_program(q: ExtensionQuery) -> ConicProgram:
     return ConicProgram(blocks, c, a, b)
 
 
-def _build_bosonic_program(q: ExtensionQuery) -> ConicProgram:
-    w = sp.csr_matrix(symmetric_subspace_isometry(q.dims[q.copy_positions[0]], q.k))
-    eye = sp.identity(q.dims[q.other_position], format="csr")
-    w_full = sp.kron(w, eye) if q.side == "A" else sp.kron(eye, w)
-    n_ext, sigma_dim = w_full.shape
-    # right to left: vec_real(sigma) -> vec(sigma) -> vec(W sigma W^H) -> vec_real -> marginal;
+def _block_marginal_map(t: np.ndarray, d_other: int, side: str) -> sp.csr_matrix:
+    """Sparse map from vec_real(M) to vec_real(Y) for
+    Y[(j,a),(j',a')] = sum_{q,q'} t[j,q,j',q'] M[(q,a),(q',a')],
+    with the other party's index a first on side B and last on side A."""
+    d, m = t.shape[:2]
+    a, j, q, a2, j2, q2 = np.indices((d_other, d, m, d_other, d, m)).reshape(6, -1)
+
+    def pair(copy, other, n_copy):
+        return other * n_copy + copy if side == "B" else copy * d_other + other
+
+    rows = pair(j, a, d) * (d_other * d) + pair(j2, a2, d)
+    cols = pair(q, a, m) * (d_other * m) + pair(q2, a2, m)
+    lin = sp.csr_matrix((t[j, q, j2, q2], (rows, cols)), shape=((d_other * d) ** 2, (d_other * m) ** 2))
     # the composition maps real vectors to real vectors, so its imaginary part is rounding
-    marginal = (
-        real_trace_map(q.dims, [q.copy_positions[0], q.other_position])
-        @ vec_real_map(n_ext)
-        @ sp.kron(w_full, w_full.conj())
-        @ vec_real_map(sigma_dim).conj().T
-    ).real
-    marginal.eliminate_zeros()
+    out = (vec_real_map(d_other * d) @ lin @ vec_real_map(d_other * m).conj().T).real
+    out.eliminate_zeros()
+    return out
+
+
+def _build_symmetric_program(q: ExtensionQuery, isometries: list[np.ndarray]) -> ConicProgram:
+    """Extension over copy-permutation-invariant X = sum_lambda sum_i V_i M_lambda V_i^H / sqrt(d_lambda),
+    one PSD block M_lambda per isometry stack V in ``isometries``.
+
+    Every copy of an invariant X has the same marginal, so one copy's constraint
+    stands for all k; the 1/sqrt(d_lambda) makes M_lambda -> X an isometry.
+    """
+    d = q.dims[q.copy_positions[0]]
+    d_other = q.dims[q.other_position]
+    maps, sides = [], []
+    for v in isometries:
+        dim, _, mult = v.shape
+        v = v.reshape(dim, d, -1, mult)  # copy 1 first, the other k-1 copies next
+        t = np.einsum("ijrq,isrp->jqsp", v, v.conj()) / np.sqrt(dim)
+        maps.append(_block_marginal_map(t, d_other, q.side))
+        sides.append(mult * d_other)
     rhs, eye_term = _marginal_rhs(q)
-    a = sp.hstack([marginal, sp.csr_matrix(-eye_term[:, None])]).tocsr()
-    blocks = (Block("psd", sigma_dim), Block("nonneg", 1))
-    c = np.zeros(sigma_dim * sigma_dim + 1)
+    a = sp.hstack(maps + [sp.csr_matrix(-eye_term[:, None])]).tocsr()
+    blocks = tuple(Block("psd", s) for s in sides) + (Block("nonneg", 1),)
+    c = np.zeros(sum(s * s for s in sides) + 1)
     c[-1] = 1.0
     return ConicProgram(blocks, c, a, rhs)
 
 
 def build_program(q: ExtensionQuery) -> ConicProgram:
-    if q.flavor == SE:
-        return _build_se_program(q)
     if q.flavor == SQE:
         return _build_sqe_program(q)
-    return _build_bosonic_program(q)
+    d = q.dims[q.copy_positions[0]]
+    if q.flavor == SE_B:
+        return _build_symmetric_program(q, [symmetric_subspace_isometry(d, q.k)[None]])
+    return _build_symmetric_program(q, list(s_k_isometries(d, q.k).values()))
 
 
 def _run(q: ExtensionQuery, tol: float, max_iter: int) -> ExtensionResult:
@@ -298,7 +413,7 @@ def _run(q: ExtensionQuery, tol: float, max_iter: int) -> ExtensionResult:
     return ExtensionResult(
         t_star=t_star,
         status=sol.status,
-        extension_exists=bool(t_star <= 1.0 + 1e-6),
+        extension_exists=bool(t_star <= 1.0 + 1e-6) if sol.status == "OPTIMAL" else None,
         gap=sol.gap,
         iterations=sol.iterations,
     )
@@ -345,12 +460,17 @@ def extension_threshold(
     v_tol: float = 1e-3,
     sdp_tol: float = 1e-7,
 ) -> float:
-    """Bisection over v for the smallest Werner weight admitting an extension."""
+    """Bisection over v for the smallest Werner weight admitting an extension.
+
+    Raises RuntimeError when a solve does not end OPTIMAL, rather than bisecting on it.
+    """
     from .states import werner
 
     def exists(v: float) -> bool:
-        q = ExtensionQuery(werner(d, v), k, side, flavor)
-        return _run(q, sdp_tol, 200000).extension_exists
+        res = _run(ExtensionQuery(werner(d, v), k, side, flavor), sdp_tol, 200000)
+        if res.extension_exists is None:
+            raise RuntimeError(f"{flavor} solve at v={v} ended {res.status}; no extendibility verdict")
+        return res.extension_exists
 
     lo, hi = 0.0, d * (d + 1) / 2 / (d * d)  # weight of the maximally mixed point
     if exists(lo):

@@ -193,7 +193,12 @@ class _ConeProjector:
             upper = (segs[:, n::2] + 1j * segs[:, n + 1 :: 2]) / np.sqrt(2.0)
             h[:, iu, ju] = upper
             h[:, ju, iu] = upper.conj()
-            w, q = np.linalg.eigh(h)
+            try:
+                w, q = np.linalg.eigh(h)
+            except np.linalg.LinAlgError:
+                # LAPACK's default driver can fail to converge on a finite iterate; MRRR is independent
+                pairs = [scipy.linalg.eigh(hb, driver="evr") for hb in h]
+                w, q = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
             w = np.clip(w, 0.0, None)
             hp = (q * w[:, None, :]) @ q.conj().transpose(0, 2, 1)
             segs = np.empty((nb, size))
@@ -205,35 +210,17 @@ class _ConeProjector:
         return out
 
 
-def _equilibrate(
-    a: sp.csr_matrix, blocks: tuple[Block, ...], iters: int = 10
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ruiz row/column scaling; PSD blocks get one uniform column scale so the
-    cone is preserved."""
-    m, n = a.shape
-    d = np.ones(m)
-    e = np.ones(n)
-    psd_slices = []
+def _equilibrate(a: sp.csr_matrix, blocks: tuple[Block, ...]) -> np.ndarray:
+    """Column scaling to unit column max; PSD blocks get one uniform column scale so
+    the cone is preserved.  Rows keep their scale: scaling them would distort programs
+    whose constraint map is already an isometry, such as the symmetry-reduced extensions."""
+    col_max = abs(a).max(axis=0).toarray().ravel()
     pos = 0
     for bl in blocks:
         if bl.kind == PSD:
-            psd_slices.append(slice(pos, pos + bl.size))
+            col_max[pos : pos + bl.size] = col_max[pos : pos + bl.size].max()
         pos += bl.size
-    work = a.tocsr(copy=True)
-    for _ in range(iters):
-        abs_work = work.copy()
-        abs_work.data = np.abs(abs_work.data)
-        row_max = abs_work.max(axis=1).toarray().ravel()
-        col_max = abs_work.max(axis=0).toarray().ravel()
-        for sl in psd_slices:
-            block_max = col_max[sl].max() if col_max[sl].size else 0.0
-            col_max[sl] = block_max
-        dr = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
-        de = 1.0 / np.sqrt(np.where(col_max > 0, col_max, 1.0))
-        d *= dr
-        e *= de
-        work = sp.diags(dr) @ work @ sp.diags(de)
-    return d, e
+    return 1.0 / np.where(col_max > 0, col_max, 1.0)
 
 
 class _Embedding:
@@ -293,9 +280,9 @@ def solve(
     """
     prog = presolve(prog)
     n, m = prog.n, prog.m
-    d_row, e_col = _equilibrate(prog.A, prog.blocks)
-    a_s = (sp.diags(d_row) @ prog.A @ sp.diags(e_col)).tocsr()
-    b_s = d_row * prog.b
+    e_col = _equilibrate(prog.A, prog.blocks)
+    a_s = (prog.A @ sp.diags(e_col)).tocsr()
+    b_s = prog.b.copy()
     c_s = e_col * prog.c
     beta = 1.0 / max(np.linalg.norm(b_s), 1e-6)
     gamma = 1.0 / max(np.linalg.norm(c_s), 1e-6)
@@ -334,7 +321,7 @@ def solve(
         if tau > 1e-9:
             # map the scaled iterate back to the original problem
             x = e_col * u[:n] / tau / beta
-            y = d_row * u[n:-1] / tau / gamma
+            y = u[n:-1] / tau / gamma
             z = v[:n] / e_col / tau / gamma
             pres = np.linalg.norm(prog.A @ x - prog.b) / bnorm
             dres = np.linalg.norm(at @ y + z - prog.c) / cnorm
@@ -350,7 +337,7 @@ def solve(
                 )
         else:
             # tau collapsed: look for infeasibility / unboundedness certificates
-            uy = d_row * u[n:-1]
+            uy = u[n:-1]
             ux = e_col * u[:n]
             by = float(prog.b @ uy)
             if by > 1e-12:

@@ -63,7 +63,8 @@ def qutrit_bases() -> TomoFrame:
     )
     labels = tuple(f"M{i}" for i in range(1, 10))
     frame = TomoFrame("qutrit9", labels, vectors)
-    assert frame_rank(frame) == 81, "overcomplete qutrit frame must span Herm(9)"
+    if frame_rank(frame) != 81:
+        raise RuntimeError("overcomplete qutrit frame must span Herm(9)")
     return frame
 
 
@@ -75,7 +76,8 @@ def qubit_bases() -> TomoFrame:
     s = 1 / np.sqrt(2)
     vectors = (k0, k1, s * (k0 + k1), s * (k0 - k1), s * (k0 + 1j * k1), s * (k0 - 1j * k1))
     frame = TomoFrame("qubit6", ("H", "V", "D", "A", "R", "L"), vectors)
-    assert frame_rank(frame) == 16, "qubit frame must span Herm(4)"
+    if frame_rank(frame) != 16:
+        raise RuntimeError("qubit frame must span Herm(4)")
     return frame
 
 
@@ -231,7 +233,8 @@ def mle_reconstruct_with_history(
         history.append(cand_ll)
         if gain < tol * max(abs(cand_ll), 1.0):
             break
-    assert all(b >= a - 1e-12 for a, b in zip(history, history[1:])), "likelihood decreased"
+    if any(b < a - 1e-12 for a, b in zip(history, history[1:])):
+        raise RuntimeError("likelihood decreased")
     rho = engine.g_isqrt @ mu @ engine.g_isqrt
     dim = frame.dim
     return as_state(rho, dim, dim, clip_tol=1e-6), history

@@ -1,10 +1,15 @@
 """Tests for symmetric (quasi/bosonic) extension SDPs."""
 
+from math import factorial
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from wernerlab import extend
 from wernerlab.extend import (
     ExtensionQuery,
+    _partitions,
     bosonic_extension,
     build_program,
     critical_weight,
@@ -13,11 +18,13 @@ from wernerlab.extend import (
     real_pt_map,
     real_trace_map,
     run_query,
+    s_k_isometries,
     symmetric_extension,
     symmetric_subspace_isometry,
+    young_orthogonal_form,
 )
 from wernerlab.qmat import partial_transpose_dims, trace_out
-from wernerlab.solver import Block, ConicProgram, mat_real, presolve, vec_real
+from wernerlab.solver import Block, ConicProgram, mat_real, presolve, solve, vec_real
 from wernerlab.states import NoiseSpec, noisy_surrogate, swap_operator, sym_projector, werner
 
 
@@ -93,6 +100,74 @@ def test_bosonic_builder_matches_column_by_column_reference(d, k, side):
     assert np.allclose(prog.b, ref.b, rtol=0, atol=1e-12)
     assert np.allclose(prog.c, ref.c, rtol=0, atol=1e-12)
     assert presolve(prog).m == presolve(ref).m
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_young_orthogonal_form_is_an_orthogonal_representation(k):
+    shapes = _partitions(k, k)
+    assert sum(len(young_orthogonal_form(shape)[0]) ** 2 for shape in shapes) == factorial(k)
+    for shape in shapes:
+        gens = young_orthogonal_form(shape)
+        eye = np.eye(len(gens[0]))
+        for i, g in enumerate(gens):
+            assert np.allclose(g @ g.T, eye, rtol=0, atol=1e-14)
+            assert np.allclose(g @ g, eye, rtol=0, atol=1e-14)
+            for j, h in enumerate(gens[i + 1 :], start=i + 1):
+                power = 3 if j == i + 1 else 2  # Coxeter relations of S_k
+                assert np.allclose(np.linalg.matrix_power(g @ h, power), eye, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (2, 6), (3, 2), (3, 3), (3, 4), (4, 3)])
+def test_s_k_isometries_split_the_copies(d, k):
+    isos = s_k_isometries(d, k)
+    assert list(isos) == [shape for shape in _partitions(k, k) if len(shape) <= d]
+    assert sum(v.shape[0] * v.shape[2] for v in isos.values()) == d**k
+    stacked = np.concatenate([v[i] for v in isos.values() for i in range(len(v))], axis=1)
+    assert np.allclose(stacked.conj().T @ stacked, np.eye(stacked.shape[1]), rtol=0, atol=1e-12)
+    for shape, v in isos.items():
+        tensor = v.reshape((len(v),) + (d,) * k + (-1,))
+        for i, g in enumerate(young_orthogonal_form(shape)):
+            swapped = tensor.swapaxes(i + 1, i + 2)  # the copy permutation (i+1, i+2)
+            assert np.allclose(swapped, np.einsum("ji,j...->i...", g, tensor), rtol=0, atol=1e-12)
+
+
+def full_se_program(q):
+    """Reference SE program over all extensions: one PSD block on the whole space, one
+    marginal constraint per copy."""
+    n_ext = int(np.prod(q.dims))
+    eye_term = vec_real(np.eye(q.rho.dim) / q.rho.dim)
+    rhs = vec_real(q.rho.mat) - eye_term
+    t_col = sp.csr_matrix(-eye_term[:, None])
+    rows = [
+        sp.hstack([real_trace_map(q.dims, sorted([pos, q.other_position])), t_col]) for pos in q.copy_positions
+    ]
+    c = np.zeros(n_ext * n_ext + 1)
+    c[-1] = 1.0
+    return ConicProgram((Block("psd", n_ext), Block("nonneg", 1)), c, sp.vstack(rows), np.tile(rhs, q.k))
+
+
+@pytest.mark.parametrize(
+    "d,k,side,noisy",
+    [(2, 2, "B", 0), (2, 3, "A", 0), (3, 2, "B", 0), (3, 3, "A", 0), (3, 4, "B", 0), (3, 3, "A", 1)],
+)
+def test_reduced_se_matches_full_program(d, k, side, noisy):
+    rho = werner(d, 0.1)
+    if noisy:
+        rho = noisy_surrogate(werner(d, 0.2), NoiseSpec(depol=0.06, coherent_eps=0.02, seed=2024))
+        assert np.abs(rho.mat.imag).max() > 1e-3
+    q = ExtensionQuery(rho, k, side, "SE")
+    prog = build_program(q)
+    assert prog.m == rho.dim**2
+    reduced = solve(prog, tol=1e-7)
+    full = solve(full_se_program(q), tol=1e-7)
+    assert reduced.status == full.status == "OPTIMAL"
+    assert reduced.primal_obj == pytest.approx(full.primal_obj, abs=1e-6)
+
+
+def test_se_block_sides_for_four_qutrit_copies():
+    prog = build_program(ExtensionQuery(werner(3, 0.0), 4, "B", "SE"))
+    assert prog.blocks == tuple(Block("psd", n) for n in (45, 45, 18, 9)) + (Block("nonneg", 1),)
+    assert prog.m == 81
 
 
 def test_se_matches_known_werner_values():
@@ -195,6 +270,22 @@ def test_query_validation():
         ExtensionQuery(werner(3, 0.0), 2, "B", "XX")
     with pytest.raises(ValueError):
         symmetric_extension(ExtensionQuery(werner(3, 0.0), 2, "B", "SQE"))
+
+
+def test_unconverged_solve_gives_no_verdict(monkeypatch):
+    # 25 iterations stop at t* just below 1; the converged t* is 1.0333, i.e. not extendible
+    q = ExtensionQuery(werner(3, 0.15), 3, "B", "SE")
+    cut = run_query(q, max_iter=25)
+    assert cut.status == "MAX_ITER"
+    assert cut.extension_exists is None
+    done = run_query(q)
+    assert done.status == "OPTIMAL"
+    assert done.t_star == pytest.approx(31 / 30, abs=1e-5)
+    assert done.extension_exists is False
+    real_solve = extend.solve
+    monkeypatch.setattr(extend, "solve", lambda prog, tol, max_iter: real_solve(prog, tol=tol, max_iter=25))
+    with pytest.raises(RuntimeError, match="MAX_ITER"):
+        extension_threshold(3, 3, "SE", "B")
 
 
 def test_run_query_dispatch():

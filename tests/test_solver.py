@@ -70,7 +70,7 @@ def test_vec_real_isometry():
     assert np.allclose((u.conj().T @ u).toarray(), np.eye(25), atol=1e-14)
 
 
-def test_cone_projection_matches_per_block_reference():
+def check_cone_projection_against_per_block_reference():
     # PSD sides 1, 2, 3 and 9 each appear twice so they project as batches
     psd_sides = (2, 9, 1, 3, 45, 2, 9, 3, 1)
     blocks = (Block("free", 3), Block("nonneg", 4)) + tuple(Block("psd", n) for n in psd_sides)
@@ -92,6 +92,24 @@ def test_cone_projection_matches_per_block_reference():
             assert np.linalg.eigvalsh(mat_real(got, bl.n))[0] >= -1e-12
         assert np.allclose(got, expect, rtol=0, atol=1e-12)
     assert np.allclose(proj.project(out), out, rtol=0, atol=1e-12)
+
+
+def test_cone_projection_matches_per_block_reference():
+    check_cone_projection_against_per_block_reference()
+
+
+def test_cone_projection_survives_eigh_failure(monkeypatch):
+    real_eigh, failures = np.linalg.eigh, []
+
+    def eigh_failing_once(h):
+        if not failures:
+            failures.append(h.shape)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_failing_once)
+    check_cone_projection_against_per_block_reference()
+    assert failures == [(2, 2, 2)]  # the batch of the two 2-side blocks took the fallback
 
 
 def test_embedding_linear_solve():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wernerlab import tomo
 from wernerlab.filterops import rotated_filtered_state
 from wernerlab.qmat import DensityMatrix, uhlmann_fidelity
 from wernerlab.states import experiment_like_noise, noisy_surrogate, werner
@@ -38,6 +39,12 @@ def test_qutrit_basis_vectors():
 def test_frame_ranks():
     assert frame_rank(qutrit_bases()) == 81
     assert frame_rank(qubit_bases()) == 16
+
+
+def test_frame_rank_check_raises(monkeypatch):
+    monkeypatch.setattr(tomo, "frame_rank", lambda frame: 15)
+    with pytest.raises(RuntimeError, match="qubit frame must span"):
+        tomo.qubit_bases.__wrapped__()
 
 
 def test_expected_probabilities_cases():
