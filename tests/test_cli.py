@@ -93,6 +93,16 @@ def test_extend_table_command(tmp_path):
     assert values[0.2] == pytest.approx(0.7, abs=1e-4)
 
 
+def test_sweep_extend_and_extend_table_write_the_same_rows(tmp_path):
+    grid = ["--d", "3", "--k-list", "2,3", "--v-grid", "0,0.2", "--side", "A", "--seed", "5"]
+    assert main(["sweep", "--task", "extend", "--flavor", "SE_B", *grid, "--out", str(tmp_path / "s")]) == 0
+    assert main(["extend-table", "--flavors", "SE_B", *grid, "--out", str(tmp_path / "t")]) == 0
+    swept = (tmp_path / "s" / "extend_d3.csv").read_text()
+    tabled = (tmp_path / "t" / "extend_table_d3.csv").read_text()
+    assert swept == tabled
+    assert len(swept.splitlines()) == 5
+
+
 def test_tomo_demo_roundtrip(tmp_path):
     out = tmp_path / "demo"
     assert main(["tomo-demo", "--v", "0.2", "--shots", "5000", "--out", str(out), "--seed", "4"]) == 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wernerlab import filterops
 from wernerlab.filterops import (
@@ -154,3 +156,22 @@ def test_protocol_rejects_zero():
     object.__setattr__(zero_like, "mat", np.zeros((2, 2), dtype=complex))
     with pytest.raises(ValueError):
         filter_protocol(zero_like)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d_in=st.integers(2, 3),
+    d_out=st.integers(2, 3),
+    d_other=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_protocol_replay_on_side_b_matches_apply_filter(d_in, d_out, d_other, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
+    f = FilterOperator(g / np.linalg.norm(g, 2), "B")
+    rho = random_state(d_other, d_in, seed)
+    direct, p_direct = apply_filter(rho, FilterOperator.identity(d_other, "A"), f)
+    replayed, p_replay = replay_protocol(rho, filter_protocol(f), "B")
+    assert (replayed.dimA, replayed.dimB) == (d_other, d_out)
+    assert p_replay == pytest.approx(p_direct, abs=1e-12)
+    assert np.max(np.abs(replayed.mat - direct.mat)) < 1e-12

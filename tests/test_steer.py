@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wernerlab import steer
 from wernerlab.filterops import rotated_filtered_state
 from wernerlab.qmat import DensityMatrix, kron
+from wernerlab.solver import Block, vec_real
 from wernerlab.states import NoiseSpec, noisy_surrogate, werner
 from wernerlab.steer import (
     Assemblage,
@@ -44,6 +49,24 @@ def bloch_measurement(*directions):
         op = sum(ni * p for ni, p in zip(n, paulis))
         settings.append(((np.eye(2) + op) / 2, (np.eye(2) - op) / 2))
     return MeasurementSet(tuple(settings))
+
+
+def random_state(d_a, d_b, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d_a * d_b, d_a * d_b)) + 1j * rng.standard_normal((d_a * d_b, d_a * d_b))
+    m = g @ g.conj().T
+    return DensityMatrix(d_a, d_b, m / np.trace(m))
+
+
+def swapped(rho):
+    """SWAP rho SWAP: the same state with its two sides exchanged."""
+    d_a, d_b = rho.dimA, rho.dimB
+    m = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2).reshape(d_a * d_b, d_a * d_b)
+    return DensityMatrix(d_b, d_a, m)
+
+
+DIMS = st.sampled_from([(2, 2), (3, 3), (2, 3), (3, 2)])
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 def pr_box():
@@ -275,3 +298,171 @@ def test_seesaw_separable_respects_local_bound():
 def test_deterministic_strategies_lexicographic():
     strats = deterministic_strategies(2, 2)
     assert strats == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=DIMS, seed=SEEDS)
+def test_assemblage_side_b_is_side_a_of_swapped_state(dims, seed):
+    rho = random_state(*dims, seed)
+    meas = random_projective(dims[1], 2, np.random.default_rng(seed))
+    side_b = assemblage_from(rho, meas, "B")
+    side_a = assemblage_from(swapped(rho), meas, "A")
+    for row_b, row_a in zip(side_b.sigma, side_a.sigma):
+        for sig_b, sig_a in zip(row_b, row_a):
+            assert np.max(np.abs(sig_b - sig_a)) < 1e-14
+    with pytest.raises(ValueError, match="dimension"):
+        assemblage_from(rho, random_projective(4, 1, np.random.default_rng(seed)), "B")
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(dims=DIMS, seed=SEEDS)
+def test_sr_lower_bound_side_b_is_side_a_of_swapped_state(dims, seed):
+    rho = random_state(*dims, seed)
+    side_b = sr_state_lower_bound(rho, 2, restarts=2, seed=seed, steering_side="B", max_rounds=5)
+    side_a = sr_state_lower_bound(swapped(rho), 2, restarts=2, seed=seed, steering_side="A", max_rounds=5)
+    assert side_b.best == pytest.approx(side_a.best, abs=1e-9)
+    assert side_b.per_restart == pytest.approx(side_a.per_restart, abs=1e-9)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=SEEDS, purity=st.floats(0.6, 1.0))
+def test_seesaw_bell_with_swapped_sides(seed, purity):
+    # an entangled two-qubit state and CHSH with its minus sign at (x, y) = (1, 0),
+    # so the transposed table differs: B's see-saw steps now run as A's
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    rho = DensityMatrix(2, 2, purity * np.outer(psi, psi.conj()) + (1 - purity) * np.eye(4) / 4)
+    table = chsh_coefficients()[:, ::-1]
+    direct = seesaw_bell(rho, table, restarts=4, seed=seed)
+    exchanged = seesaw_bell(swapped(rho), table.transpose(1, 0, 3, 2), restarts=4, seed=seed)
+    assert exchanged == pytest.approx(direct, abs=1e-7)
+
+
+def sr_program_by_loops(assemblage):
+    """The steering-robustness program as the original per-entry loops built it."""
+    n_s, n_o, d = assemblage.n_settings, assemblage.n_outcomes, assemblage.dim
+    lambdas = deterministic_strategies(n_s, n_o)
+    n_lam, k, n_cons_blocks = len(lambdas), d * d, n_s * n_o
+    rows, cols, vals = [], [], []
+    b = np.empty(n_cons_blocks * k)
+    for x in range(n_s):
+        for a in range(n_o):
+            blk = x * n_o + a
+            row0 = blk * k
+            b[row0 : row0 + k] = vec_real(assemblage.sigma[x][a])
+            for il, lam in enumerate(lambdas):
+                if lam[x] != a:
+                    continue
+                for r in range(k):
+                    rows.append(row0 + r)
+                    cols.append(il * k + r)
+                    vals.append(1.0)
+            for r in range(k):
+                rows.append(row0 + r)
+                cols.append((n_lam + blk) * k + r)
+                vals.append(-1.0)
+    n_var = (n_lam + n_cons_blocks) * k
+    c = np.zeros(n_var)
+    for il in range(n_lam):
+        c[il * k : il * k + d] = vec_real(np.eye(d))[:d]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(b), n_var)), b, c
+
+
+def nonlocal_program_by_loops(corr):
+    """The nonlocal-content LP's constraint matrix and right-hand side as the original loops built them."""
+    n_sa, n_sb, n_oa, n_ob = corr.scenario
+    las = deterministic_strategies(n_sa, n_oa)
+    mus = deterministic_strategies(n_sb, n_ob)
+    n_q = len(las) * len(mus)
+    n_r = n_sa * n_sb * n_oa * n_ob
+
+    def r_index(x, y, a, bq):
+        return n_q + ((x * n_sb + y) * n_oa + a) * n_ob + bq
+
+    rows, cols, vals, b_vec = [], [], [], []
+
+    def add(row, col, val):
+        rows.append(row)
+        cols.append(col)
+        vals.append(val)
+
+    for x, y, a, bq in np.ndindex(n_sa, n_sb, n_oa, n_ob):
+        row = len(b_vec)
+        for il, lam in enumerate(las):
+            for im, mu in enumerate(mus):
+                if lam[x] == a and mu[y] == bq:
+                    add(row, il * len(mus) + im, 1.0)
+        add(row, r_index(x, y, a, bq), 1.0)
+        b_vec.append(corr.p[x, y, a, bq])
+    for j in range(n_q):
+        add(len(b_vec), j, 1.0)
+    add(len(b_vec), n_q + n_r, 1.0)
+    b_vec.append(1.0)
+    for x, a, y in np.ndindex(n_sa, n_oa, n_sb):
+        if y:
+            for bq in range(n_ob):
+                add(len(b_vec), r_index(x, y, a, bq), 1.0)
+                add(len(b_vec), r_index(x, 0, a, bq), -1.0)
+            b_vec.append(0.0)
+    for y, bq, x in np.ndindex(n_sb, n_ob, n_sa):
+        if x:
+            for a in range(n_oa):
+                add(len(b_vec), r_index(x, y, a, bq), 1.0)
+                add(len(b_vec), r_index(0, y, a, bq), -1.0)
+            b_vec.append(0.0)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(b_vec), n_q + n_r + 1)), np.asarray(b_vec)
+
+
+def assert_same_csr(got, want):
+    got, want = sp.csr_matrix(got), sp.csr_matrix(want)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize(
+    "d, n_s, n_o",
+    [(2, 2, 2), (2, 3, 2), (3, 2, 3), (3, 2, 2), (2, 1, 2)],
+)
+def test_sr_program_matches_loop_reference(monkeypatch, d, n_s, n_o):
+    rng = np.random.default_rng(10 * d + n_s)
+    rho = random_state(d, d, 7 * n_s + n_o)
+    meas = steer.random_grouped_projective(d, n_s, n_o, rng)
+    asm = assemblage_from(rho, meas, "A")
+    captured = []
+    real_solve = steer.solve
+
+    def capture(prog, **kwargs):
+        captured.append(prog)
+        return real_solve(prog, **kwargs)
+
+    monkeypatch.setattr(steer, "solve", capture)
+    sr_solve(asm)
+    (prog,) = captured
+    a_ref, b_ref, c_ref = sr_program_by_loops(asm)
+    assert_same_csr(prog.A, a_ref)
+    assert np.array_equal(prog.b, b_ref)
+    assert np.array_equal(prog.c, c_ref)
+    assert prog.blocks == tuple([Block("psd", d)] * ((n_o**n_s) + n_s * n_o))
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [(2, 2, 2, 2), (2, 3, 2, 2), (3, 2, 2, 3), (2, 2, 3, 3), (1, 2, 2, 2)],
+)
+def test_nonlocal_content_program_matches_loop_reference(scenario):
+    rng = np.random.default_rng(sum(scenario))
+    n_sa, n_sb, n_oa, n_ob = scenario
+    d = max(n_oa, n_ob)
+    meas_a = steer.random_grouped_projective(d, n_sa, n_oa, rng)
+    meas_b = steer.random_grouped_projective(d, n_sb, n_ob, rng)
+    corr = correlation_from(random_state(d, d, sum(scenario)), meas_a, meas_b)
+    prog = steer.nonlocal_content_program(corr)
+    a_ref, b_ref = nonlocal_program_by_loops(corr)
+    assert_same_csr(prog.A, a_ref)
+    assert np.array_equal(prog.b, b_ref)
+    c_ref = np.zeros(a_ref.shape[1])
+    c_ref[-1] = 1.0
+    assert np.array_equal(prog.c, c_ref)
+    assert prog.blocks == (Block("nonneg", a_ref.shape[1]),)
