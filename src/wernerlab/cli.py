@@ -31,10 +31,12 @@ def derive_seed(global_seed: int, name: str) -> int:
 
 
 def parse_grid(text: str) -> list[float]:
-    """start:step:stop (inclusive) or comma-separated values."""
+    """start:step:stop (stepping toward stop, including it when a step lands on it) or comma-separated values."""
     if ":" in text:
         start, step, stop = (float(t) for t in text.split(":"))
-        n = int(round((stop - start) / step))
+        if step == 0 or (stop - start) * step < 0:
+            raise ValueError(f"grid {text!r}: the step must be nonzero and lead from start to stop")
+        n = int((stop - start) / step + 1e-9)  # 1e-9 keeps a stop reached up to rounding, as in 0:0.1:0.3
         return [round(start + i * step, 12) for i in range(n + 1)]
     return [float(t) for t in text.split(",")]
 
@@ -121,18 +123,20 @@ def sweep_dc(args, task_seed):
     return ["d", "seed", "v_dc"], rows
 
 
-def sweep_extend(args, task_seed):
+def _extend_rows(args, flavors, seed_of):
+    """One row per flavor, k and v; ``seed_of(k, i)`` seeds the noisy state at the i-th v."""
     rows = []
-    for k in args.k_list:
-        for i, v in enumerate(args.v_grid):
-            seed = task_seed ^ (k * 1000 + i)
-            rho = _state_for(args.d, v, args.noisy, seed)
-            q = extend.ExtensionQuery(rho, k, args.side, args.flavor)
-            res = extend.run_query(q, tol=args.sdp_tol)
-            rows.append(
-                [args.d, k, args.side, args.flavor, float(v), res.t_star, res.gap, res.status]
-            )
+    for flavor in flavors:
+        for k in args.k_list:
+            for i, v in enumerate(args.v_grid):
+                rho = _state_for(args.d, v, args.noisy, seed_of(k, i))
+                res = extend.run_query(extend.ExtensionQuery(rho, k, args.side, flavor), tol=args.sdp_tol)
+                rows.append([args.d, k, args.side, flavor, float(v), res.t_star, res.gap, res.status])
     return ["d", "k", "side", "flavor", "v", "t_star", "gap", "status"], rows
+
+
+def sweep_extend(args, task_seed):
+    return _extend_rows(args, [args.flavor], lambda k, i: task_seed ^ (k * 1000 + i))
 
 
 def sweep_tomo(args, task_seed):
@@ -159,35 +163,35 @@ SWEEPS = {
 }
 
 
-def run_sweep(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_manifest(out_dir: Path, command: str, args, **fields) -> None:
     manifest = {
         "artifact_version": __version__,
-        "command": "sweep",
+        "command": command,
         "args": {
             k: v for k, v in vars(args).items() if k not in ("func", "config", "replay", "command") and v is not None
         },
         "global_seed": args.seed,
-        "task_seeds": {},
-        "outputs": {},
-        "wall_times": {},
+        **fields,
     }
-    tasks = args.task.split(",")
-    for task in tasks:
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def run_sweep(args) -> int:
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    task_seeds, outputs, wall_times = {}, {}, {}
+    for task in args.task.split(","):
         if task not in SWEEPS:
             print(f"unknown task {task!r}; choose from {TASKS}", file=sys.stderr)
             return 1
-        task_seed = derive_seed(args.seed, task)
-        manifest["task_seeds"][task] = task_seed
+        task_seeds[task] = derive_seed(args.seed, task)
         t0 = time.perf_counter()
-        header, rows = SWEEPS[task](args, task_seed)
+        header, rows = SWEEPS[task](args, task_seeds[task])
         name = f"{task}_d{args.d}.csv"
-        digest = write_csv(out_dir / name, header, rows)
-        manifest["wall_times"][task] = time.perf_counter() - t0
-        manifest["outputs"][name] = digest
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(manifest['outputs'])} file(s) to {out_dir}")
+        outputs[name] = write_csv(out_dir / name, header, rows)
+        wall_times[task] = time.perf_counter() - t0
+    _write_manifest(out_dir, "sweep", args, task_seeds=task_seeds, outputs=outputs, wall_times=wall_times)
+    print(f"wrote {len(outputs)} file(s) to {out_dir}")
     return 0
 
 
@@ -342,25 +346,9 @@ def _strict_check(v: float, report: dict) -> list[str]:
 def run_extend_table(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for flavor in args.flavors.split(","):
-        for k in args.k_list:
-            for i, v in enumerate(args.v_grid):
-                rho = _state_for(args.d, v, args.noisy, derive_seed(args.seed, f"et{k}{i}"))
-                res = extend.run_query(
-                    extend.ExtensionQuery(rho, k, args.side, flavor), tol=args.sdp_tol
-                )
-                rows.append([args.d, k, args.side, flavor, float(v), res.t_star, res.gap, res.status])
-    header = ["d", "k", "side", "flavor", "v", "t_star", "gap", "status"]
-    digest = write_csv(out_dir / f"extend_table_d{args.d}.csv", header, rows)
-    manifest = {
-        "artifact_version": __version__,
-        "command": "extend-table",
-        "args": {k: v for k, v in vars(args).items() if k not in ("func", "config", "command") and v is not None},
-        "global_seed": args.seed,
-        "outputs": {f"extend_table_d{args.d}.csv": digest},
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    header, rows = _extend_rows(args, args.flavors.split(","), lambda k, i: derive_seed(args.seed, f"et{k}{i}"))
+    name = f"extend_table_d{args.d}.csv"
+    _write_manifest(out_dir, "extend-table", args, outputs={name: write_csv(out_dir / name, header, rows)})
     print(f"wrote extend table to {out_dir}")
     return 0
 
@@ -491,10 +479,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config(args, argv)
-    if getattr(args, "replay", None):
-        return run_replay(args)
     try:
+        args = _apply_config(args, argv)
+        if getattr(args, "replay", None):
+            return run_replay(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

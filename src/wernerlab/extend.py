@@ -1,24 +1,22 @@
-"""Symmetric extension, symmetric quasi-extension and bosonic symmetric
-extension SDPs, with critical-weight extraction.
+"""Symmetric extension (SE), symmetric quasi-extension (SQE) and bosonic
+symmetric extension (SE-B) SDPs, with critical-weight extraction.
 
 A state rho_AB is (k,1)- or (1,k)-extendible when a (k+1)-partite operator
-exists whose every single-copy marginal recovers rho_AB.  Each flavor is cast
-as: minimize t subject to  tr_(all copies but i) X = rho + (t-1) I/D, with X
-positive (SE), a decomposable-witness combination P + sum_p Q_p^(T_p) (SQE),
-or supported on the permutation-symmetric subspace of the copies (SE-B).
-t* <= 1 certifies that the extension exists.
+exists whose every single-copy marginal recovers rho_AB.  :func:`run_query`
+solves one :class:`ExtensionQuery`: minimize t subject to
+tr_(all copies but i) X = rho + (t-1) I/D, with X positive (SE), a
+decomposable-witness combination P + sum_p Q_p^(T_p) (SQE), or supported on
+the permutation-symmetric subspace of the copies (SE-B).  t* <= 1 certifies
+that the extension exists.
 
 SE and SE-B search only extensions invariant under permutations of the k
 copies, which loses nothing: averaging an extension over the permutations
 keeps every marginal.  Such an X is block diagonal in the S_k isotypic
-decomposition (Gatermann & Parrilo 2004), X = sum_lambda I_(d_lambda) (x)
-M_lambda, with irreps built from Young's orthogonal form.  Each partition
-lambda of k with at most d rows gets one PSD block M_lambda, and one copy's
-marginal constraint stands for all k: for (d, k) = (3, 4) the 243-side block
-becomes blocks of 45, 45, 18 and 9 under 81 instead of 324 constraints.  SE-B
-is the trivial-irrep block alone.  SQE keeps the full program, with partial
-traces and partial transposes acting on the real vectorization through index
-arithmetic (coefficient +-1 sparse maps), never through permutation matrices.
+decomposition (Gatermann & Parrilo 2004), with irreps from Young's orthogonal
+form: one PSD block per partition of k with at most d rows, and one copy's
+marginal constraint for all k.  SE-B is the trivial-irrep block alone.  SQE
+keeps the full program, with partial traces and transposes acting on the real
+vectorization through index arithmetic, never through permutation matrices.
 """
 
 from __future__ import annotations
@@ -405,7 +403,8 @@ def build_program(q: ExtensionQuery) -> ConicProgram:
     return _build_symmetric_program(q, list(s_k_isometries(d, q.k).values()))
 
 
-def _run(q: ExtensionQuery, tol: float, max_iter: int) -> ExtensionResult:
+def run_query(q: ExtensionQuery, tol: float = 1e-7, max_iter: int = 200000) -> ExtensionResult:
+    """Optimal t* of the query's SDP; t* <= 1 means the extension exists, and t*_SQE <= t*_SE <= t*_SE_B."""
     if int(np.prod(q.dims)) >= MAX_EXTENSION_DIM:
         max_iter *= 4  # the 243-dimensional instances converge more slowly
     sol = solve(build_program(q), tol=tol, max_iter=max_iter)
@@ -417,31 +416,6 @@ def _run(q: ExtensionQuery, tol: float, max_iter: int) -> ExtensionResult:
         gap=sol.gap,
         iterations=sol.iterations,
     )
-
-
-def symmetric_extension(q: ExtensionQuery, tol: float = 1e-7, max_iter: int = 200000) -> ExtensionResult:
-    """Optimal t* of the symmetric-extension SDP; t* <= 1 means rho is k-extendible."""
-    if q.flavor != SE:
-        raise ValueError("query flavor must be SE")
-    return _run(q, tol, max_iter)
-
-
-def quasi_extension(q: ExtensionQuery, tol: float = 1e-7, max_iter: int = 200000) -> ExtensionResult:
-    """Relaxation allowing a decomposable-witness extension; t*_SQE <= t*_SE."""
-    if q.flavor != SQE:
-        raise ValueError("query flavor must be SQE")
-    return _run(q, tol, max_iter)
-
-
-def bosonic_extension(q: ExtensionQuery, tol: float = 1e-7, max_iter: int = 200000) -> ExtensionResult:
-    """Tightened extension supported on the symmetric subspace of the copies."""
-    if q.flavor != SE_B:
-        raise ValueError("query flavor must be SE_B")
-    return _run(q, tol, max_iter)
-
-
-def run_query(q: ExtensionQuery, tol: float = 1e-7, max_iter: int = 200000) -> ExtensionResult:
-    return _run(q, tol, max_iter)
 
 
 def critical_weight(t_star_at_v0: float, d: int) -> float:
@@ -467,7 +441,7 @@ def extension_threshold(
     from .states import werner
 
     def exists(v: float) -> bool:
-        res = _run(ExtensionQuery(werner(d, v), k, side, flavor), sdp_tol, 200000)
+        res = run_query(ExtensionQuery(werner(d, v), k, side, flavor), tol=sdp_tol)
         if res.extension_exists is None:
             raise RuntimeError(f"{flavor} solve at v={v} ended {res.status}; no extendibility verdict")
         return res.extension_exists

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DensityMatrix, as_state, dagger, kron, svd
+from .qmat import DensityMatrix, as_state, dagger, embed, kron, svd
 
 NORM_TOL = 1e-10
 
@@ -100,13 +100,15 @@ class FilterProtocol:
     attenuations: np.ndarray
     post_unitary: np.ndarray
 
+    @property
+    def sigma(self) -> np.ndarray:
+        """The d_out x d_in middle step: row i keeps input level kept_indices[i], attenuated."""
+        sigma = np.zeros((self.post_unitary.shape[0], self.pre_unitary.shape[0]), dtype=complex)
+        sigma[np.arange(len(self.kept_indices)), list(self.kept_indices)] = self.attenuations
+        return sigma
+
     def recompose(self) -> np.ndarray:
-        d_out = self.post_unitary.shape[0]
-        d_in = self.pre_unitary.shape[0]
-        sigma = np.zeros((d_out, d_in), dtype=complex)
-        for row, (idx, s) in enumerate(zip(self.kept_indices, self.attenuations)):
-            sigma[row, idx] = s
-        return self.post_unitary @ sigma @ self.pre_unitary
+        return self.post_unitary @ self.sigma @ self.pre_unitary
 
 
 def filter_protocol(f: FilterOperator) -> FilterProtocol:
@@ -131,23 +133,13 @@ def replay_protocol(
     rho: DensityMatrix, proto: FilterProtocol, side: str = "A"
 ) -> tuple[DensityMatrix, float]:
     """Run the three protocol steps on one side of a state (other side untouched)."""
-    d_in = proto.pre_unitary.shape[0]
-    d_out = proto.post_unitary.shape[0]
-    sigma = np.zeros((d_out, d_in), dtype=complex)
-    for row, (idx, s) in enumerate(zip(proto.kept_indices, proto.attenuations)):
-        sigma[row, idx] = s
-
-    def one_sided(op, d_other, on_a):
-        return kron(op, np.eye(d_other)) if on_a else kron(np.eye(d_other), op)
-
-    on_a = side == "A"
-    d_other = rho.dimB if on_a else rho.dimA
+    d_other = rho.dimB if side == "A" else rho.dimA
     m = rho.mat
-    for step in (proto.pre_unitary, sigma, proto.post_unitary):
-        big = one_sided(step, d_other, on_a)
+    for step in (proto.pre_unitary, proto.sigma, proto.post_unitary):
+        big = embed(step, d_other, side)
         m = big @ m @ dagger(big)
     prob = float(np.trace(m).real)
     if prob < 1e-12:
         raise ValueError("protocol annihilates state")
-    dims = (d_out, d_other) if on_a else (d_other, d_out)
-    return as_state(m / prob, *dims), prob
+    d_out = proto.post_unitary.shape[0]
+    return as_state(m / prob, *((d_out, d_other) if side == "A" else (d_other, d_out))), prob

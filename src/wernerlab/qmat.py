@@ -108,6 +108,19 @@ def trace_out(mat: np.ndarray, dims: list[int], traced: list[int]) -> np.ndarray
     return t.reshape(d, d)
 
 
+def embed(op: np.ndarray, d_other: int, side: str) -> np.ndarray:
+    """``op`` acting on ``side`` ('A' or 'B') of a bipartite space, the identity on the d_other-level other side."""
+    return kron(op, np.eye(d_other)) if side == "A" else kron(np.eye(d_other), op)
+
+
+def contract(rho: DensityMatrix, op: np.ndarray, side: str) -> np.ndarray:
+    """Hermitian part of tr_side[(op on side) rho]: the operator left on the other side."""
+    on_a = side == "A"
+    dims = [rho.dimA, rho.dimB]
+    red = trace_out(embed(op, dims[1] if on_a else dims[0], side) @ rho.mat, dims, [0 if on_a else 1])
+    return (red + dagger(red)) / 2
+
+
 def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
     """Partial transpose with respect to subsystem A or B.
 

@@ -20,6 +20,7 @@ deterministic, and certifies optimality through the duality gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -49,27 +50,34 @@ class Block:
         return self.n * self.n if self.kind == PSD else self.n
 
 
+@lru_cache(maxsize=64)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(n, 1)
+
+
 def vec_real(h: np.ndarray) -> np.ndarray:
-    """Real orthonormal vectorization of a Hermitian matrix (isometric for Frobenius)."""
+    """Real orthonormal vectorization of a Hermitian matrix (isometric for Frobenius).
+
+    Leading axes of ``h`` are a stack: each trailing n x n matrix is vectorized."""
     h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
-    iu, ju = np.triu_indices(n, 1)
-    out = np.empty(n * n)
-    out[:n] = h[np.arange(n), np.arange(n)].real
-    out[n::2] = np.sqrt(2.0) * h[iu, ju].real
-    out[n + 1 :: 2] = np.sqrt(2.0) * h[iu, ju].imag
+    n = h.shape[-1]
+    iu, ju = _triu(n)
+    out = np.empty(h.shape[:-2] + (n * n,))
+    out[..., :n] = h[..., np.arange(n), np.arange(n)].real
+    out[..., n::2] = np.sqrt(2.0) * h[..., iu, ju].real
+    out[..., n + 1 :: 2] = np.sqrt(2.0) * h[..., iu, ju].imag
     return out
 
 
 def mat_real(x: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`vec_real`."""
+    """Inverse of :func:`vec_real`, over the same leading stack axes."""
     x = np.asarray(x, dtype=float)
-    iu, ju = np.triu_indices(n, 1)
-    h = np.zeros((n, n), dtype=complex)
-    h[np.arange(n), np.arange(n)] = x[:n]
-    upper = (x[n::2] + 1j * x[n + 1 :: 2]) / np.sqrt(2.0)
-    h[iu, ju] = upper
-    h[ju, iu] = upper.conj()
+    iu, ju = _triu(n)
+    h = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
+    h[..., np.arange(n), np.arange(n)] = x[..., :n]
+    upper = (x[..., n::2] + 1j * x[..., n + 1 :: 2]) / np.sqrt(2.0)
+    h[..., iu, ju] = upper
+    h[..., ju, iu] = upper.conj()
     return h
 
 
@@ -168,12 +176,6 @@ class _ConeProjector:
         self.total = pos
         for (kind, n), offsets in groups.items():
             self.plan.append((kind, n, np.asarray(offsets)))
-        self._psd_idx: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _indices(self, n: int):
-        if n not in self._psd_idx:
-            self._psd_idx[n] = np.triu_indices(n, 1)
-        return self._psd_idx[n]
 
     def project(self, x: np.ndarray) -> np.ndarray:
         out = x.copy()
@@ -184,15 +186,8 @@ class _ConeProjector:
                 idx = (offsets[:, None] + np.arange(n)[None, :]).ravel()
                 out[idx] = np.maximum(out[idx], 0.0)
                 continue
-            iu, ju = self._indices(n)
             size = n * n
-            segs = np.stack([x[o : o + size] for o in offsets])
-            nb = len(offsets)
-            h = np.zeros((nb, n, n), dtype=complex)
-            h[:, np.arange(n), np.arange(n)] = segs[:, :n]
-            upper = (segs[:, n::2] + 1j * segs[:, n + 1 :: 2]) / np.sqrt(2.0)
-            h[:, iu, ju] = upper
-            h[:, ju, iu] = upper.conj()
+            h = mat_real(np.stack([x[o : o + size] for o in offsets]), n)
             try:
                 w, q = np.linalg.eigh(h)
             except np.linalg.LinAlgError:
@@ -200,11 +195,7 @@ class _ConeProjector:
                 pairs = [scipy.linalg.eigh(hb, driver="evr") for hb in h]
                 w, q = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
             w = np.clip(w, 0.0, None)
-            hp = (q * w[:, None, :]) @ q.conj().transpose(0, 2, 1)
-            segs = np.empty((nb, size))
-            segs[:, :n] = hp[:, np.arange(n), np.arange(n)].real
-            segs[:, n::2] = np.sqrt(2.0) * hp[:, iu, ju].real
-            segs[:, n + 1 :: 2] = np.sqrt(2.0) * hp[:, iu, ju].imag
+            segs = vec_real((q * w[:, None, :]) @ q.conj().transpose(0, 2, 1))
             for o, seg in zip(offsets, segs):
                 out[o : o + size] = seg
         return out

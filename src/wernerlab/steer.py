@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 
-from .qmat import DensityMatrix, dagger, kron, trace_out
+from .qmat import DensityMatrix, contract, dagger, kron
 from .solver import Block, ConicProgram, mat_real, solve, vec_real
 from .states import haar_unitary
 
@@ -133,29 +133,21 @@ class Assemblage:
 
 def assemblage_from(rho: DensityMatrix, meas: MeasurementSet, steering_side: str = "A") -> Assemblage:
     """Conditional states of the other side when ``steering_side`` is measured."""
-    sigma = []
-    for setting in meas.effects:
-        row = []
-        for eff in setting:
-            if steering_side == "A":
-                if meas.dim != rho.dimA:
-                    raise ValueError("measurement dimension does not match side A")
-                big = kron(eff, np.eye(rho.dimB))
-                red = trace_out(big @ rho.mat, [rho.dimA, rho.dimB], [0])
-            else:
-                if meas.dim != rho.dimB:
-                    raise ValueError("measurement dimension does not match side B")
-                big = kron(np.eye(rho.dimA), eff)
-                red = trace_out(big @ rho.mat, [rho.dimA, rho.dimB], [1])
-            row.append((red + dagger(red)) / 2)
-        sigma.append(tuple(row))
-    return Assemblage(tuple(sigma))
+    if meas.dim != (rho.dimA if steering_side == "A" else rho.dimB):
+        raise ValueError(f"measurement dimension does not match side {steering_side}")
+    return Assemblage(tuple(tuple(contract(rho, eff, steering_side) for eff in setting) for setting in meas.effects))
 
 
 @lru_cache(maxsize=32)
 def deterministic_strategies(n_settings: int, n_outcomes: int) -> tuple[tuple[int, ...], ...]:
     """All response functions lambda = (lambda_1..lambda_ns), lexicographic."""
     return tuple(product(range(n_outcomes), repeat=n_settings))
+
+
+def _response_table(n_settings: int, n_outcomes: int) -> np.ndarray:
+    """H[(x, a), lambda] = [lambda_x == a] over :func:`deterministic_strategies`, rows x-major."""
+    lambdas = np.array(deterministic_strategies(n_settings, n_outcomes)).T
+    return (lambdas[:, None, :] == np.arange(n_outcomes)[:, None]).reshape(n_settings * n_outcomes, -1).astype(float)
 
 
 @dataclass
@@ -171,75 +163,26 @@ def sr_solve(assemblage: Assemblage, tol: float = 1e-7, max_iter: int = 200000) 
     n_s, n_o, d = assemblage.n_settings, assemblage.n_outcomes, assemblage.dim
     if n_o**n_s > MAX_LAMBDA:
         raise ValueError(f"lambda space {n_o}^{n_s} exceeds {MAX_LAMBDA}")
-    lambdas = deterministic_strategies(n_s, n_o)
-    n_lam = len(lambdas)
-    k = d * d
-    n_cons_blocks = n_s * n_o
-
-    rows, cols, vals = [], [], []
-    b = np.empty(n_cons_blocks * k)
-    for x in range(n_s):
-        for a in range(n_o):
-            blk = x * n_o + a
-            row0 = blk * k
-            b[row0 : row0 + k] = vec_real(assemblage.sigma[x][a])
-            for il, lam in enumerate(lambdas):
-                if lam[x] != a:
-                    continue
-                col0 = il * k
-                for r in range(k):
-                    rows.append(row0 + r)
-                    cols.append(col0 + r)
-                    vals.append(1.0)
-            slack0 = (n_lam + blk) * k
-            for r in range(k):
-                rows.append(row0 + r)
-                cols.append(slack0 + r)
-                vals.append(-1.0)
-    n_var = (n_lam + n_cons_blocks) * k
-    a_mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(b), n_var))
-    c = np.zeros(n_var)
-    eye_comp = vec_real(np.eye(d))
-    for il in range(n_lam):
-        c[il * k : il * k + d] = eye_comp[:d]
-    blocks = tuple([Block("psd", d)] * (n_lam + n_cons_blocks))
+    h = _response_table(n_s, n_o)
+    n_lam, k = h.shape[1], d * d
+    n_slack = n_s * n_o * k  # one PSD slack per (x, a)
+    a_mat = sp.hstack([sp.kron(h, sp.eye(k)), -sp.eye(n_slack)])
+    b = np.concatenate([vec_real(s) for setting in assemblage.sigma for s in setting])
+    c = np.concatenate([np.tile(vec_real(np.eye(d)), n_lam), np.zeros(n_slack)])
+    blocks = tuple([Block("psd", d)] * (n_lam + n_s * n_o))
     sol = solve(ConicProgram(blocks, c, a_mat, b), tol=tol, max_iter=max_iter)
-    duals = []
-    for x in range(n_s):
-        row = []
-        for a in range(n_o):
-            blk = x * n_o + a
-            f = mat_real(sol.y[blk * k : (blk + 1) * k], d)
-            row.append((f + dagger(f)) / 2)
-        duals.append(tuple(row))
+    duals = mat_real(sol.y.reshape(n_s, n_o, k), d)
     return SRResult(
         value=float(sol.primal_obj) - 1.0,
         gap=sol.gap,
         status=sol.status,
-        duals=tuple(duals),
+        duals=tuple(tuple(row) for row in duals),
     )
 
 
 def steering_robustness(assemblage: Assemblage, tol: float = 1e-7) -> float:
     """SR of an assemblage; zero means a local-hidden-state model exists."""
     return sr_solve(assemblage, tol=tol).value
-
-
-def _response_operators(rho: DensityMatrix, duals, steering_side: str):
-    """G_{a|x} with sum_ax tr(M_{a|x} G_{a|x}) - 1 the dual steering value."""
-    out = []
-    for row in duals:
-        g_row = []
-        for f in row:
-            if steering_side == "A":
-                big = kron(np.eye(rho.dimA), f) @ rho.mat
-                g = trace_out(big, [rho.dimA, rho.dimB], [1])
-            else:
-                big = kron(f, np.eye(rho.dimB)) @ rho.mat
-                g = trace_out(big, [rho.dimA, rho.dimB], [0])
-            g_row.append((g + dagger(g)) / 2)
-        out.append(tuple(g_row))
-    return out
 
 
 def _pairwise_basis_update(vectors: np.ndarray, response: list[np.ndarray], sweeps: int = 3) -> np.ndarray:
@@ -289,6 +232,8 @@ def _update_measurements(meas: MeasurementSet, response) -> MeasurementSet:
 
 @dataclass
 class SRLowerBound:
+    """``per_restart`` has one value per restart whose first SDP solve ended OPTIMAL."""
+
     best: float
     per_restart: list[float]
     best_measurements: MeasurementSet | None = None
@@ -305,22 +250,32 @@ def sr_state_lower_bound(
     sdp_tol: float = 1e-7,
     max_rounds: int = 200,
 ) -> SRLowerBound:
-    """Best steering-robustness lower bound over seeded see-saw restarts."""
+    """Best steering-robustness lower bound over seeded see-saw restarts.
+
+    Only SDP solves that ended OPTIMAL count: a restart whose later solve fails
+    keeps its last converged value.
+    """
     d = rho.dimA if steering_side == "A" else rho.dimB
     n_o = d if n_outcomes is None else n_outcomes
     if n_o != d:
         raise ValueError("projective see-saw uses n_outcomes = local dimension")
+    unmeasured = "B" if steering_side == "A" else "A"
     per_restart = []
     best, best_meas, best_gap = 0.0, None, 0.0
     for r in range(restarts):
         rng = np.random.default_rng(seed ^ r if r else seed)
         meas = random_projective(d, n_settings, rng)
         res = sr_solve(assemblage_from(rho, meas, steering_side), tol=sdp_tol)
+        if res.status != "OPTIMAL":
+            continue
         value = res.value
         for _ in range(max_rounds):
-            response = _response_operators(rho, res.duals, steering_side)
+            # G_{a|x} = tr_unmeasured[(F_{a|x} on it) rho]: the dual value is sum tr(M_{a|x} G_{a|x}) - 1
+            response = [[contract(rho, f, unmeasured) for f in row] for row in res.duals]
             new_meas = _update_measurements(meas, response)
             new_res = sr_solve(assemblage_from(rho, new_meas, steering_side), tol=sdp_tol)
+            if new_res.status != "OPTIMAL":
+                break
             if new_res.value > value + 1e-7:
                 meas, res, value = new_meas, new_res, new_res.value
             else:
@@ -386,79 +341,30 @@ def nonlocal_content(corr: Correlation, tol: float = 1e-9) -> float:
 def nonlocal_content_program(corr: Correlation) -> ConicProgram:
     """The nonlocal-content LP in standard conic form (variables q, R, v)."""
     n_sa, n_sb, n_oa, n_ob = corr.scenario
-    if n_oa ** (n_sa) * n_ob ** (n_sb) > 10**6:
+    n_q, n_r = n_oa**n_sa * n_ob**n_sb, corr.p.size
+    if n_q > 10**6:
         raise ValueError("scenario too large for vertex enumeration")
-    las = deterministic_strategies(n_sa, n_oa)
-    mus = deterministic_strategies(n_sb, n_ob)
-    n_q = len(las) * len(mus)
-    n_r = n_sa * n_sb * n_oa * n_ob
-
-    def r_index(x, y, a, bq):
-        return ((x * n_sb + y) * n_oa + a) * n_ob + bq
-
-    rows, cols, vals = [], [], []
-    b_vec = []
-    row = 0
-    # decomposition constraints
-    for x in range(n_sa):
-        for y in range(n_sb):
-            for a in range(n_oa):
-                for bq in range(n_ob):
-                    for il, lam in enumerate(las):
-                        if lam[x] != a:
-                            continue
-                        for im, mu in enumerate(mus):
-                            if mu[y] != bq:
-                                continue
-                            rows.append(row)
-                            cols.append(il * len(mus) + im)
-                            vals.append(1.0)
-                    rows.append(row)
-                    cols.append(n_q + r_index(x, y, a, bq))
-                    vals.append(1.0)
-                    b_vec.append(corr.p[x, y, a, bq])
-                    row += 1
-    # total weight: sum q + v = 1
-    for j in range(n_q):
-        rows.append(row)
-        cols.append(j)
-        vals.append(1.0)
-    rows.append(row)
-    cols.append(n_q + n_r)
-    vals.append(1.0)
-    b_vec.append(1.0)
-    row += 1
-    # nonsignaling of the nonlocal mass
-    for x in range(n_sa):
-        for a in range(n_oa):
-            for y in range(1, n_sb):
-                for bq in range(n_ob):
-                    rows.append(row)
-                    cols.append(n_q + r_index(x, y, a, bq))
-                    vals.append(1.0)
-                    rows.append(row)
-                    cols.append(n_q + r_index(x, 0, a, bq))
-                    vals.append(-1.0)
-                b_vec.append(0.0)
-                row += 1
-    for y in range(n_sb):
-        for bq in range(n_ob):
-            for x in range(1, n_sa):
-                for a in range(n_oa):
-                    rows.append(row)
-                    cols.append(n_q + r_index(x, y, a, bq))
-                    vals.append(1.0)
-                    rows.append(row)
-                    cols.append(n_q + r_index(0, y, a, bq))
-                    vals.append(-1.0)
-                b_vec.append(0.0)
-                row += 1
-
-    n_var = n_q + n_r + 1
-    a_mat = sp.csr_matrix((vals, (rows, cols)), shape=(row, n_var))
-    c = np.zeros(n_var)
+    # P(a,b|x,y) = sum_{lambda,mu} [lambda_x = a][mu_y = b] q_{lambda,mu} + R(a,b|x,y), rows (x, y, a, b)
+    xyab_rows = np.arange(n_r).reshape(n_sa, n_oa, n_sb, n_ob).transpose(0, 2, 1, 3).ravel()
+    local = sp.kron(_response_table(n_sa, n_oa), _response_table(n_sb, n_ob), format="csr")[xyab_rows]
+    # the nonlocal mass R signals neither way: each marginal equals the one at setting 0
+    step_a = np.eye(n_sa)[1:] - np.eye(n_sa)[0]
+    step_b = np.eye(n_sb)[1:] - np.eye(n_sb)[0]
+    ns_a = np.einsum("xX,aA,kY,b->xakXYAb", np.eye(n_sa), np.eye(n_oa), step_b, np.ones(n_ob))
+    ns_b = np.einsum("yY,bB,kX,a->ybkXYaB", np.eye(n_sb), np.eye(n_ob), step_a, np.ones(n_oa))
+    ns_a, ns_b = sp.csr_matrix(ns_a.reshape(-1, n_r)), sp.csr_matrix(ns_b.reshape(-1, n_r))
+    a_mat = sp.bmat(
+        [
+            [local, sp.eye(n_r), None],
+            [sp.csr_matrix(np.ones((1, n_q))), None, sp.eye(1)],  # total weight: sum q + v = 1
+            [None, ns_a, None],
+            [None, ns_b, None],
+        ]
+    )
+    b = np.concatenate([corr.p.ravel(), [1.0], np.zeros(ns_a.shape[0] + ns_b.shape[0])])
+    c = np.zeros(n_q + n_r + 1)
     c[-1] = 1.0
-    return ConicProgram((Block("nonneg", n_var),), c, a_mat, np.asarray(b_vec))
+    return ConicProgram((Block("nonneg", len(c)),), c, a_mat, b)
 
 
 def chsh_coefficients() -> np.ndarray:
@@ -477,50 +383,15 @@ def bell_value(corr: Correlation, coefficients: np.ndarray) -> float:
     return float(np.sum(corr.p * coefficients))
 
 
-def _bell_response_for_a(rho, coefficients, meas_b):
-    n_sa = coefficients.shape[0]
-    n_oa = coefficients.shape[2]
-    out = []
-    for x in range(n_sa):
-        row = []
-        for a in range(n_oa):
-            g = np.zeros((rho.dimA, rho.dimA), dtype=complex)
-            for y in range(coefficients.shape[1]):
-                for bq in range(coefficients.shape[3]):
-                    if coefficients[x, y, a, bq] == 0.0:
-                        continue
-                    red = trace_out(
-                        kron(np.eye(rho.dimA), meas_b.effects[y][bq]) @ rho.mat,
-                        [rho.dimA, rho.dimB],
-                        [1],
-                    )
-                    g += coefficients[x, y, a, bq] * red
-            row.append((g + dagger(g)) / 2)
-        out.append(tuple(row))
-    return out
-
-
-def _bell_response_for_b(rho, coefficients, meas_a):
-    n_sb = coefficients.shape[1]
-    n_ob = coefficients.shape[3]
-    out = []
-    for y in range(n_sb):
-        row = []
-        for bq in range(n_ob):
-            g = np.zeros((rho.dimB, rho.dimB), dtype=complex)
-            for x in range(coefficients.shape[0]):
-                for a in range(coefficients.shape[2]):
-                    if coefficients[x, y, a, bq] == 0.0:
-                        continue
-                    red = trace_out(
-                        kron(meas_a.effects[x][a], np.eye(rho.dimB)) @ rho.mat,
-                        [rho.dimA, rho.dimB],
-                        [0],
-                    )
-                    g += coefficients[x, y, a, bq] * red
-            row.append((g + dagger(g)) / 2)
-        out.append(tuple(row))
-    return out
+def _bell_response(rho: DensityMatrix, coefficients: np.ndarray, other_meas: MeasurementSet, side: str):
+    """G_{a|x} of ``side`` with sum_ax tr(M_{a|x} G_{a|x}) the Bell value against ``other_meas``."""
+    table = coefficients if side == "A" else coefficients.transpose(1, 0, 3, 2)
+    effects = np.asarray(other_meas.effects)  # (y, b, d, d)
+    other = "B" if side == "A" else "A"
+    return [
+        tuple(contract(rho, np.einsum("yb,ybij->ij", table[x, :, a], effects), other) for a in range(table.shape[2]))
+        for x in range(table.shape[0])
+    ]
 
 
 def _exact_two_outcome_update(response) -> MeasurementSet:
@@ -608,11 +479,11 @@ def seesaw_bell(
         value = bell_value(correlation_from(rho, meas_a, meas_b), coefficients)
         for _ in range(500):
             round_start = value
-            meas_a_new = _best_povm_update(meas_a, _bell_response_for_a(rho, coefficients, meas_b))
+            meas_a_new = _best_povm_update(meas_a, _bell_response(rho, coefficients, meas_b, "A"))
             val_a = bell_value(correlation_from(rho, meas_a_new, meas_b), coefficients)
             if val_a >= value - 1e-12:
                 meas_a, value = meas_a_new, max(val_a, value)
-            meas_b_new = _best_povm_update(meas_b, _bell_response_for_b(rho, coefficients, meas_a))
+            meas_b_new = _best_povm_update(meas_b, _bell_response(rho, coefficients, meas_a, "B"))
             val_b = bell_value(correlation_from(rho, meas_a, meas_b_new), coefficients)
             if val_b >= value - 1e-12:
                 meas_b, value = meas_b_new, max(val_b, value)

@@ -21,6 +21,33 @@ def test_parse_grid():
     assert parse_grid("1,2,5") == [1.0, 2.0, 5.0]
 
 
+def test_parse_grid_defaults_unchanged():
+    assert parse_grid("0:0.05:0.5") == [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]
+    assert parse_grid("0:0.05:0.45") == [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
+    assert parse_grid("2:1:16") == [float(d) for d in range(2, 17)]
+
+
+def test_parse_grid_never_passes_stop():
+    assert parse_grid("0:0.6:1") == [0.0, 0.6]
+    assert parse_grid("0.5:-0.1:0") == [0.5, 0.4, 0.3, 0.2, 0.1, 0.0]
+    assert parse_grid("0.2:0.1:0.2") == [0.2]
+
+
+@pytest.mark.parametrize("text", ["0:0:0.5", "0.5:0.1:0", "0:-0.1:0.5"])
+def test_parse_grid_rejects_bad_steps(tmp_path, capsys, text):
+    with pytest.raises(ValueError, match="step"):
+        parse_grid(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--task", "ppt", "--v-grid", text, "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "--v-grid" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"v_grid": text}))
+    assert main(["sweep", "--task", "ppt", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert "step" in capsys.readouterr().err
+
+
 def test_seed_derivation_stable():
     assert derive_seed(7, "ppt") == derive_seed(7, "ppt")
     assert derive_seed(7, "ppt") != derive_seed(8, "ppt")

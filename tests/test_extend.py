@@ -10,16 +10,13 @@ from wernerlab import extend
 from wernerlab.extend import (
     ExtensionQuery,
     _partitions,
-    bosonic_extension,
     build_program,
     critical_weight,
     extension_threshold,
-    quasi_extension,
     real_pt_map,
     real_trace_map,
     run_query,
     s_k_isometries,
-    symmetric_extension,
     symmetric_subspace_isometry,
     young_orthogonal_form,
 )
@@ -172,21 +169,21 @@ def test_se_block_sides_for_four_qutrit_copies():
 
 def test_se_matches_known_werner_values():
     for v, expect in [(0.0, 1.0), (0.05, 0.925), (0.2, 0.7)]:
-        r = symmetric_extension(ExtensionQuery(werner(3, v), 2, "B", "SE"))
+        r = run_query(ExtensionQuery(werner(3, v), 2, "B", "SE"))
         assert r.status == "OPTIMAL"
         assert r.gap <= 1e-6
         assert r.t_star == pytest.approx(expect, abs=1e-5)
-    r3 = symmetric_extension(ExtensionQuery(werner(3, 0.0), 3, "B", "SE"))
+    r3 = run_query(ExtensionQuery(werner(3, 0.0), 3, "B", "SE"))
     assert r3.t_star == pytest.approx(4 / 3, abs=1e-5)
 
 
 def test_two_qubit_extendibility_boundary():
     # W(2)(v) has a (1,2)-extension iff v >= 1/4
-    below = symmetric_extension(ExtensionQuery(werner(2, 0.24), 2, "B", "SE"))
-    above = symmetric_extension(ExtensionQuery(werner(2, 0.26), 2, "B", "SE"))
+    below = run_query(ExtensionQuery(werner(2, 0.24), 2, "B", "SE"))
+    above = run_query(ExtensionQuery(werner(2, 0.26), 2, "B", "SE"))
     assert not below.extension_exists
     assert above.extension_exists
-    assert symmetric_extension(ExtensionQuery(werner(2, 0.0), 2, "B", "SE")).t_star == pytest.approx(
+    assert run_query(ExtensionQuery(werner(2, 0.0), 2, "B", "SE")).t_star == pytest.approx(
         1.5, abs=1e-5
     )
 
@@ -195,9 +192,9 @@ def test_flavor_ordering_ideal():
     q_se = ExtensionQuery(werner(3, 0.1), 2, "B", "SE")
     q_sqe = ExtensionQuery(werner(3, 0.1), 2, "B", "SQE")
     q_seb = ExtensionQuery(werner(3, 0.1), 2, "B", "SE_B")
-    t_se = symmetric_extension(q_se).t_star
-    t_sqe = quasi_extension(q_sqe).t_star
-    t_seb = bosonic_extension(q_seb).t_star
+    t_se = run_query(q_se).t_star
+    t_sqe = run_query(q_sqe).t_star
+    t_seb = run_query(q_seb).t_star
     assert t_sqe <= t_se + 1e-6
     assert t_se <= t_seb + 1e-6
     # SQE coincides with SE for ideal Werner input
@@ -207,15 +204,15 @@ def test_flavor_ordering_ideal():
 def test_surrogate_sqe_strictly_below_se():
     # generic noisy states split the two relaxations strictly apart
     rho = noisy_surrogate(werner(3, 0.2), NoiseSpec(depol=0.06, coherent_eps=0.02, seed=2024))
-    t_se = symmetric_extension(ExtensionQuery(rho, 2, "B", "SE"), tol=1e-6).t_star
-    t_sqe = quasi_extension(ExtensionQuery(rho, 2, "B", "SQE"), tol=1e-6).t_star
+    t_se = run_query(ExtensionQuery(rho, 2, "B", "SE"), tol=1e-6).t_star
+    t_sqe = run_query(ExtensionQuery(rho, 2, "B", "SQE"), tol=1e-6).t_star
     assert t_sqe <= t_se + 1e-6
     assert t_se - t_sqe > 1e-3
 
 
 def test_largest_instance_four_copies_qutrit():
     # the 243-dimensional (1,4) search still certifies cleanly
-    res = symmetric_extension(ExtensionQuery(werner(3, 0.0), 4, "B", "SE"))
+    res = run_query(ExtensionQuery(werner(3, 0.0), 4, "B", "SE"))
     assert res.status == "OPTIMAL"
     assert res.t_star == pytest.approx(1.6, abs=2e-3)
     assert critical_weight(res.t_star, 3) == pytest.approx(1 / 4, abs=2e-3)
@@ -224,20 +221,20 @@ def test_largest_instance_four_copies_qutrit():
 def test_bosonic_law_beyond_qutrits():
     # v_t = (1 - 1/k)/2 independent of d: checked at (d, k) = (4, 2) and (5, 2)
     for d in (4, 5):
-        res = bosonic_extension(ExtensionQuery(werner(d, 0.0), 2, "B", "SE_B"))
+        res = run_query(ExtensionQuery(werner(d, 0.0), 2, "B", "SE_B"))
         assert critical_weight(res.t_star, d) == pytest.approx(1 / 4, abs=2e-3)
 
 
 def test_monotonicity_in_k():
     for d in (2, 3):
-        t2 = symmetric_extension(ExtensionQuery(werner(d, 0.0), 2, "B", "SE")).t_star
-        t3 = symmetric_extension(ExtensionQuery(werner(d, 0.0), 3, "B", "SE")).t_star
+        t2 = run_query(ExtensionQuery(werner(d, 0.0), 2, "B", "SE")).t_star
+        t3 = run_query(ExtensionQuery(werner(d, 0.0), 3, "B", "SE")).t_star
         assert t3 >= t2 - 1e-6
 
 
 def test_side_symmetry_for_ideal_werner():
-    ta = symmetric_extension(ExtensionQuery(werner(3, 0.1), 2, "A", "SE")).t_star
-    tb = symmetric_extension(ExtensionQuery(werner(3, 0.1), 2, "B", "SE")).t_star
+    ta = run_query(ExtensionQuery(werner(3, 0.1), 2, "A", "SE")).t_star
+    tb = run_query(ExtensionQuery(werner(3, 0.1), 2, "B", "SE")).t_star
     assert ta == pytest.approx(tb, abs=2e-6)
 
 
@@ -268,8 +265,6 @@ def test_query_validation():
         ExtensionQuery(werner(3, 0.0), 2, "C", "SE")
     with pytest.raises(ValueError):
         ExtensionQuery(werner(3, 0.0), 2, "B", "XX")
-    with pytest.raises(ValueError):
-        symmetric_extension(ExtensionQuery(werner(3, 0.0), 2, "B", "SQE"))
 
 
 def test_unconverged_solve_gives_no_verdict(monkeypatch):

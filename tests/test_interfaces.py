@@ -10,8 +10,7 @@ from wernerlab.cli import main
 from wernerlab.extend import (
     ExtensionQuery,
     critical_weight,
-    quasi_extension,
-    symmetric_extension,
+    run_query,
     symmetric_subspace_isometry,
 )
 from wernerlab.filterops import filtered_weight, qubit_projection
@@ -61,7 +60,7 @@ def test_vertex_oracle_on_tiny_nonlocal_content():
 
 def test_extension_k4_two_qubit_threshold():
     # known 3/8 threshold at (d, k) = (2, 4) exercises the four-copy path
-    res = symmetric_extension(ExtensionQuery(werner(2, 0.0), 4, "B", "SE"))
+    res = run_query(ExtensionQuery(werner(2, 0.0), 4, "B", "SE"))
     assert res.status == "OPTIMAL"
     assert critical_weight(res.t_star, 2) == pytest.approx(3 / 8, abs=2e-3)
     assert res.t_star == pytest.approx(2.0, abs=1e-3)
@@ -69,8 +68,8 @@ def test_extension_k4_two_qubit_threshold():
 
 def test_quasi_extension_k4_partition_subset():
     q = ExtensionQuery(werner(2, 0.1), 4, "B", "SQE")
-    sqe = quasi_extension(q, tol=1e-6)
-    se = symmetric_extension(ExtensionQuery(werner(2, 0.1), 4, "B", "SE"), tol=1e-6)
+    sqe = run_query(q, tol=1e-6)
+    se = run_query(ExtensionQuery(werner(2, 0.1), 4, "B", "SE"), tol=1e-6)
     assert sqe.status == "OPTIMAL"
     assert sqe.t_star <= se.t_star + 1e-5
 

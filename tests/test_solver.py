@@ -65,6 +65,10 @@ def test_vec_real_isometry():
     v1, v2 = vec_real(h1), vec_real(h2)
     assert np.vdot(h1, h2).real == pytest.approx(v1 @ v2, abs=1e-12)
     assert np.allclose(mat_real(v1, 5), h1, atol=1e-14)
+    # leading axes are a stack, handled entry by entry with the same arithmetic
+    stack = np.stack([[h1, h2], [h2, h1]])
+    assert np.array_equal(vec_real(stack), np.stack([[v1, v2], [v2, v1]]))
+    assert np.array_equal(mat_real(vec_real(stack), 5)[0, 1], mat_real(v2, 5))
     u = vec_real_map(5)
     assert np.allclose(u @ h1.ravel(), v1, atol=1e-14)
     assert np.allclose((u.conj().T @ u).toarray(), np.eye(25), atol=1e-14)

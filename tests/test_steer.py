@@ -466,3 +466,32 @@ def test_nonlocal_content_program_matches_loop_reference(scenario):
     c_ref[-1] = 1.0
     assert np.array_equal(prog.c, c_ref)
     assert prog.blocks == (Block("nonneg", a_ref.shape[1]),)
+
+
+def test_sr_lower_bound_ignores_unconverged_solves(monkeypatch):
+    # every other SDP solve reports MAX_ITER with an inflated objective, which must never count
+    real_solve = steer.solve
+    calls = []
+
+    def flaky(prog, **kwargs):
+        sol = real_solve(prog, **kwargs)
+        calls.append(sol.status)
+        if len(calls) % 2 == 0:
+            sol.status, sol.primal_obj = "MAX_ITER", sol.primal_obj + 10.0
+        return sol
+
+    monkeypatch.setattr(steer, "solve", flaky)
+    res = sr_state_lower_bound(rotated_filtered_state(0.1), 2, restarts=4, seed=3, max_rounds=5)
+    assert all(status == "OPTIMAL" for status in calls)
+    assert res.per_restart and max(res.per_restart) < 1.0
+    assert res.best == max(res.per_restart)
+    assert res.best_gap < 1e-6
+
+    def stuck(prog, **kwargs):
+        sol = real_solve(prog, **kwargs)
+        sol.status, sol.primal_obj = "MAX_ITER", sol.primal_obj + 10.0
+        return sol
+
+    monkeypatch.setattr(steer, "solve", stuck)
+    res = sr_state_lower_bound(rotated_filtered_state(0.1), 2, restarts=3, seed=3)
+    assert res.per_restart == [] and res.best == 0.0 and res.best_measurements is None
