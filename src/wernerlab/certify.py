@@ -91,13 +91,13 @@ def one_distillable(rho: DensityMatrix, restarts: int = 64, seed: int = 0) -> Ce
         val_prev = np.inf
         for _ in range(100):
             # optimize over A side with B frame fixed
-            big = kron(np.eye(d_a), vb)
+            big = qmat.embed(vb, d_a, "B")
             comp = dagger(big) @ x @ big
             w, q = np.linalg.eigh((comp + dagger(comp)) / 2)
             psi = q[:, 0]  # lives on C^dA (x) C^2
             va = _schmidt_frames(psi.reshape(d_a, 2).T)[1]  # new A frame
             # optimize over B side with A frame fixed
-            big = kron(va, np.eye(d_b))
+            big = qmat.embed(va, d_b, "A")
             comp = dagger(big) @ x @ big
             w, q = np.linalg.eigh((comp + dagger(comp)) / 2)
             psi = q[:, 0]  # lives on C^2 (x) C^dB
@@ -108,7 +108,7 @@ def one_distillable(rho: DensityMatrix, restarts: int = 64, seed: int = 0) -> Ce
             val_prev = val
         if val < best_val:
             best_val = val
-            best_psi = (kron(va, np.eye(d_b)) @ psi).ravel()
+            best_psi = (qmat.embed(va, d_b, "A") @ psi).ravel()
     verdict = PASS if best_val < -1e-6 else INCONCLUSIVE
     witness = {"psi": _mat_witness(best_psi)} if best_psi is not None else None
     return Certificate("one_distillable", best_val, 0.0, verdict, witness, seed, restarts)
@@ -226,7 +226,7 @@ def fef_embedding_check(rho: DensityMatrix, d: int) -> bool:
             for k in range(2):
                 for l in range(2):
                     big[i * d + j, k * d + l] = rho.mat[i * 2 + j, k * 2 + l]
-    psi_d = kron(np.eye(d), u_d) @ max_entangled_ket(d)
+    psi_d = qmat.embed(u_d, d, "B") @ max_entangled_ket(d)
     attained = float(np.real(np.vdot(psi_d, big @ psi_d)))
     if attained < (2.0 / d) * f2 - 1e-10:
         raise RuntimeError("embedded unitary attains less than (2/d) F_2")

@@ -15,10 +15,18 @@ self-dual embedding: each iteration solves one cached linear system and
 projects onto the cone.  It is matrix-free apart from one Cholesky
 factorization of I + A A^T (the constraint count stays small here), fully
 deterministic, and certifies optimality through the duality gap.
+
+The set-up that depends on the presolved (blocks, A, c) alone -- column
+scale, scaled A and A^T, that factorization and the cone plan -- is memoised
+in a small LRU keyed on the exact bytes of those three, so programs that
+differ only in b (the steering see-saw) factor once.  A solve carries no
+other state: a memoised set-up gives the same iterates, bit for bit, as a
+fresh one.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -51,8 +59,10 @@ class Block:
 
 
 @lru_cache(maxsize=64)
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, 1)
+def _vec_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major flat positions of the diagonal, the upper and the mirrored lower entries of an n x n matrix."""
+    iu, ju = np.triu_indices(n, 1)
+    return np.arange(n) * (n + 1), iu * n + ju, ju * n + iu
 
 
 def vec_real(h: np.ndarray) -> np.ndarray:
@@ -61,24 +71,26 @@ def vec_real(h: np.ndarray) -> np.ndarray:
     Leading axes of ``h`` are a stack: each trailing n x n matrix is vectorized."""
     h = np.asarray(h, dtype=complex)
     n = h.shape[-1]
-    iu, ju = _triu(n)
-    out = np.empty(h.shape[:-2] + (n * n,))
-    out[..., :n] = h[..., np.arange(n), np.arange(n)].real
-    out[..., n::2] = np.sqrt(2.0) * h[..., iu, ju].real
-    out[..., n + 1 :: 2] = np.sqrt(2.0) * h[..., iu, ju].imag
+    diag, upper, _ = _vec_index(n)
+    flat = h.reshape(h.shape[:-2] + (n * n,))
+    out = np.empty(flat.shape)
+    out[..., :n] = flat[..., diag].real
+    off = flat[..., upper]
+    out[..., n::2] = np.sqrt(2.0) * off.real
+    out[..., n + 1 :: 2] = np.sqrt(2.0) * off.imag
     return out
 
 
 def mat_real(x: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`vec_real`, over the same leading stack axes."""
     x = np.asarray(x, dtype=float)
-    iu, ju = _triu(n)
-    h = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
-    h[..., np.arange(n), np.arange(n)] = x[..., :n]
-    upper = (x[..., n::2] + 1j * x[..., n + 1 :: 2]) / np.sqrt(2.0)
-    h[..., iu, ju] = upper
-    h[..., ju, iu] = upper.conj()
-    return h
+    diag, upper, lower = _vec_index(n)
+    h = np.zeros(x.shape[:-1] + (n * n,), dtype=complex)
+    h[..., diag] = x[..., :n]
+    off = (x[..., n::2] + 1j * x[..., n + 1 :: 2]) / np.sqrt(2.0)
+    h[..., upper] = off
+    h[..., lower] = off.conj()
+    return h.reshape(x.shape[:-1] + (n, n))
 
 
 def vec_real_map(n: int) -> sp.csr_matrix:
@@ -145,49 +157,58 @@ class ConicSolution:
 
 
 def presolve(prog: ConicProgram) -> ConicProgram:
-    """Drop exactly-zero and exactly-duplicated constraint rows."""
+    """Drop exactly-zero and exactly-duplicated constraint rows.
+
+    A zero row stores no entries and has |b| < 1e-14; a duplicate stores the same column
+    indices and values, in the same order, with the same b as a row kept before it."""
     a = prog.A.tocsr()
-    seen: dict[tuple, int] = {}
-    keep = []
-    for i in range(a.shape[0]):
-        row = a.getrow(i)
-        key = (tuple(row.indices.tolist()), tuple(row.data.tolist()), float(prog.b[i]))
-        if not row.nnz and abs(prog.b[i]) < 1e-14:
-            continue
-        if key in seen:
-            continue
-        seen[key] = i
-        keep.append(i)
-    if len(keep) == a.shape[0]:
+    m = a.shape[0]
+    counts = np.diff(a.indptr)
+    live = np.flatnonzero((counts > 0) | (np.abs(prog.b) >= 1e-14))
+    # one row of exact bit patterns per constraint: length, b, then padded indices and values;
+    # adding 0.0 folds -0.0 into 0.0, which compare equal as floats
+    width = int(counts.max(initial=0))
+    keys = np.zeros((m, 2 + 2 * width), dtype=np.int64)
+    keys[:, 0] = counts
+    keys[:, 1] = (prog.b + 0.0).view(np.int64)
+    rows = np.repeat(np.arange(m), counts)
+    slot = 2 + np.arange(a.nnz) - np.repeat(a.indptr[:-1], counts)
+    keys[rows, slot] = a.indices
+    keys[rows, slot + width] = (np.asarray(a.data, dtype=float) + 0.0).view(np.int64)
+    _, first = np.unique(keys[live].view(np.dtype((np.void, keys.itemsize * keys.shape[1]))), return_index=True)
+    keep = live[np.sort(first)]
+    if len(keep) == m:
         return prog
     return ConicProgram(prog.blocks, prog.c, a[keep], prog.b[keep])
 
 
 class _ConeProjector:
-    """Batched projection of the block-structured variable onto its cone."""
+    """Batched projection of the block-structured variable onto its cone.
+
+    Every NONNEG entry clips through one index array, and each same-size PSD group is
+    gathered and scattered through one (blocks, n*n) index array."""
 
     def __init__(self, blocks: tuple[Block, ...]):
-        self.plan = []  # (kind, n, [offsets])
         groups: dict[tuple[str, int], list[int]] = {}
         pos = 0
         for bl in blocks:
             groups.setdefault((bl.kind, bl.n), []).append(pos)
             pos += bl.size
-        self.total = pos
+        nonneg, self.psd = [], []
         for (kind, n), offsets in groups.items():
-            self.plan.append((kind, n, np.asarray(offsets)))
+            idx = np.asarray(offsets)[:, None] + np.arange(n * n if kind == PSD else n)
+            if kind == PSD:
+                self.psd.append((n, idx))
+            elif kind == NONNEG:
+                nonneg.append(idx.ravel())
+        self.nonneg = np.concatenate(nonneg) if nonneg else None
 
     def project(self, x: np.ndarray) -> np.ndarray:
         out = x.copy()
-        for kind, n, offsets in self.plan:
-            if kind == FREE:
-                continue
-            if kind == NONNEG:
-                idx = (offsets[:, None] + np.arange(n)[None, :]).ravel()
-                out[idx] = np.maximum(out[idx], 0.0)
-                continue
-            size = n * n
-            h = mat_real(np.stack([x[o : o + size] for o in offsets]), n)
+        if self.nonneg is not None:
+            out[self.nonneg] = np.maximum(x[self.nonneg], 0.0)
+        for n, idx in self.psd:
+            h = mat_real(x[idx], n)
             try:
                 w, q = np.linalg.eigh(h)
             except np.linalg.LinAlgError:
@@ -195,9 +216,7 @@ class _ConeProjector:
                 pairs = [scipy.linalg.eigh(hb, driver="evr") for hb in h]
                 w, q = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
             w = np.clip(w, 0.0, None)
-            segs = vec_real((q * w[:, None, :]) @ q.conj().transpose(0, 2, 1))
-            for o, seg in zip(offsets, segs):
-                out[o : o + size] = seg
+            out[idx] = vec_real((q * w[:, None, :]) @ q.conj().transpose(0, 2, 1))
         return out
 
 
@@ -215,40 +234,61 @@ def _equilibrate(a: sp.csr_matrix, blocks: tuple[Block, ...]) -> np.ndarray:
 
 
 class _Embedding:
-    """Cached linear algebra for the self-dual embedding iteration."""
+    """Cached linear algebra for the self-dual embedding iteration.
+
+    The factorisation of I + A A^T depends on A alone; :meth:`with_b` shares it with
+    another right-hand side."""
 
     def __init__(self, prog: ConicProgram):
         self.A = prog.A.tocsr()
         self.AT = self.A.T.tocsr()
-        self.b = prog.b
         self.c = prog.c
-        m = prog.m
-        gram = (self.A @ self.AT).toarray() + np.eye(m)
-        self.chol = scipy.linalg.cho_factor(gram, lower=True)
-        self.g = np.concatenate([self.c, -self.b])
-        self.mg = self._solve_m(self.c, -self.b)
-        self.mtg = self._solve_mt(self.c, -self.b)
+        self.n = prog.n
+        gram = (self.A @ self.AT).toarray() + np.eye(prog.m)
+        self.chol, _ = scipy.linalg.cho_factor(gram, lower=True)
+        self._potrs = scipy.linalg.get_lapack_funcs("potrs", (self.chol,))
+        self._bind(prog.b)
+
+    def with_b(self, b: np.ndarray) -> _Embedding:
+        """A copy that shares A, A^T and the factor, bound to right-hand side b."""
+        emb = copy.copy(self)
+        emb._bind(b)
+        return emb
+
+    def _bind(self, b: np.ndarray) -> None:
+        self.b = b
+        self.g = np.concatenate([self.c, -b])
+        self.mg = self._solve_m(self.c, -b)
+        self.mtg = self._solve_mt(self.c, -b)
         self.denom = 1.0 + float(self.g @ self.mg)
 
+    def _gram_solve(self, r: np.ndarray) -> np.ndarray:
+        """(I + A A^T)^-1 r from the cached factor, overwriting the fresh array r."""
+        x, info = self._potrs(self.chol, r, lower=True, overwrite_b=True)
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+        return x
+
     def _solve_m(self, rx, ry):
-        py = scipy.linalg.cho_solve(self.chol, ry - self.A @ rx)
-        px = rx + self.AT @ py
-        return np.concatenate([px, py])
+        py = self._gram_solve(ry - self.A @ rx)
+        return np.concatenate([rx + self.AT @ py, py])
 
     def _solve_mt(self, rx, ry):
-        py = scipy.linalg.cho_solve(self.chol, ry + self.A @ rx)
-        px = rx - self.AT @ py
-        return np.concatenate([px, py])
+        py = self._gram_solve(ry + self.A @ rx)
+        return np.concatenate([rx - self.AT @ py, py])
 
     def solve(self, h: np.ndarray) -> np.ndarray:
         """Solve (I + Q) u = h for the skew embedding matrix Q."""
-        n = len(self.c)
-        hp, ht = h[:-1], h[-1]
-        rhs = hp - ht * self.g
-        sol0 = self._solve_m(rhs[:n], rhs[n:])
-        p = sol0 - self.mg * (float(self.mtg @ rhs) / self.denom)
-        tau = ht + float(self.g @ p)
-        return np.concatenate([p, [tau]])
+        n, ht = self.n, h[-1]
+        rhs = h[:-1] - ht * self.g
+        out = np.empty_like(h)
+        py = self._gram_solve(rhs[n:] - self.A @ rhs[:n])
+        np.add(rhs[:n], self.AT @ py, out=out[:n])
+        out[n:-1] = py
+        p = out[:-1]
+        p -= self.mg * (float(self.mtg @ rhs) / self.denom)
+        out[-1] = ht + float(self.g @ p)
+        return out
 
     def apply_q(self, u: np.ndarray) -> np.ndarray:
         n = len(self.c)
@@ -256,6 +296,38 @@ class _Embedding:
         return np.concatenate(
             [-(self.AT @ y) + tau * self.c, self.A @ x - tau * self.b, [-float(self.c @ x) + float(self.b @ y)]]
         )
+
+
+class _Setup:
+    """Everything :func:`solve` derives from a presolved (blocks, A, c) alone: the column
+    scale, the scaled objective, the embedding's factorisation and the cone plan."""
+
+    def __init__(self, prog: ConicProgram):
+        self.e_col = _equilibrate(prog.A, prog.blocks)
+        a_s = (prog.A @ sp.diags(self.e_col)).tocsr()
+        c_s = self.e_col * prog.c
+        self.gamma = 1.0 / max(np.linalg.norm(c_s), 1e-6)
+        c_s *= self.gamma
+        self.emb = _Embedding(ConicProgram(prog.blocks, c_s, a_s, np.zeros(prog.m)))  # each solve binds its b
+        self.proj = _ConeProjector(prog.blocks)
+        self.at = prog.A.T.tocsr()
+        self.cnorm = 1.0 + np.linalg.norm(prog.c)
+
+
+SETUP_CACHE_SIZE = 4
+_SETUPS: dict[tuple, _Setup] = {}  # least recently used first
+
+
+def _setup_for(prog: ConicProgram) -> _Setup:
+    """The memoised :class:`_Setup` of ``prog``, keyed on the exact bytes of its blocks, A and c."""
+    a = prog.A
+    key = (prog.blocks, a.shape, prog.c.tobytes())
+    key += tuple((arr.dtype.str, arr.tobytes()) for arr in (a.indptr, a.indices, a.data))
+    setup = _SETUPS.pop(key, None) or _Setup(prog)
+    _SETUPS[key] = setup
+    if len(_SETUPS) > SETUP_CACHE_SIZE:
+        del _SETUPS[next(iter(_SETUPS))]
+    return setup
 
 
 def solve(
@@ -267,42 +339,30 @@ def solve(
 ) -> ConicSolution:
     """Run the operator-splitting iteration until the KKT residuals certify optimality.
 
-    Deterministic for fixed inputs.
+    Deterministic for fixed inputs: a memoised set-up gives the same iterates as a fresh one.
     """
     prog = presolve(prog)
     n, m = prog.n, prog.m
-    e_col = _equilibrate(prog.A, prog.blocks)
-    a_s = (prog.A @ sp.diags(e_col)).tocsr()
-    b_s = prog.b.copy()
-    c_s = e_col * prog.c
-    beta = 1.0 / max(np.linalg.norm(b_s), 1e-6)
-    gamma = 1.0 / max(np.linalg.norm(c_s), 1e-6)
-    b_s *= beta
-    c_s *= gamma
-    scaled = ConicProgram(prog.blocks, c_s, a_s, b_s)
-    emb = _Embedding(scaled)
-    proj = _ConeProjector(prog.blocks)
-    at = prog.A.T.tocsr()
+    setup = _setup_for(prog)
+    e_col, gamma, proj, at = setup.e_col, setup.gamma, setup.proj, setup.at
+    beta = 1.0 / max(np.linalg.norm(prog.b), 1e-6)
+    emb = setup.emb.with_b(prog.b * beta)
     bnorm = 1.0 + np.linalg.norm(prog.b)
-    cnorm = 1.0 + np.linalg.norm(prog.c)
+    cnorm = setup.cnorm
 
     u = np.zeros(n + m + 1)
     v = np.zeros(n + m + 1)
     u[-1] = 1.0
     v[-1] = 1.0
 
-    def project_u(w):
-        out = w.copy()
-        out[:n] = proj.project(w[:n])
-        out[-1] = max(w[-1], 0.0)
-        return out
-
     best = None
     it = 0
     for it in range(1, max_iter + 1):
         ut = emb.solve(u + v)
         r = over_relax * ut + (1.0 - over_relax) * u
-        u_new = project_u(r - v)
+        u_new = r - v
+        u_new[:n] = proj.project(u_new[:n])
+        u_new[-1] = max(u_new[-1], 0.0)
         v = v - r + u_new
         u = u_new
 

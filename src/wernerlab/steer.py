@@ -23,11 +23,17 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 
-from .qmat import DensityMatrix, contract, dagger, kron
+from .qmat import DensityMatrix, contract, dagger
 from .solver import Block, ConicProgram, mat_real, solve, vec_real
 from .states import haar_unitary
 
 MAX_LAMBDA = 4096
+
+
+def _min_eigenvalues(ops: list[np.ndarray]) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of each operator, in one stacked call."""
+    stack = np.asarray(ops)
+    return np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -38,15 +44,16 @@ class MeasurementSet:
 
     def __post_init__(self):
         d = self.effects[0][0].shape[0]
+        flat = [eff for setting in self.effects for eff in setting]
+        if any(eff.shape != (d, d) for eff in flat):
+            raise ValueError("all effects must share one dimension")
+        psd = _min_eigenvalues(flat) >= -1e-9
+        pos = 0
         for setting in self.effects:
-            total = np.zeros((d, d), dtype=complex)
-            for eff in setting:
-                if eff.shape != (d, d):
-                    raise ValueError("all effects must share one dimension")
-                if np.linalg.eigvalsh((eff + dagger(eff)) / 2)[0] < -1e-9:
-                    raise ValueError("effect is not PSD within 1e-9")
-                total = total + eff
-            if np.max(np.abs(total - np.eye(d))) > 1e-9:
+            if not psd[pos : pos + len(setting)].all():
+                raise ValueError("effect is not PSD within 1e-9")
+            pos += len(setting)
+            if np.max(np.abs(np.sum(setting, axis=0) - np.eye(d))) > 1e-9:
                 raise ValueError("effects of one setting must sum to the identity")
 
     @property
@@ -105,16 +112,17 @@ class Assemblage:
     sigma: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self):
-        reduced = None
+        psd = _min_eigenvalues([s for setting in self.sigma for s in setting]) >= -1e-9
+        reduced, pos = None, 0
         for setting in self.sigma:
             tot = sum(setting)
             if reduced is None:
                 reduced = tot
             elif np.max(np.abs(tot - reduced)) > 1e-8:
                 raise ValueError("assemblage signals: setting marginals differ")
-            for s in setting:
-                if np.linalg.eigvalsh((s + dagger(s)) / 2)[0] < -1e-9:
-                    raise ValueError("conditional state is not PSD within 1e-9")
+            if not psd[pos : pos + len(setting)].all():
+                raise ValueError("conditional state is not PSD within 1e-9")
+            pos += len(setting)
         if abs(np.trace(reduced).real - 1.0) > 1e-9:
             raise ValueError("assemblage is not normalized")
 
@@ -181,8 +189,13 @@ def sr_solve(assemblage: Assemblage, tol: float = 1e-7, max_iter: int = 200000) 
 
 
 def steering_robustness(assemblage: Assemblage, tol: float = 1e-7) -> float:
-    """SR of an assemblage; zero means a local-hidden-state model exists."""
-    return sr_solve(assemblage, tol=tol).value
+    """SR of an assemblage; zero means a local-hidden-state model exists.
+
+    Raises RuntimeError when the SDP did not end OPTIMAL: an unconverged iterate is no value."""
+    res = sr_solve(assemblage, tol=tol)
+    if res.status != "OPTIMAL":
+        raise RuntimeError(f"steering-robustness SDP ended {res.status}, not OPTIMAL")
+    return res.value
 
 
 def _pairwise_basis_update(vectors: np.ndarray, response: list[np.ndarray], sweeps: int = 3) -> np.ndarray:
@@ -319,22 +332,22 @@ def correlation_from(rho: DensityMatrix, meas_a: MeasurementSet, meas_b: Measure
     """P(a,b|x,y) = tr[rho M_{a|x} (x) M_{b|y}]."""
     if meas_a.dim != rho.dimA or meas_b.dim != rho.dimB:
         raise ValueError("measurement dimensions do not match the state")
-    p = np.empty((meas_a.n_settings, meas_b.n_settings, meas_a.n_outcomes, meas_b.n_outcomes))
-    for x, sa in enumerate(meas_a.effects):
-        for y, sb in enumerate(meas_b.effects):
-            for a, ma in enumerate(sa):
-                for bq, mb in enumerate(sb):
-                    p[x, y, a, bq] = float(np.real(np.trace(rho.mat @ kron(ma, mb))))
-    return Correlation(p)
+    r = rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
+    # tr[rho (M_a (x) M_b)] = sum rho[(i,j),(k,l)] M_a[k,i] M_b[l,j]
+    p = np.einsum("ijkl,xaki,yblj->xyab", r, np.asarray(meas_a.effects), np.asarray(meas_b.effects))
+    return Correlation(p.real)
 
 
 def nonlocal_content(corr: Correlation, tol: float = 1e-9) -> float:
     """Minimal weight v with P = (1-v) P_local + v P_nonsignaling.
 
     LP over the local polytope's product deterministic vertices with the
-    nonsignaling part kept as constrained free mass.
+    nonsignaling part kept as constrained free mass.  Raises RuntimeError when the LP did
+    not end OPTIMAL.
     """
     sol = solve(nonlocal_content_program(corr), tol=tol)
+    if sol.status != "OPTIMAL":
+        raise RuntimeError(f"nonlocal-content LP ended {sol.status}, not OPTIMAL")
     return float(np.clip(sol.primal_obj, 0.0, 1.0))
 
 
@@ -386,12 +399,11 @@ def bell_value(corr: Correlation, coefficients: np.ndarray) -> float:
 def _bell_response(rho: DensityMatrix, coefficients: np.ndarray, other_meas: MeasurementSet, side: str):
     """G_{a|x} of ``side`` with sum_ax tr(M_{a|x} G_{a|x}) the Bell value against ``other_meas``."""
     table = coefficients if side == "A" else coefficients.transpose(1, 0, 3, 2)
-    effects = np.asarray(other_meas.effects)  # (y, b, d, d)
-    other = "B" if side == "A" else "A"
-    return [
-        tuple(contract(rho, np.einsum("yb,ybij->ij", table[x, :, a], effects), other) for a in range(table.shape[2]))
-        for x in range(table.shape[0])
-    ]
+    ops = np.einsum("xyab,ybij->xaij", table, np.asarray(other_meas.effects))  # on the other side
+    r = rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
+    # tr_other[(op on other) rho], for every (x, a) at once
+    red = np.einsum("xajJ,iJkj->xaik", ops, r) if side == "A" else np.einsum("xaiI,Ijil->xajl", ops, r)
+    return (red + red.conj().swapaxes(-1, -2)) / 2
 
 
 def _exact_two_outcome_update(response) -> MeasurementSet:

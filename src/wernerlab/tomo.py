@@ -175,14 +175,22 @@ class _MleEngine:
         self.g_isqrt = (q * (1.0 / np.sqrt(w))) @ dagger(q)
         self.g_sqrt = (q * np.sqrt(w)) @ dagger(q)
         self.povm = np.einsum("ab,kbc,cd->kad", self.g_isqrt, projs, self.g_isqrt)
+        self._rows = self.povm.reshape(len(projs), d2 * d2)  # row k is E_k flattened
         self.d2 = d2
 
     def probabilities(self, mu: np.ndarray) -> np.ndarray:
-        return np.clip(np.einsum("kij,ji->k", self.povm, mu).real, 0.0, None)
+        # tr(E_k mu) = sum_ij E_k[i, j] mu[j, i]
+        return np.maximum((self._rows @ mu.T.ravel()).real, 0.0)
 
     def r_operator(self, freqs: np.ndarray, probs: np.ndarray) -> np.ndarray:
         weights = freqs / np.maximum(probs, 1e-300)
-        return np.einsum("k,kij->ij", weights, self.povm)
+        return (weights @ self._rows).reshape(self.d2, self.d2)
+
+
+@lru_cache(maxsize=None)
+def _engine_for(frame_name: str) -> _MleEngine:
+    """One engine per registered frame: the POVM depends on the frame alone."""
+    return _MleEngine(frame_for(frame_name))
 
 
 def mle_reconstruct(
@@ -197,18 +205,18 @@ def mle_reconstruct_with_history(
     record: CountsRecord, max_iter: int = 5000, tol: float = 1e-10
 ) -> tuple[DensityMatrix, list[float]]:
     """MLE estimate plus the per-iteration log-likelihood trace (bits-free units)."""
-    frame = record.frame
     total = record.counts.sum()
     if total <= 0:
         raise ValueError("all-zero counts cannot be reconstructed")
-    engine = _MleEngine(frame)
+    engine = _engine_for(record.frame_name)
     freqs = record.counts.astype(float).ravel() / total
     d2 = engine.d2
     mu = np.eye(d2, dtype=complex) / d2
+    mask = freqs > 0
+    observed = freqs[mask]
 
     def loglik(probs):
-        mask = freqs > 0
-        return float(np.sum(freqs[mask] * np.log(np.maximum(probs[mask], 1e-300))))
+        return float((observed * np.log(np.maximum(probs[mask], 1e-300))).sum())
 
     probs = engine.probabilities(mu)
     history = [loglik(probs)]
@@ -236,7 +244,7 @@ def mle_reconstruct_with_history(
     if any(b < a - 1e-12 for a, b in zip(history, history[1:])):
         raise RuntimeError("likelihood decreased")
     rho = engine.g_isqrt @ mu @ engine.g_isqrt
-    dim = frame.dim
+    dim = engine.frame.dim
     return as_state(rho, dim, dim, clip_tol=1e-6), history
 
 

@@ -1,10 +1,12 @@
 """Tests for the conic solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wernerlab import solver
+from wernerlab import solver, steer
 from wernerlab.solver import (
     Block,
     ConicProgram,
@@ -17,6 +19,7 @@ from wernerlab.solver import (
     vec_real,
     vec_real_map,
 )
+from wernerlab.states import werner
 
 
 def shifted_lp():
@@ -242,3 +245,115 @@ def test_program_validation():
         )
     with pytest.raises(ValueError):
         Block("cone", 3)
+
+
+def presolve_by_rows(prog):
+    """Row-by-row presolve: drop rows that are zero or repeat an earlier (row, b) exactly."""
+    a = prog.A.tocsr()
+    seen, keep = set(), []
+    for i in range(a.shape[0]):
+        row = a.getrow(i)
+        key = (tuple(row.indices.tolist()), tuple(row.data.tolist()), float(prog.b[i]))
+        if (not row.nnz and abs(prog.b[i]) < 1e-14) or key in seen:
+            continue
+        seen.add(key)
+        keep.append(i)
+    return keep
+
+
+def captured_sr_program(seed, d=3, n_s=2):
+    """The program sr_solve hands to the solver for a random assemblage."""
+    captured = []
+
+    def capture(prog, **kwargs):
+        captured.append(prog)
+        return solve(prog, **kwargs)
+
+    rng = np.random.default_rng(seed)
+    asm = steer.assemblage_from(werner(d, rng.uniform(0, 0.5)), steer.random_projective(d, n_s, rng), "A")
+    real = steer.solve
+    steer.solve = capture
+    try:
+        steer.sr_solve(asm, max_iter=1)
+    finally:
+        steer.solve = real
+    return captured[0]
+
+
+def edge_programs():
+    """Zero rows with zero and nonzero b, duplicates with equal and different b, signed zeros,
+    an explicitly stored zero and unsorted column indices."""
+    blocks = (Block("free", 2), Block("nonneg", 2))
+    dense = np.array([[1.0, -1.0, 0, 0], [1.0, -1.0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 2.0, 0, 1.0], [0, 0, 0, 0]])
+    out = []
+    for b in ([3.0, 3.0, 0.0, 0.0, 1.0, 0.0], [3.0, 4.0, 0.0, 2.0, 1.0, 2.0], [3.0, 3.0, 1e-15, -0.0, 1.0, 0.0]):
+        out.append(ConicProgram(blocks, np.array([1.0, 0.0, 0.0, 0.0]), sp.csr_matrix(dense), np.array(b)))
+    # rows 0 and 1 differ only in the sign of a zero; row 2 stores an explicit zero; row 3 is row 4 reordered
+    data = np.array([1.0, 0.0, 1.0, -0.0, 0.0, 2.0, 1.0, 1.0, 2.0])
+    indices = np.array([0, 1, 0, 1, 2, 3, 1, 1, 3])
+    indptr = np.array([0, 2, 4, 5, 7, 9])
+    a = sp.csr_matrix((data, indices, indptr), shape=(5, 4))
+    out.append(ConicProgram(blocks, np.ones(4), a, np.array([1.0, 1.0, 0.0, 5.0, 5.0])))
+    return out
+
+
+def test_presolve_matches_row_by_row_reference():
+    from wernerlab.extend import ExtensionQuery, build_program
+
+    progs = [captured_sr_program(seed) for seed in (1, 2)] + [captured_sr_program(3, d=2, n_s=3)]
+    meas = steer.random_grouped_projective(2, 2, 2, np.random.default_rng(5))
+    progs.append(steer.nonlocal_content_program(steer.correlation_from(werner(2, 0.3), meas, meas)))
+    for flavor, k in (("SE", 2), ("SQE", 2), ("SE_B", 3), ("SE", 3)):
+        progs.append(build_program(ExtensionQuery(werner(3, 0.2), k, "B", flavor)))
+    progs += edge_programs()
+    dropped = 0
+    for prog in progs:
+        keep = presolve_by_rows(prog)
+        slim = presolve(prog)
+        if len(keep) == prog.m:
+            assert slim is prog
+            continue
+        dropped += 1
+        want = prog.A.tocsr()[keep]
+        for name in ("indptr", "indices", "data"):
+            assert getattr(slim.A, name).tobytes() == getattr(want, name).tobytes()
+        assert np.array_equal(slim.b, prog.b[keep]) and slim.blocks == prog.blocks and slim.c is prog.c
+    assert dropped == 4  # only the edge programs have rows to drop
+
+
+def same_solution(got, want):
+    return (
+        got.x.tobytes() == want.x.tobytes()
+        and got.y.tobytes() == want.y.tobytes()
+        and (got.status, got.iterations) == (want.status, want.iterations)
+    )
+
+
+def test_memoised_setup_gives_bit_identical_solutions():
+    progs = [captured_sr_program(seed) for seed in (1, 2, 3)]
+    assert all(p.A is not progs[0].A and (p.A != progs[0].A).nnz == 0 for p in progs[1:])
+    assert len({p.b.tobytes() for p in progs}) == 3
+    # infeasible edge cases: b decides which rows presolve keeps, so they key different set-ups
+    edges = [dataclasses.replace(p, A=p.A.copy()) for p in edge_programs()[:3]]
+    cold = []
+    for prog in progs + edges:
+        solver._SETUPS.clear()
+        cold.append(solve(prog, max_iter=400))
+    solver._SETUPS.clear()
+    warm = [solve(prog, max_iter=400) for prog in progs + edges]
+    assert all(same_solution(got, want) for got, want in zip(warm, cold))
+    assert [presolve(p).m for p in edges] == [2, 4, 2]
+    assert len(solver._SETUPS) == min(solver.SETUP_CACHE_SIZE, 3)  # one SR set-up, two edge set-ups
+    # a returned solution shares nothing with the set-up, and a changed A or c is a new key
+    warm[0].x[:] = 0.0
+    changed_a = dataclasses.replace(progs[0], A=progs[0].A.copy())
+    changed_a.A.data[0] += 1.0
+    changed_c = dataclasses.replace(progs[0], c=2.0 * progs[0].c)
+    for prog in (changed_a, changed_c):
+        got = solve(prog, max_iter=400)
+        solver._SETUPS.clear()
+        assert same_solution(got, solve(prog, max_iter=400))
+    for prog in progs + edges + [changed_a, changed_c]:
+        solve(prog, max_iter=400)
+    assert len(solver._SETUPS) == solver.SETUP_CACHE_SIZE
+    assert same_solution(solve(progs[0], max_iter=400), cold[0])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from wernerlab import steer
 from wernerlab.filterops import rotated_filtered_state
-from wernerlab.qmat import DensityMatrix, kron
+from wernerlab.qmat import DensityMatrix, contract, kron
 from wernerlab.solver import Block, vec_real
 from wernerlab.states import NoiseSpec, noisy_surrogate, werner
 from wernerlab.steer import (
@@ -495,3 +495,94 @@ def test_sr_lower_bound_ignores_unconverged_solves(monkeypatch):
     monkeypatch.setattr(steer, "solve", stuck)
     res = sr_state_lower_bound(rotated_filtered_state(0.1), 2, restarts=3, seed=3)
     assert res.per_restart == [] and res.best == 0.0 and res.best_measurements is None
+
+
+def correlation_by_loops(rho, meas_a, meas_b):
+    """P(a,b|x,y) one kron and one trace per entry."""
+    p = np.empty((meas_a.n_settings, meas_b.n_settings, meas_a.n_outcomes, meas_b.n_outcomes))
+    for x, sa in enumerate(meas_a.effects):
+        for y, sb in enumerate(meas_b.effects):
+            for a, ma in enumerate(sa):
+                for b, mb in enumerate(sb):
+                    p[x, y, a, b] = float(np.real(np.trace(rho.mat @ kron(ma, mb))))
+    return p
+
+
+def bell_response_by_loops(rho, coefficients, other_meas, side):
+    """G_{a|x} one partial contraction per (x, a)."""
+    table = coefficients if side == "A" else coefficients.transpose(1, 0, 3, 2)
+    effects = np.asarray(other_meas.effects)
+    other = "B" if side == "A" else "A"
+    return np.array(
+        [
+            [contract(rho, np.einsum("yb,ybij->ij", table[x, :, a], effects), other) for a in range(table.shape[2])]
+            for x in range(table.shape[0])
+        ]
+    )
+
+
+@pytest.mark.parametrize("d_a, d_b, n_oa, n_ob", [(2, 2, 2, 2), (3, 3, 3, 3), (3, 2, 2, 2), (2, 3, 2, 3), (3, 3, 2, 3)])
+def test_bell_kernels_match_loop_reference(d_a, d_b, n_oa, n_ob):
+    rng = np.random.default_rng(d_a * 10 + d_b + n_oa + n_ob)
+    rho = random_state(d_a, d_b, 5 * d_a + d_b)
+    meas_a = steer.random_grouped_projective(d_a, 2, n_oa, rng)
+    meas_b = steer.random_grouped_projective(d_b, 3, n_ob, rng)
+    p = correlation_from(rho, meas_a, meas_b).p
+    assert p.shape == (2, 3, n_oa, n_ob)
+    assert np.allclose(p, correlation_by_loops(rho, meas_a, meas_b), rtol=0, atol=1e-14)
+    coefficients = rng.standard_normal((2, 3, n_oa, n_ob))
+    for side, other_meas in (("A", meas_b), ("B", meas_a)):
+        want = bell_response_by_loops(rho, coefficients, other_meas, side)
+        got = np.asarray(steer._bell_response(rho, coefficients, other_meas, side))
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-14)
+    # sum_ax tr(M_{a|x} G_{a|x}) is the Bell value
+    response_a = steer._bell_response(rho, coefficients, meas_b, "A")
+    value = sum(np.trace(meas_a.effects[x][a] @ response_a[x][a]).real for x in range(2) for a in range(n_oa))
+    assert value == pytest.approx(bell_value(Correlation(p), coefficients), abs=1e-12)
+
+
+def forced_max_iter(real_solve):
+    def stuck(prog, **kwargs):
+        sol = real_solve(prog, **kwargs)
+        sol.status = "MAX_ITER"
+        return sol
+
+    return stuck
+
+
+def test_steering_robustness_raises_on_unconverged_solve(monkeypatch):
+    asm = assemblage_from(singlet(), mub_qubit_measurements(2), "A")
+    assert steering_robustness(asm) == pytest.approx(SINGLET_2MUB_SR, abs=1e-6)
+    monkeypatch.setattr(steer, "solve", forced_max_iter(steer.solve))
+    with pytest.raises(RuntimeError, match="MAX_ITER"):
+        steering_robustness(asm)
+    assert sr_solve(asm).status == "MAX_ITER"  # the raw result still reports its status
+
+
+def test_nonlocal_content_raises_on_unconverged_solve(monkeypatch):
+    assert nonlocal_content(pr_box(), tol=1e-9) == pytest.approx(1.0, abs=1e-8)
+    monkeypatch.setattr(steer, "solve", forced_max_iter(steer.solve))
+    with pytest.raises(RuntimeError, match="MAX_ITER"):
+        nonlocal_content(pr_box(), tol=1e-9)
+
+
+def test_batched_validation_keeps_messages_and_order():
+    eye = np.eye(2, dtype=complex)
+    bad = np.diag([1.5, -0.5]).astype(complex)
+    with pytest.raises(ValueError, match="one dimension"):
+        MeasurementSet(((eye / 2, eye / 2), (np.eye(3) / 2, np.eye(3) / 2)))
+    # the first failing setting decides which check reports
+    with pytest.raises(ValueError, match="sum to the identity"):
+        MeasurementSet(((eye * 0.4, eye * 0.4), (bad, eye - bad)))
+    with pytest.raises(ValueError, match="PSD"):
+        MeasurementSet(((bad, eye - bad), (eye * 0.4, eye * 0.4)))
+    good = assemblage_from(singlet(), mub_qubit_measurements(2), "A")
+    sigma = [list(s) for s in good.sigma]
+    shift = np.diag([-0.1, 0.1]).astype(complex)  # moves weight between outcomes: marginals stay put
+    with pytest.raises(ValueError, match="PSD"):
+        Assemblage(((sigma[0][0] + shift, sigma[0][1] - shift), tuple(sigma[1])))
+    with pytest.raises(ValueError, match="signals"):
+        Assemblage((tuple(sigma[0]), (sigma[1][0] + shift, sigma[1][1] + shift)))
+    with pytest.raises(ValueError, match="normalized"):
+        Assemblage(tuple(tuple(2 * s for s in setting) for setting in sigma))

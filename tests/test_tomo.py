@@ -169,3 +169,18 @@ def test_counts_record_validation():
         CountsRecord(np.zeros((2, 3), dtype=int), 10, 0, "qubit6")
     with pytest.raises(ValueError):
         mle_reconstruct(CountsRecord(np.zeros((9, 9), dtype=int), 10, 0, "qutrit9"))
+
+
+@pytest.mark.parametrize("frame", [tomo.qutrit_bases(), tomo.qubit_bases()], ids=lambda f: f.name)
+def test_mle_engine_matmuls_match_einsum(frame):
+    engine = tomo._MleEngine(frame)
+    rng = np.random.default_rng(frame.size)
+    g = rng.standard_normal((engine.d2, engine.d2)) + 1j * rng.standard_normal((engine.d2, engine.d2))
+    mu = g @ g.conj().T
+    mu /= np.trace(mu).real
+    probs = engine.probabilities(mu)
+    assert np.allclose(probs, np.clip(np.einsum("kij,ji->k", engine.povm, mu).real, 0.0, None), rtol=0, atol=1e-13)
+    freqs = rng.dirichlet(np.ones(len(probs)))
+    weights = freqs / np.maximum(probs, 1e-300)
+    want = np.einsum("k,kij->ij", weights, engine.povm)
+    assert np.allclose(engine.r_operator(freqs, probs), want, rtol=0, atol=1e-13)
