@@ -21,7 +21,6 @@ import numpy as np
 import scipy.linalg
 
 from . import qmat
-from .filterops import filtered_weight
 from .qmat import DensityMatrix, dagger, kron, partial_trace, partial_transpose
 from .states import haar_unitary, max_entangled_ket
 
@@ -301,9 +300,3 @@ def dc_threshold(d: int, tol: float = 1e-5) -> float | None:
         else:
             hi = mid
     return (lo + hi) / 2
-
-
-def filtered_weight_params(d: int, v: float) -> tuple[float, float]:
-    """(v', q') of the filtered two-qubit Werner state; q' = 1 - (4/3) v'."""
-    vp = filtered_weight(d, v)
-    return vp, 1.0 - (4.0 / 3.0) * vp

@@ -17,18 +17,33 @@ form: one PSD block per partition of k with at most d rows, and one copy's
 marginal constraint for all k.  SE-B is the trivial-irrep block alone.  SQE
 keeps the full program, with partial traces and transposes acting on the real
 vectorization through index arithmetic, never through permutation matrices.
+
+A Werner input (dimA = dimB and rho equal to its U(x)U twirl alpha I + beta F
+to 1e-12 entrywise, :func:`werner_swap`) needs no PSD block for SE or SE-B
+(Doherty, Parrilo & Spedalieri 2004; Johnson & Viola 2013).  As rho and I are
+U(x)U-invariant, twirling an extension by U^(x)(k+1) keeps every marginal, so
+by Schur-Weyl duality X = sum c_{lambda mu} P_{lambda mu} over lambda |- k+1
+with at most d rows and mu |- k inside lambda (restriction from S_(k+1) to S_k
+is multiplicity-free), with c >= 0.  The two-party marginal is fixed by its
+trace and its swap expectation, so the search is an LP with one weight
+w = c tr P_{lambda mu} per pair (SE-B keeps mu = (k)) and two rows, the same on
+both sides; :func:`werner_lp_columns` gives the swap ratios tr(P F)/tr P from
+the contents in Young's orthogonal form.  That LP has no dimension cap; SQE and
+non-Werner inputs keep the SDPs and ``MAX_EXTENSION_DIM``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
+from math import factorial, prod
 
 import numpy as np
 import scipy.sparse as sp
 
 from .qmat import DensityMatrix
 from .solver import Block, ConicProgram, solve, vec_real, vec_real_map
+from .states import swap_operator
 
 MAX_EXTENSION_DIM = 243
 
@@ -186,6 +201,46 @@ def young_orthogonal_form(shape: tuple[int, ...]) -> list[np.ndarray]:
     return gens
 
 
+def _tableau_count(shape: tuple[int, ...]) -> int:
+    """Number f^shape of standard Young tableaux, by the hook-length formula."""
+    hooks = prod(
+        shape[r] - c + sum(1 for below in shape[r + 1 :] if below > c)
+        for r in range(len(shape))
+        for c in range(shape[r])
+    )
+    return factorial(sum(shape)) // hooks
+
+
+def _corners(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """(shape minus one removable box, content of that box), one entry per removable box."""
+    out = []
+    for r, length in enumerate(shape):
+        if r + 1 == len(shape) or shape[r + 1] < length:
+            smaller = shape[:r] + (length - 1,) + shape[r + 1 :]
+            out.append((tuple(x for x in smaller if x), length - 1 - r))
+    return out
+
+
+def werner_lp_columns(d: int, k: int, bosonic: bool = False) -> list[tuple[tuple[int, ...], tuple[int, ...], float]]:
+    """(lambda, mu, r) for each lambda |- k+1 with at most d rows and mu |- k inside it
+    (mu = (k) only when ``bosonic``), where r = tr(P_{lambda mu} F)/tr P_{lambda mu} and F swaps
+    copy k with party k+1.
+
+    In Young's orthogonal form F has diagonal 1/(c(k+1) - c(k)) on each tableau, c being the
+    content of the box that holds the number; averaging it over the f^mu tableaux with k+1
+    in the box lambda/mu gives r = sum_nu f^nu / (c(lambda/mu) - c(mu/nu)) / f^mu over the
+    nu one corner smaller than mu.  The GL(d) dimension of lambda cancels.
+    """
+    cols = []
+    for lam in _partitions(k + 1, d):
+        for mu, c_new in _corners(lam):
+            if bosonic and len(mu) > 1:
+                continue
+            swap = sum(_tableau_count(nu) / (c_new - c_old) for nu, c_old in _corners(mu))
+            cols.append((lam, mu, swap / _tableau_count(mu)))
+    return cols
+
+
 def _s_k_words(k: int) -> list[tuple[int, int]]:
     """Every element of S_k once, breadth-first from the identity: entry n = (p, i) says
     element n is the adjacent transposition (i+1, i+2) times element p."""
@@ -257,12 +312,13 @@ class ExtensionQuery:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         d_ext = self.rho.dimA if self.side == "A" else self.rho.dimB
         d_other = self.rho.dimB if self.side == "A" else self.rho.dimA
-        if self.flavor in (SE, SE_B) and d_ext**self.k * d_other > MAX_EXTENSION_DIM:
+        too_large = d_ext**self.k * d_other > MAX_EXTENSION_DIM
+        if self.flavor in (SE, SE_B) and too_large and werner_swap(self.rho) is None:
             raise ValueError(f"extension dimension exceeds {MAX_EXTENSION_DIM}")
         if self.flavor == SQE:
             if self.k > 4:
                 raise ValueError("quasi-extension supported for k <= 4")
-            if self.k == 4 and self.partitions is None and d_ext**self.k * d_other > MAX_EXTENSION_DIM:
+            if self.k == 4 and self.partitions is None and too_large:
                 raise ValueError(f"extension dimension exceeds {MAX_EXTENSION_DIM}")
 
     @property
@@ -403,11 +459,46 @@ def build_program(q: ExtensionQuery) -> ConicProgram:
     return _build_symmetric_program(q, list(s_k_isometries(d, q.k).values()))
 
 
+def werner_swap(rho: DensityMatrix) -> float | None:
+    """tr(rho F) when rho is a Werner operator, i.e. dimA = dimB and rho equals its U(x)U twirl
+    alpha I + beta F to 1e-12 entrywise; None otherwise.
+
+    The twirl keeps tr rho and tr(rho F), which fix alpha and beta."""
+    if rho.dimA != rho.dimB:
+        return None
+    d, dd = rho.dimA, rho.dim
+    swap = swap_operator(d)
+    tr_rho = np.trace(rho.mat).real
+    tr_swap = np.vdot(swap, rho.mat).real  # F is real symmetric, so this is tr(rho F)
+    alpha = (dd * tr_rho - d * tr_swap) / (dd * dd - dd)
+    beta = (dd * tr_swap - d * tr_rho) / (dd * dd - dd)
+    if np.abs(rho.mat - alpha * np.eye(dd) - beta * swap).max() > 1e-12:
+        return None
+    return float(tr_swap)
+
+
+def _werner_program(q: ExtensionQuery, swap: float) -> ConicProgram:
+    """LP over the weights w of the Schur-Weyl projectors (see the module docstring), plus t:
+    sum w - t = 0 (trace) and sum r w - t/d = tr(rho F) - 1/d (swap), minimizing t."""
+    d = q.rho.dimA
+    r = [col[2] for col in werner_lp_columns(d, q.k, bosonic=q.flavor == SE_B)]
+    a = sp.csr_matrix(np.array([[1.0] * len(r) + [-1.0], r + [-1.0 / d]]))
+    c = np.zeros(len(r) + 1)
+    c[-1] = 1.0
+    return ConicProgram((Block("nonneg", len(r) + 1),), c, a, np.array([0.0, swap - 1.0 / d]))
+
+
 def run_query(q: ExtensionQuery, tol: float = 1e-7, max_iter: int = 200000) -> ExtensionResult:
-    """Optimal t* of the query's SDP; t* <= 1 means the extension exists, and t*_SQE <= t*_SE <= t*_SE_B."""
-    if int(np.prod(q.dims)) >= MAX_EXTENSION_DIM:
-        max_iter *= 4  # the 243-dimensional instances converge more slowly
-    sol = solve(build_program(q), tol=tol, max_iter=max_iter)
+    """Optimal t* of the query's SDP (the LP for SE and SE-B on a Werner input); t* <= 1 means
+    the extension exists, and t*_SQE <= t*_SE <= t*_SE_B."""
+    swap = werner_swap(q.rho) if q.flavor in (SE, SE_B) else None
+    if swap is not None:
+        prog = _werner_program(q, swap)
+    else:
+        if int(np.prod(q.dims)) >= MAX_EXTENSION_DIM:
+            max_iter *= 4  # the 243-dimensional instances converge more slowly
+        prog = build_program(q)
+    sol = solve(prog, tol=tol, max_iter=max_iter)
     t_star = float(sol.primal_obj)
     return ExtensionResult(
         t_star=t_star,

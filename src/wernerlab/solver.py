@@ -29,7 +29,6 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 import scipy.linalg
@@ -472,49 +471,3 @@ def load_program(text: str) -> ConicProgram:
         raise ValueError("missing END marker")
     a = sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
     return ConicProgram(tuple(blocks), c, a, b)
-
-
-def lp_vertex_enumeration_check(prog: ConicProgram) -> float:
-    """Exact small-LP optimum by enumerating basic feasible points.
-
-    Independent oracle for cross-checking :func:`solve` on LPs with at most
-    12 variables (after splitting free variables).  Assumes the optimum is
-    attained at a vertex (bounded LP).
-    """
-    if any(bl.kind == PSD for bl in prog.blocks):
-        raise ValueError("vertex enumeration only applies to LPs")
-    # split free variables x = x+ - x- so the feasible set is pointed
-    cols, c_std = [], []
-    pos = 0
-    a_dense = prog.A.toarray()
-    for bl in prog.blocks:
-        for j in range(pos, pos + bl.size):
-            cols.append(a_dense[:, j])
-            c_std.append(prog.c[j])
-            if bl.kind == FREE:
-                cols.append(-a_dense[:, j])
-                c_std.append(-prog.c[j])
-        pos += bl.size
-    a_std = np.column_stack(cols)
-    c_std = np.asarray(c_std)
-    n_std = a_std.shape[1]
-    if n_std > 12:
-        raise ValueError(f"{n_std} variables exceed the 12-variable enumeration limit")
-    rank = np.linalg.matrix_rank(a_std, tol=1e-10)
-    bnorm = 1.0 + np.linalg.norm(prog.b)
-    best = None
-    for basis in combinations(range(n_std), rank):
-        sub = a_std[:, basis]
-        sol, *_ = np.linalg.lstsq(sub, prog.b, rcond=None)
-        if np.linalg.norm(sub @ sol - prog.b) > 1e-9 * bnorm:
-            continue
-        if np.min(sol, initial=0.0) < -1e-9:
-            continue
-        x = np.zeros(n_std)
-        x[list(basis)] = sol
-        val = float(c_std @ x)
-        if best is None or val < best:
-            best = val
-    if best is None:
-        raise ValueError("no basic feasible point found (infeasible or degenerate input)")
-    return best

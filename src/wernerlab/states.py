@@ -44,12 +44,6 @@ class WernerParams:
         return 1.0 - (2.0 * self.d / (self.d + 1.0)) * self.v
 
 
-def ket(d: int, i: int) -> np.ndarray:
-    e = np.zeros(d, dtype=complex)
-    e[i] = 1.0
-    return e
-
-
 def swap_operator(d: int) -> np.ndarray:
     """Swap V with V |psi>|phi> = |phi>|psi> on C^d (x) C^d."""
     if d < 2:

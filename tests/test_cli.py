@@ -7,6 +7,7 @@ import pytest
 
 from wernerlab import cli
 from wernerlab.cli import derive_seed, main, parse_grid
+from wernerlab.extend import critical_weight
 
 
 def read_csv(path):
@@ -118,6 +119,22 @@ def test_extend_table_command(tmp_path):
     values = {float(r[4]): float(r[5]) for r in rows}
     assert values[0.0] == pytest.approx(1.0, abs=1e-4)
     assert values[0.2] == pytest.approx(0.7, abs=1e-4)
+
+
+def test_extend_table_werner_lp_beyond_the_dimension_cap(tmp_path, capsys):
+    out = tmp_path / "ext"
+    argv = ["extend-table", "--d", "3", "--k-list", "20", "--flavors", "SE,SE_B", "--v-grid", "0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    header, rows = read_csv(out / "extend_table_d3.csv")
+    found = {r[3]: (r[7], critical_weight(float(r[5]), 3)) for r in rows}
+    assert found.keys() == {"SE", "SE_B"}
+    assert found["SE"][0] == found["SE_B"][0] == "OPTIMAL"
+    assert found["SE"][1] == pytest.approx(0.45, abs=2e-3)  # (1 - (d-1)/k)/2
+    assert found["SE_B"][1] == pytest.approx(0.475, abs=2e-3)  # (1 - 1/k)/2
+    capsys.readouterr()
+    noisy = ["extend-table", "--d", "3", "--k-list", "5", "--noisy", "--v-grid", "0", "--out", str(tmp_path / "n")]
+    assert main(noisy) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_extend_and_extend_table_write_the_same_rows(tmp_path):

@@ -10,6 +10,7 @@ from wernerlab import extend
 from wernerlab.extend import (
     ExtensionQuery,
     _partitions,
+    _standard_tableaux,
     build_program,
     critical_weight,
     extension_threshold,
@@ -18,11 +19,24 @@ from wernerlab.extend import (
     run_query,
     s_k_isometries,
     symmetric_subspace_isometry,
+    werner_lp_columns,
     young_orthogonal_form,
 )
 from wernerlab.qmat import partial_transpose_dims, trace_out
 from wernerlab.solver import Block, ConicProgram, mat_real, presolve, solve, vec_real
-from wernerlab.states import NoiseSpec, noisy_surrogate, swap_operator, sym_projector, werner
+from wernerlab.states import (
+    NoiseSpec,
+    noisy_surrogate,
+    swap_operator,
+    sym_projector,
+    werner,
+    werner_all_v,
+    werner_from_qubit_mixture,
+)
+
+from lp_oracle import lp_vertex_enumeration_check
+
+SURROGATE = NoiseSpec(depol=0.06, coherent_eps=0.02, seed=2024)  # a complex, non-Werner perturbation
 
 
 def random_hermitian(dims, seed):
@@ -260,7 +274,8 @@ def test_query_validation():
     with pytest.raises(ValueError):
         ExtensionQuery(werner(3, 0.0), 1, "B", "SE")
     with pytest.raises(ValueError):
-        ExtensionQuery(werner(3, 0.0), 5, "B", "SE")  # 3^5*3 = 729 > 243
+        ExtensionQuery(noisy_surrogate(werner(3, 0.0), SURROGATE), 5, "B", "SE")  # 3^5*3 = 729 > 243
+    ExtensionQuery(werner(3, 0.0), 5, "B", "SE")  # a Werner input is solved as an LP, with no cap
     with pytest.raises(ValueError):
         ExtensionQuery(werner(3, 0.0), 2, "C", "SE")
     with pytest.raises(ValueError):
@@ -281,6 +296,84 @@ def test_unconverged_solve_gives_no_verdict(monkeypatch):
     monkeypatch.setattr(extend, "solve", lambda prog, tol, max_iter: real_solve(prog, tol=tol, max_iter=25))
     with pytest.raises(RuntimeError, match="MAX_ITER"):
         extension_threshold(3, 3, "SE", "B")
+
+
+def test_unconverged_general_program_gives_no_verdict():
+    # the twin of the test above on a non-Werner input, which keeps the S_k-block SDP
+    q = ExtensionQuery(noisy_surrogate(werner(3, 0.15), SURROGATE), 3, "B", "SE")
+    cut = run_query(q, max_iter=25)
+    assert cut.status == "MAX_ITER"
+    assert cut.extension_exists is None
+
+
+def solved_program(q, monkeypatch):
+    """The program run_query hands to the solver for ``q``."""
+    seen = []
+    real_solve = extend.solve
+
+    def spy(prog, tol, max_iter):
+        seen.append(prog)
+        return real_solve(prog, tol=tol, max_iter=max_iter)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(extend, "solve", spy)
+        run_query(q)
+    (prog,) = seen
+    return prog
+
+
+@pytest.mark.parametrize("flavor", ["SE", "SE_B"])
+def test_werner_inputs_take_the_lp_path(flavor, monkeypatch):
+    for rho in (werner_all_v(3, 0.7), werner_from_qubit_mixture(3, 0.2), werner(4, 0.1)):
+        prog = solved_program(ExtensionQuery(rho, 3, "A", flavor), monkeypatch)
+        assert all(bl.kind == "nonneg" for bl in prog.blocks) and prog.m == 2
+    rho = noisy_surrogate(werner(3, 0.2), SURROGATE)
+    prog = solved_program(ExtensionQuery(rho, 3, "A", flavor), monkeypatch)
+    assert any(bl.kind == "psd" for bl in prog.blocks)
+    sqe = solved_program(ExtensionQuery(werner(2, 0.2), 2, "B", "SQE"), monkeypatch)
+    assert any(bl.kind == "psd" for bl in sqe.blocks)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_werner_lp_columns_match_young_orthogonal_form(d, k):
+    cols = werner_lp_columns(d, k)
+    assert [(lam, mu) for lam, mu, _ in werner_lp_columns(d, k, bosonic=True)] == [
+        (lam, mu) for lam, mu, _ in cols if mu == (k,)
+    ]
+    pairs = set()
+    for lam in _partitions(k + 1, d):
+        last = np.diag(young_orthogonal_form(lam)[-1])  # the transposition (k, k+1)
+        rows = np.array([t[-1] for t in _standard_tableaux(lam)])  # row of the box holding k+1
+        for row in sorted(set(rows)):
+            mu = tuple(x for x in lam[:row] + (lam[row] - 1,) + lam[row + 1 :] if x)
+            pairs.add((lam, mu, float(last[rows == row].mean())))
+    assert len(cols) == len(pairs)
+    for lam, mu, r in cols:
+        assert -1.0 <= r <= 1.0
+        (ref,) = [p[2] for p in pairs if p[:2] == (lam, mu)]
+        assert r == pytest.approx(ref, rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2)])
+@pytest.mark.parametrize("flavor", ["SE", "SE_B"])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_werner_lp_matches_general_program(d, k, flavor, side):
+    for v in (0.0, 0.1, 0.15, 0.3):
+        q = ExtensionQuery(werner(d, v), k, side, flavor)
+        lp = run_query(q)
+        general = solve(build_program(q), tol=1e-7)
+        assert lp.status == general.status == "OPTIMAL"
+        assert lp.t_star == pytest.approx(general.primal_obj, abs=1e-6)
+
+
+@pytest.mark.parametrize("d,k,flavor,n_vars", [(3, 4, "SE", 10), (5, 2, "SE_B", 3)])
+def test_werner_lp_matches_vertex_enumeration(d, k, flavor, n_vars, monkeypatch):
+    for v in (0.0, 0.15):
+        q = ExtensionQuery(werner(d, v), k, "B", flavor)
+        prog = solved_program(q, monkeypatch)
+        assert prog.n == n_vars
+        assert run_query(q).t_star == pytest.approx(lp_vertex_enumeration_check(prog), abs=1e-7)
 
 
 def test_run_query_dispatch():

@@ -15,8 +15,10 @@ from wernerlab.extend import (
 )
 from wernerlab.filterops import filtered_weight, qubit_projection
 from wernerlab.qmat import DensityMatrix
-from wernerlab.solver import lp_vertex_enumeration_check, solve
+from wernerlab.solver import solve
 from wernerlab.states import werner
+
+from lp_oracle import lp_vertex_enumeration_check
 
 
 def test_filter_json_roundtrip():

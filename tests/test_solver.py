@@ -12,7 +12,6 @@ from wernerlab.solver import (
     ConicProgram,
     dump_program,
     load_program,
-    lp_vertex_enumeration_check,
     mat_real,
     presolve,
     solve,
@@ -20,6 +19,8 @@ from wernerlab.solver import (
     vec_real_map,
 )
 from wernerlab.states import werner
+
+from lp_oracle import lp_vertex_enumeration_check
 
 
 def shifted_lp():
