@@ -14,9 +14,15 @@ copies, which loses nothing: averaging an extension over the permutations
 keeps every marginal.  Such an X is block diagonal in the S_k isotypic
 decomposition (Gatermann & Parrilo 2004), with irreps from Young's orthogonal
 form: one PSD block per partition of k with at most d rows, and one copy's
-marginal constraint for all k.  SE-B is the trivial-irrep block alone.  SQE
-keeps the full program, with partial traces and transposes acting on the real
-vectorization through index arithmetic, never through permutation matrices.
+marginal constraint for all k.  SE-B is the trivial-irrep block alone.
+
+SQE keeps the full program, one PSD block for P and one per transposed subset
+S, and one marginal constraint per copy.  All three flavors build their trace
+rows with one sparse marginal map; SQE's for copy i is that of the identity
+isometry with copy i moved first.  SQE traces first and transposes after, on
+the two-party marginal: transposing a traced party leaves its trace unchanged,
+so tr_others(Q^(T_S)) = (tr_others Q)^(T_(S & kept)), and only the four
+two-party transposes are ever built.
 
 A Werner input (dimA = dimB and rho equal to its U(x)U twirl alpha I + beta F
 to 1e-12 entrywise, :func:`werner_swap`) needs no PSD block for SE or SE-B
@@ -28,8 +34,9 @@ is multiplicity-free), with c >= 0.  The two-party marginal is fixed by its
 trace and its swap expectation, so the search is an LP with one weight
 w = c tr P_{lambda mu} per pair (SE-B keeps mu = (k)) and two rows, the same on
 both sides; :func:`werner_lp_columns` gives the swap ratios tr(P F)/tr P from
-the contents in Young's orthogonal form.  That LP has no dimension cap; SQE and
-non-Werner inputs keep the SDPs and ``MAX_EXTENSION_DIM``.
+the contents in Young's orthogonal form.  That LP has no dimension cap.  Every
+other query, SQE at any k and SE or SE-B on a non-Werner input, keeps the SDP
+and needs prod(dims) <= ``MAX_EXTENSION_DIM``; SQE also needs k <= 4.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from math import factorial, prod
 import numpy as np
 import scipy.sparse as sp
 
-from .qmat import DensityMatrix
+from .qmat import DensityMatrix, partial_transpose_dims
 from .solver import Block, ConicProgram, solve, vec_real, vec_real_map
 from .states import swap_operator
 
@@ -57,84 +64,6 @@ def _strides(dims: list[int]) -> np.ndarray:
     for p in range(len(dims) - 2, -1, -1):
         s[p] = s[p + 1] * dims[p + 1]
     return s
-
-
-def _digit_embeddings(dims: list[int], positions: list[int]) -> np.ndarray:
-    """All index contributions obtainable from the chosen positions, in
-    lexicographic order of their digits."""
-    strides = _strides(dims)
-    out = np.zeros(1, dtype=np.int64)
-    for p in positions:
-        out = (out[:, None] + strides[p] * np.arange(dims[p], dtype=np.int64)[None, :]).ravel()
-    return out
-
-
-def _pair_cols(n: int) -> np.ndarray:
-    """Lookup r,c -> real-vec component index of the (Re, Im) upper pair."""
-    table = np.zeros((n, n), dtype=np.int64)
-    iu, ju = np.triu_indices(n, 1)
-    table[iu, ju] = n + 2 * np.arange(len(iu), dtype=np.int64)
-    return table
-
-
-def real_trace_map(dims: list[int], keep: list[int]) -> sp.csr_matrix:
-    """Sparse map sending vec_real(H) to vec_real(partial trace of H onto ``keep``).
-
-    All coefficients are +1: the shared traced digits never change which of the
-    two indices is larger, so components map to components.
-    """
-    keep = sorted(keep)
-    traced = [p for p in range(len(dims)) if p not in keep]
-    n = int(np.prod(dims))
-    m = int(np.prod([dims[p] for p in keep]))
-    emb_k = _digit_embeddings(dims, keep)
-    emb_t = _digit_embeddings(dims, traced)
-    pair_in = _pair_cols(n)
-    pair_out = _pair_cols(m)
-
-    rows, cols = [], []
-    # output diagonal components
-    for big_r, out_r in zip(emb_k, range(m)):
-        rows.extend([out_r] * len(emb_t))
-        cols.extend((big_r + emb_t).tolist())
-    # output off-diagonal pairs (r < c in the big space iff R < C)
-    out_iu, out_ju = np.triu_indices(m, 1)
-    for big_r, big_c, out_u in zip(emb_k[out_iu], emb_k[out_ju], pair_out[out_iu, out_ju]):
-        in_u = pair_in[big_r + emb_t, big_c + emb_t]
-        rows.extend([out_u] * len(emb_t) + [out_u + 1] * len(emb_t))
-        cols.extend(in_u.tolist() + (in_u + 1).tolist())
-    data = np.ones(len(rows))
-    return sp.csr_matrix((data, (rows, cols)), shape=(m * m, n * n))
-
-
-def real_pt_map(dims: list[int], subset: list[int]) -> sp.csr_matrix:
-    """Signed permutation on vec_real implementing the partial transpose of ``subset``."""
-    n = int(np.prod(dims))
-    strides = _strides(dims)
-    idx = np.arange(n, dtype=np.int64)
-    # split every index into its subset part and the rest
-    sub_part = np.zeros(n, dtype=np.int64)
-    for p in subset:
-        digit = (idx // strides[p]) % dims[p]
-        sub_part += digit * strides[p]
-    rest = idx - sub_part
-    pair = _pair_cols(n)
-
-    rows = list(range(n))  # diagonal fixed
-    cols = list(range(n))
-    data = [1.0] * n
-    iu, ju = np.triu_indices(n, 1)
-    a = rest[iu] + sub_part[ju]
-    b = rest[ju] + sub_part[iu]
-    out_u = pair[iu, ju]
-    swapped = a > b
-    lo = np.where(swapped, b, a)
-    hi = np.where(swapped, a, b)
-    in_u = pair[lo, hi]
-    rows.extend(out_u.tolist() + (out_u + 1).tolist())
-    cols.extend(in_u.tolist() + (in_u + 1).tolist())
-    data.extend([1.0] * len(out_u) + np.where(swapped, -1.0, 1.0).tolist())
-    return sp.csr_matrix((data, (rows, cols)), shape=(n * n, n * n))
 
 
 def symmetric_subspace_isometry(d: int, k: int) -> np.ndarray:
@@ -301,7 +230,6 @@ class ExtensionQuery:
     k: int
     side: str = "B"
     flavor: str = SE
-    partitions: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         if self.k < 2:
@@ -310,16 +238,11 @@ class ExtensionQuery:
             raise ValueError("side must be 'A' or 'B'")
         if self.flavor not in (SE, SQE, SE_B):
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        d_ext = self.rho.dimA if self.side == "A" else self.rho.dimB
-        d_other = self.rho.dimB if self.side == "A" else self.rho.dimA
-        too_large = d_ext**self.k * d_other > MAX_EXTENSION_DIM
-        if self.flavor in (SE, SE_B) and too_large and werner_swap(self.rho) is None:
-            raise ValueError(f"extension dimension exceeds {MAX_EXTENSION_DIM}")
-        if self.flavor == SQE:
-            if self.k > 4:
-                raise ValueError("quasi-extension supported for k <= 4")
-            if self.k == 4 and self.partitions is None and too_large:
-                raise ValueError(f"extension dimension exceeds {MAX_EXTENSION_DIM}")
+        if self.flavor == SQE and self.k > 4:
+            raise ValueError("quasi-extension supported for k <= 4")
+        n = prod(self.dims)
+        if n > MAX_EXTENSION_DIM and not (self.flavor in (SE, SE_B) and werner_swap(self.rho) is not None):
+            raise ValueError(f"extension dimension {n} exceeds {MAX_EXTENSION_DIM}")
 
     @property
     def dims(self) -> list[int]:
@@ -378,24 +301,75 @@ def _marginal_rhs(q: ExtensionQuery) -> tuple[np.ndarray, np.ndarray]:
     return rhs, eye_term
 
 
-def _copy_trace_maps(q: ExtensionQuery) -> list[sp.csr_matrix]:
-    dims = q.dims
-    maps = []
-    for pos in q.copy_positions:
-        keep = sorted([pos, q.other_position])
-        maps.append(real_trace_map(dims, keep))
-    return maps
+def _real_form(lin: sp.spmatrix, n_out: int, n_in: int) -> sp.csr_matrix:
+    """The map vec_real(H) -> vec_real(L(H)) of a linear map L given on row-major vec(H)."""
+    # L maps Hermitian matrices to Hermitian matrices, so the imaginary part is rounding
+    out = (vec_real_map(n_out) @ lin @ vec_real_map(n_in).conj().T).real
+    out.eliminate_zeros()
+    return out
+
+
+def _block_marginal_map(t: np.ndarray, d_other: int, side: str) -> sp.csr_matrix:
+    """Sparse map from vec_real(M) to vec_real(Y) for
+    Y[(j,a),(j',a')] = sum_{q,q'} t[j,q,j',q'] M[(q,a),(q',a')],
+    with the other party's index a first on side B and last on side A."""
+    d, m = t.shape[:2]
+    # a zero weight whose j <-> j' partner is nonzero is kept as an explicit entry: the sparse
+    # products then order each output row's columns as if every weight were stored
+    j, q, j2, q2 = np.nonzero((t != 0) | (t != 0).swapaxes(0, 2))
+    a, a2 = (x.reshape(-1, 1) for x in np.indices((d_other, d_other)))
+
+    def pair(copy, other, n_copy):
+        return other * n_copy + copy if side == "B" else copy * d_other + other
+
+    rows = pair(j, a, d) * (d_other * d) + pair(j2, a2, d)
+    cols = pair(q, a, m) * (d_other * m) + pair(q2, a2, m)
+    data = np.broadcast_to(t[j, q, j2, q2], rows.shape)
+    lin = sp.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=((d_other * d) ** 2, (d_other * m) ** 2))
+    return _real_form(lin, d_other * d, d_other * m)
+
+
+def _marginal_map(q: ExtensionQuery, v: np.ndarray) -> sp.csr_matrix:
+    """Map from vec_real(M) to vec_real of the first copy's and the other party's marginal of
+    X = sum_i V_i M V_i^H / sqrt(d_lambda), for an isometry stack V of shape (d_lambda, d^k, m)."""
+    dim, _, mult = v.shape
+    v = v.reshape(dim, q.dims[q.copy_positions[0]], -1, mult)  # copy 1 first, the other k-1 copies next
+    t = np.einsum("ijrq,isrp->jqsp", v, v.conj()) / np.sqrt(dim)
+    return _block_marginal_map(t, q.dims[q.other_position], q.side)
+
+
+def _copy_trace_map(q: ExtensionQuery, i: int) -> sp.csr_matrix:
+    """Map from vec_real(X) to vec_real of the marginal of copy i and the other party."""
+    d = q.dims[q.copy_positions[0]]
+    first = np.moveaxis(np.arange(d**q.k).reshape((d,) * q.k), i, 0).ravel()
+    return _marginal_map(q, np.eye(d**q.k)[first][None])
+
+
+def _real_partial_transpose(dims: list[int], subsystems: list[int]) -> sp.csr_matrix:
+    """Map from vec_real(H) to vec_real of H with ``subsystems`` transposed; its own inverse."""
+    n = prod(dims)
+    perm = partial_transpose_dims(np.arange(n * n).reshape(n, n), dims, subsystems).ravel()
+    return _real_form(sp.csr_matrix((np.ones(n * n), (np.arange(n * n), perm)), shape=(n * n, n * n)), n, n)
 
 
 def _build_sqe_program(q: ExtensionQuery) -> ConicProgram:
-    n_ext = int(np.prod(q.dims))
-    parts = q.partitions if q.partitions is not None else tuple(_default_partitions(q))
+    """X = P + sum_S Q_S^(T_S) with one PSD block for P and one per transposed subset S, and
+    one marginal constraint per copy; each transpose acts after the trace, on the two kept
+    parties."""
+    n_ext = prod(q.dims)
+    parts = _default_partitions(q)
     rhs, eye_term = _marginal_rhs(q)
-    trace_maps = _copy_trace_maps(q)
-    pt_maps = [real_pt_map(q.dims, list(p)) for p in parts]
+    transposes = {}  # two-party transposes, built as the subsets call for them
     a_rows = []
-    for tm in trace_maps:
-        cols = [tm] + [(tm @ ptm).tocsr() for ptm in pt_maps]
+    for i, pos in enumerate(q.copy_positions):
+        tm = _copy_trace_map(q, i)
+        kept = sorted([pos, q.other_position])
+        cols = [tm]
+        for subset in parts:
+            on_kept = tuple(n for n, p in enumerate(kept) if p in subset)
+            if on_kept not in transposes:
+                transposes[on_kept] = _real_partial_transpose([q.rho.dimA, q.rho.dimB], list(on_kept))
+            cols.append((transposes[on_kept] @ tm).tocsr())
         cols.append(sp.csr_matrix(-eye_term[:, None]))
         a_rows.append(sp.hstack(cols))
     a = sp.vstack(a_rows).tocsr()
@@ -407,25 +381,6 @@ def _build_sqe_program(q: ExtensionQuery) -> ConicProgram:
     return ConicProgram(blocks, c, a, b)
 
 
-def _block_marginal_map(t: np.ndarray, d_other: int, side: str) -> sp.csr_matrix:
-    """Sparse map from vec_real(M) to vec_real(Y) for
-    Y[(j,a),(j',a')] = sum_{q,q'} t[j,q,j',q'] M[(q,a),(q',a')],
-    with the other party's index a first on side B and last on side A."""
-    d, m = t.shape[:2]
-    a, j, q, a2, j2, q2 = np.indices((d_other, d, m, d_other, d, m)).reshape(6, -1)
-
-    def pair(copy, other, n_copy):
-        return other * n_copy + copy if side == "B" else copy * d_other + other
-
-    rows = pair(j, a, d) * (d_other * d) + pair(j2, a2, d)
-    cols = pair(q, a, m) * (d_other * m) + pair(q2, a2, m)
-    lin = sp.csr_matrix((t[j, q, j2, q2], (rows, cols)), shape=((d_other * d) ** 2, (d_other * m) ** 2))
-    # the composition maps real vectors to real vectors, so its imaginary part is rounding
-    out = (vec_real_map(d_other * d) @ lin @ vec_real_map(d_other * m).conj().T).real
-    out.eliminate_zeros()
-    return out
-
-
 def _build_symmetric_program(q: ExtensionQuery, isometries: list[np.ndarray]) -> ConicProgram:
     """Extension over copy-permutation-invariant X = sum_lambda sum_i V_i M_lambda V_i^H / sqrt(d_lambda),
     one PSD block M_lambda per isometry stack V in ``isometries``.
@@ -433,15 +388,8 @@ def _build_symmetric_program(q: ExtensionQuery, isometries: list[np.ndarray]) ->
     Every copy of an invariant X has the same marginal, so one copy's constraint
     stands for all k; the 1/sqrt(d_lambda) makes M_lambda -> X an isometry.
     """
-    d = q.dims[q.copy_positions[0]]
-    d_other = q.dims[q.other_position]
-    maps, sides = [], []
-    for v in isometries:
-        dim, _, mult = v.shape
-        v = v.reshape(dim, d, -1, mult)  # copy 1 first, the other k-1 copies next
-        t = np.einsum("ijrq,isrp->jqsp", v, v.conj()) / np.sqrt(dim)
-        maps.append(_block_marginal_map(t, d_other, q.side))
-        sides.append(mult * d_other)
+    maps = [_marginal_map(q, v) for v in isometries]
+    sides = [v.shape[2] * q.dims[q.other_position] for v in isometries]
     rhs, eye_term = _marginal_rhs(q)
     a = sp.hstack(maps + [sp.csr_matrix(-eye_term[:, None])]).tocsr()
     blocks = tuple(Block("psd", s) for s in sides) + (Block("nonneg", 1),)
@@ -517,33 +465,16 @@ def critical_weight(t_star_at_v0: float, d: int) -> float:
     return float(n_plus / (d * d) * (t_star_at_v0 - 1.0) / t_star_at_v0)
 
 
-def extension_threshold(
-    d: int,
-    k: int,
-    flavor: str = SE,
-    side: str = "B",
-    v_tol: float = 1e-3,
-    sdp_tol: float = 1e-7,
-) -> float:
-    """Bisection over v for the smallest Werner weight admitting an extension.
+def extension_threshold(d: int, k: int, flavor: str = SE, side: str = "B", sdp_tol: float = 1e-7) -> float:
+    """Smallest Werner weight admitting an extension, from one solve at v = 0.
 
-    Raises RuntimeError when a solve does not end OPTIMAL, rather than bisecting on it.
+    werner(d, v) runs along the segment from werner(d, 0) to I/D, and each extension set is a
+    convex cone containing I/D, so the threshold is :func:`critical_weight` of t* at v = 0.
+    Raises RuntimeError when that solve does not end OPTIMAL.
     """
     from .states import werner
 
-    def exists(v: float) -> bool:
-        res = run_query(ExtensionQuery(werner(d, v), k, side, flavor), tol=sdp_tol)
-        if res.extension_exists is None:
-            raise RuntimeError(f"{flavor} solve at v={v} ended {res.status}; no extendibility verdict")
-        return res.extension_exists
-
-    lo, hi = 0.0, d * (d + 1) / 2 / (d * d)  # weight of the maximally mixed point
-    if exists(lo):
-        return 0.0
-    while hi - lo > v_tol:
-        mid = (lo + hi) / 2
-        if exists(mid):
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2
+    res = run_query(ExtensionQuery(werner(d, 0.0), k, side, flavor), tol=sdp_tol)
+    if res.status != "OPTIMAL":
+        raise RuntimeError(f"{flavor} solve at v=0 ended {res.status}; no threshold")
+    return critical_weight(res.t_star, d)

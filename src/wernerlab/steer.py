@@ -218,14 +218,6 @@ def _pairwise_basis_update(vectors: np.ndarray, response: list[np.ndarray], swee
     return m
 
 
-def _objective(meas: MeasurementSet, response) -> float:
-    total = 0.0
-    for x in range(meas.n_settings):
-        for a in range(meas.n_outcomes):
-            total += float(np.real(np.trace(meas.effects[x][a] @ response[x][a])))
-    return total
-
-
 def _update_measurements(meas: MeasurementSet, response) -> MeasurementSet:
     """Per-setting eigenvector updates, keeping a setting only when it improves."""
     new_settings = []

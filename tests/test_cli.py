@@ -137,6 +137,12 @@ def test_extend_table_werner_lp_beyond_the_dimension_cap(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_extend_table_sqe_keeps_the_dimension_cap(tmp_path, capsys):
+    argv = ["extend-table", "--d", "4", "--k-list", "3", "--flavors", "SQE", "--v-grid", "0"]
+    assert main(argv + ["--out", str(tmp_path / "ext")]) == 1
+    assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
 def test_sweep_extend_and_extend_table_write_the_same_rows(tmp_path):
     grid = ["--d", "3", "--k-list", "2,3", "--v-grid", "0,0.2", "--side", "A", "--seed", "5"]
     assert main(["sweep", "--task", "extend", "--flavor", "SE_B", *grid, "--out", str(tmp_path / "s")]) == 0

@@ -14,8 +14,6 @@ from wernerlab.extend import (
     build_program,
     critical_weight,
     extension_threshold,
-    real_pt_map,
-    real_trace_map,
     run_query,
     s_k_isometries,
     symmetric_subspace_isometry,
@@ -23,7 +21,7 @@ from wernerlab.extend import (
     young_orthogonal_form,
 )
 from wernerlab.qmat import partial_transpose_dims, trace_out
-from wernerlab.solver import Block, ConicProgram, mat_real, presolve, solve, vec_real
+from wernerlab.solver import Block, ConicProgram, mat_real, presolve, solve, vec_real, vec_real_map
 from wernerlab.states import (
     NoiseSpec,
     noisy_surrogate,
@@ -46,20 +44,25 @@ def random_hermitian(dims, seed):
     return (g + g.conj().T) / 2
 
 
-def test_real_trace_map_matches_dense():
-    for dims, keep, seed in [([3, 3, 3], [0, 2], 0), ([2, 3, 2], [1, 2], 1), ([2, 2, 2, 2], [0, 3], 2)]:
-        h = random_hermitian(dims, seed)
-        tm = real_trace_map(dims, keep)
-        traced = [p for p in range(len(dims)) if p not in keep]
-        assert np.allclose(tm @ vec_real(h), vec_real(trace_out(h, dims, traced)), atol=1e-12)
+def test_copy_trace_map_matches_dense():
+    for d in (2, 3):
+        for k in (2, 3):
+            for side in "AB":
+                q = ExtensionQuery(werner(d, 0.2), k, side, "SE")
+                h = random_hermitian(q.dims, 10 * d + k)
+                for i, pos in enumerate(q.copy_positions):
+                    traced = [p for p in range(k + 1) if p not in (pos, q.other_position)]
+                    got = extend._copy_trace_map(q, i) @ vec_real(h)
+                    assert np.allclose(got, vec_real(trace_out(h, q.dims, traced)), rtol=0, atol=1e-12)
 
 
-def test_real_pt_map_matches_dense_and_involutes():
-    for dims, subset, seed in [([3, 3], [0], 3), ([2, 3, 2], [1], 4), ([2, 2, 3], [0, 2], 5)]:
+def test_two_party_transpose_matches_dense_and_involutes():
+    for dims, seed in [([3, 3], 3), ([2, 3], 4), ([3, 2], 5)]:
         h = random_hermitian(dims, seed)
-        pm = real_pt_map(dims, subset)
-        assert np.allclose(pm @ vec_real(h), vec_real(partial_transpose_dims(h, dims, subset)), atol=1e-12)
-        assert np.allclose((pm @ pm).toarray(), np.eye(pm.shape[0]), atol=1e-14)
+        for subset in ([], [0], [1], [0, 1]):
+            pm = extend._real_partial_transpose(dims, subset)
+            assert np.allclose(pm @ vec_real(h), vec_real(partial_transpose_dims(h, dims, subset)), atol=1e-12)
+            assert np.allclose((pm @ pm).toarray(), np.eye(pm.shape[0]), rtol=0, atol=1e-14)
 
 
 def test_symmetric_isometry_qubits():
@@ -113,6 +116,74 @@ def test_bosonic_builder_matches_column_by_column_reference(d, k, side):
     assert presolve(prog).m == presolve(ref).m
 
 
+def column_by_column_sqe_program(q):
+    """Reference SQE program: transpose each basis element, trace it down for every copy, one
+    column at a time."""
+    n = int(np.prod(q.dims))
+    subsets = [()] + extend._default_partitions(q)
+    eye_term = vec_real(np.eye(q.rho.dim) / q.rho.dim)
+    rhs = vec_real(q.rho.mat) - eye_term
+    a = np.empty((q.k * len(rhs), len(subsets) * n * n + 1))
+    for block, subset in enumerate(subsets):
+        for comp in range(n * n):
+            e = np.zeros(n * n)
+            e[comp] = 1.0
+            x = partial_transpose_dims(mat_real(e, n), q.dims, list(subset))
+            a[:, block * n * n + comp] = np.concatenate(
+                [
+                    vec_real(trace_out(x, q.dims, [p for p in range(q.k + 1) if p not in (pos, q.other_position)]))
+                    for pos in q.copy_positions
+                ]
+            )
+    a[:, -1] = np.tile(-eye_term, q.k)
+    c = np.zeros(a.shape[1])
+    c[-1] = 1.0
+    blocks = (Block("psd", n),) * len(subsets) + (Block("nonneg", 1),)
+    return ConicProgram(blocks, c, a, np.tile(rhs, q.k))
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_sqe_builder_matches_column_by_column_reference(d, k, side):
+    q = ExtensionQuery(noisy_surrogate(werner(d, 0.2), SURROGATE), k, side, "SQE")
+    prog = build_program(q)
+    ref = column_by_column_sqe_program(q)
+    assert prog.blocks == ref.blocks
+    assert np.allclose(prog.A.toarray(), ref.A.toarray(), rtol=0, atol=1e-12)
+    assert np.allclose(prog.b, ref.b, rtol=0, atol=1e-12)
+    assert np.allclose(prog.c, ref.c, rtol=0, atol=1e-12)
+
+
+def all_index_block_marginal_map(t, d_other, side):
+    """The marginal map built over every index of ``t``, zeros included: the reference that
+    the nonzero-only builder must reproduce byte for byte."""
+    d, m = t.shape[:2]
+    a, j, q, a2, j2, q2 = np.indices((d_other, d, m, d_other, d, m)).reshape(6, -1)
+
+    def pair(copy, other, n_copy):
+        return other * n_copy + copy if side == "B" else copy * d_other + other
+
+    rows = pair(j, a, d) * (d_other * d) + pair(j2, a2, d)
+    cols = pair(q, a, m) * (d_other * m) + pair(q2, a2, m)
+    lin = sp.csr_matrix((t[j, q, j2, q2], (rows, cols)), shape=((d_other * d) ** 2, (d_other * m) ** 2))
+    out = (vec_real_map(d_other * d) @ lin @ vec_real_map(d_other * m).conj().T).real
+    out.eliminate_zeros()
+    return out
+
+
+@pytest.mark.parametrize("d,k", [(3, 2), (3, 4), (5, 2)])
+@pytest.mark.parametrize("flavor", ["SE", "SE_B"])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_symmetric_program_bytes_match_all_index_builder(d, k, flavor, side, monkeypatch):
+    q = ExtensionQuery(werner(d, 0.2), k, side, flavor)
+    got = build_program(q).A
+    monkeypatch.setattr(extend, "_block_marginal_map", all_index_block_marginal_map)
+    ref = build_program(q).A
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(got, attr).dtype == getattr(ref, attr).dtype
+        assert getattr(got, attr).tobytes() == getattr(ref, attr).tobytes()
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_young_orthogonal_form_is_an_orthogonal_representation(k):
     shapes = _partitions(k, k)
@@ -149,9 +220,7 @@ def full_se_program(q):
     eye_term = vec_real(np.eye(q.rho.dim) / q.rho.dim)
     rhs = vec_real(q.rho.mat) - eye_term
     t_col = sp.csr_matrix(-eye_term[:, None])
-    rows = [
-        sp.hstack([real_trace_map(q.dims, sorted([pos, q.other_position])), t_col]) for pos in q.copy_positions
-    ]
+    rows = [sp.hstack([extend._copy_trace_map(q, i), t_col]) for i in range(q.k)]
     c = np.zeros(n_ext * n_ext + 1)
     c[-1] = 1.0
     return ConicProgram((Block("psd", n_ext), Block("nonneg", 1)), c, sp.vstack(rows), np.tile(rhs, q.k))
@@ -266,8 +335,24 @@ def test_threshold_bisection_matches_symmetric_law():
     # v_Sym = (1 - (d-1)/k)/2
     for d, k in ((2, 2), (2, 3), (3, 2), (3, 3)):
         v_sym = 0.5 * (1 - (d - 1) / k)
-        found = extension_threshold(d, k, "SE", "B", v_tol=1e-3)
+        found = extension_threshold(d, k, "SE", "B")
         assert found == pytest.approx(v_sym, abs=2e-3)
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_threshold_takes_one_solve_at_v0(d, k, monkeypatch):
+    calls = []
+    real_run_query = extend.run_query
+
+    def spy(q, tol):
+        calls.append(q)
+        return real_run_query(q, tol=tol)
+
+    monkeypatch.setattr(extend, "run_query", spy)
+    found = extension_threshold(d, k, "SE", "B")
+    assert len(calls) == 1
+    assert np.array_equal(calls[0].rho.mat, werner(d, 0.0).mat)
+    assert found == pytest.approx(0.5 * (1 - (d - 1) / k), rel=0, abs=1e-6)
 
 
 def test_query_validation():
@@ -280,6 +365,16 @@ def test_query_validation():
         ExtensionQuery(werner(3, 0.0), 2, "C", "SE")
     with pytest.raises(ValueError):
         ExtensionQuery(werner(3, 0.0), 2, "B", "XX")
+
+
+def test_sqe_keeps_the_dimension_cap_at_every_k():
+    ExtensionQuery(werner(3, 0.0), 4, "B", "SQE")  # 3^5 = 243, at the cap
+    with pytest.raises(ValueError, match="exceeds 243"):
+        ExtensionQuery(werner(4, 0.0), 3, "B", "SQE")  # 4^4 = 256
+    with pytest.raises(ValueError, match="exceeds 243"):
+        ExtensionQuery(werner(7, 0.0), 2, "B", "SQE")  # 7^3 = 343
+    with pytest.raises(ValueError, match="k <= 4"):
+        ExtensionQuery(werner(2, 0.0), 5, "B", "SQE")
 
 
 def test_unconverged_solve_gives_no_verdict(monkeypatch):
