@@ -28,7 +28,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m).T
+    """Conjugate transpose; leading axes are a stack of matrices."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:

@@ -19,9 +19,14 @@ deterministic, and certifies optimality through the duality gap.
 The set-up that depends on the presolved (blocks, A, c) alone -- column
 scale, scaled A and A^T, that factorization and the cone plan -- is memoised
 in a small LRU keyed on the exact bytes of those three, so programs that
-differ only in b (the steering see-saw) factor once.  A solve carries no
-other state: a memoised set-up gives the same iterates, bit for bit, as a
-fresh one.
+differ only in b (the steering see-saw) factor once.  :func:`solve_many` runs
+such programs in lockstep: the iterates of R programs form the rows of one
+stack, each sparse product, triangular solve and batched eigh acts on all of
+them at once, and a program leaves the stack at the check where it exits.
+Every operation acts row by row with the same arithmetic whatever the stack
+width, so a program gives the same iterates, bit for bit, alone or in a
+batch, and with a memoised set-up or a fresh one.  :func:`solve` is
+``solve_many`` on one program, whose stack is a plain vector.
 """
 
 from __future__ import annotations
@@ -184,8 +189,10 @@ def presolve(prog: ConicProgram) -> ConicProgram:
 class _ConeProjector:
     """Batched projection of the block-structured variable onto its cone.
 
-    Every NONNEG entry clips through one index array, and each same-size PSD group is
-    gathered and scattered through one (blocks, n*n) index array."""
+    Every NONNEG entry clips through one index (a slice when the entries are contiguous),
+    and each same-size PSD group is gathered and scattered through one (blocks, n*n) index
+    array.  Leading axes of the input are a stack of variables: one eigh covers every
+    block of every row."""
 
     def __init__(self, blocks: tuple[Block, ...]):
         groups: dict[tuple[str, int], list[int]] = {}
@@ -201,13 +208,17 @@ class _ConeProjector:
             elif kind == NONNEG:
                 nonneg.append(idx.ravel())
         self.nonneg = np.concatenate(nonneg) if nonneg else None
+        if self.nonneg is not None and np.array_equal(self.nonneg, np.arange(self.nonneg[0], self.nonneg[-1] + 1)):
+            self.nonneg = slice(int(self.nonneg[0]), int(self.nonneg[-1]) + 1)
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        out = x.copy()
+    def project(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The projection of x, written into ``out`` (which may be x itself) or a copy of x."""
+        if out is None:
+            out = x.copy()
         if self.nonneg is not None:
-            out[self.nonneg] = np.maximum(x[self.nonneg], 0.0)
+            out[..., self.nonneg] = np.maximum(x[..., self.nonneg], 0.0)
         for n, idx in self.psd:
-            h = mat_real(x[idx], n)
+            h = mat_real(x[..., idx], n).reshape(-1, n, n)
             try:
                 w, q = np.linalg.eigh(h)
             except np.linalg.LinAlgError:
@@ -215,7 +226,7 @@ class _ConeProjector:
                 pairs = [scipy.linalg.eigh(hb, driver="evr") for hb in h]
                 w, q = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
             w = np.clip(w, 0.0, None)
-            out[idx] = vec_real((q * w[:, None, :]) @ q.conj().transpose(0, 2, 1))
+            out[..., idx] = vec_real((q * w[:, None, :]) @ q.conj().transpose(0, 2, 1)).reshape(x.shape[:-1] + idx.shape)
         return out
 
 
@@ -232,11 +243,17 @@ def _equilibrate(a: sp.csr_matrix, blocks: tuple[Block, ...]) -> np.ndarray:
     return 1.0 / np.where(col_max > 0, col_max, 1.0)
 
 
+def _rmul(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``a`` applied to each row of the stack ``x``; a plain product for one vector."""
+    return a @ x if x.ndim == 1 else (a @ x.T).T
+
+
 class _Embedding:
     """Cached linear algebra for the self-dual embedding iteration.
 
     The factorisation of I + A A^T depends on A alone; :meth:`with_b` shares it with
-    another right-hand side."""
+    other right-hand sides.  A right-hand side, and every vector the embedding solves
+    for, may carry leading stack axes, one row per program."""
 
     def __init__(self, prog: ConicProgram):
         self.A = prog.A.tocsr()
@@ -249,44 +266,53 @@ class _Embedding:
         self._bind(prog.b)
 
     def with_b(self, b: np.ndarray) -> _Embedding:
-        """A copy that shares A, A^T and the factor, bound to right-hand side b."""
+        """A copy that shares A, A^T and the factor, bound to right-hand side(s) b."""
         emb = copy.copy(self)
         emb._bind(b)
         return emb
 
+    def rows(self, keep: np.ndarray) -> _Embedding:
+        """A copy bound to the rows ``keep`` of a stacked right-hand side."""
+        emb = copy.copy(self)
+        emb.b, emb.g, emb.mg, emb.mtg, emb.denom = (arr[keep] for arr in (self.b, self.g, self.mg, self.mtg, self.denom))
+        return emb
+
     def _bind(self, b: np.ndarray) -> None:
         self.b = b
-        self.g = np.concatenate([self.c, -b])
+        self.g = np.concatenate([np.broadcast_to(self.c, b.shape[:-1] + self.c.shape), -b], axis=-1)
         self.mg = self._solve_m(self.c, -b)
         self.mtg = self._solve_mt(self.c, -b)
-        self.denom = 1.0 + float(self.g @ self.mg)
+        self.denom = 1.0 + np.vecdot(self.g, self.mg)
 
     def _gram_solve(self, r: np.ndarray) -> np.ndarray:
-        """(I + A A^T)^-1 r from the cached factor, overwriting the fresh array r."""
-        x, info = self._potrs(self.chol, r, lower=True, overwrite_b=True)
+        """(I + A A^T)^-1 r from the cached factor, one right-hand side per row, overwriting the fresh array r."""
+        x, info = self._potrs(self.chol, r.T, lower=True, overwrite_b=True)
         if info:
             raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
-        return x
+        return x.T
 
     def _solve_m(self, rx, ry):
-        py = self._gram_solve(ry - self.A @ rx)
-        return np.concatenate([rx + self.AT @ py, py])
+        py = self._gram_solve(ry - _rmul(self.A, rx))
+        return np.concatenate([rx + _rmul(self.AT, py), py], axis=-1)
 
     def _solve_mt(self, rx, ry):
-        py = self._gram_solve(ry + self.A @ rx)
-        return np.concatenate([rx - self.AT @ py, py])
+        py = self._gram_solve(ry + _rmul(self.A, rx))
+        return np.concatenate([rx - _rmul(self.AT, py), py], axis=-1)
 
     def solve(self, h: np.ndarray) -> np.ndarray:
-        """Solve (I + Q) u = h for the skew embedding matrix Q."""
-        n, ht = self.n, h[-1]
-        rhs = h[:-1] - ht * self.g
+        """Solve (I + Q) u = h for the skew embedding matrix Q, for each row of h."""
+        n = self.n
+        # a row's scalars: numpy scalars for one vector, (R, 1) columns for a stack of R
+        last, col = (-1, ()) if h.ndim == 1 else ((slice(None), slice(-1, None)), (slice(None), None))
+        ht = h[last]
+        rhs = h[..., :-1] - ht * self.g
         out = np.empty_like(h)
-        py = self._gram_solve(rhs[n:] - self.A @ rhs[:n])
-        np.add(rhs[:n], self.AT @ py, out=out[:n])
-        out[n:-1] = py
-        p = out[:-1]
-        p -= self.mg * (float(self.mtg @ rhs) / self.denom)
-        out[-1] = ht + float(self.g @ p)
+        py = self._gram_solve(rhs[..., n:] - _rmul(self.A, rhs[..., :n]))
+        np.add(rhs[..., :n], _rmul(self.AT, py), out=out[..., :n])
+        out[..., n:-1] = py
+        p = out[..., :-1]
+        p -= self.mg * (np.vecdot(self.mtg, rhs) / self.denom)[col]
+        out[last] = ht + np.vecdot(self.g, p)[col]
         return out
 
     def apply_q(self, u: np.ndarray) -> np.ndarray:
@@ -317,11 +343,15 @@ SETUP_CACHE_SIZE = 4
 _SETUPS: dict[tuple, _Setup] = {}  # least recently used first
 
 
-def _setup_for(prog: ConicProgram) -> _Setup:
-    """The memoised :class:`_Setup` of ``prog``, keyed on the exact bytes of its blocks, A and c."""
+def _setup_key(prog: ConicProgram) -> tuple:
+    """The exact bytes of a program's blocks, A and c."""
     a = prog.A
     key = (prog.blocks, a.shape, prog.c.tobytes())
-    key += tuple((arr.dtype.str, arr.tobytes()) for arr in (a.indptr, a.indices, a.data))
+    return key + tuple((arr.dtype.str, arr.tobytes()) for arr in (a.indptr, a.indices, a.data))
+
+
+def _setup_for(prog: ConicProgram, key: tuple) -> _Setup:
+    """The memoised :class:`_Setup` of ``prog``, whose :func:`_setup_key` is ``key``."""
     setup = _SETUPS.pop(key, None) or _Setup(prog)
     _SETUPS[key] = setup
     if len(_SETUPS) > SETUP_CACHE_SIZE:
@@ -340,74 +370,112 @@ def solve(
 
     Deterministic for fixed inputs: a memoised set-up gives the same iterates as a fresh one.
     """
-    prog = presolve(prog)
+    return solve_many([prog], tol=tol, max_iter=max_iter, over_relax=over_relax, check_every=check_every)[0]
+
+
+def _check(prog, setup, beta, bnorm, u, v, it, tol, best):
+    """One program's exit test on its iterate (u, v): a solution if it exits, and its best iterate so far."""
     n, m = prog.n, prog.m
-    setup = _setup_for(prog)
-    e_col, gamma, proj, at = setup.e_col, setup.gamma, setup.proj, setup.at
-    beta = 1.0 / max(np.linalg.norm(prog.b), 1e-6)
-    emb = setup.emb.with_b(prog.b * beta)
-    bnorm = 1.0 + np.linalg.norm(prog.b)
-    cnorm = setup.cnorm
+    e_col, gamma, at = setup.e_col, setup.gamma, setup.at
+    tau = u[-1]
+    if tau > 1e-9:
+        # map the scaled iterate back to the original problem
+        x = e_col * u[:n] / tau / beta
+        y = u[n:-1] / tau / gamma
+        z = v[:n] / e_col / tau / gamma
+        pres = np.linalg.norm(prog.A @ x - prog.b) / bnorm
+        dres = np.linalg.norm(at @ y + z - prog.c) / setup.cnorm
+        pobj = float(prog.c @ x)
+        dobj = float(prog.b @ y)
+        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        crit = max(pres, dres, gap)
+        if best is None or crit < best[0]:
+            best = (crit, x.copy(), y.copy(), pobj, dobj)
+        if crit <= tol:
+            return ConicSolution(x, y, pobj, dobj, "OPTIMAL", abs(pobj - dobj) / (1.0 + abs(pobj)), it), best
+        return None, best
+    # tau collapsed: look for infeasibility / unboundedness certificates
+    uy = u[n:-1]
+    ux = e_col * u[:n]
+    by = float(prog.b @ uy)
+    if by > 1e-12:
+        resid = np.linalg.norm(at @ uy + v[:n] / e_col)
+        if by / max(resid, 1e-300) > 1e6:
+            return ConicSolution(np.zeros(n), uy / by, np.inf, np.inf, "INFEASIBLE", np.inf, it), best
+    cx = float(prog.c @ ux)
+    if cx < -1e-12:
+        resid = np.linalg.norm(prog.A @ ux)
+        if (-cx) / max(resid, 1e-300) > 1e6:
+            return ConicSolution(ux / (-cx), np.zeros(m), -np.inf, -np.inf, "UNBOUNDED", np.inf, it), best
+    return None, best
 
-    u = np.zeros(n + m + 1)
-    v = np.zeros(n + m + 1)
-    u[-1] = 1.0
-    v[-1] = 1.0
 
-    best = None
+def solve_many(
+    progs: list[ConicProgram],
+    tol: float = 1e-7,
+    max_iter: int = 200000,
+    over_relax: float = 1.5,
+    check_every: int = 25,
+) -> list[ConicSolution]:
+    """:func:`solve` for programs that share their presolved blocks, A and c, in lockstep.
+
+    Each program gets the solution, bit for bit, that it gets alone.  Raises ValueError
+    when the presolved programs differ in anything but b.
+    """
+    progs = [presolve(p) for p in progs]
+    if not progs:
+        return []
+    key = _setup_key(progs[0])
+    if any(_setup_key(p) != key for p in progs[1:]):
+        raise ValueError("solve_many needs programs whose presolved blocks, A and c agree")
+    n, m = progs[0].n, progs[0].m
+    setup = _setup_for(progs[0], key)
+    # one row per live program; one program iterates on a plain vector, so a single solve pays no stack overhead
+    lead = (len(progs),) if len(progs) > 1 else ()
+    b = np.stack([p.b for p in progs]).reshape(lead + (m,))
+    bnorm = np.sqrt(np.vecdot(b, b))
+    beta = 1.0 / np.maximum(bnorm, 1e-6)
+    emb = setup.emb.with_b(b * beta[..., None])
+    beta, bnorm = beta.reshape(-1), 1.0 + bnorm.reshape(-1)
+    live = list(range(len(progs)))  # the program of each row
+    results: list[ConicSolution | None] = [None] * len(progs)
+    best: list[tuple | None] = [None] * len(progs)
+
+    u = np.zeros(lead + (n + m + 1,))
+    v = np.zeros(lead + (n + m + 1,))
+    u[..., -1] = 1.0
+    v[..., -1] = 1.0
+
     it = 0
     for it in range(1, max_iter + 1):
         ut = emb.solve(u + v)
         r = over_relax * ut + (1.0 - over_relax) * u
         u_new = r - v
-        u_new[:n] = proj.project(u_new[:n])
-        u_new[-1] = max(u_new[-1], 0.0)
+        x = u_new[..., :n]
+        setup.proj.project(x, out=x)
+        u_new[..., -1] = np.maximum(u_new[..., -1], 0.0)
         v = v - r + u_new
         u = u_new
 
         if it % check_every != 0 and it != max_iter:
             continue
-        tau = u[-1]
-        if tau > 1e-9:
-            # map the scaled iterate back to the original problem
-            x = e_col * u[:n] / tau / beta
-            y = u[n:-1] / tau / gamma
-            z = v[:n] / e_col / tau / gamma
-            pres = np.linalg.norm(prog.A @ x - prog.b) / bnorm
-            dres = np.linalg.norm(at @ y + z - prog.c) / cnorm
-            pobj = float(prog.c @ x)
-            dobj = float(prog.b @ y)
-            gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-            crit = max(pres, dres, gap)
-            if best is None or crit < best[0]:
-                best = (crit, x.copy(), y.copy(), pobj, dobj)
-            if crit <= tol:
-                return ConicSolution(
-                    x, y, pobj, dobj, "OPTIMAL", abs(pobj - dobj) / (1.0 + abs(pobj)), it
-                )
-        else:
-            # tau collapsed: look for infeasibility / unboundedness certificates
-            uy = u[n:-1]
-            ux = e_col * u[:n]
-            by = float(prog.b @ uy)
-            if by > 1e-12:
-                resid = np.linalg.norm(at @ uy + v[:n] / e_col)
-                if by / max(resid, 1e-300) > 1e6:
-                    return ConicSolution(
-                        np.zeros(n), uy / by, np.inf, np.inf, "INFEASIBLE", np.inf, it
-                    )
-            cx = float(prog.c @ ux)
-            if cx < -1e-12:
-                resid = np.linalg.norm(prog.A @ ux)
-                if (-cx) / max(resid, 1e-300) > 1e6:
-                    return ConicSolution(
-                        ux / (-cx), np.zeros(m), -np.inf, -np.inf, "UNBOUNDED", np.inf, it
-                    )
+        u2, v2 = u.reshape(-1, n + m + 1), v.reshape(-1, n + m + 1)
+        for i, k in enumerate(live):
+            results[k], best[k] = _check(progs[k], setup, beta[i], bnorm[i], u2[i], v2[i], it, tol, best[k])
+        keep = [i for i, k in enumerate(live) if results[k] is None]
+        if not keep:
+            return results
+        if len(keep) < len(live):
+            u, v, beta, bnorm, emb = u2[keep], v2[keep], beta[keep], bnorm[keep], emb.rows(keep)
+            live = [live[i] for i in keep]
 
-    if best is not None:
-        _, x, y, pobj, dobj = best
-        return ConicSolution(x, y, pobj, dobj, "MAX_ITER", abs(pobj - dobj) / (1.0 + abs(pobj)), it)
-    return ConicSolution(np.zeros(n), np.zeros(m), np.nan, np.nan, "MAX_ITER", np.inf, it)
+    for k in live:
+        if best[k] is not None:
+            _, x, y, pobj, dobj = best[k]
+            results[k] = ConicSolution(x, y, pobj, dobj, "MAX_ITER", abs(pobj - dobj) / (1.0 + abs(pobj)), it)
+        else:
+            results[k] = ConicSolution(np.zeros(n), np.zeros(m), np.nan, np.nan, "MAX_ITER", np.inf, it)
+    return results
 
 
 def dump_program(prog: ConicProgram) -> str:

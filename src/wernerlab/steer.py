@@ -10,7 +10,13 @@ measurements, read off the dual operators F_{a|x}, then improve the
 measurements against the linearized objective sum tr(M_{a|x} G_{a|x}) - 1,
 which is a valid SR lower bound for any POVM choice since the dual point stays
 feasible.  Measurement updates are pairwise eigenvector rotations, so each
-accepted step never lowers the bound.
+accepted step never lowers the bound.  The seeded restarts run in lockstep:
+the SDP's blocks, A and c depend on the scenario alone and are built once,
+so each round stacks the right-hand sides of every restart still improving
+into one :func:`~wernerlab.solver.solve_many` call, and the response
+operators, assemblages and basis updates of those restarts are computed as
+one stack each.  A restart gives the same values, bit for bit, as it gives
+run on its own.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 
-from .qmat import DensityMatrix, contract, dagger
-from .solver import Block, ConicProgram, mat_real, solve, vec_real
+from .qmat import DensityMatrix, dagger
+from .solver import Block, ConicProgram, mat_real, solve, solve_many, vec_real
 from .states import haar_unitary
 
 MAX_LAMBDA = 4096
@@ -33,7 +39,7 @@ MAX_LAMBDA = 4096
 def _min_eigenvalues(ops: list[np.ndarray]) -> np.ndarray:
     """Smallest eigenvalue of the Hermitian part of each operator, in one stacked call."""
     stack = np.asarray(ops)
-    return np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2)[:, 0]
+    return np.linalg.eigvalsh((stack + dagger(stack)) / 2)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -139,11 +145,20 @@ class Assemblage:
         return self.sigma[0][0].shape[0]
 
 
+def _contract(rho: DensityMatrix, ops: np.ndarray, side: str) -> np.ndarray:
+    """Hermitian part of tr_side[(op on side) rho] for each op of a (..., a, d, d) stack:
+    the operators left on the other side."""
+    r = rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
+    table = ops.reshape((-1,) + ops.shape[-3:])
+    red = np.einsum("xaiI,Ijil->xajl", table, r) if side == "A" else np.einsum("xajJ,iJkj->xaik", table, r)
+    return ((red + dagger(red)) / 2).reshape(ops.shape[:-2] + red.shape[-2:])
+
+
 def assemblage_from(rho: DensityMatrix, meas: MeasurementSet, steering_side: str = "A") -> Assemblage:
     """Conditional states of the other side when ``steering_side`` is measured."""
     if meas.dim != (rho.dimA if steering_side == "A" else rho.dimB):
         raise ValueError(f"measurement dimension does not match side {steering_side}")
-    return Assemblage(tuple(tuple(contract(rho, eff, steering_side) for eff in setting) for setting in meas.effects))
+    return Assemblage(tuple(map(tuple, _contract(rho, np.asarray(meas.effects), steering_side))))
 
 
 @lru_cache(maxsize=32)
@@ -166,25 +181,45 @@ class SRResult:
     duals: tuple[tuple[np.ndarray, ...], ...]  # F_{a|x} per [x][a]
 
 
-def sr_solve(assemblage: Assemblage, tol: float = 1e-7, max_iter: int = 200000) -> SRResult:
-    """Steering robustness SDP with its dual steering functional."""
-    n_s, n_o, d = assemblage.n_settings, assemblage.n_outcomes, assemblage.dim
+@lru_cache(maxsize=16)
+def _sr_program(n_s: int, n_o: int, d: int) -> tuple[tuple[Block, ...], np.ndarray, sp.csr_matrix]:
+    """Blocks, c and A of the steering-robustness SDP, which depend on the scenario alone.
+
+    Cached, so its arrays are read-only; each solve supplies only b."""
     if n_o**n_s > MAX_LAMBDA:
         raise ValueError(f"lambda space {n_o}^{n_s} exceeds {MAX_LAMBDA}")
     h = _response_table(n_s, n_o)
     n_lam, k = h.shape[1], d * d
     n_slack = n_s * n_o * k  # one PSD slack per (x, a)
-    a_mat = sp.hstack([sp.kron(h, sp.eye(k)), -sp.eye(n_slack)])
-    b = np.concatenate([vec_real(s) for setting in assemblage.sigma for s in setting])
+    a_mat = sp.csr_matrix(sp.hstack([sp.kron(h, sp.eye(k)), -sp.eye(n_slack)]))
     c = np.concatenate([np.tile(vec_real(np.eye(d)), n_lam), np.zeros(n_slack)])
-    blocks = tuple([Block("psd", d)] * (n_lam + n_s * n_o))
-    sol = solve(ConicProgram(blocks, c, a_mat, b), tol=tol, max_iter=max_iter)
-    duals = mat_real(sol.y.reshape(n_s, n_o, k), d)
+    for arr in (c, a_mat.data, a_mat.indices, a_mat.indptr):
+        arr.flags.writeable = False
+    return tuple([Block("psd", d)] * (n_lam + n_s * n_o)), c, a_mat
+
+
+def _sr_programs(sigma: np.ndarray) -> list[ConicProgram]:
+    """One SR program per assemblage in a (..., x, a, d, d) stack of conditional states."""
+    blocks, c, a_mat = _sr_program(*sigma.shape[-4:-1])
+    return [ConicProgram(blocks, c, a_mat, b) for b in vec_real(sigma).reshape(-1, a_mat.shape[0])]
+
+
+def _sr_duals(y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The dual operators F_{a|x}, as an (x, a, d, d) array, from the SR solution's y."""
+    n_s, n_o, d = shape
+    return mat_real(y.reshape(n_s, n_o, d * d), d)
+
+
+def sr_solve(assemblage: Assemblage, tol: float = 1e-7, max_iter: int = 200000) -> SRResult:
+    """Steering robustness SDP with its dual steering functional."""
+    sigma = np.asarray(assemblage.sigma)
+    (prog,) = _sr_programs(sigma)
+    sol = solve(prog, tol=tol, max_iter=max_iter)
     return SRResult(
         value=float(sol.primal_obj) - 1.0,
         gap=sol.gap,
         status=sol.status,
-        duals=tuple(tuple(row) for row in duals),
+        duals=tuple(map(tuple, _sr_duals(sol.y, sigma.shape[:3]))),
     )
 
 
@@ -198,41 +233,39 @@ def steering_robustness(assemblage: Assemblage, tol: float = 1e-7) -> float:
     return res.value
 
 
-def _pairwise_basis_update(vectors: np.ndarray, response: list[np.ndarray], sweeps: int = 3) -> np.ndarray:
-    """Improve an orthonormal outcome basis against sum_a <m_a|G_a|m_a>.
+def _pairwise_basis_update(vectors: np.ndarray, response: np.ndarray, sweeps: int = 3) -> np.ndarray:
+    """Improve orthonormal outcome bases against sum_a <m_a|G_a|m_a>.
 
-    Each (a, a') pair is rotated to the eigenbasis of the restriction of
-    G_a - G_a' onto their span: an exact two-dimensional ascent step.
+    ``vectors`` is a (..., d, a) stack of bases (one column per outcome) and ``response``
+    the matching (..., a, d, d) stack of G_a.  Each (a, a') pair is rotated to the
+    eigenbasis of the restriction of G_a - G_a' onto their span: an exact
+    two-dimensional ascent step.
     """
     m = vectors.copy()
-    n_o = m.shape[1]
+    n_o = m.shape[-1]
     for _ in range(sweeps):
         for a in range(n_o):
             for ap in range(a + 1, n_o):
-                span = np.column_stack([m[:, a], m[:, ap]])
-                diff = dagger(span) @ (response[a] - response[ap]) @ span
-                w, q = np.linalg.eigh((diff + dagger(diff)) / 2)
+                span = m[..., [a, ap]]
+                diff = dagger(span) @ (response[..., a, :, :] - response[..., ap, :, :]) @ span
+                _, q = np.linalg.eigh((diff + dagger(diff)) / 2)
                 # top eigenvector carries outcome a
-                new = span @ q[:, ::-1]
-                m[:, a], m[:, ap] = new[:, 0], new[:, 1]
+                m[..., [a, ap]] = span @ q[..., ::-1]
     return m
 
 
-def _update_measurements(meas: MeasurementSet, response) -> MeasurementSet:
-    """Per-setting eigenvector updates, keeping a setting only when it improves."""
-    new_settings = []
-    for x in range(meas.n_settings):
-        setting = meas.effects[x]
-        old_val = sum(float(np.real(np.trace(setting[a] @ response[x][a]))) for a in range(len(setting)))
-        # current effects are rank-1 projectors onto an orthonormal basis
-        basis = np.column_stack(
-            [np.linalg.eigh(setting[a])[1][:, -1] for a in range(len(setting))]
-        )
-        updated = _pairwise_basis_update(basis, list(response[x]))
-        cand = tuple(np.outer(updated[:, a], updated[:, a].conj()) for a in range(len(setting)))
-        new_val = sum(float(np.real(np.trace(cand[a] @ response[x][a]))) for a in range(len(setting)))
-        new_settings.append(cand if new_val >= old_val - 1e-12 else setting)
-    return MeasurementSet(tuple(new_settings))
+def _update_measurements(effects: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """Per-setting eigenvector updates of a (..., x, a, d, d) stack of rank-1 projective
+    effects, keeping a setting only when it improves."""
+    def value(eff):
+        return np.real(np.trace(eff @ response, axis1=-2, axis2=-1)).sum(axis=-1)
+
+    # current effects are rank-1 projectors onto an orthonormal basis
+    basis = np.linalg.eigh(effects)[1][..., -1].swapaxes(-1, -2)
+    updated = _pairwise_basis_update(basis, response)
+    cand = updated.swapaxes(-1, -2)[..., :, None] * updated.swapaxes(-1, -2).conj()[..., None, :]
+    keep = value(cand) >= value(effects) - 1e-12
+    return np.where(keep[..., None, None, None], cand, effects)
 
 
 @dataclass
@@ -257,6 +290,8 @@ def sr_state_lower_bound(
 ) -> SRLowerBound:
     """Best steering-robustness lower bound over seeded see-saw restarts.
 
+    Restart r draws its measurements from ``seed ^ r``; the restarts run in lockstep,
+    each round solving the SDPs of every restart still improving in one stacked call.
     Only SDP solves that ended OPTIMAL count: a restart whose later solve fails
     keeps its last converged value.
     """
@@ -265,31 +300,44 @@ def sr_state_lower_bound(
     if n_o != d:
         raise ValueError("projective see-saw uses n_outcomes = local dimension")
     unmeasured = "B" if steering_side == "A" else "A"
-    per_restart = []
-    best, best_meas, best_gap = 0.0, None, 0.0
-    for r in range(restarts):
-        rng = np.random.default_rng(seed ^ r if r else seed)
-        meas = random_projective(d, n_settings, rng)
-        res = sr_solve(assemblage_from(rho, meas, steering_side), tol=sdp_tol)
-        if res.status != "OPTIMAL":
-            continue
-        value = res.value
-        for _ in range(max_rounds):
-            # G_{a|x} = tr_unmeasured[(F_{a|x} on it) rho]: the dual value is sum tr(M_{a|x} G_{a|x}) - 1
-            response = [[contract(rho, f, unmeasured) for f in row] for row in res.duals]
-            new_meas = _update_measurements(meas, response)
-            new_res = sr_solve(assemblage_from(rho, new_meas, steering_side), tol=sdp_tol)
-            if new_res.status != "OPTIMAL":
-                break
-            if new_res.value > value + 1e-7:
-                meas, res, value = new_meas, new_res, new_res.value
+    shape = (n_settings, n_o, rho.dimB if steering_side == "A" else rho.dimA)
+    _sr_program(*shape)  # checks the lambda budget before any draw
+
+    def solve_round(effects):
+        progs = _sr_programs(_contract(rho, effects, steering_side))
+        return solve_many(progs, tol=sdp_tol)
+
+    draws = [random_projective(d, n_settings, np.random.default_rng(seed ^ r)) for r in range(restarts)]
+    effects = np.asarray([m.effects for m in draws]).reshape(restarts, n_settings, n_o, d, d)
+    sols = solve_round(effects)
+    # restarts whose first solve ended OPTIMAL, with their values; `live` still improve
+    kept = [r for r, sol in enumerate(sols) if sol.status == "OPTIMAL"]
+    value = {r: float(sols[r].primal_obj) - 1.0 for r in kept}
+    live = kept
+    for _ in range(max_rounds):
+        if not live:
+            break
+        # G_{a|x} = tr_unmeasured[(F_{a|x} on it) rho]: the dual value is sum tr(M_{a|x} G_{a|x}) - 1
+        duals = np.stack([_sr_duals(sols[r].y, shape) for r in live])
+        new_effects = _update_measurements(effects[live], _contract(rho, duals, unmeasured))
+        improving = []
+        for r, new_eff, new_sol in zip(live, new_effects, solve_round(new_effects)):
+            if new_sol.status != "OPTIMAL":
+                continue
+            new_value = float(new_sol.primal_obj) - 1.0
+            if new_value > value[r] + 1e-7:
+                effects[r], sols[r], value[r] = new_eff, new_sol, new_value
+                improving.append(r)
             else:
-                value = max(value, new_res.value)
-                break
-        per_restart.append(value)
-        if value > best:
-            best, best_meas, best_gap = value, meas, res.gap
-    return SRLowerBound(best=best, per_restart=per_restart, best_measurements=best_meas, best_gap=best_gap)
+                value[r] = max(value[r], new_value)
+        live = improving
+    best, best_meas, best_gap = 0.0, None, 0.0
+    for r in kept:
+        if value[r] > best:
+            best, best_meas, best_gap = value[r], effects[r], sols[r].gap
+    if best_meas is not None:
+        best_meas = MeasurementSet(tuple(map(tuple, best_meas)))
+    return SRLowerBound(best=best, per_restart=[value[r] for r in kept], best_measurements=best_meas, best_gap=best_gap)
 
 
 @dataclass(frozen=True)
@@ -392,10 +440,7 @@ def _bell_response(rho: DensityMatrix, coefficients: np.ndarray, other_meas: Mea
     """G_{a|x} of ``side`` with sum_ax tr(M_{a|x} G_{a|x}) the Bell value against ``other_meas``."""
     table = coefficients if side == "A" else coefficients.transpose(1, 0, 3, 2)
     ops = np.einsum("xyab,ybij->xaij", table, np.asarray(other_meas.effects))  # on the other side
-    r = rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
-    # tr_other[(op on other) rho], for every (x, a) at once
-    red = np.einsum("xajJ,iJkj->xaik", ops, r) if side == "A" else np.einsum("xaiI,Ijil->xajl", ops, r)
-    return (red + red.conj().swapaxes(-1, -2)) / 2
+    return _contract(rho, ops, "B" if side == "A" else "A")
 
 
 def _exact_two_outcome_update(response) -> MeasurementSet:
@@ -411,7 +456,7 @@ def _exact_two_outcome_update(response) -> MeasurementSet:
 def _best_povm_update(meas: MeasurementSet, response) -> MeasurementSet:
     if meas.n_outcomes == 2:
         return _exact_two_outcome_update(response)
-    return _update_measurements(meas, response)
+    return MeasurementSet(tuple(map(tuple, _update_measurements(np.asarray(meas.effects), response))))
 
 
 def assemblage_to_json(asm: Assemblage) -> str:

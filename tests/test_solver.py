@@ -15,6 +15,7 @@ from wernerlab.solver import (
     mat_real,
     presolve,
     solve,
+    solve_many,
     vec_real,
     vec_real_map,
 )
@@ -358,3 +359,53 @@ def test_memoised_setup_gives_bit_identical_solutions():
         solve(prog, max_iter=400)
     assert len(solver._SETUPS) == solver.SETUP_CACHE_SIZE
     assert same_solution(solve(progs[0], max_iter=400), cold[0])
+
+
+def test_solve_many_matches_solo_solves_bitwise():
+    # SR programs at d = 3 (2 settings) and d = 2 (3 settings); the d = 2 batch mixes exits
+    # at 50 and 250 iterations, so rows leave the stack while others iterate on
+    for d, n_s in ((3, 2), (2, 3)):
+        progs = [captured_sr_program(seed, d=d, n_s=n_s) for seed in range(8)]
+        alone = [solve(prog) for prog in progs]
+        assert all(sol.status == "OPTIMAL" for sol in alone)
+        together = solve_many(progs)
+        assert all(same_solution(got, want) for got, want in zip(together, alone))
+        assert [sol.gap for sol in together] == [sol.gap for sol in alone]
+    assert len({sol.iterations for sol in together}) > 1
+    # a program solved twice in one batch, and a batch in another order
+    twice = solve_many([progs[1], progs[0], progs[1]])
+    assert same_solution(twice[0], alone[1]) and same_solution(twice[1], alone[0]) and same_solution(twice[2], alone[1])
+    assert solve_many([]) == []
+
+
+def test_solve_many_lp_batch_mixes_exits():
+    # one A and c; b is feasible, infeasible (tau collapses) or too slow for max_iter
+    a = sp.csr_matrix(np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]))
+    progs = [
+        ConicProgram((Block("nonneg", 3),), np.array([1.0, 2.0, 3.0]), a, np.array(b))
+        for b in ([1.0, 0.2], [-1.0, 0.0], [1.0, 0.999])
+    ]
+    alone = [solve(prog, max_iter=200) for prog in progs]
+    assert [(sol.status, sol.iterations) for sol in alone] == [("OPTIMAL", 75), ("INFEASIBLE", 50), ("MAX_ITER", 200)]
+    together = solve_many(progs, max_iter=200)
+    assert all(same_solution(got, want) for got, want in zip(together, alone))
+    assert together[0].primal_obj == pytest.approx(1.4, abs=1e-6)
+    assert np.isfinite(together[2].primal_obj)  # the best iterate, not a verdict
+    for got, want in zip(together, alone):
+        assert (got.primal_obj, got.dual_obj, got.gap) == (want.primal_obj, want.dual_obj, want.gap)
+
+
+def test_solve_many_rejects_programs_that_differ_beyond_b():
+    prog = captured_sr_program(1)
+    changed_a = dataclasses.replace(prog, A=prog.A.copy())
+    changed_a.A.data[0] += 1.0
+    changed_c = dataclasses.replace(prog, c=2.0 * prog.c)
+    changed_blocks = dataclasses.replace(prog, blocks=(Block("nonneg", 9),) + prog.blocks[1:])
+    for other in (changed_a, changed_c, changed_blocks):
+        with pytest.raises(ValueError, match="blocks, A and c"):
+            solve_many([prog, other])
+    # the same A, but b makes presolve keep different rows
+    edges = edge_programs()
+    assert [presolve(p).m for p in edges[:2]] == [2, 4]
+    with pytest.raises(ValueError, match="blocks, A and c"):
+        solve_many(edges[:2])

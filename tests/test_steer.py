@@ -469,32 +469,144 @@ def test_nonlocal_content_program_matches_loop_reference(scenario):
 
 
 def test_sr_lower_bound_ignores_unconverged_solves(monkeypatch):
-    # every other SDP solve reports MAX_ITER with an inflated objective, which must never count
-    real_solve = steer.solve
+    # every other SDP solve reports MAX_ITER with an inflated objective, which must never count;
+    # the see-saw solves each round in one solve_many call, so the failures are injected per program
+    real_solve_many = steer.solve_many
     calls = []
 
-    def flaky(prog, **kwargs):
-        sol = real_solve(prog, **kwargs)
-        calls.append(sol.status)
-        if len(calls) % 2 == 0:
-            sol.status, sol.primal_obj = "MAX_ITER", sol.primal_obj + 10.0
-        return sol
+    def flaky(progs, **kwargs):
+        sols = real_solve_many(progs, **kwargs)
+        for sol in sols:
+            calls.append(sol.status)
+            if len(calls) % 2 == 0:
+                sol.status, sol.primal_obj = "MAX_ITER", sol.primal_obj + 10.0
+        return sols
 
-    monkeypatch.setattr(steer, "solve", flaky)
+    monkeypatch.setattr(steer, "solve_many", flaky)
     res = sr_state_lower_bound(rotated_filtered_state(0.1), 2, restarts=4, seed=3, max_rounds=5)
+    assert len(calls) >= 4  # every restart's first solve went through the injection
     assert all(status == "OPTIMAL" for status in calls)
     assert res.per_restart and max(res.per_restart) < 1.0
     assert res.best == max(res.per_restart)
     assert res.best_gap < 1e-6
 
-    def stuck(prog, **kwargs):
-        sol = real_solve(prog, **kwargs)
-        sol.status, sol.primal_obj = "MAX_ITER", sol.primal_obj + 10.0
-        return sol
+    def stuck(progs, **kwargs):
+        sols = real_solve_many(progs, **kwargs)
+        for sol in sols:
+            sol.status, sol.primal_obj = "MAX_ITER", sol.primal_obj + 10.0
+        return sols
 
-    monkeypatch.setattr(steer, "solve", stuck)
+    monkeypatch.setattr(steer, "solve_many", stuck)
     res = sr_state_lower_bound(rotated_filtered_state(0.1), 2, restarts=3, seed=3)
     assert res.per_restart == [] and res.best == 0.0 and res.best_measurements is None
+
+
+def single_restart_runs(rho, restarts, seed, **kwargs):
+    """sr_state_lower_bound run once per restart r, on its own, at seed ^ r."""
+    return [sr_state_lower_bound(rho, 2, restarts=1, seed=seed ^ r, **kwargs) for r in range(restarts)]
+
+
+def assert_bitwise(got, want):
+    assert len(got) == len(want)
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def noisy_pure_state(d_a, d_b, seed, purity):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
+    psi /= np.linalg.norm(psi)
+    return DensityMatrix(d_a, d_b, purity * np.outer(psi, psi.conj()) + (1 - purity) * np.eye(d_a * d_b) / (d_a * d_b))
+
+
+@pytest.mark.parametrize(
+    "state, side, max_rounds",
+    [
+        (lambda: rotated_filtered_state(0.1), "A", 30),
+        (lambda: rotated_filtered_state(0.1), "B", 1),
+        (lambda: noisy_pure_state(2, 3, 4, 0.8), "B", 5),
+        (lambda: noisy_pure_state(3, 2, 4, 0.8), "A", 5),
+    ],
+    ids=["filtered-A", "filtered-B-one-round", "pure-2x3-B", "pure-3x2-A"],
+)
+def test_lockstep_seesaw_matches_single_restarts(state, side, max_rounds):
+    # restart r of a lockstep run gives, bit for bit, the value it gives run alone at seed ^ r
+    rho = state()
+    seed, restarts = 12345, 4
+    res = sr_state_lower_bound(rho, 2, restarts=restarts, seed=seed, steering_side=side, max_rounds=max_rounds)
+    singles = single_restart_runs(rho, restarts, seed, steering_side=side, max_rounds=max_rounds)
+    assert_bitwise(res.per_restart, [v for single in singles for v in single.per_restart])
+    assert res.best == max(res.per_restart) > 0.01
+    # the first restart with the best value supplies the measurements and the gap
+    first = next(single for single in singles if single.per_restart == [res.best])
+    assert res.best_gap == first.best_gap
+    for got, want in zip(res.best_measurements.effects, first.best_measurements.effects):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    if max_rounds == 1:
+        # the cut-off binds: some restart was still improving after its first round
+        longer = sr_state_lower_bound(rho, 2, restarts=restarts, seed=seed, steering_side=side, max_rounds=30)
+        assert any(b > a for a, b in zip(res.per_restart, longer.per_restart))
+
+
+def test_lockstep_seesaw_drops_a_restart_whose_first_solve_fails(monkeypatch):
+    rho = rotated_filtered_state(0.1)
+    seed, restarts = 21, 5
+    singles = single_restart_runs(rho, restarts, seed, max_rounds=10)
+    real_solve_many = steer.solve_many
+    widths = []
+
+    def first_solve_of_restart_2_fails(progs, **kwargs):
+        sols = real_solve_many(progs, **kwargs)
+        if not widths:
+            sols[2].status, sols[2].primal_obj = "MAX_ITER", sols[2].primal_obj + 10.0
+        widths.append(len(progs))
+        return sols
+
+    monkeypatch.setattr(steer, "solve_many", first_solve_of_restart_2_fails)
+    res = sr_state_lower_bound(rho, 2, restarts=restarts, seed=seed, max_rounds=10)
+    assert widths[0] == restarts and widths[1] == restarts - 1
+    assert_bitwise(res.per_restart, [v for r, single in enumerate(singles) if r != 2 for v in single.per_restart])
+
+
+def update_measurements_by_loops(effects, response):
+    """One restart's measurement update, one setting, one effect and one outcome pair at a time."""
+    new_settings = []
+    for setting, resp in zip(effects, response):
+        old_val = sum(float(np.real(np.trace(e @ g))) for e, g in zip(setting, resp))
+        m = np.column_stack([np.linalg.eigh(e)[1][:, -1] for e in setting])
+        for _ in range(3):
+            for a in range(len(setting)):
+                for ap in range(a + 1, len(setting)):
+                    span = np.column_stack([m[:, a], m[:, ap]])
+                    diff = span.conj().T @ (resp[a] - resp[ap]) @ span
+                    q = np.linalg.eigh((diff + diff.conj().T) / 2)[1][:, ::-1]
+                    m[:, a], m[:, ap] = (span @ q).T
+        cand = [np.outer(m[:, a], m[:, a].conj()) for a in range(len(setting))]
+        new_val = sum(float(np.real(np.trace(e @ g))) for e, g in zip(cand, resp))
+        new_settings.append(cand if new_val >= old_val - 1e-12 else list(setting))
+    return np.array(new_settings)
+
+
+@pytest.mark.parametrize("d_a, d_b, side", [(3, 3, "A"), (2, 3, "B"), (3, 2, "A"), (3, 2, "B")])
+def test_seesaw_kernels_match_loop_reference(d_a, d_b, side):
+    # the see-saw's stacked contraction and measurement update against one call per effect
+    rng = np.random.default_rng(d_a + 3 * d_b)
+    rho = random_state(d_a, d_b, 17 * d_a + d_b)
+    d = d_a if side == "A" else d_b
+    other = "B" if side == "A" else "A"
+    effects = np.array([np.asarray(random_projective(d, 2, rng).effects) for _ in range(3)])
+    sigma = steer._contract(rho, effects, side)
+    want = [[[contract(rho, e, side) for e in setting] for setting in restart] for restart in effects]
+    assert np.allclose(sigma, want, rtol=0, atol=1e-14)
+    # duals F_{a|x} on the unmeasured side: any Hermitian operators
+    g = rng.standard_normal(sigma.shape) + 1j * rng.standard_normal(sigma.shape)
+    duals = g + g.conj().swapaxes(-1, -2)
+    response = steer._contract(rho, duals, other)
+    want = [[[contract(rho, f, other) for f in row] for row in restart] for restart in duals]
+    assert np.allclose(response, want, rtol=0, atol=1e-14)
+    got = steer._update_measurements(effects, response)
+    for restart in range(3):
+        assert np.allclose(got[restart], update_measurements_by_loops(effects[restart], response[restart]), rtol=0, atol=1e-12)
+    assert not np.allclose(got, effects)  # some setting moved
 
 
 def correlation_by_loops(rho, meas_a, meas_b):
