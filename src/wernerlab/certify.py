@@ -84,7 +84,7 @@ def one_distillable(rho: DensityMatrix, restarts: int = 64, seed: int = 0) -> Ce
     best_val = np.inf
     best_psi = None
     for r in range(restarts):
-        rng = np.random.default_rng(seed ^ r if r else seed)
+        rng = np.random.default_rng(seed ^ r)
         va = haar_unitary(d_a, rng)[:, :2]
         vb = haar_unitary(d_b, rng)[:, :2]
         val_prev = np.inf

@@ -198,7 +198,7 @@ def run_sweep(args) -> int:
 def run_replay(args) -> int:
     manifest = json.loads(Path(args.replay).read_text())
     stored = manifest["args"]
-    new_argv = ["sweep"]
+    new_argv = [manifest["command"]]
     for key, val in stored.items():
         if isinstance(val, bool):
             if val:
@@ -207,7 +207,11 @@ def run_replay(args) -> int:
         if isinstance(val, list):
             val = ",".join(str(x) for x in val)
         new_argv.extend([f"--{key.replace('_', '-')}", str(val)])
-    code = main(new_argv)
+    try:
+        code = main(new_argv)
+    except SystemExit:  # argparse rejected the stored arguments; exit 2 is the --strict verdict code
+        print(f"cannot replay: the manifest's {manifest['command']!r} arguments do not parse", file=sys.stderr)
+        return 1
     if code != 0:
         return code
     fresh = json.loads((Path(stored["out"]) / "manifest.json").read_text())

@@ -17,21 +17,21 @@ factorization of I + A A^T (the constraint count stays small here), fully
 deterministic, and certifies optimality through the duality gap.
 
 The set-up that depends on the presolved (blocks, A, c) alone -- column
-scale, scaled A and A^T, that factorization and the cone plan -- is memoised
-in a small LRU keyed on the exact bytes of those three, so programs that
-differ only in b (the steering see-saw) factor once.  :func:`solve_many` runs
-such programs in lockstep: the iterates of R programs form the rows of one
-stack, each sparse product, triangular solve and batched eigh acts on all of
-them at once, and a program leaves the stack at the check where it exits.
-Every operation acts row by row with the same arithmetic whatever the stack
-width, so a program gives the same iterates, bit for bit, alone or in a
-batch, and with a memoised set-up or a fresh one.  :func:`solve` is
-``solve_many`` on one program, whose stack is a plain vector.
+scale, scaled A, A^T and c, that factorization and the cone plan -- is
+memoised in a small LRU keyed on the exact bytes of those three, so programs
+that differ only in b (the steering see-saw) factor once.  :func:`solve_many`
+is the one iteration loop: the iterates of R programs that share a set-up
+form the rows of an (R, n + m + 1) stack, R = 1 included, each sparse
+product, triangular solve and batched eigh acts on all of them at once, and
+a program leaves the stack at the check where it exits.  Every operation
+acts row by row with the same arithmetic whatever the stack width, so a
+program gives the same iterates, bit for bit, alone or in a batch, and with
+a memoised set-up or a fresh one.  :func:`solve` is ``solve_many`` on one
+program.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -244,45 +244,30 @@ def _equilibrate(a: sp.csr_matrix, blocks: tuple[Block, ...]) -> np.ndarray:
 
 
 def _rmul(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """``a`` applied to each row of the stack ``x``; a plain product for one vector."""
-    return a @ x if x.ndim == 1 else (a @ x.T).T
+    """``a`` applied to each row of the stack ``x``."""
+    return (a @ x.T).T
 
 
-class _Embedding:
-    """Cached linear algebra for the self-dual embedding iteration.
+class _Setup:
+    """Everything :func:`solve_many` derives from a presolved (blocks, A, c) alone: the column
+    scale, the scaled A, A^T and c, the factorisation of I + A A^T and the cone plan.
 
-    The factorisation of I + A A^T depends on A alone; :meth:`with_b` shares it with
-    other right-hand sides.  A right-hand side, and every vector the embedding solves
-    for, may carry leading stack axes, one row per program."""
+    Its linear algebra acts on stacks, one row per program; the vectors that depend on b
+    come from :meth:`b_vectors` and stay with the caller."""
 
     def __init__(self, prog: ConicProgram):
-        self.A = prog.A.tocsr()
+        self.e_col = _equilibrate(prog.A, prog.blocks)
+        self.A = (prog.A @ sp.diags(self.e_col)).tocsr()
         self.AT = self.A.T.tocsr()
-        self.c = prog.c
-        self.n = prog.n
+        c_s = self.e_col * prog.c
+        self.gamma = 1.0 / max(np.linalg.norm(c_s), 1e-6)
+        self.c = c_s * self.gamma
         gram = (self.A @ self.AT).toarray() + np.eye(prog.m)
         self.chol, _ = scipy.linalg.cho_factor(gram, lower=True)
         self._potrs = scipy.linalg.get_lapack_funcs("potrs", (self.chol,))
-        self._bind(prog.b)
-
-    def with_b(self, b: np.ndarray) -> _Embedding:
-        """A copy that shares A, A^T and the factor, bound to right-hand side(s) b."""
-        emb = copy.copy(self)
-        emb._bind(b)
-        return emb
-
-    def rows(self, keep: np.ndarray) -> _Embedding:
-        """A copy bound to the rows ``keep`` of a stacked right-hand side."""
-        emb = copy.copy(self)
-        emb.b, emb.g, emb.mg, emb.mtg, emb.denom = (arr[keep] for arr in (self.b, self.g, self.mg, self.mtg, self.denom))
-        return emb
-
-    def _bind(self, b: np.ndarray) -> None:
-        self.b = b
-        self.g = np.concatenate([np.broadcast_to(self.c, b.shape[:-1] + self.c.shape), -b], axis=-1)
-        self.mg = self._solve_m(self.c, -b)
-        self.mtg = self._solve_mt(self.c, -b)
-        self.denom = 1.0 + np.vecdot(self.g, self.mg)
+        self.proj = _ConeProjector(prog.blocks)
+        self.at = prog.A.T.tocsr()
+        self.cnorm = 1.0 + np.linalg.norm(prog.c)
 
     def _gram_solve(self, r: np.ndarray) -> np.ndarray:
         """(I + A A^T)^-1 r from the cached factor, one right-hand side per row, overwriting the fresh array r."""
@@ -291,52 +276,32 @@ class _Embedding:
             raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
         return x.T
 
-    def _solve_m(self, rx, ry):
-        py = self._gram_solve(ry - _rmul(self.A, rx))
-        return np.concatenate([rx + _rmul(self.AT, py), py], axis=-1)
+    def _solve_m(self, rx: np.ndarray, ry: np.ndarray, sign: float) -> np.ndarray:
+        """M^-1 (rx, ry) for sign 1 and M^-T (rx, ry) for sign -1, where M = [[I, -A^T], [A, I]]."""
+        py = self._gram_solve(ry - sign * _rmul(self.A, rx))
+        return np.concatenate([rx + sign * _rmul(self.AT, py), py], axis=-1)
 
-    def _solve_mt(self, rx, ry):
-        py = self._gram_solve(ry + _rmul(self.A, rx))
-        return np.concatenate([rx - _rmul(self.AT, py), py], axis=-1)
+    def b_vectors(self, b: np.ndarray) -> tuple[np.ndarray, ...]:
+        """For scaled right-hand sides b, one per row: g = (c, -b), M^-1 g, M^-T g and 1 + g.M^-1 g."""
+        nb = -b
+        g = np.concatenate([np.broadcast_to(self.c, (len(b), len(self.c))), nb], axis=1)
+        mg = self._solve_m(self.c, nb, 1.0)
+        return g, mg, self._solve_m(self.c, nb, -1.0), 1.0 + np.vecdot(g, mg)
 
-    def solve(self, h: np.ndarray) -> np.ndarray:
-        """Solve (I + Q) u = h for the skew embedding matrix Q, for each row of h."""
-        n = self.n
-        # a row's scalars: numpy scalars for one vector, (R, 1) columns for a stack of R
-        last, col = (-1, ()) if h.ndim == 1 else ((slice(None), slice(-1, None)), (slice(None), None))
-        ht = h[last]
-        rhs = h[..., :-1] - ht * self.g
-        out = np.empty_like(h)
-        py = self._gram_solve(rhs[..., n:] - _rmul(self.A, rhs[..., :n]))
-        np.add(rhs[..., :n], _rmul(self.AT, py), out=out[..., :n])
-        out[..., n:-1] = py
-        p = out[..., :-1]
-        p -= self.mg * (np.vecdot(self.mtg, rhs) / self.denom)[col]
-        out[last] = ht + np.vecdot(self.g, p)[col]
-        return out
-
-    def apply_q(self, u: np.ndarray) -> np.ndarray:
+    def solve(self, h, g, mg, mtg, denom) -> np.ndarray:
+        """Solve (I + Q) u = h for the skew embedding matrix Q = [[M - I, g], [-g^T, 0]], for
+        each row of h and of the :meth:`b_vectors` of its program."""
         n = len(self.c)
-        x, y, tau = u[:n], u[n:-1], u[-1]
-        return np.concatenate(
-            [-(self.AT @ y) + tau * self.c, self.A @ x - tau * self.b, [-float(self.c @ x) + float(self.b @ y)]]
-        )
-
-
-class _Setup:
-    """Everything :func:`solve` derives from a presolved (blocks, A, c) alone: the column
-    scale, the scaled objective, the embedding's factorisation and the cone plan."""
-
-    def __init__(self, prog: ConicProgram):
-        self.e_col = _equilibrate(prog.A, prog.blocks)
-        a_s = (prog.A @ sp.diags(self.e_col)).tocsr()
-        c_s = self.e_col * prog.c
-        self.gamma = 1.0 / max(np.linalg.norm(c_s), 1e-6)
-        c_s *= self.gamma
-        self.emb = _Embedding(ConicProgram(prog.blocks, c_s, a_s, np.zeros(prog.m)))  # each solve binds its b
-        self.proj = _ConeProjector(prog.blocks)
-        self.at = prog.A.T.tocsr()
-        self.cnorm = 1.0 + np.linalg.norm(prog.c)
+        ht = h[:, -1:]
+        rhs = h[:, :-1] - ht * g
+        out = np.empty_like(h)
+        py = self._gram_solve(rhs[:, n:] - _rmul(self.A, rhs[:, :n]))
+        np.add(rhs[:, :n], _rmul(self.AT, py), out=out[:, :n])
+        out[:, n:-1] = py
+        p = out[:, :-1]
+        p -= mg * (np.vecdot(mtg, rhs) / denom)[:, None]
+        out[:, -1] = h[:, -1] + np.vecdot(g, p)
+        return out
 
 
 SETUP_CACHE_SIZE = 4
@@ -430,43 +395,40 @@ def solve_many(
         raise ValueError("solve_many needs programs whose presolved blocks, A and c agree")
     n, m = progs[0].n, progs[0].m
     setup = _setup_for(progs[0], key)
-    # one row per live program; one program iterates on a plain vector, so a single solve pays no stack overhead
-    lead = (len(progs),) if len(progs) > 1 else ()
-    b = np.stack([p.b for p in progs]).reshape(lead + (m,))
-    bnorm = np.sqrt(np.vecdot(b, b))
-    beta = 1.0 / np.maximum(bnorm, 1e-6)
-    emb = setup.emb.with_b(b * beta[..., None])
-    beta, bnorm = beta.reshape(-1), 1.0 + bnorm.reshape(-1)
+    # one row per live program
+    b = np.stack([p.b for p in progs])
+    norm = np.sqrt(np.vecdot(b, b))
+    beta, bnorm = 1.0 / np.maximum(norm, 1e-6), 1.0 + norm
+    g, mg, mtg, denom = setup.b_vectors(b * beta[:, None])
     live = list(range(len(progs)))  # the program of each row
     results: list[ConicSolution | None] = [None] * len(progs)
     best: list[tuple | None] = [None] * len(progs)
 
-    u = np.zeros(lead + (n + m + 1,))
-    v = np.zeros(lead + (n + m + 1,))
-    u[..., -1] = 1.0
-    v[..., -1] = 1.0
+    u = np.zeros((len(progs), n + m + 1))
+    v = np.zeros((len(progs), n + m + 1))
+    u[:, -1] = 1.0
+    v[:, -1] = 1.0
 
     it = 0
     for it in range(1, max_iter + 1):
-        ut = emb.solve(u + v)
+        ut = setup.solve(u + v, g, mg, mtg, denom)
         r = over_relax * ut + (1.0 - over_relax) * u
         u_new = r - v
-        x = u_new[..., :n]
+        x = u_new[:, :n]
         setup.proj.project(x, out=x)
-        u_new[..., -1] = np.maximum(u_new[..., -1], 0.0)
+        u_new[:, -1] = np.maximum(u_new[:, -1], 0.0)
         v = v - r + u_new
         u = u_new
 
         if it % check_every != 0 and it != max_iter:
             continue
-        u2, v2 = u.reshape(-1, n + m + 1), v.reshape(-1, n + m + 1)
         for i, k in enumerate(live):
-            results[k], best[k] = _check(progs[k], setup, beta[i], bnorm[i], u2[i], v2[i], it, tol, best[k])
+            results[k], best[k] = _check(progs[k], setup, beta[i], bnorm[i], u[i], v[i], it, tol, best[k])
         keep = [i for i, k in enumerate(live) if results[k] is None]
         if not keep:
             return results
         if len(keep) < len(live):
-            u, v, beta, bnorm, emb = u2[keep], v2[keep], beta[keep], bnorm[keep], emb.rows(keep)
+            u, v, beta, bnorm, g, mg, mtg, denom = (arr[keep] for arr in (u, v, beta, bnorm, g, mg, mtg, denom))
             live = [live[i] for i in keep]
 
     for k in live:
@@ -497,45 +459,45 @@ def dump_program(prog: ConicProgram) -> str:
 
 
 def load_program(text: str) -> ConicProgram:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split()[0] != "CONICPROG":
+    """Parse a :func:`dump_program` dump.  Raises ValueError on a malformed or truncated dump
+    and on an entry whose index lies outside the program."""
+    lines = iter([ln.split() for ln in text.splitlines() if ln.strip()])
+
+    def fields(tag: str | None, count: int) -> list[str]:
+        ln = next(lines, None)
+        if ln is None:
+            raise ValueError("truncated dump")
+        if len(ln) != count or (tag is not None and ln[0] != tag):
+            raise ValueError(f"malformed line {' '.join(ln)!r}, expected {tag or 'an entry'}")
+        return ln
+
+    def index(field: str, size: int) -> int:
+        i = int(field)
+        if not 0 <= i < size:
+            raise ValueError(f"index {i} outside [0, {size})")
+        return i
+
+    def vector(tag: str, size: int) -> np.ndarray:
+        out = np.zeros(size)
+        for _ in range(int(fields(tag, 2)[1])):
+            i, val = fields(None, 2)
+            out[index(i, size)] = float(val)
+        return out
+
+    if next(lines, [""])[0] != "CONICPROG":
         raise ValueError("not a conic program dump")
-    pos = 1
-    nblocks = int(lines[pos].split()[1])
-    pos += 1
-    blocks = []
-    for _ in range(nblocks):
-        kind, nstr = lines[pos].split()
-        blocks.append(Block(kind, int(nstr)))
-        pos += 1
+    nblocks = int(fields("BLOCKS", 2)[1])
+    blocks = tuple(Block(kind, int(side)) for kind, side in (fields(None, 2) for _ in range(nblocks)))
     n = sum(bl.size for bl in blocks)
-    nnz_c = int(lines[pos].split()[1])
-    pos += 1
-    c = np.zeros(n)
-    for _ in range(nnz_c):
-        i, val = lines[pos].split()
-        c[int(i)] = float(val)
-        pos += 1
-    _, mstr, nstr, nnz_str = lines[pos].split()
-    m, n_check, nnz = int(mstr), int(nstr), int(nnz_str)
-    if n_check != n:
+    c = vector("OBJ", n)
+    _, m, n_check, nnz = fields("A", 4)
+    m = int(m)
+    if int(n_check) != n:
         raise ValueError("variable count mismatch in dump")
-    pos += 1
-    rows, cols, vals = [], [], []
-    for _ in range(nnz):
-        i, j, val = lines[pos].split()
-        rows.append(int(i))
-        cols.append(int(j))
-        vals.append(float(val))
-        pos += 1
-    nnz_b = int(lines[pos].split()[1])
-    pos += 1
-    b = np.zeros(m)
-    for _ in range(nnz_b):
-        i, val = lines[pos].split()
-        b[int(i)] = float(val)
-        pos += 1
-    if lines[pos] != "END":
-        raise ValueError("missing END marker")
-    a = sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
-    return ConicProgram(tuple(blocks), c, a, b)
+    triplets = [fields(None, 3) for _ in range(int(nnz))]
+    rows = [index(i, m) for i, _, _ in triplets]
+    cols = [index(j, n) for _, j, _ in triplets]
+    a = sp.csr_matrix(([float(val) for _, _, val in triplets], (rows, cols)), shape=(m, n))
+    b = vector("RHS", m)
+    fields("END", 1)
+    return ConicProgram(blocks, c, a, b)

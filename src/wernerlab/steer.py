@@ -281,7 +281,6 @@ class SRLowerBound:
 def sr_state_lower_bound(
     rho: DensityMatrix,
     n_settings: int,
-    n_outcomes: int | None = None,
     restarts: int = 200,
     seed: int = 0,
     steering_side: str = "A",
@@ -290,17 +289,15 @@ def sr_state_lower_bound(
 ) -> SRLowerBound:
     """Best steering-robustness lower bound over seeded see-saw restarts.
 
-    Restart r draws its measurements from ``seed ^ r``; the restarts run in lockstep,
+    Each of the ``n_settings`` measurements is projective, with one outcome per level of
+    the steering side.  Restart r draws them from ``seed ^ r``; the restarts run in lockstep,
     each round solving the SDPs of every restart still improving in one stacked call.
     Only SDP solves that ended OPTIMAL count: a restart whose later solve fails
     keeps its last converged value.
     """
     d = rho.dimA if steering_side == "A" else rho.dimB
-    n_o = d if n_outcomes is None else n_outcomes
-    if n_o != d:
-        raise ValueError("projective see-saw uses n_outcomes = local dimension")
     unmeasured = "B" if steering_side == "A" else "A"
-    shape = (n_settings, n_o, rho.dimB if steering_side == "A" else rho.dimA)
+    shape = (n_settings, d, rho.dimB if steering_side == "A" else rho.dimA)
     _sr_program(*shape)  # checks the lambda budget before any draw
 
     def solve_round(effects):
@@ -308,7 +305,7 @@ def sr_state_lower_bound(
         return solve_many(progs, tol=sdp_tol)
 
     draws = [random_projective(d, n_settings, np.random.default_rng(seed ^ r)) for r in range(restarts)]
-    effects = np.asarray([m.effects for m in draws]).reshape(restarts, n_settings, n_o, d, d)
+    effects = np.asarray([m.effects for m in draws]).reshape(restarts, n_settings, d, d, d)
     sols = solve_round(effects)
     # restarts whose first solve ended OPTIMAL, with their values; `live` still improve
     kept = [r for r, sol in enumerate(sols) if sol.status == "OPTIMAL"]
@@ -503,26 +500,21 @@ def correlation_from_json(text: str) -> Correlation:
 def seesaw_bell(
     rho: DensityMatrix,
     coefficients: np.ndarray,
-    n_settings: int | None = None,
-    n_outcomes: int | None = None,
     restarts: int = 20,
     seed: int = 0,
 ) -> float:
     """Lower bound on the maximal Bell value of rho for the given functional.
 
-    Alternates exact (two-outcome) or pairwise-eigenvector measurement updates
+    The shape of ``coefficients``, (settings A, settings B, outcomes A, outcomes B), fixes
+    the scenario.  Alternates exact (two-outcome) or pairwise-eigenvector measurement updates
     between the sides; each accepted half-step never decreases the value.
     """
     n_sa, n_sb, n_oa, n_ob = coefficients.shape
-    if n_settings is not None and n_settings not in (n_sa, n_sb):
-        raise ValueError("n_settings does not match the coefficient table")
-    if n_outcomes is not None and n_outcomes not in (n_oa, n_ob):
-        raise ValueError("n_outcomes does not match the coefficient table")
     if n_oa ** n_sa * n_ob ** n_sb > 10**6:
         raise ValueError("scenario too large")
     best = -np.inf
     for r in range(restarts):
-        rng = np.random.default_rng(seed ^ r if r else seed)
+        rng = np.random.default_rng(seed ^ r)
         meas_a = random_grouped_projective(rho.dimA, n_sa, n_oa, rng)
         meas_b = random_grouped_projective(rho.dimB, n_sb, n_ob, rng)
         value = bell_value(correlation_from(rho, meas_a, meas_b), coefficients)

@@ -4,10 +4,12 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wernerlab import cli
 from wernerlab.cli import derive_seed, main, parse_grid
 from wernerlab.extend import critical_weight
+from wernerlab.solver import Block, ConicProgram, dump_program
 
 
 def read_csv(path):
@@ -177,6 +179,73 @@ def test_solve_command(tmp_path):
     prog_file.write_text(dump_program(build_program(ExtensionQuery(werner(2, 0.0), 2, "B", "SE"))))
     assert main(["solve", "--program", str(prog_file), "--tol", "1e-8"]) == 0
     assert main(["solve", "--program", str(tmp_path / "missing.prog")]) == 1
+
+
+def shifted_lp_dump_lines():
+    # min x s.t. x - s = 3, s >= 0: one OBJ entry, two A triplets, one RHS entry
+    prog = ConicProgram((Block("free", 1), Block("nonneg", 1)), np.array([1.0, 0.0]), sp.csr_matrix([[1.0, -1.0]]), [3.0])
+    lines = dump_program(prog).splitlines()
+    assert lines[4:] == ["OBJ 1", "0 1.0", "A 1 2 2", "0 0 1.0", "0 1 -1.0", "RHS 1", "0 3.0", "END"]
+    return lines
+
+
+def solve_dump(tmp_path, lines):
+    prog_file = tmp_path / "edited.prog"
+    prog_file.write_text("\n".join(lines) + "\n")
+    return main(["solve", "--program", str(prog_file)])
+
+
+def test_solve_rejects_truncated_dumps(tmp_path, capsys):
+    lines = shifted_lp_dump_lines()
+    assert solve_dump(tmp_path, lines) == 0
+    for cut in range(len(lines)):
+        capsys.readouterr()
+        assert solve_dump(tmp_path, lines[:cut]) == 1, cut
+        assert capsys.readouterr().err.startswith("cannot load program:"), cut
+
+
+@pytest.mark.parametrize(
+    "line, entry",
+    [
+        (5, "-1 1.0"),  # OBJ: a negative index would write the last entry
+        (5, "2 1.0"),
+        (10, "-1 3.0"),  # RHS
+        (10, "1 3.0"),
+        (7, "-1 0 1.0"),  # A: row, then column
+        (7, "1 0 1.0"),
+        (8, "0 -1 -1.0"),
+        (8, "0 2 -1.0"),
+    ],
+)
+def test_solve_rejects_out_of_range_indices(tmp_path, capsys, line, entry):
+    lines = shifted_lp_dump_lines()
+    lines[line] = entry
+    assert solve_dump(tmp_path, lines) == 1
+    assert capsys.readouterr().err.startswith("cannot load program: index")
+
+
+def test_extend_table_replay_round_trip(tmp_path, capsys):
+    out = tmp_path / "ext"
+    argv = ["extend-table", "--d", "3", "--v-grid", "0,0.2", "--k-list", "2", "--flavors", "SE"]
+    assert main(argv + ["--seed", "5", "--out", str(out)]) == 0
+    csv_file = out / "extend_table_d3.csv"
+    first = csv_file.read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "extend-table"
+    saved = tmp_path / "manifest.json"
+    saved.write_text(json.dumps(manifest))
+    csv_file.unlink()
+    assert main(["sweep", "--replay", str(saved)]) == 0
+    assert csv_file.read_bytes() == first
+    # a changed digest is a mismatch; arguments the parser rejects exit 1, not the --strict code 2
+    manifest["outputs"]["extend_table_d3.csv"] = "0" * 64
+    saved.write_text(json.dumps(manifest))
+    assert main(["sweep", "--replay", str(saved)]) == 1
+    manifest["args"]["bogus"] = 1
+    saved.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["sweep", "--replay", str(saved)]) == 1
+    assert "cannot replay" in capsys.readouterr().err
 
 
 def test_pipeline_report_and_verdicts(tmp_path):

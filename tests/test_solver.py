@@ -122,12 +122,23 @@ def test_cone_projection_survives_eigh_failure(monkeypatch):
 
 
 def test_embedding_linear_solve():
+    # (I + Q) u = h for the skew embedding matrix Q of each row's program: rows differ in b
     prog = random_lp(6, 3, 1)
-    emb = solver._Embedding(prog)
+    setup = solver._Setup(prog)
     rng = np.random.default_rng(2)
-    h = rng.standard_normal(prog.n + prog.m + 1)
-    u = emb.solve(h)
-    assert np.allclose(u + emb.apply_q(u), h, atol=1e-10)
+    b = rng.standard_normal((3, prog.m))
+    h = rng.standard_normal((3, prog.n + prog.m + 1))
+    u = setup.solve(h, *setup.b_vectors(b))
+    a, c = setup.A.toarray(), setup.c
+    for b_r, h_r, u_r in zip(b, h, u):
+        q = np.block(
+            [
+                [np.zeros((prog.n, prog.n)), -a.T, c[:, None]],
+                [a, np.zeros((prog.m, prog.m)), -b_r[:, None]],
+                [-c[None, :], b_r[None, :], np.zeros((1, 1))],
+            ]
+        )
+        assert np.allclose(u_r, np.linalg.solve(np.eye(len(h_r)) + q, h_r), atol=1e-10)
 
 
 def test_lp_shift():
