@@ -10,6 +10,12 @@ threshold and a verdict.  Verdict semantics, per certificate:
 * ``fef``            PASS = useful for teleportation (F_d > 1/d); else INCONCLUSIVE.
 * ``chsh``           PASS = CHSH violation (exact for two qubits); FAIL = none possible.
 * ``dense_coding``   PASS = dense-codable (delta > 0); FAIL = not (delta is exact).
+
+The multi-start searches (``one_distillable`` and ``fef``) run their seeded
+restarts in lockstep: the restarts are the rows of one stack, each step makes
+one stacked call per kernel for the rows still running, and a row leaves when
+its own stopping test fires.  A restart gives the same value, bit for bit, as
+it gives run on its own.
 """
 
 from __future__ import annotations
@@ -67,9 +73,50 @@ def ppt_min_eig(rho: DensityMatrix) -> Certificate:
 
 
 def _schmidt_frames(psi_block: np.ndarray, rank: int = 2):
-    """Left/right orthonormal frames of a (rank x n) coefficient matrix."""
+    """Left/right orthonormal frames of each (rank x n) coefficient matrix of a stack."""
     u, s, vdag = np.linalg.svd(psi_block, full_matrices=False)
-    return u[:, :rank], dagger(vdag)[:, :rank], s
+    return u[..., :rank], dagger(vdag)[..., :rank], s
+
+
+def _distill_frames(d_a: int, d_b: int, restarts: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(R, d, 2) stacks of random A and B frames; restart r draws both from ``seed ^ r``."""
+    va, vb = [], []
+    for r in range(restarts):
+        rng = np.random.default_rng(seed ^ r)
+        va.append(haar_unitary(d_a, rng)[:, :2])
+        vb.append(haar_unitary(d_b, rng)[:, :2])
+    return np.array(va), np.array(vb)
+
+
+def _distill_descent(x: np.ndarray, va: np.ndarray, vb: np.ndarray):
+    """Alternating eigen-steps from each frame pair of two (R, d, 2) stacks, in lockstep.
+
+    Returns each row's final value, A frame and psi on C^2 (x) C^dB; a row stops
+    when its value improves by less than 1e-12 or after 100 rounds.
+    """
+    d_a, d_b = va.shape[1], vb.shape[1]
+    va, vb = va.copy(), vb.copy()
+    val = np.full(len(va), np.inf)
+    psi = np.empty((len(va), 2 * d_b), dtype=complex)
+    live = np.arange(len(va))
+    for _ in range(100):
+        # optimize over A side with B frame fixed; the bottom eigenvector lives on C^dA (x) C^2
+        big = qmat.embed(vb[live], d_a, "B")
+        comp = dagger(big) @ x @ big
+        q = np.linalg.eigh((comp + dagger(comp)) / 2)[1]
+        va[live] = _schmidt_frames(q[..., 0].reshape(-1, d_a, 2).swapaxes(-1, -2))[1]
+        # optimize over B side with A frame fixed; psi lives on C^2 (x) C^dB
+        big = qmat.embed(va[live], d_b, "A")
+        comp = dagger(big) @ x @ big
+        w, q = np.linalg.eigh((comp + dagger(comp)) / 2)
+        psi[live] = q[..., 0]
+        vb[live] = _schmidt_frames(q[..., 0].reshape(-1, 2, d_b))[1]
+        improving = ~(val[live] - w[:, 0] < 1e-12)
+        val[live] = w[:, 0]
+        live = live[improving]
+        if not live.size:
+            break
+    return val, va, psi
 
 
 def one_distillable(rho: DensityMatrix, restarts: int = 64, seed: int = 0) -> Certificate:
@@ -77,39 +124,19 @@ def one_distillable(rho: DensityMatrix, restarts: int = 64, seed: int = 0) -> Ce
 
     Alternating eigen-steps: with one side's two-dimensional frame fixed, the
     optimal psi is the bottom eigenvector of the compressed operator, which
-    also yields the updated frame for the other side.
+    also yields the updated frame for the other side.  Restart r draws its
+    frames from ``seed ^ r``; the restarts run in lockstep, one stacked call
+    per kernel and round, and each gives the value it gives run alone.
     """
-    d_a, d_b = rho.dimA, rho.dimB
-    x = partial_transpose(rho, "A")
-    best_val = np.inf
-    best_psi = None
-    for r in range(restarts):
-        rng = np.random.default_rng(seed ^ r)
-        va = haar_unitary(d_a, rng)[:, :2]
-        vb = haar_unitary(d_b, rng)[:, :2]
-        val_prev = np.inf
-        for _ in range(100):
-            # optimize over A side with B frame fixed
-            big = qmat.embed(vb, d_a, "B")
-            comp = dagger(big) @ x @ big
-            w, q = np.linalg.eigh((comp + dagger(comp)) / 2)
-            psi = q[:, 0]  # lives on C^dA (x) C^2
-            va = _schmidt_frames(psi.reshape(d_a, 2).T)[1]  # new A frame
-            # optimize over B side with A frame fixed
-            big = qmat.embed(va, d_b, "A")
-            comp = dagger(big) @ x @ big
-            w, q = np.linalg.eigh((comp + dagger(comp)) / 2)
-            psi = q[:, 0]  # lives on C^2 (x) C^dB
-            vb = _schmidt_frames(psi.reshape(2, d_b))[1]
-            val = float(w[0])
-            if val_prev - val < 1e-12:
-                break
-            val_prev = val
-        if val < best_val:
-            best_val = val
-            best_psi = (qmat.embed(va, d_b, "A") @ psi).ravel()
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    frames = _distill_frames(rho.dimA, rho.dimB, restarts, seed)
+    val, va, psi = _distill_descent(partial_transpose(rho, "A"), *frames)
+    best = int(np.argmin(val))
+    best_val = float(val[best])
+    best_psi = (qmat.embed(va[best], rho.dimB, "A") @ psi[best]).ravel()
     verdict = PASS if best_val < -1e-6 else INCONCLUSIVE
-    witness = {"psi": _mat_witness(best_psi)} if best_psi is not None else None
+    witness = {"psi": _mat_witness(best_psi)}
     return Certificate("one_distillable", best_val, 0.0, verdict, witness, seed, restarts)
 
 
@@ -125,51 +152,76 @@ def gurvits_ball(rho: DensityMatrix) -> Certificate:
 
 
 def _fef_objective(rho_mat: np.ndarray, u: np.ndarray, d: int):
-    psi = u.T.reshape(-1) / np.sqrt(d)
-    w = rho_mat @ psi
-    f = float(np.real(np.vdot(psi, w)))
-    grad = w.reshape(d, d).T / np.sqrt(d)  # d f / d conj(U)
+    """f = <psi|rho|psi> with psi = (I x U)|Phi+>, and d f / d conj(U), for each U of an (R, d, d) stack."""
+    psi = u.swapaxes(-1, -2).reshape(len(u), -1) / np.sqrt(d)
+    w = rho_mat @ psi[..., None]
+    f = np.real(psi[:, None, :].conj() @ w)[:, 0, 0]
+    grad = w.reshape(-1, d, d).swapaxes(-1, -2) / np.sqrt(d)
     return f, grad
+
+
+def _fef_starts(d: int, restarts: int, seed: int) -> np.ndarray:
+    """(R, d, d) start unitaries: the identity, then a Haar unitary drawn from ``seed ^ r`` for restart r."""
+    draws = [haar_unitary(d, np.random.default_rng(seed ^ r)) for r in range(1, restarts)]
+    return np.array([np.eye(d, dtype=complex), *draws])
+
+
+def _fef_ascent(rho_mat: np.ndarray, u: np.ndarray):
+    """Riemannian ascent from each start of an (R, d, d) stack of unitaries, in lockstep.
+
+    Every tick tries one line-search step on every row still running; a row
+    stops when its gradient vanishes, after 300 accepted steps, or when its
+    step falls to 1e-12.  Returns each row's final f and U.
+    """
+    d = u.shape[-1]
+    u = u.copy()
+    f, grad = _fef_objective(rho_mat, u, d)
+    step = np.ones(len(u))
+    moves = np.zeros(len(u), dtype=int)
+    omega = np.empty_like(u)
+    fresh = np.ones(len(u), dtype=bool)  # rows that moved and need a new direction
+    live = np.arange(len(u))
+    while live.size:
+        turn = live[fresh[live]]
+        g, v = grad[turn], u[turn]
+        omega[turn] = g @ dagger(v) - v @ dagger(g)  # anti-Hermitian ascent direction
+        fresh[turn] = False
+        stop = ~(step > 1e-12)
+        stop[turn] |= (moves[turn] == 300) | (np.linalg.norm(omega[turn], axis=(-2, -1)) < 1e-12)
+        live = live[~stop[live]]
+        if not live.size:
+            break
+        u_try = scipy.linalg.expm(step[live, None, None] * omega[live]) @ u[live]
+        f_try, grad_try = _fef_objective(rho_mat, u_try, d)
+        up = f_try > f[live] + 1e-15
+        moved = live[up]
+        u[moved], f[moved], grad[moved] = u_try[up], f_try[up], grad_try[up]
+        step[moved] *= 1.3
+        moves[moved] += 1
+        fresh[moved] = True
+        step[live[~up]] /= 2
+    return f, u
 
 
 def fef(rho: DensityMatrix, restarts: int = 32, seed: int = 0) -> Certificate:
     """Fully-entangled fraction via multi-start Riemannian ascent over the unitary group.
 
     A heuristic lower bound on max_U <Phi+|(I x U^dag) rho (I x U)|Phi+>; the
-    identity start guarantees value >= <Phi+|rho|Phi+>.
+    identity start guarantees value >= <Phi+|rho|Phi+>.  Restart r > 0 starts
+    from a Haar unitary drawn from ``seed ^ r``; the restarts run in lockstep,
+    one stacked call per kernel and line-search step, and each gives the value
+    it gives run alone.
     """
     if rho.dimA != rho.dimB:
         raise ValueError("fully-entangled fraction needs a square bipartition")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     d = rho.dimA
-    best_f, best_u = -np.inf, None
-    for r in range(restarts):
-        if r == 0:
-            u = np.eye(d, dtype=complex)
-        else:
-            u = haar_unitary(d, np.random.default_rng(seed ^ r))
-        f, grad = _fef_objective(rho.mat, u, d)
-        step = 1.0
-        for _ in range(300):
-            omega = grad @ dagger(u) - u @ dagger(grad)  # anti-Hermitian ascent direction
-            gnorm = np.linalg.norm(omega)
-            if gnorm < 1e-12:
-                break
-            improved = False
-            while step > 1e-12:
-                u_try = scipy.linalg.expm(step * omega) @ u
-                f_try, grad_try = _fef_objective(rho.mat, u_try, d)
-                if f_try > f + 1e-15:
-                    u, f, grad = u_try, f_try, grad_try
-                    improved = True
-                    step *= 1.3
-                    break
-                step /= 2
-            if not improved:
-                break
-        if f > best_f:
-            best_f, best_u = f, u
+    f, u = _fef_ascent(rho.mat, _fef_starts(d, restarts, seed))
+    best = int(np.argmax(f))
+    best_f = float(f[best])
     verdict = PASS if best_f > 1.0 / d + 1e-9 else INCONCLUSIVE
-    witness = {"unitary": _mat_witness(best_u)}
+    witness = {"unitary": _mat_witness(u[best])}
     return Certificate("fef", best_f, 1.0 / d, verdict, witness, seed, restarts)
 
 

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -196,10 +197,15 @@ def run_sweep(args) -> int:
 
 
 def run_replay(args) -> int:
+    """Re-run a manifest's command into a temporary directory and compare its CSV digests.
+
+    The recorded outputs and manifest are left as they are, whatever the outcome."""
     manifest = json.loads(Path(args.replay).read_text())
     stored = manifest["args"]
     new_argv = [manifest["command"]]
     for key, val in stored.items():
+        if key == "out":
+            continue
         if isinstance(val, bool):
             if val:
                 new_argv.append(f"--{key.replace('_', '-')}")
@@ -207,14 +213,15 @@ def run_replay(args) -> int:
         if isinstance(val, list):
             val = ",".join(str(x) for x in val)
         new_argv.extend([f"--{key.replace('_', '-')}", str(val)])
-    try:
-        code = main(new_argv)
-    except SystemExit:  # argparse rejected the stored arguments; exit 2 is the --strict verdict code
-        print(f"cannot replay: the manifest's {manifest['command']!r} arguments do not parse", file=sys.stderr)
-        return 1
-    if code != 0:
-        return code
-    fresh = json.loads((Path(stored["out"]) / "manifest.json").read_text())
+    with tempfile.TemporaryDirectory() as scratch:
+        try:
+            code = main(new_argv + ["--out", scratch])
+        except SystemExit:  # argparse rejected the stored arguments; exit 2 is the --strict verdict code
+            print(f"cannot replay: the manifest's {manifest['command']!r} arguments do not parse", file=sys.stderr)
+            return 1
+        if code != 0:
+            return code
+        fresh = json.loads((Path(scratch) / "manifest.json").read_text())
     if fresh["outputs"] != manifest["outputs"]:
         print("replay mismatch: CSV digests differ", file=sys.stderr)
         return 1

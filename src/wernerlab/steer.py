@@ -16,7 +16,9 @@ so each round stacks the right-hand sides of every restart still improving
 into one :func:`~wernerlab.solver.solve_many` call, and the response
 operators, assemblages and basis updates of those restarts are computed as
 one stack each.  A restart gives the same values, bit for bit, as it gives
-run on its own.
+run on its own.  The Bell see-saw (:func:`seesaw_bell`) runs its restarts the
+same way: each half-step updates one side of every restart still improving,
+and checks the new effects as POVMs, in one stacked call per kernel.
 """
 
 from __future__ import annotations
@@ -36,10 +38,25 @@ from .states import haar_unitary
 MAX_LAMBDA = 4096
 
 
-def _min_eigenvalues(ops: list[np.ndarray]) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part of each operator, in one stacked call."""
+def _min_eigenvalues(ops) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of each operator of a (..., d, d) stack, in one call."""
     stack = np.asarray(ops)
-    return np.linalg.eigvalsh((stack + dagger(stack)) / 2)[:, 0]
+    return np.linalg.eigvalsh((stack + dagger(stack)) / 2)[..., 0]
+
+
+def _check_effects(effects: np.ndarray) -> None:
+    """Raise ValueError unless each setting of an (..., x, a, d, d) stack of effects is a POVM:
+    PSD effects within 1e-9 that sum to the identity within 1e-9.
+
+    One stacked eigenvalue call covers the whole stack; the first failing setting, in
+    row-major order, decides which check reports."""
+    psd = np.all(_min_eigenvalues(effects) >= -1e-9, axis=-1).ravel()
+    off = np.max(np.abs(effects.sum(axis=-3) - np.eye(effects.shape[-1])), axis=(-2, -1)).ravel() > 1e-9
+    bad = np.flatnonzero(~psd | off)
+    if bad.size:
+        if not psd[bad[0]]:
+            raise ValueError("effect is not PSD within 1e-9")
+        raise ValueError("effects of one setting must sum to the identity")
 
 
 @dataclass(frozen=True)
@@ -50,17 +67,9 @@ class MeasurementSet:
 
     def __post_init__(self):
         d = self.effects[0][0].shape[0]
-        flat = [eff for setting in self.effects for eff in setting]
-        if any(eff.shape != (d, d) for eff in flat):
+        if any(eff.shape != (d, d) for setting in self.effects for eff in setting):
             raise ValueError("all effects must share one dimension")
-        psd = _min_eigenvalues(flat) >= -1e-9
-        pos = 0
-        for setting in self.effects:
-            if not psd[pos : pos + len(setting)].all():
-                raise ValueError("effect is not PSD within 1e-9")
-            pos += len(setting)
-            if np.max(np.abs(np.sum(setting, axis=0) - np.eye(d))) > 1e-9:
-                raise ValueError("effects of one setting must sum to the identity")
+        _check_effects(np.asarray(self.effects))
 
     @property
     def n_settings(self) -> int:
@@ -88,19 +97,23 @@ def random_projective(d: int, n_settings: int, rng: np.random.Generator) -> Meas
     return projective_from_unitaries([haar_unitary(d, rng) for _ in range(n_settings)])
 
 
+def _grouped_projective_effects(d: int, n_settings: int, n_outcomes: int, rng: np.random.Generator) -> np.ndarray:
+    """(x, a, d, d) effects: rank-1 pieces of a Haar-rotated basis per setting, grouped
+    round-robin into ``n_outcomes`` effects."""
+    effects = np.zeros((n_settings, n_outcomes, d, d), dtype=complex)
+    for x in range(n_settings):
+        u = haar_unitary(d, rng)
+        for level in range(d):
+            effects[x, level % n_outcomes] += np.outer(u[:, level], u[:, level].conj())
+    return effects
+
+
 def random_grouped_projective(
     d: int, n_settings: int, n_outcomes: int, rng: np.random.Generator
 ) -> MeasurementSet:
     """Projective measurements with fewer outcomes than levels: rank-1 pieces
     of a Haar-rotated basis grouped round-robin into ``n_outcomes`` effects."""
-    settings = []
-    for _ in range(n_settings):
-        u = haar_unitary(d, rng)
-        effects = [np.zeros((d, d), dtype=complex) for _ in range(n_outcomes)]
-        for level in range(d):
-            effects[level % n_outcomes] += np.outer(u[:, level], u[:, level].conj())
-        settings.append(tuple(effects))
-    return MeasurementSet(tuple(settings))
+    return MeasurementSet(tuple(map(tuple, _grouped_projective_effects(d, n_settings, n_outcomes, rng))))
 
 
 def mub_qubit_measurements(n_settings: int = 2) -> MeasurementSet:
@@ -295,6 +308,8 @@ def sr_state_lower_bound(
     Only SDP solves that ended OPTIMAL count: a restart whose later solve fails
     keeps its last converged value.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     d = rho.dimA if steering_side == "A" else rho.dimB
     unmeasured = "B" if steering_side == "A" else "A"
     shape = (n_settings, d, rho.dimB if steering_side == "A" else rho.dimA)
@@ -365,14 +380,18 @@ class Correlation:
         return self.p.shape
 
 
+def _correlations(rho: DensityMatrix, effects_a: np.ndarray, effects_b: np.ndarray) -> np.ndarray:
+    """P(a,b|x,y) = tr[rho M_{a|x} (x) M_{b|y}] for matching (..., x, a, d, d) stacks of both sides' effects."""
+    r = rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
+    # tr[rho (M_a (x) M_b)] = sum rho[(i,j),(k,l)] M_a[k,i] M_b[l,j]
+    return np.einsum("ijkl,...xaki,...yblj->...xyab", r, effects_a, effects_b).real
+
+
 def correlation_from(rho: DensityMatrix, meas_a: MeasurementSet, meas_b: MeasurementSet) -> Correlation:
     """P(a,b|x,y) = tr[rho M_{a|x} (x) M_{b|y}]."""
     if meas_a.dim != rho.dimA or meas_b.dim != rho.dimB:
         raise ValueError("measurement dimensions do not match the state")
-    r = rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
-    # tr[rho (M_a (x) M_b)] = sum rho[(i,j),(k,l)] M_a[k,i] M_b[l,j]
-    p = np.einsum("ijkl,xaki,yblj->xyab", r, np.asarray(meas_a.effects), np.asarray(meas_b.effects))
-    return Correlation(p.real)
+    return Correlation(_correlations(rho, np.asarray(meas_a.effects), np.asarray(meas_b.effects)))
 
 
 def nonlocal_content(corr: Correlation, tol: float = 1e-9) -> float:
@@ -433,27 +452,26 @@ def bell_value(corr: Correlation, coefficients: np.ndarray) -> float:
     return float(np.sum(corr.p * coefficients))
 
 
-def _bell_response(rho: DensityMatrix, coefficients: np.ndarray, other_meas: MeasurementSet, side: str):
-    """G_{a|x} of ``side`` with sum_ax tr(M_{a|x} G_{a|x}) the Bell value against ``other_meas``."""
+def _bell_response(rho: DensityMatrix, coefficients: np.ndarray, other_effects: np.ndarray, side: str) -> np.ndarray:
+    """G_{a|x} of ``side`` with sum_ax tr(M_{a|x} G_{a|x}) the Bell value against the other
+    side's (..., y, b, d, d) effects, as a matching (..., x, a, d, d) stack."""
     table = coefficients if side == "A" else coefficients.transpose(1, 0, 3, 2)
-    ops = np.einsum("xyab,ybij->xaij", table, np.asarray(other_meas.effects))  # on the other side
+    ops = np.einsum("xyab,...ybij->...xaij", table, other_effects)  # on the other side
     return _contract(rho, ops, "B" if side == "A" else "A")
 
 
-def _exact_two_outcome_update(response) -> MeasurementSet:
-    """Optimal POVM per setting for two outcomes: positive part of G_0 - G_1."""
-    settings = []
-    for g0, g1 in response:
-        w, q = np.linalg.eigh(g0 - g1)
-        pos = (q * (w > 0)) @ dagger(q)
-        settings.append((pos, np.eye(g0.shape[0], dtype=complex) - pos))
-    return MeasurementSet(tuple(settings))
+def _exact_two_outcome_update(response: np.ndarray) -> np.ndarray:
+    """Optimal POVM per setting for two outcomes: positive part of G_0 - G_1 and its complement."""
+    w, q = np.linalg.eigh(response[..., 0, :, :] - response[..., 1, :, :])
+    pos = (q * (w > 0)[..., None, :]) @ dagger(q)
+    return np.stack([pos, np.eye(pos.shape[-1], dtype=complex) - pos], axis=-3)
 
 
-def _best_povm_update(meas: MeasurementSet, response) -> MeasurementSet:
-    if meas.n_outcomes == 2:
-        return _exact_two_outcome_update(response)
-    return MeasurementSet(tuple(map(tuple, _update_measurements(np.asarray(meas.effects), response))))
+def _best_povm_update(effects: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """Improved (..., x, a, d, d) effects against the response, checked as POVMs in one call."""
+    new = _exact_two_outcome_update(response) if effects.shape[-3] == 2 else _update_measurements(effects, response)
+    _check_effects(new)
+    return new
 
 
 def assemblage_to_json(asm: Assemblage) -> str:
@@ -497,6 +515,52 @@ def correlation_from_json(text: str) -> Correlation:
     return Correlation(np.asarray(obj["p"]).reshape(n_sa, n_sb, n_oa, n_ob))
 
 
+def _bell_starts(rho: DensityMatrix, scenario: tuple, restarts: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(R, x, a, d, d) stacks of grouped projective effects for A and B, checked as POVMs;
+    restart r draws A's and then B's from ``seed ^ r``."""
+    n_sa, n_sb, n_oa, n_ob = scenario
+    effects_a, effects_b = [], []
+    for r in range(restarts):
+        rng = np.random.default_rng(seed ^ r)
+        effects_a.append(_grouped_projective_effects(rho.dimA, n_sa, n_oa, rng))
+        effects_b.append(_grouped_projective_effects(rho.dimB, n_sb, n_ob, rng))
+    effects_a, effects_b = np.array(effects_a), np.array(effects_b)
+    _check_effects(effects_a)
+    _check_effects(effects_b)
+    return effects_a, effects_b
+
+
+def _seesaw_bell_rows(
+    rho: DensityMatrix, coefficients: np.ndarray, effects_a: np.ndarray, effects_b: np.ndarray
+) -> np.ndarray:
+    """Final Bell value of the see-saw from each start of two (R, x, a, d, d) effect stacks, in lockstep.
+
+    Each half-step updates one side of every row still improving in one stacked call per
+    kernel; a row stops when a round gains less than 1e-9, or after 500 rounds."""
+    axes = (-4, -3, -2, -1)
+
+    def values(eff_a, eff_b):
+        return np.sum(_correlations(rho, eff_a, eff_b) * coefficients, axis=axes)
+
+    effects_a, effects_b = effects_a.copy(), effects_b.copy()
+    value = values(effects_a, effects_b)
+    live = np.arange(len(value))
+    for _ in range(500):
+        start = cur = value[live]
+        for side in ("A", "B"):
+            mine, other = (effects_a, effects_b) if side == "A" else (effects_b, effects_a)
+            new = _best_povm_update(mine[live], _bell_response(rho, coefficients, other[live], side))
+            new_value = values(new, other[live]) if side == "A" else values(other[live], new)
+            keep = new_value >= cur - 1e-12
+            mine[live[keep]] = new[keep]
+            cur = np.where(keep, np.maximum(new_value, cur), cur)
+        value[live] = cur
+        live = live[~(cur - start < 1e-9)]
+        if not live.size:
+            break
+    return value
+
+
 def seesaw_bell(
     rho: DensityMatrix,
     coefficients: np.ndarray,
@@ -507,28 +571,14 @@ def seesaw_bell(
 
     The shape of ``coefficients``, (settings A, settings B, outcomes A, outcomes B), fixes
     the scenario.  Alternates exact (two-outcome) or pairwise-eigenvector measurement updates
-    between the sides; each accepted half-step never decreases the value.
+    between the sides; each accepted half-step never decreases the value.  Restart r draws
+    both sides' measurements from ``seed ^ r``; the restarts run in lockstep, one stacked
+    call per kernel and half-step, and each gives the value it gives run alone.
     """
     n_sa, n_sb, n_oa, n_ob = coefficients.shape
     if n_oa ** n_sa * n_ob ** n_sb > 10**6:
         raise ValueError("scenario too large")
-    best = -np.inf
-    for r in range(restarts):
-        rng = np.random.default_rng(seed ^ r)
-        meas_a = random_grouped_projective(rho.dimA, n_sa, n_oa, rng)
-        meas_b = random_grouped_projective(rho.dimB, n_sb, n_ob, rng)
-        value = bell_value(correlation_from(rho, meas_a, meas_b), coefficients)
-        for _ in range(500):
-            round_start = value
-            meas_a_new = _best_povm_update(meas_a, _bell_response(rho, coefficients, meas_b, "A"))
-            val_a = bell_value(correlation_from(rho, meas_a_new, meas_b), coefficients)
-            if val_a >= value - 1e-12:
-                meas_a, value = meas_a_new, max(val_a, value)
-            meas_b_new = _best_povm_update(meas_b, _bell_response(rho, coefficients, meas_a, "B"))
-            val_b = bell_value(correlation_from(rho, meas_a, meas_b_new), coefficients)
-            if val_b >= value - 1e-12:
-                meas_b, value = meas_b_new, max(val_b, value)
-            if value - round_start < 1e-9:
-                break
-        best = max(best, value)
-    return best
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    starts = _bell_starts(rho, coefficients.shape, restarts, seed)
+    return float(np.max(_seesaw_bell_rows(rho, coefficients, *starts)))

@@ -1,0 +1,131 @@
+"""The multi-start heuristics as they ran before the lockstep rewrite: one restart at a time.
+
+Each function keeps the earlier per-restart loop of its namesake in
+``wernerlab.certify`` or ``wernerlab.steer`` and returns every restart's final
+value in restart order, so tests can check the lockstep versions restart by
+restart.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.linalg
+
+from wernerlab import qmat
+from wernerlab.qmat import dagger, partial_transpose
+from wernerlab.states import haar_unitary
+from wernerlab.steer import (
+    MeasurementSet,
+    _contract,
+    _update_measurements,
+    bell_value,
+    correlation_from,
+    random_grouped_projective,
+)
+
+
+def _schmidt_frame(psi_block):
+    return dagger(np.linalg.svd(psi_block, full_matrices=False)[2])[:, :2]
+
+
+def one_distillable_by_restarts(rho, restarts, seed):
+    """Per-restart values of the alternating eigen-step search over Schmidt-rank-2 vectors."""
+    d_a, d_b = rho.dimA, rho.dimB
+    x = partial_transpose(rho, "A")
+    values = []
+    for r in range(restarts):
+        rng = np.random.default_rng(seed ^ r)
+        va = haar_unitary(d_a, rng)[:, :2]
+        vb = haar_unitary(d_b, rng)[:, :2]
+        val_prev = np.inf
+        for _ in range(100):
+            big = qmat.embed(vb, d_a, "B")
+            comp = dagger(big) @ x @ big
+            w, q = np.linalg.eigh((comp + dagger(comp)) / 2)
+            va = _schmidt_frame(q[:, 0].reshape(d_a, 2).T)
+            big = qmat.embed(va, d_b, "A")
+            comp = dagger(big) @ x @ big
+            w, q = np.linalg.eigh((comp + dagger(comp)) / 2)
+            vb = _schmidt_frame(q[:, 0].reshape(2, d_b))
+            val = float(w[0])
+            if val_prev - val < 1e-12:
+                break
+            val_prev = val
+        values.append(val)
+    return values
+
+
+def _fef_objective(rho_mat, u, d):
+    psi = u.T.reshape(-1) / np.sqrt(d)
+    w = rho_mat @ psi
+    return float(np.real(np.vdot(psi, w))), w.reshape(d, d).T / np.sqrt(d)
+
+
+def fef_by_restarts(rho, restarts, seed):
+    """Per-restart values of the Riemannian ascent; restart 0 starts at the identity."""
+    d = rho.dimA
+    values = []
+    for r in range(restarts):
+        u = np.eye(d, dtype=complex) if r == 0 else haar_unitary(d, np.random.default_rng(seed ^ r))
+        f, grad = _fef_objective(rho.mat, u, d)
+        step = 1.0
+        for _ in range(300):
+            omega = grad @ dagger(u) - u @ dagger(grad)
+            if np.linalg.norm(omega) < 1e-12:
+                break
+            improved = False
+            while step > 1e-12:
+                u_try = scipy.linalg.expm(step * omega) @ u
+                f_try, grad_try = _fef_objective(rho.mat, u_try, d)
+                if f_try > f + 1e-15:
+                    u, f, grad = u_try, f_try, grad_try
+                    improved = True
+                    step *= 1.3
+                    break
+                step /= 2
+            if not improved:
+                break
+        values.append(f)
+    return values
+
+
+def _bell_response(rho, coefficients, other_meas, side):
+    table = coefficients if side == "A" else coefficients.transpose(1, 0, 3, 2)
+    ops = np.einsum("xyab,ybij->xaij", table, np.asarray(other_meas.effects))
+    return _contract(rho, ops, "B" if side == "A" else "A")
+
+
+def _best_povm_update(meas, response):
+    if meas.n_outcomes == 2:
+        settings = []
+        for g0, g1 in response:
+            w, q = np.linalg.eigh(g0 - g1)
+            pos = (q * (w > 0)) @ dagger(q)
+            settings.append((pos, np.eye(g0.shape[0], dtype=complex) - pos))
+        return MeasurementSet(tuple(settings))
+    return MeasurementSet(tuple(map(tuple, _update_measurements(np.asarray(meas.effects), response))))
+
+
+def seesaw_bell_by_restarts(rho, coefficients, restarts, seed):
+    """Per-restart values of the two-sided Bell see-saw."""
+    n_sa, n_sb, n_oa, n_ob = coefficients.shape
+    values = []
+    for r in range(restarts):
+        rng = np.random.default_rng(seed ^ r)
+        meas_a = random_grouped_projective(rho.dimA, n_sa, n_oa, rng)
+        meas_b = random_grouped_projective(rho.dimB, n_sb, n_ob, rng)
+        value = bell_value(correlation_from(rho, meas_a, meas_b), coefficients)
+        for _ in range(500):
+            round_start = value
+            meas_a_new = _best_povm_update(meas_a, _bell_response(rho, coefficients, meas_b, "A"))
+            val_a = bell_value(correlation_from(rho, meas_a_new, meas_b), coefficients)
+            if val_a >= value - 1e-12:
+                meas_a, value = meas_a_new, max(val_a, value)
+            meas_b_new = _best_povm_update(meas_b, _bell_response(rho, coefficients, meas_a, "B"))
+            val_b = bell_value(correlation_from(rho, meas_a, meas_b_new), coefficients)
+            if val_b >= value - 1e-12:
+                meas_b, value = meas_b_new, max(val_b, value)
+            if value - round_start < 1e-9:
+                break
+        values.append(value)
+    return values

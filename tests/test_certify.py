@@ -19,8 +19,9 @@ from wernerlab.certify import (
     werner_delta,
 )
 from wernerlab.filterops import filtered_weight, rotated_filtered_state
-from wernerlab.qmat import DensityMatrix
+from wernerlab.qmat import DensityMatrix, partial_transpose
 from wernerlab.states import werner
+from sequential_reference import fef_by_restarts, one_distillable_by_restarts
 
 
 def random_two_qubit(seed):
@@ -219,3 +220,70 @@ def test_certificate_json():
     obj = json.loads(cert.to_json())
     assert obj["name"] == "ppt"
     assert obj["verdict"] == "FAIL"
+
+
+def random_state(d_a, d_b, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d_a * d_b, d_a * d_b)) + 1j * rng.standard_normal((d_a * d_b, d_a * d_b))
+    m = g @ g.conj().T
+    return DensityMatrix(d_a, d_b, m / np.trace(m))
+
+
+LOCKSTEP_STATES = {
+    "werner-0": lambda: werner(3, 0.0),
+    "werner-0.35": lambda: werner(3, 0.35),
+    "werner-0.45": lambda: werner(3, 0.45),
+    "filtered-0.1": lambda: rotated_filtered_state(0.1),
+    "random-3x3": lambda: random_state(3, 3, 11),
+    "random-2x2": lambda: random_two_qubit(12),
+}
+
+
+def assert_rows_bitwise_alone(run, starts):
+    """Each row of a stacked run equals, bit for bit, the same start run as a stack of one."""
+    stacked = run(*starts)
+    for r in range(len(starts[0])):
+        alone = run(*(s[r : r + 1] for s in starts))
+        for got, want in zip(stacked, alone):
+            assert np.asarray(got[r]).tobytes() == np.asarray(want[0]).tobytes()
+
+
+@pytest.mark.parametrize("state", LOCKSTEP_STATES.values(), ids=LOCKSTEP_STATES.keys())
+def test_fef_matches_sequential_reference(state):
+    rho = state()
+    seed, restarts = 2024, 16
+    want = fef_by_restarts(rho, restarts, seed)
+    starts = certify._fef_starts(rho.dimA, restarts, seed)
+    assert np.allclose(certify._fef_ascent(rho.mat, starts)[0], want, rtol=0, atol=1e-12)
+    cert = fef(rho, restarts=restarts, seed=seed)
+    assert cert.value == pytest.approx(max(want), rel=0, abs=1e-12)
+    assert_rows_bitwise_alone(lambda u: certify._fef_ascent(rho.mat, u), (starts,))
+
+
+@pytest.mark.parametrize(
+    "state", [*LOCKSTEP_STATES.values(), lambda: random_state(2, 3, 13), lambda: random_state(3, 2, 14)],
+    ids=[*LOCKSTEP_STATES.keys(), "random-2x3", "random-3x2"],
+)
+def test_one_distillable_matches_sequential_reference(state):
+    rho = state()
+    seed, restarts = 2024, 16
+    want = one_distillable_by_restarts(rho, restarts, seed)
+    frames = certify._distill_frames(rho.dimA, rho.dimB, restarts, seed)
+    x = partial_transpose(rho, "A")
+    assert np.allclose(certify._distill_descent(x, *frames)[0], want, rtol=0, atol=1e-12)
+    cert = one_distillable(rho, restarts=restarts, seed=seed)
+    assert cert.value == pytest.approx(min(want), rel=0, abs=1e-12)
+    # the witness attains the value
+    psi = np.array([complex(re, im) for re, im in cert.witness["psi"][0]])
+    assert np.vdot(psi, x @ psi).real == pytest.approx(cert.value, abs=1e-12)
+    assert_rows_bitwise_alone(lambda va, vb: certify._distill_descent(x, va, vb), frames)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [lambda: fef(werner(3, 0.1), restarts=0), lambda: one_distillable(werner(3, 0.1), restarts=0)],
+    ids=["fef", "one_distillable"],
+)
+def test_certificate_searches_reject_zero_restarts(check):
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        check()

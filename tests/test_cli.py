@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -234,7 +235,6 @@ def test_extend_table_replay_round_trip(tmp_path, capsys):
     assert manifest["command"] == "extend-table"
     saved = tmp_path / "manifest.json"
     saved.write_text(json.dumps(manifest))
-    csv_file.unlink()
     assert main(["sweep", "--replay", str(saved)]) == 0
     assert csv_file.read_bytes() == first
     # a changed digest is a mismatch; arguments the parser rejects exit 1, not the --strict code 2
@@ -246,6 +246,29 @@ def test_extend_table_replay_round_trip(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep", "--replay", str(saved)]) == 1
     assert "cannot replay" in capsys.readouterr().err
+
+
+def test_replay_mismatch_leaves_recorded_outputs(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["sweep", "--task", "ppt,dc", "--v-grid", "0:0.25:0.5", "--d-grid", "2:1:4", "--seed", "11"]
+    assert main(argv + ["--out", str(out)]) == 0
+    # a recorded CSV that today's code no longer reproduces, with its digest in the manifest
+    csv_file, manifest_file = out / "ppt_d3.csv", out / "manifest.json"
+    csv_file.write_text(csv_file.read_text() + "3,0.75,0,0.1,INCONCLUSIVE\n")
+    manifest = json.loads(manifest_file.read_text())
+    manifest["outputs"]["ppt_d3.csv"] = hashlib.sha256(csv_file.read_bytes()).hexdigest()
+    manifest_file.write_text(json.dumps(manifest))
+    recorded = {f.name: f.read_bytes() for f in out.iterdir()}
+    capsys.readouterr()
+    assert main(["sweep", "--replay", str(manifest_file)]) == 1
+    assert "replay mismatch" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == recorded
+
+
+@pytest.mark.parametrize("task", ["distill", "fef", "chsh", "sr"])
+def test_sweep_rejects_zero_restarts(tmp_path, capsys, task):
+    assert main(["sweep", "--task", task, "--v-grid", "0.1", "--restarts", "0", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: restarts must be at least 1")
 
 
 def test_pipeline_report_and_verdicts(tmp_path):

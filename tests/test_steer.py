@@ -30,6 +30,8 @@ from wernerlab.steer import (
     steering_robustness,
 )
 
+from sequential_reference import seesaw_bell_by_restarts
+
 SINGLET_2MUB_SR = 3 - 2 * np.sqrt(2)  # proven optimal; see decisions ledger
 
 
@@ -645,11 +647,11 @@ def test_bell_kernels_match_loop_reference(d_a, d_b, n_oa, n_ob):
     coefficients = rng.standard_normal((2, 3, n_oa, n_ob))
     for side, other_meas in (("A", meas_b), ("B", meas_a)):
         want = bell_response_by_loops(rho, coefficients, other_meas, side)
-        got = np.asarray(steer._bell_response(rho, coefficients, other_meas, side))
+        got = steer._bell_response(rho, coefficients, np.asarray(other_meas.effects), side)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0, atol=1e-14)
     # sum_ax tr(M_{a|x} G_{a|x}) is the Bell value
-    response_a = steer._bell_response(rho, coefficients, meas_b, "A")
+    response_a = steer._bell_response(rho, coefficients, np.asarray(meas_b.effects), "A")
     value = sum(np.trace(meas_a.effects[x][a] @ response_a[x][a]).real for x in range(2) for a in range(n_oa))
     assert value == pytest.approx(bell_value(Correlation(p), coefficients), abs=1e-12)
 
@@ -698,3 +700,91 @@ def test_batched_validation_keeps_messages_and_order():
         Assemblage((tuple(sigma[0]), (sigma[1][0] + shift, sigma[1][1] + shift)))
     with pytest.raises(ValueError, match="normalized"):
         Assemblage(tuple(tuple(2 * s for s in setting) for setting in sigma))
+
+
+BELL_CASES = {
+    # (state, coefficient table): CHSH with either sign pattern, then random tables with
+    # two and three outcomes and unequal setting counts
+    "filtered-0.1-chsh": (lambda: rotated_filtered_state(0.1), lambda: chsh_coefficients()),
+    "pure-2x2-flipped": (lambda: noisy_pure_state(2, 2, 3, 0.9), lambda: chsh_coefficients()[:, ::-1]),
+    "random-2x3": (lambda: random_state(2, 3, 5), lambda: np.random.default_rng(1).standard_normal((2, 3, 2, 3))),
+    "pure-3x2-three-outcomes": (
+        lambda: noisy_pure_state(3, 2, 4, 0.8),
+        lambda: np.random.default_rng(2).standard_normal((2, 2, 3, 2)),
+    ),
+    "werner-0.1": (lambda: werner(3, 0.1), lambda: np.random.default_rng(3).standard_normal((3, 2, 2, 3))),
+}
+
+
+@pytest.mark.parametrize("state, table", BELL_CASES.values(), ids=BELL_CASES.keys())
+def test_seesaw_bell_matches_sequential_reference(state, table):
+    rho, coefficients = state(), table()
+    seed, restarts = 4321, 16
+    for rho_side, table_side in ((rho, coefficients), (swapped(rho), coefficients.transpose(1, 0, 3, 2))):
+        want = seesaw_bell_by_restarts(rho_side, table_side, restarts, seed)
+        starts = steer._bell_starts(rho_side, table_side.shape, restarts, seed)
+        rows = steer._seesaw_bell_rows(rho_side, table_side, *starts)
+        assert np.allclose(rows, want, rtol=0, atol=1e-12)
+        best = seesaw_bell(rho_side, table_side, restarts=restarts, seed=seed)
+        assert best == pytest.approx(max(want), rel=0, abs=1e-12)
+        for r in range(restarts):
+            alone = steer._seesaw_bell_rows(rho_side, table_side, *(s[r : r + 1] for s in starts))
+            assert alone.tobytes() == rows[r : r + 1].tobytes()
+
+
+def test_stacked_effect_check_matches_measurement_set():
+    rng = np.random.default_rng(8)
+    stack = np.array([steer._grouped_projective_effects(3, 2, 2, rng) for _ in range(4)])
+    steer._check_effects(stack)
+    bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
+    not_psd, not_normalised = stack.copy(), stack.copy()
+    not_psd[2, 1] = [bad, np.eye(3) - bad]
+    not_normalised[1, 0, 1] *= 0.5
+    for broken, message in ((not_psd, "PSD"), (not_normalised, "sum to the identity")):
+        with pytest.raises(ValueError, match=message):
+            steer._check_effects(broken)
+        row = 2 if broken is not_psd else 1
+        with pytest.raises(ValueError, match=message):
+            MeasurementSet(tuple(map(tuple, broken[row])))
+    # the first failing setting in row order decides, as within one MeasurementSet
+    both = not_psd.copy()
+    both[1] = not_normalised[1]
+    with pytest.raises(ValueError, match="sum to the identity"):
+        steer._check_effects(both)
+
+
+def test_seesaw_bell_checks_each_half_step_in_one_call(monkeypatch):
+    real_check = steer._check_effects
+    widths = []
+
+    def counting(effects):
+        widths.append(effects.shape[0])
+        real_check(effects)
+
+    monkeypatch.setattr(steer, "_check_effects", counting)
+    seesaw_bell(rotated_filtered_state(0.1), chsh_coefficients(), restarts=6, seed=9)
+    assert widths[:3] == [6, 6, 6]  # both sides' draws, then A's first half-step
+    assert widths == sorted(widths, reverse=True)  # rows only ever leave
+
+    def broken_update(response):
+        effects = real_two_outcome(response)
+        effects[-1, 0, 0] = np.diag([1.5, -0.5]).astype(complex)
+        return effects
+
+    real_two_outcome = steer._exact_two_outcome_update
+    monkeypatch.setattr(steer, "_exact_two_outcome_update", broken_update)
+    with pytest.raises(ValueError, match="PSD"):
+        seesaw_bell(rotated_filtered_state(0.1), chsh_coefficients(), restarts=3, seed=9)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: seesaw_bell(rotated_filtered_state(0.1), chsh_coefficients(), restarts=0),
+        lambda: sr_state_lower_bound(rotated_filtered_state(0.1), 2, restarts=0),
+    ],
+    ids=["seesaw_bell", "sr_state_lower_bound"],
+)
+def test_see_saws_reject_zero_restarts(search):
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        search()
