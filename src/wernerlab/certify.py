@@ -24,7 +24,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import qmat
 from .qmat import DensityMatrix, dagger, kron, partial_trace, partial_transpose
@@ -166,32 +165,40 @@ def _fef_starts(d: int, restarts: int, seed: int) -> np.ndarray:
     return np.array([np.eye(d, dtype=complex), *draws])
 
 
+def _skew_expm(w: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """exp(s omega) = Q diag(e^{-i s w}) Q^dag for each anti-Hermitian omega of a stack, with (w, Q) = eigh(i omega)."""
+    return (q * np.exp(-1j * s[:, None] * w)[:, None, :]) @ dagger(q)
+
+
 def _fef_ascent(rho_mat: np.ndarray, u: np.ndarray):
     """Riemannian ascent from each start of an (R, d, d) stack of unitaries, in lockstep.
 
     Every tick tries one line-search step on every row still running; a row
     stops when its gradient vanishes, after 300 accepted steps, or when its
-    step falls to 1e-12.  Returns each row's final f and U.
+    step falls to 1e-12.  A row diagonalises its direction once, when the
+    direction changes, and exponentiates each line-search try from that.
+    Returns each row's final f and U.
     """
     d = u.shape[-1]
     u = u.copy()
     f, grad = _fef_objective(rho_mat, u, d)
     step = np.ones(len(u))
     moves = np.zeros(len(u), dtype=int)
-    omega = np.empty_like(u)
+    omega, eig_w, eig_q = np.empty_like(u), np.empty(u.shape[:2]), np.empty_like(u)
     fresh = np.ones(len(u), dtype=bool)  # rows that moved and need a new direction
     live = np.arange(len(u))
     while live.size:
         turn = live[fresh[live]]
         g, v = grad[turn], u[turn]
         omega[turn] = g @ dagger(v) - v @ dagger(g)  # anti-Hermitian ascent direction
+        eig_w[turn], eig_q[turn] = np.linalg.eigh(1j * omega[turn])
         fresh[turn] = False
         stop = ~(step > 1e-12)
         stop[turn] |= (moves[turn] == 300) | (np.linalg.norm(omega[turn], axis=(-2, -1)) < 1e-12)
         live = live[~stop[live]]
         if not live.size:
             break
-        u_try = scipy.linalg.expm(step[live, None, None] * omega[live]) @ u[live]
+        u_try = _skew_expm(eig_w[live], eig_q[live], step[live]) @ u[live]
         f_try, grad_try = _fef_objective(rho_mat, u_try, d)
         up = f_try > f[live] + 1e-15
         moved = live[up]
@@ -210,7 +217,8 @@ def fef(rho: DensityMatrix, restarts: int = 32, seed: int = 0) -> Certificate:
     identity start guarantees value >= <Phi+|rho|Phi+>.  Restart r > 0 starts
     from a Haar unitary drawn from ``seed ^ r``; the restarts run in lockstep,
     one stacked call per kernel and line-search step, and each gives the value
-    it gives run alone.
+    it gives run alone.  The step's exponential exp(s Omega) comes from one
+    ``eigh`` of i Omega per direction.
     """
     if rho.dimA != rho.dimB:
         raise ValueError("fully-entangled fraction needs a square bipartition")

@@ -12,14 +12,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, certify, extend, filterops, qmat, solver, states, steer, tomo
 
 TASKS = ("ppt", "distill", "fef", "chsh", "sr", "dc", "extend", "tomo")
+# thread settings that can change the last bits of a BLAS result, and so a CSV
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def fmt(x: float) -> str:
@@ -141,14 +146,15 @@ def sweep_extend(args, task_seed):
 
 
 def sweep_tomo(args, task_seed):
-    rows = []
-    for i, v in enumerate(args.v_grid):
-        seed = task_seed ^ i
-        ideal = states.werner(3, v)
-        rho = _state_for(3, v, args.noisy, seed)
-        rec = tomo.simulate_counts(rho, args.shots, seed)
-        recon = tomo.mle_reconstruct(rec, max_iter=3000, tol=1e-10)
-        rows.append([float(v), seed, args.shots, qmat.uhlmann_fidelity(recon, ideal)])
+    records = [
+        tomo.simulate_counts(_state_for(3, v, args.noisy, task_seed ^ i), args.shots, task_seed ^ i)
+        for i, v in enumerate(args.v_grid)
+    ]
+    recons = tomo.mle_reconstruct_many(records, max_iter=3000, tol=1e-10)
+    rows = [
+        [float(v), rec.seed, args.shots, qmat.uhlmann_fidelity(recon, states.werner(3, v))]
+        for v, rec, (recon, _) in zip(args.v_grid, records, recons)
+    ]
     return ["v", "seed", "N", "fidelity"], rows
 
 
@@ -164,6 +170,12 @@ SWEEPS = {
 }
 
 
+def _blas_settings() -> dict:
+    """The BLAS library numpy was built with and this process's BLAS thread variables (null when unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas.get("name"), "version": blas.get("version"), **{k: os.environ.get(k) for k in BLAS_THREAD_VARS}}
+
+
 def _write_manifest(out_dir: Path, command: str, args, **fields) -> None:
     manifest = {
         "artifact_version": __version__,
@@ -172,6 +184,7 @@ def _write_manifest(out_dir: Path, command: str, args, **fields) -> None:
             k: v for k, v in vars(args).items() if k not in ("func", "config", "replay", "command") and v is not None
         },
         "global_seed": args.seed,
+        "blas": _blas_settings(),
         **fields,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -224,6 +237,13 @@ def run_replay(args) -> int:
         fresh = json.loads((Path(scratch) / "manifest.json").read_text())
     if fresh["outputs"] != manifest["outputs"]:
         print("replay mismatch: CSV digests differ", file=sys.stderr)
+        recorded = manifest.get("blas")
+        if recorded is not None and recorded != fresh["blas"]:
+            print(
+                f"replay mismatch: BLAS settings differ, recorded {json.dumps(recorded, sort_keys=True)}, "
+                f"this run {json.dumps(fresh['blas'], sort_keys=True)}",
+                file=sys.stderr,
+            )
         return 1
     print("replay OK: all CSV digests match")
     return 0

@@ -91,7 +91,7 @@ def frame_for(name: str) -> TomoFrame:
         raise ValueError(f"unknown tomography frame {name!r}") from None
 
 
-def _product_projectors(frame: TomoFrame) -> np.ndarray:
+def _build_product_projectors(frame: TomoFrame) -> np.ndarray:
     """Stacked projectors |v_i v_j><v_i v_j| with k = i*size + j."""
     locals_ = [np.outer(v, v.conj()) for v in frame.vectors]
     out = np.empty((frame.size**2, frame.dim**2, frame.dim**2), dtype=complex)
@@ -101,9 +101,17 @@ def _product_projectors(frame: TomoFrame) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _product_projectors(frame_name: str) -> np.ndarray:
+    """Read-only product projectors of a registered frame, built on first use."""
+    projs = _build_product_projectors(frame_for(frame_name))
+    projs.flags.writeable = False
+    return projs
+
+
 def frame_rank(frame: TomoFrame) -> int:
     """Rank of the product-projector design matrix on Hermitian operators."""
-    projs = _product_projectors(frame)
+    projs = _build_product_projectors(frame)
     design = projs.reshape(len(projs), -1)
     return int(np.linalg.matrix_rank(design, tol=1e-10))
 
@@ -136,7 +144,7 @@ def expected_probabilities(rho: DensityMatrix, frame: TomoFrame | None = None) -
     frame = frame or frame_for("qutrit9" if rho.dimA == 3 else "qubit6")
     if frame.dim != rho.dimA or frame.dim != rho.dimB:
         raise ValueError("frame dimension does not match the state")
-    projs = _product_projectors(frame)
+    projs = _product_projectors(frame.name)
     p = np.einsum("kij,ji->k", projs, rho.mat).real
     return np.clip(p, 0.0, None).reshape(frame.size, frame.size)
 
@@ -167,7 +175,7 @@ class _MleEngine:
     def __init__(self, frame: TomoFrame):
         self.frame = frame
         d2 = frame.dim**2
-        projs = _product_projectors(frame)
+        projs = _product_projectors(frame.name)
         g = projs.sum(axis=0)
         w, q = np.linalg.eigh(g)
         if w[0] <= 1e-12:
@@ -179,12 +187,15 @@ class _MleEngine:
         self.d2 = d2
 
     def probabilities(self, mu: np.ndarray) -> np.ndarray:
+        """tr(E_k mu) for a matrix or each of a stack, one matrix-vector product per matrix."""
         # tr(E_k mu) = sum_ij E_k[i, j] mu[j, i]
-        return np.maximum((self._rows @ mu.T.ravel()).real, 0.0)
+        vec = mu.swapaxes(-1, -2).reshape(*mu.shape[:-2], -1, 1)
+        return np.maximum((self._rows @ vec)[..., 0].real, 0.0)
 
     def r_operator(self, freqs: np.ndarray, probs: np.ndarray) -> np.ndarray:
+        """R = sum_k (f_k / p_k) E_k for a row of frequencies or each of a stack."""
         weights = freqs / np.maximum(probs, 1e-300)
-        return (weights @ self._rows).reshape(self.d2, self.d2)
+        return (weights[..., None, :] @ self._rows).reshape(*probs.shape[:-1], self.d2, self.d2)
 
 
 @lru_cache(maxsize=None)
@@ -205,47 +216,122 @@ def mle_reconstruct_with_history(
     record: CountsRecord, max_iter: int = 5000, tol: float = 1e-10
 ) -> tuple[DensityMatrix, list[float]]:
     """MLE estimate plus the per-iteration log-likelihood trace (bits-free units)."""
-    total = record.counts.sum()
-    if total <= 0:
+    return mle_reconstruct_many([record], max_iter=max_iter, tol=tol)[0]
+
+
+class _Loglik:
+    """Each row's multinomial log-likelihood, summed over its observed settings only.
+
+    A row's sum is numpy's pairwise sum over that row's observed terms alone:
+    rows with the same number of observed settings are gathered into one
+    (rows, n) block and summed along it, which adds in the same order as the
+    row's own 1-D sum.  Zero-filling the unobserved terms instead would
+    regroup the additions.
+    """
+
+    def __init__(self, freqs: np.ndarray):
+        self.freqs = freqs
+        observed = freqs > 0
+        self.counts = observed.sum(axis=1)
+        cols = np.argsort(~observed, axis=1, kind="stable")  # observed settings first, in order
+        self.blocks = []
+        for n in np.unique(self.counts):
+            (rows,) = np.nonzero(self.counts == n)
+            self.blocks.append((rows, cols[rows, :n]))
+
+    def keep(self, keep: np.ndarray) -> _Loglik:
+        return _Loglik(self.freqs[keep])
+
+    def __call__(self, probs: np.ndarray) -> np.ndarray:
+        terms = self.freqs * np.log(np.maximum(probs, 1e-300))
+        if len(self.blocks) == 1 and self.counts[0] == terms.shape[1]:
+            return terms.sum(axis=1)
+        out = np.empty(len(terms))
+        for rows, cols in self.blocks:
+            out[rows] = terms[rows[:, None], cols].sum(axis=1)
+        return out
+
+
+def mle_reconstruct_many(
+    records: list[CountsRecord], max_iter: int = 5000, tol: float = 1e-10
+) -> list[tuple[DensityMatrix, list[float]]]:
+    """MLE estimates with their log-likelihood traces for counts records of one frame, in lockstep.
+
+    The records are the rows of one R rho R loop.  Each tick tries one step on
+    every row still running: the full step R mu R at a row's first try, then
+    diluted steps (I + s R) mu (I + s R) with s divided by 4 until the
+    likelihood does not fall (or s < 1e-6).  A row leaves when it is stuck
+    (its accepted step still loses more than 1e-12), when its gain falls below
+    ``tol`` relative to its likelihood, or after ``max_iter`` accepted steps.
+    Every kernel works row by row, so a record gives the same bits here as
+    reconstructed alone.
+    """
+    if not records:
+        raise ValueError("no counts records to reconstruct")
+    names = {rec.frame_name for rec in records}
+    if len(names) > 1:
+        raise ValueError("records reconstructed together must share one frame")
+    engine = _engine_for(names.pop())
+    counts = np.array([rec.counts.ravel() for rec in records])
+    total = counts.sum(axis=1, keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("all-zero counts cannot be reconstructed")
-    engine = _engine_for(record.frame_name)
-    freqs = record.counts.astype(float).ravel() / total
+    freqs = counts.astype(float) / total
     d2 = engine.d2
-    mu = np.eye(d2, dtype=complex) / d2
-    mask = freqs > 0
-    observed = freqs[mask]
-
-    def loglik(probs):
-        return float((observed * np.log(np.maximum(probs[mask], 1e-300))).sum())
-
+    loglik = _Loglik(freqs)
+    rows = np.arange(len(records))
+    mu = np.broadcast_to(np.eye(d2, dtype=complex) / d2, (len(rows), d2, d2)).copy()
     probs = engine.probabilities(mu)
-    history = [loglik(probs)]
-    for _ in range(max_iter):
-        r = engine.r_operator(freqs, probs)
-        step = 1.0
-        while True:
-            # diluted update (I + s R) mu (I + s R) keeps the likelihood climbing
-            op = r if step == 1.0 else (np.eye(d2) + step * r) / (1 + step)
-            cand = op @ mu @ op
-            cand /= np.trace(cand).real
-            cand = (cand + dagger(cand)) / 2
-            cand_probs = engine.probabilities(cand)
-            cand_ll = loglik(cand_probs)
-            if cand_ll >= history[-1] - 1e-14 or step < 1e-6:
+    ll = loglik(probs)
+    step = np.ones(len(rows))
+    moves = np.zeros(len(rows), dtype=int)
+    start_ll, final_mu, final_moves = ll.tolist(), np.empty_like(mu), np.zeros(len(rows), dtype=int)
+    accepted = [(rows[:0], ll[:0])]  # (rows, log-likelihoods) of each tick's accepted steps
+    eye = np.eye(d2)
+    leave = moves >= max_iter
+    while True:
+        if leave.any():
+            final_mu[rows[leave]], final_moves[rows[leave]] = mu[leave], moves[leave]
+            keep = ~leave
+            rows, mu, probs, ll, step, moves = rows[keep], mu[keep], probs[keep], ll[keep], step[keep], moves[keep]
+            loglik, freqs = loglik.keep(keep), freqs[keep]
+            if not rows.size:
                 break
-            step /= 4
-        if cand_ll < history[-1] - 1e-12:
-            break  # numerically stuck; keep the monotone prefix
-        gain = cand_ll - history[-1]
-        mu, probs = cand, cand_probs
-        history.append(cand_ll)
-        if gain < tol * max(abs(cand_ll), 1.0):
-            break
-    if any(b < a - 1e-12 for a, b in zip(history, history[1:])):
-        raise RuntimeError("likelihood decreased")
-    rho = engine.g_isqrt @ mu @ engine.g_isqrt
+        r = engine.r_operator(freqs, probs)  # a row still in its line search gets the same R again
+        s = step[:, None, None]
+        # diluted update (I + s R) mu (I + s R) keeps the likelihood climbing
+        op = r if (step == 1.0).all() else np.where(s == 1.0, r, (eye + s * r) / (1 + s))
+        cand = op @ mu @ op
+        cand /= np.trace(cand, axis1=-2, axis2=-1).real[:, None, None]
+        cand = (cand + dagger(cand)) / 2
+        cand_probs = engine.probabilities(cand)
+        cand_ll = loglik(cand_probs)
+        done = (cand_ll >= ll - 1e-14) | (step < 1e-6)
+        stuck = cand_ll < ll - 1e-12  # numerically stuck; keep the monotone prefix
+        took = done & ~stuck
+        gain = cand_ll - ll
+        if took.all():
+            mu, probs, ll = cand, cand_probs, cand_ll
+            accepted.append((rows, cand_ll))
+        else:
+            mu = np.where(took[:, None, None], cand, mu)
+            probs = np.where(took[:, None], cand_probs, probs)
+            ll = np.where(took, cand_ll, ll)
+            accepted.append((rows[took], cand_ll[took]))
+        moves += took
+        step = np.where(done, 1.0, step / 4)
+        leave = (done & stuck) | (took & (gain < tol * np.maximum(np.abs(cand_ll), 1.0))) | (moves >= max_iter)
+    order = np.argsort(np.concatenate([a for a, _ in accepted]), kind="stable")
+    trails = np.split(np.concatenate([b for _, b in accepted])[order], np.cumsum(final_moves)[:-1])
+    rhos = engine.g_isqrt @ final_mu @ engine.g_isqrt
     dim = engine.frame.dim
-    return as_state(rho, dim, dim, clip_tol=1e-6), history
+    out = []
+    for first, trail, rho in zip(start_ll, trails, rhos):
+        history = [first, *trail.tolist()]
+        if any(b < a - 1e-12 for a, b in zip(history, history[1:])):
+            raise RuntimeError("likelihood decreased")
+        out.append((as_state(rho, dim, dim, clip_tol=1e-6), history))
+    return out
 
 
 STATISTICS = {
@@ -273,13 +359,11 @@ def bootstrap_error(
         raise ValueError("need at least 10 bootstrap resamples")
     fn = STATISTICS[statistic] if isinstance(statistic, str) else statistic
     rng = np.random.default_rng(seed)
-    values = []
-    for _ in range(n_boot):
-        resampled = rng.poisson(record.counts)
-        rec = CountsRecord(resampled, record.shots, record.seed, record.frame_name, record.state_tag)
-        rho = mle_reconstruct(rec, max_iter=max_iter, tol=tol)
-        values.append(fn(rho))
-    arr = np.asarray(values)
+    resamples = [
+        CountsRecord(rng.poisson(record.counts), record.shots, record.seed, record.frame_name, record.state_tag)
+        for _ in range(n_boot)
+    ]
+    arr = np.asarray([fn(rho) for rho, _ in mle_reconstruct_many(resamples, max_iter=max_iter, tol=tol)])
     return float(arr.mean()), float(arr.std(ddof=1))
 
 

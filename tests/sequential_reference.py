@@ -1,9 +1,11 @@
-"""The multi-start heuristics as they ran before the lockstep rewrite: one restart at a time.
+"""The multi-start heuristics and the MLE as they ran before the lockstep rewrites: one at a time.
 
-Each function keeps the earlier per-restart loop of its namesake in
+Each search function keeps the earlier per-restart loop of its namesake in
 ``wernerlab.certify`` or ``wernerlab.steer`` and returns every restart's final
 value in restart order, so tests can check the lockstep versions restart by
-restart.
+restart.  ``mle_by_record`` and ``bootstrap_by_record`` keep the earlier
+one-record-at-a-time R rho R loop of ``wernerlab.tomo``, with the engine's
+matrix-vector kernels as they were.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from wernerlab import qmat
-from wernerlab.qmat import dagger, partial_transpose
+from wernerlab.qmat import as_state, dagger, partial_transpose
 from wernerlab.states import haar_unitary
 from wernerlab.steer import (
     MeasurementSet,
@@ -22,6 +24,16 @@ from wernerlab.steer import (
     correlation_from,
     random_grouped_projective,
 )
+from wernerlab.tomo import STATISTICS, CountsRecord, _engine_for
+
+
+def assert_rows_bitwise_alone(run, starts):
+    """Each row of a stacked run equals, bit for bit, the same start run as a stack of one."""
+    stacked = run(*starts)
+    for r in range(len(starts[0])):
+        alone = run(*(s[r : r + 1] for s in starts))
+        for got, want in zip(stacked, alone):
+            assert np.asarray(got[r]).tobytes() == np.asarray(want[0]).tobytes()
 
 
 def _schmidt_frame(psi_block):
@@ -129,3 +141,72 @@ def seesaw_bell_by_restarts(rho, coefficients, restarts, seed):
                 break
         values.append(value)
     return values
+
+
+def _probabilities(engine, mu):
+    # tr(E_k mu) = sum_ij E_k[i, j] mu[j, i]
+    return np.maximum((engine._rows @ mu.T.ravel()).real, 0.0)
+
+
+def _r_operator(engine, freqs, probs):
+    weights = freqs / np.maximum(probs, 1e-300)
+    return (weights @ engine._rows).reshape(engine.d2, engine.d2)
+
+
+def mle_by_record(record, max_iter=5000, tol=1e-10):
+    """MLE estimate plus the per-iteration log-likelihood trace of one counts record."""
+    total = record.counts.sum()
+    if total <= 0:
+        raise ValueError("all-zero counts cannot be reconstructed")
+    engine = _engine_for(record.frame_name)
+    freqs = record.counts.astype(float).ravel() / total
+    d2 = engine.d2
+    mu = np.eye(d2, dtype=complex) / d2
+    mask = freqs > 0
+    observed = freqs[mask]
+
+    def loglik(probs):
+        return float((observed * np.log(np.maximum(probs[mask], 1e-300))).sum())
+
+    probs = _probabilities(engine, mu)
+    history = [loglik(probs)]
+    for _ in range(max_iter):
+        r = _r_operator(engine, freqs, probs)
+        step = 1.0
+        while True:
+            # diluted update (I + s R) mu (I + s R) keeps the likelihood climbing
+            op = r if step == 1.0 else (np.eye(d2) + step * r) / (1 + step)
+            cand = op @ mu @ op
+            cand /= np.trace(cand).real
+            cand = (cand + dagger(cand)) / 2
+            cand_probs = _probabilities(engine, cand)
+            cand_ll = loglik(cand_probs)
+            if cand_ll >= history[-1] - 1e-14 or step < 1e-6:
+                break
+            step /= 4
+        if cand_ll < history[-1] - 1e-12:
+            break  # numerically stuck; keep the monotone prefix
+        gain = cand_ll - history[-1]
+        mu, probs = cand, cand_probs
+        history.append(cand_ll)
+        if gain < tol * max(abs(cand_ll), 1.0):
+            break
+    if any(b < a - 1e-12 for a, b in zip(history, history[1:])):
+        raise RuntimeError("likelihood decreased")
+    rho = engine.g_isqrt @ mu @ engine.g_isqrt
+    dim = engine.frame.dim
+    return as_state(rho, dim, dim, clip_tol=1e-6), history
+
+
+def bootstrap_by_record(record, statistic, n_boot=50, seed=0, max_iter=2000, tol=1e-9):
+    """Mean and standard deviation of a statistic, one resample drawn and reconstructed at a time."""
+    fn = STATISTICS[statistic] if isinstance(statistic, str) else statistic
+    rng = np.random.default_rng(seed)
+    values = []
+    for _ in range(n_boot):
+        resampled = rng.poisson(record.counts)
+        rec = CountsRecord(resampled, record.shots, record.seed, record.frame_name, record.state_tag)
+        rho, _ = mle_by_record(rec, max_iter=max_iter, tol=tol)
+        values.append(fn(rho))
+    arr = np.asarray(values)
+    return float(arr.mean()), float(arr.std(ddof=1))

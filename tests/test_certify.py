@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.stats
 
 from wernerlab import certify
 from wernerlab.certify import (
@@ -21,7 +23,7 @@ from wernerlab.certify import (
 from wernerlab.filterops import filtered_weight, rotated_filtered_state
 from wernerlab.qmat import DensityMatrix, partial_transpose
 from wernerlab.states import werner
-from sequential_reference import fef_by_restarts, one_distillable_by_restarts
+from sequential_reference import assert_rows_bitwise_alone, fef_by_restarts, one_distillable_by_restarts
 
 
 def random_two_qubit(seed):
@@ -239,15 +241,6 @@ LOCKSTEP_STATES = {
 }
 
 
-def assert_rows_bitwise_alone(run, starts):
-    """Each row of a stacked run equals, bit for bit, the same start run as a stack of one."""
-    stacked = run(*starts)
-    for r in range(len(starts[0])):
-        alone = run(*(s[r : r + 1] for s in starts))
-        for got, want in zip(stacked, alone):
-            assert np.asarray(got[r]).tobytes() == np.asarray(want[0]).tobytes()
-
-
 @pytest.mark.parametrize("state", LOCKSTEP_STATES.values(), ids=LOCKSTEP_STATES.keys())
 def test_fef_matches_sequential_reference(state):
     rho = state()
@@ -287,3 +280,29 @@ def test_one_distillable_matches_sequential_reference(state):
 def test_certificate_searches_reject_zero_restarts(check):
     with pytest.raises(ValueError, match="restarts must be at least 1"):
         check()
+
+
+def random_anti_hermitian(rng, shape):
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return (g - g.conj().swapaxes(-1, -2)) / 2
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_skew_expm_is_unitary_and_matches_expm(d):
+    rng = np.random.default_rng(d)
+    omega = random_anti_hermitian(rng, (8, d, d))
+    omega[0] = 0.0
+    # a degenerate spectrum: i * omega = V diag(1, 1, ..., -2) V^dag
+    v = scipy.stats.unitary_group.rvs(d, random_state=d)
+    w = np.ones(d)
+    w[-1] = -2.0
+    omega[1] = -1j * (v * w) @ v.conj().T
+    omega[2] = 3.0j * np.eye(d)
+    steps = np.concatenate([[1.0, 0.5, 1.3], rng.uniform(1e-12, 2.0, size=5)])
+    got = certify._skew_expm(*np.linalg.eigh(1j * omega), steps)
+    want = np.array([scipy.linalg.expm(s * om) for s, om in zip(steps, omega)])
+    assert np.allclose(got, want, rtol=0, atol=1e-13)
+    eye = np.broadcast_to(np.eye(d), got.shape)
+    assert np.allclose(got @ got.conj().swapaxes(-1, -2), eye, rtol=0, atol=1e-13)
+    assert np.allclose(got.conj().swapaxes(-1, -2) @ got, eye, rtol=0, atol=1e-13)
+    assert np.array_equal(got[0], np.eye(d))  # Omega = 0 gives the identity exactly

@@ -356,3 +356,30 @@ def test_pipeline_strict_flags_bad_noise(tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_manifest_records_blas_and_replay_names_a_blas_difference(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "run"
+    assert main(["sweep", "--task", "ppt", "--v-grid", "0:0.25:0.5", "--seed", "5", "--out", str(out)]) == 0
+    manifest_file = out / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    blas = manifest["blas"]
+    assert blas["OPENBLAS_NUM_THREADS"] == "1" and blas["MKL_NUM_THREADS"] is None
+    assert set(blas) == {"name", "version", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    # a digest mismatch under the same settings names no BLAS difference
+    manifest["outputs"]["ppt_d3.csv"] = "0" * 64
+    manifest_file.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["sweep", "--replay", str(manifest_file)]) == 1
+    err = capsys.readouterr().err
+    assert "replay mismatch: CSV digests differ" in err and "BLAS" not in err
+    # the same mismatch after a run under another thread count says so, after the digest line
+    manifest["blas"]["OPENBLAS_NUM_THREADS"] = "2"
+    manifest_file.write_text(json.dumps(manifest))
+    assert main(["sweep", "--replay", str(manifest_file)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "replay mismatch: CSV digests differ"
+    assert lines[1].startswith("replay mismatch: BLAS settings differ")
+    assert '"OPENBLAS_NUM_THREADS": "2"' in lines[1] and '"OPENBLAS_NUM_THREADS": "1"' in lines[1]

@@ -23,6 +23,7 @@ from wernerlab.tomo import (
     qutrit_bases,
     simulate_counts,
 )
+from sequential_reference import assert_rows_bitwise_alone, bootstrap_by_record, mle_by_record
 
 
 def test_qutrit_basis_vectors():
@@ -184,3 +185,91 @@ def test_mle_engine_matmuls_match_einsum(frame):
     weights = freqs / np.maximum(probs, 1e-300)
     want = np.einsum("k,kij->ij", weights, engine.povm)
     assert np.allclose(engine.r_operator(freqs, probs), want, rtol=0, atol=1e-13)
+
+
+def sparse_record(settings, counts):
+    """A qutrit9 record with counts on the given flat settings only."""
+    table = np.zeros(81, dtype=np.int64)
+    table[list(settings)] = counts
+    return CountsRecord(table.reshape(9, 9), int(sum(counts)), 0, "qutrit9")
+
+
+def mle_rows(records, max_iter, tol):
+    out = tomo.mle_reconstruct_many(records, max_iter=max_iter, tol=tol)
+    return np.array([rho.mat for rho, _ in out]), [history for _, history in out]
+
+
+STACKS = {
+    # two observed settings force a diluted step; v = 0 stops after about 146 steps; v = 0.05 runs to max_iter
+    "qutrit9": lambda: [
+        sparse_record((74, 49), (1, 10)),
+        simulate_counts(werner(3, 0.0), 10**4, 7),
+        simulate_counts(werner(3, 0.05), 10**4, 7),
+        simulate_counts(werner(3, 0.3), 500, 3),
+        simulate_counts(noisy_surrogate(werner(3, 0.2), experiment_like_noise(0.2)), 2000, 5),
+    ],
+    "qubit6": lambda: [
+        simulate_counts(rotated_filtered_state(v), shots, seed, frame=qubit_bases())
+        for v, shots, seed in ((0.0, 200, 1), (0.1, 10**4, 2), (0.3, 50, 3), (0.45, 10**5, 4))
+    ],
+}
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_stacked_mle_matches_sequential_reference(name):
+    records = STACKS[name]()
+    max_iter, tol = 300, 1e-10
+    mats, histories = mle_rows(records, max_iter, tol)
+    for rec, mat, history in zip(records, mats, histories):
+        rho, want = mle_by_record(rec, max_iter=max_iter, tol=tol)
+        assert mat.tobytes() == rho.mat.tobytes()
+        assert np.array(history).tobytes() == np.array(want).tobytes()
+    assert_rows_bitwise_alone(lambda recs: mle_rows(recs, max_iter, tol), (records,))
+    if name == "qutrit9":
+        assert 0 < len(histories[1]) - 1 < max_iter
+        assert len(histories[2]) - 1 == max_iter
+
+
+def test_stacked_mle_takes_diluted_steps(monkeypatch):
+    # every try that is not accepted is a diluted one, so more tries than accepted steps means a diluted step
+    tries = []
+    probabilities = tomo._MleEngine.probabilities
+    monkeypatch.setattr(tomo._MleEngine, "probabilities", lambda self, mu: tries.append(len(mu)) or probabilities(self, mu))
+    ((_, history),) = tomo.mle_reconstruct_many([STACKS["qutrit9"]()[0]], max_iter=300, tol=1e-10)
+    assert len(tries) - 1 > len(history) - 1
+
+
+def test_mle_reconstruct_many_rejects_mixed_frames_and_empty_stacks():
+    qutrit = simulate_counts(werner(3, 0.2), 1000, 1)
+    qubit = simulate_counts(rotated_filtered_state(0.1), 1000, 1, frame=qubit_bases())
+    with pytest.raises(ValueError, match="share one frame"):
+        tomo.mle_reconstruct_many([qutrit, qubit])
+    with pytest.raises(ValueError, match="no counts records"):
+        tomo.mle_reconstruct_many([])
+    with pytest.raises(ValueError, match="all-zero counts"):
+        tomo.mle_reconstruct_many([qutrit, CountsRecord(np.zeros((9, 9), dtype=int), 10, 0, "qutrit9")])
+
+
+@pytest.mark.parametrize(
+    "record, statistic",
+    [
+        (lambda: simulate_counts(werner(3, 0.3), 2000, 1), "ppt_min_eig"),
+        (lambda: simulate_counts(rotated_filtered_state(0.05), 2000, 8, frame=qubit_bases()), "chsh"),
+    ],
+    ids=["qutrit9-ppt", "qubit6-chsh"],
+)
+def test_bootstrap_matches_sequential_reference(record, statistic):
+    rec = record()
+    kwargs = dict(n_boot=12, seed=4, max_iter=400, tol=1e-9)
+    assert bootstrap_error(rec, statistic, **kwargs) == bootstrap_by_record(rec, statistic, **kwargs)
+    # the resamples, drawn in the same order, each reconstruct alone as in the stack
+    rng = np.random.default_rng(kwargs["seed"])
+    resamples = [CountsRecord(rng.poisson(rec.counts), rec.shots, rec.seed, rec.frame_name) for _ in range(12)]
+    assert_rows_bitwise_alone(lambda recs: mle_rows(recs, 400, 1e-9), (resamples,))
+
+
+def test_product_projectors_are_memoised_read_only():
+    projs = tomo._product_projectors("qutrit9")
+    assert tomo._product_projectors("qutrit9") is projs
+    assert not projs.flags.writeable
+    assert np.array_equal(projs, tomo._build_product_projectors(qutrit_bases()))
