@@ -25,23 +25,26 @@ so tr_others(Q^(T_S)) = (tr_others Q)^(T_(S & kept)), and only the four
 two-party transposes are ever built.
 
 A Werner input (dimA = dimB and rho equal to its U(x)U twirl alpha I + beta F
-to 1e-12 entrywise, :func:`werner_swap`) needs no PSD block for SE or SE-B
+to 1e-12 entrywise, :func:`werner_swap`) needs no program for SE or SE-B
 (Doherty, Parrilo & Spedalieri 2004; Johnson & Viola 2013).  As rho and I are
 U(x)U-invariant, twirling an extension by U^(x)(k+1) keeps every marginal, so
 by Schur-Weyl duality X = sum c_{lambda mu} P_{lambda mu} over lambda |- k+1
 with at most d rows and mu |- k inside lambda (restriction from S_(k+1) to S_k
-is multiplicity-free), with c >= 0.  The two-party marginal is fixed by its
-trace and its swap expectation, so the search is an LP with one weight
-w = c tr P_{lambda mu} per pair (SE-B keeps mu = (k)) and two rows, the same on
-both sides; :func:`werner_lp_columns` gives the swap ratios tr(P F)/tr P from
-the contents in Young's orthogonal form.  That LP has no dimension cap.  Every
-other query, SQE at any k and SE or SE-B on a non-Werner input, keeps the SDP
-and needs prod(dims) <= ``MAX_EXTENSION_DIM``; SQE also needs k <= 4.
+is multiplicity-free), with c >= 0; SE-B keeps mu = (k).  The marginal is fixed
+by its trace t and its swap expectation, so with weights c tr P = t p for a
+probability vector p the search reads t (sum r p - 1/d) = s - 1/d, s = tr(rho F),
+over the swap ratios r of :func:`werner_lp_columns`.  Hence
+t* = (s - 1/d)/(r_ext - 1/d), r_ext the smallest r if s < 1/d and the largest
+otherwise: an exact rational (:func:`werner_t_star`) with no solve and no
+dimension cap.  Every other query, SQE at any k and SE or SE-B on a non-Werner
+input, solves its SDP and needs prod(dims) <= ``MAX_EXTENSION_DIM``; SQE also
+needs k <= 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import factorial, prod
 
@@ -150,7 +153,7 @@ def _corners(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def werner_lp_columns(d: int, k: int, bosonic: bool = False) -> list[tuple[tuple[int, ...], tuple[int, ...], float]]:
+def werner_lp_columns(d: int, k: int, bosonic: bool = False) -> list[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
     """(lambda, mu, r) for each lambda |- k+1 with at most d rows and mu |- k inside it
     (mu = (k) only when ``bosonic``), where r = tr(P_{lambda mu} F)/tr P_{lambda mu} and F swaps
     copy k with party k+1.
@@ -158,14 +161,14 @@ def werner_lp_columns(d: int, k: int, bosonic: bool = False) -> list[tuple[tuple
     In Young's orthogonal form F has diagonal 1/(c(k+1) - c(k)) on each tableau, c being the
     content of the box that holds the number; averaging it over the f^mu tableaux with k+1
     in the box lambda/mu gives r = sum_nu f^nu / (c(lambda/mu) - c(mu/nu)) / f^mu over the
-    nu one corner smaller than mu.  The GL(d) dimension of lambda cancels.
+    nu one corner smaller than mu.  The GL(d) dimension of lambda cancels; r is exact.
     """
     cols = []
     for lam in _partitions(k + 1, d):
         for mu, c_new in _corners(lam):
             if bosonic and len(mu) > 1:
                 continue
-            swap = sum(_tableau_count(nu) / (c_new - c_old) for nu, c_old in _corners(mu))
+            swap = sum(Fraction(_tableau_count(nu), c_new - c_old) for nu, c_old in _corners(mu))
             cols.append((lam, mu, swap / _tableau_count(mu)))
     return cols
 
@@ -306,6 +309,7 @@ def _real_form(lin: sp.spmatrix, n_out: int, n_in: int) -> sp.csr_matrix:
     # L maps Hermitian matrices to Hermitian matrices, so the imaginary part is rounding
     out = (vec_real_map(n_out) @ lin @ vec_real_map(n_in).conj().T).real
     out.eliminate_zeros()
+    out.sort_indices()
     return out
 
 
@@ -314,9 +318,7 @@ def _block_marginal_map(t: np.ndarray, d_other: int, side: str) -> sp.csr_matrix
     Y[(j,a),(j',a')] = sum_{q,q'} t[j,q,j',q'] M[(q,a),(q',a')],
     with the other party's index a first on side B and last on side A."""
     d, m = t.shape[:2]
-    # a zero weight whose j <-> j' partner is nonzero is kept as an explicit entry: the sparse
-    # products then order each output row's columns as if every weight were stored
-    j, q, j2, q2 = np.nonzero((t != 0) | (t != 0).swapaxes(0, 2))
+    j, q, j2, q2 = np.nonzero(t)
     a, a2 = (x.reshape(-1, 1) for x in np.indices((d_other, d_other)))
 
     def pair(copy, other, n_copy):
@@ -425,52 +427,45 @@ def werner_swap(rho: DensityMatrix) -> float | None:
     return float(tr_swap)
 
 
-def _werner_program(q: ExtensionQuery, swap: float) -> ConicProgram:
-    """LP over the weights w of the Schur-Weyl projectors (see the module docstring), plus t:
-    sum w - t = 0 (trace) and sum r w - t/d = tr(rho F) - 1/d (swap), minimizing t."""
-    d = q.rho.dimA
-    r = [col[2] for col in werner_lp_columns(d, q.k, bosonic=q.flavor == SE_B)]
-    a = sp.csr_matrix(np.array([[1.0] * len(r) + [-1.0], r + [-1.0 / d]]))
-    c = np.zeros(len(r) + 1)
-    c[-1] = 1.0
-    return ConicProgram((Block("nonneg", len(r) + 1),), c, a, np.array([0.0, swap - 1.0 / d]))
+def werner_t_star(d: int, k: int, bosonic: bool, swap: Fraction) -> Fraction:
+    """Exact optimum t* = (s - 1/d)/(r_ext - 1/d) of SE (SE-B when ``bosonic``) on a Werner input
+    with s = tr(rho F) = ``swap`` (see the module docstring).  The largest ratio is 1, never 1/d,
+    so s = 1/d needs no special case: it gives t* = 0."""
+    excess = swap - Fraction(1, d)
+    ratios = [r for _, _, r in werner_lp_columns(d, k, bosonic)]
+    return excess / ((min(ratios) if excess < 0 else max(ratios)) - Fraction(1, d))
 
 
 def run_query(q: ExtensionQuery, tol: float = 1e-7, max_iter: int = 200000) -> ExtensionResult:
-    """Optimal t* of the query's SDP (the LP for SE and SE-B on a Werner input); t* <= 1 means
-    the extension exists, and t*_SQE <= t*_SE <= t*_SE_B."""
+    """Optimal t* of the query's SDP, or of :func:`werner_t_star` with no solve (status OPTIMAL,
+    gap 0, 0 iterations) for SE and SE-B on a Werner input; t* <= 1 means the extension exists,
+    and t*_SQE <= t*_SE <= t*_SE_B."""
     swap = werner_swap(q.rho) if q.flavor in (SE, SE_B) else None
     if swap is not None:
-        prog = _werner_program(q, swap)
+        t_star = float(werner_t_star(q.rho.dimA, q.k, q.flavor == SE_B, Fraction(swap)))
+        status, gap, iterations = "OPTIMAL", 0.0, 0
     else:
         if int(np.prod(q.dims)) >= MAX_EXTENSION_DIM:
             max_iter *= 4  # the 243-dimensional instances converge more slowly
-        prog = build_program(q)
-    sol = solve(prog, tol=tol, max_iter=max_iter)
-    t_star = float(sol.primal_obj)
-    return ExtensionResult(
-        t_star=t_star,
-        status=sol.status,
-        extension_exists=bool(t_star <= 1.0 + 1e-6) if sol.status == "OPTIMAL" else None,
-        gap=sol.gap,
-        iterations=sol.iterations,
-    )
+        sol = solve(build_program(q), tol=tol, max_iter=max_iter)
+        t_star, status, gap, iterations = float(sol.primal_obj), sol.status, sol.gap, sol.iterations
+    exists = bool(t_star <= 1.0 + 1e-6) if status == "OPTIMAL" else None
+    return ExtensionResult(t_star, status, exists, gap, iterations)
 
 
-def critical_weight(t_star_at_v0: float, d: int) -> float:
-    """Werner threshold weight v_t = (n+/D)(t*-1)/t* from the v=0 optimum."""
-    if t_star_at_v0 <= 1.0:
-        return 0.0
-    n_plus = d * (d + 1) / 2
-    return float(n_plus / (d * d) * (t_star_at_v0 - 1.0) / t_star_at_v0)
+def critical_weight(t_star_at_v0: float | Fraction, d: int) -> float | Fraction:
+    """Werner threshold weight v_t = (n+/D)(t*-1)/t* from the v=0 optimum, with n+/D = (d+1)/(2d);
+    a Fraction t* gives an exact Fraction."""
+    v_t = Fraction(d + 1, 2 * d) * (t_star_at_v0 - 1) / t_star_at_v0 if t_star_at_v0 > 1 else Fraction(0)
+    return v_t if isinstance(t_star_at_v0, Fraction) else float(v_t)
 
 
 def extension_threshold(d: int, k: int, flavor: str = SE, side: str = "B", sdp_tol: float = 1e-7) -> float:
-    """Smallest Werner weight admitting an extension, from one solve at v = 0.
+    """Smallest Werner weight admitting an extension, from one query at v = 0.
 
     werner(d, v) runs along the segment from werner(d, 0) to I/D, and each extension set is a
     convex cone containing I/D, so the threshold is :func:`critical_weight` of t* at v = 0.
-    Raises RuntimeError when that solve does not end OPTIMAL.
+    Raises RuntimeError when that query does not end OPTIMAL.
     """
     from .states import werner
 

@@ -1,10 +1,25 @@
-"""Exact small-LP optimum by vertex enumeration: an independent oracle for the conic solver."""
+"""Exact small-LP optimum by vertex enumeration: an independent oracle for the conic solver,
+and the two-row Werner extension LP that :func:`wernerlab.extend.werner_t_star` solves in
+closed form."""
 
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse as sp
 
-from wernerlab.solver import FREE, PSD, ConicProgram
+from wernerlab.extend import werner_lp_columns
+from wernerlab.solver import FREE, PSD, Block, ConicProgram
+
+
+def werner_lp(d: int, k: int, bosonic: bool, swap: float) -> ConicProgram:
+    """LP over the weights w of the Schur-Weyl projectors, plus t: sum w - t = 0 (trace) and
+    sum r w - t/d = swap - 1/d, minimizing t, for SE (SE-B when ``bosonic``) on a Werner
+    input with tr(rho F) = ``swap``."""
+    r = [float(col[2]) for col in werner_lp_columns(d, k, bosonic)]
+    a = sp.csr_matrix(np.array([[1.0] * len(r) + [-1.0], r + [-1.0 / d]]))
+    c = np.zeros(len(r) + 1)
+    c[-1] = 1.0
+    return ConicProgram((Block("nonneg", len(r) + 1),), c, a, np.array([0.0, float(swap) - 1.0 / d]))
 
 
 def lp_vertex_enumeration_check(prog: ConicProgram) -> float:

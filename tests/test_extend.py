@@ -1,10 +1,13 @@
 """Tests for symmetric (quasi/bosonic) extension SDPs."""
 
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wernerlab import extend
 from wernerlab.extend import (
@@ -18,6 +21,7 @@ from wernerlab.extend import (
     s_k_isometries,
     symmetric_subspace_isometry,
     werner_lp_columns,
+    werner_t_star,
     young_orthogonal_form,
 )
 from wernerlab.qmat import partial_transpose_dims, trace_out
@@ -32,7 +36,7 @@ from wernerlab.states import (
     werner_from_qubit_mixture,
 )
 
-from lp_oracle import lp_vertex_enumeration_check
+from lp_oracle import lp_vertex_enumeration_check, werner_lp
 
 SURROGATE = NoiseSpec(depol=0.06, coherent_eps=0.02, seed=2024)  # a complex, non-Werner perturbation
 
@@ -168,6 +172,7 @@ def all_index_block_marginal_map(t, d_other, side):
     lin = sp.csr_matrix((t[j, q, j2, q2], (rows, cols)), shape=((d_other * d) ** 2, (d_other * m) ** 2))
     out = (vec_real_map(d_other * d) @ lin @ vec_real_map(d_other * m).conj().T).real
     out.eliminate_zeros()
+    out.sort_indices()
     return out
 
 
@@ -360,7 +365,7 @@ def test_query_validation():
         ExtensionQuery(werner(3, 0.0), 1, "B", "SE")
     with pytest.raises(ValueError):
         ExtensionQuery(noisy_surrogate(werner(3, 0.0), SURROGATE), 5, "B", "SE")  # 3^5*3 = 729 > 243
-    ExtensionQuery(werner(3, 0.0), 5, "B", "SE")  # a Werner input is solved as an LP, with no cap
+    ExtensionQuery(werner(3, 0.0), 5, "B", "SE")  # a Werner input takes the closed form, with no cap
     with pytest.raises(ValueError):
         ExtensionQuery(werner(3, 0.0), 2, "C", "SE")
     with pytest.raises(ValueError):
@@ -378,19 +383,18 @@ def test_sqe_keeps_the_dimension_cap_at_every_k():
 
 
 def test_unconverged_solve_gives_no_verdict(monkeypatch):
-    # 25 iterations stop at t* just below 1; the converged t* is 1.0333, i.e. not extendible
-    q = ExtensionQuery(werner(3, 0.15), 3, "B", "SE")
-    cut = run_query(q, max_iter=25)
-    assert cut.status == "MAX_ITER"
-    assert cut.extension_exists is None
-    done = run_query(q)
+    # SE(3, 3) on werner(3, 0.15) is exactly t* = 31/30, i.e. not extendible, from the closed
+    # form: there is no solve to cut short
+    assert werner_t_star(3, 3, False, 2 * Fraction(15, 100) - 1) == Fraction(31, 30)
+    done = run_query(ExtensionQuery(werner(3, 0.15), 3, "B", "SE"), max_iter=25)
     assert done.status == "OPTIMAL"
-    assert done.t_star == pytest.approx(31 / 30, abs=1e-5)
+    assert done.t_star == pytest.approx(31 / 30, rel=0, abs=1e-12)
     assert done.extension_exists is False
+    # a cut SQE solve gives no threshold
     real_solve = extend.solve
     monkeypatch.setattr(extend, "solve", lambda prog, tol, max_iter: real_solve(prog, tol=tol, max_iter=25))
     with pytest.raises(RuntimeError, match="MAX_ITER"):
-        extension_threshold(3, 3, "SE", "B")
+        extension_threshold(2, 2, "SQE", "B")
 
 
 def test_unconverged_general_program_gives_no_verdict():
@@ -401,32 +405,40 @@ def test_unconverged_general_program_gives_no_verdict():
     assert cut.extension_exists is None
 
 
-def solved_program(q, monkeypatch):
-    """The program run_query hands to the solver for ``q``."""
-    seen = []
-    real_solve = extend.solve
+def solver_calls(q, monkeypatch):
+    """The queries run_query builds programs for, the programs it solves, and its result."""
+    built, solved = [], []
+    real_build, real_solve = extend.build_program, extend.solve
 
-    def spy(prog, tol, max_iter):
-        seen.append(prog)
+    def build_spy(query):
+        built.append(query)
+        return real_build(query)
+
+    def solve_spy(prog, tol, max_iter):
+        solved.append(prog)
         return real_solve(prog, tol=tol, max_iter=max_iter)
 
     with monkeypatch.context() as patch:
-        patch.setattr(extend, "solve", spy)
-        run_query(q)
-    (prog,) = seen
-    return prog
+        patch.setattr(extend, "build_program", build_spy)
+        patch.setattr(extend, "solve", solve_spy)
+        res = run_query(q)
+    return built, solved, res
 
 
 @pytest.mark.parametrize("flavor", ["SE", "SE_B"])
-def test_werner_inputs_take_the_lp_path(flavor, monkeypatch):
+def test_werner_inputs_call_no_solver(flavor, monkeypatch):
     for rho in (werner_all_v(3, 0.7), werner_from_qubit_mixture(3, 0.2), werner(4, 0.1)):
-        prog = solved_program(ExtensionQuery(rho, 3, "A", flavor), monkeypatch)
-        assert all(bl.kind == "nonneg" for bl in prog.blocks) and prog.m == 2
-    rho = noisy_surrogate(werner(3, 0.2), SURROGATE)
-    prog = solved_program(ExtensionQuery(rho, 3, "A", flavor), monkeypatch)
-    assert any(bl.kind == "psd" for bl in prog.blocks)
-    sqe = solved_program(ExtensionQuery(werner(2, 0.2), 2, "B", "SQE"), monkeypatch)
-    assert any(bl.kind == "psd" for bl in sqe.blocks)
+        built, solved, res = solver_calls(ExtensionQuery(rho, 3, "A", flavor), monkeypatch)
+        assert built == solved == []
+        assert (res.status, res.gap, res.iterations) == ("OPTIMAL", 0.0, 0)
+    for q in (
+        ExtensionQuery(noisy_surrogate(werner(3, 0.2), SURROGATE), 3, "A", flavor),
+        ExtensionQuery(werner(2, 0.2), 2, "B", "SQE"),
+    ):
+        built, solved, res = solver_calls(q, monkeypatch)
+        assert len(built) == len(solved) == 1 and built[0] is q
+        assert any(bl.kind == "psd" for bl in solved[0].blocks)
+        assert res.iterations > 0
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -445,7 +457,7 @@ def test_werner_lp_columns_match_young_orthogonal_form(d, k):
             pairs.add((lam, mu, float(last[rows == row].mean())))
     assert len(cols) == len(pairs)
     for lam, mu, r in cols:
-        assert -1.0 <= r <= 1.0
+        assert isinstance(r, Fraction) and -1 <= r <= 1
         (ref,) = [p[2] for p in pairs if p[:2] == (lam, mu)]
         assert r == pytest.approx(ref, rel=0, abs=1e-14)
 
@@ -463,12 +475,72 @@ def test_werner_lp_matches_general_program(d, k, flavor, side):
 
 
 @pytest.mark.parametrize("d,k,flavor,n_vars", [(3, 4, "SE", 10), (5, 2, "SE_B", 3)])
-def test_werner_lp_matches_vertex_enumeration(d, k, flavor, n_vars, monkeypatch):
+def test_werner_lp_matches_vertex_enumeration(d, k, flavor, n_vars):
     for v in (0.0, 0.15):
-        q = ExtensionQuery(werner(d, v), k, "B", flavor)
-        prog = solved_program(q, monkeypatch)
+        swap = 2 * Fraction(v) - 1
+        prog = werner_lp(d, k, flavor == "SE_B", swap)
         assert prog.n == n_vars
-        assert run_query(q).t_star == pytest.approx(lp_vertex_enumeration_check(prog), abs=1e-7)
+        exact = werner_t_star(d, k, flavor == "SE_B", swap)
+        assert float(exact) == pytest.approx(lp_vertex_enumeration_check(prog), rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 6, 10])
+@pytest.mark.parametrize("bosonic", [False, True])
+def test_werner_closed_form_matches_the_lp(d, k, bosonic):
+    for v in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0):
+        swap = 2 * Fraction(v) - 1
+        prog = werner_lp(d, k, bosonic, swap)
+        exact = float(werner_t_star(d, k, bosonic, swap))
+        sol = solve(prog, tol=1e-7)
+        assert sol.status == "OPTIMAL"
+        assert exact == pytest.approx(sol.primal_obj, rel=0, abs=1e-6)
+        if prog.n <= 12:  # the vertex oracle's limit
+            assert exact == pytest.approx(lp_vertex_enumeration_check(prog), rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_exact_extension_laws(d):
+    for k in range(2, 13):
+        t_se, t_seb = (werner_t_star(d, k, bosonic, Fraction(-1)) for bosonic in (False, True))
+        assert critical_weight(t_se, d) == max(Fraction(0), (1 - Fraction(d - 1, k)) / 2)
+        assert critical_weight(t_seb, d) == (1 - Fraction(1, k)) / 2
+        assert all(isinstance(x, Fraction) for x in (t_se, t_seb, critical_weight(t_se, d)))
+        for bosonic in (False, True):
+            assert werner_t_star(d, k, bosonic, Fraction(1, d)) == 0
+
+
+@pytest.mark.parametrize(
+    "d,k,flavor,t_star,v_t",
+    [
+        (3, 20, "SE", Fraction(40, 13), Fraction(9, 20)),
+        (3, 20, "SE_B", Fraction(80, 23), Fraction(19, 40)),
+        (3, 3, "SE", Fraction(4, 3), Fraction(1, 6)),
+        (2, 5, "SE", Fraction(15, 7), Fraction(2, 5)),
+        (3, 4, "SE", Fraction(8, 5), Fraction(1, 4)),
+        (3, 4, "SE_B", Fraction(16, 7), Fraction(3, 8)),
+        (5, 2, "SE_B", Fraction(12, 7), Fraction(1, 4)),
+    ],
+)
+def test_exact_werner_table_values(d, k, flavor, t_star, v_t):
+    exact = werner_t_star(d, k, flavor == "SE_B", Fraction(-1))
+    assert (exact, critical_weight(exact, d)) == (t_star, v_t)
+    res = run_query(ExtensionQuery(werner(d, 0.0), k, "B", flavor))
+    assert res.t_star == pytest.approx(float(t_star), rel=0, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(2, 6), k=st.integers(2, 11), v=st.fractions(0, 1, max_denominator=1000))
+def test_closed_form_orders_flavors_and_grows_with_k(d, k, v):
+    swap = 2 * v - 1  # tr(rho F) of werner(d, v)
+    t_se, t_seb = (werner_t_star(d, k, bosonic, swap) for bosonic in (False, True))
+    assert t_se <= t_seb
+    assert werner_t_star(d, k + 1, False, swap) >= t_se
+    assert werner_t_star(d, k + 1, True, swap) >= t_seb
+    rho = werner(d, float(v))
+    for flavor in ("SE", "SE_B"):
+        t_a, t_b = (run_query(ExtensionQuery(rho, k, side, flavor)).t_star for side in "AB")
+        assert t_a == t_b
 
 
 def test_run_query_dispatch():
