@@ -27,7 +27,7 @@ import numpy as np
 
 from . import qmat
 from .qmat import DensityMatrix, dagger, kron, partial_trace, partial_transpose
-from .states import haar_unitary, max_entangled_ket
+from .states import haar_restarts, max_entangled_ket
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -79,12 +79,8 @@ def _schmidt_frames(psi_block: np.ndarray, rank: int = 2):
 
 def _distill_frames(d_a: int, d_b: int, restarts: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(R, d, 2) stacks of random A and B frames; restart r draws both from ``seed ^ r``."""
-    va, vb = [], []
-    for r in range(restarts):
-        rng = np.random.default_rng(seed ^ r)
-        va.append(haar_unitary(d_a, rng)[:, :2])
-        vb.append(haar_unitary(d_b, rng)[:, :2])
-    return np.array(va), np.array(vb)
+    ua, ub = haar_restarts([seed ^ r for r in range(restarts)], [(1, d_a), (1, d_b)])
+    return ua[:, 0, :, :2], ub[:, 0, :, :2]
 
 
 def _distill_descent(x: np.ndarray, va: np.ndarray, vb: np.ndarray):
@@ -161,8 +157,8 @@ def _fef_objective(rho_mat: np.ndarray, u: np.ndarray, d: int):
 
 def _fef_starts(d: int, restarts: int, seed: int) -> np.ndarray:
     """(R, d, d) start unitaries: the identity, then a Haar unitary drawn from ``seed ^ r`` for restart r."""
-    draws = [haar_unitary(d, np.random.default_rng(seed ^ r)) for r in range(1, restarts)]
-    return np.array([np.eye(d, dtype=complex), *draws])
+    (draws,) = haar_restarts([seed ^ r for r in range(1, restarts)], [(1, d)])
+    return np.concatenate([np.eye(d, dtype=complex)[None], draws[:, 0]])
 
 
 def _skew_expm(w: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:

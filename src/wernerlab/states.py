@@ -156,12 +156,30 @@ def mes(d: int, u: np.ndarray) -> np.ndarray:
     return kron(np.eye(d), u) @ max_entangled_ket(d)
 
 
+def haar_unitaries(normals: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from an (..., 2, d, d) stack of standard normals, the real and
+    imaginary parts of each complex Gaussian: one QR of the whole stack, with phase-fixed diagonals."""
+    q, r = np.linalg.qr((normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian with phase-fixed diagonal."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
+    """Haar-random unitary: :func:`haar_unitaries` of one (2, d, d) draw from ``rng``."""
+    return haar_unitaries(rng.standard_normal((2, d, d)))
+
+
+def haar_restarts(seeds: list[int], sides: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Haar unitaries for seeded restarts, one (R, k, d, d) stack per (k, d) of ``sides``.
+
+    Restart r draws from ``default_rng(seeds[r])`` the normals of k calls of
+    :func:`haar_unitary` for each side in turn, and one QR covers each side's stack."""
+    normals = [[] for _ in sides]
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for draws, (k, d) in zip(normals, sides):
+            draws.append(rng.standard_normal((k, 2, d, d)))
+    return [haar_unitaries(np.reshape(draws, (len(seeds), k, 2, d, d))) for draws, (k, d) in zip(normals, sides)]
 
 
 @dataclass(frozen=True)

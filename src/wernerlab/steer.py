@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from .qmat import DensityMatrix, dagger
 from .solver import Block, ConicProgram, mat_real, solve, solve_many, vec_real
-from .states import haar_unitary
+from .states import haar_restarts, haar_unitaries
 
 MAX_LAMBDA = 4096
 
@@ -84,28 +84,31 @@ class MeasurementSet:
         return self.effects[0][0].shape[0]
 
 
+def _effects_from_unitaries(u: np.ndarray, n_outcomes: int) -> np.ndarray:
+    """(..., x, a, d, d) effects from an (..., x, d, d) stack of unitaries: the rank-1 projectors
+    onto the columns of each, grouped round-robin into ``n_outcomes`` effects."""
+    d = u.shape[-1]
+    effects = np.zeros(u.shape[:-2] + (n_outcomes, d, d), dtype=complex)
+    for level in range(d):
+        col = u[..., :, level]
+        effects[..., level % n_outcomes, :, :] += col[..., :, None] * col[..., None, :].conj()
+    return effects
+
+
 def projective_from_unitaries(unitaries: list[np.ndarray]) -> MeasurementSet:
     """Rank-1 projective measurements onto the rotated computational bases."""
-    settings = []
-    for u in unitaries:
-        d = u.shape[0]
-        settings.append(tuple(np.outer(u[:, a], u[:, a].conj()) for a in range(d)))
-    return MeasurementSet(tuple(settings))
+    u = np.asarray(unitaries)
+    return MeasurementSet(tuple(map(tuple, _effects_from_unitaries(u, u.shape[-1]))))
 
 
 def random_projective(d: int, n_settings: int, rng: np.random.Generator) -> MeasurementSet:
-    return projective_from_unitaries([haar_unitary(d, rng) for _ in range(n_settings)])
+    return random_grouped_projective(d, n_settings, d, rng)
 
 
 def _grouped_projective_effects(d: int, n_settings: int, n_outcomes: int, rng: np.random.Generator) -> np.ndarray:
     """(x, a, d, d) effects: rank-1 pieces of a Haar-rotated basis per setting, grouped
     round-robin into ``n_outcomes`` effects."""
-    effects = np.zeros((n_settings, n_outcomes, d, d), dtype=complex)
-    for x in range(n_settings):
-        u = haar_unitary(d, rng)
-        for level in range(d):
-            effects[x, level % n_outcomes] += np.outer(u[:, level], u[:, level].conj())
-    return effects
+    return _effects_from_unitaries(haar_unitaries(rng.standard_normal((n_settings, 2, d, d))), n_outcomes)
 
 
 def random_grouped_projective(
@@ -319,8 +322,9 @@ def sr_state_lower_bound(
         progs = _sr_programs(_contract(rho, effects, steering_side))
         return solve_many(progs, tol=sdp_tol)
 
-    draws = [random_projective(d, n_settings, np.random.default_rng(seed ^ r)) for r in range(restarts)]
-    effects = np.asarray([m.effects for m in draws]).reshape(restarts, n_settings, d, d, d)
+    (u,) = haar_restarts([seed ^ r for r in range(restarts)], [(n_settings, d)])
+    effects = _effects_from_unitaries(u, d)
+    _check_effects(effects)
     sols = solve_round(effects)
     # restarts whose first solve ended OPTIMAL, with their values; `live` still improve
     kept = [r for r, sol in enumerate(sols) if sol.status == "OPTIMAL"]
@@ -519,12 +523,8 @@ def _bell_starts(rho: DensityMatrix, scenario: tuple, restarts: int, seed: int) 
     """(R, x, a, d, d) stacks of grouped projective effects for A and B, checked as POVMs;
     restart r draws A's and then B's from ``seed ^ r``."""
     n_sa, n_sb, n_oa, n_ob = scenario
-    effects_a, effects_b = [], []
-    for r in range(restarts):
-        rng = np.random.default_rng(seed ^ r)
-        effects_a.append(_grouped_projective_effects(rho.dimA, n_sa, n_oa, rng))
-        effects_b.append(_grouped_projective_effects(rho.dimB, n_sb, n_ob, rng))
-    effects_a, effects_b = np.array(effects_a), np.array(effects_b)
+    ua, ub = haar_restarts([seed ^ r for r in range(restarts)], [(n_sa, rho.dimA), (n_sb, rho.dimB)])
+    effects_a, effects_b = _effects_from_unitaries(ua, n_oa), _effects_from_unitaries(ub, n_ob)
     _check_effects(effects_a)
     _check_effects(effects_b)
     return effects_a, effects_b

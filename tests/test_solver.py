@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wernerlab import solver, steer
 from wernerlab.solver import (
@@ -22,6 +24,7 @@ from wernerlab.solver import (
 from wernerlab.states import werner
 
 from lp_oracle import lp_vertex_enumeration_check
+from sequential_reference import assert_rows_bitwise_alone
 
 
 def shifted_lp():
@@ -118,7 +121,73 @@ def test_cone_projection_survives_eigh_failure(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", eigh_failing_once)
     check_cone_projection_against_per_block_reference()
-    assert failures == [(2, 2, 2)]  # the batch of the two 2-side blocks took the fallback
+    # side-2 blocks project in closed form, so the first eigh batch is the pair of 9-side blocks
+    assert failures == [(2, 9, 9)]
+
+
+# eigenvalue pairs of a 2 x 2 block, in units of its scale; the last two straddle 0 at 1e-12
+PSD2_SPECTRA = {
+    "zero": (0.0, 0.0),
+    "plus_identity": (1.0, 1.0),
+    "minus_identity": (-1.0, -1.0),
+    "rank1": (1.0, 0.0),
+    "negative_rank1": (0.0, -1.0),
+    "straddle_up": (1.0, 1e-12),
+    "straddle_down": (1.0, -1e-12),
+}
+
+
+def psd2_block(spectrum, scale, seed):
+    """vec_real of U diag(spectrum) U^dag for a seeded random U; 'random' draws the spectrum too.
+    Straddling pairs keep their 1e-12 eigenvalue unscaled."""
+    rng = np.random.default_rng(seed)
+    if spectrum == "random":
+        w = scale * rng.standard_normal(2)
+    else:
+        top, low = PSD2_SPECTRA[spectrum]
+        w = np.array([scale * top, low if spectrum.startswith("straddle") else scale * low])
+    q = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    return vec_real((q * w) @ q.conj().T)
+
+
+def reference_psd2(x):
+    w, q = np.linalg.eigh(mat_real(x, 2))
+    return vec_real((q * np.clip(w, 0.0, None)[..., None, :]) @ q.conj().swapaxes(-1, -2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["random", *PSD2_SPECTRA]),
+            st.floats(-8.0, 8.0),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=16,
+    )
+)
+def test_psd2_closed_form_matches_eigh(specs):
+    x = np.array([psd2_block(kind, 10.0**exponent, seed) for kind, exponent, seed in specs])
+    got = solver._project_psd2(x)
+    tol = 1e-12 * (1.0 + np.max(np.abs(x), axis=-1))
+    assert np.all(np.max(np.abs(got - reference_psd2(x)), axis=-1) <= tol)
+    assert np.all(np.linalg.eigvalsh(mat_real(got, 2))[:, 0] >= -tol)
+    assert np.all(np.max(np.abs(solver._project_psd2(got) - got), axis=-1) <= tol)
+
+
+def test_psd2_rows_give_the_same_bits_alone():
+    # 16 rows of 8 side-2 blocks, every spectrum kind at scales 1e-8 to 1e8
+    kinds = ["random", *PSD2_SPECTRA]
+    rng = np.random.default_rng(3)
+    x = np.array(
+        [
+            np.concatenate([psd2_block(kinds[(r + i) % len(kinds)], 10.0 ** rng.uniform(-8, 8), 8 * r + i) for i in range(8)])
+            for r in range(16)
+        ]
+    )
+    proj = solver._ConeProjector(tuple(Block("psd", 2) for _ in range(8)))
+    assert_rows_bitwise_alone(lambda rows: (proj.project(rows),), (x,))
 
 
 def test_embedding_linear_solve():

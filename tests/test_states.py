@@ -8,6 +8,7 @@ from wernerlab.qmat import kron, uhlmann_fidelity
 from wernerlab.states import (
     NoiseSpec,
     WernerParams,
+    haar_restarts,
     haar_unitary,
     max_entangled_ket,
     mes,
@@ -164,6 +165,24 @@ def test_haar_unitary_seeded():
     u2 = haar_unitary(3, np.random.default_rng(99))
     assert np.array_equal(u1, u2)
     assert np.max(np.abs(u1.conj().T @ u1 - np.eye(3))) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_haar_restarts_match_per_call_draws(d):
+    # restart r draws three d-side unitaries and then one 2-side unitary from its own generator
+    seeds = [7 ^ r for r in range(5)]
+    first, second = haar_restarts(seeds, [(3, d), (1, 2)])
+    assert first.shape == (5, 3, d, d) and second.shape == (5, 1, 2, 2)
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        want = [haar_unitary(d, rng) for _ in range(3)] + [haar_unitary(2, rng)]
+        got = [*first[r], second[r, 0]]
+        assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
+    assert haar_restarts([], [(1, d)])[0].shape == (0, 1, d, d)
+    # the per-call draw: real parts, then imaginary parts, then one QR with phase-fixed diagonal
+    rng = np.random.default_rng(seeds[0])
+    q, r = np.linalg.qr((rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2))
+    assert (q * (np.diag(r) / np.abs(np.diag(r)))).tobytes() == first[0, 0].tobytes()
 
 
 def test_noisy_surrogate_limits():
