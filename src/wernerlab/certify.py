@@ -276,11 +276,8 @@ def fef_embedding_check(rho: DensityMatrix, d: int) -> bool:
     u_d[:2, :2] = u2
     # embed rho on the first two levels of each side
     big = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    big[i * d + j, k * d + l] = rho.mat[i * 2 + j, k * 2 + l]
+    levels = [0, 1, d, d + 1]  # i*d + j for i, j in {0, 1}
+    big[np.ix_(levels, levels)] = rho.mat
     psi_d = qmat.embed(u_d, d, "B") @ max_entangled_ket(d)
     attained = float(np.real(np.vdot(psi_d, big @ psi_d)))
     if attained < (2.0 / d) * f2 - 1e-10:

@@ -28,14 +28,15 @@ A Werner input (dimA = dimB and rho equal to its U(x)U twirl alpha I + beta F
 to 1e-12 entrywise, :func:`werner_swap`) needs no program for SE or SE-B
 (Doherty, Parrilo & Spedalieri 2004; Johnson & Viola 2013).  As rho and I are
 U(x)U-invariant, twirling an extension by U^(x)(k+1) keeps every marginal, so
-by Schur-Weyl duality X = sum c_{lambda mu} P_{lambda mu} over lambda |- k+1
-with at most d rows and mu |- k inside lambda (restriction from S_(k+1) to S_k
-is multiplicity-free), with c >= 0; SE-B keeps mu = (k).  The marginal is fixed
-by its trace t and its swap expectation, so with weights c tr P = t p for a
-probability vector p the search reads t (sum r p - 1/d) = s - 1/d, s = tr(rho F),
-over the swap ratios r of :func:`werner_lp_columns`.  Hence
-t* = (s - 1/d)/(r_ext - 1/d), r_ext the smallest r if s < 1/d and the largest
-otherwise: an exact rational (:func:`werner_t_star`) with no solve and no
+by Schur-Weyl duality X is a nonnegative combination of the projectors
+P_{lambda mu}, lambda |- k+1 with at most d rows and mu |- k inside lambda;
+SE-B keeps mu = (k).  The marginal is fixed by its trace t and its swap
+expectation, so the search reads t (r - 1/d) = s - 1/d, s = tr(rho F), with r
+a weighted mean of the swap ratios tr(P_{lambda mu} F)/tr P_{lambda mu}.  Hence
+t* = (s - 1/d)/(r_ext - 1/d), r_ext the extreme ratio on the side of s: 1 (at
+lambda = (k+1)) when s >= 1/d, otherwise -min(d-1, k)/k for SE and -1/k for
+SE-B, the (1,k)-extendibility boundary of Werner states (Johnson & Viola 2013).
+:func:`werner_t_star` returns this exact rational with no solve and no
 dimension cap.  Every other query, SQE at any k and SE or SE-B on a non-Werner
 input, solves its SDP and needs prod(dims) <= ``MAX_EXTENSION_DIM``; SQE also
 needs k <= 4.
@@ -46,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import factorial, prod
+from math import prod
 
 import numpy as np
 import scipy.sparse as sp
@@ -131,46 +132,6 @@ def young_orthogonal_form(shape: tuple[int, ...]) -> list[np.ndarray]:
                 g[index[swapped], n] = np.sqrt(1.0 - 1.0 / axial**2)
         gens.append(g)
     return gens
-
-
-def _tableau_count(shape: tuple[int, ...]) -> int:
-    """Number f^shape of standard Young tableaux, by the hook-length formula."""
-    hooks = prod(
-        shape[r] - c + sum(1 for below in shape[r + 1 :] if below > c)
-        for r in range(len(shape))
-        for c in range(shape[r])
-    )
-    return factorial(sum(shape)) // hooks
-
-
-def _corners(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """(shape minus one removable box, content of that box), one entry per removable box."""
-    out = []
-    for r, length in enumerate(shape):
-        if r + 1 == len(shape) or shape[r + 1] < length:
-            smaller = shape[:r] + (length - 1,) + shape[r + 1 :]
-            out.append((tuple(x for x in smaller if x), length - 1 - r))
-    return out
-
-
-def werner_lp_columns(d: int, k: int, bosonic: bool = False) -> list[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
-    """(lambda, mu, r) for each lambda |- k+1 with at most d rows and mu |- k inside it
-    (mu = (k) only when ``bosonic``), where r = tr(P_{lambda mu} F)/tr P_{lambda mu} and F swaps
-    copy k with party k+1.
-
-    In Young's orthogonal form F has diagonal 1/(c(k+1) - c(k)) on each tableau, c being the
-    content of the box that holds the number; averaging it over the f^mu tableaux with k+1
-    in the box lambda/mu gives r = sum_nu f^nu / (c(lambda/mu) - c(mu/nu)) / f^mu over the
-    nu one corner smaller than mu.  The GL(d) dimension of lambda cancels; r is exact.
-    """
-    cols = []
-    for lam in _partitions(k + 1, d):
-        for mu, c_new in _corners(lam):
-            if bosonic and len(mu) > 1:
-                continue
-            swap = sum(Fraction(_tableau_count(nu), c_new - c_old) for nu, c_old in _corners(mu))
-            cols.append((lam, mu, swap / _tableau_count(mu)))
-    return cols
 
 
 def _s_k_words(k: int) -> list[tuple[int, int]]:
@@ -429,11 +390,12 @@ def werner_swap(rho: DensityMatrix) -> float | None:
 
 def werner_t_star(d: int, k: int, bosonic: bool, swap: Fraction) -> Fraction:
     """Exact optimum t* = (s - 1/d)/(r_ext - 1/d) of SE (SE-B when ``bosonic``) on a Werner input
-    with s = tr(rho F) = ``swap`` (see the module docstring).  The largest ratio is 1, never 1/d,
-    so s = 1/d needs no special case: it gives t* = 0."""
+    with s = tr(rho F) = ``swap``, where the extreme swap ratio r_ext is 1 when s >= 1/d and
+    otherwise -min(d-1, k)/k for SE and -1/k for SE-B (see the module docstring).  s = 1/d
+    gives t* = 0."""
     excess = swap - Fraction(1, d)
-    ratios = [r for _, _, r in werner_lp_columns(d, k, bosonic)]
-    return excess / ((min(ratios) if excess < 0 else max(ratios)) - Fraction(1, d))
+    r_ext = Fraction(1) if excess >= 0 else Fraction(-1 if bosonic else -min(d - 1, k), k)
+    return excess / (r_ext - Fraction(1, d))
 
 
 def run_query(q: ExtensionQuery, tol: float = 1e-7, max_iter: int = 200000) -> ExtensionResult:
@@ -445,8 +407,6 @@ def run_query(q: ExtensionQuery, tol: float = 1e-7, max_iter: int = 200000) -> E
         t_star = float(werner_t_star(q.rho.dimA, q.k, q.flavor == SE_B, Fraction(swap)))
         status, gap, iterations = "OPTIMAL", 0.0, 0
     else:
-        if int(np.prod(q.dims)) >= MAX_EXTENSION_DIM:
-            max_iter *= 4  # the 243-dimensional instances converge more slowly
         sol = solve(build_program(q), tol=tol, max_iter=max_iter)
         t_star, status, gap, iterations = float(sol.primal_obj), sol.status, sol.gap, sol.iterations
     exists = bool(t_star <= 1.0 + 1e-6) if status == "OPTIMAL" else None

@@ -332,6 +332,8 @@ class _Setup:
 
 
 SETUP_CACHE_SIZE = 4
+OVER_RELAX = 1.5  # relaxation of the splitting step
+CHECK_EVERY = 25  # iterations between exit tests
 _SETUPS: dict[tuple, _Setup] = {}  # least recently used first
 
 
@@ -351,18 +353,12 @@ def _setup_for(prog: ConicProgram, key: tuple) -> _Setup:
     return setup
 
 
-def solve(
-    prog: ConicProgram,
-    tol: float = 1e-7,
-    max_iter: int = 200000,
-    over_relax: float = 1.5,
-    check_every: int = 25,
-) -> ConicSolution:
+def solve(prog: ConicProgram, tol: float = 1e-7, max_iter: int = 200000) -> ConicSolution:
     """Run the operator-splitting iteration until the KKT residuals certify optimality.
 
     Deterministic for fixed inputs: a memoised set-up gives the same iterates as a fresh one.
     """
-    return solve_many([prog], tol=tol, max_iter=max_iter, over_relax=over_relax, check_every=check_every)[0]
+    return solve_many([prog], tol=tol, max_iter=max_iter)[0]
 
 
 def _check(prog, setup, beta, bnorm, u, v, it, tol, best):
@@ -402,13 +398,7 @@ def _check(prog, setup, beta, bnorm, u, v, it, tol, best):
     return None, best
 
 
-def solve_many(
-    progs: list[ConicProgram],
-    tol: float = 1e-7,
-    max_iter: int = 200000,
-    over_relax: float = 1.5,
-    check_every: int = 25,
-) -> list[ConicSolution]:
+def solve_many(progs: list[ConicProgram], tol: float = 1e-7, max_iter: int = 200000) -> list[ConicSolution]:
     """:func:`solve` for programs that share their presolved blocks, A and c, in lockstep.
 
     Each program gets the solution, bit for bit, that it gets alone.  Raises ValueError
@@ -439,7 +429,7 @@ def solve_many(
     it = 0
     for it in range(1, max_iter + 1):
         ut = setup.solve(u + v, g, mg, mtg, denom)
-        r = over_relax * ut + (1.0 - over_relax) * u
+        r = OVER_RELAX * ut + (1.0 - OVER_RELAX) * u
         u_new = r - v
         x = u_new[:, :n]
         setup.proj.project(x, out=x)
@@ -447,7 +437,7 @@ def solve_many(
         v = v - r + u_new
         u = u_new
 
-        if it % check_every != 0 and it != max_iter:
+        if it % CHECK_EVERY != 0 and it != max_iter:
             continue
         for i, k in enumerate(live):
             results[k], best[k] = _check(progs[k], setup, beta[i], bnorm[i], u[i], v[i], it, tol, best[k])

@@ -48,11 +48,7 @@ def swap_operator(d: int) -> np.ndarray:
     """Swap V with V |psi>|phi> = |phi>|psi> on C^d (x) C^d."""
     if d < 2:
         raise ValueError("swap operator needs d >= 2")
-    v = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            v[i * d + j, j * d + i] = 1.0
-    return v
+    return np.eye(d * d, dtype=complex)[np.arange(d * d).reshape(d, d).T.ravel()]  # row i*d+j is e_(j*d+i)
 
 
 def sym_projector(d: int) -> np.ndarray:

@@ -442,14 +442,7 @@ def nonlocal_content_program(corr: Correlation) -> ConicProgram:
 
 def chsh_coefficients() -> np.ndarray:
     """CHSH as a (x, y, a, b) coefficient table: sum of +-<A_x B_y> with the last sign flipped."""
-    c = np.zeros((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            s = -1.0 if (x, y) == (1, 1) else 1.0
-            for a in range(2):
-                for bq in range(2):
-                    c[x, y, a, bq] = s * (1.0 if a == bq else -1.0)
-    return c
+    return np.multiply.outer(np.array([[1.0, 1.0], [1.0, -1.0]]), 2.0 * np.eye(2) - 1.0)
 
 
 def bell_value(corr: Correlation, coefficients: np.ndarray) -> float:
@@ -570,15 +563,19 @@ def seesaw_bell(
     """Lower bound on the maximal Bell value of rho for the given functional.
 
     The shape of ``coefficients``, (settings A, settings B, outcomes A, outcomes B), fixes
-    the scenario.  Alternates exact (two-outcome) or pairwise-eigenvector measurement updates
-    between the sides; each accepted half-step never decreases the value.  Restart r draws
-    both sides' measurements from ``seed ^ r``; the restarts run in lockstep, one stacked
-    call per kernel and half-step, and each gives the value it gives run alone.
+    the scenario; each side needs 2 outcomes or as many as its dimension.  Alternates exact
+    (two-outcome) or pairwise-eigenvector measurement updates between the sides; each
+    accepted half-step never decreases the value.  Restart r draws both sides' measurements
+    from ``seed ^ r``; the restarts run in lockstep, one stacked call per kernel and
+    half-step, and each gives the value it gives run alone.
     """
     n_sa, n_sb, n_oa, n_ob = coefficients.shape
     if n_oa ** n_sa * n_ob ** n_sb > 10**6:
         raise ValueError("scenario too large")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    for side, n_o, dim in (("A", n_oa, rho.dimA), ("B", n_ob, rho.dimB)):
+        if n_o not in (2, dim):  # the pairwise update needs rank-1 effects
+            raise ValueError(f"side {side} has {n_o} outcomes in dimension {dim}; the see-saw needs 2 or {dim}")
     starts = _bell_starts(rho, coefficients.shape, restarts, seed)
     return float(np.max(_seesaw_bell_rows(rho, coefficients, *starts)))

@@ -1,14 +1,57 @@
-"""Exact small-LP optimum by vertex enumeration: an independent oracle for the conic solver,
-and the two-row Werner extension LP that :func:`wernerlab.extend.werner_t_star` solves in
-closed form."""
+"""Exact small-LP optimum by vertex enumeration: an independent oracle for the conic solver;
+the Schur-Weyl columns of Werner SE and SE-B, enumerated with hook-length and content sums;
+and the two-row Werner extension LP over them, which :func:`wernerlab.extend.werner_t_star`
+solves in closed form."""
 
+from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 
 import numpy as np
 import scipy.sparse as sp
 
-from wernerlab.extend import werner_lp_columns
+from wernerlab.extend import _partitions
 from wernerlab.solver import FREE, PSD, Block, ConicProgram
+
+
+def _tableau_count(shape: tuple[int, ...]) -> int:
+    """Number f^shape of standard Young tableaux, by the hook-length formula."""
+    hooks = prod(
+        shape[r] - c + sum(1 for below in shape[r + 1 :] if below > c)
+        for r in range(len(shape))
+        for c in range(shape[r])
+    )
+    return factorial(sum(shape)) // hooks
+
+
+def _corners(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """(shape minus one removable box, content of that box), one entry per removable box."""
+    out = []
+    for r, length in enumerate(shape):
+        if r + 1 == len(shape) or shape[r + 1] < length:
+            smaller = shape[:r] + (length - 1,) + shape[r + 1 :]
+            out.append((tuple(x for x in smaller if x), length - 1 - r))
+    return out
+
+
+def werner_lp_columns(d: int, k: int, bosonic: bool = False) -> list[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
+    """(lambda, mu, r) for each lambda |- k+1 with at most d rows and mu |- k inside it
+    (mu = (k) only when ``bosonic``), where r = tr(P_{lambda mu} F)/tr P_{lambda mu} and F swaps
+    copy k with party k+1.
+
+    In Young's orthogonal form F has diagonal 1/(c(k+1) - c(k)) on each tableau, c being the
+    content of the box that holds the number; averaging it over the f^mu tableaux with k+1
+    in the box lambda/mu gives r = sum_nu f^nu / (c(lambda/mu) - c(mu/nu)) / f^mu over the
+    nu one corner smaller than mu.  The GL(d) dimension of lambda cancels; r is exact.
+    """
+    cols = []
+    for lam in _partitions(k + 1, d):
+        for mu, c_new in _corners(lam):
+            if bosonic and len(mu) > 1:
+                continue
+            swap = sum(Fraction(_tableau_count(nu), c_new - c_old) for nu, c_old in _corners(mu))
+            cols.append((lam, mu, swap / _tableau_count(mu)))
+    return cols
 
 
 def werner_lp(d: int, k: int, bosonic: bool, swap: float) -> ConicProgram:

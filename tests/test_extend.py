@@ -20,7 +20,6 @@ from wernerlab.extend import (
     run_query,
     s_k_isometries,
     symmetric_subspace_isometry,
-    werner_lp_columns,
     werner_t_star,
     young_orthogonal_form,
 )
@@ -36,7 +35,7 @@ from wernerlab.states import (
     werner_from_qubit_mixture,
 )
 
-from lp_oracle import lp_vertex_enumeration_check, werner_lp
+from lp_oracle import lp_vertex_enumeration_check, werner_lp, werner_lp_columns
 
 SURROGATE = NoiseSpec(depol=0.06, coherent_eps=0.02, seed=2024)  # a complex, non-Werner perturbation
 
@@ -508,6 +507,10 @@ def test_exact_extension_laws(d):
         assert all(isinstance(x, Fraction) for x in (t_se, t_seb, critical_weight(t_se, d)))
         for bosonic in (False, True):
             assert werner_t_star(d, k, bosonic, Fraction(1, d)) == 0
+            ratios = [r for _, _, r in werner_lp_columns(d, k, bosonic)]
+            for s in (Fraction(-1), Fraction(-1, 2), Fraction(1, d), Fraction(1)):
+                r_ext = min(ratios) if s < Fraction(1, d) else max(ratios)
+                assert werner_t_star(d, k, bosonic, s) == (s - Fraction(1, d)) / (r_ext - Fraction(1, d))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
 """Cross-module interface and edge-path tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,3 +124,17 @@ def test_pipeline_low_noise_directions(tmp_path):
     assert filtered["certificates"]["chsh"]["value"] > 2.6
     assert filtered["certificates"]["dense_coding"]["verdict"] == "PASS"
     assert filtered["steering_robustness"] > report["unfiltered"]["steering_robustness"]
+
+
+def test_bench_tracer_installs():
+    """The benchmark tracer rebinds layer entry points by name; each one it lists must exist."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(root / p) for p in ("bench", "src")))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from spans import Tracer; Tracer().install()"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -788,3 +788,20 @@ def test_seesaw_bell_checks_each_half_step_in_one_call(monkeypatch):
 def test_see_saws_reject_zero_restarts(search):
     with pytest.raises(ValueError, match="restarts must be at least 1"):
         search()
+
+
+@pytest.mark.parametrize("d,o", [(4, 3), (3, 4), (5, 3), (5, 4)])
+def test_seesaw_bell_rejects_outcome_counts_besides_two_and_the_dimension(d, o):
+    table = np.random.default_rng(0).standard_normal((2, 2, o, o))
+    with pytest.raises(ValueError, match=f"side A has {o} outcomes in dimension {d}"):
+        seesaw_bell(werner(d, 0.1), table, restarts=2, seed=1)
+    with pytest.raises(ValueError, match=f"side B has {o} outcomes in dimension {d}"):
+        seesaw_bell(werner(d, 0.1), table[:, :, :2], restarts=2, seed=1)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_seesaw_bell_runs_with_two_or_dimension_many_outcomes(d):
+    for o_a, o_b in ((2, 2), (d, d), (2, d), (d, 2)):
+        table = np.random.default_rng(d).standard_normal((2, 2, o_a, o_b))
+        value = seesaw_bell(werner(d, 0.1), table, restarts=2, seed=1)
+        assert np.isfinite(value) and abs(value) <= np.abs(table).sum()
