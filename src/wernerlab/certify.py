@@ -15,7 +15,11 @@ The multi-start searches (``one_distillable`` and ``fef``) run their seeded
 restarts in lockstep: the restarts are the rows of one stack, each step makes
 one stacked call per kernel for the rows still running, and a row leaves when
 its own stopping test fires.  A restart gives the same value, bit for bit, as
-it gives run on its own.
+it gives run on its own.  ``one_distillable_many`` and ``fef_many`` search a
+grid of states of one bipartition, one seed per state, with every (state,
+restart) pair a row of one stack; each row carries its own state, so each
+state gets the certificate it gets alone, and the single-state searches are
+the stack of one.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .qmat import DensityMatrix, dagger, kron, partial_trace, partial_transpose
+from .qmat import DensityMatrix, dagger, grid_dims, kron, partial_trace, partial_transpose
 from .states import haar_restarts, max_entangled_ket
 
 PASS = "PASS"
@@ -77,32 +81,36 @@ def _schmidt_frames(psi_block: np.ndarray, rank: int = 2):
     return u[..., :rank], dagger(vdag)[..., :rank], s
 
 
-def _distill_frames(d_a: int, d_b: int, restarts: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(R, d, 2) stacks of random A and B frames; restart r draws both from ``seed ^ r``."""
-    ua, ub = haar_restarts([seed ^ r for r in range(restarts)], [(1, d_a), (1, d_b)])
+def _distill_frames(d_a: int, d_b: int, restarts: int, seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(S R, d, 2) stacks of random A and B frames, ``restarts`` rows per seed in turn;
+    restart r of seed s draws both from ``s ^ r``."""
+    ua, ub = haar_restarts([seed ^ r for seed in seeds for r in range(restarts)], [(1, d_a), (1, d_b)])
     return ua[:, 0, :, :2], ub[:, 0, :, :2]
 
 
 def _distill_descent(x: np.ndarray, va: np.ndarray, vb: np.ndarray):
     """Alternating eigen-steps from each frame pair of two (R, d, 2) stacks, in lockstep.
 
-    Returns each row's final value, A frame and psi on C^2 (x) C^dB; a row stops
-    when its value improves by less than 1e-12 or after 100 rounds.
+    ``x`` is the partial transpose of each row's state, an (R, D, D) stack, or one that
+    every row shares.  Returns each row's final value, A frame and psi on C^2 (x) C^dB; a
+    row stops when its value improves by less than 1e-12 or after 100 rounds.
     """
     d_a, d_b = va.shape[1], vb.shape[1]
     va, vb = va.copy(), vb.copy()
+    x = np.broadcast_to(x, (len(va),) + x.shape[-2:])
     val = np.full(len(va), np.inf)
     psi = np.empty((len(va), 2 * d_b), dtype=complex)
     live = np.arange(len(va))
     for _ in range(100):
+        x_live = x[live]
         # optimize over A side with B frame fixed; the bottom eigenvector lives on C^dA (x) C^2
         big = qmat.embed(vb[live], d_a, "B")
-        comp = dagger(big) @ x @ big
+        comp = dagger(big) @ x_live @ big
         q = np.linalg.eigh((comp + dagger(comp)) / 2)[1]
         va[live] = _schmidt_frames(q[..., 0].reshape(-1, d_a, 2).swapaxes(-1, -2))[1]
         # optimize over B side with A frame fixed; psi lives on C^2 (x) C^dB
         big = qmat.embed(va[live], d_b, "A")
-        comp = dagger(big) @ x @ big
+        comp = dagger(big) @ x_live @ big
         w, q = np.linalg.eigh((comp + dagger(comp)) / 2)
         psi[live] = q[..., 0]
         vb[live] = _schmidt_frames(q[..., 0].reshape(-1, 2, d_b))[1]
@@ -114,6 +122,29 @@ def _distill_descent(x: np.ndarray, va: np.ndarray, vb: np.ndarray):
     return val, va, psi
 
 
+def one_distillable_many(rhos: list[DensityMatrix], seeds: list[int], restarts: int = 64) -> list[Certificate]:
+    """:func:`one_distillable` for states of one bipartition, state i seeded by ``seeds[i]``.
+
+    Every (state, restart) pair is a row of one lockstep stack, and each state gets the
+    certificate, bit for bit, that it gets alone.  Raises ValueError on an empty list,
+    on states of different dimensions and when the seeds do not match the states one to one.
+    """
+    d_a, d_b = grid_dims(rhos, seeds)
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    x = np.repeat(np.stack([partial_transpose(rho, "A") for rho in rhos]), restarts, axis=0)
+    val, va, psi = _distill_descent(x, *_distill_frames(d_a, d_b, restarts, seeds))
+    certs = []
+    for i, seed in enumerate(seeds):
+        best = i * restarts + int(np.argmin(val[i * restarts : (i + 1) * restarts]))
+        best_val = float(val[best])
+        best_psi = (qmat.embed(va[best], d_b, "A") @ psi[best]).ravel()
+        verdict = PASS if best_val < -1e-6 else INCONCLUSIVE
+        witness = {"psi": _mat_witness(best_psi)}
+        certs.append(Certificate("one_distillable", best_val, 0.0, verdict, witness, seed, restarts))
+    return certs
+
+
 def one_distillable(rho: DensityMatrix, restarts: int = 64, seed: int = 0) -> Certificate:
     """Best (lowest) <psi| rho^T_A |psi> over Schmidt-rank-2 vectors psi.
 
@@ -121,18 +152,10 @@ def one_distillable(rho: DensityMatrix, restarts: int = 64, seed: int = 0) -> Ce
     optimal psi is the bottom eigenvector of the compressed operator, which
     also yields the updated frame for the other side.  Restart r draws its
     frames from ``seed ^ r``; the restarts run in lockstep, one stacked call
-    per kernel and round, and each gives the value it gives run alone.
+    per kernel and round, and each gives the value it gives run alone.  The
+    stack of one of :func:`one_distillable_many`.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    frames = _distill_frames(rho.dimA, rho.dimB, restarts, seed)
-    val, va, psi = _distill_descent(partial_transpose(rho, "A"), *frames)
-    best = int(np.argmin(val))
-    best_val = float(val[best])
-    best_psi = (qmat.embed(va[best], rho.dimB, "A") @ psi[best]).ravel()
-    verdict = PASS if best_val < -1e-6 else INCONCLUSIVE
-    witness = {"psi": _mat_witness(best_psi)}
-    return Certificate("one_distillable", best_val, 0.0, verdict, witness, seed, restarts)
+    return one_distillable_many([rho], [seed], restarts=restarts)[0]
 
 
 def gurvits_ball(rho: DensityMatrix) -> Certificate:
@@ -147,7 +170,8 @@ def gurvits_ball(rho: DensityMatrix) -> Certificate:
 
 
 def _fef_objective(rho_mat: np.ndarray, u: np.ndarray, d: int):
-    """f = <psi|rho|psi> with psi = (I x U)|Phi+>, and d f / d conj(U), for each U of an (R, d, d) stack."""
+    """f = <psi|rho|psi> with psi = (I x U)|Phi+>, and d f / d conj(U), for each U of an (R, d, d)
+    stack and the state of its row in ``rho_mat``."""
     psi = u.swapaxes(-1, -2).reshape(len(u), -1) / np.sqrt(d)
     w = rho_mat @ psi[..., None]
     f = np.real(psi[:, None, :].conj() @ w)[:, 0, 0]
@@ -155,10 +179,12 @@ def _fef_objective(rho_mat: np.ndarray, u: np.ndarray, d: int):
     return f, grad
 
 
-def _fef_starts(d: int, restarts: int, seed: int) -> np.ndarray:
-    """(R, d, d) start unitaries: the identity, then a Haar unitary drawn from ``seed ^ r`` for restart r."""
-    (draws,) = haar_restarts([seed ^ r for r in range(1, restarts)], [(1, d)])
-    return np.concatenate([np.eye(d, dtype=complex)[None], draws[:, 0]])
+def _fef_starts(d: int, restarts: int, seeds: list[int]) -> np.ndarray:
+    """(S R, d, d) start unitaries, ``restarts`` rows per seed in turn: the identity, then for
+    restart r of seed s a Haar unitary drawn from ``s ^ r``."""
+    (draws,) = haar_restarts([seed ^ r for seed in seeds for r in range(1, restarts)], [(1, d)])
+    eye = np.broadcast_to(np.eye(d, dtype=complex), (len(seeds), 1, d, d))
+    return np.concatenate([eye, draws.reshape(len(seeds), restarts - 1, d, d)], axis=1).reshape(-1, d, d)
 
 
 def _skew_expm(w: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -169,14 +195,15 @@ def _skew_expm(w: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _fef_ascent(rho_mat: np.ndarray, u: np.ndarray):
     """Riemannian ascent from each start of an (R, d, d) stack of unitaries, in lockstep.
 
-    Every tick tries one line-search step on every row still running; a row
-    stops when its gradient vanishes, after 300 accepted steps, or when its
-    step falls to 1e-12.  A row diagonalises its direction once, when the
-    direction changes, and exponentiates each line-search try from that.
-    Returns each row's final f and U.
+    ``rho_mat`` is the state of each row, an (R, d^2, d^2) stack, or one that every row
+    shares.  Every tick tries one line-search step on every row still running; a row
+    stops when its gradient vanishes, after 300 accepted steps, or when its step falls to
+    1e-12.  A row diagonalises its direction once, when the direction changes, and
+    exponentiates each line-search try from that.  Returns each row's final f and U.
     """
     d = u.shape[-1]
     u = u.copy()
+    rho_mat = np.broadcast_to(rho_mat, (len(u),) + rho_mat.shape[-2:])
     f, grad = _fef_objective(rho_mat, u, d)
     step = np.ones(len(u))
     moves = np.zeros(len(u), dtype=int)
@@ -195,7 +222,7 @@ def _fef_ascent(rho_mat: np.ndarray, u: np.ndarray):
         if not live.size:
             break
         u_try = _skew_expm(eig_w[live], eig_q[live], step[live]) @ u[live]
-        f_try, grad_try = _fef_objective(rho_mat, u_try, d)
+        f_try, grad_try = _fef_objective(rho_mat[live], u_try, d)
         up = f_try > f[live] + 1e-15
         moved = live[up]
         u[moved], f[moved], grad[moved] = u_try[up], f_try[up], grad_try[up]
@@ -206,6 +233,30 @@ def _fef_ascent(rho_mat: np.ndarray, u: np.ndarray):
     return f, u
 
 
+def fef_many(rhos: list[DensityMatrix], seeds: list[int], restarts: int = 32) -> list[Certificate]:
+    """:func:`fef` for states of one bipartition, state i seeded by ``seeds[i]``.
+
+    Every (state, restart) pair is a row of one lockstep stack, and each state gets the
+    certificate, bit for bit, that it gets alone.  Raises ValueError on an empty list,
+    on states of different dimensions and when the seeds do not match the states one to one.
+    """
+    d, d_b = grid_dims(rhos, seeds)
+    if d != d_b:
+        raise ValueError("fully-entangled fraction needs a square bipartition")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    mats = np.repeat(np.stack([rho.mat for rho in rhos]), restarts, axis=0)
+    f, u = _fef_ascent(mats, _fef_starts(d, restarts, seeds))
+    certs = []
+    for i, seed in enumerate(seeds):
+        best = i * restarts + int(np.argmax(f[i * restarts : (i + 1) * restarts]))
+        best_f = float(f[best])
+        verdict = PASS if best_f > 1.0 / d + 1e-9 else INCONCLUSIVE
+        witness = {"unitary": _mat_witness(u[best])}
+        certs.append(Certificate("fef", best_f, 1.0 / d, verdict, witness, seed, restarts))
+    return certs
+
+
 def fef(rho: DensityMatrix, restarts: int = 32, seed: int = 0) -> Certificate:
     """Fully-entangled fraction via multi-start Riemannian ascent over the unitary group.
 
@@ -214,19 +265,9 @@ def fef(rho: DensityMatrix, restarts: int = 32, seed: int = 0) -> Certificate:
     from a Haar unitary drawn from ``seed ^ r``; the restarts run in lockstep,
     one stacked call per kernel and line-search step, and each gives the value
     it gives run alone.  The step's exponential exp(s Omega) comes from one
-    ``eigh`` of i Omega per direction.
+    ``eigh`` of i Omega per direction.  The stack of one of :func:`fef_many`.
     """
-    if rho.dimA != rho.dimB:
-        raise ValueError("fully-entangled fraction needs a square bipartition")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    d = rho.dimA
-    f, u = _fef_ascent(rho.mat, _fef_starts(d, restarts, seed))
-    best = int(np.argmax(f))
-    best_f = float(f[best])
-    verdict = PASS if best_f > 1.0 / d + 1e-9 else INCONCLUSIVE
-    witness = {"unitary": _mat_witness(u[best])}
-    return Certificate("fef", best_f, 1.0 / d, verdict, witness, seed, restarts)
+    return fef_many([rho], [seed], restarts=restarts)[0]
 
 
 def _magic_basis() -> np.ndarray:

@@ -66,45 +66,49 @@ def _state_for(d, v, noisy, seed):
     return states.noisy_surrogate(ideal, states.experiment_like_noise(v, seed=seed))
 
 
+def _grid_states(args, task_seed):
+    """The seed and the state of each grid point: the i-th v is seeded by ``task_seed ^ i``."""
+    seeds = [task_seed ^ i for i in range(len(args.v_grid))]
+    return seeds, [_state_for(args.d, v, args.noisy, seed) for v, seed in zip(args.v_grid, seeds)]
+
+
 def sweep_ppt(args, task_seed):
+    seeds, rhos = _grid_states(args, task_seed)
     rows = []
-    for i, v in enumerate(args.v_grid):
-        seed = task_seed ^ i
-        rho = _state_for(args.d, v, args.noisy, seed)
+    for v, seed, rho in zip(args.v_grid, seeds, rhos):
         cert = certify.ppt_min_eig(rho)
         rows.append([args.d, float(v), seed, cert.value, cert.verdict])
     return ["d", "v", "seed", "min_eig", "verdict"], rows
 
 
 def sweep_distill(args, task_seed):
-    rows = []
-    for i, v in enumerate(args.v_grid):
-        seed = task_seed ^ i
-        rho = _state_for(args.d, v, args.noisy, seed)
-        cert = certify.one_distillable(rho, restarts=args.restarts, seed=seed)
-        rows.append([args.d, float(v), seed, cert.value, cert.verdict, args.restarts])
+    seeds, rhos = _grid_states(args, task_seed)
+    certs = certify.one_distillable_many(rhos, seeds, restarts=args.restarts)
+    rows = [
+        [args.d, float(v), seed, cert.value, cert.verdict, args.restarts]
+        for v, seed, cert in zip(args.v_grid, seeds, certs)
+    ]
     return ["d", "v", "seed", "value", "verdict", "restarts"], rows
 
 
 def sweep_fef(args, task_seed):
+    seeds, rhos = _grid_states(args, task_seed)
+    certs = certify.fef_many(rhos, seeds, restarts=args.restarts)
     rows = []
-    for i, v in enumerate(args.v_grid):
-        seed = task_seed ^ i
-        rho = _state_for(args.d, v, args.noisy, seed)
-        cert = certify.fef(rho, restarts=args.restarts, seed=seed)
+    for v, seed, cert in zip(args.v_grid, seeds, certs):
         filtered_f2 = certify.fef2_exact(filterops.rotated_filtered_state(v)) if args.d == 3 else float("nan")
         rows.append([args.d, float(v), seed, cert.value, 1.0 / args.d, filtered_f2])
     return ["d", "v", "seed", "fef", "threshold", "filtered_f2"], rows
 
 
 def sweep_chsh(args, task_seed):
-    rows = []
-    for i, v in enumerate(args.v_grid):
-        seed = task_seed ^ i
-        rho_f = filterops.rotated_filtered_state(v)
-        exact = certify.chsh_horodecki(rho_f).value
-        found = steer.seesaw_bell(rho_f, steer.chsh_coefficients(), restarts=args.restarts, seed=seed)
-        rows.append([float(v), seed, exact, found])
+    seeds = [task_seed ^ i for i in range(len(args.v_grid))]
+    rhos = [filterops.rotated_filtered_state(v) for v in args.v_grid]
+    found = steer.seesaw_bell_many(rhos, steer.chsh_coefficients(), seeds, restarts=args.restarts)
+    rows = [
+        [float(v), seed, certify.chsh_horodecki(rho_f).value, value]
+        for v, seed, rho_f, value in zip(args.v_grid, seeds, rhos, found)
+    ]
     return ["v", "seed", "chsh_horodecki", "chsh_seesaw"], rows
 
 

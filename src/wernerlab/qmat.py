@@ -66,6 +66,21 @@ class DensityMatrix:
         return self.dimA * self.dimB
 
 
+def grid_dims(rhos: list[DensityMatrix], seeds: list[int]) -> tuple[int, int]:
+    """The (dimA, dimB) shared by the states of a grid search, state i seeded by ``seeds[i]``.
+
+    Raises ValueError on an empty list, on states of different dimensions and when the
+    seeds do not match the states one to one."""
+    if not rhos:
+        raise ValueError("no states to search")
+    if len(seeds) != len(rhos):
+        raise ValueError(f"{len(rhos)} states need as many seeds, got {len(seeds)}")
+    dims = sorted({(rho.dimA, rho.dimB) for rho in rhos})
+    if len(dims) > 1:
+        raise ValueError(f"states searched together must share their dimensions, got {dims}")
+    return dims[0]
+
+
 def as_state(mat: np.ndarray, dimA: int, dimB: int, clip_tol: float = 1e-8) -> DensityMatrix:
     """Project a nearly-valid matrix onto the state set and wrap it.
 

@@ -24,8 +24,10 @@ is the one iteration loop: the iterates of R programs that share a set-up
 form the rows of an (R, n + m + 1) stack, R = 1 included, each sparse
 product, triangular solve and cone projection acts on all of them at once, and
 a program leaves the stack at the check where it exits.  The projection clips
-2 x 2 PSD blocks in closed form, from their eigenvalues m -+ r, and the other
-PSD blocks through one batched eigh per block size.  Every operation
+2 x 2 PSD blocks in closed form, from their eigenvalues m -+ r.  It keeps a
+3 x 3 block whose three Cholesky pivots are positive, zeroes one whose pivots
+are all negative, and sends only the indefinite or singular rest to eigh;
+blocks of other sides go through one batched eigh per block size.  Every operation
 acts row by row with the same arithmetic whatever the stack width, so a
 program gives the same iterates, bit for bit, alone or in a batch, and with
 a memoised set-up or a fresh one.  :func:`solve` is ``solve_many`` on one
@@ -207,16 +209,52 @@ def _project_psd2(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pivots3(x: np.ndarray) -> np.ndarray:
+    """The three LDL^H (Cholesky) pivots of 3 x 3 Hermitian blocks, stacked on a new first
+    axis, from their vec_real coordinates (a, d, f, then sqrt(2) Re and Im of b = h01,
+    c = h02 and e = h12) along the last axis.
+
+    The pivots are a, d - |b|^2/a and f - |c|^2/a - |l|^2/p2 with l = e - conj(b) c / a; those
+    of -H are exactly their negations, since rounding is symmetric in sign.  A zero pivot
+    makes the later ones inf or nan, which compare false both ways."""
+    a, d, f = x[..., 0], x[..., 1], x[..., 2]
+    b, c, e = np.moveaxis(np.sqrt(0.5) * (x[..., 3::2] + 1j * x[..., 4::2]), -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p2 = d - (b.real**2 + b.imag**2) / a
+        l = e - b.conj() * c / a
+        p3 = f - (c.real**2 + c.imag**2) / a - (l.real**2 + l.imag**2) / p2
+    return np.stack([a, p2, p3])
+
+
+def _project_psd_eigh(x: np.ndarray, n: int) -> np.ndarray:
+    """Projection of a (blocks, n*n) stack of vec_real coordinates onto the PSD cone by eigh."""
+    h = mat_real(x, n)
+    try:
+        w, q = np.linalg.eigh(h)
+    except np.linalg.LinAlgError:
+        # LAPACK's default driver can fail to converge on a finite iterate; MRRR is independent
+        pairs = [scipy.linalg.eigh(hb, driver="evr") for hb in h]
+        w, q = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+    w = np.clip(w, 0.0, None)
+    return vec_real((q * w[:, None, :]) @ q.conj().transpose(0, 2, 1))
+
+
 class _ConeProjector:
     """Batched projection of the block-structured variable onto its cone.
 
     Every NONNEG entry clips through one index (a slice when the entries are contiguous),
     and each same-size PSD group is gathered and scattered through one (blocks, n*n) index
     array.  Leading axes of the input are a stack of variables.  Side-2 blocks project in
-    closed form (:func:`_project_psd2`); any other side takes one eigh over every block of
-    every row.  A closed form for side 3 (trigonometric eigenvalues, cross-product
-    eigenvectors) was about 5e-9 off on the rank-1 and nearly degenerate blocks common
-    near a solution, and barely faster than eigh."""
+    closed form (:func:`_project_psd2`).  Side-3 blocks are first sorted by the signs of
+    their Cholesky pivots (:func:`_pivots3`): a block with three positive pivots is kept
+    as it is and one with three negative pivots goes to 0, and only the rest take eigh.  A
+    Cholesky that completes in floating point puts the block within O(n eps |H|) of a PSD
+    matrix (Demmel 1989; Higham, Accuracy and Stability, sec. 10.1), the accuracy of the
+    eigh route.  Near a solution most side-3 blocks of the steering programs are definite.
+    Any other side takes one eigh over every block of every row.  A closed form for the
+    side-3 eigenproblem (trigonometric eigenvalues, cross-product eigenvectors) was about
+    5e-9 off on the rank-1 and nearly degenerate blocks common near a solution, and barely
+    faster than eigh."""
 
     def __init__(self, blocks: tuple[Block, ...]):
         groups: dict[tuple[str, int], list[int]] = {}
@@ -242,18 +280,19 @@ class _ConeProjector:
         if self.nonneg is not None:
             out[..., self.nonneg] = np.maximum(x[..., self.nonneg], 0.0)
         for n, idx in self.psd:
+            blocks = x[..., idx]
             if n == 2:
-                out[..., idx] = _project_psd2(x[..., idx])
-                continue
-            h = mat_real(x[..., idx], n).reshape(-1, n, n)
-            try:
-                w, q = np.linalg.eigh(h)
-            except np.linalg.LinAlgError:
-                # LAPACK's default driver can fail to converge on a finite iterate; MRRR is independent
-                pairs = [scipy.linalg.eigh(hb, driver="evr") for hb in h]
-                w, q = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
-            w = np.clip(w, 0.0, None)
-            out[..., idx] = vec_real((q * w[:, None, :]) @ q.conj().transpose(0, 2, 1)).reshape(x.shape[:-1] + idx.shape)
+                out[..., idx] = _project_psd2(blocks)
+            elif n == 3:
+                pivots = _pivots3(blocks)
+                positive, negative = np.all(pivots > 0.0, axis=0), np.all(pivots < 0.0, axis=0)
+                blocks[negative] = 0.0
+                mixed = ~(positive | negative)
+                if mixed.any():
+                    blocks[mixed] = _project_psd_eigh(blocks[mixed], 3)
+                out[..., idx] = blocks
+            else:
+                out[..., idx] = _project_psd_eigh(blocks.reshape(-1, n * n), n).reshape(blocks.shape)
         return out
 
 

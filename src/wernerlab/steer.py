@@ -19,6 +19,10 @@ one stack each.  A restart gives the same values, bit for bit, as it gives
 run on its own.  The Bell see-saw (:func:`seesaw_bell`) runs its restarts the
 same way: each half-step updates one side of every restart still improving,
 and checks the new effects as POVMs, in one stacked call per kernel.
+:func:`seesaw_bell_many` runs a grid of states of one bipartition, one seed
+per state, as one such stack: every (state, restart) pair is a row that
+carries its own state, so each state gets the value it gets alone, and
+``seesaw_bell`` is the stack of one.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 
-from .qmat import DensityMatrix, dagger
+from .qmat import DensityMatrix, dagger, grid_dims
 from .solver import Block, ConicProgram, mat_real, solve, solve_many, vec_real
 from .states import haar_restarts, haar_unitaries
 
@@ -161,20 +165,27 @@ class Assemblage:
         return self.sigma[0][0].shape[0]
 
 
-def _contract(rho: DensityMatrix, ops: np.ndarray, side: str) -> np.ndarray:
-    """Hermitian part of tr_side[(op on side) rho] for each op of a (..., a, d, d) stack:
-    the operators left on the other side."""
-    r = rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
-    table = ops.reshape((-1,) + ops.shape[-3:])
-    red = np.einsum("xaiI,Ijil->xajl", table, r) if side == "A" else np.einsum("xajJ,iJkj->xaik", table, r)
-    return ((red + dagger(red)) / 2).reshape(ops.shape[:-2] + red.shape[-2:])
+def _tensor(rho: DensityMatrix) -> np.ndarray:
+    """rho as a (dA, dB, dA, dB) tensor, the form the contractions take."""
+    return rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
+
+
+def _contract(r: np.ndarray, ops: np.ndarray, side: str) -> np.ndarray:
+    """Hermitian part of tr_side[(op on side) rho] for each op of a (..., x, a, d, d) stack:
+    the operators left on the other side.  ``r`` is rho as a :func:`_tensor`, or a stack
+    of them with one state per leading index of ``ops``."""
+    if side == "A":
+        red = np.einsum("...xaiI,...Ijil->...xajl", ops, r)
+    else:
+        red = np.einsum("...xajJ,...iJkj->...xaik", ops, r)
+    return (red + dagger(red)) / 2
 
 
 def assemblage_from(rho: DensityMatrix, meas: MeasurementSet, steering_side: str = "A") -> Assemblage:
     """Conditional states of the other side when ``steering_side`` is measured."""
     if meas.dim != (rho.dimA if steering_side == "A" else rho.dimB):
         raise ValueError(f"measurement dimension does not match side {steering_side}")
-    return Assemblage(tuple(map(tuple, _contract(rho, np.asarray(meas.effects), steering_side))))
+    return Assemblage(tuple(map(tuple, _contract(_tensor(rho), np.asarray(meas.effects), steering_side))))
 
 
 @lru_cache(maxsize=32)
@@ -313,13 +324,17 @@ def sr_state_lower_bound(
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if n_settings < 1:
+        raise ValueError(f"n_settings must be at least 1, got {n_settings}")
     d = rho.dimA if steering_side == "A" else rho.dimB
     unmeasured = "B" if steering_side == "A" else "A"
     shape = (n_settings, d, rho.dimB if steering_side == "A" else rho.dimA)
     _sr_program(*shape)  # checks the lambda budget before any draw
 
+    state = _tensor(rho)
+
     def solve_round(effects):
-        progs = _sr_programs(_contract(rho, effects, steering_side))
+        progs = _sr_programs(_contract(state, effects, steering_side))
         return solve_many(progs, tol=sdp_tol)
 
     (u,) = haar_restarts([seed ^ r for r in range(restarts)], [(n_settings, d)])
@@ -335,7 +350,7 @@ def sr_state_lower_bound(
             break
         # G_{a|x} = tr_unmeasured[(F_{a|x} on it) rho]: the dual value is sum tr(M_{a|x} G_{a|x}) - 1
         duals = np.stack([_sr_duals(sols[r].y, shape) for r in live])
-        new_effects = _update_measurements(effects[live], _contract(rho, duals, unmeasured))
+        new_effects = _update_measurements(effects[live], _contract(state, duals, unmeasured))
         improving = []
         for r, new_eff, new_sol in zip(live, new_effects, solve_round(new_effects)):
             if new_sol.status != "OPTIMAL":
@@ -384,18 +399,18 @@ class Correlation:
         return self.p.shape
 
 
-def _correlations(rho: DensityMatrix, effects_a: np.ndarray, effects_b: np.ndarray) -> np.ndarray:
-    """P(a,b|x,y) = tr[rho M_{a|x} (x) M_{b|y}] for matching (..., x, a, d, d) stacks of both sides' effects."""
-    r = rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
+def _correlations(r: np.ndarray, effects_a: np.ndarray, effects_b: np.ndarray) -> np.ndarray:
+    """P(a,b|x,y) = tr[rho M_{a|x} (x) M_{b|y}] for matching (..., x, a, d, d) stacks of both sides'
+    effects; ``r`` is rho as a :func:`_tensor`, or a stack of them matching the leading axes."""
     # tr[rho (M_a (x) M_b)] = sum rho[(i,j),(k,l)] M_a[k,i] M_b[l,j]
-    return np.einsum("ijkl,...xaki,...yblj->...xyab", r, effects_a, effects_b).real
+    return np.einsum("...ijkl,...xaki,...yblj->...xyab", r, effects_a, effects_b).real
 
 
 def correlation_from(rho: DensityMatrix, meas_a: MeasurementSet, meas_b: MeasurementSet) -> Correlation:
     """P(a,b|x,y) = tr[rho M_{a|x} (x) M_{b|y}]."""
     if meas_a.dim != rho.dimA or meas_b.dim != rho.dimB:
         raise ValueError("measurement dimensions do not match the state")
-    return Correlation(_correlations(rho, np.asarray(meas_a.effects), np.asarray(meas_b.effects)))
+    return Correlation(_correlations(_tensor(rho), np.asarray(meas_a.effects), np.asarray(meas_b.effects)))
 
 
 def nonlocal_content(corr: Correlation, tol: float = 1e-9) -> float:
@@ -449,12 +464,13 @@ def bell_value(corr: Correlation, coefficients: np.ndarray) -> float:
     return float(np.sum(corr.p * coefficients))
 
 
-def _bell_response(rho: DensityMatrix, coefficients: np.ndarray, other_effects: np.ndarray, side: str) -> np.ndarray:
+def _bell_response(r: np.ndarray, coefficients: np.ndarray, other_effects: np.ndarray, side: str) -> np.ndarray:
     """G_{a|x} of ``side`` with sum_ax tr(M_{a|x} G_{a|x}) the Bell value against the other
-    side's (..., y, b, d, d) effects, as a matching (..., x, a, d, d) stack."""
+    side's (..., y, b, d, d) effects, as a matching (..., x, a, d, d) stack; ``r`` is rho as
+    a :func:`_tensor`, or a stack of them matching the leading axes."""
     table = coefficients if side == "A" else coefficients.transpose(1, 0, 3, 2)
     ops = np.einsum("xyab,...ybij->...xaij", table, other_effects)  # on the other side
-    return _contract(rho, ops, "B" if side == "A" else "A")
+    return _contract(r, ops, "B" if side == "A" else "A")
 
 
 def _exact_two_outcome_update(response: np.ndarray) -> np.ndarray:
@@ -512,11 +528,14 @@ def correlation_from_json(text: str) -> Correlation:
     return Correlation(np.asarray(obj["p"]).reshape(n_sa, n_sb, n_oa, n_ob))
 
 
-def _bell_starts(rho: DensityMatrix, scenario: tuple, restarts: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(R, x, a, d, d) stacks of grouped projective effects for A and B, checked as POVMs;
-    restart r draws A's and then B's from ``seed ^ r``."""
+def _bell_starts(
+    dims: tuple[int, int], scenario: tuple, restarts: int, seeds: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S R, x, a, d, d) stacks of grouped projective effects for A and B of local dimensions
+    ``dims``, ``restarts`` rows per seed in turn, checked as POVMs; restart r of seed s draws
+    A's and then B's from ``s ^ r``."""
     n_sa, n_sb, n_oa, n_ob = scenario
-    ua, ub = haar_restarts([seed ^ r for r in range(restarts)], [(n_sa, rho.dimA), (n_sb, rho.dimB)])
+    ua, ub = haar_restarts([seed ^ r for seed in seeds for r in range(restarts)], [(n_sa, dims[0]), (n_sb, dims[1])])
     effects_a, effects_b = _effects_from_unitaries(ua, n_oa), _effects_from_unitaries(ub, n_ob)
     _check_effects(effects_a)
     _check_effects(effects_b)
@@ -524,26 +543,30 @@ def _bell_starts(rho: DensityMatrix, scenario: tuple, restarts: int, seed: int) 
 
 
 def _seesaw_bell_rows(
-    rho: DensityMatrix, coefficients: np.ndarray, effects_a: np.ndarray, effects_b: np.ndarray
+    r: np.ndarray, coefficients: np.ndarray, effects_a: np.ndarray, effects_b: np.ndarray
 ) -> np.ndarray:
     """Final Bell value of the see-saw from each start of two (R, x, a, d, d) effect stacks, in lockstep.
 
-    Each half-step updates one side of every row still improving in one stacked call per
-    kernel; a row stops when a round gains less than 1e-9, or after 500 rounds."""
+    ``r`` is the state of every row, an (R, dA, dB, dA, dB) stack of :func:`_tensor`s, or
+    one tensor that all rows share.  Each half-step updates one side of every row still
+    improving in one stacked call per kernel; a row stops when a round gains less than
+    1e-9, or after 500 rounds."""
     axes = (-4, -3, -2, -1)
+    r = np.broadcast_to(r, (len(effects_a),) + r.shape[-4:])
 
-    def values(eff_a, eff_b):
-        return np.sum(_correlations(rho, eff_a, eff_b) * coefficients, axis=axes)
+    def values(r_rows, eff_a, eff_b):
+        return np.sum(_correlations(r_rows, eff_a, eff_b) * coefficients, axis=axes)
 
     effects_a, effects_b = effects_a.copy(), effects_b.copy()
-    value = values(effects_a, effects_b)
-    live = np.arange(len(value))
+    live = np.arange(len(effects_a))
+    value = values(r[live], effects_a, effects_b)
     for _ in range(500):
         start = cur = value[live]
+        r_live = r[live]
         for side in ("A", "B"):
             mine, other = (effects_a, effects_b) if side == "A" else (effects_b, effects_a)
-            new = _best_povm_update(mine[live], _bell_response(rho, coefficients, other[live], side))
-            new_value = values(new, other[live]) if side == "A" else values(other[live], new)
+            new = _best_povm_update(mine[live], _bell_response(r_live, coefficients, other[live], side))
+            new_value = values(r_live, new, other[live]) if side == "A" else values(r_live, other[live], new)
             keep = new_value >= cur - 1e-12
             mine[live[keep]] = new[keep]
             cur = np.where(keep, np.maximum(new_value, cur), cur)
@@ -552,6 +575,33 @@ def _seesaw_bell_rows(
         if not live.size:
             break
     return value
+
+
+def seesaw_bell_many(
+    rhos: list[DensityMatrix],
+    coefficients: np.ndarray,
+    seeds: list[int],
+    restarts: int = 20,
+) -> list[float]:
+    """:func:`seesaw_bell` for states of one bipartition, state i seeded by ``seeds[i]``, in lockstep.
+
+    Every (state, restart) pair is a row of one see-saw stack, and each state gets the
+    value, bit for bit, that it gets alone.  Raises ValueError on an empty list, on states
+    of different dimensions and when the seeds do not match the states one to one.
+    """
+    d_a, d_b = grid_dims(rhos, seeds)
+    n_sa, n_sb, n_oa, n_ob = coefficients.shape
+    if n_oa ** n_sa * n_ob ** n_sb > 10**6:
+        raise ValueError("scenario too large")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    for side, n_o, dim in (("A", n_oa, d_a), ("B", n_ob, d_b)):
+        if n_o not in (2, dim):  # the pairwise update needs rank-1 effects
+            raise ValueError(f"side {side} has {n_o} outcomes in dimension {dim}; the see-saw needs 2 or {dim}")
+    starts = _bell_starts((d_a, d_b), coefficients.shape, restarts, seeds)
+    r = np.repeat(np.stack([_tensor(rho) for rho in rhos]), restarts, axis=0)
+    value = _seesaw_bell_rows(r, coefficients, *starts)
+    return [float(v) for v in value.reshape(len(rhos), restarts).max(axis=1)]
 
 
 def seesaw_bell(
@@ -567,15 +617,7 @@ def seesaw_bell(
     (two-outcome) or pairwise-eigenvector measurement updates between the sides; each
     accepted half-step never decreases the value.  Restart r draws both sides' measurements
     from ``seed ^ r``; the restarts run in lockstep, one stacked call per kernel and
-    half-step, and each gives the value it gives run alone.
+    half-step, and each gives the value it gives run alone.  The stack of one of
+    :func:`seesaw_bell_many`.
     """
-    n_sa, n_sb, n_oa, n_ob = coefficients.shape
-    if n_oa ** n_sa * n_ob ** n_sb > 10**6:
-        raise ValueError("scenario too large")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    for side, n_o, dim in (("A", n_oa, rho.dimA), ("B", n_ob, rho.dimB)):
-        if n_o not in (2, dim):  # the pairwise update needs rank-1 effects
-            raise ValueError(f"side {side} has {n_o} outcomes in dimension {dim}; the see-saw needs 2 or {dim}")
-    starts = _bell_starts(rho, coefficients.shape, restarts, seed)
-    return float(np.max(_seesaw_bell_rows(rho, coefficients, *starts)))
+    return seesaw_bell_many([rho], coefficients, [seed], restarts=restarts)[0]

@@ -19,6 +19,7 @@ from wernerlab.states import haar_unitary
 from wernerlab.steer import (
     MeasurementSet,
     _contract,
+    _tensor,
     _update_measurements,
     bell_value,
     correlation_from,
@@ -104,7 +105,7 @@ def fef_by_restarts(rho, restarts, seed):
 def _bell_response(rho, coefficients, other_meas, side):
     table = coefficients if side == "A" else coefficients.transpose(1, 0, 3, 2)
     ops = np.einsum("xyab,ybij->xaij", table, np.asarray(other_meas.effects))
-    return _contract(rho, ops, "B" if side == "A" else "A")
+    return _contract(_tensor(rho), ops, "B" if side == "A" else "A")
 
 
 def _best_povm_update(meas, response):

@@ -14,9 +14,11 @@ from wernerlab.certify import (
     fef,
     fef2_exact,
     fef_embedding_check,
+    fef_many,
     filtered_delta,
     gurvits_ball,
     one_distillable,
+    one_distillable_many,
     ppt_min_eig,
     werner_delta,
 )
@@ -246,7 +248,7 @@ def test_fef_matches_sequential_reference(state):
     rho = state()
     seed, restarts = 2024, 16
     want = fef_by_restarts(rho, restarts, seed)
-    starts = certify._fef_starts(rho.dimA, restarts, seed)
+    starts = certify._fef_starts(rho.dimA, restarts, [seed])
     assert np.allclose(certify._fef_ascent(rho.mat, starts)[0], want, rtol=0, atol=1e-12)
     cert = fef(rho, restarts=restarts, seed=seed)
     assert cert.value == pytest.approx(max(want), rel=0, abs=1e-12)
@@ -261,7 +263,7 @@ def test_one_distillable_matches_sequential_reference(state):
     rho = state()
     seed, restarts = 2024, 16
     want = one_distillable_by_restarts(rho, restarts, seed)
-    frames = certify._distill_frames(rho.dimA, rho.dimB, restarts, seed)
+    frames = certify._distill_frames(rho.dimA, rho.dimB, restarts, [seed])
     x = partial_transpose(rho, "A")
     assert np.allclose(certify._distill_descent(x, *frames)[0], want, rtol=0, atol=1e-12)
     cert = one_distillable(rho, restarts=restarts, seed=seed)
@@ -270,6 +272,38 @@ def test_one_distillable_matches_sequential_reference(state):
     psi = np.array([complex(re, im) for re, im in cert.witness["psi"][0]])
     assert np.vdot(psi, x @ psi).real == pytest.approx(cert.value, abs=1e-12)
     assert_rows_bitwise_alone(lambda va, vb: certify._distill_descent(x, va, vb), frames)
+
+
+GRID_STATES = {2024: lambda: werner(3, 0.0), 7: lambda: werner(3, 0.35), 99: lambda: random_state(3, 3, 11)}
+
+
+@pytest.mark.parametrize(
+    "many, solo, reference, best",
+    [
+        (fef_many, fef, fef_by_restarts, max),
+        (one_distillable_many, one_distillable, one_distillable_by_restarts, min),
+    ],
+    ids=["fef", "one_distillable"],
+)
+def test_grid_search_gives_each_state_its_solo_certificate(many, solo, reference, best):
+    seeds, rhos, restarts = list(GRID_STATES), [state() for state in GRID_STATES.values()], 6
+    certs = many(rhos, seeds, restarts=restarts)
+    assert len(certs) == len(rhos)
+    for cert, rho, seed in zip(certs, rhos, seeds):
+        # the JSON spells every float exactly, witness included
+        assert cert.to_json() == solo(rho, restarts=restarts, seed=seed).to_json()
+        assert (cert.seed, cert.restarts) == (seed, restarts)
+        assert cert.value == pytest.approx(best(reference(rho, restarts, seed)), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("many", [fef_many, one_distillable_many], ids=["fef", "one_distillable"])
+def test_grid_search_rejects_mixed_dimensions_and_empty_lists(many):
+    with pytest.raises(ValueError, match="share their dimensions"):
+        many([werner(3, 0.1), werner(2, 0.1)], [1, 2])
+    with pytest.raises(ValueError, match="no states"):
+        many([], [])
+    with pytest.raises(ValueError, match="2 states need as many seeds, got 1"):
+        many([werner(3, 0.1), werner(3, 0.2)], [1])
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wernerlab import cli
+from wernerlab import certify, cli, steer
 from wernerlab.cli import derive_seed, main, parse_grid
 from wernerlab.extend import critical_weight
+from wernerlab.filterops import rotated_filtered_state
 from wernerlab.solver import Block, ConicProgram, dump_program
+from wernerlab.states import werner
 
 
 def read_csv(path):
@@ -97,6 +99,32 @@ def test_config_file_with_flag_priority(tmp_path):
     assert len(rows) == 2  # grid came from the config
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["global_seed"] == 9  # explicit flag beat the config
+
+
+def test_grid_tasks_write_the_bytes_of_a_loop_over_solo_calls(tmp_path):
+    argv = ["sweep", "--task", "fef,distill,chsh", "--v-grid", "0:0.25:0.5", "--restarts", "4", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    seeds = {task: derive_seed(2024, task) for task in ("fef", "distill", "chsh")}
+    rows = {task: [] for task in seeds}
+    for i, v in enumerate([0.0, 0.25, 0.5]):
+        rho, rho_f = werner(3, v), rotated_filtered_state(v)
+        seed = seeds["fef"] ^ i
+        found = certify.fef(rho, restarts=4, seed=seed).value
+        rows["fef"].append([3, v, seed, found, 1 / 3, certify.fef2_exact(rho_f)])
+        seed = seeds["distill"] ^ i
+        cert = certify.one_distillable(rho, restarts=4, seed=seed)
+        rows["distill"].append([3, v, seed, cert.value, cert.verdict, 4])
+        seed = seeds["chsh"] ^ i
+        found = steer.seesaw_bell(rho_f, steer.chsh_coefficients(), restarts=4, seed=seed)
+        rows["chsh"].append([v, seed, certify.chsh_horodecki(rho_f).value, found])
+    headers = {
+        "fef": ["d", "v", "seed", "fef", "threshold", "filtered_f2"],
+        "distill": ["d", "v", "seed", "value", "verdict", "restarts"],
+        "chsh": ["v", "seed", "chsh_horodecki", "chsh_seesaw"],
+    }
+    for task, header in headers.items():
+        cli.write_csv(tmp_path / f"{task}_solo.csv", header, rows[task])
+        assert (tmp_path / f"{task}_d3.csv").read_bytes() == (tmp_path / f"{task}_solo.csv").read_bytes()
 
 
 def test_extend_table_command(tmp_path):
@@ -269,6 +297,20 @@ def test_replay_mismatch_leaves_recorded_outputs(tmp_path, capsys):
 def test_sweep_rejects_zero_restarts(tmp_path, capsys, task):
     assert main(["sweep", "--task", task, "--v-grid", "0.1", "--restarts", "0", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: restarts must be at least 1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--task", "sr", "--v-grid", "0.1", "--n-settings", "0"],
+        ["pipeline", "--n-settings", "0", "--shots", "2000"],
+    ],
+    ids=["sweep", "pipeline"],
+)
+def test_zero_settings_are_rejected_by_name(tmp_path, capsys, argv):
+    out = tmp_path / ("out" if argv[0] == "sweep" else "report.json")
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: n_settings must be at least 1, got 0\n"
 
 
 def test_pipeline_report_and_verdicts(tmp_path):

@@ -190,6 +190,76 @@ def test_psd2_rows_give_the_same_bits_alone():
     assert_rows_bitwise_alone(lambda rows: (proj.project(rows),), (x,))
 
 
+# eigenvalue triples of a 3 x 3 block, in units of its scale; the straddling ones put their
+# smallest eigenvalue at +-1e-12 of the scale
+PSD3_SPECTRA = {
+    "zero": (0.0, 0.0, 0.0),
+    "plus_identity": (1.0, 1.0, 1.0),
+    "minus_identity": (-1.0, -1.0, -1.0),
+    "definite": (1.0, 0.5, 0.25),
+    "negative_definite": (-0.25, -0.5, -1.0),
+    "rank1": (1.0, 0.0, 0.0),
+    "rank2": (1.0, 0.5, 0.0),
+    "negative_rank1": (0.0, 0.0, -1.0),
+    "straddle_up": (1.0, 0.5, 1e-12),
+    "straddle_down": (1.0, 0.5, -1e-12),
+}
+PSD3_KEPT = ("plus_identity", "definite")  # positive definite: the pivot test keeps them as they are
+PSD3_ZEROED = ("minus_identity", "negative_definite")
+
+
+def psd3_block(spectrum, scale, seed):
+    """vec_real of U diag(spectrum) U^dag for a seeded random U; 'random' draws the spectrum too."""
+    rng = np.random.default_rng(seed)
+    w = scale * (rng.standard_normal(3) if spectrum == "random" else np.array(PSD3_SPECTRA[spectrum]))
+    q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    return vec_real((q * w) @ q.conj().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["random", *PSD3_SPECTRA]),
+            st.floats(-8.0, 8.0),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=16,
+    )
+)
+def test_psd3_definite_blocks_skip_eigh(specs):
+    x = np.array([psd3_block(kind, 10.0**exponent, seed) for kind, exponent, seed in specs])
+    proj = solver._ConeProjector(tuple(Block("psd", 3) for _ in specs))
+    got = proj.project(x.ravel()).reshape(x.shape)
+    w, q = np.linalg.eigh(mat_real(x, 3))
+    want = vec_real((q * np.clip(w, 0.0, None)[:, None, :]) @ q.conj().swapaxes(-1, -2))
+    tol = 1e-12 * (1.0 + np.max(np.abs(x), axis=-1))
+    for (kind, _, _), block, out in zip(specs, x, got):
+        if kind in PSD3_KEPT:
+            assert out.tobytes() == block.tobytes()
+        if kind in PSD3_ZEROED:
+            assert not out.any()
+    assert np.all(np.max(np.abs(got - want), axis=-1) <= tol)
+    assert np.all(np.linalg.eigvalsh(mat_real(got, 3))[:, 0] >= -tol)
+
+
+def test_psd3_rows_give_the_same_bits_alone():
+    # 16 rows of 8 side-3 blocks, every spectrum kind at scales 1e-8 to 1e8
+    kinds = ["random", *PSD3_SPECTRA]
+    rng = np.random.default_rng(4)
+    x = np.array(
+        [
+            np.concatenate(
+                [psd3_block(kinds[(r + i) % len(kinds)], 10.0 ** rng.uniform(-8, 8), 8 * r + i) for i in range(8)]
+            )
+            for r in range(16)
+        ]
+    )
+    proj = solver._ConeProjector(tuple(Block("psd", 3) for _ in range(8)))
+    assert_rows_bitwise_alone(lambda rows: (proj.project(rows),), (x,))
+
+
 def test_embedding_linear_solve():
     # (I + Q) u = h for the skew embedding matrix Q of each row's program: rows differ in b
     prog = random_lp(6, 3, 1)

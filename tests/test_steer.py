@@ -25,6 +25,7 @@ from wernerlab.steer import (
     projective_from_unitaries,
     random_projective,
     seesaw_bell,
+    seesaw_bell_many,
     sr_solve,
     sr_state_lower_bound,
     steering_robustness,
@@ -596,13 +597,13 @@ def test_seesaw_kernels_match_loop_reference(d_a, d_b, side):
     d = d_a if side == "A" else d_b
     other = "B" if side == "A" else "A"
     effects = np.array([np.asarray(random_projective(d, 2, rng).effects) for _ in range(3)])
-    sigma = steer._contract(rho, effects, side)
+    sigma = steer._contract(steer._tensor(rho), effects, side)
     want = [[[contract(rho, e, side) for e in setting] for setting in restart] for restart in effects]
     assert np.allclose(sigma, want, rtol=0, atol=1e-14)
     # duals F_{a|x} on the unmeasured side: any Hermitian operators
     g = rng.standard_normal(sigma.shape) + 1j * rng.standard_normal(sigma.shape)
     duals = g + g.conj().swapaxes(-1, -2)
-    response = steer._contract(rho, duals, other)
+    response = steer._contract(steer._tensor(rho), duals, other)
     want = [[[contract(rho, f, other) for f in row] for row in restart] for restart in duals]
     assert np.allclose(response, want, rtol=0, atol=1e-14)
     got = steer._update_measurements(effects, response)
@@ -647,11 +648,11 @@ def test_bell_kernels_match_loop_reference(d_a, d_b, n_oa, n_ob):
     coefficients = rng.standard_normal((2, 3, n_oa, n_ob))
     for side, other_meas in (("A", meas_b), ("B", meas_a)):
         want = bell_response_by_loops(rho, coefficients, other_meas, side)
-        got = steer._bell_response(rho, coefficients, np.asarray(other_meas.effects), side)
+        got = steer._bell_response(steer._tensor(rho), coefficients, np.asarray(other_meas.effects), side)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0, atol=1e-14)
     # sum_ax tr(M_{a|x} G_{a|x}) is the Bell value
-    response_a = steer._bell_response(rho, coefficients, np.asarray(meas_b.effects), "A")
+    response_a = steer._bell_response(steer._tensor(rho), coefficients, np.asarray(meas_b.effects), "A")
     value = sum(np.trace(meas_a.effects[x][a] @ response_a[x][a]).real for x in range(2) for a in range(n_oa))
     assert value == pytest.approx(bell_value(Correlation(p), coefficients), abs=1e-12)
 
@@ -722,14 +723,35 @@ def test_seesaw_bell_matches_sequential_reference(state, table):
     seed, restarts = 4321, 16
     for rho_side, table_side in ((rho, coefficients), (swapped(rho), coefficients.transpose(1, 0, 3, 2))):
         want = seesaw_bell_by_restarts(rho_side, table_side, restarts, seed)
-        starts = steer._bell_starts(rho_side, table_side.shape, restarts, seed)
-        rows = steer._seesaw_bell_rows(rho_side, table_side, *starts)
+        starts = steer._bell_starts((rho_side.dimA, rho_side.dimB), table_side.shape, restarts, [seed])
+        rows = steer._seesaw_bell_rows(steer._tensor(rho_side), table_side, *starts)
         assert np.allclose(rows, want, rtol=0, atol=1e-12)
         best = seesaw_bell(rho_side, table_side, restarts=restarts, seed=seed)
         assert best == pytest.approx(max(want), rel=0, abs=1e-12)
         for r in range(restarts):
-            alone = steer._seesaw_bell_rows(rho_side, table_side, *(s[r : r + 1] for s in starts))
+            alone = steer._seesaw_bell_rows(steer._tensor(rho_side), table_side, *(s[r : r + 1] for s in starts))
             assert alone.tobytes() == rows[r : r + 1].tobytes()
+
+
+@pytest.mark.parametrize("state, table", BELL_CASES.values(), ids=BELL_CASES.keys())
+def test_seesaw_bell_grid_gives_each_state_its_solo_value(state, table):
+    coefficients = table()
+    base = state()
+    # three states of one bipartition: the case's state, a mixture with white noise and a random one
+    noisy = DensityMatrix(base.dimA, base.dimB, 0.7 * base.mat + 0.3 * np.eye(base.dim) / base.dim)
+    rhos, seeds, restarts = [base, noisy, random_state(base.dimA, base.dimB, 21)], [4321, 5, 77], 6
+    values = seesaw_bell_many(rhos, coefficients, seeds, restarts=restarts)
+    for value, rho, seed in zip(values, rhos, seeds):
+        alone = seesaw_bell(rho, coefficients, restarts=restarts, seed=seed)
+        assert np.float64(value).tobytes() == np.float64(alone).tobytes()
+        assert value == pytest.approx(max(seesaw_bell_by_restarts(rho, coefficients, restarts, seed)), rel=0, abs=1e-12)
+
+
+def test_seesaw_bell_grid_rejects_mixed_dimensions_and_empty_lists():
+    with pytest.raises(ValueError, match="share their dimensions"):
+        seesaw_bell_many([werner(2, 0.1), werner(3, 0.1)], chsh_coefficients(), [1, 2])
+    with pytest.raises(ValueError, match="no states"):
+        seesaw_bell_many([], chsh_coefficients(), [])
 
 
 def test_stacked_effect_check_matches_measurement_set():
