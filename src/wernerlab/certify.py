@@ -11,15 +11,22 @@ threshold and a verdict.  Verdict semantics, per certificate:
 * ``chsh``           PASS = CHSH violation (exact for two qubits); FAIL = none possible.
 * ``dense_coding``   PASS = dense-codable (delta > 0); FAIL = not (delta is exact).
 
-The multi-start searches (``one_distillable`` and ``fef``) run their seeded
-restarts in lockstep: the restarts are the rows of one stack, each step makes
-one stacked call per kernel for the rows still running, and a row leaves when
-its own stopping test fires.  A restart gives the same value, bit for bit, as
-it gives run on its own.  ``one_distillable_many`` and ``fef_many`` search a
-grid of states of one bipartition, one seed per state, with every (state,
-restart) pair a row of one stack; each row carries its own state, so each
-state gets the certificate it gets alone, and the single-state searches are
-the stack of one.
+Lockstep.  The package's multi-start searches -- ``one_distillable`` and
+``fef`` here, the Bell and steering see-saws of :mod:`~wernerlab.steer` -- and
+its MLE (:func:`~wernerlab.tomo.mle_reconstruct_many`) run their rows in
+lockstep: the rows (seeded restarts, or counts records) form one stack, each
+step makes one stacked call per kernel for the rows still running, and a row
+leaves when its own stopping test fires.  Every kernel acts row by row with
+the same arithmetic whatever the stack width, so a row gives the same result,
+bit for bit, as it gives run on its own.  Restart r of a search seeded s
+draws from ``s ^ r``.  A grid search (``one_distillable_many``, ``fef_many``,
+``steer.seesaw_bell_many``) takes states of one bipartition, one seed per
+state: :func:`~wernerlab.qmat.grid_rows` checks the grid and makes every
+(state, restart) pair a row that carries its own state, and
+:func:`~wernerlab.qmat.grid_best` picks each state's best restart, so each
+state gets the certificate it gets alone.  The single-state forms are the
+stack of one.  The SDPs inside the steering see-saw stack the same way in
+:func:`~wernerlab.solver.solve_many`; see :mod:`~wernerlab.solver`.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .qmat import DensityMatrix, dagger, grid_dims, kron, partial_trace, partial_transpose
+from .qmat import DensityMatrix, dagger, grid_best, grid_rows, partial_trace, partial_transpose
 from .states import haar_restarts, max_entangled_ket
 
 PASS = "PASS"
@@ -123,20 +130,13 @@ def _distill_descent(x: np.ndarray, va: np.ndarray, vb: np.ndarray):
 
 
 def one_distillable_many(rhos: list[DensityMatrix], seeds: list[int], restarts: int = 64) -> list[Certificate]:
-    """:func:`one_distillable` for states of one bipartition, state i seeded by ``seeds[i]``.
-
-    Every (state, restart) pair is a row of one lockstep stack, and each state gets the
-    certificate, bit for bit, that it gets alone.  Raises ValueError on an empty list,
-    on states of different dimensions and when the seeds do not match the states one to one.
+    """:func:`one_distillable` for a grid of states, state i seeded by ``seeds[i]``: one lockstep
+    stack, as the module docstring describes.  Raises ValueError as :func:`~wernerlab.qmat.grid_rows` does.
     """
-    d_a, d_b = grid_dims(rhos, seeds)
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    x = np.repeat(np.stack([partial_transpose(rho, "A") for rho in rhos]), restarts, axis=0)
+    (d_a, d_b), x = grid_rows(rhos, seeds, restarts, lambda rho: partial_transpose(rho, "A"))
     val, va, psi = _distill_descent(x, *_distill_frames(d_a, d_b, restarts, seeds))
     certs = []
-    for i, seed in enumerate(seeds):
-        best = i * restarts + int(np.argmin(val[i * restarts : (i + 1) * restarts]))
+    for seed, best in zip(seeds, grid_best(val, restarts, np.argmin)):
         best_val = float(val[best])
         best_psi = (qmat.embed(va[best], d_b, "A") @ psi[best]).ravel()
         verdict = PASS if best_val < -1e-6 else INCONCLUSIVE
@@ -150,10 +150,8 @@ def one_distillable(rho: DensityMatrix, restarts: int = 64, seed: int = 0) -> Ce
 
     Alternating eigen-steps: with one side's two-dimensional frame fixed, the
     optimal psi is the bottom eigenvector of the compressed operator, which
-    also yields the updated frame for the other side.  Restart r draws its
-    frames from ``seed ^ r``; the restarts run in lockstep, one stacked call
-    per kernel and round, and each gives the value it gives run alone.  The
-    stack of one of :func:`one_distillable_many`.
+    also yields the updated frame for the other side.  The stack of one of
+    :func:`one_distillable_many`; the module docstring describes the lockstep.
     """
     return one_distillable_many([rho], [seed], restarts=restarts)[0]
 
@@ -234,22 +232,16 @@ def _fef_ascent(rho_mat: np.ndarray, u: np.ndarray):
 
 
 def fef_many(rhos: list[DensityMatrix], seeds: list[int], restarts: int = 32) -> list[Certificate]:
-    """:func:`fef` for states of one bipartition, state i seeded by ``seeds[i]``.
-
-    Every (state, restart) pair is a row of one lockstep stack, and each state gets the
-    certificate, bit for bit, that it gets alone.  Raises ValueError on an empty list,
-    on states of different dimensions and when the seeds do not match the states one to one.
+    """:func:`fef` for a grid of states, state i seeded by ``seeds[i]``: one lockstep stack, as
+    the module docstring describes.  Raises ValueError as :func:`~wernerlab.qmat.grid_rows` does,
+    and on a bipartition that is not square.
     """
-    d, d_b = grid_dims(rhos, seeds)
+    (d, d_b), mats = grid_rows(rhos, seeds, restarts, lambda rho: rho.mat)
     if d != d_b:
         raise ValueError("fully-entangled fraction needs a square bipartition")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    mats = np.repeat(np.stack([rho.mat for rho in rhos]), restarts, axis=0)
     f, u = _fef_ascent(mats, _fef_starts(d, restarts, seeds))
     certs = []
-    for i, seed in enumerate(seeds):
-        best = i * restarts + int(np.argmax(f[i * restarts : (i + 1) * restarts]))
+    for seed, best in zip(seeds, grid_best(f, restarts, np.argmax)):
         best_f = float(f[best])
         verdict = PASS if best_f > 1.0 / d + 1e-9 else INCONCLUSIVE
         witness = {"unitary": _mat_witness(u[best])}
@@ -261,11 +253,10 @@ def fef(rho: DensityMatrix, restarts: int = 32, seed: int = 0) -> Certificate:
     """Fully-entangled fraction via multi-start Riemannian ascent over the unitary group.
 
     A heuristic lower bound on max_U <Phi+|(I x U^dag) rho (I x U)|Phi+>; the
-    identity start guarantees value >= <Phi+|rho|Phi+>.  Restart r > 0 starts
-    from a Haar unitary drawn from ``seed ^ r``; the restarts run in lockstep,
-    one stacked call per kernel and line-search step, and each gives the value
-    it gives run alone.  The step's exponential exp(s Omega) comes from one
-    ``eigh`` of i Omega per direction.  The stack of one of :func:`fef_many`.
+    identity start guarantees value >= <Phi+|rho|Phi+>; restart r > 0 starts
+    from a Haar unitary drawn from ``seed ^ r``.  The step's exponential
+    exp(s Omega) comes from one ``eigh`` of i Omega per direction.  The stack of
+    one of :func:`fef_many`; the module docstring describes the lockstep.
     """
     return fef_many([rho], [seed], restarts=restarts)[0]
 
@@ -330,11 +321,7 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """3x3 two-qubit correlation matrix T_mn = tr[rho sigma_m (x) sigma_n]."""
     if rho.dimA != 2 or rho.dimB != 2:
         raise ValueError("correlation matrix defined for two-qubit states")
-    t = np.empty((3, 3))
-    for m_i, sm in enumerate(qmat.PAULIS):
-        for n_i, sn in enumerate(qmat.PAULIS):
-            t[m_i, n_i] = float(np.real(np.trace(rho.mat @ kron(sm, sn))))
-    return t
+    return np.einsum("ijkl,mki,nlj->mn", rho.mat.reshape(2, 2, 2, 2), qmat.PAULIS, qmat.PAULIS).real
 
 
 def chsh_horodecki(rho: DensityMatrix) -> Certificate:

@@ -66,11 +66,14 @@ class DensityMatrix:
         return self.dimA * self.dimB
 
 
-def grid_dims(rhos: list[DensityMatrix], seeds: list[int]) -> tuple[int, int]:
-    """The (dimA, dimB) shared by the states of a grid search, state i seeded by ``seeds[i]``.
+def grid_rows(
+    rhos: list[DensityMatrix], seeds: list[int], restarts: int, form
+) -> tuple[tuple[int, int], np.ndarray]:
+    """The (dimA, dimB) shared by the states of a grid search, state i seeded by ``seeds[i]``,
+    and the stack of ``form(rho)`` with ``restarts`` rows per state in turn.
 
-    Raises ValueError on an empty list, on states of different dimensions and when the
-    seeds do not match the states one to one."""
+    Raises ValueError on an empty list, when the seeds do not match the states one to one,
+    on states of different dimensions and when ``restarts`` is below 1."""
     if not rhos:
         raise ValueError("no states to search")
     if len(seeds) != len(rhos):
@@ -78,7 +81,16 @@ def grid_dims(rhos: list[DensityMatrix], seeds: list[int]) -> tuple[int, int]:
     dims = sorted({(rho.dimA, rho.dimB) for rho in rhos})
     if len(dims) > 1:
         raise ValueError(f"states searched together must share their dimensions, got {dims}")
-    return dims[0]
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    return dims[0], np.repeat(np.stack([form(rho) for rho in rhos]), restarts, axis=0)
+
+
+def grid_best(values: np.ndarray, restarts: int, pick) -> np.ndarray:
+    """Row index of each state's best restart in a state-major stack of values, as
+    ``pick`` (``np.argmin`` or ``np.argmax``) chooses it."""
+    per_state = values.reshape(-1, restarts)
+    return np.arange(len(per_state)) * restarts + pick(per_state, axis=1)
 
 
 def as_state(mat: np.ndarray, dimA: int, dimB: int, clip_tol: float = 1e-8) -> DensityMatrix:
@@ -109,32 +121,9 @@ def partial_trace(rho: DensityMatrix, side: str) -> np.ndarray:
     raise ValueError("side must be 'A' or 'B'")
 
 
-def trace_out(mat: np.ndarray, dims: list[int], traced: list[int]) -> np.ndarray:
-    """Trace out the subsystems listed in ``traced`` from a multipartite operator."""
-    n = len(dims)
-    if any(t < 0 or t >= n for t in traced):
-        raise ValueError("traced subsystem index out of range")
-    t = np.asarray(mat, dtype=complex).reshape(list(dims) + list(dims))
-    nrem = n
-    # trace highest index first so lower row positions stay put
-    for pos in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=pos, axis2=pos + nrem)
-        nrem -= 1
-    d = int(np.prod([dims[i] for i in range(n) if i not in traced])) if nrem else 1
-    return t.reshape(d, d)
-
-
 def embed(op: np.ndarray, d_other: int, side: str) -> np.ndarray:
     """``op`` acting on ``side`` ('A' or 'B') of a bipartite space, the identity on the d_other-level other side."""
     return kron(op, np.eye(d_other)) if side == "A" else kron(np.eye(d_other), op)
-
-
-def contract(rho: DensityMatrix, op: np.ndarray, side: str) -> np.ndarray:
-    """Hermitian part of tr_side[(op on side) rho]: the operator left on the other side."""
-    on_a = side == "A"
-    dims = [rho.dimA, rho.dimB]
-    red = trace_out(embed(op, dims[1] if on_a else dims[0], side) @ rho.mat, dims, [0 if on_a else 1])
-    return (red + dagger(red)) / 2
 
 
 def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
@@ -156,25 +145,6 @@ def partial_transpose_dims(mat: np.ndarray, dims: list[int], subsystems: list[in
         perm[s], perm[s + n] = perm[s + n], perm[s]
     d = int(np.prod(dims))
     return np.transpose(t, perm).reshape(d, d).copy()
-
-
-@dataclass(frozen=True)
-class EigDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def herm_eig(h: np.ndarray) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix (symmetrized first)."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("herm_eig requires a square matrix")
-    if np.max(np.abs(h - dagger(h))) > 1e-8:
-        raise ValueError("matrix is not Hermitian within 1e-8")
-    w, q = np.linalg.eigh((h + dagger(h)) / 2)
-    return EigDecomposition(w, q)
 
 
 def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

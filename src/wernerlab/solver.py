@@ -438,10 +438,9 @@ def _check(prog, setup, beta, bnorm, u, v, it, tol, best):
 
 
 def solve_many(progs: list[ConicProgram], tol: float = 1e-7, max_iter: int = 200000) -> list[ConicSolution]:
-    """:func:`solve` for programs that share their presolved blocks, A and c, in lockstep.
-
-    Each program gets the solution, bit for bit, that it gets alone.  Raises ValueError
-    when the presolved programs differ in anything but b.
+    """:func:`solve` for programs that share their presolved blocks, A and c, as the rows of
+    one stack; the module docstring describes the lockstep.  Raises ValueError when the
+    presolved programs differ in anything but b.
     """
     progs = [presolve(p) for p in progs]
     if not progs:

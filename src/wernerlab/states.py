@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DensityMatrix, as_state, dagger, kron
+from .qmat import DensityMatrix, as_state, dagger
 
 BLOCK_KINDS = ("singlet", "diag", "cross", "triplet")
 
@@ -144,14 +144,6 @@ def max_entangled_ket(d: int) -> np.ndarray:
     return psi
 
 
-def mes(d: int, u: np.ndarray) -> np.ndarray:
-    """Maximally entangled vector (I (x) U)|Phi+_d> for unitary U."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (d, d) or np.max(np.abs(dagger(u) @ u - np.eye(d))) > 1e-10:
-        raise ValueError("U must be a d x d unitary within 1e-10")
-    return kron(np.eye(d), u) @ max_entangled_ket(d)
-
-
 def haar_unitaries(normals: np.ndarray) -> np.ndarray:
     """Haar-random unitaries from an (..., 2, d, d) stack of standard normals, the real and
     imaginary parts of each complex Gaussian: one QR of the whole stack, with phase-fixed diagonals."""
@@ -160,16 +152,11 @@ def haar_unitaries(normals: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary: :func:`haar_unitaries` of one (2, d, d) draw from ``rng``."""
-    return haar_unitaries(rng.standard_normal((2, d, d)))
-
-
 def haar_restarts(seeds: list[int], sides: list[tuple[int, int]]) -> list[np.ndarray]:
     """Haar unitaries for seeded restarts, one (R, k, d, d) stack per (k, d) of ``sides``.
 
-    Restart r draws from ``default_rng(seeds[r])`` the normals of k calls of
-    :func:`haar_unitary` for each side in turn, and one QR covers each side's stack."""
+    Restart r draws k standard-normal (2, d, d) arrays from ``default_rng(seeds[r])`` for
+    each side in turn, and one :func:`haar_unitaries` QR covers each side's stack."""
     normals = [[] for _ in sides]
     for seed in seeds:
         rng = np.random.default_rng(seed)

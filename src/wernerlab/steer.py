@@ -10,19 +10,14 @@ measurements, read off the dual operators F_{a|x}, then improve the
 measurements against the linearized objective sum tr(M_{a|x} G_{a|x}) - 1,
 which is a valid SR lower bound for any POVM choice since the dual point stays
 feasible.  Measurement updates are pairwise eigenvector rotations, so each
-accepted step never lowers the bound.  The seeded restarts run in lockstep:
-the SDP's blocks, A and c depend on the scenario alone and are built once,
-so each round stacks the right-hand sides of every restart still improving
-into one :func:`~wernerlab.solver.solve_many` call, and the response
-operators, assemblages and basis updates of those restarts are computed as
-one stack each.  A restart gives the same values, bit for bit, as it gives
-run on its own.  The Bell see-saw (:func:`seesaw_bell`) runs its restarts the
-same way: each half-step updates one side of every restart still improving,
-and checks the new effects as POVMs, in one stacked call per kernel.
-:func:`seesaw_bell_many` runs a grid of states of one bipartition, one seed
-per state, as one such stack: every (state, restart) pair is a row that
-carries its own state, so each state gets the value it gets alone, and
-``seesaw_bell`` is the stack of one.
+accepted step never lowers the bound, and the bound a restart keeps is the
+value of the measurements it keeps.  The seeded restarts of this see-saw and
+of the Bell see-saw (:func:`seesaw_bell`) run in lockstep, as the
+:mod:`~wernerlab.certify` module docstring describes, and
+:func:`seesaw_bell_many` is one of the grid searches it describes.  The SDP's blocks, A and c
+depend on the scenario alone and are built once, so each round stacks the
+right-hand sides of every restart still improving into one
+:func:`~wernerlab.solver.solve_many` call.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 
-from .qmat import DensityMatrix, dagger, grid_dims
+from .qmat import DensityMatrix, dagger, grid_best, grid_rows
 from .solver import Block, ConicProgram, mat_real, solve, solve_many, vec_real
 from .states import haar_restarts, haar_unitaries
 
@@ -317,10 +312,10 @@ def sr_state_lower_bound(
     """Best steering-robustness lower bound over seeded see-saw restarts.
 
     Each of the ``n_settings`` measurements is projective, with one outcome per level of
-    the steering side.  Restart r draws them from ``seed ^ r``; the restarts run in lockstep,
-    each round solving the SDPs of every restart still improving in one stacked call.
-    Only SDP solves that ended OPTIMAL count: a restart whose later solve fails
-    keeps its last converged value.
+    the steering side.  Restart r draws them from ``seed ^ r``; the module docstring
+    describes the lockstep.  Only SDP solves that ended OPTIMAL count, and a round counts
+    only when it improves the value by more than 1e-7: a restart keeps the value, the
+    measurements and the solution of its last accepted round together.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -359,8 +354,6 @@ def sr_state_lower_bound(
             if new_value > value[r] + 1e-7:
                 effects[r], sols[r], value[r] = new_eff, new_sol, new_value
                 improving.append(r)
-            else:
-                value[r] = max(value[r], new_value)
         live = improving
     best, best_meas, best_gap = 0.0, None, 0.0
     for r in kept:
@@ -583,25 +576,19 @@ def seesaw_bell_many(
     seeds: list[int],
     restarts: int = 20,
 ) -> list[float]:
-    """:func:`seesaw_bell` for states of one bipartition, state i seeded by ``seeds[i]``, in lockstep.
-
-    Every (state, restart) pair is a row of one see-saw stack, and each state gets the
-    value, bit for bit, that it gets alone.  Raises ValueError on an empty list, on states
-    of different dimensions and when the seeds do not match the states one to one.
+    """:func:`seesaw_bell` for a grid of states, state i seeded by ``seeds[i]``: one lockstep stack,
+    as the :mod:`~wernerlab.certify` module docstring describes.  Raises ValueError as
+    :func:`~wernerlab.qmat.grid_rows` does, and on a scenario the see-saw does not support.
     """
-    d_a, d_b = grid_dims(rhos, seeds)
+    (d_a, d_b), r = grid_rows(rhos, seeds, restarts, _tensor)
     n_sa, n_sb, n_oa, n_ob = coefficients.shape
     if n_oa ** n_sa * n_ob ** n_sb > 10**6:
         raise ValueError("scenario too large")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
     for side, n_o, dim in (("A", n_oa, d_a), ("B", n_ob, d_b)):
         if n_o not in (2, dim):  # the pairwise update needs rank-1 effects
             raise ValueError(f"side {side} has {n_o} outcomes in dimension {dim}; the see-saw needs 2 or {dim}")
-    starts = _bell_starts((d_a, d_b), coefficients.shape, restarts, seeds)
-    r = np.repeat(np.stack([_tensor(rho) for rho in rhos]), restarts, axis=0)
-    value = _seesaw_bell_rows(r, coefficients, *starts)
-    return [float(v) for v in value.reshape(len(rhos), restarts).max(axis=1)]
+    value = _seesaw_bell_rows(r, coefficients, *_bell_starts((d_a, d_b), coefficients.shape, restarts, seeds))
+    return [float(v) for v in value[grid_best(value, restarts, np.argmax)]]
 
 
 def seesaw_bell(
@@ -616,8 +603,6 @@ def seesaw_bell(
     the scenario; each side needs 2 outcomes or as many as its dimension.  Alternates exact
     (two-outcome) or pairwise-eigenvector measurement updates between the sides; each
     accepted half-step never decreases the value.  Restart r draws both sides' measurements
-    from ``seed ^ r``; the restarts run in lockstep, one stacked call per kernel and
-    half-step, and each gives the value it gives run alone.  The stack of one of
-    :func:`seesaw_bell_many`.
+    from ``seed ^ r``.  The stack of one of :func:`seesaw_bell_many`.
     """
     return seesaw_bell_many([rho], coefficients, [seed], restarts=restarts)[0]

@@ -11,7 +11,9 @@ G = sum_k Pi_k, the operators G^-1/2 Pi_k G^-1/2 form a genuine POVM, the
 transformed state is mu = G^1/2 rho G^1/2 (normalized), and the multinomial
 log-likelihood of the R mu R update is provably nondecreasing (a diluted
 fallback step guards the few degenerate cases).  The estimate is pulled back
-through G^-1/2 at the end.
+through G^-1/2 at the end.  :func:`mle_reconstruct_many` reconstructs records
+of one frame as the rows of one lockstep stack, as the
+:mod:`~wernerlab.certify` module docstring describes.
 """
 
 from __future__ import annotations
@@ -263,8 +265,6 @@ def mle_reconstruct_many(
     likelihood does not fall (or s < 1e-6).  A row leaves when it is stuck
     (its accepted step still loses more than 1e-12), when its gain falls below
     ``tol`` relative to its likelihood, or after ``max_iter`` accepted steps.
-    Every kernel works row by row, so a record gives the same bits here as
-    reconstructed alone.
     """
     if not records:
         raise ValueError("no counts records to reconstruct")

@@ -5,7 +5,10 @@ Each search function keeps the earlier per-restart loop of its namesake in
 value in restart order, so tests can check the lockstep versions restart by
 restart.  ``mle_by_record`` and ``bootstrap_by_record`` keep the earlier
 one-record-at-a-time R rho R loop of ``wernerlab.tomo``, with the engine's
-matrix-vector kernels as they were.
+matrix-vector kernels as they were.  ``trace_out`` and ``contract`` (the
+reference for ``wernerlab.steer._contract``) and ``haar_unitary`` (the reference
+for ``wernerlab.states.haar_restarts``) are the one-call-at-a-time primitives
+the stacked kernels replaced.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from wernerlab import qmat
-from wernerlab.qmat import as_state, dagger, partial_transpose
-from wernerlab.states import haar_unitary
+from wernerlab.qmat import DensityMatrix, as_state, dagger, partial_transpose
+from wernerlab.states import haar_unitaries
 from wernerlab.steer import (
     MeasurementSet,
     _contract,
@@ -26,6 +29,34 @@ from wernerlab.steer import (
     random_grouped_projective,
 )
 from wernerlab.tomo import STATISTICS, CountsRecord, _engine_for
+
+
+def trace_out(mat: np.ndarray, dims: list[int], traced: list[int]) -> np.ndarray:
+    """Trace out the subsystems listed in ``traced`` from a multipartite operator."""
+    n = len(dims)
+    if any(t < 0 or t >= n for t in traced):
+        raise ValueError("traced subsystem index out of range")
+    t = np.asarray(mat, dtype=complex).reshape(list(dims) + list(dims))
+    nrem = n
+    # trace highest index first so lower row positions stay put
+    for pos in sorted(traced, reverse=True):
+        t = np.trace(t, axis1=pos, axis2=pos + nrem)
+        nrem -= 1
+    d = int(np.prod([dims[i] for i in range(n) if i not in traced])) if nrem else 1
+    return t.reshape(d, d)
+
+
+def contract(rho: DensityMatrix, op: np.ndarray, side: str) -> np.ndarray:
+    """Hermitian part of tr_side[(op on side) rho]: the operator left on the other side."""
+    on_a = side == "A"
+    dims = [rho.dimA, rho.dimB]
+    red = trace_out(qmat.embed(op, dims[1] if on_a else dims[0], side) @ rho.mat, dims, [0 if on_a else 1])
+    return (red + dagger(red)) / 2
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary: ``haar_unitaries`` of one (2, d, d) draw from ``rng``."""
+    return haar_unitaries(rng.standard_normal((2, d, d)))
 
 
 def assert_rows_bitwise_alone(run, starts):

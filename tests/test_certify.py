@@ -25,6 +25,7 @@ from wernerlab.certify import (
 from wernerlab.filterops import filtered_weight, rotated_filtered_state
 from wernerlab.qmat import DensityMatrix, partial_transpose
 from wernerlab.states import werner
+from wernerlab.steer import chsh_coefficients, seesaw_bell_many
 from sequential_reference import assert_rows_bitwise_alone, fef_by_restarts, one_distillable_by_restarts
 
 
@@ -296,7 +297,15 @@ def test_grid_search_gives_each_state_its_solo_certificate(many, solo, reference
         assert cert.value == pytest.approx(best(reference(rho, restarts, seed)), rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("many", [fef_many, one_distillable_many], ids=["fef", "one_distillable"])
+@pytest.mark.parametrize(
+    "many",
+    [
+        fef_many,
+        one_distillable_many,
+        lambda rhos, seeds, **kwargs: seesaw_bell_many(rhos, chsh_coefficients(), seeds, **kwargs),
+    ],
+    ids=["fef", "one_distillable", "seesaw_bell"],
+)
 def test_grid_search_rejects_mixed_dimensions_and_empty_lists(many):
     with pytest.raises(ValueError, match="share their dimensions"):
         many([werner(3, 0.1), werner(2, 0.1)], [1, 2])
@@ -304,6 +313,8 @@ def test_grid_search_rejects_mixed_dimensions_and_empty_lists(many):
         many([], [])
     with pytest.raises(ValueError, match="2 states need as many seeds, got 1"):
         many([werner(3, 0.1), werner(3, 0.2)], [1])
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        many([werner(3, 0.1), werner(3, 0.2)], [1, 2], restarts=0)
 
 
 @pytest.mark.parametrize(

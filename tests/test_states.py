@@ -9,9 +9,7 @@ from wernerlab.states import (
     NoiseSpec,
     WernerParams,
     haar_restarts,
-    haar_unitary,
     max_entangled_ket,
-    mes,
     noisy_surrogate,
     qubit_block,
     swap_operator,
@@ -19,6 +17,8 @@ from wernerlab.states import (
     werner_all_v,
     werner_from_qubit_mixture,
 )
+
+from sequential_reference import haar_unitary
 
 # tuned to land in the target fidelity band on W3(0); frozen regression
 SURROGATE_SPEC = NoiseSpec(depol=0.06, coherent_eps=0.02, seed=2024)
@@ -123,33 +123,6 @@ def test_qubit_block_support():
         qubit_block(3, 2, 2, "singlet")
     with pytest.raises(ValueError):
         qubit_block(3, 0, 1, "nope")
-
-
-def test_mes_computational():
-    psi = mes(3, np.eye(3))
-    expect = np.zeros(9)
-    expect[[0, 4, 8]] = 1 / np.sqrt(3)
-    assert np.allclose(psi, expect)
-
-
-def test_mes_singlet_up_to_phase():
-    iy = np.array([[0, 1], [-1, 0]], dtype=complex)  # i * sigma_y
-    psi = mes(2, iy)
-    singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
-    overlap = abs(np.vdot(singlet, psi))
-    assert overlap == pytest.approx(1.0, abs=1e-12)
-
-
-def test_mes_marginals_and_unitarity_check():
-    rng = np.random.default_rng(3)
-    u = haar_unitary(4, rng)
-    psi = mes(4, u)
-    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-    rho = np.outer(psi, psi.conj()).reshape(4, 4, 4, 4)
-    assert np.allclose(np.einsum("ijil->jl", rho), np.eye(4) / 4, atol=1e-12)
-    assert np.allclose(np.einsum("ijkj->ik", rho), np.eye(4) / 4, atol=1e-12)
-    with pytest.raises(ValueError):
-        mes(2, np.array([[1, 1], [0, 1]], dtype=complex))
 
 
 def test_max_entangled_overlap_with_werner():
