@@ -52,7 +52,7 @@ from math import prod
 import numpy as np
 import scipy.sparse as sp
 
-from .qmat import DensityMatrix, partial_transpose_dims
+from .qmat import DensityMatrix, check_side, partial_transpose_dims
 from .solver import Block, ConicProgram, solve, vec_real, vec_real_map
 from .states import swap_operator
 
@@ -198,8 +198,7 @@ class ExtensionQuery:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("extension needs k >= 2 copies")
-        if self.side not in ("A", "B"):
-            raise ValueError("side must be 'A' or 'B'")
+        check_side(self.side)
         if self.flavor not in (SE, SQE, SE_B):
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.flavor == SQE and self.k > 4:
@@ -237,15 +236,8 @@ class ExtensionResult:
 def _default_partitions(q: ExtensionQuery) -> list[tuple[int, ...]]:
     n_parties = q.k + 1
     if q.k <= 3:
-        # one subset per bipartition: all nonempty subsets avoiding party 0
-        out = []
-        for mask in range(1, 2**n_parties):
-            if mask & 1:
-                continue
-            subset = tuple(p for p in range(n_parties) if mask >> p & 1)
-            if subset:
-                out.append(subset)
-        return out
+        # one subset per bipartition: all nonempty subsets avoiding party 0, by even mask
+        return [tuple(p for p in range(n_parties) if m >> p & 1) for m in range(2, 2**n_parties, 2)]
     # k = 4: a fixed four-element bipartition subset keeps the search tractable
     copies = q.copy_positions
     other = q.other_position

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DensityMatrix, as_state, dagger, embed, kron, svd
+from .qmat import DensityMatrix, as_state, check_side, dagger, embed, kron, svd
 
 NORM_TOL = 1e-10
 
@@ -23,8 +23,7 @@ class FilterOperator:
         m = np.asarray(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] < 2:
             raise ValueError("filter must be a d' x d matrix with d' >= 2")
-        if self.side not in ("A", "B"):
-            raise ValueError("side must be 'A' or 'B'")
+        check_side(self.side)
         top = np.linalg.norm(m, 2)
         if abs(top - 1.0) > NORM_TOL:
             raise ValueError(f"largest singular value {top} must equal 1 within 1e-10")
@@ -133,6 +132,7 @@ def replay_protocol(
     rho: DensityMatrix, proto: FilterProtocol, side: str = "A"
 ) -> tuple[DensityMatrix, float]:
     """Run the three protocol steps on one side of a state (other side untouched)."""
+    check_side(side)
     d_other = rho.dimB if side == "A" else rho.dimA
     m = rho.mat
     for step in (proto.pre_unitary, proto.sigma, proto.post_unitary):

@@ -111,14 +111,17 @@ def as_state(mat: np.ndarray, dimA: int, dimB: int, clip_tol: float = 1e-8) -> D
     return DensityMatrix(dimA, dimB, h)
 
 
+def check_side(side: str) -> None:
+    """Raise ValueError unless ``side`` names a subsystem, 'A' or 'B'."""
+    if side not in ("A", "B"):
+        raise ValueError("side must be 'A' or 'B'")
+
+
 def partial_trace(rho: DensityMatrix, side: str) -> np.ndarray:
     """Trace out the given subsystem ('A' or 'B') of a bipartite state."""
+    check_side(side)
     t = rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
-    if side == "A":
-        return np.einsum("ijil->jl", t)
-    if side == "B":
-        return np.einsum("ijkj->ik", t)
-    raise ValueError("side must be 'A' or 'B'")
+    return np.einsum("ijil->jl" if side == "A" else "ijkj->ik", t)
 
 
 def embed(op: np.ndarray, d_other: int, side: str) -> np.ndarray:

@@ -16,22 +16,21 @@ projects onto the cone.  It is matrix-free apart from one Cholesky
 factorization of I + A A^T (the constraint count stays small here), fully
 deterministic, and certifies optimality through the duality gap.
 
-The set-up that depends on the presolved (blocks, A, c) alone -- column
-scale, scaled A, A^T and c, that factorization and the cone plan -- is
-memoised in a small LRU keyed on the exact bytes of those three, so programs
-that differ only in b (the steering see-saw) factor once.  :func:`solve_many`
-is the one iteration loop: the iterates of R programs that share a set-up
-form the rows of an (R, n + m + 1) stack, R = 1 included, each sparse
-product, triangular solve and cone projection acts on all of them at once, and
-a program leaves the stack at the check where it exits.  The projection clips
-2 x 2 PSD blocks in closed form, from their eigenvalues m -+ r.  It keeps a
-3 x 3 block whose three Cholesky pivots are positive, zeroes one whose pivots
-are all negative, and sends only the indefinite or singular rest to eigh;
-blocks of other sides go through one batched eigh per block size.  Every operation
-acts row by row with the same arithmetic whatever the stack width, so a
-program gives the same iterates, bit for bit, alone or in a batch, and with
-a memoised set-up or a fresh one.  :func:`solve` is ``solve_many`` on one
-program.
+The set-up that depends on the presolved (blocks, A, c) alone -- column scale, scaled
+A, A^T and c, that factorization and the cone plan -- is memoised in a small LRU keyed
+on the exact bytes of those three, so programs that differ only in b (the steering
+see-saw) factor once.  :func:`solve_many` is the one iteration loop: the iterates of R
+programs that share a set-up form the rows of an (R, n + m + 1) stack, R = 1 included;
+each sparse product, triangular solve, cone projection and exit test acts on all of
+them at once, and a program leaves the stack at the check where it exits.  The exit
+test measures each row's residuals on the unscaled A.  The projection clips 2 x 2 PSD
+blocks in closed form, from their eigenvalues m -+ r.  It keeps a 3 x 3 block whose
+three Cholesky pivots are positive, zeroes one whose pivots are all negative, and sends
+only the indefinite or singular rest to eigh; blocks of other sides go through one
+batched eigh per block size.  Every operation acts row by row with the same arithmetic
+whatever the stack width, so a program gives the same iterates and exits, bit for bit,
+alone or in a batch, and with a memoised set-up or a fresh one.  :func:`solve` is
+``solve_many`` on one program.
 """
 
 from __future__ import annotations
@@ -197,7 +196,7 @@ def _project_psd2(x: np.ndarray) -> np.ndarray:
     The eigenvalues are m -+ r with m = (a + d)/2 and r = sqrt(((a - d)/2)^2 + |b|^2): a
     PSD block is kept, a negative semidefinite one goes to 0, and otherwise the positive
     part is (m + r)/(2r) (H - (m - r) I)."""
-    a, d, re, im = np.moveaxis(x, -1, 0)
+    a, d, re, im = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
     m = 0.5 * (a + d)
     h = 0.5 * (a - d)
     r = np.sqrt(h * h + 0.5 * (re * re + im * im))
@@ -218,7 +217,7 @@ def _pivots3(x: np.ndarray) -> np.ndarray:
     of -H are exactly their negations, since rounding is symmetric in sign.  A zero pivot
     makes the later ones inf or nan, which compare false both ways."""
     a, d, f = x[..., 0], x[..., 1], x[..., 2]
-    b, c, e = np.moveaxis(np.sqrt(0.5) * (x[..., 3::2] + 1j * x[..., 4::2]), -1, 0)
+    b, c, e = (np.sqrt(0.5) * (x[..., j] + 1j * x[..., j + 1]) for j in (3, 5, 7))
     with np.errstate(divide="ignore", invalid="ignore"):
         p2 = d - (b.real**2 + b.imag**2) / a
         l = e - b.conj() * c / a
@@ -332,39 +331,33 @@ class _Setup:
         self.chol, _ = scipy.linalg.cho_factor(gram, lower=True)
         self._potrs = scipy.linalg.get_lapack_funcs("potrs", (self.chol,))
         self.proj = _ConeProjector(prog.blocks)
-        self.at = prog.A.T.tocsr()
+        self.a, self.at, self.c0 = prog.A.copy(), prog.A.T.tocsr(), prog.c.copy()  # unscaled, for the exit test
         self.cnorm = 1.0 + np.linalg.norm(prog.c)
 
-    def _gram_solve(self, r: np.ndarray) -> np.ndarray:
-        """(I + A A^T)^-1 r from the cached factor, one right-hand side per row, overwriting the fresh array r."""
-        x, info = self._potrs(self.chol, r.T, lower=True, overwrite_b=True)
+    def _solve_m(self, r: np.ndarray, out: np.ndarray, sign: float = 1.0) -> np.ndarray:
+        """M^-1 r for sign 1 and M^-T r for sign -1, where M = [[I, -A^T], [A, I]], for each
+        row r = (rx, ry) of the stack, written into ``out``: ry -+ A rx goes through the
+        cached factor of I + A A^T."""
+        n = len(self.c)
+        py, info = self._potrs(self.chol, (r[:, n:] - sign * _rmul(self.A, r[:, :n])).T, lower=True, overwrite_b=True)
         if info:
             raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
-        return x.T
-
-    def _solve_m(self, rx: np.ndarray, ry: np.ndarray, sign: float) -> np.ndarray:
-        """M^-1 (rx, ry) for sign 1 and M^-T (rx, ry) for sign -1, where M = [[I, -A^T], [A, I]]."""
-        py = self._gram_solve(ry - sign * _rmul(self.A, rx))
-        return np.concatenate([rx + sign * _rmul(self.AT, py), py], axis=-1)
+        np.add(r[:, :n], sign * _rmul(self.AT, py.T), out=out[:, :n])
+        out[:, n:] = py.T
+        return out
 
     def b_vectors(self, b: np.ndarray) -> tuple[np.ndarray, ...]:
         """For scaled right-hand sides b, one per row: g = (c, -b), M^-1 g, M^-T g and 1 + g.M^-1 g."""
-        nb = -b
-        g = np.concatenate([np.broadcast_to(self.c, (len(b), len(self.c))), nb], axis=1)
-        mg = self._solve_m(self.c, nb, 1.0)
-        return g, mg, self._solve_m(self.c, nb, -1.0), 1.0 + np.vecdot(g, mg)
+        g = np.concatenate([np.broadcast_to(self.c, (len(b), len(self.c))), -b], axis=1)
+        mg = self._solve_m(g, np.empty_like(g))
+        return g, mg, self._solve_m(g, np.empty_like(g), -1.0), 1.0 + np.vecdot(g, mg)
 
     def solve(self, h, g, mg, mtg, denom) -> np.ndarray:
         """Solve (I + Q) u = h for the skew embedding matrix Q = [[M - I, g], [-g^T, 0]], for
         each row of h and of the :meth:`b_vectors` of its program."""
-        n = len(self.c)
-        ht = h[:, -1:]
-        rhs = h[:, :-1] - ht * g
+        rhs = h[:, :-1] - h[:, -1:] * g
         out = np.empty_like(h)
-        py = self._gram_solve(rhs[:, n:] - _rmul(self.A, rhs[:, :n]))
-        np.add(rhs[:, :n], _rmul(self.AT, py), out=out[:, :n])
-        out[:, n:-1] = py
-        p = out[:, :-1]
+        p = self._solve_m(rhs, out[:, :-1])
         p -= mg * (np.vecdot(mtg, rhs) / denom)[:, None]
         out[:, -1] = h[:, -1] + np.vecdot(g, p)
         return out
@@ -394,54 +387,53 @@ def _setup_for(prog: ConicProgram, key: tuple) -> _Setup:
 
 def solve(prog: ConicProgram, tol: float = 1e-7, max_iter: int = 200000) -> ConicSolution:
     """Run the operator-splitting iteration until the KKT residuals certify optimality.
-
-    Deterministic for fixed inputs: a memoised set-up gives the same iterates as a fresh one.
-    """
+    Deterministic for fixed inputs: a memoised set-up gives the same iterates as a fresh one."""
     return solve_many([prog], tol=tol, max_iter=max_iter)[0]
 
 
-def _check(prog, setup, beta, bnorm, u, v, it, tol, best):
-    """One program's exit test on its iterate (u, v): a solution if it exits, and its best iterate so far."""
-    n, m = prog.n, prog.m
-    e_col, gamma, at = setup.e_col, setup.gamma, setup.at
-    tau = u[-1]
-    if tau > 1e-9:
-        # map the scaled iterate back to the original problem
-        x = e_col * u[:n] / tau / beta
-        y = u[n:-1] / tau / gamma
-        z = v[:n] / e_col / tau / gamma
-        pres = np.linalg.norm(prog.A @ x - prog.b) / bnorm
-        dres = np.linalg.norm(at @ y + z - prog.c) / setup.cnorm
-        pobj = float(prog.c @ x)
-        dobj = float(prog.b @ y)
-        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        crit = max(pres, dres, gap)
-        if best is None or crit < best[0]:
-            best = (crit, x.copy(), y.copy(), pobj, dobj)
-        if crit <= tol:
-            return ConicSolution(x, y, pobj, dobj, "OPTIMAL", abs(pobj - dobj) / (1.0 + abs(pobj)), it), best
-        return None, best
-    # tau collapsed: look for infeasibility / unboundedness certificates
-    uy = u[n:-1]
-    ux = e_col * u[:n]
-    by = float(prog.b @ uy)
-    if by > 1e-12:
-        resid = np.linalg.norm(at @ uy + v[:n] / e_col)
-        if by / max(resid, 1e-300) > 1e6:
-            return ConicSolution(np.zeros(n), uy / by, np.inf, np.inf, "INFEASIBLE", np.inf, it), best
-    cx = float(prog.c @ ux)
-    if cx < -1e-12:
-        resid = np.linalg.norm(prog.A @ ux)
-        if (-cx) / max(resid, 1e-300) > 1e6:
-            return ConicSolution(ux / (-cx), np.zeros(m), -np.inf, -np.inf, "UNBOUNDED", np.inf, it), best
-    return None, best
+def _norms(r: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of r, from one contiguous dot per row: np.linalg.norm's bits."""
+    r = np.ascontiguousarray(r)
+    return np.sqrt(np.vecdot(r, r))
+
+
+def _check(setup, b, beta, bnorm, u, v):
+    """The exit test on every row of the iterate stack (u, v), whose programs have the
+    original right-hand sides b.  Returns crit and, per row, (x, y, primal and dual
+    objective, reported gap, status).  A row with tau > 1e-9 maps back to the original
+    problem, with crit = max(pres, dres, gap) and status None.  A row whose tau collapsed
+    holds its INFEASIBLE or UNBOUNDED certificate, or status "" if it proves neither."""
+    n, gamma, c = len(setup.c), setup.gamma, setup.c0
+    tau = u[:, -1:]
+    ux, uy, uz = setup.e_col * u[:, :n], u[:, n:-1], v[:, :n] / setup.e_col  # x, y and z times tau (and beta or gamma)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # collapsed rows are overwritten
+        x = ux / tau / beta[:, None]
+        y = uy / tau / gamma
+        pobj, dobj = np.vecdot(x, c), np.vecdot(y, b)
+        pres = _norms(_rmul(setup.a, x) - b) / bnorm
+        dres = _norms(_rmul(setup.at, y) + uz / tau / gamma - c) / setup.cnorm
+        crit = np.maximum(np.maximum(pres, dres), np.abs(pobj - dobj) / (1.0 + np.abs(pobj) + np.abs(dobj)))
+        gap = np.abs(pobj - dobj) / (1.0 + np.abs(pobj))
+        status = np.full(len(u), None)
+        cut = np.flatnonzero(~(tau[:, 0] > 1e-9))
+        if len(cut):  # tau collapsed: look for infeasibility and unboundedness certificates
+            ux, uy, uz = ux[cut], uy[cut], uz[cut]
+            by, cx = np.vecdot(uy, b[cut]), np.vecdot(ux, c)
+            ry, rx = _norms(_rmul(setup.at, uy) + uz), _norms(_rmul(setup.a, ux))
+            infeasible = (by > 1e-12) & (by / np.maximum(ry, 1e-300) > 1e6)
+            unbounded = ~infeasible & (cx < -1e-12) & (-cx / np.maximum(rx, 1e-300) > 1e6)
+            x[cut] = np.where(unbounded[:, None], ux / -cx[:, None], 0.0)
+            y[cut] = np.where(infeasible[:, None], uy / by[:, None], 0.0)
+            pobj[cut] = dobj[cut] = np.where(infeasible, np.inf, -np.inf)
+            gap[cut] = np.inf
+            status[cut] = np.where(infeasible, "INFEASIBLE", np.where(unbounded, "UNBOUNDED", ""))
+    return crit, list(zip(x, y, pobj.tolist(), dobj.tolist(), gap.tolist(), status))
 
 
 def solve_many(progs: list[ConicProgram], tol: float = 1e-7, max_iter: int = 200000) -> list[ConicSolution]:
     """:func:`solve` for programs that share their presolved blocks, A and c, as the rows of
-    one stack; the module docstring describes the lockstep.  Raises ValueError when the
-    presolved programs differ in anything but b.
-    """
+    one stack; every step, the exit test included, acts on the whole stack, as the module
+    docstring describes.  Raises ValueError when the presolved programs differ in anything but b."""
     progs = [presolve(p) for p in progs]
     if not progs:
         return []
@@ -460,9 +452,8 @@ def solve_many(progs: list[ConicProgram], tol: float = 1e-7, max_iter: int = 200
     best: list[tuple | None] = [None] * len(progs)
 
     u = np.zeros((len(progs), n + m + 1))
-    v = np.zeros((len(progs), n + m + 1))
     u[:, -1] = 1.0
-    v[:, -1] = 1.0
+    v = u.copy()
 
     it = 0
     for it in range(1, max_iter + 1):
@@ -477,21 +468,22 @@ def solve_many(progs: list[ConicProgram], tol: float = 1e-7, max_iter: int = 200
 
         if it % CHECK_EVERY != 0 and it != max_iter:
             continue
-        for i, k in enumerate(live):
-            results[k], best[k] = _check(progs[k], setup, beta[i], bnorm[i], u[i], v[i], it, tol, best[k])
+        crit, rows = _check(setup, b, beta, bnorm, u, v)
+        for k, crit_k, (x, y, pobj, dobj, gap, status) in zip(live, crit, rows):
+            if status is None and (best[k] is None or crit_k < best[k][0]):
+                best[k] = (crit_k, x, y, pobj, dobj, gap)
+            if status or (status is None and crit_k <= tol):
+                results[k] = ConicSolution(x, y, pobj, dobj, status or "OPTIMAL", gap, it)
         keep = [i for i, k in enumerate(live) if results[k] is None]
         if not keep:
             return results
         if len(keep) < len(live):
-            u, v, beta, bnorm, g, mg, mtg, denom = (arr[keep] for arr in (u, v, beta, bnorm, g, mg, mtg, denom))
+            u, v, b, beta, bnorm, g, mg, mtg, denom = (arr[keep] for arr in (u, v, b, beta, bnorm, g, mg, mtg, denom))
             live = [live[i] for i in keep]
 
     for k in live:
-        if best[k] is not None:
-            _, x, y, pobj, dobj = best[k]
-            results[k] = ConicSolution(x, y, pobj, dobj, "MAX_ITER", abs(pobj - dobj) / (1.0 + abs(pobj)), it)
-        else:
-            results[k] = ConicSolution(np.zeros(n), np.zeros(m), np.nan, np.nan, "MAX_ITER", np.inf, it)
+        _, x, y, pobj, dobj, gap = best[k] or (None, np.zeros(n), np.zeros(m), np.nan, np.nan, np.inf)
+        results[k] = ConicSolution(x, y, pobj, dobj, "MAX_ITER", gap, it)
     return results
 
 

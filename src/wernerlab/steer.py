@@ -30,7 +30,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 
-from .qmat import DensityMatrix, dagger, grid_best, grid_rows
+from .qmat import DensityMatrix, check_side, dagger, grid_best, grid_rows
 from .solver import Block, ConicProgram, mat_real, solve, solve_many, vec_real
 from .states import haar_restarts, haar_unitaries
 
@@ -104,18 +104,13 @@ def random_projective(d: int, n_settings: int, rng: np.random.Generator) -> Meas
     return random_grouped_projective(d, n_settings, d, rng)
 
 
-def _grouped_projective_effects(d: int, n_settings: int, n_outcomes: int, rng: np.random.Generator) -> np.ndarray:
-    """(x, a, d, d) effects: rank-1 pieces of a Haar-rotated basis per setting, grouped
-    round-robin into ``n_outcomes`` effects."""
-    return _effects_from_unitaries(haar_unitaries(rng.standard_normal((n_settings, 2, d, d))), n_outcomes)
-
-
 def random_grouped_projective(
     d: int, n_settings: int, n_outcomes: int, rng: np.random.Generator
 ) -> MeasurementSet:
     """Projective measurements with fewer outcomes than levels: rank-1 pieces
     of a Haar-rotated basis grouped round-robin into ``n_outcomes`` effects."""
-    return MeasurementSet(tuple(map(tuple, _grouped_projective_effects(d, n_settings, n_outcomes, rng))))
+    effects = _effects_from_unitaries(haar_unitaries(rng.standard_normal((n_settings, 2, d, d))), n_outcomes)
+    return MeasurementSet(tuple(map(tuple, effects)))
 
 
 def mub_qubit_measurements(n_settings: int = 2) -> MeasurementSet:
@@ -178,6 +173,7 @@ def _contract(r: np.ndarray, ops: np.ndarray, side: str) -> np.ndarray:
 
 def assemblage_from(rho: DensityMatrix, meas: MeasurementSet, steering_side: str = "A") -> Assemblage:
     """Conditional states of the other side when ``steering_side`` is measured."""
+    check_side(steering_side)
     if meas.dim != (rho.dimA if steering_side == "A" else rho.dimB):
         raise ValueError(f"measurement dimension does not match side {steering_side}")
     return Assemblage(tuple(map(tuple, _contract(_tensor(rho), np.asarray(meas.effects), steering_side))))
@@ -317,6 +313,7 @@ def sr_state_lower_bound(
     only when it improves the value by more than 1e-7: a restart keeps the value, the
     measurements and the solution of its last accepted round together.
     """
+    check_side(steering_side)
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if n_settings < 1:

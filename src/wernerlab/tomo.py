@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import certify
-from .qmat import DensityMatrix, as_state, dagger, kron, uhlmann_fidelity
+from .qmat import DensityMatrix, as_state, dagger, uhlmann_fidelity
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,11 @@ def frame_for(name: str) -> TomoFrame:
 
 def _build_product_projectors(frame: TomoFrame) -> np.ndarray:
     """Stacked projectors |v_i v_j><v_i v_j| with k = i*size + j."""
-    locals_ = [np.outer(v, v.conj()) for v in frame.vectors]
-    out = np.empty((frame.size**2, frame.dim**2, frame.dim**2), dtype=complex)
-    for i, pi in enumerate(locals_):
-        for j, pj in enumerate(locals_):
-            out[i * frame.size + j] = kron(pi, pj)
-    return out
+    v = np.asarray(frame.vectors, dtype=complex)
+    p = v[:, :, None] * v.conj()[:, None, :]  # |v_i><v_i|
+    n = frame.dim**2
+    # (i, j, a, b, c, e) -> p_i[a, c] p_j[b, e], the kron of the pair
+    return (p[:, None, :, None, :, None] * p[None, :, None, :, None, :]).reshape(frame.size**2, n, n)
 
 
 @lru_cache(maxsize=None)

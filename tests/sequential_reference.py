@@ -8,7 +8,9 @@ one-record-at-a-time R rho R loop of ``wernerlab.tomo``, with the engine's
 matrix-vector kernels as they were.  ``trace_out`` and ``contract`` (the
 reference for ``wernerlab.steer._contract``) and ``haar_unitary`` (the reference
 for ``wernerlab.states.haar_restarts``) are the one-call-at-a-time primitives
-the stacked kernels replaced.
+the stacked kernels replaced.  ``solve_by_row`` runs the solver's step on one
+program and exit-tests it with ``check_by_row``, the earlier per-row exit test of
+``wernerlab.solver`` and the reference for the stacked one.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from wernerlab import qmat
+from wernerlab import qmat, solver
 from wernerlab.qmat import DensityMatrix, as_state, dagger, partial_transpose
+from wernerlab.solver import ConicSolution, presolve
 from wernerlab.states import haar_unitaries
 from wernerlab.steer import (
     MeasurementSet,
@@ -242,3 +245,73 @@ def bootstrap_by_record(record, statistic, n_boot=50, seed=0, max_iter=2000, tol
         values.append(fn(rho))
     arr = np.asarray(values)
     return float(arr.mean()), float(arr.std(ddof=1))
+
+
+def check_by_row(prog, setup, beta, bnorm, u, v, it, tol, best):
+    """One program's exit test on its iterate (u, v): a solution if it exits, and its best iterate so far."""
+    n, m = prog.n, prog.m
+    e_col, gamma, at = setup.e_col, setup.gamma, setup.at
+    tau = u[-1]
+    if tau > 1e-9:
+        # map the scaled iterate back to the original problem
+        x = e_col * u[:n] / tau / beta
+        y = u[n:-1] / tau / gamma
+        z = v[:n] / e_col / tau / gamma
+        pres = np.linalg.norm(prog.A @ x - prog.b) / bnorm
+        dres = np.linalg.norm(at @ y + z - prog.c) / setup.cnorm
+        pobj = float(prog.c @ x)
+        dobj = float(prog.b @ y)
+        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        crit = max(pres, dres, gap)
+        if best is None or crit < best[0]:
+            best = (crit, x.copy(), y.copy(), pobj, dobj)
+        if crit <= tol:
+            return ConicSolution(x, y, pobj, dobj, "OPTIMAL", abs(pobj - dobj) / (1.0 + abs(pobj)), it), best
+        return None, best
+    # tau collapsed: look for infeasibility / unboundedness certificates
+    uy = u[n:-1]
+    ux = e_col * u[:n]
+    by = float(prog.b @ uy)
+    if by > 1e-12:
+        resid = np.linalg.norm(at @ uy + v[:n] / e_col)
+        if by / max(resid, 1e-300) > 1e6:
+            return ConicSolution(np.zeros(n), uy / by, np.inf, np.inf, "INFEASIBLE", np.inf, it), best
+    cx = float(prog.c @ ux)
+    if cx < -1e-12:
+        resid = np.linalg.norm(prog.A @ ux)
+        if (-cx) / max(resid, 1e-300) > 1e6:
+            return ConicSolution(ux / (-cx), np.zeros(m), -np.inf, -np.inf, "UNBOUNDED", np.inf, it), best
+    return None, best
+
+
+def solve_by_row(prog, tol=1e-7, max_iter=200000):
+    """``solver.solve`` with the per-row exit test: the solver's own step on a stack of one
+    row, checked every ``CHECK_EVERY`` iterations by ``check_by_row``."""
+    prog = presolve(prog)
+    n, m = prog.n, prog.m
+    setup = solver._Setup(prog)
+    b = prog.b[None]
+    norm = np.sqrt(np.vecdot(b, b))
+    beta, bnorm = 1.0 / np.maximum(norm, 1e-6), 1.0 + norm
+    vectors = setup.b_vectors(b * beta[:, None])
+    u = np.zeros((1, n + m + 1))
+    u[:, -1] = 1.0
+    v = u.copy()
+    best = None
+    for it in range(1, max_iter + 1):
+        ut = setup.solve(u + v, *vectors)
+        r = solver.OVER_RELAX * ut + (1.0 - solver.OVER_RELAX) * u
+        u_new = r - v
+        x = u_new[:, :n]
+        setup.proj.project(x, out=x)
+        u_new[:, -1] = np.maximum(u_new[:, -1], 0.0)
+        v = v - r + u_new
+        u = u_new
+        if it % solver.CHECK_EVERY == 0 or it == max_iter:
+            sol, best = check_by_row(prog, setup, beta[0], bnorm[0], u[0], v[0], it, tol, best)
+            if sol is not None:
+                return sol
+    if best is None:
+        return ConicSolution(np.zeros(n), np.zeros(m), np.nan, np.nan, "MAX_ITER", np.inf, it)
+    _, x, y, pobj, dobj = best
+    return ConicSolution(x, y, pobj, dobj, "MAX_ITER", abs(pobj - dobj) / (1.0 + abs(pobj)), it)

@@ -17,12 +17,31 @@ from wernerlab.extend import (
     run_query,
     symmetric_subspace_isometry,
 )
-from wernerlab.filterops import filtered_weight, qubit_projection
+from wernerlab.filterops import filter_protocol, filtered_weight, qubit_projection, replay_protocol
 from wernerlab.qmat import DensityMatrix
 from wernerlab.solver import solve
 from wernerlab.states import werner
 
 from lp_oracle import lp_vertex_enumeration_check
+
+
+@pytest.mark.parametrize("entry", ["assemblage_from", "sr_state_lower_bound", "replay_protocol"])
+def test_side_other_than_a_or_b_is_rejected_before_any_draw(entry, monkeypatch):
+    rho = werner(3, 0.1)
+    meas = steer.random_projective(3, 2, np.random.default_rng(0))
+    proto = filter_protocol(qubit_projection(3, (1, 2), "A"))
+    calls = {
+        "assemblage_from": lambda: steer.assemblage_from(rho, meas, "a"),
+        "sr_state_lower_bound": lambda: steer.sr_state_lower_bound(rho, 2, restarts=2, steering_side="left"),
+        "replay_protocol": lambda: replay_protocol(rho, proto, "a"),
+    }
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew restarts before checking the side")
+
+    monkeypatch.setattr(steer, "haar_restarts", no_draw)
+    with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+        calls[entry]()
 
 
 def test_filter_json_roundtrip():

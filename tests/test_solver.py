@@ -12,6 +12,7 @@ from wernerlab import solver, steer
 from wernerlab.solver import (
     Block,
     ConicProgram,
+    ConicSolution,
     dump_program,
     load_program,
     mat_real,
@@ -24,7 +25,7 @@ from wernerlab.solver import (
 from wernerlab.states import werner
 
 from lp_oracle import lp_vertex_enumeration_check
-from sequential_reference import assert_rows_bitwise_alone
+from sequential_reference import assert_rows_bitwise_alone, check_by_row, solve_by_row
 
 
 def shifted_lp():
@@ -481,6 +482,12 @@ def same_solution(got, want):
     )
 
 
+def same_exit(got, want):
+    """Status, iteration, x, y, both objectives and the gap agree bit for bit."""
+    scalars = [np.array([sol.primal_obj, sol.dual_obj, sol.gap]).tobytes() for sol in (got, want)]
+    return same_solution(got, want) and scalars[0] == scalars[1]
+
+
 def test_memoised_setup_gives_bit_identical_solutions():
     progs = [captured_sr_program(seed) for seed in (1, 2, 3)]
     assert all(p.A is not progs[0].A and (p.A != progs[0].A).nnz == 0 for p in progs[1:])
@@ -528,21 +535,58 @@ def test_solve_many_matches_solo_solves_bitwise():
     assert solve_many([]) == []
 
 
-def test_solve_many_lp_batch_mixes_exits():
-    # one A and c; b is feasible, infeasible (tau collapses) or too slow for max_iter
+def test_solve_many_lp_batch_mixes_exits(monkeypatch):
+    # one A and c per stack; b is feasible, infeasible (tau collapses), unbounded or too slow for max_iter
     a = sp.csr_matrix(np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]))
-    progs = [
+    mixed = [
         ConicProgram((Block("nonneg", 3),), np.array([1.0, 2.0, 3.0]), a, np.array(b))
         for b in ([1.0, 0.2], [-1.0, 0.0], [1.0, 0.999])
     ]
-    alone = [solve(prog, max_iter=200) for prog in progs]
-    assert [(sol.status, sol.iterations) for sol in alone] == [("OPTIMAL", 75), ("INFEASIBLE", 50), ("MAX_ITER", 200)]
-    together = solve_many(progs, max_iter=200)
-    assert all(same_solution(got, want) for got, want in zip(together, alone))
-    assert together[0].primal_obj == pytest.approx(1.4, abs=1e-6)
-    assert np.isfinite(together[2].primal_obj)  # the best iterate, not a verdict
-    for got, want in zip(together, alone):
-        assert (got.primal_obj, got.dual_obj, got.gap) == (want.primal_obj, want.dual_obj, want.gap)
+    # min -x2 over x1 >= 0 and a free x2 with x1 = b: unbounded at b = 1, infeasible at b = -1
+    a = sp.csr_matrix(np.array([[1.0, 0.0]]))
+    certified = [
+        ConicProgram((Block("nonneg", 1), Block("free", 1)), np.array([0.0, -1.0]), a, np.array([b]))
+        for b in (1.0, -1.0)
+    ]
+    # SR programs cut off at 130 iterations: longer rows, some of them still at MAX_ITER
+    sr = [captured_sr_program(seed, d=2, n_s=3) for seed in range(8)]
+    exits = {
+        "mixed": [("OPTIMAL", 75), ("INFEASIBLE", 50), ("MAX_ITER", 200)],
+        "certified": [("UNBOUNDED", 25), ("INFEASIBLE", 25)],
+    }
+    checks, stacked_check = [], solver._check
+
+    def spy(*args):
+        checks.append((args, stacked_check(*args)))
+        return checks[-1][1]
+
+    monkeypatch.setattr(solver, "_check", spy)
+    stacked = {}
+    for name, progs, max_iter in (("mixed", mixed, 200), ("certified", certified, 200), ("sr", sr, 130)):
+        alone = [solve(prog, max_iter=max_iter) for prog in progs]
+        checks.clear()
+        together = solve_many(progs, max_iter=max_iter)
+        by_row = [solve_by_row(prog, max_iter=max_iter) for prog in progs]
+        # the stacked exit test gives each row the per-row reference's exit, bit for bit
+        assert all(same_exit(got, want) and same_exit(got, ref) for got, want, ref in zip(together, alone, by_row))
+        stacked[name] = together
+        # and at every check, each row's crit and mapped-back iterate, or its certificate
+        for (setup, b, beta, bnorm, u, v), (crit, rows) in checks:
+            for i, (x, y, pobj, dobj, gap, status) in enumerate(rows):
+                prog = dataclasses.replace(presolve(progs[0]), b=b[i])
+                ref, best = check_by_row(prog, setup, beta[i], bnorm[i], u[i], v[i], 0, -1.0, None)
+                if status is None:
+                    got = np.concatenate([[crit[i]], x, y, [pobj, dobj]])
+                    assert got.tobytes() == np.concatenate([[best[0]], best[1], best[2], best[3:]]).tobytes()
+                elif status:
+                    assert same_exit(ConicSolution(x, y, pobj, dobj, status, gap, 0), ref)
+                else:
+                    assert ref is None
+    for name, want in exits.items():
+        assert [(sol.status, sol.iterations) for sol in stacked[name]] == want
+    assert {sol.status for sol in stacked["sr"]} == {"OPTIMAL", "MAX_ITER"}
+    assert stacked["mixed"][0].primal_obj == pytest.approx(1.4, abs=1e-6)
+    assert np.isfinite(stacked["mixed"][2].primal_obj)  # the best iterate, not a verdict
 
 
 def test_solve_many_rejects_programs_that_differ_beyond_b():

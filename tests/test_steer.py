@@ -758,7 +758,7 @@ def test_seesaw_bell_grid_gives_each_state_its_solo_value(state, table):
 
 def test_stacked_effect_check_matches_measurement_set():
     rng = np.random.default_rng(8)
-    stack = np.array([steer._grouped_projective_effects(3, 2, 2, rng) for _ in range(4)])
+    stack = np.array([steer.random_grouped_projective(3, 2, 2, rng).effects for _ in range(4)])
     steer._check_effects(stack)
     bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
     not_psd, not_normalised = stack.copy(), stack.copy()
