@@ -24,8 +24,9 @@ draws from ``s ^ r``.  A grid search (``one_distillable_many``, ``fef_many``,
 state: :func:`~wernerlab.qmat.grid_rows` checks the grid and makes every
 (state, restart) pair a row that carries its own state, and
 :func:`~wernerlab.qmat.grid_best` picks each state's best restart, so each
-state gets the certificate it gets alone.  The single-state forms are the
-stack of one.  The SDPs inside the steering see-saw stack the same way in
+state gets the certificate it gets alone.  The single-state forms and the
+steering see-saw (``steer.sr_state_lower_bound``) are the stack of one.  The
+SDPs inside the steering see-saw stack the same way in
 :func:`~wernerlab.solver.solve_many`; see :mod:`~wernerlab.solver`.
 """
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
 from math import prod
 
 import numpy as np
@@ -63,25 +62,17 @@ SQE = "SQE"
 SE_B = "SE_B"
 
 
-def _strides(dims: list[int]) -> np.ndarray:
-    s = np.ones(len(dims), dtype=np.int64)
-    for p in range(len(dims) - 2, -1, -1):
-        s[p] = s[p + 1] * dims[p + 1]
-    return s
-
-
 def symmetric_subspace_isometry(d: int, k: int) -> np.ndarray:
-    """Isometry from the C(d+k-1, k)-dimensional symmetric subspace into (C^d)^k."""
+    """Isometry from the C(d+k-1, k)-dimensional symmetric subspace into (C^d)^k.
+
+    Column c is the normalized sum of the basis states whose sorted digits are the c-th
+    multiset of levels in lexicographic order."""
     if d**k > MAX_EXTENSION_DIM:
         raise ValueError("extension space too large")
-    basis = list(combinations_with_replacement(range(d), k))
-    w = np.zeros((d**k, len(basis)), dtype=complex)
-    strides = _strides([d] * k)
-    for col, multiset in enumerate(basis):
-        perms = set(permutations(multiset))
-        amp = 1.0 / np.sqrt(len(perms))
-        for p in perms:
-            w[int(np.dot(p, strides)), col] = amp
+    digits = np.indices((d,) * k).reshape(k, d**k).T  # row p holds the base-d digits of p
+    _, col, count = np.unique(np.sort(digits, axis=1), axis=0, return_inverse=True, return_counts=True)
+    w = np.zeros((d**k, len(count)), dtype=complex)
+    w[np.arange(d**k), col] = 1.0 / np.sqrt(count[col])
     return w
 
 

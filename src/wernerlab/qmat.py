@@ -126,6 +126,7 @@ def partial_trace(rho: DensityMatrix, side: str) -> np.ndarray:
 
 def embed(op: np.ndarray, d_other: int, side: str) -> np.ndarray:
     """``op`` acting on ``side`` ('A' or 'B') of a bipartite space, the identity on the d_other-level other side."""
+    check_side(side)
     return kron(op, np.eye(d_other)) if side == "A" else kron(np.eye(d_other), op)
 
 
@@ -134,6 +135,7 @@ def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
 
     Pure index permutation: applying it twice returns the input bit-for-bit.
     """
+    check_side(side)
     return partial_transpose_dims(rho.mat, [rho.dimA, rho.dimB], [0 if side == "A" else 1])
 
 

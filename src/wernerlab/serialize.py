@@ -1,8 +1,9 @@
-"""JSON serialization for states, filters and certificates.
+"""JSON serialization for states and filters, and the matrix entry lists ``steer`` reuses.
 
 Matrices travel as ``{"dimA": .., "dimB": .., "entries": [[re, im], ...]}``
 in row-major order.  Python's float repr is shortest-round-trip, so dumps
-are lossless at 17 significant digits.
+are lossless at 17 significant digits.  Certificates serialize in
+``certify.Certificate.to_json``; assemblage and correlation JSON live in ``steer``.
 """
 
 from __future__ import annotations

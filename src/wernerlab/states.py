@@ -78,19 +78,22 @@ def qubit_block(d: int, i: int, j: int, kind: str) -> DensityMatrix:
     m = np.zeros((dd, dd), dtype=complex)
     ij, ji = i * d + j, j * d + i
     ii, jj = i * d + i, j * d + j
-    if kind == "singlet":
+    if kind in ("singlet", "triplet"):
         psi = np.zeros(dd, dtype=complex)
-        psi[ij], psi[ji] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-        m = np.outer(psi, psi.conj())
-    elif kind == "triplet":
-        psi = np.zeros(dd, dtype=complex)
-        psi[ij], psi[ji] = 1 / np.sqrt(2), 1 / np.sqrt(2)
+        psi[ij], psi[ji] = 1 / np.sqrt(2), (-1 if kind == "singlet" else 1) / np.sqrt(2)
         m = np.outer(psi, psi.conj())
     elif kind == "diag":
         m[ii, ii] = m[jj, jj] = 0.5
     else:  # cross
         m[ij, ij] = m[ji, ji] = 0.5
     return DensityMatrix(d, d, m)
+
+
+def _block_mixture(d: int, weights: dict[str, float]) -> DensityMatrix:
+    """Uniform mixture over the pairs i < j of the qubit blocks, block kind k weighted by ``weights[k]``."""
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    mat = sum(w * qubit_block(d, i, j, kind).mat for i, j in pairs for kind, w in weights.items())
+    return DensityMatrix(d, d, mat / (d * (d - 1) / 2))
 
 
 def werner_from_qubit_mixture(d: int, v: float) -> DensityMatrix:
@@ -106,17 +109,7 @@ def werner_from_qubit_mixture(d: int, v: float) -> DensityMatrix:
             "use the all-v route (werner_all_v)"
         )
     q = max(q, 0.0)
-    n_minus = d * (d - 1) / 2
-    dd = d * d
-    mat = np.zeros((dd, dd), dtype=complex)
-    for i in range(d):
-        for j in range(i + 1, d):
-            block = (
-                q * qubit_block(d, i, j, "singlet").mat
-                + (1 - q) * (p * qubit_block(d, i, j, "diag").mat + (1 - p) * qubit_block(d, i, j, "cross").mat)
-            )
-            mat += block
-    return DensityMatrix(d, d, mat / n_minus)
+    return _block_mixture(d, {"singlet": q, "diag": (1 - q) * p, "cross": (1 - q) * (1 - p)})
 
 
 def werner_all_v(d: int, v: float) -> DensityMatrix:
@@ -124,17 +117,7 @@ def werner_all_v(d: int, v: float) -> DensityMatrix:
     WernerParams(d, v)
     q = 2.0 * v / (d + 1.0)
     p = (d + 1.0) * (1.0 - v) / (d + 1.0 - 2.0 * v)
-    n_minus = d * (d - 1) / 2
-    dd = d * d
-    mat = np.zeros((dd, dd), dtype=complex)
-    for i in range(d):
-        for j in range(i + 1, d):
-            block = (
-                q * qubit_block(d, i, j, "diag").mat
-                + (1 - q) * (p * qubit_block(d, i, j, "singlet").mat + (1 - p) * qubit_block(d, i, j, "triplet").mat)
-            )
-            mat += block
-    return DensityMatrix(d, d, mat / n_minus)
+    return _block_mixture(d, {"diag": q, "singlet": (1 - q) * p, "triplet": (1 - q) * (1 - p)})
 
 
 def max_entangled_ket(d: int) -> np.ndarray:

@@ -12,11 +12,11 @@ which is a valid SR lower bound for any POVM choice since the dual point stays
 feasible.  Measurement updates are pairwise eigenvector rotations, so each
 accepted step never lowers the bound, and the bound a restart keeps is the
 value of the measurements it keeps.  The seeded restarts of this see-saw and
-of the Bell see-saw (:func:`seesaw_bell`) run in lockstep, as the
-:mod:`~wernerlab.certify` module docstring describes, and
-:func:`seesaw_bell_many` is one of the grid searches it describes.  The SDP's blocks, A and c
-depend on the scenario alone and are built once, so each round stacks the
-right-hand sides of every restart still improving into one
+of the Bell see-saw (:func:`seesaw_bell`) run in lockstep on the grid-search
+scaffold (:func:`~wernerlab.qmat.grid_rows`, :func:`~wernerlab.qmat.grid_best`)
+the :mod:`~wernerlab.certify` module docstring describes.  The SDP's blocks,
+A and c depend on the scenario alone and are built once, so each round stacks
+the right-hand sides of every restart still improving into one
 :func:`~wernerlab.solver.solve_many` call.
 """
 
@@ -31,6 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .qmat import DensityMatrix, check_side, dagger, grid_best, grid_rows
+from .serialize import matrix_from_obj, matrix_to_obj
 from .solver import Block, ConicProgram, mat_real, solve, solve_many, vec_real
 from .states import haar_restarts, haar_unitaries
 
@@ -223,9 +224,9 @@ def _sr_programs(sigma: np.ndarray) -> list[ConicProgram]:
 
 
 def _sr_duals(y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The dual operators F_{a|x}, as an (x, a, d, d) array, from the SR solution's y."""
+    """The dual operators F_{a|x}, as an (..., x, a, d, d) stack, from an (..., m) stack of SR solutions' y."""
     n_s, n_o, d = shape
-    return mat_real(y.reshape(n_s, n_o, d * d), d)
+    return mat_real(y.reshape(y.shape[:-1] + (n_s, n_o, d * d)), d)
 
 
 def sr_solve(assemblage: Assemblage, tol: float = 1e-7, max_iter: int = 200000) -> SRResult:
@@ -314,51 +315,40 @@ def sr_state_lower_bound(
     measurements and the solution of its last accepted round together.
     """
     check_side(steering_side)
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    (d_a, d_b), state = grid_rows([rho], [seed], restarts, _tensor)
     if n_settings < 1:
         raise ValueError(f"n_settings must be at least 1, got {n_settings}")
-    d = rho.dimA if steering_side == "A" else rho.dimB
-    unmeasured = "B" if steering_side == "A" else "A"
-    shape = (n_settings, d, rho.dimB if steering_side == "A" else rho.dimA)
+    d, d_other, unmeasured = (d_a, d_b, "B") if steering_side == "A" else (d_b, d_a, "A")
+    shape = (n_settings, d, d_other)
     _sr_program(*shape)  # checks the lambda budget before any draw
 
-    state = _tensor(rho)
-
-    def solve_round(effects):
-        progs = _sr_programs(_contract(state, effects, steering_side))
-        return solve_many(progs, tol=sdp_tol)
+    def solve_round(rows, effects):
+        """Value (-inf unless the solve ended OPTIMAL), y and gap of each row's SDP."""
+        sols = solve_many(_sr_programs(_contract(state[rows], effects, steering_side)), tol=sdp_tol)
+        value = [float(sol.primal_obj) - 1.0 if sol.status == "OPTIMAL" else -np.inf for sol in sols]
+        return np.array(value), np.stack([sol.y for sol in sols]), np.array([sol.gap for sol in sols])
 
     (u,) = haar_restarts([seed ^ r for r in range(restarts)], [(n_settings, d)])
     effects = _effects_from_unitaries(u, d)
     _check_effects(effects)
-    sols = solve_round(effects)
-    # restarts whose first solve ended OPTIMAL, with their values; `live` still improve
-    kept = [r for r, sol in enumerate(sols) if sol.status == "OPTIMAL"]
-    value = {r: float(sols[r].primal_obj) - 1.0 for r in kept}
-    live = kept
+    value, y, gap = solve_round(np.arange(restarts), effects)
+    kept = value > -np.inf  # the restarts whose first solve ended OPTIMAL; `live` ones still improve
+    live = np.flatnonzero(kept)
     for _ in range(max_rounds):
-        if not live:
+        if not live.size:
             break
         # G_{a|x} = tr_unmeasured[(F_{a|x} on it) rho]: the dual value is sum tr(M_{a|x} G_{a|x}) - 1
-        duals = np.stack([_sr_duals(sols[r].y, shape) for r in live])
-        new_effects = _update_measurements(effects[live], _contract(state, duals, unmeasured))
-        improving = []
-        for r, new_eff, new_sol in zip(live, new_effects, solve_round(new_effects)):
-            if new_sol.status != "OPTIMAL":
-                continue
-            new_value = float(new_sol.primal_obj) - 1.0
-            if new_value > value[r] + 1e-7:
-                effects[r], sols[r], value[r] = new_eff, new_sol, new_value
-                improving.append(r)
-        live = improving
-    best, best_meas, best_gap = 0.0, None, 0.0
-    for r in kept:
-        if value[r] > best:
-            best, best_meas, best_gap = value[r], effects[r], sols[r].gap
-    if best_meas is not None:
-        best_meas = MeasurementSet(tuple(map(tuple, best_meas)))
-    return SRLowerBound(best=best, per_restart=[value[r] for r in kept], best_measurements=best_meas, best_gap=best_gap)
+        response = _contract(state[live], _sr_duals(y[live], shape), unmeasured)
+        new_effects = _update_measurements(effects[live], response)
+        new_value, new_y, new_gap = solve_round(live, new_effects)
+        accept = new_value > value[live] + 1e-7
+        live = live[accept]
+        effects[live], value[live], y[live], gap[live] = (arr[accept] for arr in (new_effects, new_value, new_y, new_gap))
+    (row,) = grid_best(value, restarts, np.argmax)
+    if value[row] <= 0.0:
+        return SRLowerBound(0.0, value[kept].tolist())
+    meas = MeasurementSet(tuple(map(tuple, effects[row])))
+    return SRLowerBound(float(value[row]), value[kept].tolist(), meas, float(gap[row]))
 
 
 @dataclass(frozen=True)
@@ -478,8 +468,6 @@ def _best_povm_update(effects: np.ndarray, response: np.ndarray) -> np.ndarray:
 
 
 def assemblage_to_json(asm: Assemblage) -> str:
-    from .serialize import matrix_to_obj
-
     return json.dumps(
         {
             "n_settings": asm.n_settings,
@@ -491,8 +479,6 @@ def assemblage_to_json(asm: Assemblage) -> str:
 
 
 def assemblage_from_json(text: str) -> Assemblage:
-    from .serialize import matrix_from_obj
-
     obj = json.loads(text)
     d = obj["dim"]
     sigma = tuple(

@@ -8,12 +8,16 @@ one-record-at-a-time R rho R loop of ``wernerlab.tomo``, with the engine's
 matrix-vector kernels as they were.  ``trace_out`` and ``contract`` (the
 reference for ``wernerlab.steer._contract``) and ``haar_unitary`` (the reference
 for ``wernerlab.states.haar_restarts``) are the one-call-at-a-time primitives
-the stacked kernels replaced.  ``solve_by_row`` runs the solver's step on one
-program and exit-tests it with ``check_by_row``, the earlier per-row exit test of
-``wernerlab.solver`` and the reference for the stacked one.
+the stacked kernels replaced, and ``symmetric_isometry_by_multisets`` is the
+loop-built reference for ``wernerlab.extend.symmetric_subspace_isometry``.
+``solve_by_row`` runs the solver's step on one program and exit-tests it with
+``check_by_row``, the earlier per-row exit test of ``wernerlab.solver`` and the
+reference for the stacked one.
 """
 
 from __future__ import annotations
+
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import scipy.linalg
@@ -55,6 +59,19 @@ def contract(rho: DensityMatrix, op: np.ndarray, side: str) -> np.ndarray:
     dims = [rho.dimA, rho.dimB]
     red = trace_out(qmat.embed(op, dims[1] if on_a else dims[0], side) @ rho.mat, dims, [0 if on_a else 1])
     return (red + dagger(red)) / 2
+
+
+def symmetric_isometry_by_multisets(d: int, k: int) -> np.ndarray:
+    """The symmetric-subspace isometry built one multiset column and one permutation at a time."""
+    basis = list(combinations_with_replacement(range(d), k))
+    w = np.zeros((d**k, len(basis)), dtype=complex)
+    strides = d ** np.arange(k - 1, -1, -1)
+    for col, multiset in enumerate(basis):
+        perms = set(permutations(multiset))
+        amp = 1.0 / np.sqrt(len(perms))
+        for p in perms:
+            w[int(np.dot(p, strides)), col] = amp
+    return w
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

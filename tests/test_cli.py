@@ -75,12 +75,15 @@ def test_sweep_ppt_matches_closed_form(tmp_path):
     assert "ppt_d3.csv" in manifest["outputs"]
 
 
-def test_sweep_replay_byte_identical(tmp_path):
+@pytest.mark.parametrize(
+    "task, options", [("ppt", []), ("sr", ["--restarts", "3", "--max-rounds", "5"])], ids=["ppt", "sr"]
+)
+def test_sweep_replay_byte_identical(tmp_path, task, options):
     out = tmp_path / "run"
-    assert main(["sweep", "--task", "ppt", "--v-grid", "0:0.25:0.5", "--out", str(out), "--seed", "11"]) == 0
-    first = (out / "ppt_d3.csv").read_bytes()
+    assert main(["sweep", "--task", task, "--v-grid", "0:0.25:0.5", "--out", str(out), "--seed", "11", *options]) == 0
+    first = (out / f"{task}_d3.csv").read_bytes()
     assert main(["sweep", "--replay", str(out / "manifest.json")]) == 0
-    assert (out / "ppt_d3.csv").read_bytes() == first
+    assert (out / f"{task}_d3.csv").read_bytes() == first
 
 
 def test_sweep_unknown_task(tmp_path):

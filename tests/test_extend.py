@@ -36,7 +36,7 @@ from wernerlab.states import (
 )
 
 from lp_oracle import lp_vertex_enumeration_check, werner_lp, werner_lp_columns
-from sequential_reference import trace_out
+from sequential_reference import symmetric_isometry_by_multisets, trace_out
 
 SURROGATE = NoiseSpec(depol=0.06, coherent_eps=0.02, seed=2024)  # a complex, non-Werner perturbation
 
@@ -86,6 +86,14 @@ def test_symmetric_isometry_projector_is_sym_projector():
     assert np.allclose(w @ w.conj().T, sym_projector(3), atol=1e-13)
     # exact permutation invariance
     assert np.array_equal(swap_operator(3).real @ w.real, w.real)
+
+
+def test_symmetric_isometry_matches_multiset_loop():
+    # every (d, k) under the dimension cap, bit for bit against the one-permutation-at-a-time build
+    cases = [(d, k) for d in range(2, 244) for k in range(9) if d**k <= extend.MAX_EXTENSION_DIM]
+    for d, k in cases:
+        got, want = symmetric_subspace_isometry(d, k), symmetric_isometry_by_multisets(d, k)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (d, k)
 
 
 def column_by_column_bosonic_program(q):

@@ -18,14 +18,16 @@ from wernerlab.extend import (
     symmetric_subspace_isometry,
 )
 from wernerlab.filterops import filter_protocol, filtered_weight, qubit_projection, replay_protocol
-from wernerlab.qmat import DensityMatrix
+from wernerlab.qmat import DensityMatrix, embed, partial_transpose
 from wernerlab.solver import solve
 from wernerlab.states import werner
 
 from lp_oracle import lp_vertex_enumeration_check
 
 
-@pytest.mark.parametrize("entry", ["assemblage_from", "sr_state_lower_bound", "replay_protocol"])
+@pytest.mark.parametrize(
+    "entry", ["assemblage_from", "sr_state_lower_bound", "replay_protocol", "partial_transpose", "embed"]
+)
 def test_side_other_than_a_or_b_is_rejected_before_any_draw(entry, monkeypatch):
     rho = werner(3, 0.1)
     meas = steer.random_projective(3, 2, np.random.default_rng(0))
@@ -34,6 +36,8 @@ def test_side_other_than_a_or_b_is_rejected_before_any_draw(entry, monkeypatch):
         "assemblage_from": lambda: steer.assemblage_from(rho, meas, "a"),
         "sr_state_lower_bound": lambda: steer.sr_state_lower_bound(rho, 2, restarts=2, steering_side="left"),
         "replay_protocol": lambda: replay_protocol(rho, proto, "a"),
+        "partial_transpose": lambda: partial_transpose(rho, "a"),
+        "embed": lambda: embed(np.eye(3), 3, "left"),
     }
 
     def no_draw(*args, **kwargs):
