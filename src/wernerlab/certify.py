@@ -27,7 +27,7 @@ state: :func:`~wernerlab.qmat.grid_rows` checks the grid and makes every
 state gets the certificate it gets alone.  The single-state forms and the
 steering see-saw (``steer.sr_state_lower_bound``) are the stack of one.  The
 SDPs inside the steering see-saw stack the same way in
-:func:`~wernerlab.solver.solve_many`; see :mod:`~wernerlab.solver`.
+:meth:`~wernerlab.solver.Family.solve_many`; see :mod:`~wernerlab.solver`.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__, certify, extend, filterops, qmat, solver, states, steer, tomo
 
-TASKS = ("ppt", "distill", "fef", "chsh", "sr", "dc", "extend", "tomo")
 # thread settings that can change the last bits of a BLAS result, and so a CSV
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -172,6 +171,8 @@ SWEEPS = {
     "extend": sweep_extend,
     "tomo": sweep_tomo,
 }
+TASKS = tuple(SWEEPS)
+QUTRIT_TASKS = ("chsh", "sr", "tomo")  # they build d = 3 states whatever --d says
 
 
 def _blas_settings() -> dict:
@@ -195,13 +196,16 @@ def _write_manifest(out_dir: Path, command: str, args, **fields) -> None:
 
 
 def run_sweep(args) -> int:
+    tasks = args.task.split(",")
+    for task in tasks:  # all checked before anything is written
+        if task not in SWEEPS or (task in QUTRIT_TASKS and args.d != 3):
+            why = f"runs only at --d 3, not {args.d}" if task in SWEEPS else f"is unknown; choose from {TASKS}"
+            print(f"task {task!r} {why}", file=sys.stderr)
+            return 1
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     task_seeds, outputs, wall_times = {}, {}, {}
-    for task in args.task.split(","):
-        if task not in SWEEPS:
-            print(f"unknown task {task!r}; choose from {TASKS}", file=sys.stderr)
-            return 1
+    for task in tasks:
         task_seeds[task] = derive_seed(args.seed, task)
         t0 = time.perf_counter()
         header, rows = SWEEPS[task](args, task_seeds[task])
@@ -364,7 +368,7 @@ def _strict_check(v: float, report: dict) -> list[str]:
         failures.append(f"unexpected NPPT at v={v}")
     if v < 0.4 - margin and certs_u["one_distillable"]["verdict"] != "PASS":
         failures.append(f"expected 1-distillability at v={v}")
-    v_chsh = 0.1578  # filtered CHSH boundary from 2*sqrt(2)(4-6v)/(4+2v) = 2
+    v_chsh = 2 * (np.sqrt(2) - 1) / (3 * np.sqrt(2) + 1)  # filtered CHSH boundary: the root of 2*sqrt(2)(4-6v)/(4+2v) = 2
     if v < v_chsh - margin and certs_f["chsh"]["verdict"] != "PASS":
         failures.append(f"expected filtered CHSH violation at v={v}")
     v_dc = certify.dc_threshold(3, 1e-6)
@@ -494,20 +498,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    """Fill unset values from a JSON config; explicit flags keep priority."""
+    """Parse argv again with a JSON config's values as the subcommand's defaults, so that
+    argparse decides which flags were given and those keep priority, abbreviated or not."""
     if not getattr(args, "config", None):
         return args
     config = json.loads(Path(args.config).read_text())
-    given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+    defaults = {}
     for key, val in config.items():
         attr = key.replace("-", "_")
-        if attr not in given and hasattr(args, attr):
+        if hasattr(args, attr):
             if attr in ("v_grid", "d_grid") and isinstance(val, str):
                 val = parse_grid(val)
             if attr == "k_list" and isinstance(val, str):
                 val = [int(x) for x in val.split(",")]
-            setattr(args, attr, val)
-    return args
+            defaults[attr] = val
+    parser = build_parser()
+    (sub,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    sub.choices[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,21 +16,20 @@ projects onto the cone.  It is matrix-free apart from one Cholesky
 factorization of I + A A^T (the constraint count stays small here), fully
 deterministic, and certifies optimality through the duality gap.
 
-The set-up that depends on the presolved (blocks, A, c) alone -- column scale, scaled
-A, A^T and c, that factorization and the cone plan -- is memoised in a small LRU keyed
-on the exact bytes of those three, so programs that differ only in b (the steering
-see-saw) factor once.  :func:`solve_many` is the one iteration loop: the iterates of R
-programs that share a set-up form the rows of an (R, n + m + 1) stack, R = 1 included;
-each sparse product, triangular solve, cone projection and exit test acts on all of
-them at once, and a program leaves the stack at the check where it exits.  The exit
-test measures each row's residuals on the unscaled A.  The projection clips 2 x 2 PSD
-blocks in closed form, from their eigenvalues m -+ r.  It keeps a 3 x 3 block whose
-three Cholesky pivots are positive, zeroes one whose pivots are all negative, and sends
-only the indefinite or singular rest to eigh; blocks of other sides go through one
-batched eigh per block size.  Every operation acts row by row with the same arithmetic
-whatever the stack width, so a program gives the same iterates and exits, bit for bit,
-alone or in a batch, and with a memoised set-up or a fresh one.  :func:`solve` is
-``solve_many`` on one program.
+A :class:`Family` holds programs that share blocks, A and c and differ only in b (the
+steering see-saw's): it derives the column scale, the scaled A, A^T and c, that
+factorization and the cone plan once, and its caller keeps it.  :meth:`Family.solve_many`
+is the one iteration loop: the iterates of R right-hand sides form the rows of an
+(R, n + m + 1) stack, R = 1 included; each sparse product, triangular solve, cone
+projection and exit test acts on all of them at once, and a row leaves the stack at the
+check where it exits.  The exit test measures each row's residuals on the unscaled A.
+The projection clips 2 x 2 PSD blocks in closed form, from their eigenvalues m -+ r.  It
+keeps a 3 x 3 block whose three Cholesky pivots are positive, zeroes one whose pivots are
+all negative, and sends only the indefinite or singular rest to eigh; blocks of other
+sides go through one batched eigh per block size.  Every operation acts row by row with
+the same arithmetic whatever the stack width, so a program gives the same iterates and
+exits, bit for bit, alone or in a batch.  :func:`solve` presolves one program and solves
+it as the one row of a fresh family.
 """
 
 from __future__ import annotations
@@ -313,26 +312,26 @@ def _rmul(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     return (a @ x.T).T
 
 
-class _Setup:
-    """Everything :func:`solve_many` derives from a presolved (blocks, A, c) alone: the column
-    scale, the scaled A, A^T and c, the factorisation of I + A A^T and the cone plan.
+class Family:
+    """Programs that share blocks, A (a CSR matrix) and c and differ only in b, prepared once:
+    the column scale, the scaled A, A^T and c, the factorisation of I + A A^T and the cone plan.
 
     Its linear algebra acts on stacks, one row per program; the vectors that depend on b
-    come from :meth:`b_vectors` and stay with the caller."""
+    come from :meth:`b_vectors` and stay with the caller.  A family does not presolve."""
 
-    def __init__(self, prog: ConicProgram):
-        self.e_col = _equilibrate(prog.A, prog.blocks)
-        self.A = (prog.A @ sp.diags(self.e_col)).tocsr()
+    def __init__(self, blocks: tuple[Block, ...], c: np.ndarray, A: sp.csr_matrix):
+        self.e_col = _equilibrate(A, blocks)
+        self.A = (A @ sp.diags(self.e_col)).tocsr()
         self.AT = self.A.T.tocsr()
-        c_s = self.e_col * prog.c
+        c_s = self.e_col * c
         self.gamma = 1.0 / max(np.linalg.norm(c_s), 1e-6)
         self.c = c_s * self.gamma
-        gram = (self.A @ self.AT).toarray() + np.eye(prog.m)
+        gram = (self.A @ self.AT).toarray() + np.eye(A.shape[0])
         self.chol, _ = scipy.linalg.cho_factor(gram, lower=True)
         self._potrs = scipy.linalg.get_lapack_funcs("potrs", (self.chol,))
-        self.proj = _ConeProjector(prog.blocks)
-        self.a, self.at, self.c0 = prog.A.copy(), prog.A.T.tocsr(), prog.c.copy()  # unscaled, for the exit test
-        self.cnorm = 1.0 + np.linalg.norm(prog.c)
+        self.proj = _ConeProjector(blocks)
+        self.a, self.at, self.c0 = A.copy(), A.T.tocsr(), np.array(c, dtype=float)  # unscaled, for the exit test
+        self.cnorm = 1.0 + np.linalg.norm(c)
 
     def _solve_m(self, r: np.ndarray, out: np.ndarray, sign: float = 1.0) -> np.ndarray:
         """M^-1 r for sign 1 and M^-T r for sign -1, where M = [[I, -A^T], [A, I]], for each
@@ -352,7 +351,7 @@ class _Setup:
         mg = self._solve_m(g, np.empty_like(g))
         return g, mg, self._solve_m(g, np.empty_like(g), -1.0), 1.0 + np.vecdot(g, mg)
 
-    def solve(self, h, g, mg, mtg, denom) -> np.ndarray:
+    def kkt(self, h, g, mg, mtg, denom) -> np.ndarray:
         """Solve (I + Q) u = h for the skew embedding matrix Q = [[M - I, g], [-g^T, 0]], for
         each row of h and of the :meth:`b_vectors` of its program."""
         rhs = h[:, :-1] - h[:, -1:] * g
@@ -362,33 +361,66 @@ class _Setup:
         out[:, -1] = h[:, -1] + np.vecdot(g, p)
         return out
 
+    def solve_many(self, b: np.ndarray, tol: float = 1e-7, max_iter: int = 200000) -> list[ConicSolution]:
+        """The solution of the family's program for each row of an (R, m) stack of right-hand
+        sides, every step, the exit test included, acting on the whole stack as the module
+        docstring describes.  Raises ValueError unless b is a finite (R, m) array."""
+        b = np.asarray(b, dtype=float)
+        n, m = self.at.shape
+        if b.ndim != 2 or b.shape[1] != m or not np.all(np.isfinite(b)):
+            raise ValueError(f"b must be a finite (R, {m}) array, got shape {b.shape}")
+        norm = np.sqrt(np.vecdot(b, b))
+        beta, bnorm = 1.0 / np.maximum(norm, 1e-6), 1.0 + norm
+        g, mg, mtg, denom = self.b_vectors(b * beta[:, None])
+        live = list(range(len(b)))  # the program of each row
+        results: list[ConicSolution | None] = [None] * len(b)
+        best: list[tuple | None] = [None] * len(b)
 
-SETUP_CACHE_SIZE = 4
+        u = np.zeros((len(b), n + m + 1))
+        u[:, -1] = 1.0
+        v = u.copy()
+
+        it = 0
+        for it in range(1, max_iter + 1):
+            ut = self.kkt(u + v, g, mg, mtg, denom)
+            r = OVER_RELAX * ut + (1.0 - OVER_RELAX) * u
+            u_new = r - v
+            x = u_new[:, :n]
+            self.proj.project(x, out=x)
+            u_new[:, -1] = np.maximum(u_new[:, -1], 0.0)
+            v = v - r + u_new
+            u = u_new
+
+            if it % CHECK_EVERY != 0 and it != max_iter:
+                continue
+            crit, rows = _check(self, b, beta, bnorm, u, v)
+            for k, crit_k, (x, y, pobj, dobj, gap, status) in zip(live, crit, rows):
+                if status is None and (best[k] is None or crit_k < best[k][0]):
+                    best[k] = (crit_k, x, y, pobj, dobj, gap)
+                if status or (status is None and crit_k <= tol):
+                    results[k] = ConicSolution(x, y, pobj, dobj, status or "OPTIMAL", gap, it)
+            keep = [i for i, k in enumerate(live) if results[k] is None]
+            if not keep:
+                return results
+            if len(keep) < len(live):
+                u, v, b, beta, bnorm, g, mg, mtg, denom = (arr[keep] for arr in (u, v, b, beta, bnorm, g, mg, mtg, denom))
+                live = [live[i] for i in keep]
+
+        for k in live:
+            _, x, y, pobj, dobj, gap = best[k] or (None, np.zeros(n), np.zeros(m), np.nan, np.nan, np.inf)
+            results[k] = ConicSolution(x, y, pobj, dobj, "MAX_ITER", gap, it)
+        return results
+
+
 OVER_RELAX = 1.5  # relaxation of the splitting step
 CHECK_EVERY = 25  # iterations between exit tests
-_SETUPS: dict[tuple, _Setup] = {}  # least recently used first
-
-
-def _setup_key(prog: ConicProgram) -> tuple:
-    """The exact bytes of a program's blocks, A and c."""
-    a = prog.A
-    key = (prog.blocks, a.shape, prog.c.tobytes())
-    return key + tuple((arr.dtype.str, arr.tobytes()) for arr in (a.indptr, a.indices, a.data))
-
-
-def _setup_for(prog: ConicProgram, key: tuple) -> _Setup:
-    """The memoised :class:`_Setup` of ``prog``, whose :func:`_setup_key` is ``key``."""
-    setup = _SETUPS.pop(key, None) or _Setup(prog)
-    _SETUPS[key] = setup
-    if len(_SETUPS) > SETUP_CACHE_SIZE:
-        del _SETUPS[next(iter(_SETUPS))]
-    return setup
 
 
 def solve(prog: ConicProgram, tol: float = 1e-7, max_iter: int = 200000) -> ConicSolution:
-    """Run the operator-splitting iteration until the KKT residuals certify optimality.
-    Deterministic for fixed inputs: a memoised set-up gives the same iterates as a fresh one."""
-    return solve_many([prog], tol=tol, max_iter=max_iter)[0]
+    """Run the operator-splitting iteration until the KKT residuals certify optimality:
+    the presolved program as the one row of a fresh :class:`Family`.  Deterministic."""
+    prog = presolve(prog)
+    return Family(prog.blocks, prog.c, prog.A).solve_many(prog.b[None], tol=tol, max_iter=max_iter)[0]
 
 
 def _norms(r: np.ndarray) -> np.ndarray:
@@ -397,21 +429,21 @@ def _norms(r: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(r, r))
 
 
-def _check(setup, b, beta, bnorm, u, v):
+def _check(family, b, beta, bnorm, u, v):
     """The exit test on every row of the iterate stack (u, v), whose programs have the
     original right-hand sides b.  Returns crit and, per row, (x, y, primal and dual
     objective, reported gap, status).  A row with tau > 1e-9 maps back to the original
     problem, with crit = max(pres, dres, gap) and status None.  A row whose tau collapsed
     holds its INFEASIBLE or UNBOUNDED certificate, or status "" if it proves neither."""
-    n, gamma, c = len(setup.c), setup.gamma, setup.c0
+    n, gamma, c = len(family.c), family.gamma, family.c0
     tau = u[:, -1:]
-    ux, uy, uz = setup.e_col * u[:, :n], u[:, n:-1], v[:, :n] / setup.e_col  # x, y and z times tau (and beta or gamma)
+    ux, uy, uz = family.e_col * u[:, :n], u[:, n:-1], v[:, :n] / family.e_col  # x, y and z times tau (and beta or gamma)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # collapsed rows are overwritten
         x = ux / tau / beta[:, None]
         y = uy / tau / gamma
         pobj, dobj = np.vecdot(x, c), np.vecdot(y, b)
-        pres = _norms(_rmul(setup.a, x) - b) / bnorm
-        dres = _norms(_rmul(setup.at, y) + uz / tau / gamma - c) / setup.cnorm
+        pres = _norms(_rmul(family.a, x) - b) / bnorm
+        dres = _norms(_rmul(family.at, y) + uz / tau / gamma - c) / family.cnorm
         crit = np.maximum(np.maximum(pres, dres), np.abs(pobj - dobj) / (1.0 + np.abs(pobj) + np.abs(dobj)))
         gap = np.abs(pobj - dobj) / (1.0 + np.abs(pobj))
         status = np.full(len(u), None)
@@ -419,7 +451,7 @@ def _check(setup, b, beta, bnorm, u, v):
         if len(cut):  # tau collapsed: look for infeasibility and unboundedness certificates
             ux, uy, uz = ux[cut], uy[cut], uz[cut]
             by, cx = np.vecdot(uy, b[cut]), np.vecdot(ux, c)
-            ry, rx = _norms(_rmul(setup.at, uy) + uz), _norms(_rmul(setup.a, ux))
+            ry, rx = _norms(_rmul(family.at, uy) + uz), _norms(_rmul(family.a, ux))
             infeasible = (by > 1e-12) & (by / np.maximum(ry, 1e-300) > 1e6)
             unbounded = ~infeasible & (cx < -1e-12) & (-cx / np.maximum(rx, 1e-300) > 1e6)
             x[cut] = np.where(unbounded[:, None], ux / -cx[:, None], 0.0)
@@ -428,63 +460,6 @@ def _check(setup, b, beta, bnorm, u, v):
             gap[cut] = np.inf
             status[cut] = np.where(infeasible, "INFEASIBLE", np.where(unbounded, "UNBOUNDED", ""))
     return crit, list(zip(x, y, pobj.tolist(), dobj.tolist(), gap.tolist(), status))
-
-
-def solve_many(progs: list[ConicProgram], tol: float = 1e-7, max_iter: int = 200000) -> list[ConicSolution]:
-    """:func:`solve` for programs that share their presolved blocks, A and c, as the rows of
-    one stack; every step, the exit test included, acts on the whole stack, as the module
-    docstring describes.  Raises ValueError when the presolved programs differ in anything but b."""
-    progs = [presolve(p) for p in progs]
-    if not progs:
-        return []
-    key = _setup_key(progs[0])
-    if any(_setup_key(p) != key for p in progs[1:]):
-        raise ValueError("solve_many needs programs whose presolved blocks, A and c agree")
-    n, m = progs[0].n, progs[0].m
-    setup = _setup_for(progs[0], key)
-    # one row per live program
-    b = np.stack([p.b for p in progs])
-    norm = np.sqrt(np.vecdot(b, b))
-    beta, bnorm = 1.0 / np.maximum(norm, 1e-6), 1.0 + norm
-    g, mg, mtg, denom = setup.b_vectors(b * beta[:, None])
-    live = list(range(len(progs)))  # the program of each row
-    results: list[ConicSolution | None] = [None] * len(progs)
-    best: list[tuple | None] = [None] * len(progs)
-
-    u = np.zeros((len(progs), n + m + 1))
-    u[:, -1] = 1.0
-    v = u.copy()
-
-    it = 0
-    for it in range(1, max_iter + 1):
-        ut = setup.solve(u + v, g, mg, mtg, denom)
-        r = OVER_RELAX * ut + (1.0 - OVER_RELAX) * u
-        u_new = r - v
-        x = u_new[:, :n]
-        setup.proj.project(x, out=x)
-        u_new[:, -1] = np.maximum(u_new[:, -1], 0.0)
-        v = v - r + u_new
-        u = u_new
-
-        if it % CHECK_EVERY != 0 and it != max_iter:
-            continue
-        crit, rows = _check(setup, b, beta, bnorm, u, v)
-        for k, crit_k, (x, y, pobj, dobj, gap, status) in zip(live, crit, rows):
-            if status is None and (best[k] is None or crit_k < best[k][0]):
-                best[k] = (crit_k, x, y, pobj, dobj, gap)
-            if status or (status is None and crit_k <= tol):
-                results[k] = ConicSolution(x, y, pobj, dobj, status or "OPTIMAL", gap, it)
-        keep = [i for i, k in enumerate(live) if results[k] is None]
-        if not keep:
-            return results
-        if len(keep) < len(live):
-            u, v, b, beta, bnorm, g, mg, mtg, denom = (arr[keep] for arr in (u, v, b, beta, bnorm, g, mg, mtg, denom))
-            live = [live[i] for i in keep]
-
-    for k in live:
-        _, x, y, pobj, dobj, gap = best[k] or (None, np.zeros(n), np.zeros(m), np.nan, np.nan, np.inf)
-        results[k] = ConicSolution(x, y, pobj, dobj, "MAX_ITER", gap, it)
-    return results
 
 
 def dump_program(prog: ConicProgram) -> str:

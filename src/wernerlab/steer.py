@@ -15,9 +15,10 @@ value of the measurements it keeps.  The seeded restarts of this see-saw and
 of the Bell see-saw (:func:`seesaw_bell`) run in lockstep on the grid-search
 scaffold (:func:`~wernerlab.qmat.grid_rows`, :func:`~wernerlab.qmat.grid_best`)
 the :mod:`~wernerlab.certify` module docstring describes.  The SDP's blocks,
-A and c depend on the scenario alone and are built once, so each round stacks
-the right-hand sides of every restart still improving into one
-:func:`~wernerlab.solver.solve_many` call.
+A and c depend on the scenario alone, so each call holds one
+:class:`~wernerlab.solver.Family` of them, and each round stacks the right-hand
+sides of every restart still improving into one
+:meth:`~wernerlab.solver.Family.solve_many` call.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import scipy.sparse as sp
 
 from .qmat import DensityMatrix, check_side, dagger, grid_best, grid_rows
 from .serialize import matrix_from_obj, matrix_to_obj
-from .solver import Block, ConicProgram, mat_real, solve, solve_many, vec_real
+from .solver import Block, ConicProgram, Family, mat_real, solve, vec_real
 from .states import haar_restarts, haar_unitaries
 
 MAX_LAMBDA = 4096
@@ -217,12 +218,6 @@ def _sr_program(n_s: int, n_o: int, d: int) -> tuple[tuple[Block, ...], np.ndarr
     return tuple([Block("psd", d)] * (n_lam + n_s * n_o)), c, a_mat
 
 
-def _sr_programs(sigma: np.ndarray) -> list[ConicProgram]:
-    """One SR program per assemblage in a (..., x, a, d, d) stack of conditional states."""
-    blocks, c, a_mat = _sr_program(*sigma.shape[-4:-1])
-    return [ConicProgram(blocks, c, a_mat, b) for b in vec_real(sigma).reshape(-1, a_mat.shape[0])]
-
-
 def _sr_duals(y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The dual operators F_{a|x}, as an (..., x, a, d, d) stack, from an (..., m) stack of SR solutions' y."""
     n_s, n_o, d = shape
@@ -232,8 +227,7 @@ def _sr_duals(y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def sr_solve(assemblage: Assemblage, tol: float = 1e-7, max_iter: int = 200000) -> SRResult:
     """Steering robustness SDP with its dual steering functional."""
     sigma = np.asarray(assemblage.sigma)
-    (prog,) = _sr_programs(sigma)
-    sol = solve(prog, tol=tol, max_iter=max_iter)
+    sol = solve(ConicProgram(*_sr_program(*sigma.shape[:3]), vec_real(sigma).ravel()), tol=tol, max_iter=max_iter)
     return SRResult(
         value=float(sol.primal_obj) - 1.0,
         gap=sol.gap,
@@ -320,11 +314,12 @@ def sr_state_lower_bound(
         raise ValueError(f"n_settings must be at least 1, got {n_settings}")
     d, d_other, unmeasured = (d_a, d_b, "B") if steering_side == "A" else (d_b, d_a, "A")
     shape = (n_settings, d, d_other)
-    _sr_program(*shape)  # checks the lambda budget before any draw
+    family = Family(*_sr_program(*shape))  # checks the lambda budget before any draw
 
     def solve_round(rows, effects):
         """Value (-inf unless the solve ended OPTIMAL), y and gap of each row's SDP."""
-        sols = solve_many(_sr_programs(_contract(state[rows], effects, steering_side)), tol=sdp_tol)
+        b = vec_real(_contract(state[rows], effects, steering_side)).reshape(len(rows), -1)
+        sols = family.solve_many(b, tol=sdp_tol)
         value = [float(sol.primal_obj) - 1.0 if sol.status == "OPTIMAL" else -np.inf for sol in sols]
         return np.array(value), np.stack([sol.y for sol in sols]), np.array([sol.gap for sol in sols])
 

@@ -264,10 +264,10 @@ def bootstrap_by_record(record, statistic, n_boot=50, seed=0, max_iter=2000, tol
     return float(arr.mean()), float(arr.std(ddof=1))
 
 
-def check_by_row(prog, setup, beta, bnorm, u, v, it, tol, best):
+def check_by_row(prog, family, beta, bnorm, u, v, it, tol, best):
     """One program's exit test on its iterate (u, v): a solution if it exits, and its best iterate so far."""
     n, m = prog.n, prog.m
-    e_col, gamma, at = setup.e_col, setup.gamma, setup.at
+    e_col, gamma, at = family.e_col, family.gamma, family.at
     tau = u[-1]
     if tau > 1e-9:
         # map the scaled iterate back to the original problem
@@ -275,7 +275,7 @@ def check_by_row(prog, setup, beta, bnorm, u, v, it, tol, best):
         y = u[n:-1] / tau / gamma
         z = v[:n] / e_col / tau / gamma
         pres = np.linalg.norm(prog.A @ x - prog.b) / bnorm
-        dres = np.linalg.norm(at @ y + z - prog.c) / setup.cnorm
+        dres = np.linalg.norm(at @ y + z - prog.c) / family.cnorm
         pobj = float(prog.c @ x)
         dobj = float(prog.b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
@@ -306,26 +306,26 @@ def solve_by_row(prog, tol=1e-7, max_iter=200000):
     row, checked every ``CHECK_EVERY`` iterations by ``check_by_row``."""
     prog = presolve(prog)
     n, m = prog.n, prog.m
-    setup = solver._Setup(prog)
+    family = solver.Family(prog.blocks, prog.c, prog.A)
     b = prog.b[None]
     norm = np.sqrt(np.vecdot(b, b))
     beta, bnorm = 1.0 / np.maximum(norm, 1e-6), 1.0 + norm
-    vectors = setup.b_vectors(b * beta[:, None])
+    vectors = family.b_vectors(b * beta[:, None])
     u = np.zeros((1, n + m + 1))
     u[:, -1] = 1.0
     v = u.copy()
     best = None
     for it in range(1, max_iter + 1):
-        ut = setup.solve(u + v, *vectors)
+        ut = family.kkt(u + v, *vectors)
         r = solver.OVER_RELAX * ut + (1.0 - solver.OVER_RELAX) * u
         u_new = r - v
         x = u_new[:, :n]
-        setup.proj.project(x, out=x)
+        family.proj.project(x, out=x)
         u_new[:, -1] = np.maximum(u_new[:, -1], 0.0)
         v = v - r + u_new
         u = u_new
         if it % solver.CHECK_EVERY == 0 or it == max_iter:
-            sol, best = check_by_row(prog, setup, beta[0], bnorm[0], u[0], v[0], it, tol, best)
+            sol, best = check_by_row(prog, family, beta[0], bnorm[0], u[0], v[0], it, tol, best)
             if sol is not None:
                 return sol
     if best is None:

@@ -86,8 +86,23 @@ def test_sweep_replay_byte_identical(tmp_path, task, options):
     assert (out / f"{task}_d3.csv").read_bytes() == first
 
 
-def test_sweep_unknown_task(tmp_path):
+def test_sweep_unknown_task(tmp_path, capsys):
     assert main(["sweep", "--task", "nonsense", "--out", str(tmp_path / "x")]) == 1
+    # the whole list is checked before any task runs
+    out = tmp_path / "run"
+    assert main(["sweep", "--task", "ppt,nonsense", "--out", str(out)]) == 1
+    assert "'nonsense'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task", ["sr", "chsh", "tomo"])
+def test_qutrit_only_tasks_reject_other_dimensions(tmp_path, capsys, task):
+    # these tasks build d = 3 states whatever --d says, so d = 4 would mislabel their CSV
+    out = tmp_path / "run"
+    argv = ["sweep", "--task", f"ppt,{task}", "--d", "4", "--v-grid", "0.1", "--restarts", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert f"'{task}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_with_flag_priority(tmp_path):
@@ -102,6 +117,12 @@ def test_config_file_with_flag_priority(tmp_path):
     assert len(rows) == 2  # grid came from the config
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["global_seed"] == 9  # explicit flag beat the config
+    # an abbreviated flag beats the config too
+    out = tmp_path / "abbrev"
+    assert main(["sweep", "--task", "ppt", "--config", str(cfg), "--v-gr", "0.1", "--out", str(out)]) == 0
+    _, rows = read_csv(out / "ppt_d3.csv")
+    assert [row[1] for row in rows] == ["0.1"]
+    assert json.loads((out / "manifest.json").read_text())["global_seed"] == 5
 
 
 def test_grid_tasks_write_the_bytes_of_a_loop_over_solo_calls(tmp_path):

@@ -13,12 +13,12 @@ from wernerlab.solver import (
     Block,
     ConicProgram,
     ConicSolution,
+    Family,
     dump_program,
     load_program,
     mat_real,
     presolve,
     solve,
-    solve_many,
     vec_real,
     vec_real_map,
 )
@@ -264,12 +264,12 @@ def test_psd3_rows_give_the_same_bits_alone():
 def test_embedding_linear_solve():
     # (I + Q) u = h for the skew embedding matrix Q of each row's program: rows differ in b
     prog = random_lp(6, 3, 1)
-    setup = solver._Setup(prog)
+    family = family_of(prog)
     rng = np.random.default_rng(2)
     b = rng.standard_normal((3, prog.m))
     h = rng.standard_normal((3, prog.n + prog.m + 1))
-    u = setup.solve(h, *setup.b_vectors(b))
-    a, c = setup.A.toarray(), setup.c
+    u = family.kkt(h, *family.b_vectors(b))
+    a, c = family.A.toarray(), family.c
     for b_r, h_r, u_r in zip(b, h, u):
         q = np.block(
             [
@@ -488,34 +488,35 @@ def same_exit(got, want):
     return same_solution(got, want) and scalars[0] == scalars[1]
 
 
-def test_memoised_setup_gives_bit_identical_solutions():
+def family_of(prog):
+    return Family(prog.blocks, prog.c, prog.A)
+
+
+def solve_stack(progs, **kwargs):
+    """The programs, which share blocks, A and c, as the rows of one family's stack."""
+    return family_of(progs[0]).solve_many(np.stack([p.b for p in progs]), **kwargs)
+
+
+def test_family_solutions_share_no_memory_with_it():
     progs = [captured_sr_program(seed) for seed in (1, 2, 3)]
-    assert all(p.A is not progs[0].A and (p.A != progs[0].A).nnz == 0 for p in progs[1:])
-    assert len({p.b.tobytes() for p in progs}) == 3
-    # infeasible edge cases: b decides which rows presolve keeps, so they key different set-ups
-    edges = [dataclasses.replace(p, A=p.A.copy()) for p in edge_programs()[:3]]
-    cold = []
-    for prog in progs + edges:
-        solver._SETUPS.clear()
-        cold.append(solve(prog, max_iter=400))
-    solver._SETUPS.clear()
-    warm = [solve(prog, max_iter=400) for prog in progs + edges]
-    assert all(same_solution(got, want) for got, want in zip(warm, cold))
-    assert [presolve(p).m for p in edges] == [2, 4, 2]
-    assert len(solver._SETUPS) == min(solver.SETUP_CACHE_SIZE, 3)  # one SR set-up, two edge set-ups
-    # a returned solution shares nothing with the set-up, and a changed A or c is a new key
-    warm[0].x[:] = 0.0
-    changed_a = dataclasses.replace(progs[0], A=progs[0].A.copy())
-    changed_a.A.data[0] += 1.0
-    changed_c = dataclasses.replace(progs[0], c=2.0 * progs[0].c)
-    for prog in (changed_a, changed_c):
-        got = solve(prog, max_iter=400)
-        solver._SETUPS.clear()
-        assert same_solution(got, solve(prog, max_iter=400))
-    for prog in progs + edges + [changed_a, changed_c]:
-        solve(prog, max_iter=400)
-    assert len(solver._SETUPS) == solver.SETUP_CACHE_SIZE
-    assert same_solution(solve(progs[0], max_iter=400), cold[0])
+    family = family_of(progs[0])
+    b = np.stack([p.b for p in progs])
+    first = family.solve_many(b, max_iter=400)
+    for sol in first:
+        sol.x[:] = 0.0
+        sol.y[:] = 0.0
+    again = family.solve_many(b, max_iter=400)
+    assert all(same_solution(got, want) for got, want in zip(again, [solve(p, max_iter=400) for p in progs]))
+
+
+def test_family_rejects_bad_right_hand_sides():
+    prog = captured_sr_program(1)
+    family = family_of(prog)
+    nan = prog.b.copy()
+    nan[3] = np.nan
+    for b in (np.zeros((2, prog.m + 1)), prog.b, nan[None]):
+        with pytest.raises(ValueError, match=rf"finite \(R, {prog.m}\) array"):
+            family.solve_many(b)
 
 
 def test_solve_many_matches_solo_solves_bitwise():
@@ -525,14 +526,14 @@ def test_solve_many_matches_solo_solves_bitwise():
         progs = [captured_sr_program(seed, d=d, n_s=n_s) for seed in range(8)]
         alone = [solve(prog) for prog in progs]
         assert all(sol.status == "OPTIMAL" for sol in alone)
-        together = solve_many(progs)
+        together = solve_stack(progs)
         assert all(same_solution(got, want) for got, want in zip(together, alone))
         assert [sol.gap for sol in together] == [sol.gap for sol in alone]
     assert len({sol.iterations for sol in together}) > 1
     # a program solved twice in one batch, and a batch in another order
-    twice = solve_many([progs[1], progs[0], progs[1]])
+    twice = solve_stack([progs[1], progs[0], progs[1]])
     assert same_solution(twice[0], alone[1]) and same_solution(twice[1], alone[0]) and same_solution(twice[2], alone[1])
-    assert solve_many([]) == []
+    assert family_of(progs[0]).solve_many(np.empty((0, progs[0].m))) == []
 
 
 def test_solve_many_lp_batch_mixes_exits(monkeypatch):
@@ -565,16 +566,16 @@ def test_solve_many_lp_batch_mixes_exits(monkeypatch):
     for name, progs, max_iter in (("mixed", mixed, 200), ("certified", certified, 200), ("sr", sr, 130)):
         alone = [solve(prog, max_iter=max_iter) for prog in progs]
         checks.clear()
-        together = solve_many(progs, max_iter=max_iter)
+        together = solve_stack(progs, max_iter=max_iter)
         by_row = [solve_by_row(prog, max_iter=max_iter) for prog in progs]
         # the stacked exit test gives each row the per-row reference's exit, bit for bit
         assert all(same_exit(got, want) and same_exit(got, ref) for got, want, ref in zip(together, alone, by_row))
         stacked[name] = together
         # and at every check, each row's crit and mapped-back iterate, or its certificate
-        for (setup, b, beta, bnorm, u, v), (crit, rows) in checks:
+        for (family, b, beta, bnorm, u, v), (crit, rows) in checks:
             for i, (x, y, pobj, dobj, gap, status) in enumerate(rows):
                 prog = dataclasses.replace(presolve(progs[0]), b=b[i])
-                ref, best = check_by_row(prog, setup, beta[i], bnorm[i], u[i], v[i], 0, -1.0, None)
+                ref, best = check_by_row(prog, family, beta[i], bnorm[i], u[i], v[i], 0, -1.0, None)
                 if status is None:
                     got = np.concatenate([[crit[i]], x, y, [pobj, dobj]])
                     assert got.tobytes() == np.concatenate([[best[0]], best[1], best[2], best[3:]]).tobytes()
@@ -587,19 +588,3 @@ def test_solve_many_lp_batch_mixes_exits(monkeypatch):
     assert {sol.status for sol in stacked["sr"]} == {"OPTIMAL", "MAX_ITER"}
     assert stacked["mixed"][0].primal_obj == pytest.approx(1.4, abs=1e-6)
     assert np.isfinite(stacked["mixed"][2].primal_obj)  # the best iterate, not a verdict
-
-
-def test_solve_many_rejects_programs_that_differ_beyond_b():
-    prog = captured_sr_program(1)
-    changed_a = dataclasses.replace(prog, A=prog.A.copy())
-    changed_a.A.data[0] += 1.0
-    changed_c = dataclasses.replace(prog, c=2.0 * prog.c)
-    changed_blocks = dataclasses.replace(prog, blocks=(Block("nonneg", 9),) + prog.blocks[1:])
-    for other in (changed_a, changed_c, changed_blocks):
-        with pytest.raises(ValueError, match="blocks, A and c"):
-            solve_many([prog, other])
-    # the same A, but b makes presolve keep different rows
-    edges = edge_programs()
-    assert [presolve(p).m for p in edges[:2]] == [2, 4]
-    with pytest.raises(ValueError, match="blocks, A and c"):
-        solve_many(edges[:2])

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wernerlab import steer
+from wernerlab import solver, steer
 from wernerlab.filterops import rotated_filtered_state
 from wernerlab.qmat import DensityMatrix, kron
 from wernerlab.solver import Block, vec_real
@@ -482,19 +482,19 @@ def test_nonlocal_content_program_matches_loop_reference(scenario):
 
 def test_sr_lower_bound_ignores_unconverged_solves(monkeypatch):
     # every other SDP solve reports MAX_ITER with an inflated objective, which must never count;
-    # the see-saw solves each round in one solve_many call, so the failures are injected per program
-    real_solve_many = steer.solve_many
+    # the see-saw solves each round in one Family.solve_many call, so the failures are injected per program
+    real_solve_many = solver.Family.solve_many
     calls = []
 
-    def flaky(progs, **kwargs):
-        sols = real_solve_many(progs, **kwargs)
+    def flaky(family, b, **kwargs):
+        sols = real_solve_many(family, b, **kwargs)
         for sol in sols:
             calls.append(sol.status)
             if len(calls) % 2 == 0:
                 sol.status, sol.primal_obj = "MAX_ITER", sol.primal_obj + 10.0
         return sols
 
-    monkeypatch.setattr(steer, "solve_many", flaky)
+    monkeypatch.setattr(solver.Family, "solve_many", flaky)
     res = sr_state_lower_bound(rotated_filtered_state(0.1), 2, restarts=4, seed=3, max_rounds=5)
     assert len(calls) >= 4  # every restart's first solve went through the injection
     assert all(status == "OPTIMAL" for status in calls)
@@ -502,15 +502,28 @@ def test_sr_lower_bound_ignores_unconverged_solves(monkeypatch):
     assert res.best == max(res.per_restart)
     assert res.best_gap < 1e-6
 
-    def stuck(progs, **kwargs):
-        sols = real_solve_many(progs, **kwargs)
+    def stuck(family, b, **kwargs):
+        sols = real_solve_many(family, b, **kwargs)
         for sol in sols:
             sol.status, sol.primal_obj = "MAX_ITER", sol.primal_obj + 10.0
         return sols
 
-    monkeypatch.setattr(steer, "solve_many", stuck)
+    monkeypatch.setattr(solver.Family, "solve_many", stuck)
     res = sr_state_lower_bound(rotated_filtered_state(0.1), 2, restarts=3, seed=3)
     assert res.per_restart == [] and res.best == 0.0 and res.best_measurements is None
+
+
+def test_sr_lower_bound_builds_one_family(monkeypatch):
+    # the SDP set-up is factored once per call, however many restarts and rounds solve on it
+    real_init, families = solver.Family.__init__, []
+
+    def spy(family, *args):
+        families.append(family)
+        real_init(family, *args)
+
+    monkeypatch.setattr(solver.Family, "__init__", spy)
+    res = sr_state_lower_bound(rotated_filtered_state(0.1), 2, restarts=4, seed=3, max_rounds=5)
+    assert len(families) == 1 and len(res.per_restart) == 4
 
 
 def single_restart_runs(rho, restarts, seed, **kwargs):
@@ -563,17 +576,17 @@ def test_lockstep_seesaw_drops_a_restart_whose_first_solve_fails(monkeypatch):
     rho = rotated_filtered_state(0.1)
     seed, restarts = 21, 5
     singles = single_restart_runs(rho, restarts, seed, max_rounds=10)
-    real_solve_many = steer.solve_many
+    real_solve_many = solver.Family.solve_many
     widths = []
 
-    def first_solve_of_restart_2_fails(progs, **kwargs):
-        sols = real_solve_many(progs, **kwargs)
+    def first_solve_of_restart_2_fails(family, b, **kwargs):
+        sols = real_solve_many(family, b, **kwargs)
         if not widths:
             sols[2].status, sols[2].primal_obj = "MAX_ITER", sols[2].primal_obj + 10.0
-        widths.append(len(progs))
+        widths.append(len(b))
         return sols
 
-    monkeypatch.setattr(steer, "solve_many", first_solve_of_restart_2_fails)
+    monkeypatch.setattr(solver.Family, "solve_many", first_solve_of_restart_2_fails)
     res = sr_state_lower_bound(rho, 2, restarts=restarts, seed=seed, max_rounds=10)
     assert widths[0] == restarts and widths[1] == restarts - 1
     assert_bitwise(res.per_restart, [v for r, single in enumerate(singles) if r != 2 for v in single.per_restart])
