@@ -153,7 +153,7 @@ def sweep_tomo(args, task_seed):
         tomo.simulate_counts(_state_for(3, v, args.noisy, task_seed ^ i), args.shots, task_seed ^ i)
         for i, v in enumerate(args.v_grid)
     ]
-    recons = tomo.mle_reconstruct_many(records, max_iter=3000, tol=1e-10)
+    recons = tomo.mle_reconstruct_many(records, max_iter=3000)
     rows = [
         [float(v), rec.seed, args.shots, qmat.uhlmann_fidelity(recon, states.werner(3, v))]
         for v, rec, (recon, _) in zip(args.v_grid, records, recons)
@@ -172,7 +172,9 @@ SWEEPS = {
     "tomo": sweep_tomo,
 }
 TASKS = tuple(SWEEPS)
-QUTRIT_TASKS = ("chsh", "sr", "tomo")  # they build d = 3 states whatever --d says
+# chsh, sr and tomo build d = 3 states whatever --d says; dc reads its dimensions from --d-grid and
+# writes dc_d3.csv.  Another --d would only mislabel their CSVs.
+D3_ONLY_TASKS = ("chsh", "sr", "tomo", "dc")
 
 
 def _blas_settings() -> dict:
@@ -198,8 +200,10 @@ def _write_manifest(out_dir: Path, command: str, args, **fields) -> None:
 def run_sweep(args) -> int:
     tasks = args.task.split(",")
     for task in tasks:  # all checked before anything is written
-        if task not in SWEEPS or (task in QUTRIT_TASKS and args.d != 3):
+        if task not in SWEEPS or (task in D3_ONLY_TASKS and args.d != 3):
             why = f"runs only at --d 3, not {args.d}" if task in SWEEPS else f"is unknown; choose from {TASKS}"
+            if task == "dc":
+                why += "; it reads its dimensions from --d-grid"
             print(f"task {task!r} {why}", file=sys.stderr)
             return 1
     out_dir = Path(args.out)
@@ -267,6 +271,10 @@ def _cert_entry(cert: certify.Certificate, std: float | None = None) -> dict:
     return entry
 
 
+def _mle_entry(history: tomo.LikelihoodTrace) -> dict:
+    return {"gap_nats": history.gap, "steps": len(history) - 1, "capped": history.capped}
+
+
 def run_pipeline(args) -> int:
     t_start = time.perf_counter()
     v = args.v
@@ -276,7 +284,7 @@ def run_pipeline(args) -> int:
     surrogate = states.noisy_surrogate(ideal, spec)
 
     counts = tomo.simulate_counts(surrogate, args.shots, seed ^ 1, state_tag=f"w3v{v}")
-    recon = tomo.mle_reconstruct(counts, max_iter=3000, tol=1e-10)
+    recon, history = tomo.mle_reconstruct_with_history(counts, max_iter=3000)
 
     ppt = certify.ppt_min_eig(recon)
     _, ppt_std = tomo.bootstrap_error(counts, "ppt_min_eig", n_boot=args.bootstrap, seed=seed ^ 2)
@@ -296,7 +304,7 @@ def run_pipeline(args) -> int:
     target_f = filterops.rotated_filtered_state(v)
 
     counts_f = tomo.simulate_counts(filtered, args.shots, seed ^ 6, frame=tomo.qubit_bases())
-    recon_f = tomo.mle_reconstruct(counts_f, max_iter=3000, tol=1e-10)
+    recon_f, history_f = tomo.mle_reconstruct_with_history(counts_f, max_iter=3000)
     chsh = certify.chsh_horodecki(recon_f)
     _, chsh_std = tomo.bootstrap_error(counts_f, "chsh", n_boot=args.bootstrap, seed=seed ^ 7)
     f2 = certify.fef2_exact(recon_f)
@@ -319,6 +327,7 @@ def run_pipeline(args) -> int:
         },
         "unfiltered": {
             "fidelity_vs_ideal": qmat.uhlmann_fidelity(recon, ideal),
+            "mle": _mle_entry(history),
             "certificates": {
                 "ppt": _cert_entry(ppt, ppt_std),
                 "one_distillable": _cert_entry(distill),
@@ -331,6 +340,7 @@ def run_pipeline(args) -> int:
         "filter": {"success_prob": success_prob, "kept_levels": [1, 2]},
         "filtered": {
             "fidelity_vs_target": qmat.uhlmann_fidelity(recon_f, target_f),
+            "mle": _mle_entry(history_f),
             "certificates": {
                 "chsh": _cert_entry(chsh, chsh_std),
                 "dense_coding": _cert_entry(dc_after),
@@ -397,7 +407,7 @@ def run_tomo_demo(args) -> int:
     ideal = states.werner(3, args.v)
     rho = _state_for(3, args.v, args.noisy, seed)
     rec = tomo.simulate_counts(rho, args.shots, seed, state_tag=f"w3v{args.v}")
-    recon, history = tomo.mle_reconstruct_with_history(rec, max_iter=3000, tol=1e-10)
+    recon, history = tomo.mle_reconstruct_with_history(rec, max_iter=3000)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "counts.csv").write_text(tomo.counts_to_csv(rec))
@@ -406,7 +416,11 @@ def run_tomo_demo(args) -> int:
 
     (out_dir / "reconstruction.json").write_text(serialize.state_to_json(recon) + "\n")
     fid = qmat.uhlmann_fidelity(recon, ideal)
-    print(f"reconstructed in {len(history)} iterations; fidelity vs ideal = {fid:.6f}")
+    capped = ", max_iter reached" if history.capped else ""
+    print(
+        f"reconstructed in {len(history) - 1} iterations (certified gap {history.gap:.3g} nats{capped}); "
+        f"fidelity vs ideal = {fid:.6f}"
+    )
     return 0
 
 

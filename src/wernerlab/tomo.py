@@ -1,19 +1,27 @@
-"""Coincidence-count simulation and iterative maximum-likelihood reconstruction.
+"""Coincidence-count simulation and certified maximum-likelihood reconstruction.
 
 The measurement model mirrors a path-encoded photonic setup: each side projects onto one of
 nine fixed path vectors (or six polarization vectors after filtering), and the
 recorded coincidences are Poissonian in the product-projector overlaps.
 
-The reconstruction is the iterative R rho R algorithm.  The raw frame is
-overcomplete but not a POVM (the projectors do not sum to the identity), so
-internally the iteration runs in the frame-normalized picture: with
-G = sum_k Pi_k, the operators G^-1/2 Pi_k G^-1/2 form a genuine POVM, the
-transformed state is mu = G^1/2 rho G^1/2 (normalized), and the multinomial
-log-likelihood of the R mu R update is provably nondecreasing (a diluted
-fallback step guards the few degenerate cases).  The estimate is pulled back
-through G^-1/2 at the end.  :func:`mle_reconstruct_many` reconstructs records
-of one frame as the rows of one lockstep stack, as the
-:mod:`~wernerlab.certify` module docstring describes.
+The raw frame is overcomplete but not a POVM (the projectors do not sum to
+the identity), so the reconstruction runs in the frame-normalized picture:
+with G = sum_k Pi_k, the operators E_k = G^-1/2 Pi_k G^-1/2 form a genuine
+POVM and the transformed state is mu = G^1/2 rho G^1/2 (normalized).  The
+estimate maximises the log-likelihood per count L(mu) = sum_k f_k log tr(E_k mu)
+by restarted accelerated projected-gradient ascent (Shang, Zhang & Ng,
+Phys. Rev. A 95, 062336, 2017) and is pulled back through G^-1/2 at the end.
+
+It stops on a certificate, not on slow progress.  L is concave and its
+gradient R = sum_k (f_k / p_k) E_k has tr(R mu) = 1, so L* - L(mu) <=
+lambda_max(R) - 1 (Glancy, Knill & Girard, New J. Phys. 14, 095017, 2012).  A
+reconstruction stops once that bound, times the record's total counts and
+with a rounding margin, is at most ``tol`` nats per record.  The default 0.1
+lies far below the likelihood's statistical spread, about half the number of
+parameters: 40 nats for the 80 of a two-qutrit state.
+:func:`mle_reconstruct_many` reconstructs records of one frame as the rows of
+one lockstep stack, as the :mod:`~wernerlab.certify` module docstring
+describes.
 """
 
 from __future__ import annotations
@@ -172,6 +180,14 @@ def expected_counts_record(
     return CountsRecord(np.rint(shots * p).astype(np.int64), shots, 0, frame.name, state_tag)
 
 
+EPS = np.finfo(float).eps
+# step-size factors of the backtracking line search: after an accepted step, after a rejected one
+STEP_GROW, STEP_SHRINK = 1.1, 0.3
+GAP_EVERY = 5  # ticks between gap checks
+# share of I / d^2 in the start, which keeps every p_k of the projected linear-inversion estimate positive
+START_MIX = 0.01
+
+
 class _MleEngine:
     def __init__(self, frame: TomoFrame):
         self.frame = frame
@@ -184,19 +200,51 @@ class _MleEngine:
         self.g_isqrt = (q * (1.0 / np.sqrt(w))) @ dagger(q)
         self.g_sqrt = (q * np.sqrt(w)) @ dagger(q)
         self.povm = np.einsum("ab,kbc,cd->kad", self.g_isqrt, projs, self.g_isqrt)
-        self._rows = self.povm.reshape(len(projs), d2 * d2)  # row k is E_k flattened
+        # row k is E_k flattened, as real and imaginary parts in turn
+        self._rows = self.povm.reshape(len(projs), d2 * d2).view(np.float64)
+        # row k pairs with a flattened m's parts:
+        # Re tr(E_k m) = sum_ij Re E_k[i, j] Re m[j, i] - Im E_k[i, j] Im m[j, i]
+        self._trace_rows = self.povm.swapaxes(-1, -2).reshape(len(projs), d2 * d2).conj().view(np.float64)
+        self.norms = np.linalg.norm(self._rows, axis=1)  # ||E_k||_F, for the gap's rounding margin
+        # row k of the least-squares inverse of the map m -> Re tr(E_k m), flattened like _rows
+        self._inverse_rows = np.ascontiguousarray(np.linalg.pinv(self._trace_rows).T)
         self.d2 = d2
 
+    def overlaps(self, m: np.ndarray) -> np.ndarray:
+        """Re tr(E_k m) for a C-contiguous matrix or each of a stack, one real matrix-vector product per matrix."""
+        return (self._trace_rows @ m.view(np.float64).reshape(*m.shape[:-2], -1, 1))[..., 0]
+
+    def inversion(self, freqs: np.ndarray) -> np.ndarray:
+        """The linear-inversion estimate: the least-norm Hermitian m with tr(E_k m) = f_k in least
+        squares, for a row of frequencies or each of a stack."""
+        return (freqs[..., None, :] @ self._inverse_rows).view(complex).reshape(*freqs.shape[:-1], self.d2, self.d2)
+
     def probabilities(self, mu: np.ndarray) -> np.ndarray:
-        """tr(E_k mu) for a matrix or each of a stack, one matrix-vector product per matrix."""
-        # tr(E_k mu) = sum_ij E_k[i, j] mu[j, i]
-        vec = mu.swapaxes(-1, -2).reshape(*mu.shape[:-2], -1, 1)
-        return np.maximum((self._rows @ vec)[..., 0].real, 0.0)
+        """tr(E_k mu), clipped at 0, for a matrix or each of a stack."""
+        return np.maximum(self.overlaps(mu), 0.0)
 
     def r_operator(self, freqs: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        """R = sum_k (f_k / p_k) E_k for a row of frequencies or each of a stack."""
+        """R = sum_k (f_k / p_k) E_k, the log-likelihood's gradient, for a row of frequencies or each of a stack."""
         weights = freqs / np.maximum(probs, 1e-300)
-        return (weights[..., None, :] @ self._rows).reshape(*probs.shape[:-1], self.d2, self.d2)
+        return (weights[..., None, :] @ self._rows).view(complex).reshape(*probs.shape[:-1], self.d2, self.d2)
+
+    def gap(self, freqs: np.ndarray, probs: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Certified bound on L* - L(mu) per count, for a row or each of a stack.
+
+        With mu normalised, L is concave and tr(R mu) = sum_k f_k = 1, so
+        L(sigma) <= L(mu) + tr(R sigma) - 1 <= L(mu) + lambda_max(R) - 1 for every
+        state sigma.  R is scaled by tr(mu) because mu's trace is 1 only up to
+        rounding.  The margin, 4 eps (sum_k w_k ||E_k||_F (K + n ||E_k||_F / p_k)
+        + d2 lambda_max) with w_k = f_k / p_k and n = d2^2, bounds with room the
+        rounding in each p_k (a sum of 2n products, each at most
+        ||E_k||_F ||mu||_F <= ||E_k||_F), in summing R over the K settings, and
+        in ``eigvalsh``, which is backward stable.
+        """
+        top = _trace(mu) * np.linalg.eigvalsh(self.r_operator(freqs, probs))[..., -1]
+        safe = np.maximum(probs, 1e-300)
+        k, n = self.norms.shape[-1], self.d2 * self.d2
+        rounding = (freqs / safe * self.norms * (k + n * self.norms / safe)).sum(axis=-1) + self.d2 * top
+        return top - 1.0 + 4 * EPS * rounding
 
 
 @lru_cache(maxsize=None)
@@ -205,23 +253,77 @@ def _engine_for(frame_name: str) -> _MleEngine:
     return _MleEngine(frame_for(frame_name))
 
 
-def mle_reconstruct(
-    record: CountsRecord, max_iter: int = 5000, tol: float = 1e-10
-) -> DensityMatrix:
-    """Iterative maximum-likelihood state estimate from a counts record."""
+def _trace(m: np.ndarray) -> np.ndarray:
+    return np.trace(m, axis1=-2, axis2=-1).real
+
+
+def project_to_states(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit-trace PSD matrix nearest (in Frobenius norm) to each of a stack of Hermitian matrices,
+    with its smallest eigenvalue.
+
+    Its eigenvectors are h's, and its eigenvalues are h's projected onto the
+    probability simplex (Duchi et al., ICML 2008): shifted down by one common
+    tau and clipped at 0.
+    """
+    w, q = np.linalg.eigh(h)
+    down = w[..., ::-1]  # eigh sorts ascending
+    csum = np.cumsum(down, axis=-1)
+    kept = np.count_nonzero(down * np.arange(1, w.shape[-1] + 1) > csum - 1.0, axis=-1)
+    tau = (csum[np.arange(len(csum)), kept - 1] - 1.0) / kept
+    lam = np.maximum(w - tau[..., None], 0.0)
+    return (q * lam[..., None, :]) @ dagger(q), lam[..., 0]
+
+
+def _project_near(h: np.ndarray, mu: np.ndarray, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`project_to_states` of a stack of h, skipping ``eigh`` on rows whose answer is known.
+
+    ``floor`` bounds each mu's smallest eigenvalue from below.  h is first
+    shifted by a multiple of I to unit trace, in place, which leaves its
+    projection as it is.  Where it then lies within floor / 2 of mu in
+    Frobenius norm, Weyl's inequality keeps it positive definite, so it is its
+    own projection and its floor is mu's less that distance.
+    """
+    d2 = h.shape[-1]
+    h.reshape(len(h), -1)[:, :: d2 + 1] -= ((_trace(h) - 1.0) / d2)[:, None]  # in place: unit trace
+    diff = (h - mu).reshape(len(h), -1)
+    dist = np.sqrt(np.vecdot(diff, diff).real)
+    far = 2 * dist >= floor
+    low = floor - dist
+    if far.any():
+        h[far], low[far] = project_to_states(h[far])
+    return h, low
+
+
+class LikelihoodTrace(list):
+    """A reconstruction's log-likelihood per count at the start and after each accepted step.
+
+    ``gap`` bounds how far the last iterate's log-likelihood lies below the
+    maximum, in nats per record (total counts times the bound per count), and
+    ``capped`` is True when the row stopped at ``max_iter`` tries with ``gap``
+    still above ``tol``.
+    """
+
+    def __init__(self, values, gap: float, capped: bool):
+        super().__init__(values)
+        self.gap = gap
+        self.capped = capped
+
+
+def mle_reconstruct(record: CountsRecord, max_iter: int = 5000, tol: float = 0.1) -> DensityMatrix:
+    """Maximum-likelihood state estimate from a counts record, to within ``tol`` nats per record."""
     rho, _ = mle_reconstruct_with_history(record, max_iter=max_iter, tol=tol)
     return rho
 
 
 def mle_reconstruct_with_history(
-    record: CountsRecord, max_iter: int = 5000, tol: float = 1e-10
-) -> tuple[DensityMatrix, list[float]]:
-    """MLE estimate plus the per-iteration log-likelihood trace (bits-free units)."""
+    record: CountsRecord, max_iter: int = 5000, tol: float = 0.1
+) -> tuple[DensityMatrix, LikelihoodTrace]:
+    """MLE estimate plus its log-likelihood trace, which carries the certified gap."""
     return mle_reconstruct_many([record], max_iter=max_iter, tol=tol)[0]
 
 
 class _Loglik:
-    """Each row's multinomial log-likelihood, summed over its observed settings only.
+    """Sums over each row's observed settings only, and each row's multinomial log-likelihood.
 
     A row's sum is numpy's pairwise sum over that row's observed terms alone:
     rows with the same number of observed settings are gathered into one
@@ -243,28 +345,55 @@ class _Loglik:
     def keep(self, keep: np.ndarray) -> _Loglik:
         return _Loglik(self.freqs[keep])
 
-    def __call__(self, probs: np.ndarray) -> np.ndarray:
-        terms = self.freqs * np.log(np.maximum(probs, 1e-300))
-        if len(self.blocks) == 1 and self.counts[0] == terms.shape[1]:
-            return terms.sum(axis=1)
-        out = np.empty(len(terms))
+    def sum(self, terms: np.ndarray) -> np.ndarray:
+        """Each row's sum of its observed terms, for terms shaped (..., rows, settings)."""
+        if len(self.blocks) == 1 and self.counts[0] == terms.shape[-1]:
+            return terms.sum(axis=-1)
+        out = np.empty(terms.shape[:-1])
         for rows, cols in self.blocks:
-            out[rows] = terms[rows[:, None], cols].sum(axis=1)
+            out[..., rows] = terms[..., rows[:, None], cols].sum(axis=-1)
         return out
+
+    def __call__(self, probs: np.ndarray) -> np.ndarray:
+        return self.sum(self.freqs * np.log(np.maximum(probs, 1e-300)))
 
 
 def mle_reconstruct_many(
-    records: list[CountsRecord], max_iter: int = 5000, tol: float = 1e-10
-) -> list[tuple[DensityMatrix, list[float]]]:
+    records: list[CountsRecord], max_iter: int = 5000, tol: float = 0.1
+) -> list[tuple[DensityMatrix, LikelihoodTrace]]:
     """MLE estimates with their log-likelihood traces for counts records of one frame, in lockstep.
 
-    The records are the rows of one R rho R loop.  Each tick tries one step on
-    every row still running: the full step R mu R at a row's first try, then
-    diluted steps (I + s R) mu (I + s R) with s divided by 4 until the
-    likelihood does not fall (or s < 1e-6).  A row leaves when it is stuck
-    (its accepted step still loses more than 1e-12), when its gain falls below
-    ``tol`` relative to its likelihood, or after ``max_iter`` accepted steps.
+    The records are the rows of one restarted accelerated projected-gradient
+    ascent (Shang, Zhang & Ng, Phys. Rev. A 95, 062336, 2017) on the
+    log-likelihood per count L(mu) = sum_k f_k log tr(E_k mu) over states mu.
+    A row starts from its linear-inversion estimate projected onto the
+    states, mixed with ``START_MIX`` of I / d^2.  Each tick tries one step on
+    every row still running: from the row's
+    extrapolated point nu, the candidate is the state nearest nu + t R(nu)
+    (:func:`project_to_states`, which :func:`_project_near` skips where the
+    answer is a shift).  A candidate without sufficient ascent over nu (the
+    backtracking test) is rejected and t shrinks; one with it but below the
+    row's current likelihood restarts the momentum at the current iterate;
+    otherwise it is accepted, t grows, and nu moves on with the momentum of
+    FISTA.
+
+    Near the maximum a step gains far less than the rounding in L itself, so
+    both tests measure differences directly: L(mu / tr mu) changes by
+    sum_k f_k log1p(tr(E_k delta) / p_k) - log1p(tr delta / tr mu) over a step
+    delta, with each tr(E_k delta) taken from the difference of the matrices.
+    Neither the rounding in L's sum nor the rounding of the iterate's trace
+    (a first-order change to L, where the gain is second order) can then
+    decide a test.
+
+    A row leaves when its certified gap (see :meth:`_MleEngine.gap`), times its
+    total counts, is at most ``tol`` nats per record, or after ``max_iter``
+    tries, accepted or not; its :class:`LikelihoodTrace` reports the gap and
+    whether it hit the cap.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     if not records:
         raise ValueError("no counts records to reconstruct")
     names = {rec.frame_name for rec in records}
@@ -272,61 +401,82 @@ def mle_reconstruct_many(
         raise ValueError("records reconstructed together must share one frame")
     engine = _engine_for(names.pop())
     counts = np.array([rec.counts.ravel() for rec in records])
-    total = counts.sum(axis=1, keepdims=True)
+    total = counts.sum(axis=1)
     if np.any(total <= 0):
         raise ValueError("all-zero counts cannot be reconstructed")
-    freqs = counts.astype(float) / total
+    freqs = counts.astype(float) / total[:, None]
     d2 = engine.d2
     loglik = _Loglik(freqs)
     rows = np.arange(len(records))
-    mu = np.broadcast_to(np.eye(d2, dtype=complex) / d2, (len(rows), d2, d2)).copy()
-    probs = engine.probabilities(mu)
-    ll = loglik(probs)
+    guess, low = project_to_states(engine.inversion(freqs))
+    # pts[0] is each row's extrapolated point nu, pts[1] its iterate mu; probs holds their p_k
+    pts = np.stack([(1 - START_MIX) * guess + START_MIX * np.eye(d2) / d2] * 2)
+    probs = engine.probabilities(pts)
+    start_ll = loglik(probs[1]).tolist()
+    unobserved = freqs == 0
+    floor = (1 - START_MIX) * low + START_MIX / d2  # bounds mu's smallest eigenvalue from below
+    theta = np.ones(len(rows))  # FISTA's theta; beta is 0 from theta = 1, so nu is mu while theta < 2
     step = np.ones(len(rows))
-    moves = np.zeros(len(rows), dtype=int)
-    start_ll, final_mu, final_moves = ll.tolist(), np.empty_like(mu), np.zeros(len(rows), dtype=int)
-    accepted = [(rows[:0], ll[:0])]  # (rows, log-likelihoods) of each tick's accepted steps
-    eye = np.eye(d2)
-    leave = moves >= max_iter
+    gap = total * engine.gap(freqs, probs[1], pts[1])
+    final_mu, final_gap = np.empty_like(pts[1]), np.empty(len(rows))
+    accepted = [(rows[:0], step[:0])]  # (rows, log-likelihoods) of each tick's accepted steps
+    leave = gap <= tol
+    tick = 0  # every live row has tried this many steps
     while True:
         if leave.any():
-            final_mu[rows[leave]], final_moves[rows[leave]] = mu[leave], moves[leave]
+            done = rows[leave]
+            final_mu[done], final_gap[done] = pts[1, leave], gap[leave]
             keep = ~leave
-            rows, mu, probs, ll, step, moves = rows[keep], mu[keep], probs[keep], ll[keep], step[keep], moves[keep]
-            loglik, freqs = loglik.keep(keep), freqs[keep]
+            rows, pts, probs, theta, floor = rows[keep], pts[:, keep], probs[:, keep], theta[keep], floor[keep]
+            step, gap, total, leave = step[keep], gap[keep], total[keep], leave[keep]
+            loglik, freqs, unobserved = loglik.keep(keep), freqs[keep], unobserved[keep]
             if not rows.size:
                 break
-        r = engine.r_operator(freqs, probs)  # a row still in its line search gets the same R again
-        s = step[:, None, None]
-        # diluted update (I + s R) mu (I + s R) keeps the likelihood climbing
-        op = r if (step == 1.0).all() else np.where(s == 1.0, r, (eye + s * r) / (1 + s))
-        cand = op @ mu @ op
-        cand /= np.trace(cand, axis1=-2, axis2=-1).real[:, None, None]
-        cand = (cand + dagger(cand)) / 2
-        cand_probs = engine.probabilities(cand)
-        cand_ll = loglik(cand_probs)
-        done = (cand_ll >= ll - 1e-14) | (step < 1e-6)
-        stuck = cand_ll < ll - 1e-12  # numerically stuck; keep the monotone prefix
-        took = done & ~stuck
-        gain = cand_ll - ll
-        if took.all():
-            mu, probs, ll = cand, cand_probs, cand_ll
-            accepted.append((rows, cand_ll))
-        else:
-            mu = np.where(took[:, None, None], cand, mu)
-            probs = np.where(took[:, None], cand_probs, probs)
-            ll = np.where(took, cand_ll, ll)
-            accepted.append((rows[took], cand_ll[took]))
-        moves += took
-        step = np.where(done, 1.0, step / 4)
-        leave = (done & stuck) | (took & (gain < tol * np.maximum(np.abs(cand_ll), 1.0))) | (moves >= max_iter)
+        tick += 1
+        cand, low = _project_near(pts[0] + step[:, None, None] * engine.r_operator(freqs, probs[0]), pts[1], floor)
+        cand_p = engine.probabilities(cand)
+        # the step from nu (row 0) and from mu (row 1): each setting's relative change in p, and the trace's
+        delta = cand - pts
+        with np.errstate(divide="ignore", invalid="ignore"):  # unobserved settings may have p = 0
+            rel = engine.overlaps(delta) / probs
+            logs = np.log1p(rel)
+            logs[0] -= rel[0]
+            shift = _trace(delta) / _trace(pts)
+            tail = np.log1p(shift)
+            tail[0] -= shift[0]
+            # excess = L(cand) - L(nu) - <grad L(nu), cand - nu>, rise = L(cand) - L(mu)
+            excess, rise = loglik.sum(freqs * logs) - tail
+        flat = delta[0].reshape(len(rows), -1)
+        ascent = 2 * step * excess + np.vecdot(flat, flat).real >= 0  # sufficient ascent allows -|cand - nu|^2 / 2t
+        took = ascent & (rise >= 0)
+        restart = ascent & ~took & (theta >= 2)  # with no momentum there is nothing to restart
+        # FISTA momentum from an accepted step, unless it takes an observed setting's p to 0 or below
+        theta_next = (1 + np.sqrt(1 + 4 * theta * theta)) / 2
+        beta = (theta - 1) / theta_next
+        ahead_p = cand_p + beta[:, None] * (cand_p - probs[1])
+        usable = took & ((ahead_p > 0) | unobserved).all(axis=1)
+        back = (took & ~usable) | restart  # nu returns to the (new) iterate
+        accepted.append((rows[took], loglik(cand_p)[took]))
+        np.copyto(pts[0], cand + beta[:, None, None] * delta[1], where=usable[:, None, None])
+        np.copyto(probs[0], ahead_p, where=usable[:, None])
+        np.copyto(pts[1], cand, where=took[:, None, None])
+        np.copyto(probs[1], cand_p, where=took[:, None])
+        np.copyto(floor, low, where=took)
+        np.copyto(pts[0], pts[1], where=back[:, None, None])
+        np.copyto(probs[0], probs[1], where=back[:, None])
+        theta = np.where(usable, theta_next, np.where(back, 1.0, theta))
+        step = np.where(took, step * STEP_GROW, np.where(restart, step, step * STEP_SHRINK))
+        if tick % GAP_EVERY == 0 or tick == max_iter:
+            gap = total * engine.gap(freqs, probs[1], pts[1])
+            leave = (gap <= tol) | (tick == max_iter)
     order = np.argsort(np.concatenate([a for a, _ in accepted]), kind="stable")
-    trails = np.split(np.concatenate([b for _, b in accepted])[order], np.cumsum(final_moves)[:-1])
+    moves = np.bincount(np.concatenate([a for a, _ in accepted]), minlength=len(final_gap))
+    trails = np.split(np.concatenate([b for _, b in accepted])[order], np.cumsum(moves)[:-1])
     rhos = engine.g_isqrt @ final_mu @ engine.g_isqrt
     dim = engine.frame.dim
     out = []
-    for first, trail, rho in zip(start_ll, trails, rhos):
-        history = [first, *trail.tolist()]
+    for first, trail, rho, g in zip(start_ll, trails, rhos, final_gap):
+        history = LikelihoodTrace([first, *trail.tolist()], float(g), bool(g > tol))
         if any(b < a - 1e-12 for a, b in zip(history, history[1:])):
             raise RuntimeError("likelihood decreased")
         out.append((as_state(rho, dim, dim, clip_tol=1e-6), history))
@@ -347,12 +497,13 @@ def bootstrap_error(
     n_boot: int = 50,
     seed: int = 0,
     max_iter: int = 2000,
-    tol: float = 1e-9,
+    tol: float = 0.1,
 ) -> tuple[float, float]:
     """Mean and standard deviation of a statistic over Poisson-resampled counts.
 
     ``statistic`` is a certificate name from :data:`STATISTICS` or any callable
-    mapping a reconstructed state to a float.
+    mapping a reconstructed state to a float.  Each resample is reconstructed
+    to a certified gap of ``tol`` nats per record, as one stack.
     """
     if n_boot < 10:
         raise ValueError("need at least 10 bootstrap resamples")

@@ -3,13 +3,14 @@
 Each search function keeps the earlier per-restart loop of its namesake in
 ``wernerlab.certify`` or ``wernerlab.steer`` and returns every restart's final
 value in restart order, so tests can check the lockstep versions restart by
-restart.  ``mle_by_record`` and ``bootstrap_by_record`` keep the earlier
-one-record-at-a-time R rho R loop of ``wernerlab.tomo``, with the engine's
-matrix-vector kernels as they were.  ``trace_out`` and ``contract`` (the
-reference for ``wernerlab.steer._contract``) and ``haar_unitary`` (the reference
-for ``wernerlab.states.haar_restarts``) are the one-call-at-a-time primitives
-the stacked kernels replaced, and ``symmetric_isometry_by_multisets`` is the
-loop-built reference for ``wernerlab.extend.symmetric_subspace_isometry``.
+restart.  ``mle_by_record`` and ``bootstrap_by_record`` run the accelerated
+projected-gradient MLE of ``wernerlab.tomo`` one record at a time, with its
+kernels (overlaps, gradient, gap and projection) written for one matrix.
+``trace_out`` and ``contract`` (the reference for ``wernerlab.steer._contract``)
+and ``haar_unitary`` (the reference for ``wernerlab.states.haar_restarts``) are
+the one-call-at-a-time primitives the stacked kernels replaced, and
+``symmetric_isometry_by_multisets`` is the loop-built reference for
+``wernerlab.extend.symmetric_subspace_isometry``.
 ``solve_by_row`` runs the solver's step on one program and exit-tests it with
 ``check_by_row``, the earlier per-row exit test of ``wernerlab.solver`` and the
 reference for the stacked one.
@@ -35,7 +36,7 @@ from wernerlab.steer import (
     correlation_from,
     random_grouped_projective,
 )
-from wernerlab.tomo import STATISTICS, CountsRecord, _engine_for
+from wernerlab.tomo import GAP_EVERY, START_MIX, STATISTICS, STEP_GROW, STEP_SHRINK, CountsRecord, _engine_for
 
 
 def trace_out(mat: np.ndarray, dims: list[int], traced: list[int]) -> np.ndarray:
@@ -195,62 +196,106 @@ def seesaw_bell_by_restarts(rho, coefficients, restarts, seed):
     return values
 
 
-def _probabilities(engine, mu):
-    # tr(E_k mu) = sum_ij E_k[i, j] mu[j, i]
-    return np.maximum((engine._rows @ mu.T.ravel()).real, 0.0)
+def _overlaps(engine, m):
+    # Re tr(E_k m) = sum_ij Re E_k[i, j] Re m[j, i] - Im E_k[i, j] Im m[j, i]
+    return engine._trace_rows @ np.ascontiguousarray(m).view(np.float64).ravel()
 
 
 def _r_operator(engine, freqs, probs):
     weights = freqs / np.maximum(probs, 1e-300)
-    return (weights @ engine._rows).reshape(engine.d2, engine.d2)
+    return (weights @ engine._rows).view(complex).reshape(engine.d2, engine.d2)
 
 
-def mle_by_record(record, max_iter=5000, tol=1e-10):
-    """MLE estimate plus the per-iteration log-likelihood trace of one counts record."""
+def _gap(engine, freqs, probs, mu):
+    top = np.trace(mu).real * np.linalg.eigvalsh(_r_operator(engine, freqs, probs))[-1]
+    safe = np.maximum(probs, 1e-300)
+    k, n = len(engine.norms), engine.d2 * engine.d2
+    rounding = (freqs / safe * engine.norms * (k + n * engine.norms / safe)).sum() + engine.d2 * top
+    return top - 1.0 + 4 * np.finfo(float).eps * rounding
+
+
+def _nearest_state(h):
+    w, q = np.linalg.eigh(h)
+    down = w[::-1]
+    csum = np.cumsum(down)
+    kept = np.count_nonzero(down * np.arange(1, len(w) + 1) > csum - 1.0)
+    tau = (csum[kept - 1] - 1.0) / kept
+    lam = np.maximum(w - tau, 0.0)
+    return (q * lam) @ dagger(q), lam[0]
+
+
+def _project_near(h, mu, floor):
+    """``_nearest_state(h)`` and its smallest eigenvalue, or h shifted to unit trace where that is
+    within floor / 2 of mu, with mu's floor less the distance."""
+    shifted = h.copy()
+    shifted[np.diag_indices(len(h))] -= (np.trace(h).real - 1.0) / len(h)
+    diff = (shifted - mu).ravel()
+    dist = np.sqrt(np.vecdot(diff, diff).real)
+    if 2 * dist >= floor:
+        return _nearest_state(shifted)
+    return shifted, floor - dist
+
+
+def mle_by_record(record, max_iter=5000, tol=0.1):
+    """MLE estimate, log-likelihood trace and certified gap of one counts record."""
     total = record.counts.sum()
     if total <= 0:
         raise ValueError("all-zero counts cannot be reconstructed")
     engine = _engine_for(record.frame_name)
     freqs = record.counts.astype(float).ravel() / total
-    d2 = engine.d2
-    mu = np.eye(d2, dtype=complex) / d2
     mask = freqs > 0
     observed = freqs[mask]
 
     def loglik(probs):
         return float((observed * np.log(np.maximum(probs[mask], 1e-300))).sum())
 
-    probs = _probabilities(engine, mu)
-    history = [loglik(probs)]
-    for _ in range(max_iter):
-        r = _r_operator(engine, freqs, probs)
-        step = 1.0
-        while True:
-            # diluted update (I + s R) mu (I + s R) keeps the likelihood climbing
-            op = r if step == 1.0 else (np.eye(d2) + step * r) / (1 + step)
-            cand = op @ mu @ op
-            cand /= np.trace(cand).real
-            cand = (cand + dagger(cand)) / 2
-            cand_probs = _probabilities(engine, cand)
-            cand_ll = loglik(cand_probs)
-            if cand_ll >= history[-1] - 1e-14 or step < 1e-6:
-                break
-            step /= 4
-        if cand_ll < history[-1] - 1e-12:
-            break  # numerically stuck; keep the monotone prefix
-        gain = cand_ll - history[-1]
-        mu, probs = cand, cand_probs
-        history.append(cand_ll)
-        if gain < tol * max(abs(cand_ll), 1.0):
-            break
+    d2 = engine.d2
+    guess, low = _nearest_state((freqs @ engine._inverse_rows).view(complex).reshape(d2, d2))
+    mu = (1 - START_MIX) * guess + START_MIX * np.eye(d2) / d2
+    p_mu = np.maximum(_overlaps(engine, mu), 0.0)
+    nu, p_nu = mu, p_mu
+    theta, step, tries, floor = 1.0, 1.0, 0, (1 - START_MIX) * low + START_MIX / d2
+    gap = total * _gap(engine, freqs, p_mu, mu)
+    history = [loglik(p_mu)]
+    while gap > tol and tries < max_iter:
+        tries += 1
+        cand, low = _project_near(nu + step * _r_operator(engine, freqs, p_nu), mu, floor)
+        cand_p = np.maximum(_overlaps(engine, cand), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = _overlaps(engine, cand - nu) / p_nu
+            y = _overlaps(engine, cand - mu) / p_mu
+            sx = np.trace(cand - nu).real / np.trace(nu).real
+            sy = np.trace(cand - mu).real / np.trace(mu).real
+            excess = (freqs * (np.log1p(x) - x))[mask].sum() - (np.log1p(sx) - sx)
+            rise = (freqs * np.log1p(y))[mask].sum() - np.log1p(sy)
+        d = (cand - nu).ravel()
+        if not 2 * step * excess + np.vecdot(d, d).real >= 0:
+            step *= STEP_SHRINK  # no sufficient ascent: backtrack
+        elif rise < 0 and theta < 2:
+            step *= STEP_SHRINK  # nu is mu: no momentum to restart
+        elif rise < 0:
+            nu, p_nu, theta = mu, p_mu, 1.0  # restart the momentum
+        else:
+            theta_next = (1 + np.sqrt(1 + 4 * theta * theta)) / 2
+            beta = (theta - 1) / theta_next
+            ahead, ahead_p = cand + beta * (cand - mu), cand_p + beta * (cand_p - p_mu)
+            mu, p_mu, floor = cand, cand_p, low
+            history.append(loglik(cand_p))
+            if np.all(ahead_p[mask] > 0):
+                nu, p_nu, theta = ahead, ahead_p, theta_next
+            else:
+                nu, p_nu, theta = mu, p_mu, 1.0
+            step *= STEP_GROW
+        if tries % GAP_EVERY == 0 or tries == max_iter:
+            gap = total * _gap(engine, freqs, p_mu, mu)
     if any(b < a - 1e-12 for a, b in zip(history, history[1:])):
         raise RuntimeError("likelihood decreased")
     rho = engine.g_isqrt @ mu @ engine.g_isqrt
     dim = engine.frame.dim
-    return as_state(rho, dim, dim, clip_tol=1e-6), history
+    return as_state(rho, dim, dim, clip_tol=1e-6), history, float(gap)
 
 
-def bootstrap_by_record(record, statistic, n_boot=50, seed=0, max_iter=2000, tol=1e-9):
+def bootstrap_by_record(record, statistic, n_boot=50, seed=0, max_iter=2000, tol=0.1):
     """Mean and standard deviation of a statistic, one resample drawn and reconstructed at a time."""
     fn = STATISTICS[statistic] if isinstance(statistic, str) else statistic
     rng = np.random.default_rng(seed)
@@ -258,7 +303,7 @@ def bootstrap_by_record(record, statistic, n_boot=50, seed=0, max_iter=2000, tol
     for _ in range(n_boot):
         resampled = rng.poisson(record.counts)
         rec = CountsRecord(resampled, record.shots, record.seed, record.frame_name, record.state_tag)
-        rho, _ = mle_by_record(rec, max_iter=max_iter, tol=tol)
+        rho, _, _ = mle_by_record(rec, max_iter=max_iter, tol=tol)
         values.append(fn(rho))
     arr = np.asarray(values)
     return float(arr.mean()), float(arr.std(ddof=1))

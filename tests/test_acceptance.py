@@ -234,7 +234,7 @@ def test_criterion_09_nonlocal_content():
 def test_criterion_10_tomography_fixed_point_and_monotonicity():
     w = states.werner(3, 0.3)
     rec = tomo.expected_counts_record(w, 10**6)
-    rho, history = tomo.mle_reconstruct_with_history(rec, max_iter=5000, tol=1e-12)
+    rho, history = tomo.mle_reconstruct_with_history(rec, max_iter=5000)
     fid = qmat.uhlmann_fidelity(rho, w)
     monotone = all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
     # supplementary evidence for the defective median clause: the same

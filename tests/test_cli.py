@@ -95,13 +95,15 @@ def test_sweep_unknown_task(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("task", ["sr", "chsh", "tomo"])
+@pytest.mark.parametrize("task", ["sr", "chsh", "tomo", "dc"])
 def test_qutrit_only_tasks_reject_other_dimensions(tmp_path, capsys, task):
-    # these tasks build d = 3 states whatever --d says, so d = 4 would mislabel their CSV
+    # sr, chsh and tomo build d = 3 states whatever --d says, and dc sweeps --d-grid, so d = 4 would mislabel their CSV
     out = tmp_path / "run"
     argv = ["sweep", "--task", f"ppt,{task}", "--d", "4", "--v-grid", "0.1", "--restarts", "1", "--out", str(out)]
     assert main(argv) == 1
-    assert f"'{task}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"'{task}'" in err
+    assert ("--d-grid" in err) == (task == "dc")
     assert not out.exists()
 
 
@@ -208,10 +210,17 @@ def test_sweep_extend_and_extend_table_write_the_same_rows(tmp_path):
     assert len(swept.splitlines()) == 5
 
 
-def test_tomo_demo_roundtrip(tmp_path):
+def test_tomo_demo_roundtrip(tmp_path, capsys):
     out = tmp_path / "demo"
     assert main(["tomo-demo", "--v", "0.2", "--shots", "5000", "--out", str(out), "--seed", "4"]) == 0
     from wernerlab import tomo
+
+    # the printed count is of accepted steps; the trace also holds the start value
+    seed = derive_seed(4, "tomo-demo")
+    _, history = tomo.mle_reconstruct_with_history(tomo.simulate_counts(werner(3, 0.2), 5000, seed), max_iter=3000)
+    line = capsys.readouterr().out
+    assert line.startswith(f"reconstructed in {len(history) - 1} iterations (certified gap {history.gap:.3g} nats); ")
+    assert history.gap <= 0.1
 
     rec = tomo.counts_from_csv(
         (out / "counts.csv").read_text(), (out / "counts.meta.json").read_text()

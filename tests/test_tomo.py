@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wernerlab import tomo
 from wernerlab.filterops import rotated_filtered_state
@@ -72,14 +74,15 @@ def test_simulate_counts_seeded():
 def test_mle_noiseless_fixed_point():
     w = werner(3, 0.3)
     rec = expected_counts_record(w, 10**6)
-    rho, history = mle_reconstruct_with_history(rec, max_iter=5000, tol=1e-12)
+    rho, history = mle_reconstruct_with_history(rec)
     assert uhlmann_fidelity(rho, w) >= 0.9999
     assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
+    assert history.gap <= 0.1 and not history.capped
 
 
 def test_mle_monotone_likelihood_with_poisson_noise():
     rec = simulate_counts(werner(3, 0.3), 5000, 9)
-    rho, history = mle_reconstruct_with_history(rec, max_iter=4000, tol=1e-11)
+    rho, history = mle_reconstruct_with_history(rec, max_iter=4000)
     assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
     assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.eigvalsh(rho.mat)[0] >= -1e-12
@@ -99,9 +102,9 @@ def test_mle_statistical_floor():
 
 def test_mle_reconstruction_of_reconstruction():
     rec = simulate_counts(werner(3, 0.25), 20000, 5)
-    rho_hat = mle_reconstruct(rec, max_iter=4000, tol=1e-11)
+    rho_hat = mle_reconstruct(rec, max_iter=4000)
     rec2 = expected_counts_record(rho_hat, 10**7)
-    rho_hat2 = mle_reconstruct(rec2, max_iter=5000, tol=1e-12)
+    rho_hat2 = mle_reconstruct(rec2, max_iter=5000)
     assert uhlmann_fidelity(rho_hat2, rho_hat) >= 0.9999
 
 
@@ -110,7 +113,7 @@ def test_surrogate_reconstructions_hit_band():
         ideal = werner(3, v)
         surrogate = noisy_surrogate(ideal, experiment_like_noise(v))
         rec = simulate_counts(surrogate, 10**5, 11)
-        rho = mle_reconstruct(rec, max_iter=3000, tol=1e-10)
+        rho = mle_reconstruct(rec, max_iter=3000)
         f = uhlmann_fidelity(rho, ideal)
         assert 0.958 - 0.01 <= f <= 0.995 + 0.003
 
@@ -118,7 +121,7 @@ def test_surrogate_reconstructions_hit_band():
 def test_two_qubit_frame_reconstruction():
     rho = rotated_filtered_state(0.1)
     rec = simulate_counts(rho, 10**5, 3, frame=qubit_bases())
-    recon = mle_reconstruct(rec, max_iter=3000, tol=1e-11)
+    recon = mle_reconstruct(rec, max_iter=3000)
     assert uhlmann_fidelity(recon, rho) >= 0.995
 
 
@@ -185,6 +188,8 @@ def test_mle_engine_matmuls_match_einsum(frame):
     weights = freqs / np.maximum(probs, 1e-300)
     want = np.einsum("k,kij->ij", weights, engine.povm)
     assert np.allclose(engine.r_operator(freqs, probs), want, rtol=0, atol=1e-13)
+    # the frame spans the Hermitian matrices, so linear inversion of exact probabilities gives the state back
+    assert np.allclose(engine.inversion(probs), mu, rtol=0, atol=1e-12)
 
 
 def sparse_record(settings, counts):
@@ -196,11 +201,11 @@ def sparse_record(settings, counts):
 
 def mle_rows(records, max_iter, tol):
     out = tomo.mle_reconstruct_many(records, max_iter=max_iter, tol=tol)
-    return np.array([rho.mat for rho, _ in out]), [history for _, history in out]
+    return np.array([rho.mat for rho, _ in out]), [history for _, history in out], [history.gap for _, history in out]
 
 
 STACKS = {
-    # two observed settings force a diluted step; v = 0 stops after about 146 steps; v = 0.05 runs to max_iter
+    # two observed settings; v = 0 certifies in about 25 steps; v = 0.05 needs about 120 and hits max_iter
     "qutrit9": lambda: [
         sparse_record((74, 49), (1, 10)),
         simulate_counts(werner(3, 0.0), 10**4, 7),
@@ -208,6 +213,7 @@ STACKS = {
         simulate_counts(werner(3, 0.3), 500, 3),
         simulate_counts(noisy_surrogate(werner(3, 0.2), experiment_like_noise(0.2)), 2000, 5),
     ],
+    # v = 0 is a pure state
     "qubit6": lambda: [
         simulate_counts(rotated_filtered_state(v), shots, seed, frame=qubit_bases())
         for v, shots, seed in ((0.0, 200, 1), (0.1, 10**4, 2), (0.3, 50, 3), (0.45, 10**5, 4))
@@ -218,28 +224,85 @@ STACKS = {
 @pytest.mark.parametrize("name", STACKS)
 def test_stacked_mle_matches_sequential_reference(name):
     records = STACKS[name]()
-    max_iter, tol = 300, 1e-10
-    mats, histories = mle_rows(records, max_iter, tol)
-    for rec, mat, history in zip(records, mats, histories):
-        rho, want = mle_by_record(rec, max_iter=max_iter, tol=tol)
+    max_iter, tol = 80, 0.1
+    mats, histories, gaps = mle_rows(records, max_iter, tol)
+    for rec, mat, history, gap in zip(records, mats, histories, gaps):
+        rho, want, want_gap = mle_by_record(rec, max_iter=max_iter, tol=tol)
         assert mat.tobytes() == rho.mat.tobytes()
         assert np.array(history).tobytes() == np.array(want).tobytes()
+        assert gap == want_gap
+        assert history.capped == (gap > tol)
     assert_rows_bitwise_alone(lambda recs: mle_rows(recs, max_iter, tol), (records,))
     if name == "qutrit9":
-        assert 0 < len(histories[1]) - 1 < max_iter
-        assert len(histories[2]) - 1 == max_iter
+        assert not histories[1].capped
+        assert histories[2].capped and len(histories[2]) - 1 < max_iter
 
 
-def test_stacked_mle_takes_diluted_steps(monkeypatch):
-    # every try that is not accepted is a diluted one, so more tries than accepted steps means a diluted step
-    tries = []
-    probabilities = tomo._MleEngine.probabilities
-    monkeypatch.setattr(tomo._MleEngine, "probabilities", lambda self, mu: tries.append(len(mu)) or probabilities(self, mu))
-    ((_, history),) = tomo.mle_reconstruct_many([STACKS["qutrit9"]()[0]], max_iter=300, tol=1e-10)
-    assert len(tries) - 1 > len(history) - 1
+@pytest.mark.parametrize("name", STACKS)
+def test_reported_gap_bounds_the_likelihood_left(name):
+    records = STACKS[name]()
+    out = tomo.mle_reconstruct_many(records)
+    for rec, (_, history) in zip(records, out):
+        assert history.gap <= 0.1 and not history.capped
+        # far past the stop: the reference's last log-likelihood is within 1e-4 nats of the maximum
+        _, far, far_gap = mle_by_record(rec, max_iter=3000, tol=1e-4)
+        total = rec.counts.sum()
+        assert far_gap <= 1e-4
+        assert total * (far[-1] - history[-1]) <= history.gap + 1e-12 * total
+    assert_rows_bitwise_alone(lambda recs: mle_rows(recs, 5000, 0.1), (records,))
 
 
-def test_mle_reconstruct_many_rejects_mixed_frames_and_empty_stacks():
+@settings(max_examples=6, deadline=None)
+@given(
+    frame=st.sampled_from(["qutrit9", "qubit6"]),
+    v=st.floats(0.0, 0.5),
+    shots=st.sampled_from([50, 300, 3000, 30000]),
+    seed=st.integers(0, 2**16),
+)
+def test_reported_gap_is_a_bound_on_random_records(frame, v, shots, seed):
+    rho = werner(3, v) if frame == "qutrit9" else rotated_filtered_state(v)
+    rec = simulate_counts(rho, shots, seed, frame=tomo.frame_for(frame))
+    ((_, history),) = tomo.mle_reconstruct_many([rec])
+    _, far, _ = mle_by_record(rec, max_iter=3000, tol=1e-4)
+    total = rec.counts.sum()
+    assert history.capped == (history.gap > 0.1)
+    assert total * (far[-1] - history[-1]) <= history.gap + 1e-12 * total
+
+
+def test_stacked_mle_backtracks_and_skips_eigh(monkeypatch):
+    # a tick whose projection does not reach eigh for every row took the shifted-matrix path on some row
+    ticks, eigh_rows = [], []
+    project_near, project = tomo._project_near, tomo.project_to_states
+    monkeypatch.setattr(tomo, "_project_near", lambda h, mu, floor: ticks.append(len(h)) or project_near(h, mu, floor))
+    monkeypatch.setattr(tomo, "project_to_states", lambda h: eigh_rows.append(len(h)) or project(h))
+    ((_, history),) = tomo.mle_reconstruct_many([simulate_counts(werner(3, 0.3), 10**4, 3)])
+    assert len(ticks) > len(history) - 1  # some tries were rejected
+    assert 0 < sum(eigh_rows) < sum(ticks)
+
+
+def test_projection_is_the_nearest_state_and_the_shortcut_agrees():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((40, 9, 9)) + 1j * rng.standard_normal((40, 9, 9))
+    h = (g + g.conj().swapaxes(-1, -2)) / 6
+    cand, low = tomo.project_to_states(h)
+    w = np.linalg.eigvalsh(cand)
+    assert np.allclose(np.trace(cand, axis1=1, axis2=2), 1.0, rtol=0, atol=1e-13)
+    assert np.all(w[:, 0] >= -1e-13) and np.allclose(low, w[:, 0], rtol=0, atol=1e-13)
+    # optimality: h - cand = tau I - Z with Z >= 0 and Z cand = 0, so it beats every other state
+    others = rng.standard_normal((40, 9, 9)) + 1j * rng.standard_normal((40, 9, 9))
+    others = others @ others.conj().swapaxes(-1, -2)
+    others /= np.trace(others, axis1=1, axis2=2).real[:, None, None]
+    assert np.all(np.linalg.norm(h - cand, axis=(1, 2)) <= np.linalg.norm(h - others, axis=(1, 2)))
+    # near a full-rank state the shortcut returns the shift, equal to the projection up to rounding
+    mu = np.broadcast_to(np.eye(9) / 9, (40, 9, 9)).astype(complex)
+    near = mu + 1e-3 * h
+    want, _ = tomo.project_to_states(near.copy())
+    got, got_low = tomo._project_near(near.copy(), mu, np.full(40, 1 / 9))
+    assert np.allclose(got, want, rtol=0, atol=1e-14)
+    assert np.all(got_low > 0) and np.all(got_low <= np.linalg.eigvalsh(got)[:, 0] + 1e-14)
+
+
+def test_mle_reconstruct_many_rejects_mixed_frames_and_empty_stacks(monkeypatch):
     qutrit = simulate_counts(werner(3, 0.2), 1000, 1)
     qubit = simulate_counts(rotated_filtered_state(0.1), 1000, 1, frame=qubit_bases())
     with pytest.raises(ValueError, match="share one frame"):
@@ -248,6 +311,13 @@ def test_mle_reconstruct_many_rejects_mixed_frames_and_empty_stacks():
         tomo.mle_reconstruct_many([])
     with pytest.raises(ValueError, match="all-zero counts"):
         tomo.mle_reconstruct_many([qutrit, CountsRecord(np.zeros((9, 9), dtype=int), 10, 0, "qutrit9")])
+    # the stop rule is checked before any work: max_iter = 0 used to return I / d^2
+    calls = []
+    monkeypatch.setattr(tomo, "_engine_for", lambda name: calls.append(name))
+    for max_iter, tol in ((0, 0.1), (-1, 0.1), (10, 0.0), (10, -1.0), (10, np.inf), (10, np.nan)):
+        with pytest.raises(ValueError, match="max_iter must be at least 1|tol must be finite and positive"):
+            tomo.mle_reconstruct_many([qutrit], max_iter=max_iter, tol=tol)
+    assert not calls
 
 
 @pytest.mark.parametrize(
@@ -260,12 +330,12 @@ def test_mle_reconstruct_many_rejects_mixed_frames_and_empty_stacks():
 )
 def test_bootstrap_matches_sequential_reference(record, statistic):
     rec = record()
-    kwargs = dict(n_boot=12, seed=4, max_iter=400, tol=1e-9)
+    kwargs = dict(n_boot=12, seed=4, max_iter=400, tol=0.1)
     assert bootstrap_error(rec, statistic, **kwargs) == bootstrap_by_record(rec, statistic, **kwargs)
     # the resamples, drawn in the same order, each reconstruct alone as in the stack
     rng = np.random.default_rng(kwargs["seed"])
     resamples = [CountsRecord(rng.poisson(rec.counts), rec.shots, rec.seed, rec.frame_name) for _ in range(12)]
-    assert_rows_bitwise_alone(lambda recs: mle_rows(recs, 400, 1e-9), (resamples,))
+    assert_rows_bitwise_alone(lambda recs: mle_rows(recs, 400, 0.1), (resamples,))
 
 
 def test_product_projectors_are_memoised_read_only():
