@@ -39,7 +39,7 @@ import numpy as np
 
 from . import qmat
 from .qmat import DensityMatrix, dagger, grid_best, grid_rows, partial_trace, partial_transpose
-from .states import haar_restarts, max_entangled_ket
+from .states import haar_restarts
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -280,42 +280,6 @@ def fef2_exact(rho: DensityMatrix | np.ndarray) -> float:
     e = _magic_basis()
     magic = dagger(e) @ m @ e
     return float(np.linalg.eigvalsh(magic.real)[-1])
-
-
-def _fef2_optimal_unitary(rho: DensityMatrix) -> np.ndarray:
-    """Unitary U_2 whose maximally entangled vector attains fef2_exact."""
-    e = _magic_basis()
-    magic = dagger(e) @ rho.mat @ e
-    w, q = np.linalg.eigh(magic.real)
-    psi = e @ q[:, -1].astype(complex)
-    u2 = np.sqrt(2.0) * psi.reshape(2, 2).T
-    return u2
-
-
-def fef_embedding_check(rho: DensityMatrix, d: int) -> bool:
-    """Constructive check that F_2 > 1/2 forces F_d > 1/d after embedding.
-
-    Embeds a two-qubit state into C^d (x) C^d padded with zeros, extends the
-    optimal qubit unitary by the identity, and verifies the attained overlap
-    (2/d) F_2 beats 1/d.
-    """
-    if rho.dimA != 2 or rho.dimB != 2:
-        raise ValueError("embedding check starts from a two-qubit state")
-    f2 = fef2_exact(rho)
-    if f2 <= 0.5:
-        raise ValueError("precondition F_2 > 1/2 violated")
-    u2 = _fef2_optimal_unitary(rho)
-    u_d = np.eye(d, dtype=complex)
-    u_d[:2, :2] = u2
-    # embed rho on the first two levels of each side
-    big = np.zeros((d * d, d * d), dtype=complex)
-    levels = [0, 1, d, d + 1]  # i*d + j for i, j in {0, 1}
-    big[np.ix_(levels, levels)] = rho.mat
-    psi_d = qmat.embed(u_d, d, "B") @ max_entangled_ket(d)
-    attained = float(np.real(np.vdot(psi_d, big @ psi_d)))
-    if attained < (2.0 / d) * f2 - 1e-10:
-        raise RuntimeError("embedded unitary attains less than (2/d) F_2")
-    return attained > 1.0 / d
 
 
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:

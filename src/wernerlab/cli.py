@@ -416,7 +416,7 @@ def run_tomo_demo(args) -> int:
 
     (out_dir / "reconstruction.json").write_text(serialize.state_to_json(recon) + "\n")
     fid = qmat.uhlmann_fidelity(recon, ideal)
-    capped = ", max_iter reached" if history.capped else ""
+    capped = f", above tol after {history.tries} tries" if history.capped else ""
     print(
         f"reconstructed in {len(history) - 1} iterations (certified gap {history.gap:.3g} nats{capped}); "
         f"fidelity vs ideal = {fid:.6f}"

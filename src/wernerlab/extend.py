@@ -401,18 +401,3 @@ def critical_weight(t_star_at_v0: float | Fraction, d: int) -> float | Fraction:
     a Fraction t* gives an exact Fraction."""
     v_t = Fraction(d + 1, 2 * d) * (t_star_at_v0 - 1) / t_star_at_v0 if t_star_at_v0 > 1 else Fraction(0)
     return v_t if isinstance(t_star_at_v0, Fraction) else float(v_t)
-
-
-def extension_threshold(d: int, k: int, flavor: str = SE, side: str = "B", sdp_tol: float = 1e-7) -> float:
-    """Smallest Werner weight admitting an extension, from one query at v = 0.
-
-    werner(d, v) runs along the segment from werner(d, 0) to I/D, and each extension set is a
-    convex cone containing I/D, so the threshold is :func:`critical_weight` of t* at v = 0.
-    Raises RuntimeError when that query does not end OPTIMAL.
-    """
-    from .states import werner
-
-    res = run_query(ExtensionQuery(werner(d, 0.0), k, side, flavor), tol=sdp_tol)
-    if res.status != "OPTIMAL":
-        raise RuntimeError(f"{flavor} solve at v=0 ended {res.status}; no threshold")
-    return critical_weight(res.t_star, d)

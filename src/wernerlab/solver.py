@@ -152,15 +152,6 @@ class ConicSolution:
     gap: float
     iterations: int = 0
 
-    def blocks_of(self, prog: ConicProgram) -> list[np.ndarray]:
-        """Split x into per-block values; PSD blocks come back as complex matrices."""
-        out, pos = [], 0
-        for bl in prog.blocks:
-            seg = self.x[pos : pos + bl.size]
-            out.append(mat_real(seg, bl.n) if bl.kind == PSD else seg.copy())
-            pos += bl.size
-        return out
-
 
 def presolve(prog: ConicProgram) -> ConicProgram:
     """Drop exactly-zero and exactly-duplicated constraint rows.

@@ -23,7 +23,6 @@ sides of every restart still improving into one
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -32,7 +31,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .qmat import DensityMatrix, check_side, dagger, grid_best, grid_rows
-from .serialize import matrix_from_obj, matrix_to_obj
 from .solver import Block, ConicProgram, Family, mat_real, solve, vec_real
 from .states import haar_restarts, haar_unitaries
 
@@ -435,10 +433,6 @@ def chsh_coefficients() -> np.ndarray:
     return np.multiply.outer(np.array([[1.0, 1.0], [1.0, -1.0]]), 2.0 * np.eye(2) - 1.0)
 
 
-def bell_value(corr: Correlation, coefficients: np.ndarray) -> float:
-    return float(np.sum(corr.p * coefficients))
-
-
 def _bell_response(r: np.ndarray, coefficients: np.ndarray, other_effects: np.ndarray, side: str) -> np.ndarray:
     """G_{a|x} of ``side`` with sum_ax tr(M_{a|x} G_{a|x}) the Bell value against the other
     side's (..., y, b, d, d) effects, as a matching (..., x, a, d, d) stack; ``r`` is rho as
@@ -460,43 +454,6 @@ def _best_povm_update(effects: np.ndarray, response: np.ndarray) -> np.ndarray:
     new = _exact_two_outcome_update(response) if effects.shape[-3] == 2 else _update_measurements(effects, response)
     _check_effects(new)
     return new
-
-
-def assemblage_to_json(asm: Assemblage) -> str:
-    return json.dumps(
-        {
-            "n_settings": asm.n_settings,
-            "n_outcomes": asm.n_outcomes,
-            "dim": asm.dim,
-            "sigma": [[matrix_to_obj(s) for s in setting] for setting in asm.sigma],
-        }
-    )
-
-
-def assemblage_from_json(text: str) -> Assemblage:
-    obj = json.loads(text)
-    d = obj["dim"]
-    sigma = tuple(
-        tuple(matrix_from_obj(entries, d, d) for entries in setting) for setting in obj["sigma"]
-    )
-    return Assemblage(sigma)
-
-
-def correlation_to_json(corr: Correlation) -> str:
-    n_sa, n_sb, n_oa, n_ob = corr.scenario
-    return json.dumps(
-        {
-            "scenario": {"n_settings": [n_sa, n_sb], "n_outcomes": [n_oa, n_ob]},
-            "p": corr.p.ravel().tolist(),
-        }
-    )
-
-
-def correlation_from_json(text: str) -> Correlation:
-    obj = json.loads(text)
-    n_sa, n_sb = obj["scenario"]["n_settings"]
-    n_oa, n_ob = obj["scenario"]["n_outcomes"]
-    return Correlation(np.asarray(obj["p"]).reshape(n_sa, n_sb, n_oa, n_ob))
 
 
 def _bell_starts(

@@ -16,7 +16,8 @@ It stops on a certificate, not on slow progress.  L is concave and its
 gradient R = sum_k (f_k / p_k) E_k has tr(R mu) = 1, so L* - L(mu) <=
 lambda_max(R) - 1 (Glancy, Knill & Girard, New J. Phys. 14, 095017, 2012).  A
 reconstruction stops once that bound, times the record's total counts and
-with a rounding margin, is at most ``tol`` nats per record.  The default 0.1
+with a rounding margin, is at most ``tol`` nats per record, or once its steps
+can no longer move it beyond rounding, with its gap flagged.  The default 0.1
 lies far below the likelihood's statistical spread, about half the number of
 parameters: 40 nats for the 80 of a two-qutrit state.
 :func:`mle_reconstruct_many` reconstructs records of one frame as the rows of
@@ -33,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import certify
-from .qmat import DensityMatrix, as_state, dagger, uhlmann_fidelity
+from .qmat import DensityMatrix, as_state, dagger
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,6 @@ class _MleEngine:
         if w[0] <= 1e-12:
             raise ValueError("tomography frame is rank deficient")
         self.g_isqrt = (q * (1.0 / np.sqrt(w))) @ dagger(q)
-        self.g_sqrt = (q * np.sqrt(w)) @ dagger(q)
         self.povm = np.einsum("ab,kbc,cd->kad", self.g_isqrt, projs, self.g_isqrt)
         # row k is E_k flattened, as real and imaginary parts in turn
         self._rows = self.povm.reshape(len(projs), d2 * d2).view(np.float64)
@@ -257,6 +257,12 @@ def _trace(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1).real
 
 
+def _norm(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each of a stack of matrices."""
+    flat = m.reshape(len(m), -1)
+    return np.sqrt(np.vecdot(flat, flat).real)
+
+
 def project_to_states(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The unit-trace PSD matrix nearest (in Frobenius norm) to each of a stack of Hermitian matrices,
     with its smallest eigenvalue.
@@ -285,8 +291,7 @@ def _project_near(h: np.ndarray, mu: np.ndarray, floor: np.ndarray) -> tuple[np.
     """
     d2 = h.shape[-1]
     h.reshape(len(h), -1)[:, :: d2 + 1] -= ((_trace(h) - 1.0) / d2)[:, None]  # in place: unit trace
-    diff = (h - mu).reshape(len(h), -1)
-    dist = np.sqrt(np.vecdot(diff, diff).real)
+    dist = _norm(h - mu)
     far = 2 * dist >= floor
     low = floor - dist
     if far.any():
@@ -298,15 +303,16 @@ class LikelihoodTrace(list):
     """A reconstruction's log-likelihood per count at the start and after each accepted step.
 
     ``gap`` bounds how far the last iterate's log-likelihood lies below the
-    maximum, in nats per record (total counts times the bound per count), and
-    ``capped`` is True when the row stopped at ``max_iter`` tries with ``gap``
-    still above ``tol``.
+    maximum, in nats per record (total counts times the bound per count);
+    ``capped`` is True when the row left with ``gap`` still above ``tol``, at
+    ``max_iter`` tries or stalled; ``tries`` counts its tries, accepted or not.
     """
 
-    def __init__(self, values, gap: float, capped: bool):
+    def __init__(self, values, gap: float, capped: bool, tries: int):
         super().__init__(values)
         self.gap = gap
         self.capped = capped
+        self.tries = tries
 
 
 def mle_reconstruct(record: CountsRecord, max_iter: int = 5000, tol: float = 0.1) -> DensityMatrix:
@@ -386,9 +392,12 @@ def mle_reconstruct_many(
     decide a test.
 
     A row leaves when its certified gap (see :meth:`_MleEngine.gap`), times its
-    total counts, is at most ``tol`` nats per record, or after ``max_iter``
-    tries, accepted or not; its :class:`LikelihoodTrace` reports the gap and
-    whether it hit the cap.
+    total counts, is at most ``tol`` nats per record; after ``max_iter``
+    tries, accepted or not; or once it has stalled: its nu is its iterate mu
+    (theta < 2) and its next step t R(mu) is below mu's own rounding,
+    t ||R(mu)||_F <= eps ||mu||_F, so no try can move mu by more than rounding.
+    Its :class:`LikelihoodTrace` reports the gap, whether it is above ``tol``,
+    and the tries made.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -418,14 +427,14 @@ def mle_reconstruct_many(
     theta = np.ones(len(rows))  # FISTA's theta; beta is 0 from theta = 1, so nu is mu while theta < 2
     step = np.ones(len(rows))
     gap = total * engine.gap(freqs, probs[1], pts[1])
-    final_mu, final_gap = np.empty_like(pts[1]), np.empty(len(rows))
+    final_mu, final_gap, final_tries = np.empty_like(pts[1]), np.empty(len(rows)), np.empty(len(rows), int)
     accepted = [(rows[:0], step[:0])]  # (rows, log-likelihoods) of each tick's accepted steps
     leave = gap <= tol
     tick = 0  # every live row has tried this many steps
     while True:
         if leave.any():
             done = rows[leave]
-            final_mu[done], final_gap[done] = pts[1, leave], gap[leave]
+            final_mu[done], final_gap[done], final_tries[done] = pts[1, leave], gap[leave], tick
             keep = ~leave
             rows, pts, probs, theta, floor = rows[keep], pts[:, keep], probs[:, keep], theta[keep], floor[keep]
             step, gap, total, leave = step[keep], gap[keep], total[keep], leave[keep]
@@ -468,15 +477,16 @@ def mle_reconstruct_many(
         step = np.where(took, step * STEP_GROW, np.where(restart, step, step * STEP_SHRINK))
         if tick % GAP_EVERY == 0 or tick == max_iter:
             gap = total * engine.gap(freqs, probs[1], pts[1])
-            leave = (gap <= tol) | (tick == max_iter)
+            stalled = (theta < 2) & (step * _norm(engine.r_operator(freqs, probs[1])) <= EPS * _norm(pts[1]))
+            leave = (gap <= tol) | (tick == max_iter) | stalled
     order = np.argsort(np.concatenate([a for a, _ in accepted]), kind="stable")
     moves = np.bincount(np.concatenate([a for a, _ in accepted]), minlength=len(final_gap))
     trails = np.split(np.concatenate([b for _, b in accepted])[order], np.cumsum(moves)[:-1])
     rhos = engine.g_isqrt @ final_mu @ engine.g_isqrt
     dim = engine.frame.dim
     out = []
-    for first, trail, rho, g in zip(start_ll, trails, rhos, final_gap):
-        history = LikelihoodTrace([first, *trail.tolist()], float(g), bool(g > tol))
+    for first, trail, rho, g, tries in zip(start_ll, trails, rhos, final_gap, final_tries):
+        history = LikelihoodTrace([first, *trail.tolist()], float(g), bool(g > tol), int(tries))
         if any(b < a - 1e-12 for a, b in zip(history, history[1:])):
             raise RuntimeError("likelihood decreased")
         out.append((as_state(rho, dim, dim, clip_tol=1e-6), history))
@@ -515,11 +525,6 @@ def bootstrap_error(
     ]
     arr = np.asarray([fn(rho) for rho, _ in mle_reconstruct_many(resamples, max_iter=max_iter, tol=tol)])
     return float(arr.mean()), float(arr.std(ddof=1))
-
-
-def fidelity_to(target: DensityMatrix):
-    """Statistic factory: fidelity of the reconstruction against a fixed target."""
-    return lambda rho: uhlmann_fidelity(rho, target)
 
 
 def counts_to_csv(record: CountsRecord) -> str:

@@ -14,6 +14,8 @@ the one-call-at-a-time primitives the stacked kernels replaced, and
 ``solve_by_row`` runs the solver's step on one program and exit-tests it with
 ``check_by_row``, the earlier per-row exit test of ``wernerlab.solver`` and the
 reference for the stacked one.
+``blocks_of``, ``bell_value``, ``fidelity_to``, ``fef_embedding_check`` and
+``extension_threshold`` are helpers that only tests call.
 """
 
 from __future__ import annotations
@@ -23,20 +25,32 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 import scipy.linalg
 
-from wernerlab import qmat, solver
-from wernerlab.qmat import DensityMatrix, as_state, dagger, partial_transpose
-from wernerlab.solver import ConicSolution, presolve
-from wernerlab.states import haar_unitaries
+from wernerlab import extend, qmat, solver
+from wernerlab.certify import _magic_basis, fef2_exact
+from wernerlab.extend import SE, ExtensionQuery, critical_weight
+from wernerlab.qmat import DensityMatrix, as_state, dagger, partial_transpose, uhlmann_fidelity
+from wernerlab.solver import PSD, ConicProgram, ConicSolution, mat_real, presolve
+from wernerlab.states import haar_unitaries, max_entangled_ket, werner
 from wernerlab.steer import (
+    Correlation,
     MeasurementSet,
     _contract,
     _tensor,
     _update_measurements,
-    bell_value,
     correlation_from,
     random_grouped_projective,
 )
-from wernerlab.tomo import GAP_EVERY, START_MIX, STATISTICS, STEP_GROW, STEP_SHRINK, CountsRecord, _engine_for
+from wernerlab.tomo import (
+    EPS,
+    GAP_EVERY,
+    START_MIX,
+    STATISTICS,
+    STEP_GROW,
+    STEP_SHRINK,
+    CountsRecord,
+    LikelihoodTrace,
+    _engine_for,
+)
 
 
 def trace_out(mat: np.ndarray, dims: list[int], traced: list[int]) -> np.ndarray:
@@ -211,7 +225,7 @@ def _gap(engine, freqs, probs, mu):
     safe = np.maximum(probs, 1e-300)
     k, n = len(engine.norms), engine.d2 * engine.d2
     rounding = (freqs / safe * engine.norms * (k + n * engine.norms / safe)).sum() + engine.d2 * top
-    return top - 1.0 + 4 * np.finfo(float).eps * rounding
+    return top - 1.0 + 4 * EPS * rounding
 
 
 def _nearest_state(h):
@@ -237,7 +251,7 @@ def _project_near(h, mu, floor):
 
 
 def mle_by_record(record, max_iter=5000, tol=0.1):
-    """MLE estimate, log-likelihood trace and certified gap of one counts record."""
+    """MLE estimate and log-likelihood trace, with its certified gap and tries, of one counts record."""
     total = record.counts.sum()
     if total <= 0:
         raise ValueError("all-zero counts cannot be reconstructed")
@@ -255,9 +269,9 @@ def mle_by_record(record, max_iter=5000, tol=0.1):
     p_mu = np.maximum(_overlaps(engine, mu), 0.0)
     nu, p_nu = mu, p_mu
     theta, step, tries, floor = 1.0, 1.0, 0, (1 - START_MIX) * low + START_MIX / d2
-    gap = total * _gap(engine, freqs, p_mu, mu)
+    gap, stalled = total * _gap(engine, freqs, p_mu, mu), False
     history = [loglik(p_mu)]
-    while gap > tol and tries < max_iter:
+    while gap > tol and tries < max_iter and not stalled:
         tries += 1
         cand, low = _project_near(nu + step * _r_operator(engine, freqs, p_nu), mu, floor)
         cand_p = np.maximum(_overlaps(engine, cand), 0.0)
@@ -288,11 +302,13 @@ def mle_by_record(record, max_iter=5000, tol=0.1):
             step *= STEP_GROW
         if tries % GAP_EVERY == 0 or tries == max_iter:
             gap = total * _gap(engine, freqs, p_mu, mu)
+            grad, m = _r_operator(engine, freqs, p_mu).ravel(), mu.ravel()
+            stalled = theta < 2 and step * np.sqrt(np.vecdot(grad, grad).real) <= EPS * np.sqrt(np.vecdot(m, m).real)
     if any(b < a - 1e-12 for a, b in zip(history, history[1:])):
         raise RuntimeError("likelihood decreased")
     rho = engine.g_isqrt @ mu @ engine.g_isqrt
     dim = engine.frame.dim
-    return as_state(rho, dim, dim, clip_tol=1e-6), history, float(gap)
+    return as_state(rho, dim, dim, clip_tol=1e-6), LikelihoodTrace(history, float(gap), bool(gap > tol), tries)
 
 
 def bootstrap_by_record(record, statistic, n_boot=50, seed=0, max_iter=2000, tol=0.1):
@@ -303,7 +319,7 @@ def bootstrap_by_record(record, statistic, n_boot=50, seed=0, max_iter=2000, tol
     for _ in range(n_boot):
         resampled = rng.poisson(record.counts)
         rec = CountsRecord(resampled, record.shots, record.seed, record.frame_name, record.state_tag)
-        rho, _, _ = mle_by_record(rec, max_iter=max_iter, tol=tol)
+        rho, _ = mle_by_record(rec, max_iter=max_iter, tol=tol)
         values.append(fn(rho))
     arr = np.asarray(values)
     return float(arr.mean()), float(arr.std(ddof=1))
@@ -377,3 +393,71 @@ def solve_by_row(prog, tol=1e-7, max_iter=200000):
         return ConicSolution(np.zeros(n), np.zeros(m), np.nan, np.nan, "MAX_ITER", np.inf, it)
     _, x, y, pobj, dobj = best
     return ConicSolution(x, y, pobj, dobj, "MAX_ITER", abs(pobj - dobj) / (1.0 + abs(pobj)), it)
+
+
+def blocks_of(sol: ConicSolution, prog: ConicProgram) -> list[np.ndarray]:
+    """Split x into per-block values; PSD blocks come back as complex matrices."""
+    out, pos = [], 0
+    for bl in prog.blocks:
+        seg = sol.x[pos : pos + bl.size]
+        out.append(mat_real(seg, bl.n) if bl.kind == PSD else seg.copy())
+        pos += bl.size
+    return out
+
+
+def bell_value(corr: Correlation, coefficients: np.ndarray) -> float:
+    return float(np.sum(corr.p * coefficients))
+
+
+def fidelity_to(target: DensityMatrix):
+    """Statistic factory: fidelity of the reconstruction against a fixed target."""
+    return lambda rho: uhlmann_fidelity(rho, target)
+
+
+def _fef2_optimal_unitary(rho: DensityMatrix) -> np.ndarray:
+    """Unitary U_2 whose maximally entangled vector attains fef2_exact."""
+    e = _magic_basis()
+    magic = dagger(e) @ rho.mat @ e
+    w, q = np.linalg.eigh(magic.real)
+    psi = e @ q[:, -1].astype(complex)
+    u2 = np.sqrt(2.0) * psi.reshape(2, 2).T
+    return u2
+
+
+def fef_embedding_check(rho: DensityMatrix, d: int) -> bool:
+    """Constructive check that F_2 > 1/2 forces F_d > 1/d after embedding.
+
+    Embeds a two-qubit state into C^d (x) C^d padded with zeros, extends the
+    optimal qubit unitary by the identity, and verifies the attained overlap
+    (2/d) F_2 beats 1/d.
+    """
+    if rho.dimA != 2 or rho.dimB != 2:
+        raise ValueError("embedding check starts from a two-qubit state")
+    f2 = fef2_exact(rho)
+    if f2 <= 0.5:
+        raise ValueError("precondition F_2 > 1/2 violated")
+    u2 = _fef2_optimal_unitary(rho)
+    u_d = np.eye(d, dtype=complex)
+    u_d[:2, :2] = u2
+    # embed rho on the first two levels of each side
+    big = np.zeros((d * d, d * d), dtype=complex)
+    levels = [0, 1, d, d + 1]  # i*d + j for i, j in {0, 1}
+    big[np.ix_(levels, levels)] = rho.mat
+    psi_d = qmat.embed(u_d, d, "B") @ max_entangled_ket(d)
+    attained = float(np.real(np.vdot(psi_d, big @ psi_d)))
+    if attained < (2.0 / d) * f2 - 1e-10:
+        raise RuntimeError("embedded unitary attains less than (2/d) F_2")
+    return attained > 1.0 / d
+
+
+def extension_threshold(d: int, k: int, flavor: str = SE, side: str = "B", sdp_tol: float = 1e-7) -> float:
+    """Smallest Werner weight admitting an extension, from one query at v = 0.
+
+    werner(d, v) runs along the segment from werner(d, 0) to I/D, and each extension set is a
+    convex cone containing I/D, so the threshold is :func:`critical_weight` of t* at v = 0.
+    Raises RuntimeError when that query does not end OPTIMAL.
+    """
+    res = extend.run_query(ExtensionQuery(werner(d, 0.0), k, side, flavor), tol=sdp_tol)
+    if res.status != "OPTIMAL":
+        raise RuntimeError(f"{flavor} solve at v=0 ended {res.status}; no threshold")
+    return critical_weight(res.t_star, d)

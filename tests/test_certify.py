@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wernerlab import certify
 from wernerlab.certify import (
@@ -13,7 +15,6 @@ from wernerlab.certify import (
     dense_coding_delta,
     fef,
     fef2_exact,
-    fef_embedding_check,
     fef_many,
     filtered_delta,
     gurvits_ball,
@@ -24,9 +25,14 @@ from wernerlab.certify import (
 )
 from wernerlab.filterops import filtered_weight, rotated_filtered_state
 from wernerlab.qmat import DensityMatrix, partial_transpose
-from wernerlab.states import werner
+from wernerlab.states import haar_unitaries, werner
 from wernerlab.steer import chsh_coefficients, seesaw_bell_many
-from sequential_reference import assert_rows_bitwise_alone, fef_by_restarts, one_distillable_by_restarts
+from sequential_reference import (
+    assert_rows_bitwise_alone,
+    fef_by_restarts,
+    fef_embedding_check,
+    one_distillable_by_restarts,
+)
 
 
 def random_two_qubit(seed):
@@ -232,6 +238,32 @@ def random_state(d_a, d_b, seed):
     g = rng.standard_normal((d_a * d_b, d_a * d_b)) + 1j * rng.standard_normal((d_a * d_b, d_a * d_b))
     m = g @ g.conj().T
     return DensityMatrix(d_a, d_b, m / np.trace(m))
+
+
+# certificates that depend on the state only up to local unitaries U (x) V, per local dimension
+LU_INVARIANTS = {
+    3: {
+        "ppt_min_eig": lambda rho: ppt_min_eig(rho).value,
+        "gurvits_ball": lambda rho: gurvits_ball(rho).value,
+        "dense_coding_delta": lambda rho: dense_coding_delta(rho).value,
+    },
+    2: {"chsh_horodecki": lambda rho: chsh_horodecki(rho).value, "fef2_exact": fef2_exact},
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(rank=st.integers(1, 9), state_seed=st.integers(0, 2**32 - 1), unitary_seed=st.integers(0, 2**32 - 1))
+def test_certificates_are_local_unitary_invariant(rank, state_seed, unitary_seed):
+    for d, invariants in LU_INVARIANTS.items():
+        rng, shape = np.random.default_rng(state_seed), (d * d, min(rank, d * d))
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m = g @ g.conj().T
+        rho = DensityMatrix(d, d, m / np.trace(m).real)
+        u, v = haar_unitaries(np.random.default_rng(unitary_seed).standard_normal((2, 2, d, d)))
+        w = np.kron(u, v)
+        moved = DensityMatrix(d, d, w @ rho.mat @ w.conj().T)
+        for name, value in invariants.items():
+            assert value(moved) == pytest.approx(value(rho), rel=0, abs=1e-10), name
 
 
 LOCKSTEP_STATES = {

@@ -232,6 +232,15 @@ def test_tomo_demo_roundtrip(tmp_path, capsys):
     assert rho.dimA == rho.dimB == 3
 
 
+def test_tomo_demo_reports_a_gap_above_tol(tmp_path, capsys, monkeypatch):
+    from wernerlab import tomo
+
+    real = tomo.mle_reconstruct_with_history
+    monkeypatch.setattr(tomo, "mle_reconstruct_with_history", lambda rec, max_iter: real(rec, max_iter=10))
+    assert main(["tomo-demo", "--v", "0.2", "--shots", "5000", "--out", str(tmp_path), "--seed", "4"]) == 0
+    assert " nats, above tol after 10 tries); " in capsys.readouterr().out
+
+
 def test_solve_command(tmp_path):
     from wernerlab.extend import ExtensionQuery, build_program
     from wernerlab.solver import dump_program

@@ -16,7 +16,6 @@ from wernerlab.extend import (
     _standard_tableaux,
     build_program,
     critical_weight,
-    extension_threshold,
     run_query,
     s_k_isometries,
     symmetric_subspace_isometry,
@@ -36,7 +35,7 @@ from wernerlab.states import (
 )
 
 from lp_oracle import lp_vertex_enumeration_check, werner_lp, werner_lp_columns
-from sequential_reference import symmetric_isometry_by_multisets, trace_out
+from sequential_reference import extension_threshold, symmetric_isometry_by_multisets, trace_out
 
 SURROGATE = NoiseSpec(depol=0.06, coherent_eps=0.02, seed=2024)  # a complex, non-Werner perturbation
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wernerlab import serialize, steer
+from wernerlab import steer
 from wernerlab.cli import main
 from wernerlab.extend import (
     ExtensionQuery,
@@ -18,7 +18,7 @@ from wernerlab.extend import (
     symmetric_subspace_isometry,
 )
 from wernerlab.filterops import filter_protocol, filtered_weight, qubit_projection, replay_protocol
-from wernerlab.qmat import DensityMatrix, embed, partial_transpose
+from wernerlab.qmat import embed, partial_transpose
 from wernerlab.solver import solve
 from wernerlab.states import werner
 
@@ -46,34 +46,6 @@ def test_side_other_than_a_or_b_is_rejected_before_any_draw(entry, monkeypatch):
     monkeypatch.setattr(steer, "haar_restarts", no_draw)
     with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
         calls[entry]()
-
-
-def test_filter_json_roundtrip():
-    f = qubit_projection(3, (1, 2), "B")
-    mat, side = serialize.filter_from_json(serialize.filter_to_json(f.mat, f.side))
-    assert side == "B"
-    assert np.array_equal(mat, f.mat)
-
-
-def test_assemblage_json_roundtrip():
-    psi = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-    rho = DensityMatrix(2, 2, np.outer(psi, psi.conj()))
-    asm = steer.assemblage_from(rho, steer.mub_qubit_measurements(2), "A")
-    back = steer.assemblage_from_json(steer.assemblage_to_json(asm))
-    assert back.n_settings == 2 and back.n_outcomes == 2
-    for x in range(2):
-        for a in range(2):
-            assert np.array_equal(back.sigma[x][a], asm.sigma[x][a])
-
-
-def test_correlation_json_roundtrip():
-    rng = np.random.default_rng(0)
-    corr = steer.correlation_from(
-        werner(3, 0.2), steer.random_projective(3, 2, rng), steer.random_projective(3, 2, rng)
-    )
-    back = steer.correlation_from_json(steer.correlation_to_json(corr))
-    assert back.scenario == corr.scenario
-    assert np.allclose(back.p, corr.p, atol=1e-15)
 
 
 def test_vertex_oracle_on_tiny_nonlocal_content():

@@ -25,7 +25,7 @@ from wernerlab.solver import (
 from wernerlab.states import werner
 
 from lp_oracle import lp_vertex_enumeration_check
-from sequential_reference import assert_rows_bitwise_alone, check_by_row, solve_by_row
+from sequential_reference import assert_rows_bitwise_alone, blocks_of, check_by_row, solve_by_row
 
 
 def shifted_lp():
@@ -316,7 +316,7 @@ def test_optimal_solution_respects_cones():
     prog = spectral_norm_sdp(np.array([[0.2, 1j], [-1j, -0.4]], dtype=complex))
     sol = solve(prog, tol=1e-8)
     assert sol.status == "OPTIMAL"
-    t_val, psd_block = sol.blocks_of(prog)
+    t_val, psd_block = blocks_of(sol, prog)
     assert np.linalg.eigvalsh(psd_block)[0] >= -1e-7
     assert np.linalg.norm(prog.A @ sol.x - prog.b) / (1 + np.linalg.norm(prog.b)) <= 1e-7
 

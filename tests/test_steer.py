@@ -16,7 +16,6 @@ from wernerlab.steer import (
     Correlation,
     MeasurementSet,
     assemblage_from,
-    bell_value,
     chsh_coefficients,
     correlation_from,
     deterministic_strategies,
@@ -31,7 +30,7 @@ from wernerlab.steer import (
     steering_robustness,
 )
 
-from sequential_reference import contract, seesaw_bell_by_restarts
+from sequential_reference import bell_value, contract, seesaw_bell_by_restarts
 
 SINGLET_2MUB_SR = 3 - 2 * np.sqrt(2)  # proven optimal; see decisions ledger
 

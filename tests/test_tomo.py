@@ -17,7 +17,6 @@ from wernerlab.tomo import (
     counts_to_csv,
     expected_counts_record,
     expected_probabilities,
-    fidelity_to,
     frame_rank,
     mle_reconstruct,
     mle_reconstruct_with_history,
@@ -25,7 +24,7 @@ from wernerlab.tomo import (
     qutrit_bases,
     simulate_counts,
 )
-from sequential_reference import assert_rows_bitwise_alone, bootstrap_by_record, mle_by_record
+from sequential_reference import assert_rows_bitwise_alone, bootstrap_by_record, fidelity_to, mle_by_record
 
 
 def test_qutrit_basis_vectors():
@@ -78,6 +77,14 @@ def test_mle_noiseless_fixed_point():
     assert uhlmann_fidelity(rho, w) >= 0.9999
     assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
     assert history.gap <= 0.1 and not history.capped
+
+
+def test_stalled_row_leaves_before_its_cap():
+    # on this record every try after the first few dozen moves mu by rounding only; without the
+    # stall exit the row ran all 20,000 tries (5 s) and reported a gap of 0.013797006 nats
+    ((_, history),) = tomo.mle_reconstruct_many([expected_counts_record(werner(3, 0), 10**6)], max_iter=20000, tol=0.01)
+    assert history.tries <= 100 and history.capped
+    assert history.gap == pytest.approx(0.013797006, abs=1e-8)
 
 
 def test_mle_monotone_likelihood_with_poisson_noise():
@@ -227,10 +234,10 @@ def test_stacked_mle_matches_sequential_reference(name):
     max_iter, tol = 80, 0.1
     mats, histories, gaps = mle_rows(records, max_iter, tol)
     for rec, mat, history, gap in zip(records, mats, histories, gaps):
-        rho, want, want_gap = mle_by_record(rec, max_iter=max_iter, tol=tol)
+        rho, want = mle_by_record(rec, max_iter=max_iter, tol=tol)
         assert mat.tobytes() == rho.mat.tobytes()
         assert np.array(history).tobytes() == np.array(want).tobytes()
-        assert gap == want_gap
+        assert (gap, history.capped, history.tries) == (want.gap, want.capped, want.tries)
         assert history.capped == (gap > tol)
     assert_rows_bitwise_alone(lambda recs: mle_rows(recs, max_iter, tol), (records,))
     if name == "qutrit9":
@@ -245,9 +252,9 @@ def test_reported_gap_bounds_the_likelihood_left(name):
     for rec, (_, history) in zip(records, out):
         assert history.gap <= 0.1 and not history.capped
         # far past the stop: the reference's last log-likelihood is within 1e-4 nats of the maximum
-        _, far, far_gap = mle_by_record(rec, max_iter=3000, tol=1e-4)
+        _, far = mle_by_record(rec, max_iter=3000, tol=1e-4)
         total = rec.counts.sum()
-        assert far_gap <= 1e-4
+        assert far.gap <= 1e-4
         assert total * (far[-1] - history[-1]) <= history.gap + 1e-12 * total
     assert_rows_bitwise_alone(lambda recs: mle_rows(recs, 5000, 0.1), (records,))
 
@@ -263,7 +270,7 @@ def test_reported_gap_is_a_bound_on_random_records(frame, v, shots, seed):
     rho = werner(3, v) if frame == "qutrit9" else rotated_filtered_state(v)
     rec = simulate_counts(rho, shots, seed, frame=tomo.frame_for(frame))
     ((_, history),) = tomo.mle_reconstruct_many([rec])
-    _, far, _ = mle_by_record(rec, max_iter=3000, tol=1e-4)
+    _, far = mle_by_record(rec, max_iter=3000, tol=1e-4)
     total = rec.counts.sum()
     assert history.capped == (history.gap > 0.1)
     assert total * (far[-1] - history[-1]) <= history.gap + 1e-12 * total
