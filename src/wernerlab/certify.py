@@ -11,6 +11,10 @@ threshold and a verdict.  Verdict semantics, per certificate:
 * ``chsh``           PASS = CHSH violation (exact for two qubits); FAIL = none possible.
 * ``dense_coding``   PASS = dense-codable (delta > 0); FAIL = not (delta is exact).
 
+A witness holds the arrays the search found: ``one_distillable``'s Schmidt-rank-2
+``psi``, ``fef``'s ``unitary``, and ``chsh``'s ``singular_values`` with the
+``alice_plane`` and ``bob_plane`` rows that span the optimal measurement planes.
+
 Lockstep.  The package's multi-start searches -- ``one_distillable`` and
 ``fef`` here, the Bell and steering see-saws of :mod:`~wernerlab.steer` -- and
 its MLE (:func:`~wernerlab.tomo.mle_reconstruct_many`) run their rows in
@@ -32,7 +36,6 @@ SDPs inside the steering see-saw stack the same way in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,28 +55,9 @@ class Certificate:
     value: float
     threshold: float
     verdict: str
-    witness: dict | None = None
+    witness: dict[str, np.ndarray] | None = None
     seed: int | None = None
     restarts: int | None = None
-
-    def to_json(self) -> str:
-        obj = {
-            "name": self.name,
-            "value": self.value,
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-        }
-        if self.witness is not None:
-            obj["witness"] = self.witness
-        if self.seed is not None:
-            obj["seed"] = self.seed
-        if self.restarts is not None:
-            obj["restarts"] = self.restarts
-        return json.dumps(obj)
-
-
-def _mat_witness(m: np.ndarray) -> list[list[list[float]]]:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(m)]
 
 
 def ppt_min_eig(rho: DensityMatrix) -> Certificate:
@@ -141,8 +125,7 @@ def one_distillable_many(rhos: list[DensityMatrix], seeds: list[int], restarts: 
         best_val = float(val[best])
         best_psi = (qmat.embed(va[best], d_b, "A") @ psi[best]).ravel()
         verdict = PASS if best_val < -1e-6 else INCONCLUSIVE
-        witness = {"psi": _mat_witness(best_psi)}
-        certs.append(Certificate("one_distillable", best_val, 0.0, verdict, witness, seed, restarts))
+        certs.append(Certificate("one_distillable", best_val, 0.0, verdict, {"psi": best_psi}, seed, restarts))
     return certs
 
 
@@ -245,8 +228,7 @@ def fef_many(rhos: list[DensityMatrix], seeds: list[int], restarts: int = 32) ->
     for seed, best in zip(seeds, grid_best(f, restarts, np.argmax)):
         best_f = float(f[best])
         verdict = PASS if best_f > 1.0 / d + 1e-9 else INCONCLUSIVE
-        witness = {"unitary": _mat_witness(u[best])}
-        certs.append(Certificate("fef", best_f, 1.0 / d, verdict, witness, seed, restarts))
+        certs.append(Certificate("fef", best_f, 1.0 / d, verdict, {"unitary": u[best]}, seed, restarts))
     return certs
 
 
@@ -295,11 +277,7 @@ def chsh_horodecki(rho: DensityMatrix) -> Certificate:
     u, s, vdag = np.linalg.svd(t)
     value = float(2.0 * np.sqrt(s[0] ** 2 + s[1] ** 2))
     verdict = PASS if value > 2.0 + 1e-9 else FAIL
-    witness = {
-        "singular_values": [float(x) for x in s],
-        "alice_plane": _mat_witness(u[:, :2].T),
-        "bob_plane": _mat_witness(vdag[:2]),
-    }
+    witness = {"singular_values": s, "alice_plane": u[:, :2].T, "bob_plane": vdag[:2]}
     return Certificate("chsh", value, 2.0, verdict, witness)
 
 

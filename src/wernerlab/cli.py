@@ -513,22 +513,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
     """Parse argv again with a JSON config's values as the subcommand's defaults, so that
-    argparse decides which flags were given and those keep priority, abbreviated or not."""
+    argparse decides which flags were given and those keep priority, abbreviated or not.
+    Raises ValueError on a key (dashes read as underscores) that is not one of the
+    subcommand's options."""
     if not getattr(args, "config", None):
         return args
     config = json.loads(Path(args.config).read_text())
+    parser = build_parser()
+    (sub,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    command = sub.choices[args.command]
+    options = {action.dest for action in command._actions if action.option_strings and action.dest != "help"}
     defaults = {}
     for key, val in config.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr):
-            if attr in ("v_grid", "d_grid") and isinstance(val, str):
-                val = parse_grid(val)
-            if attr == "k_list" and isinstance(val, str):
-                val = [int(x) for x in val.split(",")]
-            defaults[attr] = val
-    parser = build_parser()
-    (sub,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-    sub.choices[args.command].set_defaults(**defaults)
+        if attr not in options:
+            raise ValueError(f"unknown config key {key!r}")
+        if attr in ("v_grid", "d_grid") and isinstance(val, str):
+            val = parse_grid(val)
+        if attr == "k_list" and isinstance(val, str):
+            val = [int(x) for x in val.split(",")]
+        defaults[attr] = val
+    command.set_defaults(**defaults)
     return parser.parse_args(argv)
 
 

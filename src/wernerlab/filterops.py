@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DensityMatrix, as_state, check_side, dagger, embed, kron, svd
+from .qmat import DensityMatrix, as_state, check_side, dagger, embed, kron
 
 NORM_TOL = 1e-10
 
@@ -118,7 +118,7 @@ def filter_protocol(f: FilterOperator) -> FilterProtocol:
     top = np.linalg.norm(m, 2)
     if abs(top - 1.0) > 1e-8:
         m = m / top
-    u, s, vdag = svd(m)
+    u, s, vdag = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=True)
     kept = tuple(i for i, si in enumerate(s) if si > 1e-12)
     return FilterProtocol(
         pre_unitary=vdag,

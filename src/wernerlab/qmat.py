@@ -152,12 +152,6 @@ def partial_transpose_dims(mat: np.ndarray, dims: list[int], subsystems: list[in
     return np.transpose(t, perm).reshape(d, d).copy()
 
 
-def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition M = U diag(s) Vdag with s descending."""
-    u, s, vdag = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=True)
-    return u, s, vdag
-
-
 def von_neumann_entropy(rho: np.ndarray | DensityMatrix) -> float:
     """Von Neumann entropy in bits; eigenvalues below 1e-12 contribute zero."""
     m = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)

@@ -2,8 +2,7 @@
 
 States travel as ``{"dimA": .., "dimB": .., "entries": [[re, im], ...]}``
 in row-major order.  Python's float repr is shortest-round-trip, so dumps
-are lossless at 17 significant digits.  Certificates serialize in
-``certify.Certificate.to_json``.
+are lossless at 17 significant digits.
 """
 
 from __future__ import annotations

@@ -355,11 +355,16 @@ class Family:
     def solve_many(self, b: np.ndarray, tol: float = 1e-7, max_iter: int = 200000) -> list[ConicSolution]:
         """The solution of the family's program for each row of an (R, m) stack of right-hand
         sides, every step, the exit test included, acting on the whole stack as the module
-        docstring describes.  Raises ValueError unless b is a finite (R, m) array."""
+        docstring describes.  Raises ValueError unless b is a finite (R, m) array, ``tol`` is
+        finite and positive and ``max_iter`` is at least 1."""
         b = np.asarray(b, dtype=float)
         n, m = self.at.shape
         if b.ndim != 2 or b.shape[1] != m or not np.all(np.isfinite(b)):
             raise ValueError(f"b must be a finite (R, {m}) array, got shape {b.shape}")
+        if not (np.isfinite(tol) and tol > 0):
+            raise ValueError("tol must be finite and positive")
+        if max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         norm = np.sqrt(np.vecdot(b, b))
         beta, bnorm = 1.0 / np.maximum(norm, 1e-6), 1.0 + norm
         g, mg, mtg, denom = self.b_vectors(b * beta[:, None])

@@ -37,10 +37,9 @@ from .states import haar_restarts, haar_unitaries
 MAX_LAMBDA = 4096
 
 
-def _min_eigenvalues(ops) -> np.ndarray:
+def _min_eigenvalues(ops: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the Hermitian part of each operator of a (..., d, d) stack, in one call."""
-    stack = np.asarray(ops)
-    return np.linalg.eigvalsh((stack + dagger(stack)) / 2)[..., 0]
+    return np.linalg.eigvalsh((ops + dagger(ops)) / 2)[..., 0]
 
 
 def _check_effects(effects: np.ndarray) -> None:
@@ -60,27 +59,32 @@ def _check_effects(effects: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """POVMs M_{a|x}: effects[x][a] are d x d PSD operators summing to the identity."""
+    """POVMs M_{a|x}: ``effects[x, a]`` of an (x, a, d, d) complex array are d x d PSD
+    operators summing to the identity over a.  Nested sequences are stacked into one."""
 
-    effects: tuple[tuple[np.ndarray, ...], ...]
+    effects: np.ndarray
 
     def __post_init__(self):
-        d = self.effects[0][0].shape[0]
-        if any(eff.shape != (d, d) for setting in self.effects for eff in setting):
+        try:
+            effects = np.asarray(self.effects, dtype=complex)
+        except ValueError:  # ragged
+            effects = np.empty(0)
+        if effects.ndim != 4 or effects.shape[-1] != effects.shape[-2]:
             raise ValueError("all effects must share one dimension")
-        _check_effects(np.asarray(self.effects))
+        _check_effects(effects)
+        object.__setattr__(self, "effects", effects)
 
     @property
     def n_settings(self) -> int:
-        return len(self.effects)
+        return self.effects.shape[0]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.effects[0])
+        return self.effects.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.effects[0][0].shape[0]
+        return self.effects.shape[-1]
 
 
 def _effects_from_unitaries(u: np.ndarray, n_outcomes: int) -> np.ndarray:
@@ -97,7 +101,7 @@ def _effects_from_unitaries(u: np.ndarray, n_outcomes: int) -> np.ndarray:
 def projective_from_unitaries(unitaries: list[np.ndarray]) -> MeasurementSet:
     """Rank-1 projective measurements onto the rotated computational bases."""
     u = np.asarray(unitaries)
-    return MeasurementSet(tuple(map(tuple, _effects_from_unitaries(u, u.shape[-1]))))
+    return MeasurementSet(_effects_from_unitaries(u, u.shape[-1]))
 
 
 def random_projective(d: int, n_settings: int, rng: np.random.Generator) -> MeasurementSet:
@@ -109,8 +113,8 @@ def random_grouped_projective(
 ) -> MeasurementSet:
     """Projective measurements with fewer outcomes than levels: rank-1 pieces
     of a Haar-rotated basis grouped round-robin into ``n_outcomes`` effects."""
-    effects = _effects_from_unitaries(haar_unitaries(rng.standard_normal((n_settings, 2, d, d))), n_outcomes)
-    return MeasurementSet(tuple(map(tuple, effects)))
+    u = haar_unitaries(rng.standard_normal((n_settings, 2, d, d)))
+    return MeasurementSet(_effects_from_unitaries(u, n_outcomes))
 
 
 def mub_qubit_measurements(n_settings: int = 2) -> MeasurementSet:
@@ -123,36 +127,37 @@ def mub_qubit_measurements(n_settings: int = 2) -> MeasurementSet:
 
 @dataclass(frozen=True)
 class Assemblage:
-    """Sub-normalized conditional states sigma[x][a] left on the unmeasured side."""
+    """Sub-normalized conditional states ``sigma[x, a]`` left on the unmeasured side, an
+    (x, a, d, d) complex array.  Nested sequences are stacked into one."""
 
-    sigma: tuple[tuple[np.ndarray, ...], ...]
+    sigma: np.ndarray
 
     def __post_init__(self):
-        psd = _min_eigenvalues([s for setting in self.sigma for s in setting]) >= -1e-9
-        reduced, pos = None, 0
-        for setting in self.sigma:
-            tot = sum(setting)
-            if reduced is None:
-                reduced = tot
-            elif np.max(np.abs(tot - reduced)) > 1e-8:
+        sigma = np.asarray(self.sigma, dtype=complex)
+        marginals = sigma.sum(axis=1)
+        # the first failing setting, in order, decides which check reports
+        signals = np.max(np.abs(marginals - marginals[0]), axis=(-2, -1)) > 1e-8
+        not_psd = ~np.all(_min_eigenvalues(sigma) >= -1e-9, axis=-1)
+        bad = np.flatnonzero(signals | not_psd)
+        if bad.size:
+            if signals[bad[0]]:
                 raise ValueError("assemblage signals: setting marginals differ")
-            if not psd[pos : pos + len(setting)].all():
-                raise ValueError("conditional state is not PSD within 1e-9")
-            pos += len(setting)
-        if abs(np.trace(reduced).real - 1.0) > 1e-9:
+            raise ValueError("conditional state is not PSD within 1e-9")
+        if abs(np.trace(marginals[0]).real - 1.0) > 1e-9:
             raise ValueError("assemblage is not normalized")
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def n_settings(self) -> int:
-        return len(self.sigma)
+        return self.sigma.shape[0]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.sigma[0])
+        return self.sigma.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.sigma[0][0].shape[0]
+        return self.sigma.shape[-1]
 
 
 def _tensor(rho: DensityMatrix) -> np.ndarray:
@@ -176,7 +181,7 @@ def assemblage_from(rho: DensityMatrix, meas: MeasurementSet, steering_side: str
     check_side(steering_side)
     if meas.dim != (rho.dimA if steering_side == "A" else rho.dimB):
         raise ValueError(f"measurement dimension does not match side {steering_side}")
-    return Assemblage(tuple(map(tuple, _contract(_tensor(rho), np.asarray(meas.effects), steering_side))))
+    return Assemblage(_contract(_tensor(rho), meas.effects, steering_side))
 
 
 @lru_cache(maxsize=32)
@@ -193,10 +198,15 @@ def _response_table(n_settings: int, n_outcomes: int) -> np.ndarray:
 
 @dataclass
 class SRResult:
+    """``duals[x, a]`` is F_{a|x}, an (x, a, d, d) complex array; nested sequences are stacked."""
+
     value: float
     gap: float
     status: str
-    duals: tuple[tuple[np.ndarray, ...], ...]  # F_{a|x} per [x][a]
+    duals: np.ndarray
+
+    def __post_init__(self):
+        self.duals = np.asarray(self.duals, dtype=complex)
 
 
 @lru_cache(maxsize=16)
@@ -224,14 +234,9 @@ def _sr_duals(y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def sr_solve(assemblage: Assemblage, tol: float = 1e-7, max_iter: int = 200000) -> SRResult:
     """Steering robustness SDP with its dual steering functional."""
-    sigma = np.asarray(assemblage.sigma)
+    sigma = assemblage.sigma
     sol = solve(ConicProgram(*_sr_program(*sigma.shape[:3]), vec_real(sigma).ravel()), tol=tol, max_iter=max_iter)
-    return SRResult(
-        value=float(sol.primal_obj) - 1.0,
-        gap=sol.gap,
-        status=sol.status,
-        duals=tuple(map(tuple, _sr_duals(sol.y, sigma.shape[:3]))),
-    )
+    return SRResult(float(sol.primal_obj) - 1.0, sol.gap, sol.status, _sr_duals(sol.y, sigma.shape[:3]))
 
 
 def steering_robustness(assemblage: Assemblage, tol: float = 1e-7) -> float:
@@ -340,8 +345,7 @@ def sr_state_lower_bound(
     (row,) = grid_best(value, restarts, np.argmax)
     if value[row] <= 0.0:
         return SRLowerBound(0.0, value[kept].tolist())
-    meas = MeasurementSet(tuple(map(tuple, effects[row])))
-    return SRLowerBound(float(value[row]), value[kept].tolist(), meas, float(gap[row]))
+    return SRLowerBound(float(value[row]), value[kept].tolist(), MeasurementSet(effects[row]), float(gap[row]))
 
 
 @dataclass(frozen=True)
@@ -383,7 +387,7 @@ def correlation_from(rho: DensityMatrix, meas_a: MeasurementSet, meas_b: Measure
     """P(a,b|x,y) = tr[rho M_{a|x} (x) M_{b|y}]."""
     if meas_a.dim != rho.dimA or meas_b.dim != rho.dimB:
         raise ValueError("measurement dimensions do not match the state")
-    return Correlation(_correlations(_tensor(rho), np.asarray(meas_a.effects), np.asarray(meas_b.effects)))
+    return Correlation(_correlations(_tensor(rho), meas_a.effects, meas_b.effects))
 
 
 def nonlocal_content(corr: Correlation, tol: float = 1e-9) -> float:

@@ -170,7 +170,7 @@ def fef_by_restarts(rho, restarts, seed):
 
 def _bell_response(rho, coefficients, other_meas, side):
     table = coefficients if side == "A" else coefficients.transpose(1, 0, 3, 2)
-    ops = np.einsum("xyab,ybij->xaij", table, np.asarray(other_meas.effects))
+    ops = np.einsum("xyab,ybij->xaij", table, other_meas.effects)
     return _contract(_tensor(rho), ops, "B" if side == "A" else "A")
 
 
@@ -182,7 +182,7 @@ def _best_povm_update(meas, response):
             pos = (q * (w > 0)) @ dagger(q)
             settings.append((pos, np.eye(g0.shape[0], dtype=complex) - pos))
         return MeasurementSet(tuple(settings))
-    return MeasurementSet(tuple(map(tuple, _update_measurements(np.asarray(meas.effects), response))))
+    return MeasurementSet(_update_measurements(meas.effects, response))
 
 
 def seesaw_bell_by_restarts(rho, coefficients, restarts, seed):

@@ -127,6 +127,17 @@ def test_config_file_with_flag_priority(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["global_seed"] == 5
 
 
+@pytest.mark.parametrize("key", ["func", "restart", "command", "max-iter"])
+def test_config_file_rejects_unknown_keys(tmp_path, capsys, key):
+    # func and command are parsed attributes, not options; restart is a typo; max-iter is solve's
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"v-grid": "0", key: 4}))
+    out = tmp_path / "run"
+    assert main(["sweep", "--task", "ppt", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+    assert not out.exists()
+
+
 def test_grid_tasks_write_the_bytes_of_a_loop_over_solo_calls(tmp_path):
     argv = ["sweep", "--task", "fef,distill,chsh", "--v-grid", "0:0.25:0.5", "--restarts", "4", "--out", str(tmp_path)]
     assert main(argv) == 0
@@ -250,6 +261,18 @@ def test_solve_command(tmp_path):
     prog_file.write_text(dump_program(build_program(ExtensionQuery(werner(2, 0.0), 2, "B", "SE"))))
     assert main(["solve", "--program", str(prog_file), "--tol", "1e-8"]) == 0
     assert main(["solve", "--program", str(tmp_path / "missing.prog")]) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--tol", "nan"], "tol must be"), (["--tol", "inf"], "tol must be"), (["--max-iter", "0"], "max_iter must be")],
+)
+def test_solve_command_rejects_bad_stopping_rules(tmp_path, capsys, flags, message):
+    prog_file = tmp_path / "lp.prog"
+    prog_file.write_text("\n".join(shifted_lp_dump_lines()) + "\n")
+    assert main(["solve", "--program", str(prog_file), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and "status:" not in captured.out
 
 
 def shifted_lp_dump_lines():

@@ -112,33 +112,6 @@ def test_partial_transpose_werner_min_eig():
     assert np.linalg.eigvalsh(w_half)[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_svd_basic():
-    _, s, _ = qmat.svd(np.eye(2))
-    assert np.allclose(s, [1, 1])
-    _, s, _ = qmat.svd(np.diag([3.0, 0.0]))
-    assert np.allclose(s, [3, 0])
-
-
-def test_svd_row_selector():
-    # oracle: Pi2 Pi2^dag = I_2, so both singular values are 1
-    pi2 = np.eye(3)[[1, 2], :]
-    assert np.allclose(pi2 @ pi2.T, np.eye(2))
-    _, s, _ = qmat.svd(pi2)
-    assert np.allclose(s, [1, 1], atol=1e-12)
-
-
-def test_svd_reconstruction_and_norm():
-    rng = np.random.default_rng(9)
-    m = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
-    u, s, vdag = qmat.svd(m)
-    sigma = np.zeros((4, 7))
-    sigma[np.arange(4), np.arange(4)] = s
-    assert np.linalg.norm(u @ sigma @ vdag - m) <= 1e-9 * np.linalg.norm(m)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
-    assert np.max(np.abs(vdag @ vdag.conj().T - np.eye(7))) < 1e-10
-    assert np.linalg.norm(m, 2) == pytest.approx(s[0], abs=1e-12)
-
-
 def test_entropy_pure_and_mixed():
     psi = np.zeros(4)
     psi[0] = 1

@@ -519,6 +519,23 @@ def test_family_rejects_bad_right_hand_sides():
             family.solve_many(b)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tol": np.inf}, "tol must be finite and positive"),
+        ({"tol": np.nan}, "tol must be finite and positive"),
+        ({"tol": -1.0}, "tol must be finite and positive"),
+        ({"tol": 0.0}, "tol must be finite and positive"),
+        ({"max_iter": 0}, "max_iter must be at least 1"),
+    ],
+)
+def test_solve_rejects_bad_stopping_rules(monkeypatch, kwargs, message):
+    prog = captured_sr_program(1)
+    monkeypatch.setattr(solver.Family, "kkt", lambda *args: pytest.fail("iterated"))
+    with pytest.raises(ValueError, match=message):
+        solve(prog, **kwargs)
+
+
 def test_solve_many_matches_solo_solves_bitwise():
     # SR programs at d = 3 (2 settings) and d = 2 (3 settings); the d = 2 batch mixes exits
     # at 50 and 250 iterations, so rows leave the stack while others iterate on

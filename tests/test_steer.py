@@ -318,9 +318,7 @@ def test_assemblage_side_b_is_side_a_of_swapped_state(dims, seed):
     meas = random_projective(dims[1], 2, np.random.default_rng(seed))
     side_b = assemblage_from(rho, meas, "B")
     side_a = assemblage_from(swapped(rho), meas, "A")
-    for row_b, row_a in zip(side_b.sigma, side_a.sigma):
-        for sig_b, sig_a in zip(row_b, row_a):
-            assert np.max(np.abs(sig_b - sig_a)) < 1e-14
+    assert np.max(np.abs(side_b.sigma - side_a.sigma)) < 1e-14
     with pytest.raises(ValueError, match="dimension"):
         assemblage_from(rho, random_projective(4, 1, np.random.default_rng(seed)), "B")
 
@@ -563,8 +561,7 @@ def test_lockstep_seesaw_matches_single_restarts(state, side, max_rounds):
     # the first restart with the best value supplies the measurements and the gap
     first = next(single for single in singles if single.per_restart == [res.best])
     assert res.best_gap == first.best_gap
-    for got, want in zip(res.best_measurements.effects, first.best_measurements.effects):
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.array_equal(res.best_measurements.effects, first.best_measurements.effects)
     if max_rounds == 1:
         # the cut-off binds: some restart was still improving after its first round
         longer = sr_state_lower_bound(rho, 2, restarts=restarts, seed=seed, steering_side=side, max_rounds=30)
@@ -617,7 +614,7 @@ def test_seesaw_kernels_match_loop_reference(d_a, d_b, side):
     rho = random_state(d_a, d_b, 17 * d_a + d_b)
     d = d_a if side == "A" else d_b
     other = "B" if side == "A" else "A"
-    effects = np.array([np.asarray(random_projective(d, 2, rng).effects) for _ in range(3)])
+    effects = np.array([random_projective(d, 2, rng).effects for _ in range(3)])
     sigma = steer._contract(steer._tensor(rho), effects, side)
     want = [[[contract(rho, e, side) for e in setting] for setting in restart] for restart in effects]
     assert np.allclose(sigma, want, rtol=0, atol=1e-14)
@@ -647,7 +644,7 @@ def correlation_by_loops(rho, meas_a, meas_b):
 def bell_response_by_loops(rho, coefficients, other_meas, side):
     """G_{a|x} one partial contraction per (x, a)."""
     table = coefficients if side == "A" else coefficients.transpose(1, 0, 3, 2)
-    effects = np.asarray(other_meas.effects)
+    effects = other_meas.effects
     other = "B" if side == "A" else "A"
     return np.array(
         [
@@ -669,12 +666,12 @@ def test_bell_kernels_match_loop_reference(d_a, d_b, n_oa, n_ob):
     coefficients = rng.standard_normal((2, 3, n_oa, n_ob))
     for side, other_meas in (("A", meas_b), ("B", meas_a)):
         want = bell_response_by_loops(rho, coefficients, other_meas, side)
-        got = steer._bell_response(steer._tensor(rho), coefficients, np.asarray(other_meas.effects), side)
+        got = steer._bell_response(steer._tensor(rho), coefficients, other_meas.effects, side)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0, atol=1e-14)
     # sum_ax tr(M_{a|x} G_{a|x}) is the Bell value
-    response_a = steer._bell_response(steer._tensor(rho), coefficients, np.asarray(meas_b.effects), "A")
-    value = sum(np.trace(meas_a.effects[x][a] @ response_a[x][a]).real for x in range(2) for a in range(n_oa))
+    response_a = steer._bell_response(steer._tensor(rho), coefficients, meas_b.effects, "A")
+    value = sum(np.trace(meas_a.effects[x, a] @ response_a[x, a]).real for x in range(2) for a in range(n_oa))
     assert value == pytest.approx(bell_value(Correlation(p), coefficients), abs=1e-12)
 
 
@@ -722,6 +719,23 @@ def test_batched_validation_keeps_messages_and_order():
         Assemblage((tuple(sigma[0]), (sigma[1][0] + shift, sigma[1][1] + shift)))
     with pytest.raises(ValueError, match="normalized"):
         Assemblage(tuple(tuple(2 * s for s in setting) for setting in sigma))
+
+
+def test_nested_sequences_stack_into_the_array_form():
+    meas = mub_qubit_measurements(3)
+    nested = MeasurementSet(tuple(tuple(e for e in setting) for setting in meas.effects))
+    assert nested.effects.shape == (3, 2, 2, 2) and nested.effects.dtype == complex
+    assert np.array_equal(nested.effects, meas.effects)
+    asm = assemblage_from(singlet(), meas, "A")
+    nested = Assemblage(tuple(tuple(s for s in setting) for setting in asm.sigma))
+    assert np.array_equal(nested.sigma, asm.sigma) and nested.sigma.dtype == complex
+    assert (nested.n_settings, nested.n_outcomes, nested.dim) == (meas.n_settings, meas.n_outcomes, meas.dim) == (3, 2, 2)
+    res = sr_solve(asm)
+    assert res.duals.shape == (3, 2, 2, 2) and res.duals.dtype == complex
+    # real entries stack as complex; an effect that is not square cannot share the dimension
+    assert MeasurementSet(np.real(meas.effects[:2])).effects.dtype == complex
+    with pytest.raises(ValueError, match="one dimension"):
+        MeasurementSet(np.zeros((1, 2, 2, 3)))
 
 
 BELL_CASES = {
@@ -781,7 +795,7 @@ def test_stacked_effect_check_matches_measurement_set():
             steer._check_effects(broken)
         row = 2 if broken is not_psd else 1
         with pytest.raises(ValueError, match=message):
-            MeasurementSet(tuple(map(tuple, broken[row])))
+            MeasurementSet(broken[row])
     # the first failing setting in row order decides, as within one MeasurementSet
     both = not_psd.copy()
     both[1] = not_normalised[1]
