@@ -221,29 +221,21 @@ def run_sweep(args) -> int:
     return 0
 
 
-def run_replay(args) -> int:
-    """Re-run a manifest's command into a temporary directory and compare its CSV digests.
+def run_replay(parser: argparse.ArgumentParser, args) -> int:
+    """Re-run a manifest's command into a temporary directory, with its recorded args as
+    defaults (the ``--config`` path), and compare its CSV digests.
 
     The recorded outputs and manifest are left as they are, whatever the outcome."""
     manifest = json.loads(Path(args.replay).read_text())
-    stored = manifest["args"]
-    new_argv = [manifest["command"]]
-    for key, val in stored.items():
-        if key == "out":
-            continue
-        if isinstance(val, bool):
-            if val:
-                new_argv.append(f"--{key.replace('_', '-')}")
-            continue
-        if isinstance(val, list):
-            val = ",".join(str(x) for x in val)
-        new_argv.extend([f"--{key.replace('_', '-')}", str(val)])
+    command, recorded = manifest["command"], manifest["args"]
     with tempfile.TemporaryDirectory() as scratch:
-        try:
-            code = main(new_argv + ["--out", scratch])
-        except SystemExit:  # argparse rejected the stored arguments; exit 2 is the --strict verdict code
-            print(f"cannot replay: the manifest's {manifest['command']!r} arguments do not parse", file=sys.stderr)
+        argv = [command, "--out", scratch]
+        try:  # a null would read as "no values", so it goes in as the non-object it is
+            rerun = _apply_config(parser, parser.parse_args(argv), argv, [] if recorded is None else recorded)
+        except (SystemExit, ValueError):  # argparse exits 2, but 2 is the --strict verdict code
+            print(f"cannot replay: the manifest's {command!r} arguments do not parse", file=sys.stderr)
             return 1
+        code = rerun.func(rerun)
         if code != 0:
             return code
         fresh = json.loads((Path(scratch) / "manifest.json").read_text())
@@ -287,7 +279,9 @@ def run_pipeline(args) -> int:
     recon, history = tomo.mle_reconstruct_with_history(counts, max_iter=3000)
 
     ppt = certify.ppt_min_eig(recon)
-    _, ppt_std = tomo.bootstrap_error(counts, "ppt_min_eig", n_boot=args.bootstrap, seed=seed ^ 2)
+    _, ppt_std = tomo.bootstrap_error(
+        counts, lambda rho: certify.ppt_min_eig(rho).value, n_boot=args.bootstrap, seed=seed ^ 2
+    )
     distill = certify.one_distillable(recon, restarts=args.restarts, seed=seed ^ 3)
     fef_cert = certify.fef(recon, restarts=max(args.restarts // 2, 4), seed=seed ^ 4)
     dc_before = certify.dense_coding_delta(recon)
@@ -306,7 +300,9 @@ def run_pipeline(args) -> int:
     counts_f = tomo.simulate_counts(filtered, args.shots, seed ^ 6, frame=tomo.qubit_bases())
     recon_f, history_f = tomo.mle_reconstruct_with_history(counts_f, max_iter=3000)
     chsh = certify.chsh_horodecki(recon_f)
-    _, chsh_std = tomo.bootstrap_error(counts_f, "chsh", n_boot=args.bootstrap, seed=seed ^ 7)
+    _, chsh_std = tomo.bootstrap_error(
+        counts_f, lambda rho: certify.chsh_horodecki(rho).value, n_boot=args.bootstrap, seed=seed ^ 7
+    )
     f2 = certify.fef2_exact(recon_f)
     dc_after = certify.dense_coding_delta(recon_f)
     gurvits_after = certify.gurvits_ball(recon_f)
@@ -511,28 +507,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    """Parse argv again with a JSON config's values as the subcommand's defaults, so that
-    argparse decides which flags were given and those keep priority, abbreviated or not.
-    Raises ValueError on a key (dashes read as underscores) that is not one of the
-    subcommand's options."""
-    if not getattr(args, "config", None):
-        return args
-    config = json.loads(Path(args.config).read_text())
-    parser = build_parser()
+def _apply_config(parser: argparse.ArgumentParser, args, argv: list[str], values=None) -> argparse.Namespace:
+    """Parse argv again with ``values`` as the subcommand's defaults, so that argparse
+    decides which flags were given and those keep priority, abbreviated or not.
+
+    ``values`` is a manifest's recorded args on replay.  When it is None, the values are
+    the ``--config`` file's JSON, and without that file args come back as they are.  A
+    string value goes through its option's type, as on the command line.  Raises
+    ValueError unless the values are an object whose keys (dashes read as underscores)
+    are all options of the subcommand."""
+    if values is None:
+        if not getattr(args, "config", None):
+            return args
+        values = json.loads(Path(args.config).read_text())
+    if not isinstance(values, dict):
+        raise ValueError("--config must hold a JSON object")
     (sub,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
     command = sub.choices[args.command]
-    options = {action.dest for action in command._actions if action.option_strings and action.dest != "help"}
+    options = {action.dest: action for action in command._actions if action.option_strings and action.dest != "help"}
     defaults = {}
-    for key, val in config.items():
-        attr = key.replace("-", "_")
-        if attr not in options:
+    for key, val in values.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        if attr in ("v_grid", "d_grid") and isinstance(val, str):
-            val = parse_grid(val)
-        if attr == "k_list" and isinstance(val, str):
-            val = [int(x) for x in val.split(",")]
-        defaults[attr] = val
+        defaults[action.dest] = action.type(val) if isinstance(val, str) and action.type else val
     command.set_defaults(**defaults)
     return parser.parse_args(argv)
 
@@ -542,9 +540,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, argv)
+        args = _apply_config(parser, args, argv)
         if getattr(args, "replay", None):
-            return run_replay(args)
+            return run_replay(parser, args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,7 +33,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import certify
 from .qmat import DensityMatrix, as_state, dagger
 
 
@@ -493,14 +492,6 @@ def mle_reconstruct_many(
     return out
 
 
-STATISTICS = {
-    "ppt_min_eig": lambda rho: certify.ppt_min_eig(rho).value,
-    "chsh": lambda rho: certify.chsh_horodecki(rho).value,
-    "fef2": certify.fef2_exact,
-    "dense_coding": lambda rho: certify.dense_coding_delta(rho).value,
-}
-
-
 def bootstrap_error(
     record: CountsRecord,
     statistic,
@@ -511,19 +502,17 @@ def bootstrap_error(
 ) -> tuple[float, float]:
     """Mean and standard deviation of a statistic over Poisson-resampled counts.
 
-    ``statistic`` is a certificate name from :data:`STATISTICS` or any callable
-    mapping a reconstructed state to a float.  Each resample is reconstructed
+    ``statistic`` maps a reconstructed state to a float.  Each resample is reconstructed
     to a certified gap of ``tol`` nats per record, as one stack.
     """
     if n_boot < 10:
         raise ValueError("need at least 10 bootstrap resamples")
-    fn = STATISTICS[statistic] if isinstance(statistic, str) else statistic
     rng = np.random.default_rng(seed)
     resamples = [
         CountsRecord(rng.poisson(record.counts), record.shots, record.seed, record.frame_name, record.state_tag)
         for _ in range(n_boot)
     ]
-    arr = np.asarray([fn(rho) for rho, _ in mle_reconstruct_many(resamples, max_iter=max_iter, tol=tol)])
+    arr = np.asarray([statistic(rho) for rho, _ in mle_reconstruct_many(resamples, max_iter=max_iter, tol=tol)])
     return float(arr.mean()), float(arr.std(ddof=1))
 
 
@@ -554,6 +543,8 @@ def counts_from_csv(csv_text: str, metadata_json: str) -> CountsRecord:
     header = lines[0].split(",")
     if tuple(header[1:]) != frame.labels:
         raise ValueError("CSV header does not match the frame labels")
+    if len(lines) - 1 != len(frame.labels):
+        raise ValueError(f"CSV has {len(lines) - 1} count rows; the {meta['frame']!r} frame has {len(frame.labels)}")
     rows = []
     for label, line in zip(frame.labels, lines[1:]):
         cells = line.split(",")

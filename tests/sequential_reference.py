@@ -44,7 +44,6 @@ from wernerlab.tomo import (
     EPS,
     GAP_EVERY,
     START_MIX,
-    STATISTICS,
     STEP_GROW,
     STEP_SHRINK,
     CountsRecord,
@@ -313,14 +312,13 @@ def mle_by_record(record, max_iter=5000, tol=0.1):
 
 def bootstrap_by_record(record, statistic, n_boot=50, seed=0, max_iter=2000, tol=0.1):
     """Mean and standard deviation of a statistic, one resample drawn and reconstructed at a time."""
-    fn = STATISTICS[statistic] if isinstance(statistic, str) else statistic
     rng = np.random.default_rng(seed)
     values = []
     for _ in range(n_boot):
         resampled = rng.poisson(record.counts)
         rec = CountsRecord(resampled, record.shots, record.seed, record.frame_name, record.state_tag)
         rho, _ = mle_by_record(rec, max_iter=max_iter, tol=tol)
-        values.append(fn(rho))
+        values.append(statistic(rho))
     arr = np.asarray(values)
     return float(arr.mean()), float(arr.std(ddof=1))
 

@@ -112,12 +112,15 @@ def test_criterion_05_chsh_pipeline_direction():
     # noisy-pipeline order check only: exact experimental values are not reproducible
     from wernerlab.states import NoiseSpec, noisy_surrogate
 
+    def chsh(rho):
+        return certify.chsh_horodecki(rho).value
+
     noisy0 = noisy_surrogate(filterops.rotated_filtered_state(0.0), NoiseSpec(0.06, 0.04, 21))
     rec0 = tomo.simulate_counts(noisy0, 2000, 8, frame=tomo.qubit_bases())
-    mean0, std0 = tomo.bootstrap_error(rec0, "chsh", n_boot=20, seed=1)
+    mean0, std0 = tomo.bootstrap_error(rec0, chsh, n_boot=20, seed=1)
     noisy15 = noisy_surrogate(filterops.rotated_filtered_state(0.15), NoiseSpec(0.03, 0.02, 22))
     rec15 = tomo.simulate_counts(noisy15, 2000, 9, frame=tomo.qubit_bases())
-    mean15, std15 = tomo.bootstrap_error(rec15, "chsh", n_boot=20, seed=2)
+    mean15, std15 = tomo.bootstrap_error(rec15, chsh, n_boot=20, seed=2)
     ok = (
         2.4 <= mean0 <= 2.83
         and 1.9 <= mean15 <= 2.15

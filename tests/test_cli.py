@@ -76,13 +76,22 @@ def test_sweep_ppt_matches_closed_form(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "task, options", [("ppt", []), ("sr", ["--restarts", "3", "--max-rounds", "5"])], ids=["ppt", "sr"]
+    "task, options",
+    [
+        ("ppt", []),
+        ("sr", ["--restarts", "3", "--max-rounds", "5"]),
+        ("ppt", ["--noisy", "--v-grid", "0,0.2"]),
+    ],
+    ids=["ppt", "sr", "ppt-noisy"],
 )
-def test_sweep_replay_byte_identical(tmp_path, task, options):
+def test_sweep_replay_byte_identical(tmp_path, capsys, task, options):
     out = tmp_path / "run"
     assert main(["sweep", "--task", task, "--v-grid", "0:0.25:0.5", "--out", str(out), "--seed", "11", *options]) == 0
     first = (out / f"{task}_d3.csv").read_bytes()
+    assert json.loads((out / "manifest.json").read_text())["args"]["noisy"] == ("--noisy" in options)
+    capsys.readouterr()
     assert main(["sweep", "--replay", str(out / "manifest.json")]) == 0
+    assert capsys.readouterr().out.endswith("replay OK: all CSV digests match\n")
     assert (out / f"{task}_d3.csv").read_bytes() == first
 
 
@@ -125,6 +134,29 @@ def test_config_file_with_flag_priority(tmp_path):
     _, rows = read_csv(out / "ppt_d3.csv")
     assert [row[1] for row in rows] == ["0.1"]
     assert json.loads((out / "manifest.json").read_text())["global_seed"] == 5
+
+
+@pytest.mark.parametrize("config", [[1, 2], None, "0:0.5:0.5"], ids=["list", "null", "string"])
+def test_config_file_must_hold_an_object(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main(["sweep", "--task", "ppt", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --config must hold a JSON object\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("recorded", [[1, 2], None], ids=["list", "null"])
+def test_replay_rejects_args_that_are_not_an_object(tmp_path, capsys, recorded):
+    out = tmp_path / "run"
+    assert main(["sweep", "--task", "ppt", "--v-grid", "0", "--out", str(out)]) == 0
+    manifest_file = out / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    manifest["args"] = recorded
+    manifest_file.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["sweep", "--replay", str(manifest_file)]) == 1
+    assert "cannot replay" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["func", "restart", "command", "max-iter"])

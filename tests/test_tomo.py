@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wernerlab import tomo
+from wernerlab import certify, tomo
 from wernerlab.filterops import rotated_filtered_state
 from wernerlab.qmat import DensityMatrix, uhlmann_fidelity
 from wernerlab.states import experiment_like_noise, noisy_surrogate, werner
@@ -25,6 +25,14 @@ from wernerlab.tomo import (
     simulate_counts,
 )
 from sequential_reference import assert_rows_bitwise_alone, bootstrap_by_record, fidelity_to, mle_by_record
+
+
+def ppt_min_eig(rho):
+    return certify.ppt_min_eig(rho).value
+
+
+def chsh(rho):
+    return certify.chsh_horodecki(rho).value
 
 
 def test_qutrit_basis_vectors():
@@ -134,11 +142,11 @@ def test_two_qubit_frame_reconstruction():
 
 def test_bootstrap_shrinks_with_counts():
     w = werner(3, 0.3)
-    _, sd_small = bootstrap_error(simulate_counts(w, 10**3, 1), "ppt_min_eig", n_boot=15, seed=2)
-    _, sd_big = bootstrap_error(simulate_counts(w, 10**5, 1), "ppt_min_eig", n_boot=15, seed=2)
+    _, sd_small = bootstrap_error(simulate_counts(w, 10**3, 1), ppt_min_eig, n_boot=15, seed=2)
+    _, sd_big = bootstrap_error(simulate_counts(w, 10**5, 1), ppt_min_eig, n_boot=15, seed=2)
     assert sd_big < sd_small
     with pytest.raises(ValueError):
-        bootstrap_error(simulate_counts(w, 10**3, 1), "ppt_min_eig", n_boot=5)
+        bootstrap_error(simulate_counts(w, 10**3, 1), ppt_min_eig, n_boot=5)
 
 
 def test_bootstrap_chsh_error_bar_magnitude():
@@ -148,7 +156,7 @@ def test_bootstrap_chsh_error_bar_magnitude():
 
     noisy = noisy_surrogate(rotated_filtered_state(0.0), NoiseSpec(0.06, 0.04, 21))
     rec = simulate_counts(noisy, 2000, 8, frame=qubit_bases())
-    mean, sd = bootstrap_error(rec, "chsh", n_boot=30, seed=4)
+    mean, sd = bootstrap_error(rec, chsh, n_boot=30, seed=4)
     assert mean == pytest.approx(2.65, abs=0.1)
     assert 0.005 <= sd <= 0.05
 
@@ -171,6 +179,21 @@ def test_counts_csv_roundtrip_bit_exact():
     assert back.frame_name == rec.frame_name
     assert back.state_tag == rec.state_tag
     assert counts_to_csv(back) == counts_to_csv(rec)
+
+
+def test_counts_csv_rejects_rows_off_the_frame():
+    rec = simulate_counts(werner(3, 0.15), 2500, 77)
+    meta = counts_metadata_json(rec)
+    lines = counts_to_csv(rec).splitlines()
+    with pytest.raises(ValueError, match="header"):
+        counts_from_csv("\n".join([lines[0].replace("M9", "M10"), *lines[1:]]), meta)
+    with pytest.raises(ValueError, match="row label mismatch"):
+        counts_from_csv("\n".join([lines[0], lines[2], lines[1], *lines[3:]]), meta)
+    # a tenth row, or a missing ninth, no longer loads as a 9x9 record
+    with pytest.raises(ValueError, match="has 10 count rows; the 'qutrit9' frame has 9"):
+        counts_from_csv("\n".join([*lines, "M9," + ",".join(["0"] * 9)]), meta)
+    with pytest.raises(ValueError, match="has 8 count rows"):
+        counts_from_csv("\n".join(lines[:-1]), meta)
 
 
 def test_counts_record_validation():
@@ -330,8 +353,8 @@ def test_mle_reconstruct_many_rejects_mixed_frames_and_empty_stacks(monkeypatch)
 @pytest.mark.parametrize(
     "record, statistic",
     [
-        (lambda: simulate_counts(werner(3, 0.3), 2000, 1), "ppt_min_eig"),
-        (lambda: simulate_counts(rotated_filtered_state(0.05), 2000, 8, frame=qubit_bases()), "chsh"),
+        (lambda: simulate_counts(werner(3, 0.3), 2000, 1), ppt_min_eig),
+        (lambda: simulate_counts(rotated_filtered_state(0.05), 2000, 8, frame=qubit_bases()), chsh),
     ],
     ids=["qutrit9-ppt", "qubit6-chsh"],
 )
