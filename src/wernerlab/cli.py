@@ -10,8 +10,11 @@ schemas are documented in SCHEMAS.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import locale  # noqa: F401  argparse's gettext imports it at the first message it translates
 import os
 import sys
 import tempfile
@@ -19,6 +22,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it at its first use, which would put the load inside a command
 
 from . import __version__, certify, extend, filterops, qmat, solver, states, steer, tomo
 
@@ -225,7 +229,9 @@ def run_replay(parser: argparse.ArgumentParser, args) -> int:
     """Re-run a manifest's command into a temporary directory, with its recorded args as
     defaults (the ``--config`` path), and compare its CSV digests.
 
-    The recorded outputs and manifest are left as they are, whatever the outcome."""
+    The recorded outputs and manifest are left as they are, whatever the outcome.  The
+    re-run's own report of what it wrote, to a directory that is gone when this returns,
+    is not printed: standard output holds only the verdict."""
     manifest = json.loads(Path(args.replay).read_text())
     command, recorded = manifest["command"], manifest["args"]
     with tempfile.TemporaryDirectory() as scratch:
@@ -235,7 +241,8 @@ def run_replay(parser: argparse.ArgumentParser, args) -> int:
         except (SystemExit, ValueError):  # argparse exits 2, but 2 is the --strict verdict code
             print(f"cannot replay: the manifest's {command!r} arguments do not parse", file=sys.stderr)
             return 1
-        code = rerun.func(rerun)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = rerun.func(rerun)
         if code != 0:
             return code
         fresh = json.loads((Path(scratch) / "manifest.json").read_text())
@@ -513,9 +520,10 @@ def _apply_config(parser: argparse.ArgumentParser, args, argv: list[str], values
 
     ``values`` is a manifest's recorded args on replay.  When it is None, the values are
     the ``--config`` file's JSON, and without that file args come back as they are.  A
-    string value goes through its option's type, as on the command line.  Raises
-    ValueError unless the values are an object whose keys (dashes read as underscores)
-    are all options of the subcommand."""
+    string value goes through its option's type, as on the command line, and the result
+    must be one of the option's choices, if it has them.  Raises ValueError unless the
+    values are an object whose keys (dashes read as underscores) are all options of the
+    subcommand, with allowed values."""
     if values is None:
         if not getattr(args, "config", None):
             return args
@@ -530,7 +538,11 @@ def _apply_config(parser: argparse.ArgumentParser, args, argv: list[str], values
         action = options.get(key.replace("-", "_"))
         if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        defaults[action.dest] = action.type(val) if isinstance(val, str) and action.type else val
+        val = action.type(val) if isinstance(val, str) and action.type else val
+        if action.choices is not None and val not in action.choices:
+            allowed = ", ".join(map(repr, action.choices))
+            raise ValueError(f"config key {key!r}: invalid choice {val!r} (choose from {allowed})")
+        defaults[action.dest] = val
     command.set_defaults(**defaults)
     return parser.parse_args(argv)
 

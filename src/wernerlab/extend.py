@@ -49,10 +49,9 @@ from fractions import Fraction
 from math import prod
 
 import numpy as np
-import scipy.sparse as sp
 
 from .qmat import DensityMatrix, check_side, partial_transpose_dims
-from .solver import Block, ConicProgram, solve, vec_real, vec_real_map
+from .solver import Block, ConicProgram, solve, sp, vec_real, vec_real_map
 from .states import swap_operator
 
 MAX_EXTENSION_DIM = 243

@@ -12,18 +12,27 @@ entry, row-major), so the cone projection is a real spectral clip.
 
 The algorithm is ADMM-style operator splitting applied to the homogeneous
 self-dual embedding: each iteration solves one cached linear system and
-projects onto the cone.  It is matrix-free apart from one Cholesky
-factorization of I + A A^T (the constraint count stays small here), fully
-deterministic, and certifies optimality through the duality gap.
+projects onto the cone.  It is matrix-free apart from the inverse of I + A A^T,
+formed once from numpy's Cholesky factor (the constraint count stays small
+here), fully deterministic, and certifies optimality through the duality gap.
+
+The constraint map is a :class:`KronMap` A = kron(H, I_k) with a small dense H, whose
+products are batched matrix products (the steering-robustness programs, built without
+scipy), or a scipy CSR matrix, whose products go through scipy's sparse kernel (every
+:class:`ConicProgram`: the extension SDPs, the nonlocal-content LP and loaded dumps).
+scipy is imported only when a sparse program is built or loaded, or when the eigh
+fallback runs (:data:`sp`, :data:`linalg`).
 
 A :class:`Family` holds programs that share blocks, A and c and differ only in b (the
-steering see-saw's): it derives the column scale, the scaled A, A^T and c, that
-factorization and the cone plan once, and its caller keeps it.  :meth:`Family.solve_many`
-is the one iteration loop: the iterates of R right-hand sides form the rows of an
-(R, n + m + 1) stack, R = 1 included; each sparse product, triangular solve, cone
-projection and exit test acts on all of them at once, and a row leaves the stack at the
-check where it exits.  The exit test measures each row's residuals on the unscaled A.
-The projection clips 2 x 2 PSD blocks in closed form, from their eigenvalues m -+ r.  It
+steering see-saw's): it derives the column scale, the scaled A and c, the Gram inverse
+and the cone plan once, and its caller keeps it.  :meth:`Family.solve_many` is the one
+iteration loop: the iterates of R right-hand sides form the rows of an (R, n + m + 1)
+stack, R = 1 included; each product with A, A^T and the Gram inverse, cone projection
+and exit test acts on all of them at once, and a row leaves the stack at the check
+where it exits.  A dense product is a batch of one matrix product per row, never one
+product over the whole stack, whose BLAS kernel (gemv for one row, gemm for more) would
+depend on the stack width.  The exit test measures each row's residuals on the unscaled
+A.  The projection clips 2 x 2 PSD blocks in closed form, from their eigenvalues m -+ r.  It
 keeps a 3 x 3 block whose three Cholesky pivots are positive, zeroes one whose pivots are
 all negative, and sends only the indefinite or singular rest to eigh; blocks of other
 sides go through one batched eigh per block size.  Every operation acts row by row with
@@ -34,12 +43,26 @@ it as the one row of a fresh family.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
+
+
+class _Lazy:
+    """A module imported at its first attribute access."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+# importing scipy costs about 0.2 s and 30 MB, which the commands that build no sparse program skip
+sp = _Lazy("scipy.sparse")
+linalg = _Lazy("scipy.linalg")
 
 FREE = "free"
 NONNEG = "nonneg"
@@ -222,7 +245,7 @@ def _project_psd_eigh(x: np.ndarray, n: int) -> np.ndarray:
         w, q = np.linalg.eigh(h)
     except np.linalg.LinAlgError:
         # LAPACK's default driver can fail to converge on a finite iterate; MRRR is independent
-        pairs = [scipy.linalg.eigh(hb, driver="evr") for hb in h]
+        pairs = [linalg.eigh(hb, driver="evr") for hb in h]
         w, q = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
     w = np.clip(w, 0.0, None)
     return vec_real((q * w[:, None, :]) @ q.conj().transpose(0, 2, 1))
@@ -285,11 +308,11 @@ class _ConeProjector:
         return out
 
 
-def _equilibrate(a: sp.csr_matrix, blocks: tuple[Block, ...]) -> np.ndarray:
+def _equilibrate(col_max: np.ndarray, blocks: tuple[Block, ...]) -> np.ndarray:
     """Column scaling to unit column max; PSD blocks get one uniform column scale so
     the cone is preserved.  Rows keep their scale: scaling them would distort programs
     whose constraint map is already an isometry, such as the symmetry-reduced extensions."""
-    col_max = abs(a).max(axis=0).toarray().ravel()
+    col_max = col_max.copy()
     pos = 0
     for bl in blocks:
         if bl.kind == PSD:
@@ -298,42 +321,98 @@ def _equilibrate(a: sp.csr_matrix, blocks: tuple[Block, ...]) -> np.ndarray:
     return 1.0 / np.where(col_max > 0, col_max, 1.0)
 
 
-def _rmul(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """``a`` applied to each row of the stack ``x``."""
-    return (a @ x.T).T
+class KronMap:
+    """The constraint map A = kron(H, I_k): with x read as c blocks of k entries and A x as
+    r blocks, block i of A x is sum_j H[i, j] x_j.
+
+    Its products act on the rows of an (R, c k) or (R, r k) stack as one (c, k) or (r, k)
+    matrix product per row, against H or a contiguous copy of H^T."""
+
+    def __init__(self, h: np.ndarray, k: int):
+        self.h = np.ascontiguousarray(h, dtype=float)
+        self.ht = np.ascontiguousarray(self.h.T)
+        self.k = k
+        self.shape = (self.h.shape[0] * k, self.h.shape[1] * k)
+        for arr in (self.h, self.ht):
+            arr.flags.writeable = False
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """A x for each row x of the stack."""
+        r, c = self.h.shape
+        return np.matmul(self.h, x.reshape(len(x), c, self.k)).reshape(len(x), r * self.k)
+
+    def tdot(self, y: np.ndarray) -> np.ndarray:
+        """A^T y for each row y of the stack."""
+        r, c = self.h.shape
+        return np.matmul(self.ht, y.reshape(len(y), r, self.k)).reshape(len(y), c * self.k)
+
+    def col_max(self) -> np.ndarray:
+        return np.repeat(np.abs(self.h).max(axis=0), self.k)
+
+    def scaled(self, e: np.ndarray) -> KronMap:
+        """A diag(e), for a column scale e that is constant on each block of k columns."""
+        return KronMap(self.h * e[:: self.k], self.k)
+
+    def gram(self) -> tuple[np.ndarray, int]:
+        """(G, k) with A A^T = kron(G, I_k)."""
+        return self.h @ self.ht, self.k
+
+
+class _CSRMap:
+    """A constraint map held as a CSR matrix and its transpose; products use scipy's kernel."""
+
+    def __init__(self, a):
+        self.a = sp.csr_matrix(a, copy=True)
+        self.at = self.a.T.tocsr()
+        self.shape = self.a.shape
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        return (self.a @ x.T).T
+
+    def tdot(self, y: np.ndarray) -> np.ndarray:
+        return (self.at @ y.T).T
+
+    def col_max(self) -> np.ndarray:
+        return abs(self.a).max(axis=0).toarray().ravel()
+
+    def scaled(self, e: np.ndarray) -> _CSRMap:
+        return _CSRMap(self.a @ sp.diags(e))
+
+    def gram(self) -> tuple[np.ndarray, int]:
+        return (self.a @ self.at).toarray(), 1
 
 
 class Family:
-    """Programs that share blocks, A (a CSR matrix) and c and differ only in b, prepared once:
-    the column scale, the scaled A, A^T and c, the factorisation of I + A A^T and the cone plan.
+    """Programs that share blocks, A and c and differ only in b, prepared once: the column
+    scale, the scaled A and c, the inverse of I + A A^T and the cone plan.
 
-    Its linear algebra acts on stacks, one row per program; the vectors that depend on b
-    come from :meth:`b_vectors` and stay with the caller.  A family does not presolve."""
+    A is a :class:`KronMap` or a scipy sparse matrix.  Its linear algebra acts on stacks,
+    one row per program; the vectors that depend on b come from :meth:`b_vectors` and stay
+    with the caller.  A family does not presolve."""
 
-    def __init__(self, blocks: tuple[Block, ...], c: np.ndarray, A: sp.csr_matrix):
-        self.e_col = _equilibrate(A, blocks)
-        self.A = (A @ sp.diags(self.e_col)).tocsr()
-        self.AT = self.A.T.tocsr()
+    def __init__(self, blocks: tuple[Block, ...], c: np.ndarray, A):
+        self.a = A if isinstance(A, KronMap) else _CSRMap(A)  # unscaled, for the exit test
+        self.e_col = _equilibrate(self.a.col_max(), blocks)
+        self.A = self.a.scaled(self.e_col)
         c_s = self.e_col * c
         self.gamma = 1.0 / max(np.linalg.norm(c_s), 1e-6)
         self.c = c_s * self.gamma
-        gram = (self.A @ self.AT).toarray() + np.eye(A.shape[0])
-        self.chol, _ = scipy.linalg.cho_factor(gram, lower=True)
-        self._potrs = scipy.linalg.get_lapack_funcs("potrs", (self.chol,))
+        gram, k = self.A.gram()
+        # G^-1 = L^-T L^-1 from the Cholesky factor L of G = I + A A^T (A A^T is kron(gram, I_k))
+        l_inv = np.linalg.inv(np.linalg.cholesky(gram + np.eye(len(gram))))
+        self.g_inv = KronMap(l_inv.T @ l_inv, k)
         self.proj = _ConeProjector(blocks)
-        self.a, self.at, self.c0 = A.copy(), A.T.tocsr(), np.array(c, dtype=float)  # unscaled, for the exit test
+        self.c0 = np.array(c, dtype=float)
         self.cnorm = 1.0 + np.linalg.norm(c)
 
     def _solve_m(self, r: np.ndarray, out: np.ndarray, sign: float = 1.0) -> np.ndarray:
         """M^-1 r for sign 1 and M^-T r for sign -1, where M = [[I, -A^T], [A, I]], for each
         row r = (rx, ry) of the stack, written into ``out``: ry -+ A rx goes through the
-        cached factor of I + A A^T."""
+        inverse of I + A A^T."""
         n = len(self.c)
-        py, info = self._potrs(self.chol, (r[:, n:] - sign * _rmul(self.A, r[:, :n])).T, lower=True, overwrite_b=True)
-        if info:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
-        np.add(r[:, :n], sign * _rmul(self.AT, py.T), out=out[:, :n])
-        out[:, n:] = py.T
+        py = self.g_inv.dot(r[:, n:] - sign * self.A.dot(r[:, :n]))
+        np.add(r[:, :n], sign * self.A.tdot(py), out=out[:, :n])
+        out[:, n:] = py
         return out
 
     def b_vectors(self, b: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -358,7 +437,7 @@ class Family:
         docstring describes.  Raises ValueError unless b is a finite (R, m) array, ``tol`` is
         finite and positive and ``max_iter`` is at least 1."""
         b = np.asarray(b, dtype=float)
-        n, m = self.at.shape
+        n, m = len(self.c), self.A.shape[0]
         if b.ndim != 2 or b.shape[1] != m or not np.all(np.isfinite(b)):
             raise ValueError(f"b must be a finite (R, {m}) array, got shape {b.shape}")
         if not (np.isfinite(tol) and tol > 0):
@@ -438,8 +517,8 @@ def _check(family, b, beta, bnorm, u, v):
         x = ux / tau / beta[:, None]
         y = uy / tau / gamma
         pobj, dobj = np.vecdot(x, c), np.vecdot(y, b)
-        pres = _norms(_rmul(family.a, x) - b) / bnorm
-        dres = _norms(_rmul(family.at, y) + uz / tau / gamma - c) / family.cnorm
+        pres = _norms(family.a.dot(x) - b) / bnorm
+        dres = _norms(family.a.tdot(y) + uz / tau / gamma - c) / family.cnorm
         crit = np.maximum(np.maximum(pres, dres), np.abs(pobj - dobj) / (1.0 + np.abs(pobj) + np.abs(dobj)))
         gap = np.abs(pobj - dobj) / (1.0 + np.abs(pobj))
         status = np.full(len(u), None)
@@ -447,7 +526,7 @@ def _check(family, b, beta, bnorm, u, v):
         if len(cut):  # tau collapsed: look for infeasibility and unboundedness certificates
             ux, uy, uz = ux[cut], uy[cut], uz[cut]
             by, cx = np.vecdot(uy, b[cut]), np.vecdot(ux, c)
-            ry, rx = _norms(_rmul(family.at, uy) + uz), _norms(_rmul(family.a, ux))
+            ry, rx = _norms(family.a.tdot(uy) + uz), _norms(family.a.dot(ux))
             infeasible = (by > 1e-12) & (by / np.maximum(ry, 1e-300) > 1e6)
             unbounded = ~infeasible & (cx < -1e-12) & (-cx / np.maximum(rx, 1e-300) > 1e6)
             x[cut] = np.where(unbounded[:, None], ux / -cx[:, None], 0.0)

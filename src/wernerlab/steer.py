@@ -28,10 +28,9 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 
 from .qmat import DensityMatrix, check_side, dagger, grid_best, grid_rows
-from .solver import Block, ConicProgram, Family, mat_real, solve, vec_real
+from .solver import Block, ConicProgram, Family, KronMap, mat_real, solve, sp, vec_real
 from .states import haar_restarts, haar_unitaries
 
 MAX_LAMBDA = 4096
@@ -210,20 +209,20 @@ class SRResult:
 
 
 @lru_cache(maxsize=16)
-def _sr_program(n_s: int, n_o: int, d: int) -> tuple[tuple[Block, ...], np.ndarray, sp.csr_matrix]:
+def _sr_program(n_s: int, n_o: int, d: int) -> tuple[tuple[Block, ...], np.ndarray, KronMap]:
     """Blocks, c and A of the steering-robustness SDP, which depend on the scenario alone.
 
+    The variable is the n_lambda blocks sigma_lambda, then one slack per (x, a), each the
+    vec_real of a d x d matrix, and A = kron([H, -I], I_{d^2}) for the response table H.
     Cached, so its arrays are read-only; each solve supplies only b."""
     if n_o**n_s > MAX_LAMBDA:
         raise ValueError(f"lambda space {n_o}^{n_s} exceeds {MAX_LAMBDA}")
     h = _response_table(n_s, n_o)
-    n_lam, k = h.shape[1], d * d
-    n_slack = n_s * n_o * k  # one PSD slack per (x, a)
-    a_mat = sp.csr_matrix(sp.hstack([sp.kron(h, sp.eye(k)), -sp.eye(n_slack)]))
-    c = np.concatenate([np.tile(vec_real(np.eye(d)), n_lam), np.zeros(n_slack)])
-    for arr in (c, a_mat.data, a_mat.indices, a_mat.indptr):
-        arr.flags.writeable = False
-    return tuple([Block("psd", d)] * (n_lam + n_s * n_o)), c, a_mat
+    n_lam, n_rows = h.shape[1], n_s * n_o  # one PSD slack per (x, a)
+    a_map = KronMap(np.hstack([h, -np.eye(n_rows)]), d * d)
+    c = np.concatenate([np.tile(vec_real(np.eye(d)), n_lam), np.zeros(n_rows * d * d)])
+    c.flags.writeable = False
+    return tuple([Block("psd", d)] * (n_lam + n_rows)), c, a_map
 
 
 def _sr_duals(y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -235,7 +234,8 @@ def _sr_duals(y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def sr_solve(assemblage: Assemblage, tol: float = 1e-7, max_iter: int = 200000) -> SRResult:
     """Steering robustness SDP with its dual steering functional."""
     sigma = assemblage.sigma
-    sol = solve(ConicProgram(*_sr_program(*sigma.shape[:3]), vec_real(sigma).ravel()), tol=tol, max_iter=max_iter)
+    family = Family(*_sr_program(*sigma.shape[:3]))
+    (sol,) = family.solve_many(vec_real(sigma).reshape(1, -1), tol=tol, max_iter=max_iter)
     return SRResult(float(sol.primal_obj) - 1.0, sol.gap, sol.status, _sr_duals(sol.y, sigma.shape[:3]))
 
 

@@ -343,7 +343,7 @@ class _Loglik:
         self.counts = observed.sum(axis=1)
         cols = np.argsort(~observed, axis=1, kind="stable")  # observed settings first, in order
         self.blocks = []
-        for n in np.unique(self.counts):
+        for n in np.flatnonzero(np.bincount(self.counts)):  # the distinct counts, ascending
             (rows,) = np.nonzero(self.counts == n)
             self.blocks.append((rows, cols[rows, :n]))
 

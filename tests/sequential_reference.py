@@ -14,6 +14,9 @@ the one-call-at-a-time primitives the stacked kernels replaced, and
 ``solve_by_row`` runs the solver's step on one program and exit-tests it with
 ``check_by_row``, the earlier per-row exit test of ``wernerlab.solver`` and the
 reference for the stacked one.
+``sr_program_csr`` builds the steering-robustness program with scipy's sparse
+``kron``, as CSR; it is the reference for the structured map of
+``wernerlab.steer._sr_program``.
 ``blocks_of``, ``bell_value``, ``fidelity_to``, ``fef_embedding_check`` and
 ``extension_threshold`` are helpers that only tests call.
 """
@@ -24,17 +27,19 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from wernerlab import extend, qmat, solver
 from wernerlab.certify import _magic_basis, fef2_exact
 from wernerlab.extend import SE, ExtensionQuery, critical_weight
 from wernerlab.qmat import DensityMatrix, as_state, dagger, partial_transpose, uhlmann_fidelity
-from wernerlab.solver import PSD, ConicProgram, ConicSolution, mat_real, presolve
+from wernerlab.solver import PSD, Block, ConicProgram, ConicSolution, mat_real, presolve, vec_real
 from wernerlab.states import haar_unitaries, max_entangled_ket, werner
 from wernerlab.steer import (
     Correlation,
     MeasurementSet,
     _contract,
+    _response_table,
     _tensor,
     _update_measurements,
     correlation_from,
@@ -326,7 +331,7 @@ def bootstrap_by_record(record, statistic, n_boot=50, seed=0, max_iter=2000, tol
 def check_by_row(prog, family, beta, bnorm, u, v, it, tol, best):
     """One program's exit test on its iterate (u, v): a solution if it exits, and its best iterate so far."""
     n, m = prog.n, prog.m
-    e_col, gamma, at = family.e_col, family.gamma, family.at
+    e_col, gamma, at = family.e_col, family.gamma, prog.A.T.tocsr()
     tau = u[-1]
     if tau > 1e-9:
         # map the scaled iterate back to the original problem
@@ -459,3 +464,13 @@ def extension_threshold(d: int, k: int, flavor: str = SE, side: str = "B", sdp_t
     if res.status != "OPTIMAL":
         raise RuntimeError(f"{flavor} solve at v=0 ended {res.status}; no threshold")
     return critical_weight(res.t_star, d)
+
+
+def sr_program_csr(n_s: int, n_o: int, d: int):
+    """Blocks, c and A of the steering-robustness SDP with A = [kron(H, I_{d^2}), -I] a CSR matrix."""
+    h = _response_table(n_s, n_o)
+    n_lam, k = h.shape[1], d * d
+    n_slack = n_s * n_o * k  # one PSD slack per (x, a)
+    a_mat = sp.csr_matrix(sp.hstack([sp.kron(h, sp.eye(k)), -sp.eye(n_slack)]))
+    c = np.concatenate([np.tile(vec_real(np.eye(d)), n_lam), np.zeros(n_slack)])
+    return tuple([Block("psd", d)] * (n_lam + n_s * n_o)), c, a_mat

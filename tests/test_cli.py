@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,7 +95,7 @@ def test_sweep_replay_byte_identical(tmp_path, capsys, task, options):
     assert json.loads((out / "manifest.json").read_text())["args"]["noisy"] == ("--noisy" in options)
     capsys.readouterr()
     assert main(["sweep", "--replay", str(out / "manifest.json")]) == 0
-    assert capsys.readouterr().out.endswith("replay OK: all CSV digests match\n")
+    assert capsys.readouterr().out == "replay OK: all CSV digests match\n"  # nothing of the re-run's own output
     assert (out / f"{task}_d3.csv").read_bytes() == first
 
 
@@ -157,6 +161,31 @@ def test_replay_rejects_args_that_are_not_an_object(tmp_path, capsys, recorded):
     capsys.readouterr()
     assert main(["sweep", "--replay", str(manifest_file)]) == 1
     assert "cannot replay" in capsys.readouterr().err
+
+
+def test_config_values_must_be_among_the_choices(tmp_path, capsys):
+    # the choices are checked, like every key, before any task writes its CSV
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"side": "C", "v-grid": "0"}))
+    out = tmp_path / "run"
+    assert main(["sweep", "--task", "ppt,extend", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: config key 'side': invalid choice 'C' (choose from 'A', 'B')\n"
+    assert not out.exists()
+
+
+def test_replay_rejects_recorded_values_outside_the_choices(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["sweep", "--task", "ppt", "--v-grid", "0", "--out", str(out)]) == 0
+    manifest_file = out / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    manifest["args"]["flavor"] = "SEB"
+    manifest_file.write_text(json.dumps(manifest))
+    recorded = {f.name: f.read_bytes() for f in out.iterdir()}
+    capsys.readouterr()
+    assert main(["sweep", "--replay", str(manifest_file)]) == 1
+    captured = capsys.readouterr()
+    assert "cannot replay" in captured.err and captured.out == ""
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == recorded
 
 
 @pytest.mark.parametrize("key", ["func", "restart", "command", "max-iter"])
@@ -522,3 +551,54 @@ def test_manifest_records_blas_and_replay_names_a_blas_difference(tmp_path, caps
     assert lines[0] == "replay mismatch: CSV digests differ"
     assert lines[1].startswith("replay mismatch: BLAS settings differ")
     assert '"OPENBLAS_NUM_THREADS": "2"' in lines[1] and '"OPENBLAS_NUM_THREADS": "1"' in lines[1]
+
+
+# Runs cli.main on the JSON argv it is given, in a fresh interpreter, and prints on its last line
+# the exit code, the scipy modules loaded and the modules that main added to sys.modules.
+MODULE_PROBE = """
+import json, sys
+from wernerlab import cli
+before = set(sys.modules)
+code = cli.main(json.loads(sys.argv[1])) if len(sys.argv) > 1 else 0
+print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+                  "added": sorted(set(sys.modules) - before)}))
+"""
+
+
+def probe_modules(*argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    args = [sys.executable, "-c", MODULE_PROBE] + ([json.dumps(list(argv))] if argv else [])
+    proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert probe_modules()["scipy"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--task", "ppt,distill,fef,chsh,dc,tomo", "--d", "3", "--v-grid", "0:0.05:0.5"],
+        ["sweep", "--task", "sr", "--v-grid", "0.1", "--restarts", "2"],
+        ["extend-table", "--v-grid", "0", "--d", "3", "--k-list", "4", "--flavors", "SE,SE_B"],
+        ["extend-table", "--v-grid", "0", "--d", "5", "--k-list", "2", "--flavors", "SE_B"],
+        ["pipeline", "--shots", "2000", "--restarts", "4", "--sr-restarts", "2", "--bootstrap", "10"],
+    ],
+    ids=["sweep-certificates", "sweep-sr", "extend-table-d3", "extend-table-d5", "pipeline"],
+)
+def test_commands_without_a_sparse_program_load_no_module(tmp_path, argv):
+    # neither scipy nor anything else: a module that loads inside main is paid in every call's run time
+    out = ["--out", str(tmp_path / "report.json")] if argv[0] == "pipeline" else ["--out", str(tmp_path)]
+    got = probe_modules(*argv, *out)
+    assert got == {"code": 0, "scipy": [], "added": []}
+
+
+def test_noisy_extend_table_still_loads_scipy(tmp_path):
+    argv = ["extend-table", "--d", "3", "--k-list", "2", "--flavors", "SE", "--noisy", "--v-grid", "0.4"]
+    got = probe_modules(*argv, "--out", str(tmp_path))
+    assert got["code"] == 0 and "scipy.sparse" in got["scipy"]
+    _, rows = read_csv(tmp_path / "extend_table_d3.csv")
+    assert [row[-1] for row in rows] == ["OPTIMAL"]

@@ -25,7 +25,7 @@ from wernerlab.solver import (
 from wernerlab.states import werner
 
 from lp_oracle import lp_vertex_enumeration_check
-from sequential_reference import assert_rows_bitwise_alone, blocks_of, check_by_row, solve_by_row
+from sequential_reference import assert_rows_bitwise_alone, blocks_of, check_by_row, solve_by_row, sr_program_csr
 
 
 def shifted_lp():
@@ -269,7 +269,7 @@ def test_embedding_linear_solve():
     b = rng.standard_normal((3, prog.m))
     h = rng.standard_normal((3, prog.n + prog.m + 1))
     u = family.kkt(h, *family.b_vectors(b))
-    a, c = family.A.toarray(), family.c
+    a, c = family.A.dot(np.eye(prog.n)).T, family.c  # the scaled A, column by column
     for b_r, h_r, u_r in zip(b, h, u):
         q = np.block(
             [
@@ -415,22 +415,11 @@ def presolve_by_rows(prog):
 
 
 def captured_sr_program(seed, d=3, n_s=2):
-    """The program sr_solve hands to the solver for a random assemblage."""
-    captured = []
-
-    def capture(prog, **kwargs):
-        captured.append(prog)
-        return solve(prog, **kwargs)
-
+    """The program sr_solve solves for a random assemblage, with A as the CSR matrix of
+    ``sr_program_csr``, so that presolve and the CSR kernel see it."""
     rng = np.random.default_rng(seed)
     asm = steer.assemblage_from(werner(d, rng.uniform(0, 0.5)), steer.random_projective(d, n_s, rng), "A")
-    real = steer.solve
-    steer.solve = capture
-    try:
-        steer.sr_solve(asm, max_iter=1)
-    finally:
-        steer.solve = real
-    return captured[0]
+    return ConicProgram(*sr_program_csr(n_s, d, d), vec_real(asm.sigma).ravel())
 
 
 def edge_programs():

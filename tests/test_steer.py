@@ -30,7 +30,13 @@ from wernerlab.steer import (
     steering_robustness,
 )
 
-from sequential_reference import bell_value, contract, seesaw_bell_by_restarts
+from sequential_reference import (
+    assert_rows_bitwise_alone,
+    bell_value,
+    contract,
+    seesaw_bell_by_restarts,
+    sr_program_csr,
+)
 
 SINGLET_2MUB_SR = 3 - 2 * np.sqrt(2)  # proven optimal; see decisions ledger
 
@@ -434,26 +440,68 @@ def assert_same_csr(got, want):
     "d, n_s, n_o",
     [(2, 2, 2), (2, 3, 2), (3, 2, 3), (3, 2, 2), (2, 1, 2)],
 )
-def test_sr_program_matches_loop_reference(monkeypatch, d, n_s, n_o):
+def test_sr_program_matches_loop_reference(d, n_s, n_o):
     rng = np.random.default_rng(10 * d + n_s)
     rho = random_state(d, d, 7 * n_s + n_o)
     meas = steer.random_grouped_projective(d, n_s, n_o, rng)
     asm = assemblage_from(rho, meas, "A")
-    captured = []
-    real_solve = steer.solve
-
-    def capture(prog, **kwargs):
-        captured.append(prog)
-        return real_solve(prog, **kwargs)
-
-    monkeypatch.setattr(steer, "solve", capture)
-    sr_solve(asm)
-    (prog,) = captured
+    blocks, c, a_map = steer._sr_program(n_s, n_o, d)
     a_ref, b_ref, c_ref = sr_program_by_loops(asm)
-    assert_same_csr(prog.A, a_ref)
-    assert np.array_equal(prog.b, b_ref)
-    assert np.array_equal(prog.c, c_ref)
-    assert prog.blocks == tuple([Block("psd", d)] * ((n_o**n_s) + n_s * n_o))
+    # A's columns are its products with the unit vectors; every entry is 0 or +-1, so they are exact
+    assert np.array_equal(a_map.dot(np.eye(a_ref.shape[1])).T, a_ref.toarray())
+    assert np.array_equal(vec_real(asm.sigma).ravel(), b_ref)
+    assert np.array_equal(c, c_ref)
+    assert blocks == tuple([Block("psd", d)] * ((n_o**n_s) + n_s * n_o))
+
+
+@pytest.mark.parametrize("n_s, n_o, d", [(2, 2, 2), (2, 3, 3), (3, 3, 3), (3, 2, 3)])
+def test_sr_map_matches_csr_reference(n_s, n_o, d):
+    # the structured products A x, A^T y and the Gram matrix I + A A^T against the CSR matrix
+    blocks, c, a_map = steer._sr_program(n_s, n_o, d)
+    ref_blocks, ref_c, a_ref = sr_program_csr(n_s, n_o, d)
+    assert blocks == ref_blocks and np.array_equal(c, ref_c) and a_map.shape == a_ref.shape
+    rng = np.random.default_rng(n_s * 100 + n_o * 10 + d)
+    x = rng.standard_normal((5, a_ref.shape[1]))
+    y = rng.standard_normal((5, a_ref.shape[0]))
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    assert close(a_map.dot(x), (a_ref @ x.T).T)
+    assert close(a_map.tdot(y), (a_ref.T @ y.T).T)
+    gram, k = a_map.gram()
+    eye = np.eye(a_ref.shape[0])
+    assert close(np.kron(gram, np.eye(k)) + eye, (a_ref @ a_ref.T).toarray() + eye)
+    # the family's inverse of I + A A^T, on the same stack
+    family = solver.Family(blocks, c, a_map)
+    assert np.array_equal(family.e_col, np.ones(a_ref.shape[1]))
+    want = np.linalg.solve((a_ref @ a_ref.T).toarray() + eye, y.T).T
+    assert close(family.g_inv.dot(y), want)
+
+
+@pytest.mark.parametrize("n_s, d", [(2, 3), (3, 2)])
+def test_sr_family_rows_bitwise_alone(n_s, d):
+    # every row of a stacked SR solve, exits included, is the row solved as a stack of one
+    rng = np.random.default_rng(n_s)
+    family = solver.Family(*steer._sr_program(n_s, d, d))
+    b = np.stack(
+        [
+            vec_real(assemblage_from(werner(d, v), steer.random_projective(d, n_s, rng), "A").sigma).ravel()
+            for v in rng.uniform(0.0, 0.5, 6)
+        ]
+    )
+
+    def run(rows):
+        sols = family.solve_many(rows)
+        return (
+            [sol.x for sol in sols],
+            [sol.y for sol in sols],
+            [np.array([sol.primal_obj, sol.dual_obj, sol.gap, sol.iterations]) for sol in sols],
+            [sol.status for sol in sols],
+        )
+
+    assert_rows_bitwise_alone(run, (b,))
+    assert len({sol.iterations for sol in family.solve_many(b)}) > 1
 
 
 @pytest.mark.parametrize(
@@ -687,7 +735,15 @@ def forced_max_iter(real_solve):
 def test_steering_robustness_raises_on_unconverged_solve(monkeypatch):
     asm = assemblage_from(singlet(), mub_qubit_measurements(2), "A")
     assert steering_robustness(asm) == pytest.approx(SINGLET_2MUB_SR, abs=1e-6)
-    monkeypatch.setattr(steer, "solve", forced_max_iter(steer.solve))
+    real_solve_many = solver.Family.solve_many
+
+    def stuck(family, b, **kwargs):
+        sols = real_solve_many(family, b, **kwargs)
+        for sol in sols:
+            sol.status = "MAX_ITER"
+        return sols
+
+    monkeypatch.setattr(solver.Family, "solve_many", stuck)
     with pytest.raises(RuntimeError, match="MAX_ITER"):
         steering_robustness(asm)
     assert sr_solve(asm).status == "MAX_ITER"  # the raw result still reports its status
