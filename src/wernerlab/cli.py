@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it at its first use, which would put the load inside a command
 
-from . import __version__, certify, extend, filterops, qmat, solver, states, steer, tomo
+from . import __version__, certify, extend, filterops, qmat, serialize, solver, states, steer, tomo
 
 # thread settings that can change the last bits of a BLAS result, and so a CSV
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -122,7 +122,8 @@ def sweep_sr(args, task_seed):
         for filtered in (0, 1):
             rho = filterops.rotated_filtered_state(v) if filtered else states.werner(3, v)
             res = steer.sr_state_lower_bound(
-                rho, args.n_settings, restarts=args.restarts, seed=seed, max_rounds=args.max_rounds
+                rho, args.n_settings, restarts=args.restarts, seed=seed, sdp_tol=args.sdp_tol,
+                max_rounds=args.max_rounds,
             )
             rows.append([float(v), args.n_settings, filtered, res.best, res.best_gap, args.restarts, seed])
     return ["v", "n_s", "filtered", "SR", "gap", "restarts", "seed"], rows
@@ -209,6 +210,9 @@ def run_sweep(args) -> int:
             if task == "dc":
                 why += "; it reads its dimensions from --d-grid"
             print(f"task {task!r} {why}", file=sys.stderr)
+            return 1
+        if args.noisy and task in ("chsh", "sr", "dc"):  # they build no state that --noisy could replace
+            print(f"task {task!r} has no noisy form; run it without --noisy", file=sys.stderr)
             return 1
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -415,8 +419,6 @@ def run_tomo_demo(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "counts.csv").write_text(tomo.counts_to_csv(rec))
     (out_dir / "counts.meta.json").write_text(tomo.counts_metadata_json(rec) + "\n")
-    from . import serialize
-
     (out_dir / "reconstruction.json").write_text(serialize.state_to_json(recon) + "\n")
     fid = qmat.uhlmann_fidelity(recon, ideal)
     capped = f", above tol after {history.tries} tries" if history.capped else ""
@@ -448,7 +450,6 @@ def run_solve(args) -> int:
 def _add_common(p):
     p.add_argument("--config", help="JSON config file; explicit flags win")
     p.add_argument("--seed", type=int, default=2024, help="global seed")
-    p.add_argument("--noisy", action="store_true", help="use noisy surrogates instead of ideal states")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="parameter sweeps producing CSV + manifest")
     _add_common(p)
+    p.add_argument("--noisy", action="store_true", help="use noisy surrogates instead of ideal states")
     p.add_argument("--task", default="ppt", help=f"comma-separated tasks from {TASKS}")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--v-grid", dest="v_grid", type=parse_grid, default="0:0.05:0.5")
@@ -490,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend-table", help="reproduce the symmetric-extension tables")
     _add_common(p)
+    p.add_argument("--noisy", action="store_true", help="use noisy surrogates instead of ideal states")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--v-grid", dest="v_grid", type=parse_grid, default="0:0.05:0.45")
     p.add_argument("--k-list", dest="k_list", type=lambda s: [int(x) for x in s.split(",")], default="2,3")
@@ -501,6 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tomo-demo", help="simulate counts and reconstruct one state")
     _add_common(p)
+    p.add_argument("--noisy", action="store_true", help="use noisy surrogates instead of ideal states")
     p.add_argument("--v", type=float, default=0.3)
     p.add_argument("--shots", type=int, default=10**4)
     p.add_argument("--out", default="out")

@@ -10,7 +10,8 @@ with G = sum_k Pi_k, the operators E_k = G^-1/2 Pi_k G^-1/2 form a genuine
 POVM and the transformed state is mu = G^1/2 rho G^1/2 (normalized).  The
 estimate maximises the log-likelihood per count L(mu) = sum_k f_k log tr(E_k mu)
 by restarted accelerated projected-gradient ascent (Shang, Zhang & Ng,
-Phys. Rev. A 95, 062336, 2017) and is pulled back through G^-1/2 at the end.
+Phys. Rev. A 95, 062336, 2017), with one ``eigh`` per step to project onto
+the states, and is pulled back through G^-1/2 at the end.
 
 It stops on a certificate, not on slow progress.  L is concave and its
 gradient R = sum_k (f_k / p_k) E_k has tr(R mu) = 1, so L* - L(mu) <=
@@ -262,40 +263,19 @@ def _norm(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat).real)
 
 
-def project_to_states(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The unit-trace PSD matrix nearest (in Frobenius norm) to each of a stack of Hermitian matrices,
-    with its smallest eigenvalue.
+def project_to_states(h: np.ndarray) -> np.ndarray:
+    """The unit-trace PSD matrix nearest (in Frobenius norm) to each of a stack of Hermitian matrices.
 
     Its eigenvectors are h's, and its eigenvalues are h's projected onto the
     probability simplex (Duchi et al., ICML 2008): shifted down by one common
-    tau and clipped at 0.
+    tau and clipped at 0.  tau is the largest (s_k - 1) / k, where s_k sums
+    the k largest eigenvalues of h.
     """
     w, q = np.linalg.eigh(h)
     down = w[..., ::-1]  # eigh sorts ascending
-    csum = np.cumsum(down, axis=-1)
-    kept = np.count_nonzero(down * np.arange(1, w.shape[-1] + 1) > csum - 1.0, axis=-1)
-    tau = (csum[np.arange(len(csum)), kept - 1] - 1.0) / kept
+    tau = ((np.cumsum(down, axis=-1) - 1.0) / np.arange(1, w.shape[-1] + 1)).max(axis=-1)
     lam = np.maximum(w - tau[..., None], 0.0)
-    return (q * lam[..., None, :]) @ dagger(q), lam[..., 0]
-
-
-def _project_near(h: np.ndarray, mu: np.ndarray, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`project_to_states` of a stack of h, skipping ``eigh`` on rows whose answer is known.
-
-    ``floor`` bounds each mu's smallest eigenvalue from below.  h is first
-    shifted by a multiple of I to unit trace, in place, which leaves its
-    projection as it is.  Where it then lies within floor / 2 of mu in
-    Frobenius norm, Weyl's inequality keeps it positive definite, so it is its
-    own projection and its floor is mu's less that distance.
-    """
-    d2 = h.shape[-1]
-    h.reshape(len(h), -1)[:, :: d2 + 1] -= ((_trace(h) - 1.0) / d2)[:, None]  # in place: unit trace
-    dist = _norm(h - mu)
-    far = 2 * dist >= floor
-    low = floor - dist
-    if far.any():
-        h[far], low[far] = project_to_states(h[far])
-    return h, low
+    return (q * lam[..., None, :]) @ dagger(q)
 
 
 class LikelihoodTrace(list):
@@ -327,40 +307,9 @@ def mle_reconstruct_with_history(
     return mle_reconstruct_many([record], max_iter=max_iter, tol=tol)[0]
 
 
-class _Loglik:
-    """Sums over each row's observed settings only, and each row's multinomial log-likelihood.
-
-    A row's sum is numpy's pairwise sum over that row's observed terms alone:
-    rows with the same number of observed settings are gathered into one
-    (rows, n) block and summed along it, which adds in the same order as the
-    row's own 1-D sum.  Zero-filling the unobserved terms instead would
-    regroup the additions.
-    """
-
-    def __init__(self, freqs: np.ndarray):
-        self.freqs = freqs
-        observed = freqs > 0
-        self.counts = observed.sum(axis=1)
-        cols = np.argsort(~observed, axis=1, kind="stable")  # observed settings first, in order
-        self.blocks = []
-        for n in np.flatnonzero(np.bincount(self.counts)):  # the distinct counts, ascending
-            (rows,) = np.nonzero(self.counts == n)
-            self.blocks.append((rows, cols[rows, :n]))
-
-    def keep(self, keep: np.ndarray) -> _Loglik:
-        return _Loglik(self.freqs[keep])
-
-    def sum(self, terms: np.ndarray) -> np.ndarray:
-        """Each row's sum of its observed terms, for terms shaped (..., rows, settings)."""
-        if len(self.blocks) == 1 and self.counts[0] == terms.shape[-1]:
-            return terms.sum(axis=-1)
-        out = np.empty(terms.shape[:-1])
-        for rows, cols in self.blocks:
-            out[..., rows] = terms[..., rows[:, None], cols].sum(axis=-1)
-        return out
-
-    def __call__(self, probs: np.ndarray) -> np.ndarray:
-        return self.sum(self.freqs * np.log(np.maximum(probs, 1e-300)))
+def _loglik(freqs: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Each row's log-likelihood per count, sum_k f_k log p_k."""
+    return (freqs * np.log(np.maximum(probs, 1e-300))).sum(axis=-1)
 
 
 def mle_reconstruct_many(
@@ -373,14 +322,12 @@ def mle_reconstruct_many(
     log-likelihood per count L(mu) = sum_k f_k log tr(E_k mu) over states mu.
     A row starts from its linear-inversion estimate projected onto the
     states, mixed with ``START_MIX`` of I / d^2.  Each tick tries one step on
-    every row still running: from the row's
-    extrapolated point nu, the candidate is the state nearest nu + t R(nu)
-    (:func:`project_to_states`, which :func:`_project_near` skips where the
-    answer is a shift).  A candidate without sufficient ascent over nu (the
-    backtracking test) is rejected and t shrinks; one with it but below the
-    row's current likelihood restarts the momentum at the current iterate;
-    otherwise it is accepted, t grows, and nu moves on with the momentum of
-    FISTA.
+    every row still running: from the row's extrapolated point nu, the
+    candidate is the state nearest nu + t R(nu) (:func:`project_to_states`).
+    A candidate without sufficient ascent over nu (the backtracking test) is
+    rejected and t shrinks; one with it but below the row's current
+    likelihood restarts the momentum at the current iterate; otherwise it is
+    accepted, t grows, and nu moves on with the momentum of FISTA.
 
     Near the maximum a step gains far less than the rounding in L itself, so
     both tests measure differences directly: L(mu / tr mu) changes by
@@ -388,7 +335,9 @@ def mle_reconstruct_many(
     delta, with each tr(E_k delta) taken from the difference of the matrices.
     Neither the rounding in L's sum nor the rounding of the iterate's trace
     (a first-order change to L, where the gain is second order) can then
-    decide a test.
+    decide a test.  Each of these sums, like L itself, is numpy's sum over
+    all of a row's settings, with 0 for the terms of unobserved settings, so a
+    row's bits do not depend on the rows stacked with it.
 
     A row leaves when its certified gap (see :meth:`_MleEngine.gap`), times its
     total counts, is at most ``tol`` nats per record; after ``max_iter``
@@ -414,15 +363,13 @@ def mle_reconstruct_many(
         raise ValueError("all-zero counts cannot be reconstructed")
     freqs = counts.astype(float) / total[:, None]
     d2 = engine.d2
-    loglik = _Loglik(freqs)
     rows = np.arange(len(records))
-    guess, low = project_to_states(engine.inversion(freqs))
+    guess = project_to_states(engine.inversion(freqs))
     # pts[0] is each row's extrapolated point nu, pts[1] its iterate mu; probs holds their p_k
     pts = np.stack([(1 - START_MIX) * guess + START_MIX * np.eye(d2) / d2] * 2)
     probs = engine.probabilities(pts)
-    start_ll = loglik(probs[1]).tolist()
+    start_ll = _loglik(freqs, probs[1]).tolist()
     unobserved = freqs == 0
-    floor = (1 - START_MIX) * low + START_MIX / d2  # bounds mu's smallest eigenvalue from below
     theta = np.ones(len(rows))  # FISTA's theta; beta is 0 from theta = 1, so nu is mu while theta < 2
     step = np.ones(len(rows))
     gap = total * engine.gap(freqs, probs[1], pts[1])
@@ -435,13 +382,12 @@ def mle_reconstruct_many(
             done = rows[leave]
             final_mu[done], final_gap[done], final_tries[done] = pts[1, leave], gap[leave], tick
             keep = ~leave
-            rows, pts, probs, theta, floor = rows[keep], pts[:, keep], probs[:, keep], theta[keep], floor[keep]
-            step, gap, total, leave = step[keep], gap[keep], total[keep], leave[keep]
-            loglik, freqs, unobserved = loglik.keep(keep), freqs[keep], unobserved[keep]
+            rows, pts, probs, theta, step = rows[keep], pts[:, keep], probs[:, keep], theta[keep], step[keep]
+            gap, total, leave, freqs, unobserved = gap[keep], total[keep], leave[keep], freqs[keep], unobserved[keep]
             if not rows.size:
                 break
         tick += 1
-        cand, low = _project_near(pts[0] + step[:, None, None] * engine.r_operator(freqs, probs[0]), pts[1], floor)
+        cand = project_to_states(pts[0] + step[:, None, None] * engine.r_operator(freqs, probs[0]))
         cand_p = engine.probabilities(cand)
         # the step from nu (row 0) and from mu (row 1): each setting's relative change in p, and the trace's
         delta = cand - pts
@@ -452,8 +398,9 @@ def mle_reconstruct_many(
             shift = _trace(delta) / _trace(pts)
             tail = np.log1p(shift)
             tail[0] -= shift[0]
-            # excess = L(cand) - L(nu) - <grad L(nu), cand - nu>, rise = L(cand) - L(mu)
-            excess, rise = loglik.sum(freqs * logs) - tail
+            # excess = L(cand) - L(nu) - <grad L(nu), cand - nu>, rise = L(cand) - L(mu); the mask keeps
+            # 0 * inf = NaN out of the sums where an unobserved setting's p is or becomes 0
+            excess, rise = np.where(unobserved, 0.0, freqs * logs).sum(axis=-1) - tail
         flat = delta[0].reshape(len(rows), -1)
         ascent = 2 * step * excess + np.vecdot(flat, flat).real >= 0  # sufficient ascent allows -|cand - nu|^2 / 2t
         took = ascent & (rise >= 0)
@@ -464,12 +411,11 @@ def mle_reconstruct_many(
         ahead_p = cand_p + beta[:, None] * (cand_p - probs[1])
         usable = took & ((ahead_p > 0) | unobserved).all(axis=1)
         back = (took & ~usable) | restart  # nu returns to the (new) iterate
-        accepted.append((rows[took], loglik(cand_p)[took]))
+        accepted.append((rows[took], _loglik(freqs[took], cand_p[took])))
         np.copyto(pts[0], cand + beta[:, None, None] * delta[1], where=usable[:, None, None])
         np.copyto(probs[0], ahead_p, where=usable[:, None])
         np.copyto(pts[1], cand, where=took[:, None, None])
         np.copyto(probs[1], cand_p, where=took[:, None])
-        np.copyto(floor, low, where=took)
         np.copyto(pts[0], pts[1], where=back[:, None, None])
         np.copyto(probs[0], probs[1], where=back[:, None])
         theta = np.where(usable, theta_next, np.where(back, 1.0, theta))

@@ -235,23 +235,9 @@ def _gap(engine, freqs, probs, mu):
 def _nearest_state(h):
     w, q = np.linalg.eigh(h)
     down = w[::-1]
-    csum = np.cumsum(down)
-    kept = np.count_nonzero(down * np.arange(1, len(w) + 1) > csum - 1.0)
-    tau = (csum[kept - 1] - 1.0) / kept
+    tau = ((np.cumsum(down) - 1.0) / np.arange(1, len(w) + 1)).max()
     lam = np.maximum(w - tau, 0.0)
-    return (q * lam) @ dagger(q), lam[0]
-
-
-def _project_near(h, mu, floor):
-    """``_nearest_state(h)`` and its smallest eigenvalue, or h shifted to unit trace where that is
-    within floor / 2 of mu, with mu's floor less the distance."""
-    shifted = h.copy()
-    shifted[np.diag_indices(len(h))] -= (np.trace(h).real - 1.0) / len(h)
-    diff = (shifted - mu).ravel()
-    dist = np.sqrt(np.vecdot(diff, diff).real)
-    if 2 * dist >= floor:
-        return _nearest_state(shifted)
-    return shifted, floor - dist
+    return (q * lam) @ dagger(q)
 
 
 def mle_by_record(record, max_iter=5000, tol=0.1):
@@ -261,31 +247,30 @@ def mle_by_record(record, max_iter=5000, tol=0.1):
         raise ValueError("all-zero counts cannot be reconstructed")
     engine = _engine_for(record.frame_name)
     freqs = record.counts.astype(float).ravel() / total
-    mask = freqs > 0
-    observed = freqs[mask]
+    unobserved = freqs == 0
 
     def loglik(probs):
-        return float((observed * np.log(np.maximum(probs[mask], 1e-300))).sum())
+        return float((freqs * np.log(np.maximum(probs, 1e-300))).sum())
 
     d2 = engine.d2
-    guess, low = _nearest_state((freqs @ engine._inverse_rows).view(complex).reshape(d2, d2))
+    guess = _nearest_state((freqs @ engine._inverse_rows).view(complex).reshape(d2, d2))
     mu = (1 - START_MIX) * guess + START_MIX * np.eye(d2) / d2
     p_mu = np.maximum(_overlaps(engine, mu), 0.0)
     nu, p_nu = mu, p_mu
-    theta, step, tries, floor = 1.0, 1.0, 0, (1 - START_MIX) * low + START_MIX / d2
+    theta, step, tries = 1.0, 1.0, 0
     gap, stalled = total * _gap(engine, freqs, p_mu, mu), False
     history = [loglik(p_mu)]
     while gap > tol and tries < max_iter and not stalled:
         tries += 1
-        cand, low = _project_near(nu + step * _r_operator(engine, freqs, p_nu), mu, floor)
+        cand = _nearest_state(nu + step * _r_operator(engine, freqs, p_nu))
         cand_p = np.maximum(_overlaps(engine, cand), 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             x = _overlaps(engine, cand - nu) / p_nu
             y = _overlaps(engine, cand - mu) / p_mu
             sx = np.trace(cand - nu).real / np.trace(nu).real
             sy = np.trace(cand - mu).real / np.trace(mu).real
-            excess = (freqs * (np.log1p(x) - x))[mask].sum() - (np.log1p(sx) - sx)
-            rise = (freqs * np.log1p(y))[mask].sum() - np.log1p(sy)
+            excess = np.where(unobserved, 0.0, freqs * (np.log1p(x) - x)).sum() - (np.log1p(sx) - sx)
+            rise = np.where(unobserved, 0.0, freqs * np.log1p(y)).sum() - np.log1p(sy)
         d = (cand - nu).ravel()
         if not 2 * step * excess + np.vecdot(d, d).real >= 0:
             step *= STEP_SHRINK  # no sufficient ascent: backtrack
@@ -297,9 +282,9 @@ def mle_by_record(record, max_iter=5000, tol=0.1):
             theta_next = (1 + np.sqrt(1 + 4 * theta * theta)) / 2
             beta = (theta - 1) / theta_next
             ahead, ahead_p = cand + beta * (cand - mu), cand_p + beta * (cand_p - p_mu)
-            mu, p_mu, floor = cand, cand_p, low
+            mu, p_mu = cand, cand_p
             history.append(loglik(cand_p))
-            if np.all(ahead_p[mask] > 0):
+            if np.all((ahead_p > 0) | unobserved):
                 nu, p_nu, theta = ahead, ahead_p, theta_next
             else:
                 nu, p_nu, theta = mu, p_mu, 1.0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wernerlab import certify, cli, steer
+from wernerlab import certify, cli, solver, steer
 from wernerlab.cli import derive_seed, main, parse_grid
 from wernerlab.extend import critical_weight
 from wernerlab.filterops import rotated_filtered_state
@@ -106,6 +106,38 @@ def test_sweep_unknown_task(tmp_path, capsys):
     assert main(["sweep", "--task", "ppt,nonsense", "--out", str(out)]) == 1
     assert "'nonsense'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("task", ["chsh", "sr", "dc"])
+def test_tasks_without_a_noisy_form_reject_noisy(tmp_path, capsys, task):
+    # these tasks build no state that --noisy could replace, so they wrote the bytes of a run without it
+    out = tmp_path / "run"
+    argv = ["sweep", "--task", f"ppt,{task}", "--noisy", "--v-grid", "0.1", "--restarts", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"task {task!r} has no noisy form; run it without --noisy\n"
+    assert not out.exists()
+
+
+def test_pipeline_offers_no_noisy_flag(tmp_path, capsys):
+    # the pipeline always builds its noisy surrogate
+    with pytest.raises(SystemExit):
+        main(["pipeline", "--noisy", "--out", str(tmp_path / "r.json")])
+    assert "unrecognized arguments: --noisy" in capsys.readouterr().err
+    config = tmp_path / "c.json"
+    config.write_text('{"noisy": true}')
+    assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == "error: unknown config key 'noisy'\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("sdp_tol", [1e-3, 1e-5])
+def test_sweep_sr_solves_at_the_given_tolerance(tmp_path, monkeypatch, sdp_tol):
+    tols = []
+    solve_many = solver.Family.solve_many
+    monkeypatch.setattr(solver.Family, "solve_many", lambda self, b, tol: tols.append(tol) or solve_many(self, b, tol))
+    argv = ["sweep", "--task", "sr", "--v-grid", "0.1", "--restarts", "1", "--max-rounds", "2"]
+    assert main([*argv, "--sdp-tol", str(sdp_tol), "--out", str(tmp_path)]) == 0
+    assert tols and set(tols) == {sdp_tol}
 
 
 @pytest.mark.parametrize("task", ["sr", "chsh", "tomo", "dc"])
@@ -586,8 +618,9 @@ def test_importing_the_cli_loads_no_scipy():
         ["extend-table", "--v-grid", "0", "--d", "3", "--k-list", "4", "--flavors", "SE,SE_B"],
         ["extend-table", "--v-grid", "0", "--d", "5", "--k-list", "2", "--flavors", "SE_B"],
         ["pipeline", "--shots", "2000", "--restarts", "4", "--sr-restarts", "2", "--bootstrap", "10"],
+        ["tomo-demo", "--shots", "2000"],
     ],
-    ids=["sweep-certificates", "sweep-sr", "extend-table-d3", "extend-table-d5", "pipeline"],
+    ids=["sweep-certificates", "sweep-sr", "extend-table-d3", "extend-table-d5", "pipeline", "tomo-demo"],
 )
 def test_commands_without_a_sparse_program_load_no_module(tmp_path, argv):
     # neither scipy nor anything else: a module that loads inside main is paid in every call's run time
