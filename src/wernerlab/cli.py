@@ -5,6 +5,8 @@ Every sweep writes CSV files plus a run manifest; re-running with the same
 manifest (``--replay``) reproduces each CSV byte for byte.  Floats print at 12
 significant digits and every row carries the seed that produced it.  CSV
 schemas are documented in SCHEMAS.md.
+
+A failed command writes nothing; replay rejects all but sweep and extend-table manifests.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ def parse_grid(text: str) -> list[float]:
         n = int((stop - start) / step + 1e-9)  # 1e-9 keeps a stop reached up to rounding, as in 0:0.1:0.3
         return [round(start + i * step, 12) for i in range(n + 1)]
     return [float(t) for t in text.split(",")]
+
+
+def int_list(text: str) -> list[int]:
+    return [int(t) for t in text.split(",")]
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> str:
@@ -188,7 +194,11 @@ def _blas_settings() -> dict:
     return {"name": blas.get("name"), "version": blas.get("version"), **{k: os.environ.get(k) for k in BLAS_THREAD_VARS}}
 
 
-def _write_manifest(out_dir: Path, command: str, args, **fields) -> None:
+def _write_run(command: str, args, tables: dict, **fields) -> None:
+    """Write each ``name: (header, rows)`` table as a CSV, then the manifest; callers compute every table first."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = {name: write_csv(out_dir / name, header, rows) for name, (header, rows) in tables.items()}
     manifest = {
         "artifact_version": __version__,
         "command": command,
@@ -197,6 +207,7 @@ def _write_manifest(out_dir: Path, command: str, args, **fields) -> None:
         },
         "global_seed": args.seed,
         "blas": _blas_settings(),
+        "outputs": outputs,
         **fields,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -214,34 +225,34 @@ def run_sweep(args) -> int:
         if args.noisy and task in ("chsh", "sr", "dc"):  # they build no state that --noisy could replace
             print(f"task {task!r} has no noisy form; run it without --noisy", file=sys.stderr)
             return 1
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    task_seeds, outputs, wall_times = {}, {}, {}
+    task_seeds, tables, wall_times = {}, {}, {}
     for task in tasks:
         task_seeds[task] = derive_seed(args.seed, task)
         t0 = time.perf_counter()
-        header, rows = SWEEPS[task](args, task_seeds[task])
-        name = f"{task}_d{args.d}.csv"
-        outputs[name] = write_csv(out_dir / name, header, rows)
+        tables[f"{task}_d{args.d}.csv"] = SWEEPS[task](args, task_seeds[task])
         wall_times[task] = time.perf_counter() - t0
-    _write_manifest(out_dir, "sweep", args, task_seeds=task_seeds, outputs=outputs, wall_times=wall_times)
-    print(f"wrote {len(outputs)} file(s) to {out_dir}")
+    _write_run("sweep", args, tables, task_seeds=task_seeds, wall_times=wall_times)
+    print(f"wrote {len(tables)} file(s) to {Path(args.out)}")
     return 0
 
 
-def run_replay(parser: argparse.ArgumentParser, args) -> int:
-    """Re-run a manifest's command into a temporary directory, with its recorded args as
-    defaults (the ``--config`` path), and compare its CSV digests.
+def run_replay(args) -> int:
+    """Re-run a sweep or extend-table manifest's command into a temporary directory, with its
+    recorded args as defaults (the ``--config`` path), and compare its CSV digests.
 
-    The recorded outputs and manifest are left as they are, whatever the outcome.  The
-    re-run's own report of what it wrote, to a directory that is gone when this returns,
-    is not printed: standard output holds only the verdict."""
+    The recorded files stay as they are.  Standard output holds only the verdict, not the
+    re-run's report of what it wrote to a directory that is gone when this returns."""
     manifest = json.loads(Path(args.replay).read_text())
-    command, recorded = manifest["command"], manifest["args"]
+    command = manifest.get("command") if isinstance(manifest, dict) else None
+    if command not in ("sweep", "extend-table") or not all(isinstance(manifest.get(key), dict)
+                                                           for key in ("args", "outputs")):
+        print(f"cannot replay: {args.replay} is not a sweep or extend-table manifest", file=sys.stderr)
+        return 1
+    parser, commands = build_parser([command])
     with tempfile.TemporaryDirectory() as scratch:
         argv = [command, "--out", scratch]
-        try:  # a null would read as "no values", so it goes in as the non-object it is
-            rerun = _apply_config(parser, parser.parse_args(argv), argv, [] if recorded is None else recorded)
+        try:
+            rerun = _apply_config(parser, commands[command], parser.parse_args(argv), argv, manifest["args"])
         except (SystemExit, ValueError):  # argparse exits 2, but 2 is the --strict verdict code
             print(f"cannot replay: the manifest's {command!r} arguments do not parse", file=sys.stderr)
             return 1
@@ -400,12 +411,9 @@ def _strict_check(v: float, report: dict) -> list[str]:
 
 
 def run_extend_table(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    header, rows = _extend_rows(args, args.flavors.split(","), lambda k, i: derive_seed(args.seed, f"et{k}{i}"))
-    name = f"extend_table_d{args.d}.csv"
-    _write_manifest(out_dir, "extend-table", args, outputs={name: write_csv(out_dir / name, header, rows)})
-    print(f"wrote extend table to {out_dir}")
+    table = _extend_rows(args, args.flavors.split(","), lambda k, i: derive_seed(args.seed, f"et{k}{i}"))
+    _write_run("extend-table", args, {f"extend_table_d{args.d}.csv": table})
+    print(f"wrote extend table to {Path(args.out)}")
     return 0
 
 
@@ -452,19 +460,14 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=2024, help="global seed")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="wernerlab", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sweep", help="parameter sweeps producing CSV + manifest")
+def _sweep_options(p):
     _add_common(p)
     p.add_argument("--noisy", action="store_true", help="use noisy surrogates instead of ideal states")
     p.add_argument("--task", default="ppt", help=f"comma-separated tasks from {TASKS}")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--v-grid", dest="v_grid", type=parse_grid, default="0:0.05:0.5")
     p.add_argument("--d-grid", dest="d_grid", type=parse_grid, default="2:1:16")
-    p.add_argument("--k-list", dest="k_list", type=lambda s: [int(x) for x in s.split(",")], default="2")
+    p.add_argument("--k-list", dest="k_list", type=int_list, default="2")
     p.add_argument("--side", default="B", choices=["A", "B"])
     p.add_argument("--flavor", default="SE", choices=["SE", "SQE", "SE_B"])
     p.add_argument("--restarts", type=int, default=16)
@@ -474,9 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sdp-tol", dest="sdp_tol", type=float, default=1e-7)
     p.add_argument("--out", default="out")
     p.add_argument("--replay", help="manifest.json to replay instead of running new args")
-    p.set_defaults(func=run_sweep)
 
-    p = sub.add_parser("pipeline", help="surrogate -> tomography -> filter -> certificates")
+
+def _pipeline_options(p):
     _add_common(p)
     p.add_argument("--v", type=float, default=0.0)
     p.add_argument("--depol", type=float, default=0.05)
@@ -488,39 +491,62 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bootstrap", type=int, default=15)
     p.add_argument("--out", help="write the JSON report to this file instead of stdout")
     p.add_argument("--strict", action="store_true", help="exit 2 when verdicts defy ideal theory")
-    p.set_defaults(func=run_pipeline)
 
-    p = sub.add_parser("extend-table", help="reproduce the symmetric-extension tables")
+
+def _extend_table_options(p):
     _add_common(p)
     p.add_argument("--noisy", action="store_true", help="use noisy surrogates instead of ideal states")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--v-grid", dest="v_grid", type=parse_grid, default="0:0.05:0.45")
-    p.add_argument("--k-list", dest="k_list", type=lambda s: [int(x) for x in s.split(",")], default="2,3")
+    p.add_argument("--k-list", dest="k_list", type=int_list, default="2,3")
     p.add_argument("--side", default="B", choices=["A", "B"])
     p.add_argument("--flavors", default="SE,SQE")
     p.add_argument("--sdp-tol", dest="sdp_tol", type=float, default=1e-7)
     p.add_argument("--out", default="out")
-    p.set_defaults(func=run_extend_table)
 
-    p = sub.add_parser("tomo-demo", help="simulate counts and reconstruct one state")
+
+def _tomo_demo_options(p):
     _add_common(p)
     p.add_argument("--noisy", action="store_true", help="use noisy surrogates instead of ideal states")
     p.add_argument("--v", type=float, default=0.3)
     p.add_argument("--shots", type=int, default=10**4)
     p.add_argument("--out", default="out")
-    p.set_defaults(func=run_tomo_demo)
 
-    p = sub.add_parser("solve", help="solve a conic program from its text dump")
+
+def _solve_options(p):
     p.add_argument("--program", required=True)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=200000)
-    p.set_defaults(func=run_solve)
-    return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, args, argv: list[str], values=None) -> argparse.Namespace:
-    """Parse argv again with ``values`` as the subcommand's defaults, so that argparse
-    decides which flags were given and those keep priority, abbreviated or not.
+COMMANDS = {  # name -> (help, the function that adds its options, the function that runs it)
+    "sweep": ("parameter sweeps producing CSV + manifest", _sweep_options, run_sweep),
+    "pipeline": ("surrogate -> tomography -> filter -> certificates", _pipeline_options, run_pipeline),
+    "extend-table": ("reproduce the symmetric-extension tables", _extend_table_options, run_extend_table),
+    "tomo-demo": ("simulate counts and reconstruct one state", _tomo_demo_options, run_tomo_demo),
+    "solve": ("solve a conic program from its text dump", _solve_options, run_solve),
+}
+
+
+def build_parser(names=COMMANDS) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser with a subparser for each command in ``names``, and those subparsers by name."""
+    # --help prints the module docstring's first two paragraphs
+    parser = argparse.ArgumentParser(prog="wernerlab", description="\n\n".join(__doc__.split("\n\n")[:2]))
+    parser.add_argument("--version", action="version", version=__version__)
+    # the usage names every command; with all built, no metavar, so errors still name the argument "command"
+    every = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        help_text, add_options, run = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_options(p)
+        p.set_defaults(func=run)
+    return parser, sub.choices
+
+
+def _apply_config(parser, command: argparse.ArgumentParser, args, argv: list[str], values=None) -> argparse.Namespace:
+    """Parse argv again with ``values`` as the defaults of ``command``, argv's subcommand parser,
+    so that argparse decides which flags were given and those keep priority, abbreviated or not.
 
     ``values`` is a manifest's recorded args on replay.  When it is None, the values are
     the ``--config`` file's JSON, and without that file args come back as they are.  A
@@ -534,8 +560,6 @@ def _apply_config(parser: argparse.ArgumentParser, args, argv: list[str], values
         values = json.loads(Path(args.config).read_text())
     if not isinstance(values, dict):
         raise ValueError("--config must hold a JSON object")
-    (sub,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-    command = sub.choices[args.command]
     options = {action.dest: action for action in command._actions if action.option_strings and action.dest != "help"}
     defaults = {}
     for key, val in values.items():
@@ -553,12 +577,13 @@ def _apply_config(parser: argparse.ArgumentParser, args, argv: list[str], values
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # each add_argument builds a formatter: a named command gets only its parser, anything else all of them
+    parser, commands = build_parser([argv[0]] if argv and argv[0] in COMMANDS else COMMANDS)
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(parser, args, argv)
+        args = _apply_config(parser, commands[args.command], args, argv)
         if getattr(args, "replay", None):
-            return run_replay(parser, args)
+            return run_replay(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

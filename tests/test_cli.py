@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -635,3 +636,106 @@ def test_noisy_extend_table_still_loads_scipy(tmp_path):
     assert got["code"] == 0 and "scipy.sparse" in got["scipy"]
     _, rows = read_csv(tmp_path / "extend_table_d3.csv")
     assert [row[-1] for row in rows] == ["OPTIMAL"]
+
+
+COMMAND_NAMES = ["sweep", "pipeline", "extend-table", "tomo-demo", "solve"]
+EVERY_COMMAND = "{sweep,pipeline,extend-table,tomo-demo,solve}"
+
+
+def test_help_lists_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: wernerlab [-h] [--version] {EVERY_COMMAND} ...\n")
+    assert all(f"\n    {name} " in out for name in COMMAND_NAMES)
+
+
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+def test_each_command_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: wernerlab {command} [-h]")
+
+
+def test_unknown_command_names_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    choices = ", ".join(map(repr, COMMAND_NAMES))
+    assert f"error: argument command: invalid choice: 'bogus' (choose from {choices})" in capsys.readouterr().err
+    # a call that builds one command's parser still prints the usage of them all
+    with pytest.raises(SystemExit):
+        main(["sweep", "--bogus"])
+    assert capsys.readouterr().err.startswith(f"usage: wernerlab [-h] [--version] {EVERY_COMMAND} ...\n")
+
+
+def test_each_call_builds_only_the_parser_it_runs(tmp_path, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert main(["sweep", "--task", "ppt", "--v-grid", "0", "--out", str(tmp_path / "s")]) == 0
+    assert built == ["sweep"]
+    built.clear()
+    argv = ["extend-table", "--v-grid", "0", "--k-list", "2", "--flavors", "SE", "--out", str(tmp_path / "t")]
+    assert main(argv) == 0
+    assert built == ["extend-table"]
+    built.clear()
+    assert main(["sweep", "--replay", str(tmp_path / "t" / "manifest.json")]) == 0
+    assert built == ["sweep", "extend-table"]  # the replay command's parser, then the recorded command's
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {},
+        [1],
+        {"command": "sweep", "args": {"task": "ppt", "v_grid": [0.0]}},
+        {"command": "sweep", "args": {"task": "ppt"}, "outputs": ["ppt_d3.csv"]},
+        {"command": "bogus", "args": {}, "outputs": {}},
+        {"command": "pipeline", "args": {}, "outputs": {}},
+    ],
+    ids=["empty", "list", "no-outputs", "list-outputs", "unknown-command", "no-manifest-command"],
+)
+def test_replay_rejects_a_malformed_manifest_before_anything_runs(tmp_path, capsys, monkeypatch, manifest):
+    monkeypatch.setitem(cli.SWEEPS, "ppt", lambda args, seed: pytest.fail("the sweep ran"))
+    monkeypatch.setattr(cli, "run_pipeline", lambda args: pytest.fail("the pipeline ran"))
+    saved = tmp_path / "manifest.json"
+    saved.write_text(json.dumps(manifest))
+    assert main(["sweep", "--replay", str(saved)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"cannot replay: {saved} is not a sweep or extend-table manifest\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--task", "ppt,sr", "--restarts", "0", "--v-grid", "0.1"], "restarts must be at least 1"),
+        (["sweep", "--task", "ppt,tomo", "--shots", "0", "--v-grid", "0.1"], "shots must be"),
+        (["sweep", "--task", "sr", "--restarts", "0", "--v-grid", "0.1"], "restarts must be at least 1"),
+        (["extend-table", "--k-list", "0", "--v-grid", "0"], "extension needs"),
+    ],
+    ids=["ppt-sr", "ppt-tomo", "sr", "extend-table"],
+)
+def test_a_failing_task_writes_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "extend-table"])
+def test_k_list_errors_name_the_int_list_type(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--k-list", "2,x", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert f"wernerlab {command}: error: argument --k-list: invalid int_list value: '2,x'" in capsys.readouterr().err
