@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
+from .filterops import filtered_weight
 from .qmat import DensityMatrix, dagger, grid_best, grid_rows, partial_trace, partial_transpose
 from .states import haar_restarts
 
@@ -303,20 +304,18 @@ def werner_delta(d: int, v: float) -> float:
 
 
 def filtered_delta(d: int, v: float) -> float:
-    """Closed-form delta of the qubit-filtered Werner state (two-qubit Werner at v')."""
-    n = (d + 1.0) * (1 - v) + 3.0 * v * (d - 1)
-    a = (d + 1.0) * (1 - v) / n  # this is 1 - v'
-    bcoef = 3.0 * v * (d - 1) / n  # this is v'
-    second = 0.0 if v == 0 else bcoef * np.log2(v * (d - 1) / n)
-    return float(1.0 + _xlog2(a) + second)
+    """Closed-form delta of the qubit-filtered Werner state: the two-qubit Werner state at v'."""
+    return werner_delta(2, filtered_weight(d, v))
 
 
-def dc_threshold(d: int, tol: float = 1e-5) -> float | None:
-    """Root of filtered_delta(d, .) on [0, 0.5] by bisection; None if no sign change."""
+def dc_threshold(d: int, tol: float = 1e-5) -> float:
+    """Root of filtered_delta(d, .) on [0, 0.5] by bisection.
+
+    The bracket holds for every d >= 2: filtered delta is 1 at v = 0, and at v = 0.5 the
+    filtered weight is at least 1/2, above the two-qubit root near 0.189.  A d below 2
+    raises ValueError in :func:`~wernerlab.filterops.filtered_weight`.
+    """
     lo, hi = 0.0, 0.5
-    f_lo, f_hi = filtered_delta(d, lo), filtered_delta(d, hi)
-    if f_lo <= 0 or f_hi >= 0:
-        return None
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if filtered_delta(d, mid) > 0:

@@ -138,8 +138,7 @@ def sweep_sr(args, task_seed):
 def sweep_dc(args, task_seed):
     rows = []
     for i, d in enumerate(args.d_grid):
-        root = certify.dc_threshold(int(d), tol=1e-7)
-        rows.append([int(d), task_seed ^ i, float("nan") if root is None else root])
+        rows.append([int(d), task_seed ^ i, certify.dc_threshold(int(d), tol=1e-7)])
     return ["d", "seed", "v_dc"], rows
 
 
@@ -160,10 +159,7 @@ def sweep_extend(args, task_seed):
 
 
 def sweep_tomo(args, task_seed):
-    records = [
-        tomo.simulate_counts(_state_for(3, v, args.noisy, task_seed ^ i), args.shots, task_seed ^ i)
-        for i, v in enumerate(args.v_grid)
-    ]
+    records = [tomo.simulate_counts(rho, args.shots, seed) for seed, rho in zip(*_grid_states(args, task_seed))]
     recons = tomo.mle_reconstruct_many(records, max_iter=3000)
     rows = [
         [float(v), rec.seed, args.shots, qmat.uhlmann_fidelity(recon, states.werner(3, v))]
@@ -216,6 +212,9 @@ def _write_run(command: str, args, tables: dict, **fields) -> None:
 def run_sweep(args) -> int:
     tasks = args.task.split(",")
     for task in tasks:  # all checked before anything is written
+        if tasks.count(task) > 1:  # it would run twice and write one CSV
+            print(f"task {task!r} is named more than once", file=sys.stderr)
+            return 1
         if task not in SWEEPS or (task in D3_ONLY_TASKS and args.d != 3):
             why = f"runs only at --d 3, not {args.d}" if task in SWEEPS else f"is unknown; choose from {TASKS}"
             if task == "dc":
@@ -224,6 +223,9 @@ def run_sweep(args) -> int:
             return 1
         if args.noisy and task in ("chsh", "sr", "dc"):  # they build no state that --noisy could replace
             print(f"task {task!r} has no noisy form; run it without --noisy", file=sys.stderr)
+            return 1
+        if task == "dc" and not all(float(d).is_integer() and d >= 2 for d in args.d_grid):
+            print(f"task 'dc' needs integer dimensions of at least 2 in --d-grid, not {args.d_grid}", file=sys.stderr)
             return 1
     task_seeds, tables, wall_times = {}, {}, {}
     for task in tasks:

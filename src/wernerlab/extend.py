@@ -383,7 +383,10 @@ def werner_t_star(d: int, k: int, bosonic: bool, swap: Fraction) -> Fraction:
 def run_query(q: ExtensionQuery, tol: float = 1e-7, max_iter: int = 200000) -> ExtensionResult:
     """Optimal t* of the query's SDP, or of :func:`werner_t_star` with no solve (status OPTIMAL,
     gap 0, 0 iterations) for SE and SE-B on a Werner input; t* <= 1 means the extension exists,
-    and t*_SQE <= t*_SE <= t*_SE_B."""
+    and t*_SQE <= t*_SE <= t*_SE_B.  Raises ValueError unless ``tol`` is finite and positive, as a
+    solve does, whichever way t* is found."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     swap = werner_swap(q.rho) if q.flavor in (SE, SE_B) else None
     if swap is not None:
         t_star = float(werner_t_star(q.rho.dimA, q.k, q.flavor == SE_B, Fraction(swap)))

@@ -112,13 +112,9 @@ class FilterProtocol:
 
 def filter_protocol(f: FilterOperator) -> FilterProtocol:
     """Decompose a filter into its sequential unitary/attenuation/unitary steps."""
-    m = f.mat
-    if np.max(np.abs(m)) == 0:
+    if np.max(np.abs(f.mat)) == 0:
         raise ValueError("zero filter has no protocol")
-    top = np.linalg.norm(m, 2)
-    if abs(top - 1.0) > 1e-8:
-        m = m / top
-    u, s, vdag = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=True)
+    u, s, vdag = np.linalg.svd(f.mat, full_matrices=True)
     kept = tuple(i for i, si in enumerate(s) if si > 1e-12)
     return FilterProtocol(
         pre_unitary=vdag,

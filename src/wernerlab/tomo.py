@@ -29,7 +29,7 @@ describes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -39,11 +39,22 @@ from .qmat import DensityMatrix, as_state, dagger
 
 @dataclass(frozen=True)
 class TomoFrame:
-    """Local measurement vectors with their human-readable labels."""
+    """Local measurement vectors with their human-readable labels, and the read-only product
+    projectors |v_i v_j><v_i v_j|, stacked with k = i*size + j."""
 
     name: str
     labels: tuple[str, ...]
     vectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        v = np.asarray(self.vectors, dtype=complex)
+        p = v[:, :, None] * v.conj()[:, None, :]  # |v_i><v_i|
+        n = self.dim**2
+        # (i, j, a, b, c, e) -> p_i[a, c] p_j[b, e], the kron of the pair
+        projs = (p[:, None, :, None, :, None] * p[None, :, None, :, None, :]).reshape(self.size**2, n, n)
+        projs.flags.writeable = False
+        object.__setattr__(self, "projectors", projs)
 
     @property
     def dim(self) -> int:
@@ -102,27 +113,9 @@ def frame_for(name: str) -> TomoFrame:
         raise ValueError(f"unknown tomography frame {name!r}") from None
 
 
-def _build_product_projectors(frame: TomoFrame) -> np.ndarray:
-    """Stacked projectors |v_i v_j><v_i v_j| with k = i*size + j."""
-    v = np.asarray(frame.vectors, dtype=complex)
-    p = v[:, :, None] * v.conj()[:, None, :]  # |v_i><v_i|
-    n = frame.dim**2
-    # (i, j, a, b, c, e) -> p_i[a, c] p_j[b, e], the kron of the pair
-    return (p[:, None, :, None, :, None] * p[None, :, None, :, None, :]).reshape(frame.size**2, n, n)
-
-
-@lru_cache(maxsize=None)
-def _product_projectors(frame_name: str) -> np.ndarray:
-    """Read-only product projectors of a registered frame, built on first use."""
-    projs = _build_product_projectors(frame_for(frame_name))
-    projs.flags.writeable = False
-    return projs
-
-
 def frame_rank(frame: TomoFrame) -> int:
     """Rank of the product-projector design matrix on Hermitian operators."""
-    projs = _build_product_projectors(frame)
-    design = projs.reshape(len(projs), -1)
+    design = frame.projectors.reshape(frame.size**2, -1)
     return int(np.linalg.matrix_rank(design, tol=1e-10))
 
 
@@ -154,8 +147,7 @@ def expected_probabilities(rho: DensityMatrix, frame: TomoFrame | None = None) -
     frame = frame or frame_for("qutrit9" if rho.dimA == 3 else "qubit6")
     if frame.dim != rho.dimA or frame.dim != rho.dimB:
         raise ValueError("frame dimension does not match the state")
-    projs = _product_projectors(frame.name)
-    p = np.einsum("kij,ji->k", projs, rho.mat).real
+    p = np.einsum("kij,ji->k", frame.projectors, rho.mat).real
     return np.clip(p, 0.0, None).reshape(frame.size, frame.size)
 
 
@@ -193,11 +185,8 @@ class _MleEngine:
     def __init__(self, frame: TomoFrame):
         self.frame = frame
         d2 = frame.dim**2
-        projs = _product_projectors(frame.name)
-        g = projs.sum(axis=0)
-        w, q = np.linalg.eigh(g)
-        if w[0] <= 1e-12:
-            raise ValueError("tomography frame is rank deficient")
+        projs = frame.projectors
+        w, q = np.linalg.eigh(projs.sum(axis=0))  # positive definite: the frame builders check full rank
         self.g_isqrt = (q * (1.0 / np.sqrt(w))) @ dagger(q)
         self.povm = np.einsum("ab,kbc,cd->kad", self.g_isqrt, projs, self.g_isqrt)
         # row k is E_k flattened, as real and imaginary parts in turn

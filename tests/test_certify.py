@@ -25,7 +25,7 @@ from wernerlab.certify import (
     ppt_min_eig,
     werner_delta,
 )
-from wernerlab.filterops import filtered_weight, rotated_filtered_state
+from wernerlab.filterops import apply_filter, filtered_weight, qubit_projection, rotated_filtered_state
 from wernerlab.qmat import DensityMatrix, partial_transpose
 from wernerlab.states import haar_unitaries, werner
 from wernerlab.steer import chsh_coefficients, seesaw_bell_many
@@ -215,8 +215,12 @@ def test_werner_delta_closed_form_matches_entropy_route():
 
 def test_filtered_delta_equals_two_qubit_delta():
     for d in (3, 5):
+        pi = qubit_projection(d, (0, 1), "A"), qubit_projection(d, (0, 1), "B")
         for v in (0.05, 0.2, 0.45):
             assert filtered_delta(d, v) == pytest.approx(werner_delta(2, filtered_weight(d, v)), abs=1e-12)
+            # and the entropy route on the state that the qubit projection leaves
+            filtered, _ = apply_filter(werner(d, v), *pi)
+            assert filtered_delta(d, v) == pytest.approx(dense_coding_delta(filtered).value, abs=1e-9)
 
 
 def test_dc_threshold_values():
@@ -232,6 +236,9 @@ def test_dc_threshold_values():
         assert cur < prev
         prev = cur
     assert dc_threshold(10**6, 1e-7) == pytest.approx(0.0722088, abs=1e-4)
+    for d in (1, 0):  # d = 1 gave 2.98e-8 with a RuntimeWarning, d = 0 a ZeroDivisionError
+        with pytest.raises(ValueError, match="need d >= 2"):
+            dc_threshold(d)
 
 
 def random_state(d_a, d_b, seed):

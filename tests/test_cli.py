@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wernerlab import certify, cli, solver, steer
+from wernerlab import certify, cli, solver, steer, tomo
 from wernerlab.cli import derive_seed, main, parse_grid
 from wernerlab.extend import critical_weight
 from wernerlab.filterops import rotated_filtered_state
+from wernerlab.qmat import uhlmann_fidelity
 from wernerlab.solver import Block, ConicProgram, dump_program
 from wernerlab.states import werner
 
@@ -106,6 +107,25 @@ def test_sweep_unknown_task(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["sweep", "--task", "ppt,nonsense", "--out", str(out)]) == 1
     assert "'nonsense'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_a_repeated_task(tmp_path, capsys, monkeypatch):
+    # a repeated task would run twice and write one CSV, and the manifest would time only its second run
+    monkeypatch.setitem(cli.SWEEPS, "ppt", lambda args, task_seed: pytest.fail("ran a task before the checks"))
+    out = tmp_path / "run"
+    assert main(["sweep", "--task", "ppt,ppt", "--v-grid", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "task 'ppt' is named more than once\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d_grid", ["2.5", "1", "0", "2,3,1"])
+def test_dc_rejects_dimensions_it_cannot_use(tmp_path, capsys, monkeypatch, d_grid):
+    # 2.5 wrote a d=2 row, 1 a v_dc of 3e-8 with a RuntimeWarning, and 0 ended in a ZeroDivisionError
+    monkeypatch.setitem(cli.SWEEPS, "ppt", lambda args, task_seed: pytest.fail("ran a task before the checks"))
+    out = tmp_path / "run"
+    assert main(["sweep", "--task", "ppt,dc", "--d-grid", d_grid, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("task 'dc' needs integer dimensions of at least 2 in --d-grid")
     assert not out.exists()
 
 
@@ -256,6 +276,21 @@ def test_grid_tasks_write_the_bytes_of_a_loop_over_solo_calls(tmp_path):
     for task, header in headers.items():
         cli.write_csv(tmp_path / f"{task}_solo.csv", header, rows[task])
         assert (tmp_path / f"{task}_d3.csv").read_bytes() == (tmp_path / f"{task}_solo.csv").read_bytes()
+
+
+def test_sweep_tomo_writes_the_bytes_of_solo_reconstructions(tmp_path, capsys):
+    argv = ["sweep", "--task", "tomo", "--v-grid", "0.1,0.3", "--shots", "2000", "--seed", "5", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rows = []
+    for i, v in enumerate([0.1, 0.3]):
+        seed = derive_seed(5, "tomo") ^ i
+        recon, _ = tomo.mle_reconstruct_with_history(tomo.simulate_counts(werner(3, v), 2000, seed), max_iter=3000)
+        rows.append([v, seed, 2000, uhlmann_fidelity(recon, werner(3, v))])
+    cli.write_csv(tmp_path / "tomo_solo.csv", ["v", "seed", "N", "fidelity"], rows)
+    assert (tmp_path / "tomo_d3.csv").read_bytes() == (tmp_path / "tomo_solo.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["sweep", "--replay", str(tmp_path / "manifest.json")]) == 0
+    assert capsys.readouterr().out == "replay OK: all CSV digests match\n"
 
 
 def test_extend_table_command(tmp_path):
@@ -504,6 +539,14 @@ def test_pipeline_report_and_verdicts(tmp_path):
     assert 0 < report["filter"]["success_prob"] <= 1
 
 
+def test_pipeline_without_out_prints_its_report(capsys):
+    argv = ["pipeline", "--shots", "2000", "--restarts", "4", "--sr-restarts", "2", "--bootstrap", "10"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["schema_version"] == 1
+    assert report["params"]["shots"] == 2000
+
+
 def test_pipeline_gurvits_pass_at_half(tmp_path):
     report_file = tmp_path / "r5.json"
     code = main(
@@ -730,6 +773,18 @@ def test_a_failing_task_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_extend_table_checks_sdp_tol_without_a_solve(tmp_path, capsys, source):
+    # SE on a Werner state takes the closed form, which solves nothing; a JSON number skips the option's type
+    config = tmp_path / "c.json"
+    config.write_text('{"sdp-tol": 0}')
+    tol = ["--sdp-tol", "0"] if source == "flag" else ["--config", str(config)]
+    out = tmp_path / "run"
+    assert main(["extend-table", *tol, "--k-list", "2", "--flavors", "SE", "--v-grid", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: tol must be finite and positive\n"
     assert not out.exists()
 
 

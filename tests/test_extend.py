@@ -22,7 +22,7 @@ from wernerlab.extend import (
     werner_t_star,
     young_orthogonal_form,
 )
-from wernerlab.qmat import partial_transpose_dims
+from wernerlab.qmat import DensityMatrix, partial_transpose_dims
 from wernerlab.solver import Block, ConicProgram, mat_real, presolve, solve, vec_real, vec_real_map
 from wernerlab.states import (
     NoiseSpec,
@@ -441,6 +441,7 @@ def test_werner_inputs_call_no_solver(flavor, monkeypatch):
     for q in (
         ExtensionQuery(noisy_surrogate(werner(3, 0.2), SURROGATE), 3, "A", flavor),
         ExtensionQuery(werner(2, 0.2), 2, "B", "SQE"),
+        ExtensionQuery(DensityMatrix(2, 3, np.eye(6) / 6), 2, "A", flavor),  # twirl-invariant, but not square
     ):
         built, solved, res = solver_calls(q, monkeypatch)
         assert len(built) == len(solved) == 1 and built[0] is q

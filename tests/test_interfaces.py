@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from wernerlab import steer
+from wernerlab import certify, steer, tomo
 from wernerlab.cli import main
 from wernerlab.extend import (
     ExtensionQuery,
@@ -17,10 +18,18 @@ from wernerlab.extend import (
     run_query,
     symmetric_subspace_isometry,
 )
-from wernerlab.filterops import filter_protocol, filtered_weight, qubit_projection, replay_protocol
-from wernerlab.qmat import embed, partial_transpose
-from wernerlab.solver import solve
-from wernerlab.states import werner
+from wernerlab.filterops import (
+    apply_filter,
+    filter_protocol,
+    filtered_weight,
+    qubit_projection,
+    replay_protocol,
+    rotated_filtered_state,
+)
+from wernerlab.qmat import DensityMatrix, as_state, embed, partial_transpose, partial_transpose_dims
+from wernerlab.serialize import state_from_json
+from wernerlab.solver import Block, ConicProgram, load_program, solve
+from wernerlab.states import NoiseSpec, werner
 
 from lp_oracle import lp_vertex_enumeration_check
 
@@ -46,6 +55,88 @@ def test_side_other_than_a_or_b_is_rejected_before_any_draw(entry, monkeypatch):
     monkeypatch.setattr(steer, "haar_restarts", no_draw)
     with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
         calls[entry]()
+
+
+DUMP = "CONICPROG 1\nBLOCKS 1\nnonneg 2\nOBJ 0\nA 1 2 0\nRHS 0\nEND\n"
+
+
+def _correlation(shape, entries):
+    p = np.zeros(shape)
+    for index, value in entries.items():
+        p[index] = value
+    return steer.Correlation(p)
+
+
+def _raising_calls():
+    """One call per check on outside input that no other test reaches, with the message it raises."""
+    rect = DensityMatrix(2, 3, np.eye(6) / 6)
+    far = np.zeros((9, 9))
+    far[8, 8] = 1.0  # |22>, which a projection onto levels 0 and 1 annihilates
+    far = DensityMatrix(3, 3, far)
+    keep01 = qubit_projection(3, (0, 1), "A"), qubit_projection(3, (0, 1), "B")
+    qubits = steer.mub_qubit_measurements(2)
+    return {
+        "gurvits_ball": (lambda: certify.gurvits_ball(rect), "equal local dimensions"),
+        "fef_many": (lambda: certify.fef_many([rect], [0]), "square bipartition"),
+        "correlation_matrix": (lambda: certify.correlation_matrix(werner(3, 0.0)), "two-qubit states"),
+        "apply_filter-dims": (lambda: apply_filter(rect, *keep01), "input dimensions do not match"),
+        "rotated_filtered_state": (lambda: rotated_filtered_state(1.5), "v must lie in"),
+        "replay_protocol-annihilates": (
+            lambda: replay_protocol(far, filter_protocol(keep01[0]), "A"), "protocol annihilates state"
+        ),
+        "DensityMatrix-non-finite": (lambda: DensityMatrix(1, 2, np.diag([np.nan, 1.0])), "non-finite"),
+        "as_state-not-psd": (lambda: as_state(np.diag([1.5, -0.5]), 1, 2), "not PSD"),
+        "partial_transpose_dims": (lambda: partial_transpose_dims(np.eye(4), [2, 2], [2]), "out of range"),
+        "state_from_json": (
+            lambda: state_from_json('{"dimA": 1, "dimB": 2, "entries": [[1, 0]]}'), "entry count"
+        ),
+        "Block": (lambda: Block("free", 0), "block size must be positive"),
+        "ConicProgram": (
+            lambda: ConicProgram([Block("free", 2)], np.zeros(2), sp.csr_matrix((1, 3)), np.zeros(1)),
+            "constraint matrix shape mismatch",
+        ),
+        "load_program-malformed-line": (
+            lambda: load_program(DUMP.replace("BLOCKS 1", "BLOCKS 1 2")), "malformed line 'BLOCKS 1 2'"
+        ),
+        "load_program-variable-count": (
+            lambda: load_program(DUMP.replace("A 1 2 0", "A 1 3 0")), "variable count mismatch"
+        ),
+        "NoiseSpec-depol": (lambda: NoiseSpec(depol=1.5), "depol must lie in"),
+        "NoiseSpec-coherent_eps": (lambda: NoiseSpec(coherent_eps=-0.1), "coherent_eps must be nonnegative"),
+        "Correlation-shape": (lambda: steer.Correlation(np.full((1, 2, 2), 0.25)), "must have shape"),
+        "Correlation-negative": (
+            lambda: _correlation((1, 1, 2, 2), {(0, 0, 0, 0): 1.5, (0, 0, 0, 1): -0.5}), "negative probabilities"
+        ),
+        "Correlation-normalized": (lambda: _correlation((1, 1, 2, 2), {(0, 0, 0, 0): 0.5}), "normalized"),
+        "Correlation-signals-B-to-A": (
+            lambda: _correlation((1, 2, 2, 2), {(0, 0, 0, 0): 1.0, (0, 1, 1, 0): 1.0}), "from B to A"
+        ),
+        "Correlation-signals-A-to-B": (
+            lambda: _correlation((2, 1, 2, 2), {(0, 0, 0, 0): 1.0, (1, 0, 0, 1): 1.0}), "from A to B"
+        ),
+        "correlation_from": (
+            lambda: steer.correlation_from(werner(3, 0.0), qubits, qubits), "measurement dimensions"
+        ),
+        # 2^10 * 2^10 deterministic strategies
+        "nonlocal_content_program": (
+            lambda: steer.nonlocal_content_program(steer.Correlation(np.full((10, 10, 2, 2), 0.25))),
+            "too large for vertex enumeration",
+        ),
+        "seesaw_bell_many": (
+            lambda: steer.seesaw_bell_many([werner(2, 0.0)], np.zeros((10, 10, 2, 2)), [0]), "scenario too large"
+        ),
+        "frame_for": (lambda: tomo.frame_for("qutrit8"), "unknown tomography frame 'qutrit8'"),
+        "expected_probabilities": (
+            lambda: tomo.expected_probabilities(werner(3, 0.0), tomo.qubit_bases()), "frame dimension"
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_raising_calls()))
+def test_outside_input_is_rejected(entry):
+    call, message = _raising_calls()[entry]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_vertex_oracle_on_tiny_nonlocal_content():

@@ -362,7 +362,11 @@ def test_bootstrap_matches_sequential_reference(record, statistic):
 
 
 def test_product_projectors_are_memoised_read_only():
-    projs = tomo._product_projectors("qutrit9")
-    assert tomo._product_projectors("qutrit9") is projs
-    assert not projs.flags.writeable
-    assert np.array_equal(projs, tomo._build_product_projectors(qutrit_bases()))
+    # each registered frame builds its projectors once, and every caller reads that one array
+    for name in ("qutrit9", "qubit6"):
+        frame = tomo.frame_for(name)
+        assert tomo.frame_for(name).projectors is frame.projectors
+        assert tomo._engine_for(name).frame is frame
+        assert not frame.projectors.flags.writeable
+        outer = [np.outer(v, v.conj()) for v in frame.vectors]
+        assert np.array_equal(frame.projectors, [np.kron(a, b) for a in outer for b in outer])
