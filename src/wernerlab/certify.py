@@ -313,10 +313,13 @@ def dc_threshold(d: int, tol: float = 1e-5) -> float:
 
     The bracket holds for every d >= 2: filtered delta is 1 at v = 0, and at v = 0.5 the
     filtered weight is at least 1/2, above the two-qubit root near 0.189.  A d below 2
-    raises ValueError in :func:`~wernerlab.filterops.filtered_weight`.
+    raises ValueError in :func:`~wernerlab.filterops.filtered_weight`, and so does a ``tol`` that
+    is not finite and positive.  A ``tol`` below the float spacing stops at adjacent floats.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > tol and lo < (lo + hi) / 2 < hi:
         mid = (lo + hi) / 2
         if filtered_delta(d, mid) > 0:
             lo = mid

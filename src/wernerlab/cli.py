@@ -56,6 +56,17 @@ def int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",")]
 
 
+# what a --config value that is not a string must already be, by its option's type (bool: a flag)
+CONFIG_TYPES = {
+    int: ("an integer", lambda x: type(x) is int),
+    float: ("a number", lambda x: type(x) in (int, float)),
+    parse_grid: ("a list of numbers", lambda x: type(x) is list and all(type(v) in (int, float) for v in x)),
+    int_list: ("a list of integers", lambda x: type(x) is list and all(type(v) is int for v in x)),
+    bool: ("true or false", lambda x: type(x) is bool),
+    None: ("a string", lambda x: type(x) is str),
+}
+
+
 def write_csv(path: Path, header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     for row in rows:
@@ -552,10 +563,11 @@ def _apply_config(parser, command: argparse.ArgumentParser, args, argv: list[str
 
     ``values`` is a manifest's recorded args on replay.  When it is None, the values are
     the ``--config`` file's JSON, and without that file args come back as they are.  A
-    string value goes through its option's type, as on the command line, and the result
-    must be one of the option's choices, if it has them.  Raises ValueError unless the
-    values are an object whose keys (dashes read as underscores) are all options of the
-    subcommand, with allowed values."""
+    string value goes through its option's type, as on the command line, any other value
+    must already be what that type makes (``CONFIG_TYPES``), and the result must be one of
+    the option's choices, if it has them.  Raises ValueError unless the values are an object
+    whose keys (dashes read as underscores) are all options of the subcommand, with allowed
+    values."""
     if values is None:
         if not getattr(args, "config", None):
             return args
@@ -568,6 +580,9 @@ def _apply_config(parser, command: argparse.ArgumentParser, args, argv: list[str
         action = options.get(key.replace("-", "_"))
         if action is None:
             raise ValueError(f"unknown config key {key!r}")
+        name, holds = CONFIG_TYPES[bool if action.nargs == 0 else action.type]  # store_true has no type
+        if not (holds(val) or isinstance(val, str) and action.type):
+            raise ValueError(f"config key {key!r}: expected {name}, not {json.dumps(val)}")
         val = action.type(val) if isinstance(val, str) and action.type else val
         if action.choices is not None and val not in action.choices:
             allowed = ", ".join(map(repr, action.choices))

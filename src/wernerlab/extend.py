@@ -18,8 +18,10 @@ marginal constraint for all k.  SE-B is the trivial-irrep block alone.
 
 SQE keeps the full program, one PSD block for P and one per transposed subset
 S, and one marginal constraint per copy.  All three flavors build their trace
-rows with one sparse marginal map; SQE's for copy i is that of the identity
-isometry with copy i moved first.  SQE traces first and transposes after, on
+rows with one sparse marginal map, SQE's for copy i that of the identity
+isometry with copy i moved first, and go through one assembler that adds the
+t column, the right-hand side and the blocks: SE and SE-B give it one row of
+maps, SQE one per copy.  SQE traces first and transposes after, on
 the two-party marginal: transposing a traced party leaves its trace unchanged,
 so tr_others(Q^(T_S)) = (tr_others Q)^(T_(S & kept)), and only the four
 two-party transposes are ever built.
@@ -239,14 +241,6 @@ def _default_partitions(q: ExtensionQuery) -> list[tuple[int, ...]]:
     ]
 
 
-def _marginal_rhs(q: ExtensionQuery) -> tuple[np.ndarray, np.ndarray]:
-    """Per-copy right-hand side vec(rho - I/D) and the -t column vec(I/D)."""
-    dd = q.rho.dim
-    eye_term = vec_real(np.eye(dd) / dd)
-    rhs = vec_real(q.rho.mat) - eye_term
-    return rhs, eye_term
-
-
 def _real_form(lin: sp.spmatrix, n_out: int, n_in: int) -> sp.csr_matrix:
     """The map vec_real(H) -> vec_real(L(H)) of a linear map L given on row-major vec(H)."""
     # L maps Hermitian matrices to Hermitian matrices, so the imaginary part is rounding
@@ -276,7 +270,8 @@ def _block_marginal_map(t: np.ndarray, d_other: int, side: str) -> sp.csr_matrix
 
 def _marginal_map(q: ExtensionQuery, v: np.ndarray) -> sp.csr_matrix:
     """Map from vec_real(M) to vec_real of the first copy's and the other party's marginal of
-    X = sum_i V_i M V_i^H / sqrt(d_lambda), for an isometry stack V of shape (d_lambda, d^k, m)."""
+    X = sum_i V_i M V_i^H / sqrt(d_lambda), for an isometry stack V of shape (d_lambda, d^k, m).
+    The 1/sqrt(d_lambda) makes M -> X an isometry."""
     dim, _, mult = v.shape
     v = v.reshape(dim, q.dims[q.copy_positions[0]], -1, mult)  # copy 1 first, the other k-1 copies next
     t = np.einsum("ijrq,isrp->jqsp", v, v.conj()) / np.sqrt(dim)
@@ -297,59 +292,41 @@ def _real_partial_transpose(dims: list[int], subsystems: list[int]) -> sp.csr_ma
     return _real_form(sp.csr_matrix((np.ones(n * n), (np.arange(n * n), perm)), shape=(n * n, n * n)), n, n)
 
 
-def _build_sqe_program(q: ExtensionQuery) -> ConicProgram:
-    """X = P + sum_S Q_S^(T_S) with one PSD block for P and one per transposed subset S, and
-    one marginal constraint per copy; each transpose acts after the trace, on the two kept
-    parties."""
-    n_ext = prod(q.dims)
+def _assemble(q: ExtensionQuery, rows: list[list[sp.spmatrix]], sides: list[int]) -> ConicProgram:
+    """min t subject to sum_j rows[r][j] vec_real(M_j) - t vec_real(I/D) = vec_real(rho - I/D) for
+    each row r, with one PSD block M_j of side ``sides[j]`` per column map and a trailing t >= 0."""
+    dd = q.rho.dim
+    eye_term = vec_real(np.eye(dd) / dd)
+    t_col = sp.csr_matrix(-eye_term[:, None])
+    a = sp.vstack([sp.hstack(maps + [t_col]) for maps in rows]).tocsr()
+    blocks = tuple(Block("psd", s) for s in sides) + (Block("nonneg", 1),)
+    c = np.zeros(sum(s * s for s in sides) + 1)
+    c[-1] = 1.0
+    return ConicProgram(blocks, c, a, np.tile(vec_real(q.rho.mat) - eye_term, len(rows)))
+
+
+def build_program(q: ExtensionQuery) -> ConicProgram:
+    """The query's SDP (see the module docstring): for SE and SE-B one copy's marginal row over the
+    isotypic isometry stacks, SE-B's being the symmetric subspace alone; for SQE one row per copy over
+    P and the Q_S, each transpose acting after the trace, on the two kept parties."""
+    if q.flavor != SQE:
+        d = q.dims[q.copy_positions[0]]
+        stacks = s_k_isometries(d, q.k).values() if q.flavor == SE else [symmetric_subspace_isometry(d, q.k)[None]]
+        sides = [v.shape[2] * q.dims[q.other_position] for v in stacks]
+        return _assemble(q, [[_marginal_map(q, v) for v in stacks]], sides)
     parts = _default_partitions(q)
-    rhs, eye_term = _marginal_rhs(q)
     transposes = {}  # two-party transposes, built as the subsets call for them
-    a_rows = []
+    rows = []
     for i, pos in enumerate(q.copy_positions):
         tm = _copy_trace_map(q, i)
         kept = sorted([pos, q.other_position])
-        cols = [tm]
+        rows.append([tm])
         for subset in parts:
             on_kept = tuple(n for n, p in enumerate(kept) if p in subset)
             if on_kept not in transposes:
                 transposes[on_kept] = _real_partial_transpose([q.rho.dimA, q.rho.dimB], list(on_kept))
-            cols.append((transposes[on_kept] @ tm).tocsr())
-        cols.append(sp.csr_matrix(-eye_term[:, None]))
-        a_rows.append(sp.hstack(cols))
-    a = sp.vstack(a_rows).tocsr()
-    b = np.tile(rhs, q.k)
-    nvar = n_ext * n_ext
-    blocks = tuple([Block("psd", n_ext)] * (1 + len(parts)) + [Block("nonneg", 1)])
-    c = np.zeros(nvar * (1 + len(parts)) + 1)
-    c[-1] = 1.0
-    return ConicProgram(blocks, c, a, b)
-
-
-def _build_symmetric_program(q: ExtensionQuery, isometries: list[np.ndarray]) -> ConicProgram:
-    """Extension over copy-permutation-invariant X = sum_lambda sum_i V_i M_lambda V_i^H / sqrt(d_lambda),
-    one PSD block M_lambda per isometry stack V in ``isometries``.
-
-    Every copy of an invariant X has the same marginal, so one copy's constraint
-    stands for all k; the 1/sqrt(d_lambda) makes M_lambda -> X an isometry.
-    """
-    maps = [_marginal_map(q, v) for v in isometries]
-    sides = [v.shape[2] * q.dims[q.other_position] for v in isometries]
-    rhs, eye_term = _marginal_rhs(q)
-    a = sp.hstack(maps + [sp.csr_matrix(-eye_term[:, None])]).tocsr()
-    blocks = tuple(Block("psd", s) for s in sides) + (Block("nonneg", 1),)
-    c = np.zeros(sum(s * s for s in sides) + 1)
-    c[-1] = 1.0
-    return ConicProgram(blocks, c, a, rhs)
-
-
-def build_program(q: ExtensionQuery) -> ConicProgram:
-    if q.flavor == SQE:
-        return _build_sqe_program(q)
-    d = q.dims[q.copy_positions[0]]
-    if q.flavor == SE_B:
-        return _build_symmetric_program(q, [symmetric_subspace_isometry(d, q.k)[None]])
-    return _build_symmetric_program(q, list(s_k_isometries(d, q.k).values()))
+            rows[-1].append(transposes[on_kept] @ tm)
+    return _assemble(q, rows, [prod(q.dims)] * (1 + len(parts)))
 
 
 def werner_swap(rho: DensityMatrix) -> float | None:

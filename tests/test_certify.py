@@ -241,6 +241,21 @@ def test_dc_threshold_values():
             dc_threshold(d)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_dc_threshold_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        dc_threshold(3, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-20, 5e-324])
+def test_dc_threshold_below_the_float_spacing_stops_at_adjacent_floats(tol):
+    # the bracket lo < hi shrinks to adjacent floats, where no midpoint lies strictly between
+    root = dc_threshold(3, tol)
+    below, above = np.nextafter(root, 0.0), np.nextafter(root, 1.0)
+    assert filtered_delta(3, below) > 0 >= filtered_delta(3, above)
+    assert abs(root - dc_threshold(3, 1e-7)) < 1e-7
+
+
 def random_state(d_a, d_b, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d_a * d_b, d_a * d_b)) + 1j * rng.standard_normal((d_a * d_b, d_a * d_b))

@@ -226,6 +226,29 @@ def test_config_values_must_be_among_the_choices(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,key,value,expected",
+    [
+        (["sweep", "--task", "ppt"], "v-grid", 0.1, "a list of numbers"),
+        (["sweep", "--task", "dc"], "d-grid", 5, "a list of numbers"),
+        (["sweep"], "task", 5, "a string"),
+        (["sweep", "--task", "sr", "--v-grid", "0.1"], "restarts", 2.5, "an integer"),
+        (["sweep", "--task", "ppt", "--v-grid", "0"], "d", 3.5, "an integer"),
+        (["sweep", "--task", "ppt", "--v-grid", "0"], "seed", 1.5, "an integer"),
+        (["tomo-demo"], "shots", 100.7, "an integer"),
+        (["sweep", "--task", "ppt", "--v-grid", "0"], "noisy", "yes", "true or false"),
+    ],
+)
+def test_config_values_must_have_their_options_type(tmp_path, capsys, command, key, value, expected):
+    # a string goes through the option's type; anything else must already be what that type makes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "run"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config key {key!r}: expected {expected}, not {json.dumps(value)}\n"
+    assert not out.exists()
+
+
 def test_replay_rejects_recorded_values_outside_the_choices(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["sweep", "--task", "ppt", "--v-grid", "0", "--out", str(out)]) == 0

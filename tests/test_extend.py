@@ -153,7 +153,7 @@ def column_by_column_sqe_program(q):
     return ConicProgram(blocks, c, a, np.tile(rhs, q.k))
 
 
-@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (3, 2), (2, 4)])
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_sqe_builder_matches_column_by_column_reference(d, k, side):
     q = ExtensionQuery(noisy_surrogate(werner(d, 0.2), SURROGATE), k, side, "SQE")
