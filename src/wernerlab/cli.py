@@ -56,12 +56,12 @@ def int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",")]
 
 
-# what a --config value that is not a string must already be, by its option's type (bool: a flag)
+# what a --config value that is not a string must already be, by its option's type (bool: a flag; lists nonempty)
 CONFIG_TYPES = {
     int: ("an integer", lambda x: type(x) is int),
     float: ("a number", lambda x: type(x) in (int, float)),
-    parse_grid: ("a list of numbers", lambda x: type(x) is list and all(type(v) in (int, float) for v in x)),
-    int_list: ("a list of integers", lambda x: type(x) is list and all(type(v) is int for v in x)),
+    parse_grid: ("a list of numbers", lambda x: type(x) is list and x != [] and {*map(type, x)} <= {int, float}),
+    int_list: ("a list of integers", lambda x: type(x) is list and x != [] and {*map(type, x)} <= {int}),
     bool: ("true or false", lambda x: type(x) is bool),
     None: ("a string", lambda x: type(x) is str),
 }
@@ -326,8 +326,8 @@ def run_pipeline(args) -> int:
     ).best
 
     # single-copy filtering of the reconstructed state, then qubit rotations
-    pi = filterops.qubit_projection(3, (1, 2), "A"), filterops.qubit_projection(3, (1, 2), "B")
-    filtered_raw, success_prob = filterops.apply_filter(recon, *pi)
+    pi = filterops.qubit_projection(3, (1, 2))
+    filtered_raw, success_prob = filterops.apply_filter(recon, pi, pi)
     rot = qmat.kron(qmat.PAULI_X, qmat.PAULI_Z)
     filtered = qmat.as_state(rot @ filtered_raw.mat @ rot.conj().T, 2, 2)
     target_f = filterops.rotated_filtered_state(v)
@@ -583,7 +583,10 @@ def _apply_config(parser, command: argparse.ArgumentParser, args, argv: list[str
         name, holds = CONFIG_TYPES[bool if action.nargs == 0 else action.type]  # store_true has no type
         if not (holds(val) or isinstance(val, str) and action.type):
             raise ValueError(f"config key {key!r}: expected {name}, not {json.dumps(val)}")
-        val = action.type(val) if isinstance(val, str) and action.type else val
+        try:
+            val = action.type(val) if isinstance(val, str) and action.type else val
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
         if action.choices is not None and val not in action.choices:
             allowed = ", ".join(map(repr, action.choices))
             raise ValueError(f"config key {key!r}: invalid choice {val!r} (choose from {allowed})")

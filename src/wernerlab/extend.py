@@ -9,6 +9,11 @@ decomposable-witness combination P + sum_p Q_p^(T_p) (SQE), or supported on
 the permutation-symmetric subspace of the copies (SE-B).  t* <= 1 certifies
 that the extension exists.
 
+Side A runs as the side-B program of rho_b = swap_parties(rho), on the one
+layout (rho_b's A, then the k copies), losing nothing: relabelling the parties
+maps rho's extensions onto rho_b's with their marginals, positivity and copy
+permutations, and Q^(T_S) = (Q^T)^(T_(not S)) with Q^T positive.
+
 SE and SE-B search only extensions invariant under permutations of the k
 copies, which loses nothing: averaging an extension over the permutations
 keeps every marginal.  Such an X is block diagonal in the S_k isotypic
@@ -46,13 +51,13 @@ needs k <= 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
 import numpy as np
 
-from .qmat import DensityMatrix, check_side, partial_transpose_dims
+from .qmat import DensityMatrix, check_side, partial_transpose_dims, swap_parties
 from .solver import Block, ConicProgram, solve, sp, vec_real, vec_real_map
 from .states import swap_operator
 
@@ -186,11 +191,13 @@ class ExtensionQuery:
     k: int
     side: str = "B"
     flavor: str = SE
+    rho_b: DensityMatrix = field(init=False, repr=False, compare=False)  # rho with the copied party as B
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("extension needs k >= 2 copies")
         check_side(self.side)
+        object.__setattr__(self, "rho_b", self.rho if self.side == "B" else swap_parties(self.rho))
         if self.flavor not in (SE, SQE, SE_B):
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.flavor == SQE and self.k > 4:
@@ -201,17 +208,7 @@ class ExtensionQuery:
 
     @property
     def dims(self) -> list[int]:
-        if self.side == "A":
-            return [self.rho.dimA] * self.k + [self.rho.dimB]
-        return [self.rho.dimA] + [self.rho.dimB] * self.k
-
-    @property
-    def copy_positions(self) -> list[int]:
-        return list(range(self.k)) if self.side == "A" else list(range(1, self.k + 1))
-
-    @property
-    def other_position(self) -> int:
-        return self.k if self.side == "A" else 0
+        return [self.rho_b.dimA] + [self.rho_b.dimB] * self.k
 
 
 @dataclass
@@ -225,20 +222,12 @@ class ExtensionResult:
     iterations: int = 0
 
 
-def _default_partitions(q: ExtensionQuery) -> list[tuple[int, ...]]:
-    n_parties = q.k + 1
-    if q.k <= 3:
+def _default_partitions(k: int) -> list[tuple[int, ...]]:
+    if k <= 3:
         # one subset per bipartition: all nonempty subsets avoiding party 0, by even mask
-        return [tuple(p for p in range(n_parties) if m >> p & 1) for m in range(2, 2**n_parties, 2)]
+        return [tuple(p for p in range(k + 1) if m >> p & 1) for m in range(2, 2 ** (k + 1), 2)]
     # k = 4: a fixed four-element bipartition subset keeps the search tractable
-    copies = q.copy_positions
-    other = q.other_position
-    return [
-        (copies[0],),
-        (other,),
-        (copies[0], copies[1]),
-        (copies[0], other),
-    ]
+    return [(1,), (0,), (1, 2), (1, 0)]
 
 
 def _real_form(lin: sp.spmatrix, n_out: int, n_in: int) -> sp.csr_matrix:
@@ -250,19 +239,14 @@ def _real_form(lin: sp.spmatrix, n_out: int, n_in: int) -> sp.csr_matrix:
     return out
 
 
-def _block_marginal_map(t: np.ndarray, d_other: int, side: str) -> sp.csr_matrix:
+def _block_marginal_map(t: np.ndarray, d_other: int) -> sp.csr_matrix:
     """Sparse map from vec_real(M) to vec_real(Y) for
-    Y[(j,a),(j',a')] = sum_{q,q'} t[j,q,j',q'] M[(q,a),(q',a')],
-    with the other party's index a first on side B and last on side A."""
+    Y[(a,j),(a',j')] = sum_{q,q'} t[j,q,j',q'] M[(a,q),(a',q')], the other party's index a first."""
     d, m = t.shape[:2]
     j, q, j2, q2 = np.nonzero(t)
     a, a2 = (x.reshape(-1, 1) for x in np.indices((d_other, d_other)))
-
-    def pair(copy, other, n_copy):
-        return other * n_copy + copy if side == "B" else copy * d_other + other
-
-    rows = pair(j, a, d) * (d_other * d) + pair(j2, a2, d)
-    cols = pair(q, a, m) * (d_other * m) + pair(q2, a2, m)
+    rows = (a * d + j) * (d_other * d) + a2 * d + j2
+    cols = (a * m + q) * (d_other * m) + a2 * m + q2
     data = np.broadcast_to(t[j, q, j2, q2], rows.shape)
     lin = sp.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=((d_other * d) ** 2, (d_other * m) ** 2))
     return _real_form(lin, d_other * d, d_other * m)
@@ -273,14 +257,14 @@ def _marginal_map(q: ExtensionQuery, v: np.ndarray) -> sp.csr_matrix:
     X = sum_i V_i M V_i^H / sqrt(d_lambda), for an isometry stack V of shape (d_lambda, d^k, m).
     The 1/sqrt(d_lambda) makes M -> X an isometry."""
     dim, _, mult = v.shape
-    v = v.reshape(dim, q.dims[q.copy_positions[0]], -1, mult)  # copy 1 first, the other k-1 copies next
+    v = v.reshape(dim, q.rho_b.dimB, -1, mult)  # copy 1 first, the other k-1 copies next
     t = np.einsum("ijrq,isrp->jqsp", v, v.conj()) / np.sqrt(dim)
-    return _block_marginal_map(t, q.dims[q.other_position], q.side)
+    return _block_marginal_map(t, q.rho_b.dimA)
 
 
 def _copy_trace_map(q: ExtensionQuery, i: int) -> sp.csr_matrix:
     """Map from vec_real(X) to vec_real of the marginal of copy i and the other party."""
-    d = q.dims[q.copy_positions[0]]
+    d = q.rho_b.dimB
     first = np.moveaxis(np.arange(d**q.k).reshape((d,) * q.k), i, 0).ravel()
     return _marginal_map(q, np.eye(d**q.k)[first][None])
 
@@ -295,36 +279,35 @@ def _real_partial_transpose(dims: list[int], subsystems: list[int]) -> sp.csr_ma
 def _assemble(q: ExtensionQuery, rows: list[list[sp.spmatrix]], sides: list[int]) -> ConicProgram:
     """min t subject to sum_j rows[r][j] vec_real(M_j) - t vec_real(I/D) = vec_real(rho - I/D) for
     each row r, with one PSD block M_j of side ``sides[j]`` per column map and a trailing t >= 0."""
-    dd = q.rho.dim
+    dd = q.rho_b.dim
     eye_term = vec_real(np.eye(dd) / dd)
     t_col = sp.csr_matrix(-eye_term[:, None])
     a = sp.vstack([sp.hstack(maps + [t_col]) for maps in rows]).tocsr()
     blocks = tuple(Block("psd", s) for s in sides) + (Block("nonneg", 1),)
     c = np.zeros(sum(s * s for s in sides) + 1)
     c[-1] = 1.0
-    return ConicProgram(blocks, c, a, np.tile(vec_real(q.rho.mat) - eye_term, len(rows)))
+    return ConicProgram(blocks, c, a, np.tile(vec_real(q.rho_b.mat) - eye_term, len(rows)))
 
 
 def build_program(q: ExtensionQuery) -> ConicProgram:
     """The query's SDP (see the module docstring): for SE and SE-B one copy's marginal row over the
     isotypic isometry stacks, SE-B's being the symmetric subspace alone; for SQE one row per copy over
     P and the Q_S, each transpose acting after the trace, on the two kept parties."""
+    d_other, d = q.rho_b.dimA, q.rho_b.dimB
     if q.flavor != SQE:
-        d = q.dims[q.copy_positions[0]]
         stacks = s_k_isometries(d, q.k).values() if q.flavor == SE else [symmetric_subspace_isometry(d, q.k)[None]]
-        sides = [v.shape[2] * q.dims[q.other_position] for v in stacks]
+        sides = [v.shape[2] * d_other for v in stacks]
         return _assemble(q, [[_marginal_map(q, v) for v in stacks]], sides)
-    parts = _default_partitions(q)
+    parts = _default_partitions(q.k)
     transposes = {}  # two-party transposes, built as the subsets call for them
     rows = []
-    for i, pos in enumerate(q.copy_positions):
+    for i in range(q.k):
         tm = _copy_trace_map(q, i)
-        kept = sorted([pos, q.other_position])
         rows.append([tm])
         for subset in parts:
-            on_kept = tuple(n for n, p in enumerate(kept) if p in subset)
+            on_kept = tuple(n for n, p in enumerate((0, i + 1)) if p in subset)  # copy i+1 kept with party 0
             if on_kept not in transposes:
-                transposes[on_kept] = _real_partial_transpose([q.rho.dimA, q.rho.dimB], list(on_kept))
+                transposes[on_kept] = _real_partial_transpose([d_other, d], list(on_kept))
             rows[-1].append(transposes[on_kept] @ tm)
     return _assemble(q, rows, [prod(q.dims)] * (1 + len(parts)))
 

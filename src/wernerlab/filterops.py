@@ -14,24 +14,22 @@ NORM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class FilterOperator:
-    """Local filter M of shape d' x d with operator norm 1, acting on one side."""
+    """Local filter M of shape d' x d with operator norm 1."""
 
     mat: np.ndarray
-    side: str = "A"
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] < 2:
             raise ValueError("filter must be a d' x d matrix with d' >= 2")
-        check_side(self.side)
         top = np.linalg.norm(m, 2)
         if abs(top - 1.0) > NORM_TOL:
             raise ValueError(f"largest singular value {top} must equal 1 within 1e-10")
         object.__setattr__(self, "mat", m)
 
     @staticmethod
-    def identity(d: int, side: str = "A") -> "FilterOperator":
-        return FilterOperator(np.eye(d, dtype=complex), side)
+    def identity(d: int) -> "FilterOperator":
+        return FilterOperator(np.eye(d, dtype=complex))
 
     @property
     def dim_out(self) -> int:
@@ -42,7 +40,7 @@ class FilterOperator:
         return self.mat.shape[1]
 
 
-def qubit_projection(d: int, keep: tuple[int, int], side: str = "A") -> FilterOperator:
+def qubit_projection(d: int, keep: tuple[int, int]) -> FilterOperator:
     """Filter keeping the two local levels ``keep=(i, j)``: rows i, j of the identity."""
     i, j = keep
     if not 0 <= i < j < d:
@@ -50,7 +48,7 @@ def qubit_projection(d: int, keep: tuple[int, int], side: str = "A") -> FilterOp
     m = np.zeros((2, d), dtype=complex)
     m[0, i] = 1.0
     m[1, j] = 1.0
-    return FilterOperator(m, side)
+    return FilterOperator(m)
 
 
 def apply_filter(

@@ -139,6 +139,12 @@ def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
     return partial_transpose_dims(rho.mat, [rho.dimA, rho.dimB], [0 if side == "A" else 1])
 
 
+def swap_parties(rho: DensityMatrix) -> DensityMatrix:
+    """SWAP rho SWAP on C^dimB (x) C^dimA; a pure index permutation, so applying it twice returns rho bit-for-bit."""
+    t = rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB).transpose(1, 0, 3, 2)
+    return DensityMatrix(rho.dimB, rho.dimA, t.reshape(rho.dim, rho.dim))
+
+
 def partial_transpose_dims(mat: np.ndarray, dims: list[int], subsystems: list[int]) -> np.ndarray:
     """Transpose the listed subsystems of an operator on prod(dims)."""
     n = len(dims)

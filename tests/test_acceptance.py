@@ -285,8 +285,8 @@ def test_criterion_11_cross_construction_identity():
         for v in np.arange(0.0, 0.5001, 0.1):
             out, _ = filterops.apply_filter(
                 states.werner(d, v),
-                filterops.qubit_projection(d, (0, 1), "A"),
-                filterops.qubit_projection(d, (0, 1), "B"),
+                filterops.qubit_projection(d, (0, 1)),
+                filterops.qubit_projection(d, (0, 1)),
             )
             ref = states.werner(2, filterops.filtered_weight(d, v)).mat
             filter_worst = max(filter_worst, float(np.max(np.abs(out.mat - ref))))

@@ -215,11 +215,11 @@ def test_werner_delta_closed_form_matches_entropy_route():
 
 def test_filtered_delta_equals_two_qubit_delta():
     for d in (3, 5):
-        pi = qubit_projection(d, (0, 1), "A"), qubit_projection(d, (0, 1), "B")
+        pi = qubit_projection(d, (0, 1))
         for v in (0.05, 0.2, 0.45):
             assert filtered_delta(d, v) == pytest.approx(werner_delta(2, filtered_weight(d, v)), abs=1e-12)
             # and the entropy route on the state that the qubit projection leaves
-            filtered, _ = apply_filter(werner(d, v), *pi)
+            filtered, _ = apply_filter(werner(d, v), pi, pi)
             assert filtered_delta(d, v) == pytest.approx(dense_coding_delta(filtered).value, abs=1e-9)
 
 

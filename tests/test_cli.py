@@ -237,6 +237,9 @@ def test_config_values_must_be_among_the_choices(tmp_path, capsys):
         (["sweep", "--task", "ppt", "--v-grid", "0"], "seed", 1.5, "an integer"),
         (["tomo-demo"], "shots", 100.7, "an integer"),
         (["sweep", "--task", "ppt", "--v-grid", "0"], "noisy", "yes", "true or false"),
+        # the command line cannot give an empty grid, and neither can a config file
+        (["sweep", "--task", "ppt"], "v-grid", [], "a list of numbers"),
+        (["extend-table", "--flavors", "SE", "--v-grid", "0"], "k-list", [], "a list of integers"),
     ],
 )
 def test_config_values_must_have_their_options_type(tmp_path, capsys, command, key, value, expected):
@@ -246,6 +249,23 @@ def test_config_values_must_have_their_options_type(tmp_path, capsys, command, k
     out = tmp_path / "run"
     assert main(command + ["--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: config key {key!r}: expected {expected}, not {json.dumps(value)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("d", "x", "invalid literal for int() with base 10: 'x'"),
+        ("v-grid", "0.1,x", "could not convert string to float: 'x'"),
+        ("v-grid", "", "could not convert string to float: ''"),
+    ],
+)
+def test_config_strings_their_type_cannot_parse_name_the_key(tmp_path, capsys, key, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "run"
+    assert main(["sweep", "--task", "ppt", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config key {key!r}: {message}\n"
     assert not out.exists()
 
 

@@ -22,7 +22,7 @@ from wernerlab.extend import (
     werner_t_star,
     young_orthogonal_form,
 )
-from wernerlab.qmat import DensityMatrix, partial_transpose_dims
+from wernerlab.qmat import DensityMatrix, partial_transpose_dims, swap_parties
 from wernerlab.solver import Block, ConicProgram, mat_real, presolve, solve, vec_real, vec_real_map
 from wernerlab.states import (
     NoiseSpec,
@@ -48,13 +48,15 @@ def random_hermitian(dims, seed):
 
 
 def test_copy_trace_map_matches_dense():
-    for d in (2, 3):
+    # every program has one layout: party 0 is rho_b's A, parties 1..k the copies of its B
+    for d_a, d_b in ((2, 2), (3, 3), (2, 3), (3, 2)):
         for k in (2, 3):
             for side in "AB":
-                q = ExtensionQuery(werner(d, 0.2), k, side, "SE")
-                h = random_hermitian(q.dims, 10 * d + k)
-                for i, pos in enumerate(q.copy_positions):
-                    traced = [p for p in range(k + 1) if p not in (pos, q.other_position)]
+                q = ExtensionQuery(DensityMatrix(d_a, d_b, np.eye(d_a * d_b) / (d_a * d_b)), k, side, "SE")
+                assert q.dims == ([d_b] + [d_a] * k if side == "A" else [d_a] + [d_b] * k)
+                h = random_hermitian(q.dims, 10 * d_a + d_b + k)
+                for i in range(k):
+                    traced = [p for p in range(k + 1) if p not in (0, i + 1)]
                     got = extend._copy_trace_map(q, i) @ vec_real(h)
                     assert np.allclose(got, vec_real(trace_out(h, q.dims, traced)), rtol=0, atol=1e-12)
 
@@ -97,13 +99,11 @@ def test_symmetric_isometry_matches_multiset_loop():
 
 def column_by_column_bosonic_program(q):
     """Reference SE_B program: embed each basis element by W, trace it down, one column at a time."""
-    w = symmetric_subspace_isometry(q.dims[q.copy_positions[0]], q.k)
-    eye = np.eye(q.dims[q.other_position])
-    w_full = np.kron(w, eye) if q.side == "A" else np.kron(eye, w)
+    w_full = np.kron(np.eye(q.rho_b.dimA), symmetric_subspace_isometry(q.rho_b.dimB, q.k))
     s = w_full.shape[1]
-    traced = [p for p in range(len(q.dims)) if p not in (q.copy_positions[0], q.other_position)]
+    traced = list(range(2, q.k + 1))  # keep party 0 and the first copy
     eye_term = vec_real(np.eye(q.rho.dim) / q.rho.dim)
-    rhs = vec_real(q.rho.mat) - eye_term
+    rhs = vec_real(q.rho_b.mat) - eye_term
     a = np.empty((len(rhs), s * s + 1))
     for comp in range(s * s):
         e = np.zeros(s * s)
@@ -131,9 +131,9 @@ def column_by_column_sqe_program(q):
     """Reference SQE program: transpose each basis element, trace it down for every copy, one
     column at a time."""
     n = int(np.prod(q.dims))
-    subsets = [()] + extend._default_partitions(q)
+    subsets = [()] + extend._default_partitions(q.k)
     eye_term = vec_real(np.eye(q.rho.dim) / q.rho.dim)
-    rhs = vec_real(q.rho.mat) - eye_term
+    rhs = vec_real(q.rho_b.mat) - eye_term
     a = np.empty((q.k * len(rhs), len(subsets) * n * n + 1))
     for block, subset in enumerate(subsets):
         for comp in range(n * n):
@@ -142,8 +142,8 @@ def column_by_column_sqe_program(q):
             x = partial_transpose_dims(mat_real(e, n), q.dims, list(subset))
             a[:, block * n * n + comp] = np.concatenate(
                 [
-                    vec_real(trace_out(x, q.dims, [p for p in range(q.k + 1) if p not in (pos, q.other_position)]))
-                    for pos in q.copy_positions
+                    vec_real(trace_out(x, q.dims, [p for p in range(1, q.k + 1) if p != pos]))
+                    for pos in range(1, q.k + 1)
                 ]
             )
     a[:, -1] = np.tile(-eye_term, q.k)
@@ -165,17 +165,13 @@ def test_sqe_builder_matches_column_by_column_reference(d, k, side):
     assert np.allclose(prog.c, ref.c, rtol=0, atol=1e-12)
 
 
-def all_index_block_marginal_map(t, d_other, side):
+def all_index_block_marginal_map(t, d_other):
     """The marginal map built over every index of ``t``, zeros included: the reference that
     the nonzero-only builder must reproduce byte for byte."""
     d, m = t.shape[:2]
     a, j, q, a2, j2, q2 = np.indices((d_other, d, m, d_other, d, m)).reshape(6, -1)
-
-    def pair(copy, other, n_copy):
-        return other * n_copy + copy if side == "B" else copy * d_other + other
-
-    rows = pair(j, a, d) * (d_other * d) + pair(j2, a2, d)
-    cols = pair(q, a, m) * (d_other * m) + pair(q2, a2, m)
+    rows = (a * d + j) * (d_other * d) + a2 * d + j2
+    cols = (a * m + q) * (d_other * m) + a2 * m + q2
     lin = sp.csr_matrix((t[j, q, j2, q2], (rows, cols)), shape=((d_other * d) ** 2, (d_other * m) ** 2))
     out = (vec_real_map(d_other * d) @ lin @ vec_real_map(d_other * m).conj().T).real
     out.eliminate_zeros()
@@ -194,6 +190,84 @@ def test_symmetric_program_bytes_match_all_index_builder(d, k, flavor, side, mon
     for attr in ("data", "indices", "indptr"):
         assert getattr(got, attr).dtype == getattr(ref, attr).dtype
         assert getattr(got, attr).tobytes() == getattr(ref, attr).tobytes()
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (2, 4), (3, 2)])
+@pytest.mark.parametrize("flavor", ["SE", "SE_B", "SQE"])
+def test_side_a_builds_the_side_b_program_of_the_swapped_state(d, k, flavor):
+    rho = noisy_surrogate(werner(d, 0.3), NoiseSpec(0.06, 0.02, 7))
+    got = build_program(ExtensionQuery(rho, k, "A", flavor))
+    want = build_program(ExtensionQuery(swap_parties(rho), k, "B", flavor))
+    assert got.blocks == want.blocks
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(got.A, attr).tobytes() == getattr(want.A, attr).tobytes()
+    assert got.b.tobytes() == want.b.tobytes() and got.c.tobytes() == want.c.tobytes()
+
+
+def copies_first_program(rho, k, flavor):
+    """Side A built in the copies-first layout, as an independent reference: the k copies of A
+    are parties 0..k-1 and B is party k, with rho itself on the right-hand side; SQE transposes
+    the subsets that avoid the first copy."""
+    d, d_b = rho.dimA, rho.dimB
+
+    def marginal_map(v):  # copy 1 and B of X = sum_i V_i M V_i^H / sqrt(d_lambda), B's index last
+        dim, _, m = v.shape
+        v = v.reshape(dim, d, -1, m)
+        t = np.einsum("ijrq,isrp->jqsp", v, v.conj()) / np.sqrt(dim)
+        j, q, a, j2, q2, a2 = np.indices((d, m, d_b, d, m, d_b)).reshape(6, -1)
+        rows = (j * d_b + a) * (d * d_b) + j2 * d_b + a2
+        cols = (q * d_b + a) * (m * d_b) + q2 * d_b + a2
+        lin = sp.csr_matrix((t[j, q, j2, q2], (rows, cols)), shape=((d * d_b) ** 2, (m * d_b) ** 2))
+        out = (vec_real_map(d * d_b) @ lin @ vec_real_map(m * d_b).conj().T).real
+        out.eliminate_zeros()
+        out.sort_indices()
+        return out
+
+    if flavor != "SQE":
+        stacks = s_k_isometries(d, k).values() if flavor == "SE" else [symmetric_subspace_isometry(d, k)[None]]
+        rows, sides = [[marginal_map(v) for v in stacks]], [v.shape[2] * d_b for v in stacks]
+    else:
+        if k <= 3:  # one subset per bipartition, avoiding the first copy
+            subsets = [tuple(p for p in range(k + 1) if m >> p & 1) for m in range(2, 2 ** (k + 1), 2)]
+        else:
+            subsets = [(0,), (k,), (0, 1), (0, k)]
+        rows, sides = [], [d**k * d_b] * (1 + len(subsets))
+        for i in range(k):  # copy i, kept with B
+            first = np.moveaxis(np.arange(d**k).reshape((d,) * k), i, 0).ravel()
+            tm = marginal_map(np.eye(d**k)[first][None])
+            on_kept = [[n for n, p in enumerate((i, k)) if p in subset] for subset in subsets]
+            rows.append([tm] + [extend._real_partial_transpose([d, d_b], kept) @ tm for kept in on_kept])
+    eye_term = vec_real(np.eye(rho.dim) / rho.dim)
+    a = sp.vstack([sp.hstack(maps + [sp.csr_matrix(-eye_term[:, None])]) for maps in rows]).tocsr()
+    c = np.zeros(sum(s * s for s in sides) + 1)
+    c[-1] = 1.0
+    blocks = tuple(Block("psd", s) for s in sides) + (Block("nonneg", 1),)
+    return ConicProgram(blocks, c, a, np.tile(vec_real(rho.mat) - eye_term, len(rows)))
+
+
+def random_state(d_a, d_b, seed):
+    g = random_hermitian([d_a, d_b], seed) + 1j * random_hermitian([d_a, d_b], seed + 1)
+    m = g @ g.conj().T
+    return DensityMatrix(d_a, d_b, m / np.trace(m).real)
+
+
+@pytest.mark.parametrize(
+    "rho,k",
+    [
+        (noisy_surrogate(werner(2, 0.3), NoiseSpec(0.06, 0.02, 7)), 2),
+        (noisy_surrogate(werner(2, 0.3), NoiseSpec(0.06, 0.02, 7)), 3),
+        (random_state(2, 3, 5), 2),
+        (random_state(3, 2, 6), 2),
+    ],
+    ids=["surrogate-2-2", "surrogate-2-3", "random-2x3-2", "random-3x2-2"],
+)
+@pytest.mark.parametrize("flavor", ["SE", "SE_B", "SQE"])
+def test_side_a_matches_the_copies_first_layout(rho, k, flavor):
+    # the side-A geometry checked apart from the party swap that builds it
+    got = run_query(ExtensionQuery(rho, k, "A", flavor))
+    ref = solve(copies_first_program(rho, k, flavor), tol=1e-7)
+    assert got.status == ref.status == "OPTIMAL"
+    assert got.t_star == pytest.approx(ref.primal_obj, rel=0, abs=1e-8)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -230,7 +304,7 @@ def full_se_program(q):
     marginal constraint per copy."""
     n_ext = int(np.prod(q.dims))
     eye_term = vec_real(np.eye(q.rho.dim) / q.rho.dim)
-    rhs = vec_real(q.rho.mat) - eye_term
+    rhs = vec_real(q.rho_b.mat) - eye_term
     t_col = sp.csr_matrix(-eye_term[:, None])
     rows = [sp.hstack([extend._copy_trace_map(q, i), t_col]) for i in range(q.k)]
     c = np.zeros(n_ext * n_ext + 1)

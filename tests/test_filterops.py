@@ -47,7 +47,7 @@ def test_filter_operator_norm_check():
 
 def test_identity_filter_is_noop():
     rho = random_state(3, 3, 0)
-    out, prob = apply_filter(rho, FilterOperator.identity(3, "A"), FilterOperator.identity(3, "B"))
+    out, prob = apply_filter(rho, FilterOperator.identity(3), FilterOperator.identity(3))
     assert prob == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(out.mat, rho.mat, atol=1e-12)
 
@@ -57,7 +57,7 @@ def test_filtered_werner_closed_form():
     for d in (3, 4, 5):
         for v in np.arange(0.0, 0.501, 0.05):
             out, _ = apply_filter(
-                werner(d, v), qubit_projection(d, (0, 1), "A"), qubit_projection(d, (0, 1), "B")
+                werner(d, v), qubit_projection(d, (0, 1)), qubit_projection(d, (0, 1))
             )
             ref = werner(2, filtered_weight(d, v)).mat
             assert np.max(np.abs(out.mat - ref)) < 1e-10
@@ -70,7 +70,7 @@ def test_success_probability_antisymmetric():
     block = kron(pi, pi) @ (antisym_projector(3) / 3) @ kron(pi, pi).conj().T
     assert np.trace(block).real == pytest.approx(1 / 3, abs=1e-12)
     _, prob = apply_filter(
-        werner(3, 0.0), qubit_projection(3, (1, 2), "A"), qubit_projection(3, (1, 2), "B")
+        werner(3, 0.0), qubit_projection(3, (1, 2)), qubit_projection(3, (1, 2))
     )
     assert prob == pytest.approx(1 / 3, abs=1e-12)
 
@@ -80,7 +80,7 @@ def test_filter_annihilation_raises():
     psi[8] = 1.0  # |22>
     rho = DensityMatrix(3, 3, np.outer(psi, psi))
     with pytest.raises(ValueError, match="annihilates"):
-        apply_filter(rho, qubit_projection(3, (0, 1), "A"), qubit_projection(3, (0, 1), "B"))
+        apply_filter(rho, qubit_projection(3, (0, 1)), qubit_projection(3, (0, 1)))
 
 
 def test_filtered_weight_values():
@@ -115,7 +115,7 @@ def test_rotated_filtered_state_matches_filter_chain():
     rot = kron(sx, sz)
     for v in (0.0, 0.15, 0.4, 0.8):
         out, _ = apply_filter(
-            werner(3, v), qubit_projection(3, (1, 2), "A"), qubit_projection(3, (1, 2), "B")
+            werner(3, v), qubit_projection(3, (1, 2)), qubit_projection(3, (1, 2))
         )
         rotated = rot @ out.mat @ rot.conj().T
         f = uhlmann_fidelity(rotated, rotated_filtered_state(v).mat)
@@ -141,9 +141,9 @@ def test_protocol_replay_matches_apply_filter():
     for trial in range(100):
         g = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         m = g / np.linalg.norm(g, 2)
-        f = FilterOperator(m, "A")
+        f = FilterOperator(m)
         rho = random_state(3, 3, 1000 + trial)
-        direct, p_direct = apply_filter(rho, f, FilterOperator.identity(3, "B"))
+        direct, p_direct = apply_filter(rho, f, FilterOperator.identity(3))
         proto = filter_protocol(f)
         assert np.max(np.abs(proto.recompose() - m)) < 1e-12
         replayed, p_replay = replay_protocol(rho, proto, "A")
@@ -168,9 +168,9 @@ def test_protocol_rejects_zero():
 def test_protocol_replay_on_side_b_matches_apply_filter(d_in, d_out, d_other, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
-    f = FilterOperator(g / np.linalg.norm(g, 2), "B")
+    f = FilterOperator(g / np.linalg.norm(g, 2))
     rho = random_state(d_other, d_in, seed)
-    direct, p_direct = apply_filter(rho, FilterOperator.identity(d_other, "A"), f)
+    direct, p_direct = apply_filter(rho, FilterOperator.identity(d_other), f)
     replayed, p_replay = replay_protocol(rho, filter_protocol(f), "B")
     assert (replayed.dimA, replayed.dimB) == (d_other, d_out)
     assert p_replay == pytest.approx(p_direct, abs=1e-12)

@@ -40,7 +40,7 @@ from lp_oracle import lp_vertex_enumeration_check
 def test_side_other_than_a_or_b_is_rejected_before_any_draw(entry, monkeypatch):
     rho = werner(3, 0.1)
     meas = steer.random_projective(3, 2, np.random.default_rng(0))
-    proto = filter_protocol(qubit_projection(3, (1, 2), "A"))
+    proto = filter_protocol(qubit_projection(3, (1, 2)))
     calls = {
         "assemblage_from": lambda: steer.assemblage_from(rho, meas, "a"),
         "sr_state_lower_bound": lambda: steer.sr_state_lower_bound(rho, 2, restarts=2, steering_side="left"),
@@ -73,16 +73,16 @@ def _raising_calls():
     far = np.zeros((9, 9))
     far[8, 8] = 1.0  # |22>, which a projection onto levels 0 and 1 annihilates
     far = DensityMatrix(3, 3, far)
-    keep01 = qubit_projection(3, (0, 1), "A"), qubit_projection(3, (0, 1), "B")
+    keep01 = qubit_projection(3, (0, 1))
     qubits = steer.mub_qubit_measurements(2)
     return {
         "gurvits_ball": (lambda: certify.gurvits_ball(rect), "equal local dimensions"),
         "fef_many": (lambda: certify.fef_many([rect], [0]), "square bipartition"),
         "correlation_matrix": (lambda: certify.correlation_matrix(werner(3, 0.0)), "two-qubit states"),
-        "apply_filter-dims": (lambda: apply_filter(rect, *keep01), "input dimensions do not match"),
+        "apply_filter-dims": (lambda: apply_filter(rect, keep01, keep01), "input dimensions do not match"),
         "rotated_filtered_state": (lambda: rotated_filtered_state(1.5), "v must lie in"),
         "replay_protocol-annihilates": (
-            lambda: replay_protocol(far, filter_protocol(keep01[0]), "A"), "protocol annihilates state"
+            lambda: replay_protocol(far, filter_protocol(keep01), "A"), "protocol annihilates state"
         ),
         "DensityMatrix-non-finite": (lambda: DensityMatrix(1, 2, np.diag([np.nan, 1.0])), "non-finite"),
         "as_state-not-psd": (lambda: as_state(np.diag([1.5, -0.5]), 1, 2), "not PSD"),

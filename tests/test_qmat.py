@@ -104,6 +104,19 @@ def test_partial_transpose_involution_exact():
     assert np.array_equal(back, m)
 
 
+def test_swap_parties_exchanges_the_parties_and_involutes_exactly():
+    rho_a = random_density(2, 5)
+    rho_b = random_density(3, 6)
+    rho = DensityMatrix(2, 3, np.kron(rho_a, rho_b))
+    swapped = qmat.swap_parties(rho)
+    assert (swapped.dimA, swapped.dimB) == (3, 2)
+    assert np.allclose(swapped.mat, np.kron(rho_b, rho_a), rtol=0, atol=1e-15)
+    for state in (rho, werner(3, 0.3), DensityMatrix(3, 2, np.kron(rho_b, rho_a))):
+        back = qmat.swap_parties(qmat.swap_parties(state))
+        assert (back.dimA, back.dimB) == (state.dimA, state.dimB)
+        assert back.mat.tobytes() == state.mat.tobytes()
+
+
 def test_partial_transpose_werner_min_eig():
     # oracle: V^T_A = d |Phi+><Phi+| gives min eig (2v-1)/3 at d=3
     w0 = qmat.partial_transpose(werner(3, 0.0), "A")

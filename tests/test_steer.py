@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from wernerlab import solver, steer
 from wernerlab.filterops import rotated_filtered_state
-from wernerlab.qmat import DensityMatrix, kron
+from wernerlab.qmat import DensityMatrix, kron, swap_parties
 from wernerlab.solver import Block, vec_real
 from wernerlab.states import NoiseSpec, noisy_surrogate, werner
 from wernerlab.steer import (
@@ -64,13 +64,6 @@ def random_state(d_a, d_b, seed):
     g = rng.standard_normal((d_a * d_b, d_a * d_b)) + 1j * rng.standard_normal((d_a * d_b, d_a * d_b))
     m = g @ g.conj().T
     return DensityMatrix(d_a, d_b, m / np.trace(m))
-
-
-def swapped(rho):
-    """SWAP rho SWAP: the same state with its two sides exchanged."""
-    d_a, d_b = rho.dimA, rho.dimB
-    m = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2).reshape(d_a * d_b, d_a * d_b)
-    return DensityMatrix(d_b, d_a, m)
 
 
 DIMS = st.sampled_from([(2, 2), (3, 3), (2, 3), (3, 2)])
@@ -323,7 +316,7 @@ def test_assemblage_side_b_is_side_a_of_swapped_state(dims, seed):
     rho = random_state(*dims, seed)
     meas = random_projective(dims[1], 2, np.random.default_rng(seed))
     side_b = assemblage_from(rho, meas, "B")
-    side_a = assemblage_from(swapped(rho), meas, "A")
+    side_a = assemblage_from(swap_parties(rho), meas, "A")
     assert np.max(np.abs(side_b.sigma - side_a.sigma)) < 1e-14
     with pytest.raises(ValueError, match="dimension"):
         assemblage_from(rho, random_projective(4, 1, np.random.default_rng(seed)), "B")
@@ -334,7 +327,7 @@ def test_assemblage_side_b_is_side_a_of_swapped_state(dims, seed):
 def test_sr_lower_bound_side_b_is_side_a_of_swapped_state(dims, seed):
     rho = random_state(*dims, seed)
     side_b = sr_state_lower_bound(rho, 2, restarts=2, seed=seed, steering_side="B", max_rounds=5)
-    side_a = sr_state_lower_bound(swapped(rho), 2, restarts=2, seed=seed, steering_side="A", max_rounds=5)
+    side_a = sr_state_lower_bound(swap_parties(rho), 2, restarts=2, seed=seed, steering_side="A", max_rounds=5)
     assert side_b.best == pytest.approx(side_a.best, abs=1e-9)
     assert side_b.per_restart == pytest.approx(side_a.per_restart, abs=1e-9)
 
@@ -350,7 +343,7 @@ def test_seesaw_bell_with_swapped_sides(seed, purity):
     rho = DensityMatrix(2, 2, purity * np.outer(psi, psi.conj()) + (1 - purity) * np.eye(4) / 4)
     table = chsh_coefficients()[:, ::-1]
     direct = seesaw_bell(rho, table, restarts=4, seed=seed)
-    exchanged = seesaw_bell(swapped(rho), table.transpose(1, 0, 3, 2), restarts=4, seed=seed)
+    exchanged = seesaw_bell(swap_parties(rho), table.transpose(1, 0, 3, 2), restarts=4, seed=seed)
     assert exchanged == pytest.approx(direct, abs=1e-7)
 
 
@@ -812,7 +805,7 @@ BELL_CASES = {
 def test_seesaw_bell_matches_sequential_reference(state, table):
     rho, coefficients = state(), table()
     seed, restarts = 4321, 16
-    for rho_side, table_side in ((rho, coefficients), (swapped(rho), coefficients.transpose(1, 0, 3, 2))):
+    for rho_side, table_side in ((rho, coefficients), (swap_parties(rho), coefficients.transpose(1, 0, 3, 2))):
         want = seesaw_bell_by_restarts(rho_side, table_side, restarts, seed)
         starts = steer._bell_starts((rho_side.dimA, rho_side.dimB), table_side.shape, restarts, [seed])
         rows = steer._seesaw_bell_rows(steer._tensor(rho_side), table_side, *starts)
