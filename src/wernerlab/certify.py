@@ -180,9 +180,13 @@ def _fef_ascent(rho_mat: np.ndarray, u: np.ndarray):
 
     ``rho_mat`` is the state of each row, an (R, d^2, d^2) stack, or one that every row
     shares.  Every tick tries one line-search step on every row still running; a row
-    stops when its gradient vanishes, after 300 accepted steps, or when its step falls to
-    1e-12.  A row diagonalises its direction once, when the direction changes, and
-    exponentiates each line-search try from that.  Returns each row's final f and U.
+    stops when its gradient vanishes, after 300 accepted steps, when its step falls to
+    1e-12, or once no try can gain: along exp(s Omega) U, f has slope ||Omega||_F^2 at
+    s = 0 and |f''| <= 4 ||Omega||_F^2, so f rises by at most s ||Omega||_F^2 (1 + 2 s),
+    and once that is at most 1e-15 at the current step, no try at it or at the smaller
+    steps that follow can pass the 1e-15 ascent test except through rounding.  A row
+    diagonalises its direction once, when the direction changes, and exponentiates each
+    line-search try from that.  Returns each row's final f and U.
     """
     d = u.shape[-1]
     u = u.copy()
@@ -191,6 +195,7 @@ def _fef_ascent(rho_mat: np.ndarray, u: np.ndarray):
     step = np.ones(len(u))
     moves = np.zeros(len(u), dtype=int)
     omega, eig_w, eig_q = np.empty_like(u), np.empty(u.shape[:2]), np.empty_like(u)
+    slope = np.empty(len(u))  # ||omega||_F^2, the slope of f along exp(s omega) U at s = 0
     fresh = np.ones(len(u), dtype=bool)  # rows that moved and need a new direction
     live = np.arange(len(u))
     while live.size:
@@ -198,9 +203,12 @@ def _fef_ascent(rho_mat: np.ndarray, u: np.ndarray):
         g, v = grad[turn], u[turn]
         omega[turn] = g @ dagger(v) - v @ dagger(g)  # anti-Hermitian ascent direction
         eig_w[turn], eig_q[turn] = np.linalg.eigh(1j * omega[turn])
+        norm = np.linalg.norm(omega[turn], axis=(-2, -1))
+        slope[turn] = norm * norm
         fresh[turn] = False
-        stop = ~(step > 1e-12)
-        stop[turn] |= (moves[turn] == 300) | (np.linalg.norm(omega[turn], axis=(-2, -1)) < 1e-12)
+        # no try at this step or a smaller one can gain more than 1e-15: f rises by at most s slope (1 + 2 s)
+        stop = ~(step > 1e-12) | (step * slope * (1 + 2 * step) <= 1e-15)
+        stop[turn] |= (moves[turn] == 300) | (norm < 1e-12)
         live = live[~stop[live]]
         if not live.size:
             break

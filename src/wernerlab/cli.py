@@ -582,6 +582,7 @@ def _apply_config(parser, command: argparse.ArgumentParser, args, argv: list[str
             raise ValueError(f"unknown config key {key!r}")
         name, holds = CONFIG_TYPES[bool if action.nargs == 0 else action.type]  # store_true has no type
         if not (holds(val) or isinstance(val, str) and action.type):
+            name = name.replace("a list", "a nonempty list") if val == [] else name
             raise ValueError(f"config key {key!r}: expected {name}, not {json.dumps(val)}")
         try:
             val = action.type(val) if isinstance(val, str) and action.type else val

@@ -13,14 +13,21 @@ by restarted accelerated projected-gradient ascent (Shang, Zhang & Ng,
 Phys. Rev. A 95, 062336, 2017), with one ``eigh`` per step to project onto
 the states, and is pulled back through G^-1/2 at the end.
 
-It stops on a certificate, not on slow progress.  L is concave and its
-gradient R = sum_k (f_k / p_k) E_k has tr(R mu) = 1, so L* - L(mu) <=
-lambda_max(R) - 1 (Glancy, Knill & Girard, New J. Phys. 14, 095017, 2012).  A
-reconstruction stops once that bound, times the record's total counts and
-with a rounding margin, is at most ``tol`` nats per record, or once its steps
-can no longer move it beyond rounding, with its gap flagged.  The default 0.1
-lies far below the likelihood's statistical spread, about half the number of
-parameters: 40 nats for the 80 of a two-qutrit state.
+It stops on a certificate, not on slow progress.  For any y >= 0 that is
+positive on the observed settings, Jensen's inequality bounds L* - L(mu) by
+sum_k f_k log(f_k / (y_k p_k)) + log tr mu + log lambda_max(sum_k y_k E_k), and
+the smaller bound of two points y is taken (:meth:`_MleEngine.gap`).  The
+first, y = f / p with the gradient R = sum_k (f_k / p_k) E_k, gives
+log(tr mu lambda_max(R)), never above the first-order bound lambda_max(R) - 1
+(Glancy, Knill & Girard, New J. Phys. 14, 095017, 2012).  The second,
+y = f / p - z with sum_k z_k E_k = R - P - QRQ, where P projects onto mu's
+support and Q = I - P, is second order: it falls like the true gap, where the
+first falls like its square root.  A reconstruction stops once that bound,
+times the record's total counts and with a rounding margin, is at most
+``tol`` nats per record, or once its steps can no longer move it beyond
+rounding, with its gap flagged.  The default 0.1 lies far below the
+likelihood's statistical spread, about half the number of parameters: 40
+nats for the 80 of a two-qutrit state.
 :func:`mle_reconstruct_many` reconstructs records of one frame as the rows of
 one lockstep stack, as the :mod:`~wernerlab.certify` module docstring
 describes.
@@ -203,6 +210,11 @@ class _MleEngine:
         """Re tr(E_k m) for a C-contiguous matrix or each of a stack, one real matrix-vector product per matrix."""
         return (self._trace_rows @ m.view(np.float64).reshape(*m.shape[:-2], -1, 1))[..., 0]
 
+    def coefficients(self, m: np.ndarray) -> np.ndarray:
+        """The least-norm z with sum_k z_k E_k = m, for a Hermitian matrix (the frame spans them) or
+        each of a stack, one real matrix-vector product per matrix."""
+        return (self._inverse_rows @ m.view(np.float64).reshape(*m.shape[:-2], -1, 1))[..., 0]
+
     def inversion(self, freqs: np.ndarray) -> np.ndarray:
         """The linear-inversion estimate: the least-norm Hermitian m with tr(E_k m) = f_k in least
         squares, for a row of frequencies or each of a stack."""
@@ -212,28 +224,70 @@ class _MleEngine:
         """tr(E_k mu), clipped at 0, for a matrix or each of a stack."""
         return np.maximum(self.overlaps(mu), 0.0)
 
+    def combination(self, y: np.ndarray) -> np.ndarray:
+        """sum_k y_k E_k for a row of coefficients or each of a stack."""
+        return (y[..., None, :] @ self._rows).view(complex).reshape(*y.shape[:-1], self.d2, self.d2)
+
     def r_operator(self, freqs: np.ndarray, probs: np.ndarray) -> np.ndarray:
         """R = sum_k (f_k / p_k) E_k, the log-likelihood's gradient, for a row of frequencies or each of a stack."""
-        weights = freqs / np.maximum(probs, 1e-300)
-        return (weights[..., None, :] @ self._rows).view(complex).reshape(*probs.shape[:-1], self.d2, self.d2)
+        return self.combination(freqs / np.maximum(probs, 1e-300))
 
     def gap(self, freqs: np.ndarray, probs: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """Certified bound on L* - L(mu) per count, for a row or each of a stack.
+        """Certified bound on L* - L(mu / tr mu) per count, for a row or each of a stack.
 
-        With mu normalised, L is concave and tr(R mu) = sum_k f_k = 1, so
-        L(sigma) <= L(mu) + tr(R sigma) - 1 <= L(mu) + lambda_max(R) - 1 for every
-        state sigma.  R is scaled by tr(mu) because mu's trace is 1 only up to
-        rounding.  The margin, 4 eps (sum_k w_k ||E_k||_F (K + n ||E_k||_F / p_k)
-        + d2 lambda_max) with w_k = f_k / p_k and n = d2^2, bounds with room the
-        rounding in each p_k (a sum of 2n products, each at most
-        ||E_k||_F ||mu||_F <= ||E_k||_F), in summing R over the K settings, and
-        in ``eigvalsh``, which is backward stable.
+        A dual bound.  Take y >= 0 with y_k > 0 wherever f_k > 0, and Y = sum_k y_k E_k.
+        Jensen's inequality and tr(Y sigma) <= lambda_max(Y) give, for every state sigma,
+        L(sigma) <= sum_{f_k > 0} f_k log(f_k / y_k) + log lambda_max(Y), so
+        L* - L(mu / tr mu) <= sum_{f_k > 0} f_k log(f_k / (y_k p_k)) + log tr mu + log lambda_max(Y).
+        The smaller bound of two points y is reported:
+
+        1. y = f / p.  Y is R, the f-terms vanish, and the bound log(tr mu lambda_max(R)) never
+           exceeds the first-order bound tr mu lambda_max(R) - 1 (Glancy, Knill & Girard, New
+           J. Phys. 14, 095017, 2012).
+        2. y = f / p - z, second order.  P projects onto mu's numerical support (eigenvalues
+           above d2 eps), Q = I - P, and z are the least-squares coefficients of R - P - QRQ
+           (:meth:`coefficients`), so Y = P + QRQ but for the clipping below; at the maximum
+           R is I on the support and at most I off it, so lambda_max(Y) tends to 1.  On an
+           observed setting, with r_k = z_k p_k / f_k, y_k = (f_k / p_k)(1 - r_k), which must
+           stay positive or the point is skipped, and its f-term is -f_k log1p(-r_k); on an
+           unobserved one y_k = max(-z_k, 0).  The f-terms' first-order part, sum_k z_k p_k =
+           tr((R - P - QRQ) mu) = tr(R mu) - tr(P mu) - tr(QRQ mu), vanishes as Q mu does,
+           so this bound falls like the true gap, not like its square root.  lambda_max(Y)
+           is taken of the y actually used, so any z gives a valid bound.
+
+        Rounding.  Each p_k is a sum of 2n products (n = d2^2), each at most ||E_k||_F
+        ||mu||_F <= ||E_k||_F, so it is off by at most 2n eps ||E_k||_F.  Summing a
+        combination over the K settings, and ``eigvalsh``, which is backward stable, add at
+        most K eps sum_k |y_k| ||E_k||_F and a few d2 eps lambda_max.  So with w_k = f_k / p_k
+        the margins 4 eps (sum_k w_k ||E_k||_F (K + n ||E_k||_F / p_k) + d2 lambda_max(R)) on
+        point 1's lambda_max and 4 eps (sum_k y_k ||E_k||_F (K + 3) + d2 lambda_max(Y)) on
+        point 2's, where the 3 covers the three roundings in each y_k, bound them with room;
+        point 1's p_k enter through w_k.  Point 2's p_k enter through its f-terms, each off by
+        f_k 2n eps ||E_k||_F / p_k, and the log1p and their sum add K eps |f-term| each, so
+        those carry 4 eps sum_k f_k (n ||E_k||_F / p_k + K |f-term_k|).
         """
-        top = _trace(mu) * np.linalg.eigvalsh(self.r_operator(freqs, probs))[..., -1]
+        k, n, d2 = self.norms.shape[-1], self.d2 * self.d2, self.d2
         safe = np.maximum(probs, 1e-300)
-        k, n = self.norms.shape[-1], self.d2 * self.d2
-        rounding = (freqs / safe * self.norms * (k + n * self.norms / safe)).sum(axis=-1) + self.d2 * top
-        return top - 1.0 + 4 * EPS * rounding
+        weights = freqs / safe
+        trace = _trace(mu)
+        r = self.combination(weights)
+        top = np.linalg.eigvalsh(r)[..., -1]
+        rounding = (weights * self.norms * (k + n * self.norms / safe)).sum(axis=-1) + d2 * top
+        first = np.log(trace * (top + 4 * EPS * rounding))
+        w, v = np.linalg.eigh(mu)
+        support = (v * (w > d2 * EPS)[..., None, :]) @ dagger(v)  # P; rest is Q
+        rest = np.eye(d2) - support
+        z = self.coefficients(r - support - rest @ r @ rest)
+        unobserved = freqs == 0
+        rel = np.divide(z * probs, freqs, out=np.zeros_like(z), where=~unobserved)
+        usable = (rel < 1).all(axis=-1)
+        y = np.where(unobserved, np.maximum(-z, 0.0), weights * (1 - rel))
+        top_y = np.linalg.eigvalsh(self.combination(y))[..., -1]
+        terms = -freqs * np.log1p(-np.where(rel < 1, rel, 0.0))
+        rounding_y = (y * self.norms).sum(axis=-1) * (k + 3) + d2 * top_y
+        rounding_f = (freqs * n * self.norms / safe + k * np.abs(terms)).sum(axis=-1)
+        second = terms.sum(axis=-1) + np.log(trace * (top_y + 4 * EPS * rounding_y)) + 4 * EPS * rounding_f
+        return np.minimum(first, np.where(usable, second, np.inf))
 
 
 @lru_cache(maxsize=None)

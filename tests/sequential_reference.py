@@ -5,7 +5,9 @@ Each search function keeps the earlier per-restart loop of its namesake in
 value in restart order, so tests can check the lockstep versions restart by
 restart.  ``mle_by_record`` and ``bootstrap_by_record`` run the accelerated
 projected-gradient MLE of ``wernerlab.tomo`` one record at a time, with its
-kernels (overlaps, gradient, gap and projection) written for one matrix.
+kernels (overlaps, gradient, projection, and both dual points of the gap)
+written for one matrix.  ``fef_ascent_to_step_floor`` is
+``wernerlab.certify._fef_ascent`` without its no-gain exit.
 ``trace_out`` and ``contract`` (the reference for ``wernerlab.steer._contract``)
 and ``haar_unitary`` (the reference for ``wernerlab.states.haar_restarts``) are
 the one-call-at-a-time primitives the stacked kernels replaced, and
@@ -29,7 +31,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from wernerlab import extend, qmat, solver
+from wernerlab import certify, extend, qmat, solver
 from wernerlab.certify import _magic_basis, fef2_exact
 from wernerlab.extend import SE, ExtensionQuery, critical_weight
 from wernerlab.qmat import DensityMatrix, as_state, dagger, partial_transpose, uhlmann_fidelity
@@ -172,6 +174,41 @@ def fef_by_restarts(rho, restarts, seed):
     return values
 
 
+def fef_ascent_to_step_floor(rho_mat, u):
+    """``wernerlab.certify._fef_ascent`` without its no-gain exit: a row that has stopped moving
+    halves its step until it falls to 1e-12, as the ascent did before that exit."""
+    d = u.shape[-1]
+    u = u.copy()
+    rho_mat = np.broadcast_to(rho_mat, (len(u),) + rho_mat.shape[-2:])
+    f, grad = certify._fef_objective(rho_mat, u, d)
+    step = np.ones(len(u))
+    moves = np.zeros(len(u), dtype=int)
+    omega, eig_w, eig_q = np.empty_like(u), np.empty(u.shape[:2]), np.empty_like(u)
+    fresh = np.ones(len(u), dtype=bool)
+    live = np.arange(len(u))
+    while live.size:
+        turn = live[fresh[live]]
+        g, v = grad[turn], u[turn]
+        omega[turn] = g @ dagger(v) - v @ dagger(g)
+        eig_w[turn], eig_q[turn] = np.linalg.eigh(1j * omega[turn])
+        fresh[turn] = False
+        stop = ~(step > 1e-12)
+        stop[turn] |= (moves[turn] == 300) | (np.linalg.norm(omega[turn], axis=(-2, -1)) < 1e-12)
+        live = live[~stop[live]]
+        if not live.size:
+            break
+        u_try = certify._skew_expm(eig_w[live], eig_q[live], step[live]) @ u[live]
+        f_try, grad_try = certify._fef_objective(rho_mat[live], u_try, d)
+        up = f_try > f[live] + 1e-15
+        moved = live[up]
+        u[moved], f[moved], grad[moved] = u_try[up], f_try[up], grad_try[up]
+        step[moved] *= 1.3
+        moves[moved] += 1
+        fresh[moved] = True
+        step[live[~up]] /= 2
+    return f, u
+
+
 def _bell_response(rho, coefficients, other_meas, side):
     table = coefficients if side == "A" else coefficients.transpose(1, 0, 3, 2)
     ops = np.einsum("xyab,ybij->xaij", table, other_meas.effects)
@@ -225,11 +262,35 @@ def _r_operator(engine, freqs, probs):
 
 
 def _gap(engine, freqs, probs, mu):
-    top = np.trace(mu).real * np.linalg.eigvalsh(_r_operator(engine, freqs, probs))[-1]
+    """The smaller of the two dual bounds, y = f / p and y = f / p - z, with their margins."""
+    k, n, d2 = len(engine.norms), engine.d2 * engine.d2, engine.d2
     safe = np.maximum(probs, 1e-300)
-    k, n = len(engine.norms), engine.d2 * engine.d2
-    rounding = (freqs / safe * engine.norms * (k + n * engine.norms / safe)).sum() + engine.d2 * top
-    return top - 1.0 + 4 * EPS * rounding
+    weights = freqs / safe
+    trace = np.trace(mu).real
+    r = _r_operator(engine, freqs, probs)
+    top = np.linalg.eigvalsh(r)[-1]
+    rounding = (weights * engine.norms * (k + n * engine.norms / safe)).sum() + d2 * top
+    first = np.log(trace * (top + 4 * EPS * rounding))
+    # the second point: P onto mu's support, Q = I - P, z the coefficients of R - P - QRQ
+    w, v = np.linalg.eigh(mu)
+    support = (v * (w > d2 * EPS)) @ dagger(v)
+    rest = np.eye(d2) - support
+    z = engine._inverse_rows @ (r - support - rest @ r @ rest).view(np.float64).ravel()
+    y, rel, terms = np.zeros(k), np.zeros(k), np.zeros(k)
+    for j in range(k):
+        if freqs[j] == 0:
+            y[j] = max(-z[j], 0.0)
+            continue
+        rel[j] = z[j] * probs[j] / freqs[j]
+        if rel[j] >= 1:
+            return first  # y_j would not be positive: the second point is skipped
+        y[j] = weights[j] * (1 - rel[j])
+        terms[j] = -freqs[j] * np.log1p(-rel[j])
+    top_y = np.linalg.eigvalsh((y @ engine._rows).view(complex).reshape(d2, d2))[-1]
+    rounding_y = (y * engine.norms).sum() * (k + 3) + d2 * top_y
+    rounding_f = (freqs * n * engine.norms / safe + k * np.abs(terms)).sum()
+    second = terms.sum() + np.log(trace * (top_y + 4 * EPS * rounding_y)) + 4 * EPS * rounding_f
+    return min(first, second)
 
 
 def _nearest_state(h):

@@ -1,6 +1,8 @@
 """Tests for the scalar certificate battery."""
 
+import argparse
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wernerlab import certify
+from wernerlab import certify, cli
 from wernerlab.certify import (
     chsh_horodecki,
     correlation_matrix,
@@ -31,6 +33,7 @@ from wernerlab.states import haar_unitaries, werner
 from wernerlab.steer import chsh_coefficients, seesaw_bell_many
 from sequential_reference import (
     assert_rows_bitwise_alone,
+    fef_ascent_to_step_floor,
     fef_by_restarts,
     fef_embedding_check,
     one_distillable_by_restarts,
@@ -309,6 +312,41 @@ def test_fef_matches_sequential_reference(state):
     cert = fef(rho, restarts=restarts, seed=seed)
     assert cert.value == pytest.approx(max(want), rel=0, abs=1e-12)
     assert_rows_bitwise_alone(lambda u: certify._fef_ascent(rho.mat, u), (starts,))
+
+
+def assert_no_gain_exit_keeps_every_bit(rhos, seeds, restarts):
+    """fef_many gives each state the same f and U, bit for bit, as with the ascent that halves a
+    dead step down to 1e-12."""
+    got = fef_many(rhos, seeds, restarts=restarts)
+    with mock.patch.object(certify, "_fef_ascent", fef_ascent_to_step_floor):
+        want = fef_many(rhos, seeds, restarts=restarts)
+    for a, b in zip(got, want):
+        assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+        assert a.witness["unitary"].tobytes() == b.witness["unitary"].tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fef_no_gain_exit_keeps_the_sweep_grid_bits(seed):
+    # the fef task of `sweep --d 3` at its default v-grid and restarts, at CLI seed `seed`
+    args = argparse.Namespace(d=3, v_grid=cli.parse_grid("0:0.05:0.5"), noisy=False)
+    seeds, rhos = cli._grid_states(args, cli.derive_seed(seed, "fef"))
+    assert_no_gain_exit_keeps_every_bit(rhos, seeds, restarts=16)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    rank=st.integers(1, 9),
+    v=st.floats(0.0, 1.0),
+    mix=st.floats(0.0, 1.0),
+    restarts=st.integers(1, 8),
+)
+def test_fef_no_gain_exit_keeps_the_bits_of_random_states(seed, rank, v, mix, restarts):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((9, rank)) + 1j * rng.standard_normal((9, rank))
+    m = g @ g.conj().T
+    rho = DensityMatrix(3, 3, mix * werner(3, v).mat + (1 - mix) * m / np.trace(m).real)
+    assert_no_gain_exit_keeps_every_bit([rho, werner(3, v)], [seed, seed + 1], restarts)
 
 
 @pytest.mark.parametrize(

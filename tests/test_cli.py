@@ -238,8 +238,8 @@ def test_config_values_must_be_among_the_choices(tmp_path, capsys):
         (["tomo-demo"], "shots", 100.7, "an integer"),
         (["sweep", "--task", "ppt", "--v-grid", "0"], "noisy", "yes", "true or false"),
         # the command line cannot give an empty grid, and neither can a config file
-        (["sweep", "--task", "ppt"], "v-grid", [], "a list of numbers"),
-        (["extend-table", "--flavors", "SE", "--v-grid", "0"], "k-list", [], "a list of integers"),
+        (["sweep", "--task", "ppt"], "v-grid", [], "a nonempty list of numbers"),
+        (["extend-table", "--flavors", "SE", "--v-grid", "0"], "k-list", [], "a nonempty list of integers"),
     ],
 )
 def test_config_values_must_have_their_options_type(tmp_path, capsys, command, key, value, expected):
