@@ -1,5 +1,6 @@
 """Single-copy local filtering: qubit projections, arbitrary rectangular
-filters, the three-step SVD realization, and filtered-state closed forms."""
+filters, the three-step SVD realization, and filtered-state closed forms.
+Protocols replay on party A; B's replay on A of ``qmat.swap_parties(rho)``."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DensityMatrix, as_state, check_side, dagger, embed, kron
+from .qmat import DensityMatrix, as_state, dagger, kron
 
 NORM_TOL = 1e-10
 
@@ -122,18 +123,13 @@ def filter_protocol(f: FilterOperator) -> FilterProtocol:
     )
 
 
-def replay_protocol(
-    rho: DensityMatrix, proto: FilterProtocol, side: str = "A"
-) -> tuple[DensityMatrix, float]:
-    """Run the three protocol steps on one side of a state (other side untouched)."""
-    check_side(side)
-    d_other = rho.dimB if side == "A" else rho.dimA
+def replay_protocol(rho: DensityMatrix, proto: FilterProtocol) -> tuple[DensityMatrix, float]:
+    """Run the three protocol steps on party A of a state (B untouched)."""
     m = rho.mat
     for step in (proto.pre_unitary, proto.sigma, proto.post_unitary):
-        big = embed(step, d_other, side)
+        big = kron(step, np.eye(rho.dimB))
         m = big @ m @ dagger(big)
     prob = float(np.trace(m).real)
     if prob < 1e-12:
         raise ValueError("protocol annihilates state")
-    d_out = proto.post_unitary.shape[0]
-    return as_state(m / prob, *((d_out, d_other) if side == "A" else (d_other, d_out))), prob
+    return as_state(m / prob, proto.post_unitary.shape[0], rho.dimB), prob

@@ -174,9 +174,13 @@ def uhlmann_fidelity(rho: DensityMatrix | np.ndarray, sigma: DensityMatrix | np.
     s = sigma.mat if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
     if r.shape != s.shape:
         raise ValueError("fidelity requires equal dimensions")
+
+    def root(w):  # eigenvalues <= n * eps * max(w) of an n x n matrix are rounding, not spectrum: root 0
+        return np.sqrt(np.where(w > len(w) * np.finfo(float).eps * w.max(), w, 0.0))
+
     w, q = np.linalg.eigh((r + dagger(r)) / 2)
-    sq = (q * np.sqrt(np.clip(w, 0.0, None))) @ dagger(q)
+    sq = (q * root(w)) @ dagger(q)
     inner = sq @ s @ sq
     ev = np.linalg.eigvalsh((inner + dagger(inner)) / 2)
-    f = float(np.sum(np.sqrt(np.clip(ev, 0.0, None))) ** 2)
+    f = float(np.sum(root(ev)) ** 2)
     return min(max(f, 0.0), 1.0) if f < 1.0 + 1e-9 else f

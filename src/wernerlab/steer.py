@@ -3,7 +3,8 @@
 The steering-robustness SDP minimizes the total weight of a local-hidden-state
 covering: min sum_lambda tr(sigma_lambda) - 1 subject to
 sum_lambda D(a|x,lambda) sigma_lambda >= rho_{a|x} for every (a, x), with
-deterministic response functions D(a|x,lambda) = [lambda_x == a].
+deterministic response functions D(a|x,lambda) = [lambda_x == a].  A is measured and
+steers B; B steering is A steering of :func:`~wernerlab.qmat.swap_parties` of the state.
 
 State-level lower bounds come from a see-saw: solve the SDP for the current
 measurements, read off the dual operators F_{a|x}, then improve the
@@ -29,7 +30,7 @@ from itertools import product
 
 import numpy as np
 
-from .qmat import DensityMatrix, check_side, dagger, grid_best, grid_rows
+from .qmat import DensityMatrix, dagger, grid_best, grid_rows
 from .solver import Block, ConicProgram, Family, KronMap, mat_real, solve, sp, vec_real
 from .states import haar_restarts, haar_unitaries
 
@@ -126,7 +127,7 @@ def mub_qubit_measurements(n_settings: int = 2) -> MeasurementSet:
 
 @dataclass(frozen=True)
 class Assemblage:
-    """Sub-normalized conditional states ``sigma[x, a]`` left on the unmeasured side, an
+    """Sub-normalized conditional states ``sigma[x, a]`` left on the unmeasured party, an
     (x, a, d, d) complex array.  Nested sequences are stacked into one."""
 
     sigma: np.ndarray
@@ -175,12 +176,11 @@ def _contract(r: np.ndarray, ops: np.ndarray, side: str) -> np.ndarray:
     return (red + dagger(red)) / 2
 
 
-def assemblage_from(rho: DensityMatrix, meas: MeasurementSet, steering_side: str = "A") -> Assemblage:
-    """Conditional states of the other side when ``steering_side`` is measured."""
-    check_side(steering_side)
-    if meas.dim != (rho.dimA if steering_side == "A" else rho.dimB):
-        raise ValueError(f"measurement dimension does not match side {steering_side}")
-    return Assemblage(_contract(_tensor(rho), meas.effects, steering_side))
+def assemblage_from(rho: DensityMatrix, meas: MeasurementSet) -> Assemblage:
+    """Conditional states of B when A is measured; B steers A in ``qmat.swap_parties(rho)``."""
+    if meas.dim != rho.dimA:
+        raise ValueError("measurement dimension does not match side A")
+    return Assemblage(_contract(_tensor(rho), meas.effects, "A"))
 
 
 @lru_cache(maxsize=32)
@@ -299,35 +299,32 @@ def sr_state_lower_bound(
     n_settings: int,
     restarts: int = 200,
     seed: int = 0,
-    steering_side: str = "A",
     sdp_tol: float = 1e-7,
     max_rounds: int = 200,
 ) -> SRLowerBound:
     """Best steering-robustness lower bound over seeded see-saw restarts.
 
-    Each of the ``n_settings`` measurements is projective, with one outcome per level of
-    the steering side.  Restart r draws them from ``seed ^ r``; the module docstring
-    describes the lockstep.  Only SDP solves that ended OPTIMAL count, and a round counts
-    only when it improves the value by more than 1e-7: a restart keeps the value, the
-    measurements and the solution of its last accepted round together.
+    Each of the ``n_settings`` measurements of A is projective, with one outcome per level
+    (measure B as A of ``qmat.swap_parties(rho)``).  Restart r draws them from ``seed ^ r``;
+    the module docstring describes the lockstep.  Only SDP solves that ended OPTIMAL count,
+    and a round counts only when it improves the value by more than 1e-7: a restart keeps
+    the value, the measurements and the solution of its last accepted round together.
     """
-    check_side(steering_side)
     (d_a, d_b), state = grid_rows([rho], [seed], restarts, _tensor)
     if n_settings < 1:
         raise ValueError(f"n_settings must be at least 1, got {n_settings}")
-    d, d_other, unmeasured = (d_a, d_b, "B") if steering_side == "A" else (d_b, d_a, "A")
-    shape = (n_settings, d, d_other)
+    shape = (n_settings, d_a, d_b)
     family = Family(*_sr_program(*shape))  # checks the lambda budget before any draw
 
     def solve_round(rows, effects):
         """Value (-inf unless the solve ended OPTIMAL), y and gap of each row's SDP."""
-        b = vec_real(_contract(state[rows], effects, steering_side)).reshape(len(rows), -1)
+        b = vec_real(_contract(state[rows], effects, "A")).reshape(len(rows), -1)
         sols = family.solve_many(b, tol=sdp_tol)
         value = [float(sol.primal_obj) - 1.0 if sol.status == "OPTIMAL" else -np.inf for sol in sols]
         return np.array(value), np.stack([sol.y for sol in sols]), np.array([sol.gap for sol in sols])
 
-    (u,) = haar_restarts([seed ^ r for r in range(restarts)], [(n_settings, d)])
-    effects = _effects_from_unitaries(u, d)
+    (u,) = haar_restarts([seed ^ r for r in range(restarts)], [(n_settings, d_a)])
+    effects = _effects_from_unitaries(u, d_a)
     _check_effects(effects)
     value, y, gap = solve_round(np.arange(restarts), effects)
     kept = value > -np.inf  # the restarts whose first solve ended OPTIMAL; `live` ones still improve
@@ -335,8 +332,8 @@ def sr_state_lower_bound(
     for _ in range(max_rounds):
         if not live.size:
             break
-        # G_{a|x} = tr_unmeasured[(F_{a|x} on it) rho]: the dual value is sum tr(M_{a|x} G_{a|x}) - 1
-        response = _contract(state[live], _sr_duals(y[live], shape), unmeasured)
+        # G_{a|x} = tr_B[(F_{a|x} on B) rho]: the dual value is sum tr(M_{a|x} G_{a|x}) - 1
+        response = _contract(state[live], _sr_duals(y[live], shape), "B")
         new_effects = _update_measurements(effects[live], response)
         new_value, new_y, new_gap = solve_round(live, new_effects)
         accept = new_value > value[live] + 1e-7

@@ -167,9 +167,9 @@ def test_criterion_07_dense_coding():
 def test_criterion_08_steering():
     t0 = time.perf_counter()
     sep = DensityMatrix(2, 2, np.diag([0.32, 0.18, 0.3, 0.2]).astype(complex))
-    sr_sep = steer.steering_robustness(steer.assemblage_from(sep, steer.mub_qubit_measurements(2), "A"))
+    sr_sep = steer.steering_robustness(steer.assemblage_from(sep, steer.mub_qubit_measurements(2)))
 
-    asm = steer.assemblage_from(singlet(), steer.mub_qubit_measurements(2), "A")
+    asm = steer.assemblage_from(singlet(), steer.mub_qubit_measurements(2))
     res = steer.sr_solve(asm, tol=1e-9)
     res2 = steer.sr_solve(asm, tol=1e-10)
     pinned = 3 - 2 * np.sqrt(2)  # = (sqrt(2)-1)^2, proven optimal by an

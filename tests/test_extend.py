@@ -379,6 +379,17 @@ def test_surrogate_sqe_strictly_below_se():
     assert t_se - t_sqe > 1e-3
 
 
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(v=st.floats(0, 1), noise_seed=st.integers(0, 2**32 - 1), side=st.sampled_from("AB"))
+def test_flavors_order_on_noisy_two_qubit_surrogates(v, noise_seed, side):
+    rho = noisy_surrogate(werner(2, v), NoiseSpec(depol=0.06, coherent_eps=0.02, seed=noise_seed))
+    results = [run_query(ExtensionQuery(rho, 2, side, flavor)) for flavor in ("SQE", "SE", "SE_B")]
+    assert [res.status for res in results] == ["OPTIMAL"] * 3
+    t_sqe, t_se, t_seb = (res.t_star for res in results)
+    assert t_sqe <= t_se + 1e-6
+    assert t_se <= t_seb + 1e-6
+
+
 def test_largest_instance_four_copies_qutrit():
     # the 243-dimensional (1,4) search still certifies cleanly
     res = run_query(ExtensionQuery(werner(3, 0.0), 4, "B", "SE"))

@@ -15,7 +15,7 @@ from wernerlab.filterops import (
     replay_protocol,
     rotated_filtered_state,
 )
-from wernerlab.qmat import DensityMatrix, kron, uhlmann_fidelity
+from wernerlab.qmat import DensityMatrix, kron, swap_parties, uhlmann_fidelity
 from wernerlab.states import antisym_projector, werner
 
 
@@ -146,9 +146,22 @@ def test_protocol_replay_matches_apply_filter():
         direct, p_direct = apply_filter(rho, f, FilterOperator.identity(3))
         proto = filter_protocol(f)
         assert np.max(np.abs(proto.recompose() - m)) < 1e-12
-        replayed, p_replay = replay_protocol(rho, proto, "A")
+        replayed, p_replay = replay_protocol(rho, proto)
         assert p_replay == pytest.approx(p_direct, abs=1e-12)
         assert np.max(np.abs(replayed.mat - direct.mat)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(d_out=st.integers(2, 4), d_in=st.integers(1, 4), rank=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_protocol_recomposes_rectangular_and_rank_deficient_filters(d_out, d_in, rank, seed):
+    rank = min(rank, d_out, d_in)
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal((d_out, rank)) + 1j * rng.standard_normal((d_out, rank))
+    right = rng.standard_normal((rank, d_in)) + 1j * rng.standard_normal((rank, d_in))
+    f = FilterOperator(left @ right / np.linalg.norm(left @ right, 2))
+    proto = filter_protocol(f)
+    assert len(proto.kept_indices) == rank
+    assert np.max(np.abs(proto.recompose() - f.mat)) < 1e-12
 
 
 def test_protocol_rejects_zero():
@@ -171,7 +184,9 @@ def test_protocol_replay_on_side_b_matches_apply_filter(d_in, d_out, d_other, se
     f = FilterOperator(g / np.linalg.norm(g, 2))
     rho = random_state(d_other, d_in, seed)
     direct, p_direct = apply_filter(rho, FilterOperator.identity(d_other), f)
-    replayed, p_replay = replay_protocol(rho, filter_protocol(f), "B")
+    # B's protocol replays on A of the party-swapped state, swapped back after
+    swapped, p_replay = replay_protocol(swap_parties(rho), filter_protocol(f))
+    replayed = swap_parties(swapped)
     assert (replayed.dimA, replayed.dimB) == (d_other, d_out)
     assert p_replay == pytest.approx(p_direct, abs=1e-12)
     assert np.max(np.abs(replayed.mat - direct.mat)) < 1e-12

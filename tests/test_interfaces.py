@@ -34,25 +34,12 @@ from wernerlab.states import NoiseSpec, werner
 from lp_oracle import lp_vertex_enumeration_check
 
 
-@pytest.mark.parametrize(
-    "entry", ["assemblage_from", "sr_state_lower_bound", "replay_protocol", "partial_transpose", "embed"]
-)
-def test_side_other_than_a_or_b_is_rejected_before_any_draw(entry, monkeypatch):
-    rho = werner(3, 0.1)
-    meas = steer.random_projective(3, 2, np.random.default_rng(0))
-    proto = filter_protocol(qubit_projection(3, (1, 2)))
+@pytest.mark.parametrize("entry", ["partial_transpose", "embed"])
+def test_side_other_than_a_or_b_is_rejected_before_any_draw(entry):
     calls = {
-        "assemblage_from": lambda: steer.assemblage_from(rho, meas, "a"),
-        "sr_state_lower_bound": lambda: steer.sr_state_lower_bound(rho, 2, restarts=2, steering_side="left"),
-        "replay_protocol": lambda: replay_protocol(rho, proto, "a"),
-        "partial_transpose": lambda: partial_transpose(rho, "a"),
+        "partial_transpose": lambda: partial_transpose(werner(3, 0.1), "a"),
         "embed": lambda: embed(np.eye(3), 3, "left"),
     }
-
-    def no_draw(*args, **kwargs):
-        raise AssertionError("drew restarts before checking the side")
-
-    monkeypatch.setattr(steer, "haar_restarts", no_draw)
     with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
         calls[entry]()
 
@@ -80,9 +67,12 @@ def _raising_calls():
         "fef_many": (lambda: certify.fef_many([rect], [0]), "square bipartition"),
         "correlation_matrix": (lambda: certify.correlation_matrix(werner(3, 0.0)), "two-qubit states"),
         "apply_filter-dims": (lambda: apply_filter(rect, keep01, keep01), "input dimensions do not match"),
+        "assemblage_from-dims": (
+            lambda: steer.assemblage_from(werner(3, 0.0), qubits), "measurement dimension does not match side A"
+        ),
         "rotated_filtered_state": (lambda: rotated_filtered_state(1.5), "v must lie in"),
         "replay_protocol-annihilates": (
-            lambda: replay_protocol(far, filter_protocol(keep01), "A"), "protocol annihilates state"
+            lambda: replay_protocol(far, filter_protocol(keep01)), "protocol annihilates state"
         ),
         "DensityMatrix-non-finite": (lambda: DensityMatrix(1, 2, np.diag([np.nan, 1.0])), "non-finite"),
         "as_state-not-psd": (lambda: as_state(np.diag([1.5, -0.5]), 1, 2), "not PSD"),

@@ -418,7 +418,7 @@ def captured_sr_program(seed, d=3, n_s=2):
     """The program sr_solve solves for a random assemblage, with A as the CSR matrix of
     ``sr_program_csr``, so that presolve and the CSR kernel see it."""
     rng = np.random.default_rng(seed)
-    asm = steer.assemblage_from(werner(d, rng.uniform(0, 0.5)), steer.random_projective(d, n_s, rng), "A")
+    asm = steer.assemblage_from(werner(d, rng.uniform(0, 0.5)), steer.random_projective(d, n_s, rng))
     return ConicProgram(*sr_program_csr(n_s, d, d), vec_real(asm.sigma).ravel())
 
 

@@ -97,7 +97,7 @@ def test_assemblage_from_separable_product():
     rho_b = np.diag([0.7, 0.3]).astype(complex)
     rho = DensityMatrix(2, 2, kron(rho_a, rho_b))
     meas = mub_qubit_measurements(2)
-    asm = assemblage_from(rho, meas, "A")
+    asm = assemblage_from(rho, meas)
     for x in range(2):
         for a in range(2):
             weight = np.real(np.trace(meas.effects[x][a] @ rho_a))
@@ -105,7 +105,7 @@ def test_assemblage_from_separable_product():
 
 
 def test_assemblage_from_singlet_anticorrelated():
-    asm = assemblage_from(singlet(), mub_qubit_measurements(1), "A")
+    asm = assemblage_from(singlet(), mub_qubit_measurements(1))
     assert np.allclose(asm.sigma[0][0], np.diag([0, 0.5]), atol=1e-12)
     assert np.allclose(asm.sigma[0][1], np.diag([0.5, 0]), atol=1e-12)
 
@@ -115,7 +115,7 @@ def test_assemblage_from_werner_computational():
     # v/12 + (1-v)/6 (mismatched), read off the projector decomposition
     v = 0.3
     comp = projective_from_unitaries([np.eye(3, dtype=complex)])
-    asm = assemblage_from(werner(3, v), comp, "A")
+    asm = assemblage_from(werner(3, v), comp)
     for a in range(3):
         sig = asm.sigma[0][a]
         assert np.max(np.abs(sig - np.diag(np.diag(sig)))) < 1e-12
@@ -125,7 +125,7 @@ def test_assemblage_from_werner_computational():
 
 
 def test_assemblage_validation_rejects_signaling():
-    good = assemblage_from(singlet(), mub_qubit_measurements(2), "A")
+    good = assemblage_from(singlet(), mub_qubit_measurements(2))
     bad = list(list(s) for s in good.sigma)
     bad[0][0] = bad[0][0] + 0.1 * np.eye(2)
     with pytest.raises(ValueError):
@@ -134,20 +134,20 @@ def test_assemblage_validation_rejects_signaling():
 
 def test_sr_separable_is_zero():
     rho = DensityMatrix(2, 2, np.diag([0.32, 0.18, 0.3, 0.2]).astype(complex))
-    assert abs(steering_robustness(assemblage_from(rho, mub_qubit_measurements(2), "A"))) < 1e-6
+    assert abs(steering_robustness(assemblage_from(rho, mub_qubit_measurements(2)))) < 1e-6
 
 
 def test_sr_singlet_two_mubs_pinned():
-    res = sr_solve(assemblage_from(singlet(), mub_qubit_measurements(2), "A"), tol=1e-9)
+    res = sr_solve(assemblage_from(singlet(), mub_qubit_measurements(2)), tol=1e-9)
     assert res.status == "OPTIMAL"
     assert res.gap <= 1e-8
     assert res.value == pytest.approx(SINGLET_2MUB_SR, abs=1e-8)
     # solution is stable when re-solved at another tolerance
-    res2 = sr_solve(assemblage_from(singlet(), mub_qubit_measurements(2), "A"), tol=1e-10)
+    res2 = sr_solve(assemblage_from(singlet(), mub_qubit_measurements(2)), tol=1e-10)
     assert abs(res2.value - res.value) < 1e-6
     # dual sanity: the returned steering functional reproduces the value
     total = sum(
-        np.real(np.trace(res.duals[x][a] @ assemblage_from(singlet(), mub_qubit_measurements(2), "A").sigma[x][a]))
+        np.real(np.trace(res.duals[x][a] @ assemblage_from(singlet(), mub_qubit_measurements(2)).sigma[x][a]))
         for x in range(2)
         for a in range(2)
     )
@@ -155,7 +155,7 @@ def test_sr_singlet_two_mubs_pinned():
 
 
 def test_sr_three_mubs_larger():
-    res = sr_solve(assemblage_from(singlet(), mub_qubit_measurements(3), "A"), tol=1e-9)
+    res = sr_solve(assemblage_from(singlet(), mub_qubit_measurements(3)), tol=1e-9)
     assert res.value == pytest.approx(2 - np.sqrt(3), abs=1e-7)
     assert res.value > SINGLET_2MUB_SR
 
@@ -166,8 +166,8 @@ def test_sr_convex_monotone():
     for seed in range(3):
         rho1 = noisy_surrogate(werner(2, 0.1), NoiseSpec(0.1, 0.05, seed))
         rho2 = noisy_surrogate(werner(2, 0.4), NoiseSpec(0.2, 0.05, seed + 50))
-        a1 = assemblage_from(rho1, meas, "A")
-        a2 = assemblage_from(rho2, meas, "A")
+        a1 = assemblage_from(rho1, meas)
+        a2 = assemblage_from(rho2, meas)
         lam = rng.uniform(0.2, 0.8)
         mix = Assemblage(
             tuple(
@@ -181,8 +181,8 @@ def test_sr_convex_monotone():
 
 
 def test_sr_monotone_under_more_settings():
-    a2 = assemblage_from(singlet(), mub_qubit_measurements(2), "A")
-    a3 = assemblage_from(singlet(), mub_qubit_measurements(3), "A")
+    a2 = assemblage_from(singlet(), mub_qubit_measurements(2))
+    a3 = assemblage_from(singlet(), mub_qubit_measurements(3))
     assert steering_robustness(a3) >= steering_robustness(a2) - 1e-6
 
 
@@ -269,7 +269,7 @@ def test_lhs_feasible_assemblage_gives_local_correlation():
         rho = werner(3, 0.3)
         meas_a = random_projective(3, 2, rng)
         meas_b = random_projective(3, 2, rng)
-        assert steering_robustness(assemblage_from(rho, meas_a, "A")) < 2e-6
+        assert steering_robustness(assemblage_from(rho, meas_a)) < 2e-6
         corr = correlation_from(rho, meas_a, meas_b)
         assert nonlocal_content(corr, tol=1e-8) <= 1e-6
 
@@ -313,23 +313,26 @@ def test_deterministic_strategies_lexicographic():
 @settings(max_examples=40, deadline=None)
 @given(dims=DIMS, seed=SEEDS)
 def test_assemblage_side_b_is_side_a_of_swapped_state(dims, seed):
+    # B measured: the one-effect contraction over B of the unswapped state is the reference
     rho = random_state(*dims, seed)
     meas = random_projective(dims[1], 2, np.random.default_rng(seed))
-    side_b = assemblage_from(rho, meas, "B")
-    side_a = assemblage_from(swap_parties(rho), meas, "A")
-    assert np.max(np.abs(side_b.sigma - side_a.sigma)) < 1e-14
-    with pytest.raises(ValueError, match="dimension"):
-        assemblage_from(rho, random_projective(4, 1, np.random.default_rng(seed)), "B")
+    side_a = assemblage_from(swap_parties(rho), meas)
+    side_b = [[contract(rho, effect, "B") for effect in setting] for setting in meas.effects]
+    assert np.max(np.abs(side_a.sigma - np.array(side_b))) < 1e-14
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
-@given(dims=DIMS, seed=SEEDS)
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]), seed=SEEDS)
 def test_sr_lower_bound_side_b_is_side_a_of_swapped_state(dims, seed):
-    rho = random_state(*dims, seed)
-    side_b = sr_state_lower_bound(rho, 2, restarts=2, seed=seed, steering_side="B", max_rounds=5)
-    side_a = sr_state_lower_bound(swap_parties(rho), 2, restarts=2, seed=seed, steering_side="A", max_rounds=5)
-    assert side_b.best == pytest.approx(side_a.best, abs=1e-9)
-    assert side_b.per_restart == pytest.approx(side_a.per_restart, abs=1e-9)
+    # the bound for B measured is the SR of what its best measurements leave on A, contracted over B
+    rho = noisy_pure_state(*dims, seed, 0.9)
+    res = sr_state_lower_bound(swap_parties(rho), 2, restarts=2, seed=seed, max_rounds=5)
+    if res.best_measurements is None:
+        assert res.best == 0.0
+    else:
+        effects = res.best_measurements.effects
+        side_b = Assemblage([[contract(rho, effect, "B") for effect in setting] for setting in effects])
+        assert sr_solve(side_b).value == pytest.approx(res.best, abs=1e-9)
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)
@@ -437,7 +440,7 @@ def test_sr_program_matches_loop_reference(d, n_s, n_o):
     rng = np.random.default_rng(10 * d + n_s)
     rho = random_state(d, d, 7 * n_s + n_o)
     meas = steer.random_grouped_projective(d, n_s, n_o, rng)
-    asm = assemblage_from(rho, meas, "A")
+    asm = assemblage_from(rho, meas)
     blocks, c, a_map = steer._sr_program(n_s, n_o, d)
     a_ref, b_ref, c_ref = sr_program_by_loops(asm)
     # A's columns are its products with the unit vectors; every entry is 0 or +-1, so they are exact
@@ -479,7 +482,7 @@ def test_sr_family_rows_bitwise_alone(n_s, d):
     family = solver.Family(*steer._sr_program(n_s, d, d))
     b = np.stack(
         [
-            vec_real(assemblage_from(werner(d, v), steer.random_projective(d, n_s, rng), "A").sigma).ravel()
+            vec_real(assemblage_from(werner(d, v), steer.random_projective(d, n_s, rng)).sigma).ravel()
             for v in rng.uniform(0.0, 0.5, 6)
         ]
     )
@@ -582,21 +585,22 @@ def noisy_pure_state(d_a, d_b, seed, purity):
 
 
 @pytest.mark.parametrize(
-    "state, side, max_rounds",
+    "state, max_rounds",
     [
-        (lambda: rotated_filtered_state(0.1), "A", 30),
-        (lambda: rotated_filtered_state(0.1), "B", 1),
-        (lambda: noisy_pure_state(2, 3, 4, 0.8), "B", 5),
-        (lambda: noisy_pure_state(3, 2, 4, 0.8), "A", 5),
+        (lambda: rotated_filtered_state(0.1), 30),
+        (lambda: swap_parties(rotated_filtered_state(0.1)), 1),
+        (lambda: swap_parties(noisy_pure_state(2, 3, 4, 0.8)), 5),
+        (lambda: noisy_pure_state(3, 2, 4, 0.8), 5),
     ],
     ids=["filtered-A", "filtered-B-one-round", "pure-2x3-B", "pure-3x2-A"],
 )
-def test_lockstep_seesaw_matches_single_restarts(state, side, max_rounds):
-    # restart r of a lockstep run gives, bit for bit, the value it gives run alone at seed ^ r
+def test_lockstep_seesaw_matches_single_restarts(state, max_rounds):
+    # restart r of a lockstep run gives, bit for bit, the value it gives run alone at seed ^ r;
+    # the -B cases measure B, as A of the party-swapped state
     rho = state()
     seed, restarts = 12345, 4
-    res = sr_state_lower_bound(rho, 2, restarts=restarts, seed=seed, steering_side=side, max_rounds=max_rounds)
-    singles = single_restart_runs(rho, restarts, seed, steering_side=side, max_rounds=max_rounds)
+    res = sr_state_lower_bound(rho, 2, restarts=restarts, seed=seed, max_rounds=max_rounds)
+    singles = single_restart_runs(rho, restarts, seed, max_rounds=max_rounds)
     assert_bitwise(res.per_restart, [v for single in singles for v in single.per_restart])
     assert res.best == max(res.per_restart) > 0.01
     # the first restart with the best value supplies the measurements and the gap
@@ -605,7 +609,7 @@ def test_lockstep_seesaw_matches_single_restarts(state, side, max_rounds):
     assert np.array_equal(res.best_measurements.effects, first.best_measurements.effects)
     if max_rounds == 1:
         # the cut-off binds: some restart was still improving after its first round
-        longer = sr_state_lower_bound(rho, 2, restarts=restarts, seed=seed, steering_side=side, max_rounds=30)
+        longer = sr_state_lower_bound(rho, 2, restarts=restarts, seed=seed, max_rounds=30)
         assert any(b > a for a, b in zip(res.per_restart, longer.per_restart))
 
 
@@ -726,7 +730,7 @@ def forced_max_iter(real_solve):
 
 
 def test_steering_robustness_raises_on_unconverged_solve(monkeypatch):
-    asm = assemblage_from(singlet(), mub_qubit_measurements(2), "A")
+    asm = assemblage_from(singlet(), mub_qubit_measurements(2))
     assert steering_robustness(asm) == pytest.approx(SINGLET_2MUB_SR, abs=1e-6)
     real_solve_many = solver.Family.solve_many
 
@@ -759,7 +763,7 @@ def test_batched_validation_keeps_messages_and_order():
         MeasurementSet(((eye * 0.4, eye * 0.4), (bad, eye - bad)))
     with pytest.raises(ValueError, match="PSD"):
         MeasurementSet(((bad, eye - bad), (eye * 0.4, eye * 0.4)))
-    good = assemblage_from(singlet(), mub_qubit_measurements(2), "A")
+    good = assemblage_from(singlet(), mub_qubit_measurements(2))
     sigma = [list(s) for s in good.sigma]
     shift = np.diag([-0.1, 0.1]).astype(complex)  # moves weight between outcomes: marginals stay put
     with pytest.raises(ValueError, match="PSD"):
@@ -775,7 +779,7 @@ def test_nested_sequences_stack_into_the_array_form():
     nested = MeasurementSet(tuple(tuple(e for e in setting) for setting in meas.effects))
     assert nested.effects.shape == (3, 2, 2, 2) and nested.effects.dtype == complex
     assert np.array_equal(nested.effects, meas.effects)
-    asm = assemblage_from(singlet(), meas, "A")
+    asm = assemblage_from(singlet(), meas)
     nested = Assemblage(tuple(tuple(s for s in setting) for setting in asm.sigma))
     assert np.array_equal(nested.sigma, asm.sigma) and nested.sigma.dtype == complex
     assert (nested.n_settings, nested.n_outcomes, nested.dim) == (meas.n_settings, meas.n_outcomes, meas.dim) == (3, 2, 2)

@@ -117,6 +117,21 @@ def test_mle_statistical_floor():
     assert min(fids) >= 0.93
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fidelity_of_rank_deficient_reconstruction_ignores_rounding(seed):
+    # the v = 0 reconstruction has eigenvalues of order 1e-17; rounding-level Hermitian
+    # perturbations of it must not move the fidelity by more than rounding does
+    w = werner(3, 0)
+    recon = mle_reconstruct(simulate_counts(w, 10**4, seed))
+    f = uhlmann_fidelity(recon, w)
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        h = (g + g.conj().T) / 2
+        h *= 3e-16 / np.linalg.norm(h, 2)
+        assert abs(uhlmann_fidelity(recon.mat + h, w) - f) < 1e-13
+
+
 def test_mle_reconstruction_of_reconstruction():
     rec = simulate_counts(werner(3, 0.25), 20000, 5)
     rho_hat = mle_reconstruct(rec, max_iter=4000)
