@@ -22,12 +22,12 @@ lockstep: the rows (seeded restarts, or counts records) form one stack, each
 step makes one stacked call per kernel for the rows still running, and a row
 leaves when its own stopping test fires.  Every kernel acts row by row with
 the same arithmetic whatever the stack width, so a row gives the same result,
-bit for bit, as it gives run on its own.  Restart r of a search seeded s
-draws from ``s ^ r``.  A grid search (``one_distillable_many``, ``fef_many``,
-``steer.seesaw_bell_many``) takes states of one bipartition, one seed per
-state: :func:`~wernerlab.qmat.grid_rows` checks the grid and makes every
-(state, restart) pair a row that carries its own state, and
-:func:`~wernerlab.qmat.grid_best` picks each state's best restart, so each
+bit for bit, as it gives run on its own.  A grid search (``one_distillable_many``,
+``fef_many``, ``steer.seesaw_bell_many``) takes states of one bipartition, one seed
+per state: :func:`~wernerlab.states.grid_rows`, the one place restart seeds are drawn,
+checks the grid, makes every (state, restart) pair a row that carries its own state,
+and draws restart r of a state seeded s from ``s ^ r``.
+:func:`~wernerlab.states.grid_best` picks each state's best restart, so each
 state gets the certificate it gets alone.  The single-state forms and the
 steering see-saw (``steer.sr_state_lower_bound``) are the stack of one.  The
 SDPs inside the steering see-saw stack the same way in
@@ -42,8 +42,8 @@ import numpy as np
 
 from . import qmat
 from .filterops import filtered_weight
-from .qmat import DensityMatrix, dagger, grid_best, grid_rows, partial_trace, partial_transpose
-from .states import haar_restarts
+from .qmat import DensityMatrix, dagger, partial_trace, partial_transpose
+from .states import grid_best, grid_rows
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -72,13 +72,6 @@ def _schmidt_frames(psi_block: np.ndarray, rank: int = 2):
     """Left/right orthonormal frames of each (rank x n) coefficient matrix of a stack."""
     u, s, vdag = np.linalg.svd(psi_block, full_matrices=False)
     return u[..., :rank], dagger(vdag)[..., :rank], s
-
-
-def _distill_frames(d_a: int, d_b: int, restarts: int, seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(S R, d, 2) stacks of random A and B frames, ``restarts`` rows per seed in turn;
-    restart r of seed s draws both from ``s ^ r``."""
-    ua, ub = haar_restarts([seed ^ r for seed in seeds for r in range(restarts)], [(1, d_a), (1, d_b)])
-    return ua[:, 0, :, :2], ub[:, 0, :, :2]
 
 
 def _distill_descent(x: np.ndarray, va: np.ndarray, vb: np.ndarray):
@@ -117,10 +110,13 @@ def _distill_descent(x: np.ndarray, va: np.ndarray, vb: np.ndarray):
 
 def one_distillable_many(rhos: list[DensityMatrix], seeds: list[int], restarts: int = 64) -> list[Certificate]:
     """:func:`one_distillable` for a grid of states, state i seeded by ``seeds[i]``: one lockstep
-    stack, as the module docstring describes.  Raises ValueError as :func:`~wernerlab.qmat.grid_rows` does.
+    stack, as the module docstring describes.  Raises ValueError as :func:`~wernerlab.states.grid_rows` does,
+    and when a local dimension is below 2, where no Schmidt-rank-2 vector exists.
     """
-    (d_a, d_b), x = grid_rows(rhos, seeds, restarts, lambda rho: partial_transpose(rho, "A"))
-    val, va, psi = _distill_descent(x, *_distill_frames(d_a, d_b, restarts, seeds))
+    (d_a, d_b), x, (ua, ub) = grid_rows(rhos, seeds, restarts, lambda rho: partial_transpose(rho, "A"), [(1, 0), (1, 1)])
+    if min(d_a, d_b) < 2:
+        raise ValueError(f"a Schmidt-rank-2 vector needs local dimensions of at least 2, got ({d_a}, {d_b})")
+    val, va, psi = _distill_descent(x, ua[:, 0, :, :2], ub[:, 0, :, :2])
     certs = []
     for seed, best in zip(seeds, grid_best(val, restarts, np.argmin)):
         best_val = float(val[best])
@@ -146,6 +142,8 @@ def gurvits_ball(rho: DensityMatrix) -> Certificate:
     if rho.dimA != rho.dimB:
         raise ValueError("ball criterion stated for equal local dimensions")
     d = rho.dimA
+    if d < 2:
+        raise ValueError("ball criterion needs local dimensions of at least 2")
     value = float(np.linalg.norm(rho.mat - np.eye(d * d) / (d * d)) ** 2)
     radius = 1.0 / (d * d * (d * d - 1))
     verdict = PASS if value <= radius else INCONCLUSIVE
@@ -160,14 +158,6 @@ def _fef_objective(rho_mat: np.ndarray, u: np.ndarray, d: int):
     f = np.real(psi[:, None, :].conj() @ w)[:, 0, 0]
     grad = w.reshape(-1, d, d).swapaxes(-1, -2) / np.sqrt(d)
     return f, grad
-
-
-def _fef_starts(d: int, restarts: int, seeds: list[int]) -> np.ndarray:
-    """(S R, d, d) start unitaries, ``restarts`` rows per seed in turn: the identity, then for
-    restart r of seed s a Haar unitary drawn from ``s ^ r``."""
-    (draws,) = haar_restarts([seed ^ r for seed in seeds for r in range(1, restarts)], [(1, d)])
-    eye = np.broadcast_to(np.eye(d, dtype=complex), (len(seeds), 1, d, d))
-    return np.concatenate([eye, draws.reshape(len(seeds), restarts - 1, d, d)], axis=1).reshape(-1, d, d)
 
 
 def _skew_expm(w: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -226,13 +216,14 @@ def _fef_ascent(rho_mat: np.ndarray, u: np.ndarray):
 
 def fef_many(rhos: list[DensityMatrix], seeds: list[int], restarts: int = 32) -> list[Certificate]:
     """:func:`fef` for a grid of states, state i seeded by ``seeds[i]``: one lockstep stack, as
-    the module docstring describes.  Raises ValueError as :func:`~wernerlab.qmat.grid_rows` does,
+    the module docstring describes.  Raises ValueError as :func:`~wernerlab.states.grid_rows` does,
     and on a bipartition that is not square.
     """
-    (d, d_b), mats = grid_rows(rhos, seeds, restarts, lambda rho: rho.mat)
+    (d, d_b), mats, (starts,) = grid_rows(rhos, seeds, restarts, lambda rho: rho.mat, [(1, 0)])
     if d != d_b:
         raise ValueError("fully-entangled fraction needs a square bipartition")
-    f, u = _fef_ascent(mats, _fef_starts(d, restarts, seeds))
+    starts[::restarts, 0] = np.eye(d)  # restart 0 of each state starts from the identity
+    f, u = _fef_ascent(mats, starts[:, 0])
     certs = []
     for seed, best in zip(seeds, grid_best(f, restarts, np.argmax)):
         best_f = float(f[best])

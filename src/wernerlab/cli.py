@@ -155,6 +155,8 @@ def sweep_dc(args, task_seed):
 
 def _extend_rows(args, flavors, seed_of):
     """One row per flavor, k and v; ``seed_of(k, i)`` seeds the noisy state at the i-th v."""
+    if len(set(flavors)) < len(flavors) or len(set(args.k_list)) < len(args.k_list):
+        raise ValueError(f"a flavor or a k is named more than once: flavors {flavors}, k {args.k_list}")
     rows = []
     for flavor in flavors:
         for k in args.k_list:

@@ -66,33 +66,6 @@ class DensityMatrix:
         return self.dimA * self.dimB
 
 
-def grid_rows(
-    rhos: list[DensityMatrix], seeds: list[int], restarts: int, form
-) -> tuple[tuple[int, int], np.ndarray]:
-    """The (dimA, dimB) shared by the states of a grid search, state i seeded by ``seeds[i]``,
-    and the stack of ``form(rho)`` with ``restarts`` rows per state in turn.
-
-    Raises ValueError on an empty list, when the seeds do not match the states one to one,
-    on states of different dimensions and when ``restarts`` is below 1."""
-    if not rhos:
-        raise ValueError("no states to search")
-    if len(seeds) != len(rhos):
-        raise ValueError(f"{len(rhos)} states need as many seeds, got {len(seeds)}")
-    dims = sorted({(rho.dimA, rho.dimB) for rho in rhos})
-    if len(dims) > 1:
-        raise ValueError(f"states searched together must share their dimensions, got {dims}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    return dims[0], np.repeat(np.stack([form(rho) for rho in rhos]), restarts, axis=0)
-
-
-def grid_best(values: np.ndarray, restarts: int, pick) -> np.ndarray:
-    """Row index of each state's best restart in a state-major stack of values, as
-    ``pick`` (``np.argmin`` or ``np.argmax``) chooses it."""
-    per_state = values.reshape(-1, restarts)
-    return np.arange(len(per_state)) * restarts + pick(per_state, axis=1)
-
-
 def as_state(mat: np.ndarray, dimA: int, dimB: int, clip_tol: float = 1e-8) -> DensityMatrix:
     """Project a nearly-valid matrix onto the state set and wrap it.
 

@@ -148,6 +148,37 @@ def haar_restarts(seeds: list[int], sides: list[tuple[int, int]]) -> list[np.nda
     return [haar_unitaries(np.reshape(draws, (len(seeds), k, 2, d, d))) for draws, (k, d) in zip(normals, sides)]
 
 
+def grid_rows(
+    rhos: list[DensityMatrix], seeds: list[int], restarts: int, form, sides: list[tuple[int, int]]
+) -> tuple[tuple[int, int], np.ndarray, list[np.ndarray]]:
+    """The (dimA, dimB) shared by the states of a grid search, state i seeded by ``seeds[i]``,
+    the stack of ``form(rho)`` with ``restarts`` rows per state in turn, and for each (k, party)
+    of ``sides`` (party 0 for A, 1 for B) an (S R, k, d, d) stack of Haar unitaries on that
+    party, row i R + r drawn from ``seeds[i] ^ r``: the one place restart seeds are drawn.
+
+    Raises ValueError on an empty list, when the seeds do not match the states one to one,
+    on states of different dimensions and when ``restarts`` is below 1."""
+    if not rhos:
+        raise ValueError("no states to search")
+    if len(seeds) != len(rhos):
+        raise ValueError(f"{len(rhos)} states need as many seeds, got {len(seeds)}")
+    dims = sorted({(rho.dimA, rho.dimB) for rho in rhos})
+    if len(dims) > 1:
+        raise ValueError(f"states searched together must share their dimensions, got {dims}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    restart_seeds = [seed ^ r for seed in seeds for r in range(restarts)]
+    draws = haar_restarts(restart_seeds, [(k, dims[0][party]) for k, party in sides])
+    return dims[0], np.repeat(np.stack([form(rho) for rho in rhos]), restarts, axis=0), draws
+
+
+def grid_best(values: np.ndarray, restarts: int, pick) -> np.ndarray:
+    """Row index of each state's best restart in a state-major stack of values, as
+    ``pick`` (``np.argmin`` or ``np.argmax``) chooses it."""
+    per_state = values.reshape(-1, restarts)
+    return np.arange(len(per_state)) * restarts + pick(per_state, axis=1)
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Two-knob noise model: global depolarizing weight plus a seeded Hermitian kick."""

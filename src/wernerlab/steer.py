@@ -13,8 +13,8 @@ which is a valid SR lower bound for any POVM choice since the dual point stays
 feasible.  Measurement updates are pairwise eigenvector rotations, so each
 accepted step never lowers the bound, and the bound a restart keeps is the
 value of the measurements it keeps.  The seeded restarts of this see-saw and
-of the Bell see-saw (:func:`seesaw_bell`) run in lockstep on the grid-search
-scaffold (:func:`~wernerlab.qmat.grid_rows`, :func:`~wernerlab.qmat.grid_best`)
+of the Bell see-saw (:func:`seesaw_bell`) are drawn in :func:`~wernerlab.states.grid_rows`,
+the one place restart seeds are drawn, and run in lockstep on the grid-search scaffold
 the :mod:`~wernerlab.certify` module docstring describes.  The SDP's blocks,
 A and c depend on the scenario alone, so each call holds one
 :class:`~wernerlab.solver.Family` of them, and each round stacks the right-hand
@@ -30,9 +30,9 @@ from itertools import product
 
 import numpy as np
 
-from .qmat import DensityMatrix, dagger, grid_best, grid_rows
+from .qmat import DensityMatrix, dagger
 from .solver import Block, ConicProgram, Family, KronMap, mat_real, solve, sp, vec_real
-from .states import haar_restarts, haar_unitaries
+from .states import grid_best, grid_rows, haar_unitaries
 
 MAX_LAMBDA = 4096
 
@@ -309,12 +309,15 @@ def sr_state_lower_bound(
     the module docstring describes the lockstep.  Only SDP solves that ended OPTIMAL count,
     and a round counts only when it improves the value by more than 1e-7: a restart keeps
     the value, the measurements and the solution of its last accepted round together.
+    Raises ValueError as :func:`~wernerlab.states.grid_rows` does, and on ``max_rounds`` below 0.
     """
-    (d_a, d_b), state = grid_rows([rho], [seed], restarts, _tensor)
     if n_settings < 1:
         raise ValueError(f"n_settings must be at least 1, got {n_settings}")
-    shape = (n_settings, d_a, d_b)
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be at least 0, got {max_rounds}")
+    shape = (n_settings, rho.dimA, rho.dimB)
     family = Family(*_sr_program(*shape))  # checks the lambda budget before any draw
+    _, state, (u,) = grid_rows([rho], [seed], restarts, _tensor, [(n_settings, 0)])
 
     def solve_round(rows, effects):
         """Value (-inf unless the solve ended OPTIMAL), y and gap of each row's SDP."""
@@ -323,8 +326,7 @@ def sr_state_lower_bound(
         value = [float(sol.primal_obj) - 1.0 if sol.status == "OPTIMAL" else -np.inf for sol in sols]
         return np.array(value), np.stack([sol.y for sol in sols]), np.array([sol.gap for sol in sols])
 
-    (u,) = haar_restarts([seed ^ r for r in range(restarts)], [(n_settings, d_a)])
-    effects = _effects_from_unitaries(u, d_a)
+    effects = _effects_from_unitaries(u, rho.dimA)
     _check_effects(effects)
     value, y, gap = solve_round(np.arange(restarts), effects)
     kept = value > -np.inf  # the restarts whose first solve ended OPTIMAL; `live` ones still improve
@@ -457,20 +459,6 @@ def _best_povm_update(effects: np.ndarray, response: np.ndarray) -> np.ndarray:
     return new
 
 
-def _bell_starts(
-    dims: tuple[int, int], scenario: tuple, restarts: int, seeds: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(S R, x, a, d, d) stacks of grouped projective effects for A and B of local dimensions
-    ``dims``, ``restarts`` rows per seed in turn, checked as POVMs; restart r of seed s draws
-    A's and then B's from ``s ^ r``."""
-    n_sa, n_sb, n_oa, n_ob = scenario
-    ua, ub = haar_restarts([seed ^ r for seed in seeds for r in range(restarts)], [(n_sa, dims[0]), (n_sb, dims[1])])
-    effects_a, effects_b = _effects_from_unitaries(ua, n_oa), _effects_from_unitaries(ub, n_ob)
-    _check_effects(effects_a)
-    _check_effects(effects_b)
-    return effects_a, effects_b
-
-
 def _seesaw_bell_rows(
     r: np.ndarray, coefficients: np.ndarray, effects_a: np.ndarray, effects_b: np.ndarray
 ) -> np.ndarray:
@@ -514,16 +502,19 @@ def seesaw_bell_many(
 ) -> list[float]:
     """:func:`seesaw_bell` for a grid of states, state i seeded by ``seeds[i]``: one lockstep stack,
     as the :mod:`~wernerlab.certify` module docstring describes.  Raises ValueError as
-    :func:`~wernerlab.qmat.grid_rows` does, and on a scenario the see-saw does not support.
+    :func:`~wernerlab.states.grid_rows` does, and on a scenario the see-saw does not support.
     """
-    (d_a, d_b), r = grid_rows(rhos, seeds, restarts, _tensor)
     n_sa, n_sb, n_oa, n_ob = coefficients.shape
     if n_oa ** n_sa * n_ob ** n_sb > 10**6:
         raise ValueError("scenario too large")
+    (d_a, d_b), r, (ua, ub) = grid_rows(rhos, seeds, restarts, _tensor, [(n_sa, 0), (n_sb, 1)])
     for side, n_o, dim in (("A", n_oa, d_a), ("B", n_ob, d_b)):
         if n_o not in (2, dim):  # the pairwise update needs rank-1 effects
             raise ValueError(f"side {side} has {n_o} outcomes in dimension {dim}; the see-saw needs 2 or {dim}")
-    value = _seesaw_bell_rows(r, coefficients, *_bell_starts((d_a, d_b), coefficients.shape, restarts, seeds))
+    effects_a, effects_b = _effects_from_unitaries(ua, n_oa), _effects_from_unitaries(ub, n_ob)
+    _check_effects(effects_a)
+    _check_effects(effects_b)
+    value = _seesaw_bell_rows(r, coefficients, effects_a, effects_b)
     return [float(v) for v in value[grid_best(value, restarts, np.argmax)]]
 
 
@@ -539,6 +530,6 @@ def seesaw_bell(
     the scenario; each side needs 2 outcomes or as many as its dimension.  Alternates exact
     (two-outcome) or pairwise-eigenvector measurement updates between the sides; each
     accepted half-step never decreases the value.  Restart r draws both sides' measurements
-    from ``seed ^ r``.  The stack of one of :func:`seesaw_bell_many`.
+    from ``seed ^ r`` in :func:`~wernerlab.states.grid_rows`.  The stack of one of :func:`seesaw_bell_many`.
     """
     return seesaw_bell_many([rho], coefficients, [seed], restarts=restarts)[0]

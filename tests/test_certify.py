@@ -29,7 +29,7 @@ from wernerlab.certify import (
 )
 from wernerlab.filterops import apply_filter, filtered_weight, qubit_projection, rotated_filtered_state
 from wernerlab.qmat import DensityMatrix, partial_transpose
-from wernerlab.states import haar_unitaries, werner
+from wernerlab.states import grid_rows, haar_unitaries, werner
 from wernerlab.steer import chsh_coefficients, seesaw_bell_many
 from sequential_reference import (
     assert_rows_bitwise_alone,
@@ -307,7 +307,9 @@ def test_fef_matches_sequential_reference(state):
     rho = state()
     seed, restarts = 2024, 16
     want = fef_by_restarts(rho, restarts, seed)
-    starts = certify._fef_starts(rho.dimA, restarts, [seed])
+    _, _, (draws,) = grid_rows([rho], [seed], restarts, lambda rho: rho.mat, [(1, 0)])
+    starts = draws[:, 0]
+    starts[0] = np.eye(rho.dimA)  # restart 0 starts from the identity
     assert np.allclose(certify._fef_ascent(rho.mat, starts)[0], want, rtol=0, atol=1e-12)
     cert = fef(rho, restarts=restarts, seed=seed)
     assert cert.value == pytest.approx(max(want), rel=0, abs=1e-12)
@@ -357,7 +359,8 @@ def test_one_distillable_matches_sequential_reference(state):
     rho = state()
     seed, restarts = 2024, 16
     want = one_distillable_by_restarts(rho, restarts, seed)
-    frames = certify._distill_frames(rho.dimA, rho.dimB, restarts, [seed])
+    _, _, (ua, ub) = grid_rows([rho], [seed], restarts, lambda rho: rho.mat, [(1, 0), (1, 1)])
+    frames = ua[:, 0, :, :2], ub[:, 0, :, :2]
     x = partial_transpose(rho, "A")
     assert np.allclose(certify._distill_descent(x, *frames)[0], want, rtol=0, atol=1e-12)
     cert = one_distillable(rho, restarts=restarts, seed=seed)

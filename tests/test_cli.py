@@ -119,6 +119,33 @@ def test_sweep_rejects_a_repeated_task(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend-table", "--flavors", "SE,SE", "--k-list", "2"],
+        ["extend-table", "--flavors", "SE", "--k-list", "2,2"],
+        ["sweep", "--task", "extend", "--k-list", "2,2"],
+    ],
+    ids=["extend-table-flavor", "extend-table-k", "sweep-k"],
+)
+def test_extension_rows_reject_a_repeated_flavor_or_k(tmp_path, capsys, monkeypatch, argv):
+    # a repeated flavor or k wrote its rows twice
+    monkeypatch.setattr(cli.extend, "run_query", lambda *args, **kwargs: pytest.fail("ran a query before the check"))
+    out = tmp_path / "run"
+    assert main(argv + ["--v-grid", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: a flavor or a k is named more than once")
+    assert not out.exists()
+
+
+def test_sweep_rejects_negative_max_rounds(tmp_path, capsys):
+    # it ran as --max-rounds 0 and wrote the same sr_d3.csv
+    out = tmp_path / "run"
+    argv = ["sweep", "--task", "sr", "--v-grid", "0.1", "--restarts", "2", "--max-rounds", "-3", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: max_rounds must be at least 0, got -3\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("d_grid", ["2.5", "1", "0", "2,3,1"])
 def test_dc_rejects_dimensions_it_cannot_use(tmp_path, capsys, monkeypatch, d_grid):
     # 2.5 wrote a d=2 row, 1 a v_dc of 3e-8 with a RuntimeWarning, and 0 ended in a ZeroDivisionError

@@ -64,6 +64,13 @@ def _raising_calls():
     qubits = steer.mub_qubit_measurements(2)
     return {
         "gurvits_ball": (lambda: certify.gurvits_ball(rect), "equal local dimensions"),
+        "gurvits_ball-1x1": (lambda: certify.gurvits_ball(DensityMatrix(1, 1, np.eye(1))), "at least 2"),
+        "one_distillable-1x2": (
+            lambda: certify.one_distillable(DensityMatrix(1, 2, np.eye(2) / 2)), "Schmidt-rank-2 vector needs"
+        ),
+        "one_distillable-2x1": (
+            lambda: certify.one_distillable(DensityMatrix(2, 1, np.eye(2) / 2)), "Schmidt-rank-2 vector needs"
+        ),
         "fef_many": (lambda: certify.fef_many([rect], [0]), "square bipartition"),
         "correlation_matrix": (lambda: certify.correlation_matrix(werner(3, 0.0)), "two-qubit states"),
         "apply_filter-dims": (lambda: apply_filter(rect, keep01, keep01), "input dimensions do not match"),

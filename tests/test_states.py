@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from wernerlab import serialize, states
-from wernerlab.qmat import kron, uhlmann_fidelity
+from wernerlab.qmat import DensityMatrix, kron, uhlmann_fidelity
 from wernerlab.states import (
     NoiseSpec,
     WernerParams,
+    grid_rows,
     haar_restarts,
     max_entangled_ket,
     noisy_surrogate,
@@ -156,6 +157,22 @@ def test_haar_restarts_match_per_call_draws(d):
     rng = np.random.default_rng(seeds[0])
     q, r = np.linalg.qr((rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2))
     assert (q * (np.diag(r) / np.abs(np.diag(r)))).tobytes() == first[0, 0].tobytes()
+
+
+def test_grid_rows_draw_each_restart_beside_its_state():
+    # two 2x3 states, three restarts each: row i R + r is restart r of state i, drawn from seeds[i] ^ r
+    rhos = [DensityMatrix(2, 3, np.eye(6) / 6), DensityMatrix(2, 3, np.diag([0.5, 0.1, 0.1, 0.1, 0.1, 0.1]))]
+    seeds, restarts, sides = [11, 2024], 3, [(2, 0), (1, 1), (3, 1)]
+    dims, stack, draws = grid_rows(rhos, seeds, restarts, lambda rho: rho.mat, sides)
+    assert dims == (2, 3) and stack.shape == (6, 6, 6)
+    assert [u.shape for u in draws] == [(6, 2, 2, 2), (6, 1, 3, 3), (6, 3, 3, 3)]
+    for i, (rho, seed) in enumerate(zip(rhos, seeds)):
+        for r in range(restarts):
+            row = i * restarts + r
+            assert stack[row].tobytes() == rho.mat.tobytes()
+            # each restart draws every side from its own generator, in the order of ``sides``
+            alone = haar_restarts([seed ^ r], [(2, 2), (1, 3), (3, 3)])
+            assert [u[row].tobytes() for u in draws] == [u[0].tobytes() for u in alone]
 
 
 def test_noisy_surrogate_limits():

@@ -6,11 +6,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wernerlab import solver, steer
+from wernerlab import solver, states, steer
 from wernerlab.filterops import rotated_filtered_state
 from wernerlab.qmat import DensityMatrix, kron, swap_parties
 from wernerlab.solver import Block, vec_real
-from wernerlab.states import NoiseSpec, noisy_surrogate, werner
+from wernerlab.states import NoiseSpec, grid_rows, noisy_surrogate, werner
 from wernerlab.steer import (
     Assemblage,
     Correlation,
@@ -212,6 +212,16 @@ def test_sr_state_lower_bound_best_comes_from_its_witness():
     res = sr_state_lower_bound(rho, 2, restarts=16, seed=6772338406072145443, max_rounds=30)
     again = sr_solve(assemblage_from(rho, res.best_measurements))
     assert again.value == pytest.approx(res.best, rel=0, abs=1e-10)
+
+
+def test_sr_state_lower_bound_rejects_negative_rounds_before_any_draw_or_solve(monkeypatch):
+    def forbidden(*args, **kwargs):
+        pytest.fail("drew or solved before the check")
+
+    monkeypatch.setattr(states, "haar_restarts", forbidden)
+    monkeypatch.setattr(solver.Family, "solve_many", forbidden)
+    with pytest.raises(ValueError, match="max_rounds must be at least 0, got -3"):
+        sr_state_lower_bound(werner(3, 0.1), 2, restarts=2, max_rounds=-3)
 
 
 def test_sr_lambda_budget():
@@ -811,7 +821,9 @@ def test_seesaw_bell_matches_sequential_reference(state, table):
     seed, restarts = 4321, 16
     for rho_side, table_side in ((rho, coefficients), (swap_parties(rho), coefficients.transpose(1, 0, 3, 2))):
         want = seesaw_bell_by_restarts(rho_side, table_side, restarts, seed)
-        starts = steer._bell_starts((rho_side.dimA, rho_side.dimB), table_side.shape, restarts, [seed])
+        n_sa, n_sb, n_oa, n_ob = table_side.shape
+        _, _, (ua, ub) = grid_rows([rho_side], [seed], restarts, steer._tensor, [(n_sa, 0), (n_sb, 1)])
+        starts = steer._effects_from_unitaries(ua, n_oa), steer._effects_from_unitaries(ub, n_ob)
         rows = steer._seesaw_bell_rows(steer._tensor(rho_side), table_side, *starts)
         assert np.allclose(rows, want, rtol=0, atol=1e-12)
         best = seesaw_bell(rho_side, table_side, restarts=restarts, seed=seed)
