@@ -32,21 +32,41 @@ so tr_others(Q^(T_S)) = (tr_others Q)^(T_(S & kept)), and only the four
 two-party transposes are ever built.
 
 A Werner input (dimA = dimB and rho equal to its U(x)U twirl alpha I + beta F
-to 1e-12 entrywise, :func:`werner_swap`) needs no program for SE or SE-B
-(Doherty, Parrilo & Spedalieri 2004; Johnson & Viola 2013).  As rho and I are
-U(x)U-invariant, twirling an extension by U^(x)(k+1) keeps every marginal, so
-by Schur-Weyl duality X is a nonnegative combination of the projectors
-P_{lambda mu}, lambda |- k+1 with at most d rows and mu |- k inside lambda;
-SE-B keeps mu = (k).  The marginal is fixed by its trace t and its swap
-expectation, so the search reads t (r - 1/d) = s - 1/d, s = tr(rho F), with r
-a weighted mean of the swap ratios tr(P_{lambda mu} F)/tr P_{lambda mu}.  Hence
-t* = (s - 1/d)/(r_ext - 1/d), r_ext the extreme ratio on the side of s: 1 (at
-lambda = (k+1)) when s >= 1/d, otherwise -min(d-1, k)/k for SE and -1/k for
-SE-B, the (1,k)-extendibility boundary of Werner states (Johnson & Viola 2013).
+to 1e-12 entrywise, :func:`werner_swap`) needs no program, whatever the flavor
+(Eggeling & Werner 2001; Doherty, Parrilo & Spedalieri 2004; Johnson & Viola
+2013).  Let D = d^2, s = tr(rho F) and J = sum_i F_{0i}, the swaps of party 0
+with each copy.  Every flavor's dual reads: maximize sum_i <Y_i, rho - I/D>
+subject to 1 + sum_i tr(Y_i)/D >= 0 and W^(T_S) <= 0 for W = sum_i Y_i (x) I
+and each subset S its program transposes, S empty included (SE and SE-B have
+only that one, SE-B with W on the copies' symmetric subspace).
+
+(a) As rho and I are U(x)U-invariant, twirling by U^(x)(k+1) keeps a dual
+    point feasible with its value; it leaves the dual point
+    Y_i = y1 I + y2 F_{0i}, with W = k y1 I + y2 J.  Its best value,
+    (s - 1/d)/(mu/k - 1/d), bounds t* from below, with mu the lowest
+    eigenvalue of J and of every J^(T_S) when s < 1/d, the highest when
+    s >= 1/d.  A primal point of the same value makes it t*.  For SE and SE-B:
+    on the Schur-Weyl projector P_{lambda nu}, lambda |- k+1 with at most d
+    rows and nu |- k inside it (nu = (k) for SE-B), J is the content of the
+    box lambda/nu, so mu lies in [-min(d-1, k), k] for SE and [-1, k] for
+    SE-B, and the extreme projector, scaled to trace t*, is that point.
+(b) For S avoiding party 0 (otherwise transpose fully, which keeps the
+    spectrum), J^(T_S) = sum_{i not in S} F_{0i} + d sum_{i in S} Phi_{0i},
+    Phi the maximally entangled projector.  Since d Phi >= 0,
+    lambda_min(J^(T_S)) >= -min(d-1, k), which is SE's mu, and SE's primal
+    point is also SQE's (P = X), so t*_SQE = t*_SE for s < 1/d at every k <= 4.
+(c) lambda_max(J^(T_S)) <= (k - |S|) + d (1 + (|S| - 1)/d) = k + d - 1,
+    because the isometries of the Phi_{0i} overlap with norm 1/d.  The bound
+    is attained at S = all copies, or its full transpose (0,), by
+    sum_i |Phi>_{0i} |0...0>, and the partial transpose of the
+    copy-symmetrised projector onto that top eigenspace is a primal point with
+    the same value.  So mu lies in [-min(d-1, k), k + d - 1] for SQE, and t* is
+    exact at s >= 1/d too, as :func:`_default_partitions` holds all copies or
+    (0,) at every k.
+
 :func:`werner_t_star` returns this exact rational with no solve and no
-dimension cap.  Every other query, SQE at any k and SE or SE-B on a non-Werner
-input, solves its SDP and needs prod(dims) <= ``MAX_EXTENSION_DIM``; SQE also
-needs k <= 4.
+dimension cap.  A non-Werner input solves its SDP and needs
+prod(dims) <= ``MAX_EXTENSION_DIM``; SQE needs k <= 4 on every input.
 """
 
 from __future__ import annotations
@@ -203,7 +223,7 @@ class ExtensionQuery:
         if self.flavor == SQE and self.k > 4:
             raise ValueError("quasi-extension supported for k <= 4")
         n = prod(self.dims)
-        if n > MAX_EXTENSION_DIM and not (self.flavor in (SE, SE_B) and werner_swap(self.rho) is not None):
+        if n > MAX_EXTENSION_DIM and werner_swap(self.rho) is None:
             raise ValueError(f"extension dimension {n} exceeds {MAX_EXTENSION_DIM}")
 
     @property
@@ -330,26 +350,28 @@ def werner_swap(rho: DensityMatrix) -> float | None:
     return float(tr_swap)
 
 
-def werner_t_star(d: int, k: int, bosonic: bool, swap: Fraction) -> Fraction:
-    """Exact optimum t* = (s - 1/d)/(r_ext - 1/d) of SE (SE-B when ``bosonic``) on a Werner input
-    with s = tr(rho F) = ``swap``, where the extreme swap ratio r_ext is 1 when s >= 1/d and
-    otherwise -min(d-1, k)/k for SE and -1/k for SE-B (see the module docstring).  s = 1/d
-    gives t* = 0."""
+def werner_t_star(d: int, k: int, flavor: str, swap: Fraction) -> Fraction:
+    """Exact optimum t* = (s - 1/d)/(mu/k - 1/d) of ``flavor`` on a Werner input with
+    s = tr(rho F) = ``swap``, where mu, the extreme eigenvalue of J = sum_i F_{0i} and of every
+    J^(T_S) on the side of s, is the low end of the flavor's range when s < 1/d and the high end
+    otherwise: [-min(d-1, k), k] for SE, [-1, k] for SE-B and [-min(d-1, k), k+d-1] for SQE over
+    subsets that hold all copies or (0,) (see the module docstring).  s = 1/d gives t* = 0."""
     excess = swap - Fraction(1, d)
-    r_ext = Fraction(1) if excess >= 0 else Fraction(-1 if bosonic else -min(d - 1, k), k)
-    return excess / (r_ext - Fraction(1, d))
+    low, high = {SE: (-min(d - 1, k), k), SE_B: (-1, k), SQE: (-min(d - 1, k), k + d - 1)}[flavor]
+    return excess / (Fraction(high if excess >= 0 else low, k) - Fraction(1, d))
 
 
 def run_query(q: ExtensionQuery, tol: float = 1e-7, max_iter: int = 200000) -> ExtensionResult:
-    """Optimal t* of the query's SDP, or of :func:`werner_t_star` with no solve (status OPTIMAL,
-    gap 0, 0 iterations) for SE and SE-B on a Werner input; t* <= 1 means the extension exists,
-    and t*_SQE <= t*_SE <= t*_SE_B.  Raises ValueError unless ``tol`` is finite and positive, as a
-    solve does, whichever way t* is found."""
+    """Optimal t* of the query: :func:`werner_t_star` with no program and no solve (status
+    OPTIMAL, gap 0, 0 iterations) on a Werner input, whatever the flavor, and otherwise the
+    optimum of its SDP.  t* <= 1 means the extension exists, and t*_SQE <= t*_SE <= t*_SE_B.
+    Raises ValueError unless ``tol`` is finite and positive, as a solve does, whichever way t*
+    is found."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
-    swap = werner_swap(q.rho) if q.flavor in (SE, SE_B) else None
+    swap = werner_swap(q.rho)
     if swap is not None:
-        t_star = float(werner_t_star(q.rho.dimA, q.k, q.flavor == SE_B, Fraction(swap)))
+        t_star = float(werner_t_star(q.rho.dimA, q.k, q.flavor, Fraction(swap)))
         status, gap, iterations = "OPTIMAL", 0.0, 0
     else:
         sol = solve(build_program(q), tol=tol, max_iter=max_iter)

@@ -545,6 +545,7 @@ def dump_program(prog: ConicProgram) -> str:
     lines.append(f"OBJ {len(cnz)}")
     lines += [f"{i} {float(prog.c[i])!r}" for i in cnz]
     coo = prog.A.tocoo()
+    coo.sum_duplicates()  # one triplet per entry, as load_program requires
     lines.append(f"A {prog.m} {prog.n} {coo.nnz}")
     order = np.lexsort((coo.col, coo.row))
     lines += [f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}" for k in order]
@@ -556,8 +557,9 @@ def dump_program(prog: ConicProgram) -> str:
 
 
 def load_program(text: str) -> ConicProgram:
-    """Parse a :func:`dump_program` dump.  Raises ValueError on a malformed or truncated dump
-    and on an entry whose index lies outside the program."""
+    """Parse a :func:`dump_program` dump.  Raises ValueError on a malformed or truncated dump,
+    on an entry whose index lies outside the program or repeats an earlier one, and on any line
+    after END."""
     lines = iter([ln.split() for ln in text.splitlines() if ln.strip()])
 
     def fields(tag: str | None, count: int) -> list[str]:
@@ -574,11 +576,18 @@ def load_program(text: str) -> ConicProgram:
             raise ValueError(f"index {i} outside [0, {size})")
         return i
 
+    def once(tag: str, keys: list) -> list:
+        seen = set()
+        for key in keys:
+            if key in seen:
+                raise ValueError(f"repeated {tag} index {key}")
+            seen.add(key)
+        return keys
+
     def vector(tag: str, size: int) -> np.ndarray:
+        entries = [fields(None, 2) for _ in range(int(fields(tag, 2)[1]))]
         out = np.zeros(size)
-        for _ in range(int(fields(tag, 2)[1])):
-            i, val = fields(None, 2)
-            out[index(i, size)] = float(val)
+        out[once(tag, [index(i, size) for i, _ in entries])] = [float(val) for _, val in entries]
         return out
 
     if next(lines, [""])[0] != "CONICPROG":
@@ -594,7 +603,11 @@ def load_program(text: str) -> ConicProgram:
     triplets = [fields(None, 3) for _ in range(int(nnz))]
     rows = [index(i, m) for i, _, _ in triplets]
     cols = [index(j, n) for _, j, _ in triplets]
+    once("A", list(zip(rows, cols)))
     a = sp.csr_matrix(([float(val) for _, _, val in triplets], (rows, cols)), shape=(m, n))
     b = vector("RHS", m)
     fields("END", 1)
+    trailing = next(lines, None)
+    if trailing is not None:
+        raise ValueError(f"line {' '.join(trailing)!r} after END")
     return ConicProgram(blocks, c, a, b)

@@ -36,6 +36,7 @@ from sequential_reference import (
     fef_ascent_to_step_floor,
     fef_by_restarts,
     fef_embedding_check,
+    haar_unitary,
     one_distillable_by_restarts,
 )
 
@@ -273,7 +274,13 @@ LU_INVARIANTS = {
         "gurvits_ball": lambda rho: gurvits_ball(rho).value,
         "dense_coding_delta": lambda rho: dense_coding_delta(rho).value,
     },
-    2: {"chsh_horodecki": lambda rho: chsh_horodecki(rho).value, "fef2_exact": fef2_exact},
+    2: {
+        "chsh_horodecki": lambda rho: chsh_horodecki(rho).value,
+        "fef2_exact": fef2_exact,
+        # both searches are exact on two qubits, though their restarts are drawn in a fixed basis
+        "fef": lambda rho: fef(rho).value,
+        "one_distillable": lambda rho: one_distillable(rho).value,
+    },
 }
 
 
@@ -309,6 +316,10 @@ def test_fef_matches_sequential_reference(state):
     want = fef_by_restarts(rho, restarts, seed)
     _, _, (draws,) = grid_rows([rho], [seed], restarts, lambda rho: rho.mat, [(1, 0)])
     starts = draws[:, 0]
+    # the ascent reaches one optimum from most starts, so the starts themselves are checked
+    for r in range(1, restarts):
+        want_start = haar_unitary(rho.dimA, np.random.default_rng(seed ^ r))
+        assert np.allclose(starts[r], want_start, rtol=0, atol=1e-12), r
     starts[0] = np.eye(rho.dimA)  # restart 0 starts from the identity
     assert np.allclose(certify._fef_ascent(rho.mat, starts)[0], want, rtol=0, atol=1e-12)
     cert = fef(rho, restarts=restarts, seed=seed)
@@ -360,6 +371,11 @@ def test_one_distillable_matches_sequential_reference(state):
     seed, restarts = 2024, 16
     want = one_distillable_by_restarts(rho, restarts, seed)
     _, _, (ua, ub) = grid_rows([rho], [seed], restarts, lambda rho: rho.mat, [(1, 0), (1, 1)])
+    # the descent reaches one optimum from most starts, so the starts themselves are checked
+    for r in range(restarts):
+        rng = np.random.default_rng(seed ^ r)
+        assert np.allclose(ua[r, 0], haar_unitary(rho.dimA, rng), rtol=0, atol=1e-12), r
+        assert np.allclose(ub[r, 0], haar_unitary(rho.dimB, rng), rtol=0, atol=1e-12), r
     frames = ua[:, 0, :, :2], ub[:, 0, :, :2]
     x = partial_transpose(rho, "A")
     assert np.allclose(certify._distill_descent(x, *frames)[0], want, rtol=0, atol=1e-12)

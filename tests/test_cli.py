@@ -405,9 +405,14 @@ def test_extend_table_werner_lp_beyond_the_dimension_cap(tmp_path, capsys):
 
 
 def test_extend_table_sqe_keeps_the_dimension_cap(tmp_path, capsys):
+    # a noisy input solves the SQE program, whose 4^4 = 256 exceeds the cap; a Werner input does not
     argv = ["extend-table", "--d", "4", "--k-list", "3", "--flavors", "SQE", "--v-grid", "0"]
-    assert main(argv + ["--out", str(tmp_path / "ext")]) == 1
+    assert main(argv + ["--noisy", "--out", str(tmp_path / "ext")]) == 1
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+    assert not (tmp_path / "ext").exists()
+    assert main(argv + ["--out", str(tmp_path / "werner")]) == 0
+    _, rows = read_csv(tmp_path / "werner" / "extend_table_d4.csv")
+    assert [row[5:] for row in rows] == [["1", "0", "OPTIMAL"]]  # t* = 1 exactly, with no solve
 
 
 def test_sweep_extend_and_extend_table_write_the_same_rows(tmp_path):
@@ -515,6 +520,24 @@ def test_solve_rejects_out_of_range_indices(tmp_path, capsys, line, entry):
     lines[line] = entry
     assert solve_dump(tmp_path, lines) == 1
     assert capsys.readouterr().err.startswith("cannot load program: index")
+
+
+@pytest.mark.parametrize(
+    "header, count, entry, message",
+    [
+        (6, "A 1 2 3", "0 0 1.0", "repeated A index (0, 0)"),  # summed into [[2, -1]] if let through
+        (4, "OBJ 2", "0 5.0", "repeated OBJ index 0"),  # the later value overwrote the earlier one
+        (9, "RHS 2", "0 4.0", "repeated RHS index 0"),
+        (11, "END", "0 3.0", "line '0 3.0' after END"),  # ignored if let through
+    ],
+    ids=["A", "OBJ", "RHS", "after-END"],
+)
+def test_solve_rejects_repeated_entries_and_trailing_lines(tmp_path, capsys, header, count, entry, message):
+    lines = shifted_lp_dump_lines()
+    lines[header] = count
+    lines.insert(header + 2, entry)  # after the section's first entry, or after END
+    assert solve_dump(tmp_path, lines) == 1
+    assert capsys.readouterr().err == f"cannot load program: {message}\n"
 
 
 def test_extend_table_replay_round_trip(tmp_path, capsys):

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from wernerlab import extend
 from wernerlab.extend import (
+    SE,
+    SE_B,
+    SQE,
     ExtensionQuery,
     _partitions,
     _standard_tableaux,
@@ -465,28 +468,33 @@ def test_query_validation():
 
 
 def test_sqe_keeps_the_dimension_cap_at_every_k():
-    ExtensionQuery(werner(3, 0.0), 4, "B", "SQE")  # 3^5 = 243, at the cap
+    ExtensionQuery(noisy_surrogate(werner(3, 0.0), SURROGATE), 4, "B", "SQE")  # 3^5 = 243, at the cap
     with pytest.raises(ValueError, match="exceeds 243"):
-        ExtensionQuery(werner(4, 0.0), 3, "B", "SQE")  # 4^4 = 256
+        ExtensionQuery(noisy_surrogate(werner(4, 0.0), SURROGATE), 3, "B", "SQE")  # 4^4 = 256
     with pytest.raises(ValueError, match="exceeds 243"):
-        ExtensionQuery(werner(7, 0.0), 2, "B", "SQE")  # 7^3 = 343
+        ExtensionQuery(noisy_surrogate(werner(7, 0.0), SURROGATE), 2, "B", "SQE")  # 7^3 = 343
+    with pytest.raises(ValueError, match="k <= 4"):
+        ExtensionQuery(noisy_surrogate(werner(2, 0.0), SURROGATE), 5, "B", "SQE")
     with pytest.raises(ValueError, match="k <= 4"):
         ExtensionQuery(werner(2, 0.0), 5, "B", "SQE")
+    # a Werner input takes the closed form past the cap, exactly
+    res = run_query(ExtensionQuery(werner(4, 0.0), 3, "B", "SQE"))
+    assert (res.t_star, res.status, res.iterations) == (float(werner_t_star(4, 3, SQE, Fraction(-1))), "OPTIMAL", 0)
 
 
 def test_unconverged_solve_gives_no_verdict(monkeypatch):
     # SE(3, 3) on werner(3, 0.15) is exactly t* = 31/30, i.e. not extendible, from the closed
     # form: there is no solve to cut short
-    assert werner_t_star(3, 3, False, 2 * Fraction(15, 100) - 1) == Fraction(31, 30)
+    assert werner_t_star(3, 3, SE, 2 * Fraction(15, 100) - 1) == Fraction(31, 30)
     done = run_query(ExtensionQuery(werner(3, 0.15), 3, "B", "SE"), max_iter=25)
     assert done.status == "OPTIMAL"
     assert done.t_star == pytest.approx(31 / 30, rel=0, abs=1e-12)
     assert done.extension_exists is False
-    # a cut SQE solve gives no threshold
+    # a cut SQE solve on a non-Werner input gives no verdict
     real_solve = extend.solve
     monkeypatch.setattr(extend, "solve", lambda prog, tol, max_iter: real_solve(prog, tol=tol, max_iter=25))
-    with pytest.raises(RuntimeError, match="MAX_ITER"):
-        extension_threshold(2, 2, "SQE", "B")
+    cut = run_query(ExtensionQuery(noisy_surrogate(werner(2, 0.0), SURROGATE), 2, "B", "SQE"))
+    assert (cut.status, cut.extension_exists) == ("MAX_ITER", None)
 
 
 def test_unconverged_general_program_gives_no_verdict():
@@ -517,15 +525,16 @@ def solver_calls(q, monkeypatch):
     return built, solved, res
 
 
-@pytest.mark.parametrize("flavor", ["SE", "SE_B"])
+@pytest.mark.parametrize("flavor", ["SE", "SE_B", "SQE"])
 def test_werner_inputs_call_no_solver(flavor, monkeypatch):
-    for rho in (werner_all_v(3, 0.7), werner_from_qubit_mixture(3, 0.2), werner(4, 0.1)):
+    # werner(4, 0.1) at k = 3 lies past the dimension cap
+    for rho in (werner_all_v(3, 0.7), werner_from_qubit_mixture(3, 0.2), werner(4, 0.1), werner(2, 0.2)):
         built, solved, res = solver_calls(ExtensionQuery(rho, 3, "A", flavor), monkeypatch)
         assert built == solved == []
         assert (res.status, res.gap, res.iterations) == ("OPTIMAL", 0.0, 0)
+    d = 2 if flavor == "SQE" else 3  # SQE(3, 3) solves eight 81-blocks
     for q in (
-        ExtensionQuery(noisy_surrogate(werner(3, 0.2), SURROGATE), 3, "A", flavor),
-        ExtensionQuery(werner(2, 0.2), 2, "B", "SQE"),
+        ExtensionQuery(noisy_surrogate(werner(d, 0.2), SURROGATE), 3, "A", flavor),
         ExtensionQuery(DensityMatrix(2, 3, np.eye(6) / 6), 2, "A", flavor),  # twirl-invariant, but not square
     ):
         built, solved, res = solver_calls(q, monkeypatch)
@@ -567,13 +576,53 @@ def test_werner_lp_matches_general_program(d, k, flavor, side):
         assert lp.t_star == pytest.approx(general.primal_obj, abs=1e-6)
 
 
+@pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (2, 3), (2, 4)])
+def test_werner_sqe_closed_form_matches_the_program(d, k):
+    # the SQE program, which non-Werner inputs solve, is the reference on both sides of s = 1/d
+    for v in (0.0, 0.3, 0.8, 1.0):
+        q = ExtensionQuery(werner(d, v), k, "B", "SQE")
+        exact = run_query(q)
+        sdp = solve(build_program(q))
+        assert sdp.status == "OPTIMAL"
+        assert exact.t_star == pytest.approx(sdp.primal_obj, rel=0, abs=1e-6)
+
+
+def copy_swap_sum(d, k):
+    """J = sum_i F_{0i} on (C^d)^(k+1), F_{0i} swapping party 0 with copy i."""
+    index = np.arange(d ** (k + 1)).reshape((d,) * (k + 1))
+    eye = np.eye(d ** (k + 1))
+    return sum(eye[np.swapaxes(index, 0, i).ravel()] for i in range(1, k + 1))
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 2), (5, 2)])
+def test_werner_table_is_the_spectrum_of_the_swap_sums(d, k):
+    # werner_t_star's mu ranges: J for SE, J on the copies' symmetric subspace for SE-B, and J and
+    # every J^(T_S) of the SQE program; k + d - 1 needs all copies or (0,) in the subset list
+    subsets = extend._default_partitions(k)
+    assert tuple(range(1, k + 1)) in subsets or (0,) in subsets
+    j = copy_swap_sum(d, k)
+    sym = np.kron(np.eye(d), symmetric_subspace_isometry(d, k))
+    spectra = {
+        SE: np.linalg.eigvalsh(j),
+        SE_B: np.linalg.eigvalsh(sym.conj().T @ j @ sym),
+        SQE: np.concatenate(
+            [np.linalg.eigvalsh(partial_transpose_dims(j, [d] * (k + 1), list(s))) for s in [()] + subsets]
+        ),
+    }
+    for flavor, mu in spectra.items():
+        for s in (Fraction(-1), Fraction(1)):  # below and above 1/d
+            want = werner_t_star(d, k, flavor, s)
+            ext = mu.min() if s < Fraction(1, d) else mu.max()
+            assert float(want) == pytest.approx(float(s - Fraction(1, d)) / (ext / k - 1 / d), rel=0, abs=1e-12)
+
+
 @pytest.mark.parametrize("d,k,flavor,n_vars", [(3, 4, "SE", 10), (5, 2, "SE_B", 3)])
 def test_werner_lp_matches_vertex_enumeration(d, k, flavor, n_vars):
     for v in (0.0, 0.15):
         swap = 2 * Fraction(v) - 1
         prog = werner_lp(d, k, flavor == "SE_B", swap)
         assert prog.n == n_vars
-        exact = werner_t_star(d, k, flavor == "SE_B", swap)
+        exact = werner_t_star(d, k, flavor, swap)
         assert float(exact) == pytest.approx(lp_vertex_enumeration_check(prog), rel=0, abs=1e-9)
 
 
@@ -584,7 +633,7 @@ def test_werner_closed_form_matches_the_lp(d, k, bosonic):
     for v in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0):
         swap = 2 * Fraction(v) - 1
         prog = werner_lp(d, k, bosonic, swap)
-        exact = float(werner_t_star(d, k, bosonic, swap))
+        exact = float(werner_t_star(d, k, SE_B if bosonic else SE, swap))
         sol = solve(prog, tol=1e-7)
         assert sol.status == "OPTIMAL"
         assert exact == pytest.approx(sol.primal_obj, rel=0, abs=1e-6)
@@ -595,16 +644,16 @@ def test_werner_closed_form_matches_the_lp(d, k, bosonic):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_exact_extension_laws(d):
     for k in range(2, 13):
-        t_se, t_seb = (werner_t_star(d, k, bosonic, Fraction(-1)) for bosonic in (False, True))
+        t_se, t_seb = (werner_t_star(d, k, flavor, Fraction(-1)) for flavor in (SE, SE_B))
         assert critical_weight(t_se, d) == max(Fraction(0), (1 - Fraction(d - 1, k)) / 2)
         assert critical_weight(t_seb, d) == (1 - Fraction(1, k)) / 2
         assert all(isinstance(x, Fraction) for x in (t_se, t_seb, critical_weight(t_se, d)))
-        for bosonic in (False, True):
-            assert werner_t_star(d, k, bosonic, Fraction(1, d)) == 0
-            ratios = [r for _, _, r in werner_lp_columns(d, k, bosonic)]
+        for flavor in (SE, SE_B):
+            assert werner_t_star(d, k, flavor, Fraction(1, d)) == 0
+            ratios = [r for _, _, r in werner_lp_columns(d, k, flavor == SE_B)]
             for s in (Fraction(-1), Fraction(-1, 2), Fraction(1, d), Fraction(1)):
                 r_ext = min(ratios) if s < Fraction(1, d) else max(ratios)
-                assert werner_t_star(d, k, bosonic, s) == (s - Fraction(1, d)) / (r_ext - Fraction(1, d))
+                assert werner_t_star(d, k, flavor, s) == (s - Fraction(1, d)) / (r_ext - Fraction(1, d))
 
 
 @pytest.mark.parametrize(
@@ -620,7 +669,7 @@ def test_exact_extension_laws(d):
     ],
 )
 def test_exact_werner_table_values(d, k, flavor, t_star, v_t):
-    exact = werner_t_star(d, k, flavor == "SE_B", Fraction(-1))
+    exact = werner_t_star(d, k, flavor, Fraction(-1))
     assert (exact, critical_weight(exact, d)) == (t_star, v_t)
     res = run_query(ExtensionQuery(werner(d, 0.0), k, "B", flavor))
     assert res.t_star == pytest.approx(float(t_star), rel=0, abs=1e-12)
@@ -630,12 +679,15 @@ def test_exact_werner_table_values(d, k, flavor, t_star, v_t):
 @given(d=st.integers(2, 6), k=st.integers(2, 11), v=st.fractions(0, 1, max_denominator=1000))
 def test_closed_form_orders_flavors_and_grows_with_k(d, k, v):
     swap = 2 * v - 1  # tr(rho F) of werner(d, v)
-    t_se, t_seb = (werner_t_star(d, k, bosonic, swap) for bosonic in (False, True))
-    assert t_se <= t_seb
-    assert werner_t_star(d, k + 1, False, swap) >= t_se
-    assert werner_t_star(d, k + 1, True, swap) >= t_seb
+    flavors = (SQE, SE, SE_B) if k <= 4 else (SE, SE_B)  # SQE's subsets are fixed up to k = 4
+    t = {flavor: werner_t_star(d, k, flavor, swap) for flavor in flavors}
+    assert all(isinstance(x, Fraction) for x in t.values())
+    assert t.get(SQE, t[SE]) <= t[SE] <= t[SE_B]
+    for flavor in flavors:
+        if flavor != SQE or k < 4:
+            assert werner_t_star(d, k + 1, flavor, swap) >= t[flavor]
     rho = werner(d, float(v))
-    for flavor in ("SE", "SE_B"):
+    for flavor in flavors:
         t_a, t_b = (run_query(ExtensionQuery(rho, k, side, flavor)).t_star for side in "AB")
         assert t_a == t_b
 

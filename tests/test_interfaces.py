@@ -29,7 +29,7 @@ from wernerlab.filterops import (
 from wernerlab.qmat import DensityMatrix, as_state, embed, partial_transpose, partial_transpose_dims
 from wernerlab.serialize import state_from_json
 from wernerlab.solver import Block, ConicProgram, load_program, solve
-from wernerlab.states import NoiseSpec, werner
+from wernerlab.states import NoiseSpec, noisy_surrogate, werner
 
 from lp_oracle import lp_vertex_enumeration_check
 
@@ -156,9 +156,11 @@ def test_extension_k4_two_qubit_threshold():
 
 
 def test_quasi_extension_k4_partition_subset():
-    q = ExtensionQuery(werner(2, 0.1), 4, "B", "SQE")
-    sqe = run_query(q, tol=1e-6)
-    se = run_query(ExtensionQuery(werner(2, 0.1), 4, "B", "SE"), tol=1e-6)
+    # a non-Werner input, so that SQE solves its four-subset program
+    rho = noisy_surrogate(werner(2, 0.1), NoiseSpec(depol=0.06, coherent_eps=0.02, seed=2024))
+    sqe = run_query(ExtensionQuery(rho, 4, "B", "SQE"), tol=1e-6)
+    se = run_query(ExtensionQuery(rho, 4, "B", "SE"), tol=1e-6)
+    assert sqe.iterations > 0
     assert sqe.status == "OPTIMAL"
     assert sqe.t_star <= se.t_star + 1e-5
 

@@ -22,7 +22,8 @@ from wernerlab.solver import (
     vec_real,
     vec_real_map,
 )
-from wernerlab.states import werner
+from wernerlab.extend import ExtensionQuery, build_program
+from wernerlab.states import NoiseSpec, noisy_surrogate, werner
 
 from lp_oracle import lp_vertex_enumeration_check
 from sequential_reference import assert_rows_bitwise_alone, blocks_of, check_by_row, solve_by_row, sr_program_csr
@@ -389,6 +390,22 @@ def test_dump_load_roundtrip():
     assert solve(back, tol=1e-9).primal_obj == pytest.approx(solve(prog, tol=1e-9).primal_obj, abs=1e-10)
 
 
+def test_every_dump_loads_back():
+    # a CSR that holds an entry twice dumps it once, summed, so that the dump loads
+    twice = sp.csr_matrix((np.array([1.0, 2.0, -1.0]), np.array([0, 0, 1]), np.array([0, 3])), shape=(1, 2))
+    progs = [ConicProgram((Block("free", 1), Block("nonneg", 1)), np.array([1.0, 0.0]), twice, np.array([3.0]))]
+    rho = noisy_surrogate(werner(2, 0.3), NoiseSpec(0.06, 0.02, 7))
+    progs += [build_program(ExtensionQuery(rho, 2, "B", flavor)) for flavor in ("SE", "SE_B", "SQE")]
+    for prog in progs:
+        text = dump_program(prog)
+        back = load_program(text)
+        assert back.blocks == prog.blocks
+        assert np.array_equal(back.c, prog.c) and np.array_equal(back.b, prog.b)
+        assert np.array_equal(back.A.toarray(), prog.A.toarray())
+        assert dump_program(back) == text
+    assert "0 0 3.0" in dump_program(progs[0]).splitlines()
+
+
 def test_program_validation():
     with pytest.raises(ValueError):
         ConicProgram((Block("nonneg", 2),), np.array([1.0]), sp.csr_matrix((1, 2)), np.array([0.0]))
@@ -440,8 +457,6 @@ def edge_programs():
 
 
 def test_presolve_matches_row_by_row_reference():
-    from wernerlab.extend import ExtensionQuery, build_program
-
     progs = [captured_sr_program(seed) for seed in (1, 2)] + [captured_sr_program(3, d=2, n_s=3)]
     meas = steer.random_grouped_projective(2, 2, 2, np.random.default_rng(5))
     progs.append(steer.nonlocal_content_program(steer.correlation_from(werner(2, 0.3), meas, meas)))
