@@ -45,8 +45,8 @@ def parse_grid(text: str) -> list[float]:
     """start:step:stop (stepping toward stop, including it when a step lands on it) or comma-separated values."""
     if ":" in text:
         start, step, stop = (float(t) for t in text.split(":"))
-        if step == 0 or (stop - start) * step < 0:
-            raise ValueError(f"grid {text!r}: the step must be nonzero and lead from start to stop")
+        if not np.isfinite([start, step, stop]).all() or step == 0 or (stop - start) * step < 0:
+            raise ValueError(f"grid {text!r}: start, step and stop must be finite, and the step nonzero and toward stop")
         n = int((stop - start) / step + 1e-9)  # 1e-9 keeps a stop reached up to rounding, as in 0:0.1:0.3
         return [round(start + i * step, 12) for i in range(n + 1)]
     return [float(t) for t in text.split(",")]
@@ -162,7 +162,8 @@ def _extend_rows(args, flavors, seed_of):
         for k in args.k_list:
             for i, v in enumerate(args.v_grid):
                 rho = _state_for(args.d, v, args.noisy, seed_of(k, i))
-                res = extend.run_query(extend.ExtensionQuery(rho, k, args.side, flavor), tol=args.sdp_tol)
+                rho = qmat.swap_parties(rho) if args.side == "A" else rho  # a query copies party B
+                res = extend.run_query(extend.ExtensionQuery(rho, k, flavor), tol=args.sdp_tol)
                 rows.append([args.d, k, args.side, flavor, float(v), res.t_star, res.gap, res.status])
     return ["d", "k", "side", "flavor", "v", "t_star", "gap", "status"], rows
 

@@ -9,10 +9,10 @@ decomposable-witness combination P + sum_p Q_p^(T_p) (SQE), or supported on
 the permutation-symmetric subspace of the copies (SE-B).  t* <= 1 certifies
 that the extension exists.
 
-Side A runs as the side-B program of rho_b = swap_parties(rho), on the one
-layout (rho_b's A, then the k copies), losing nothing: relabelling the parties
-maps rho's extensions onto rho_b's with their marginals, positivity and copy
-permutations, and Q^(T_S) = (Q^T)^(T_(not S)) with Q^T positive.
+A query copies party B; copies of A are those of B in the party-swapped state,
+which loses nothing: relabelling the parties maps rho's extensions onto the
+swapped state's with their marginals, positivity and copy permutations, and
+Q^(T_S) = (Q^T)^(T_(not S)) with Q^T positive.
 
 SE and SE-B search only extensions invariant under permutations of the k
 copies, which loses nothing: averaging an extension over the permutations
@@ -65,19 +65,19 @@ only that one, SE-B with W on the copies' symmetric subspace).
     (0,) at every k.
 
 :func:`werner_t_star` returns this exact rational with no solve and no
-dimension cap.  A non-Werner input solves its SDP and needs
-prod(dims) <= ``MAX_EXTENSION_DIM``; SQE needs k <= 4 on every input.
+dimension cap.  Other inputs solve the SDP, which :func:`build_program` refuses
+when prod(dims) > ``MAX_EXTENSION_DIM``; SQE needs k <= 4 on every input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
 import numpy as np
 
-from .qmat import DensityMatrix, check_side, partial_transpose_dims, swap_parties
+from .qmat import DensityMatrix, partial_transpose_dims
 from .solver import Block, ConicProgram, solve, sp, vec_real, vec_real_map
 from .states import swap_operator
 
@@ -205,30 +205,23 @@ def s_k_isometries(d: int, k: int) -> dict[tuple[int, ...], np.ndarray]:
 
 @dataclass(frozen=True)
 class ExtensionQuery:
-    """Which extension to search for: k copies of one side, in one of three flavors."""
+    """Which extension to search for: k copies of party B, in one of three flavors."""
 
     rho: DensityMatrix
     k: int
-    side: str = "B"
     flavor: str = SE
-    rho_b: DensityMatrix = field(init=False, repr=False, compare=False)  # rho with the copied party as B
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("extension needs k >= 2 copies")
-        check_side(self.side)
-        object.__setattr__(self, "rho_b", self.rho if self.side == "B" else swap_parties(self.rho))
         if self.flavor not in (SE, SQE, SE_B):
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.flavor == SQE and self.k > 4:
             raise ValueError("quasi-extension supported for k <= 4")
-        n = prod(self.dims)
-        if n > MAX_EXTENSION_DIM and werner_swap(self.rho) is None:
-            raise ValueError(f"extension dimension {n} exceeds {MAX_EXTENSION_DIM}")
 
     @property
     def dims(self) -> list[int]:
-        return [self.rho_b.dimA] + [self.rho_b.dimB] * self.k
+        return [self.rho.dimA] + [self.rho.dimB] * self.k
 
 
 @dataclass
@@ -277,14 +270,14 @@ def _marginal_map(q: ExtensionQuery, v: np.ndarray) -> sp.csr_matrix:
     X = sum_i V_i M V_i^H / sqrt(d_lambda), for an isometry stack V of shape (d_lambda, d^k, m).
     The 1/sqrt(d_lambda) makes M -> X an isometry."""
     dim, _, mult = v.shape
-    v = v.reshape(dim, q.rho_b.dimB, -1, mult)  # copy 1 first, the other k-1 copies next
+    v = v.reshape(dim, q.rho.dimB, -1, mult)  # copy 1 first, the other k-1 copies next
     t = np.einsum("ijrq,isrp->jqsp", v, v.conj()) / np.sqrt(dim)
-    return _block_marginal_map(t, q.rho_b.dimA)
+    return _block_marginal_map(t, q.rho.dimA)
 
 
 def _copy_trace_map(q: ExtensionQuery, i: int) -> sp.csr_matrix:
     """Map from vec_real(X) to vec_real of the marginal of copy i and the other party."""
-    d = q.rho_b.dimB
+    d = q.rho.dimB
     first = np.moveaxis(np.arange(d**q.k).reshape((d,) * q.k), i, 0).ravel()
     return _marginal_map(q, np.eye(d**q.k)[first][None])
 
@@ -299,21 +292,24 @@ def _real_partial_transpose(dims: list[int], subsystems: list[int]) -> sp.csr_ma
 def _assemble(q: ExtensionQuery, rows: list[list[sp.spmatrix]], sides: list[int]) -> ConicProgram:
     """min t subject to sum_j rows[r][j] vec_real(M_j) - t vec_real(I/D) = vec_real(rho - I/D) for
     each row r, with one PSD block M_j of side ``sides[j]`` per column map and a trailing t >= 0."""
-    dd = q.rho_b.dim
+    dd = q.rho.dim
     eye_term = vec_real(np.eye(dd) / dd)
     t_col = sp.csr_matrix(-eye_term[:, None])
     a = sp.vstack([sp.hstack(maps + [t_col]) for maps in rows]).tocsr()
     blocks = tuple(Block("psd", s) for s in sides) + (Block("nonneg", 1),)
     c = np.zeros(sum(s * s for s in sides) + 1)
     c[-1] = 1.0
-    return ConicProgram(blocks, c, a, np.tile(vec_real(q.rho_b.mat) - eye_term, len(rows)))
+    return ConicProgram(blocks, c, a, np.tile(vec_real(q.rho.mat) - eye_term, len(rows)))
 
 
 def build_program(q: ExtensionQuery) -> ConicProgram:
     """The query's SDP (see the module docstring): for SE and SE-B one copy's marginal row over the
     isotypic isometry stacks, SE-B's being the symmetric subspace alone; for SQE one row per copy over
     P and the Q_S, each transpose acting after the trace, on the two kept parties."""
-    d_other, d = q.rho_b.dimA, q.rho_b.dimB
+    n = prod(q.dims)
+    if n > MAX_EXTENSION_DIM:
+        raise ValueError(f"extension dimension {n} exceeds {MAX_EXTENSION_DIM}")
+    d_other, d = q.rho.dimA, q.rho.dimB
     if q.flavor != SQE:
         stacks = s_k_isometries(d, q.k).values() if q.flavor == SE else [symmetric_subspace_isometry(d, q.k)[None]]
         sides = [v.shape[2] * d_other for v in stacks]

@@ -21,6 +21,8 @@ def state_to_json(rho: DensityMatrix) -> str:
 
 def state_from_json(text: str) -> DensityMatrix:
     obj = json.loads(text)
+    if not isinstance(obj, dict) or not {"dimA", "dimB", "entries"} <= obj.keys():
+        raise ValueError("a state must be a JSON object with keys dimA, dimB and entries")
     d = obj["dimA"] * obj["dimB"]
     flat = np.array([complex(re, im) for re, im in obj["entries"]], dtype=complex)
     if flat.size != d * d:

@@ -138,10 +138,11 @@ class CountsRecord:
 
     def __post_init__(self):
         arr = np.asarray(self.counts)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("counts must be a square table")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise ValueError("counts must be finite and nonnegative")
+        size = frame_for(self.frame_name).size
+        if arr.shape != (size, size):
+            raise ValueError(f"counts of frame {self.frame_name!r} must be a {size}x{size} table, not {arr.shape}")
+        if not (np.all(np.isfinite(arr)) and np.all(arr >= 0) and np.all(arr == np.round(arr))):
+            raise ValueError("counts must be nonnegative integers")
         object.__setattr__(self, "counts", arr.astype(np.int64))
 
     @property
@@ -527,6 +528,8 @@ def counts_metadata_json(record: CountsRecord) -> str:
 
 def counts_from_csv(csv_text: str, metadata_json: str) -> CountsRecord:
     meta = json.loads(metadata_json)
+    if not isinstance(meta, dict) or not {"N", "seed", "frame"} <= meta.keys():
+        raise ValueError("counts metadata must be a JSON object with keys N, seed and frame")
     frame = frame_for(meta["frame"])
     lines = [ln for ln in csv_text.splitlines() if ln.strip()]
     header = lines[0].split(",")

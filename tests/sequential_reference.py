@@ -499,6 +499,11 @@ def fef_embedding_check(rho: DensityMatrix, d: int) -> bool:
     return attained > 1.0 / d
 
 
+def side_b(rho: DensityMatrix, side: str) -> DensityMatrix:
+    """``rho`` with party ``side`` as B, the party an extension query copies."""
+    return qmat.swap_parties(rho) if side == "A" else rho
+
+
 def extension_threshold(d: int, k: int, flavor: str = SE, side: str = "B", sdp_tol: float = 1e-7) -> float:
     """Smallest Werner weight admitting an extension, from one query at v = 0.
 
@@ -506,7 +511,7 @@ def extension_threshold(d: int, k: int, flavor: str = SE, side: str = "B", sdp_t
     convex cone containing I/D, so the threshold is :func:`critical_weight` of t* at v = 0.
     Raises RuntimeError when that query does not end OPTIMAL.
     """
-    res = extend.run_query(ExtensionQuery(werner(d, 0.0), k, side, flavor), tol=sdp_tol)
+    res = extend.run_query(ExtensionQuery(side_b(werner(d, 0.0), side), k, flavor), tol=sdp_tol)
     if res.status != "OPTIMAL":
         raise RuntimeError(f"{flavor} solve at v=0 ended {res.status}; no threshold")
     return critical_weight(res.t_star, d)

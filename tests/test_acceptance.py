@@ -56,16 +56,16 @@ def test_criterion_03_extension_tables():
     t0 = time.perf_counter()
     failures = []
     for i, v in enumerate(np.arange(0.0, 0.4501, 0.05)):
-        res = extend.run_query(extend.ExtensionQuery(states.werner(3, v), 2, "B", "SE"))
+        res = extend.run_query(extend.ExtensionQuery(states.werner(3, v), 2, "SE"))
         if abs(res.t_star - (1 - 1.5 * v)) > 2e-3:
             failures.append(f"k=2 v={v}: {res.t_star}")
-    r33 = extend.run_query(extend.ExtensionQuery(states.werner(3, 0.0), 3, "B", "SE"))
+    r33 = extend.run_query(extend.ExtensionQuery(states.werner(3, 0.0), 3, "SE"))
     if abs(r33.t_star - 4 / 3) > 2e-3:
         failures.append(f"k=3 t*={r33.t_star}")
     # derived critical weights from the v=0 optima
-    t32 = extend.run_query(extend.ExtensionQuery(states.werner(3, 0.0), 2, "B", "SE")).t_star
-    t22 = extend.run_query(extend.ExtensionQuery(states.werner(2, 0.0), 2, "B", "SE")).t_star
-    t23 = extend.run_query(extend.ExtensionQuery(states.werner(2, 0.0), 3, "B", "SE")).t_star
+    t32 = extend.run_query(extend.ExtensionQuery(states.werner(3, 0.0), 2, "SE")).t_star
+    t22 = extend.run_query(extend.ExtensionQuery(states.werner(2, 0.0), 2, "SE")).t_star
+    t23 = extend.run_query(extend.ExtensionQuery(states.werner(2, 0.0), 3, "SE")).t_star
     derived = {
         "d3k2": (extend.critical_weight(t32, 3), 0.0),
         "d3k3": (extend.critical_weight(r33.t_star, 3), 1 / 6),
@@ -83,7 +83,7 @@ def test_criterion_03_extension_tables():
 def test_criterion_04_bosonic_extension_law():
     results = {}
     for k, want in ((2, 1 / 4), (3, 1 / 3)):
-        res = extend.run_query(extend.ExtensionQuery(states.werner(3, 0.0), k, "B", "SE_B"))
+        res = extend.run_query(extend.ExtensionQuery(states.werner(3, 0.0), k, "SE_B"))
         results[k] = extend.critical_weight(res.t_star, 3)
     ok = abs(results[2] - 1 / 4) <= 2e-3 and abs(results[3] - 1 / 3) <= 2e-3
     law = all(abs(results[k] - 0.5 * (1 - 1 / k)) <= 2e-3 for k in (2, 3))

@@ -45,7 +45,7 @@ def test_parse_grid_never_passes_stop():
     assert parse_grid("0.2:0.1:0.2") == [0.2]
 
 
-@pytest.mark.parametrize("text", ["0:0:0.5", "0.5:0.1:0", "0:-0.1:0.5"])
+@pytest.mark.parametrize("text", ["0:0:0.5", "0.5:0.1:0", "0:-0.1:0.5", "0:0.1:inf", "0:inf:1", "-inf:1:0", "0:nan:1"])
 def test_parse_grid_rejects_bad_steps(tmp_path, capsys, text):
     with pytest.raises(ValueError, match="step"):
         parse_grid(text)
@@ -462,7 +462,7 @@ def test_solve_command(tmp_path):
     from wernerlab.states import werner
 
     prog_file = tmp_path / "se.prog"
-    prog_file.write_text(dump_program(build_program(ExtensionQuery(werner(2, 0.0), 2, "B", "SE"))))
+    prog_file.write_text(dump_program(build_program(ExtensionQuery(werner(2, 0.0), 2, "SE"))))
     assert main(["solve", "--program", str(prog_file), "--tol", "1e-8"]) == 0
     assert main(["solve", "--program", str(tmp_path / "missing.prog")]) == 1
 

@@ -9,12 +9,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wernerlab import extend
+from wernerlab import cli, extend
 from wernerlab.extend import (
     SE,
     SE_B,
     SQE,
     ExtensionQuery,
+    ExtensionResult,
     _partitions,
     _standard_tableaux,
     build_program,
@@ -38,7 +39,7 @@ from wernerlab.states import (
 )
 
 from lp_oracle import lp_vertex_enumeration_check, werner_lp, werner_lp_columns
-from sequential_reference import extension_threshold, symmetric_isometry_by_multisets, trace_out
+from sequential_reference import extension_threshold, side_b, symmetric_isometry_by_multisets, trace_out
 
 SURROGATE = NoiseSpec(depol=0.06, coherent_eps=0.02, seed=2024)  # a complex, non-Werner perturbation
 
@@ -51,11 +52,12 @@ def random_hermitian(dims, seed):
 
 
 def test_copy_trace_map_matches_dense():
-    # every program has one layout: party 0 is rho_b's A, parties 1..k the copies of its B
+    # every program has one layout: party 0 is the query state's A, parties 1..k the copies of its B
     for d_a, d_b in ((2, 2), (3, 3), (2, 3), (3, 2)):
         for k in (2, 3):
             for side in "AB":
-                q = ExtensionQuery(DensityMatrix(d_a, d_b, np.eye(d_a * d_b) / (d_a * d_b)), k, side, "SE")
+                rho = DensityMatrix(d_a, d_b, np.eye(d_a * d_b) / (d_a * d_b))
+                q = ExtensionQuery(side_b(rho, side), k, "SE")
                 assert q.dims == ([d_b] + [d_a] * k if side == "A" else [d_a] + [d_b] * k)
                 h = random_hermitian(q.dims, 10 * d_a + d_b + k)
                 for i in range(k):
@@ -102,11 +104,11 @@ def test_symmetric_isometry_matches_multiset_loop():
 
 def column_by_column_bosonic_program(q):
     """Reference SE_B program: embed each basis element by W, trace it down, one column at a time."""
-    w_full = np.kron(np.eye(q.rho_b.dimA), symmetric_subspace_isometry(q.rho_b.dimB, q.k))
+    w_full = np.kron(np.eye(q.rho.dimA), symmetric_subspace_isometry(q.rho.dimB, q.k))
     s = w_full.shape[1]
     traced = list(range(2, q.k + 1))  # keep party 0 and the first copy
     eye_term = vec_real(np.eye(q.rho.dim) / q.rho.dim)
-    rhs = vec_real(q.rho_b.mat) - eye_term
+    rhs = vec_real(q.rho.mat) - eye_term
     a = np.empty((len(rhs), s * s + 1))
     for comp in range(s * s):
         e = np.zeros(s * s)
@@ -120,7 +122,7 @@ def column_by_column_bosonic_program(q):
 
 @pytest.mark.parametrize("d,k,side", [(2, 2, "B"), (2, 3, "A"), (3, 2, "B"), (3, 3, "A"), (3, 4, "B"), (5, 2, "B")])
 def test_bosonic_builder_matches_column_by_column_reference(d, k, side):
-    q = ExtensionQuery(werner(d, 0.2), k, side, "SE_B")
+    q = ExtensionQuery(side_b(werner(d, 0.2), side), k, "SE_B")
     prog = build_program(q)
     ref = column_by_column_bosonic_program(q)
     assert prog.blocks == ref.blocks
@@ -136,7 +138,7 @@ def column_by_column_sqe_program(q):
     n = int(np.prod(q.dims))
     subsets = [()] + extend._default_partitions(q.k)
     eye_term = vec_real(np.eye(q.rho.dim) / q.rho.dim)
-    rhs = vec_real(q.rho_b.mat) - eye_term
+    rhs = vec_real(q.rho.mat) - eye_term
     a = np.empty((q.k * len(rhs), len(subsets) * n * n + 1))
     for block, subset in enumerate(subsets):
         for comp in range(n * n):
@@ -159,7 +161,7 @@ def column_by_column_sqe_program(q):
 @pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (3, 2), (2, 4)])
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_sqe_builder_matches_column_by_column_reference(d, k, side):
-    q = ExtensionQuery(noisy_surrogate(werner(d, 0.2), SURROGATE), k, side, "SQE")
+    q = ExtensionQuery(side_b(noisy_surrogate(werner(d, 0.2), SURROGATE), side), k, "SQE")
     prog = build_program(q)
     ref = column_by_column_sqe_program(q)
     assert prog.blocks == ref.blocks
@@ -186,7 +188,7 @@ def all_index_block_marginal_map(t, d_other):
 @pytest.mark.parametrize("flavor", ["SE", "SE_B"])
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_symmetric_program_bytes_match_all_index_builder(d, k, flavor, side, monkeypatch):
-    q = ExtensionQuery(werner(d, 0.2), k, side, flavor)
+    q = ExtensionQuery(side_b(werner(d, 0.2), side), k, flavor)
     got = build_program(q).A
     monkeypatch.setattr(extend, "_block_marginal_map", all_index_block_marginal_map)
     ref = build_program(q).A
@@ -197,10 +199,26 @@ def test_symmetric_program_bytes_match_all_index_builder(d, k, flavor, side, mon
 
 @pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (2, 4), (3, 2)])
 @pytest.mark.parametrize("flavor", ["SE", "SE_B", "SQE"])
-def test_side_a_builds_the_side_b_program_of_the_swapped_state(d, k, flavor):
-    rho = noisy_surrogate(werner(d, 0.3), NoiseSpec(0.06, 0.02, 7))
-    got = build_program(ExtensionQuery(rho, k, "A", flavor))
-    want = build_program(ExtensionQuery(swap_parties(rho), k, "B", flavor))
+def test_side_a_builds_the_side_b_program_of_the_swapped_state(d, k, flavor, tmp_path, monkeypatch):
+    # a query copies party B, so extend-table --side A must query the party-swapped state
+    states, queries = [], []
+    real_state_for = cli._state_for
+
+    def state_spy(*args):
+        states.append(real_state_for(*args))
+        return states[-1]
+
+    def query_spy(q, tol):  # records the query and solves nothing
+        queries.append(q)
+        return ExtensionResult(1.0, "OPTIMAL", True, 0.0)
+
+    monkeypatch.setattr(cli, "_state_for", state_spy)
+    monkeypatch.setattr(extend, "run_query", query_spy)
+    argv = ["extend-table", "--side", "A", "--noisy", "--d", str(d), "--k-list", str(k), "--flavors", flavor]
+    assert cli.main(argv + ["--v-grid", "0.3", "--out", str(tmp_path / "a")]) == 0
+    (rho,), (q,) = states, queries
+    got = build_program(q)
+    want = build_program(ExtensionQuery(swap_parties(rho), k, flavor))
     assert got.blocks == want.blocks
     for attr in ("data", "indices", "indptr"):
         assert getattr(got.A, attr).tobytes() == getattr(want.A, attr).tobytes()
@@ -267,7 +285,7 @@ def random_state(d_a, d_b, seed):
 @pytest.mark.parametrize("flavor", ["SE", "SE_B", "SQE"])
 def test_side_a_matches_the_copies_first_layout(rho, k, flavor):
     # the side-A geometry checked apart from the party swap that builds it
-    got = run_query(ExtensionQuery(rho, k, "A", flavor))
+    got = run_query(ExtensionQuery(swap_parties(rho), k, flavor))
     ref = solve(copies_first_program(rho, k, flavor), tol=1e-7)
     assert got.status == ref.status == "OPTIMAL"
     assert got.t_star == pytest.approx(ref.primal_obj, rel=0, abs=1e-8)
@@ -307,7 +325,7 @@ def full_se_program(q):
     marginal constraint per copy."""
     n_ext = int(np.prod(q.dims))
     eye_term = vec_real(np.eye(q.rho.dim) / q.rho.dim)
-    rhs = vec_real(q.rho_b.mat) - eye_term
+    rhs = vec_real(q.rho.mat) - eye_term
     t_col = sp.csr_matrix(-eye_term[:, None])
     rows = [sp.hstack([extend._copy_trace_map(q, i), t_col]) for i in range(q.k)]
     c = np.zeros(n_ext * n_ext + 1)
@@ -324,7 +342,7 @@ def test_reduced_se_matches_full_program(d, k, side, noisy):
     if noisy:
         rho = noisy_surrogate(werner(d, 0.2), NoiseSpec(depol=0.06, coherent_eps=0.02, seed=2024))
         assert np.abs(rho.mat.imag).max() > 1e-3
-    q = ExtensionQuery(rho, k, side, "SE")
+    q = ExtensionQuery(side_b(rho, side), k, "SE")
     prog = build_program(q)
     assert prog.m == rho.dim**2
     reduced = solve(prog, tol=1e-7)
@@ -334,36 +352,36 @@ def test_reduced_se_matches_full_program(d, k, side, noisy):
 
 
 def test_se_block_sides_for_four_qutrit_copies():
-    prog = build_program(ExtensionQuery(werner(3, 0.0), 4, "B", "SE"))
+    prog = build_program(ExtensionQuery(werner(3, 0.0), 4, "SE"))
     assert prog.blocks == tuple(Block("psd", n) for n in (45, 45, 18, 9)) + (Block("nonneg", 1),)
     assert prog.m == 81
 
 
 def test_se_matches_known_werner_values():
     for v, expect in [(0.0, 1.0), (0.05, 0.925), (0.2, 0.7)]:
-        r = run_query(ExtensionQuery(werner(3, v), 2, "B", "SE"))
+        r = run_query(ExtensionQuery(werner(3, v), 2, "SE"))
         assert r.status == "OPTIMAL"
         assert r.gap <= 1e-6
         assert r.t_star == pytest.approx(expect, abs=1e-5)
-    r3 = run_query(ExtensionQuery(werner(3, 0.0), 3, "B", "SE"))
+    r3 = run_query(ExtensionQuery(werner(3, 0.0), 3, "SE"))
     assert r3.t_star == pytest.approx(4 / 3, abs=1e-5)
 
 
 def test_two_qubit_extendibility_boundary():
     # W(2)(v) has a (1,2)-extension iff v >= 1/4
-    below = run_query(ExtensionQuery(werner(2, 0.24), 2, "B", "SE"))
-    above = run_query(ExtensionQuery(werner(2, 0.26), 2, "B", "SE"))
+    below = run_query(ExtensionQuery(werner(2, 0.24), 2, "SE"))
+    above = run_query(ExtensionQuery(werner(2, 0.26), 2, "SE"))
     assert not below.extension_exists
     assert above.extension_exists
-    assert run_query(ExtensionQuery(werner(2, 0.0), 2, "B", "SE")).t_star == pytest.approx(
+    assert run_query(ExtensionQuery(werner(2, 0.0), 2, "SE")).t_star == pytest.approx(
         1.5, abs=1e-5
     )
 
 
 def test_flavor_ordering_ideal():
-    q_se = ExtensionQuery(werner(3, 0.1), 2, "B", "SE")
-    q_sqe = ExtensionQuery(werner(3, 0.1), 2, "B", "SQE")
-    q_seb = ExtensionQuery(werner(3, 0.1), 2, "B", "SE_B")
+    q_se = ExtensionQuery(werner(3, 0.1), 2, "SE")
+    q_sqe = ExtensionQuery(werner(3, 0.1), 2, "SQE")
+    q_seb = ExtensionQuery(werner(3, 0.1), 2, "SE_B")
     t_se = run_query(q_se).t_star
     t_sqe = run_query(q_sqe).t_star
     t_seb = run_query(q_seb).t_star
@@ -376,8 +394,8 @@ def test_flavor_ordering_ideal():
 def test_surrogate_sqe_strictly_below_se():
     # generic noisy states split the two relaxations strictly apart
     rho = noisy_surrogate(werner(3, 0.2), NoiseSpec(depol=0.06, coherent_eps=0.02, seed=2024))
-    t_se = run_query(ExtensionQuery(rho, 2, "B", "SE"), tol=1e-6).t_star
-    t_sqe = run_query(ExtensionQuery(rho, 2, "B", "SQE"), tol=1e-6).t_star
+    t_se = run_query(ExtensionQuery(rho, 2, "SE"), tol=1e-6).t_star
+    t_sqe = run_query(ExtensionQuery(rho, 2, "SQE"), tol=1e-6).t_star
     assert t_sqe <= t_se + 1e-6
     assert t_se - t_sqe > 1e-3
 
@@ -386,7 +404,7 @@ def test_surrogate_sqe_strictly_below_se():
 @given(v=st.floats(0, 1), noise_seed=st.integers(0, 2**32 - 1), side=st.sampled_from("AB"))
 def test_flavors_order_on_noisy_two_qubit_surrogates(v, noise_seed, side):
     rho = noisy_surrogate(werner(2, v), NoiseSpec(depol=0.06, coherent_eps=0.02, seed=noise_seed))
-    results = [run_query(ExtensionQuery(rho, 2, side, flavor)) for flavor in ("SQE", "SE", "SE_B")]
+    results = [run_query(ExtensionQuery(side_b(rho, side), 2, flavor)) for flavor in ("SQE", "SE", "SE_B")]
     assert [res.status for res in results] == ["OPTIMAL"] * 3
     t_sqe, t_se, t_seb = (res.t_star for res in results)
     assert t_sqe <= t_se + 1e-6
@@ -395,7 +413,7 @@ def test_flavors_order_on_noisy_two_qubit_surrogates(v, noise_seed, side):
 
 def test_largest_instance_four_copies_qutrit():
     # the 243-dimensional (1,4) search still certifies cleanly
-    res = run_query(ExtensionQuery(werner(3, 0.0), 4, "B", "SE"))
+    res = run_query(ExtensionQuery(werner(3, 0.0), 4, "SE"))
     assert res.status == "OPTIMAL"
     assert res.t_star == pytest.approx(1.6, abs=2e-3)
     assert critical_weight(res.t_star, 3) == pytest.approx(1 / 4, abs=2e-3)
@@ -404,20 +422,20 @@ def test_largest_instance_four_copies_qutrit():
 def test_bosonic_law_beyond_qutrits():
     # v_t = (1 - 1/k)/2 independent of d: checked at (d, k) = (4, 2) and (5, 2)
     for d in (4, 5):
-        res = run_query(ExtensionQuery(werner(d, 0.0), 2, "B", "SE_B"))
+        res = run_query(ExtensionQuery(werner(d, 0.0), 2, "SE_B"))
         assert critical_weight(res.t_star, d) == pytest.approx(1 / 4, abs=2e-3)
 
 
 def test_monotonicity_in_k():
     for d in (2, 3):
-        t2 = run_query(ExtensionQuery(werner(d, 0.0), 2, "B", "SE")).t_star
-        t3 = run_query(ExtensionQuery(werner(d, 0.0), 3, "B", "SE")).t_star
+        t2 = run_query(ExtensionQuery(werner(d, 0.0), 2, "SE")).t_star
+        t3 = run_query(ExtensionQuery(werner(d, 0.0), 3, "SE")).t_star
         assert t3 >= t2 - 1e-6
 
 
 def test_side_symmetry_for_ideal_werner():
-    ta = run_query(ExtensionQuery(werner(3, 0.1), 2, "A", "SE")).t_star
-    tb = run_query(ExtensionQuery(werner(3, 0.1), 2, "B", "SE")).t_star
+    ta = run_query(ExtensionQuery(swap_parties(werner(3, 0.1)), 2, "SE")).t_star
+    tb = run_query(ExtensionQuery(werner(3, 0.1), 2, "SE")).t_star
     assert ta == pytest.approx(tb, abs=2e-6)
 
 
@@ -457,28 +475,26 @@ def test_threshold_takes_one_solve_at_v0(d, k, monkeypatch):
 
 def test_query_validation():
     with pytest.raises(ValueError):
-        ExtensionQuery(werner(3, 0.0), 1, "B", "SE")
+        ExtensionQuery(werner(3, 0.0), 1, "SE")
     with pytest.raises(ValueError):
-        ExtensionQuery(noisy_surrogate(werner(3, 0.0), SURROGATE), 5, "B", "SE")  # 3^5*3 = 729 > 243
-    ExtensionQuery(werner(3, 0.0), 5, "B", "SE")  # a Werner input takes the closed form, with no cap
+        run_query(ExtensionQuery(noisy_surrogate(werner(3, 0.0), SURROGATE), 5, "SE"))  # 3^5*3 = 729 > 243
+    run_query(ExtensionQuery(werner(3, 0.0), 5, "SE"))  # a Werner input takes the closed form, with no cap
     with pytest.raises(ValueError):
-        ExtensionQuery(werner(3, 0.0), 2, "C", "SE")
-    with pytest.raises(ValueError):
-        ExtensionQuery(werner(3, 0.0), 2, "B", "XX")
+        ExtensionQuery(werner(3, 0.0), 2, "XX")
 
 
 def test_sqe_keeps_the_dimension_cap_at_every_k():
-    ExtensionQuery(noisy_surrogate(werner(3, 0.0), SURROGATE), 4, "B", "SQE")  # 3^5 = 243, at the cap
+    build_program(ExtensionQuery(noisy_surrogate(werner(3, 0.0), SURROGATE), 4, "SQE"))  # 3^5 = 243, at the cap
     with pytest.raises(ValueError, match="exceeds 243"):
-        ExtensionQuery(noisy_surrogate(werner(4, 0.0), SURROGATE), 3, "B", "SQE")  # 4^4 = 256
+        run_query(ExtensionQuery(noisy_surrogate(werner(4, 0.0), SURROGATE), 3, "SQE"))  # 4^4 = 256
     with pytest.raises(ValueError, match="exceeds 243"):
-        ExtensionQuery(noisy_surrogate(werner(7, 0.0), SURROGATE), 2, "B", "SQE")  # 7^3 = 343
+        build_program(ExtensionQuery(noisy_surrogate(werner(7, 0.0), SURROGATE), 2, "SQE"))  # 7^3 = 343
     with pytest.raises(ValueError, match="k <= 4"):
-        ExtensionQuery(noisy_surrogate(werner(2, 0.0), SURROGATE), 5, "B", "SQE")
+        ExtensionQuery(noisy_surrogate(werner(2, 0.0), SURROGATE), 5, "SQE")
     with pytest.raises(ValueError, match="k <= 4"):
-        ExtensionQuery(werner(2, 0.0), 5, "B", "SQE")
+        ExtensionQuery(werner(2, 0.0), 5, "SQE")
     # a Werner input takes the closed form past the cap, exactly
-    res = run_query(ExtensionQuery(werner(4, 0.0), 3, "B", "SQE"))
+    res = run_query(ExtensionQuery(werner(4, 0.0), 3, "SQE"))
     assert (res.t_star, res.status, res.iterations) == (float(werner_t_star(4, 3, SQE, Fraction(-1))), "OPTIMAL", 0)
 
 
@@ -486,20 +502,20 @@ def test_unconverged_solve_gives_no_verdict(monkeypatch):
     # SE(3, 3) on werner(3, 0.15) is exactly t* = 31/30, i.e. not extendible, from the closed
     # form: there is no solve to cut short
     assert werner_t_star(3, 3, SE, 2 * Fraction(15, 100) - 1) == Fraction(31, 30)
-    done = run_query(ExtensionQuery(werner(3, 0.15), 3, "B", "SE"), max_iter=25)
+    done = run_query(ExtensionQuery(werner(3, 0.15), 3, "SE"), max_iter=25)
     assert done.status == "OPTIMAL"
     assert done.t_star == pytest.approx(31 / 30, rel=0, abs=1e-12)
     assert done.extension_exists is False
     # a cut SQE solve on a non-Werner input gives no verdict
     real_solve = extend.solve
     monkeypatch.setattr(extend, "solve", lambda prog, tol, max_iter: real_solve(prog, tol=tol, max_iter=25))
-    cut = run_query(ExtensionQuery(noisy_surrogate(werner(2, 0.0), SURROGATE), 2, "B", "SQE"))
+    cut = run_query(ExtensionQuery(noisy_surrogate(werner(2, 0.0), SURROGATE), 2, "SQE"))
     assert (cut.status, cut.extension_exists) == ("MAX_ITER", None)
 
 
 def test_unconverged_general_program_gives_no_verdict():
     # the twin of the test above on a non-Werner input, which keeps the S_k-block SDP
-    q = ExtensionQuery(noisy_surrogate(werner(3, 0.15), SURROGATE), 3, "B", "SE")
+    q = ExtensionQuery(noisy_surrogate(werner(3, 0.15), SURROGATE), 3, "SE")
     cut = run_query(q, max_iter=25)
     assert cut.status == "MAX_ITER"
     assert cut.extension_exists is None
@@ -529,13 +545,13 @@ def solver_calls(q, monkeypatch):
 def test_werner_inputs_call_no_solver(flavor, monkeypatch):
     # werner(4, 0.1) at k = 3 lies past the dimension cap
     for rho in (werner_all_v(3, 0.7), werner_from_qubit_mixture(3, 0.2), werner(4, 0.1), werner(2, 0.2)):
-        built, solved, res = solver_calls(ExtensionQuery(rho, 3, "A", flavor), monkeypatch)
+        built, solved, res = solver_calls(ExtensionQuery(swap_parties(rho), 3, flavor), monkeypatch)
         assert built == solved == []
         assert (res.status, res.gap, res.iterations) == ("OPTIMAL", 0.0, 0)
     d = 2 if flavor == "SQE" else 3  # SQE(3, 3) solves eight 81-blocks
     for q in (
-        ExtensionQuery(noisy_surrogate(werner(d, 0.2), SURROGATE), 3, "A", flavor),
-        ExtensionQuery(DensityMatrix(2, 3, np.eye(6) / 6), 2, "A", flavor),  # twirl-invariant, but not square
+        ExtensionQuery(swap_parties(noisy_surrogate(werner(d, 0.2), SURROGATE)), 3, flavor),
+        ExtensionQuery(swap_parties(DensityMatrix(2, 3, np.eye(6) / 6)), 2, flavor),  # twirl-invariant, not square
     ):
         built, solved, res = solver_calls(q, monkeypatch)
         assert len(built) == len(solved) == 1 and built[0] is q
@@ -569,7 +585,7 @@ def test_werner_lp_columns_match_young_orthogonal_form(d, k):
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_werner_lp_matches_general_program(d, k, flavor, side):
     for v in (0.0, 0.1, 0.15, 0.3):
-        q = ExtensionQuery(werner(d, v), k, side, flavor)
+        q = ExtensionQuery(side_b(werner(d, v), side), k, flavor)
         lp = run_query(q)
         general = solve(build_program(q), tol=1e-7)
         assert lp.status == general.status == "OPTIMAL"
@@ -580,7 +596,7 @@ def test_werner_lp_matches_general_program(d, k, flavor, side):
 def test_werner_sqe_closed_form_matches_the_program(d, k):
     # the SQE program, which non-Werner inputs solve, is the reference on both sides of s = 1/d
     for v in (0.0, 0.3, 0.8, 1.0):
-        q = ExtensionQuery(werner(d, v), k, "B", "SQE")
+        q = ExtensionQuery(werner(d, v), k, "SQE")
         exact = run_query(q)
         sdp = solve(build_program(q))
         assert sdp.status == "OPTIMAL"
@@ -671,7 +687,7 @@ def test_exact_extension_laws(d):
 def test_exact_werner_table_values(d, k, flavor, t_star, v_t):
     exact = werner_t_star(d, k, flavor, Fraction(-1))
     assert (exact, critical_weight(exact, d)) == (t_star, v_t)
-    res = run_query(ExtensionQuery(werner(d, 0.0), k, "B", flavor))
+    res = run_query(ExtensionQuery(werner(d, 0.0), k, flavor))
     assert res.t_star == pytest.approx(float(t_star), rel=0, abs=1e-12)
 
 
@@ -688,10 +704,10 @@ def test_closed_form_orders_flavors_and_grows_with_k(d, k, v):
             assert werner_t_star(d, k + 1, flavor, swap) >= t[flavor]
     rho = werner(d, float(v))
     for flavor in flavors:
-        t_a, t_b = (run_query(ExtensionQuery(rho, k, side, flavor)).t_star for side in "AB")
+        t_a, t_b = (run_query(ExtensionQuery(side_b(rho, side), k, flavor)).t_star for side in "AB")
         assert t_a == t_b
 
 
 def test_run_query_dispatch():
-    r = run_query(ExtensionQuery(werner(2, 0.3), 2, "B", "SE_B"))
+    r = run_query(ExtensionQuery(werner(2, 0.3), 2, "SE_B"))
     assert r.status == "OPTIMAL"

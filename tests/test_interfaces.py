@@ -87,6 +87,12 @@ def _raising_calls():
         "state_from_json": (
             lambda: state_from_json('{"dimA": 1, "dimB": 2, "entries": [[1, 0]]}'), "entry count"
         ),
+        "state_from_json-missing-key": (lambda: state_from_json('{"dimA": 2}'), "keys dimA, dimB and entries"),
+        "state_from_json-not-object": (lambda: state_from_json("[1, 2]"), "must be a JSON object"),
+        "counts_from_csv-missing-key": (
+            lambda: tomo.counts_from_csv("", '{"frame": "qutrit9"}'), "keys N, seed and frame"
+        ),
+        "counts_from_csv-not-object": (lambda: tomo.counts_from_csv("", "[1, 2]"), "must be a JSON object"),
         "Block": (lambda: Block("free", 0), "block size must be positive"),
         "ConicProgram": (
             lambda: ConicProgram([Block("free", 2)], np.zeros(2), sp.csr_matrix((1, 3)), np.zeros(1)),
@@ -149,7 +155,7 @@ def test_vertex_oracle_on_tiny_nonlocal_content():
 
 def test_extension_k4_two_qubit_threshold():
     # known 3/8 threshold at (d, k) = (2, 4) exercises the four-copy path
-    res = run_query(ExtensionQuery(werner(2, 0.0), 4, "B", "SE"))
+    res = run_query(ExtensionQuery(werner(2, 0.0), 4, "SE"))
     assert res.status == "OPTIMAL"
     assert critical_weight(res.t_star, 2) == pytest.approx(3 / 8, abs=2e-3)
     assert res.t_star == pytest.approx(2.0, abs=1e-3)
@@ -158,8 +164,8 @@ def test_extension_k4_two_qubit_threshold():
 def test_quasi_extension_k4_partition_subset():
     # a non-Werner input, so that SQE solves its four-subset program
     rho = noisy_surrogate(werner(2, 0.1), NoiseSpec(depol=0.06, coherent_eps=0.02, seed=2024))
-    sqe = run_query(ExtensionQuery(rho, 4, "B", "SQE"), tol=1e-6)
-    se = run_query(ExtensionQuery(rho, 4, "B", "SE"), tol=1e-6)
+    sqe = run_query(ExtensionQuery(rho, 4, "SQE"), tol=1e-6)
+    se = run_query(ExtensionQuery(rho, 4, "SE"), tol=1e-6)
     assert sqe.iterations > 0
     assert sqe.status == "OPTIMAL"
     assert sqe.t_star <= se.t_star + 1e-5

@@ -395,7 +395,7 @@ def test_every_dump_loads_back():
     twice = sp.csr_matrix((np.array([1.0, 2.0, -1.0]), np.array([0, 0, 1]), np.array([0, 3])), shape=(1, 2))
     progs = [ConicProgram((Block("free", 1), Block("nonneg", 1)), np.array([1.0, 0.0]), twice, np.array([3.0]))]
     rho = noisy_surrogate(werner(2, 0.3), NoiseSpec(0.06, 0.02, 7))
-    progs += [build_program(ExtensionQuery(rho, 2, "B", flavor)) for flavor in ("SE", "SE_B", "SQE")]
+    progs += [build_program(ExtensionQuery(rho, 2, flavor)) for flavor in ("SE", "SE_B", "SQE")]
     for prog in progs:
         text = dump_program(prog)
         back = load_program(text)
@@ -461,7 +461,7 @@ def test_presolve_matches_row_by_row_reference():
     meas = steer.random_grouped_projective(2, 2, 2, np.random.default_rng(5))
     progs.append(steer.nonlocal_content_program(steer.correlation_from(werner(2, 0.3), meas, meas)))
     for flavor, k in (("SE", 2), ("SQE", 2), ("SE_B", 3), ("SE", 3)):
-        progs.append(build_program(ExtensionQuery(werner(3, 0.2), k, "B", flavor)))
+        progs.append(build_program(ExtensionQuery(werner(3, 0.2), k, flavor)))
     progs += edge_programs()
     dropped = 0
     for prog in progs:

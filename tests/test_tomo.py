@@ -222,6 +222,17 @@ def test_counts_record_validation():
         mle_reconstruct(CountsRecord(np.zeros((9, 9), dtype=int), 10, 0, "qutrit9"))
 
 
+def test_counts_record_rejects_tables_off_its_frame():
+    counts = np.ones((6, 6))
+    counts[0, 0] = 1.9  # would truncate to 1
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        CountsRecord(counts, 10, 0, "qubit6")
+    with pytest.raises(ValueError, match=r"'qubit6' must be a 6x6 table, not \(2, 2\)"):
+        CountsRecord(np.ones((2, 2), dtype=int), 10, 0, "qubit6")
+    with pytest.raises(ValueError, match="unknown tomography frame 'qutrit8'"):
+        CountsRecord(np.ones((9, 9), dtype=int), 10, 0, "qutrit8")
+
+
 @pytest.mark.parametrize("frame", [tomo.qutrit_bases(), tomo.qubit_bases()], ids=lambda f: f.name)
 def test_mle_engine_matmuls_match_einsum(frame):
     engine = tomo._MleEngine(frame)
