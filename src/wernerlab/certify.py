@@ -63,7 +63,7 @@ class Certificate:
 
 def ppt_min_eig(rho: DensityMatrix) -> Certificate:
     """Minimum eigenvalue of the partial transpose; negative certifies entanglement."""
-    value = float(np.linalg.eigvalsh(partial_transpose(rho, "A"))[0])
+    value = float(np.linalg.eigvalsh(partial_transpose(rho))[0])
     verdict = FAIL if value < -1e-9 else INCONCLUSIVE
     return Certificate("ppt", value, 0.0, verdict)
 
@@ -90,12 +90,12 @@ def _distill_descent(x: np.ndarray, va: np.ndarray, vb: np.ndarray):
     for _ in range(100):
         x_live = x[live]
         # optimize over A side with B frame fixed; the bottom eigenvector lives on C^dA (x) C^2
-        big = qmat.embed(vb[live], d_a, "B")
+        big = qmat.kron(np.eye(d_a), vb[live])
         comp = dagger(big) @ x_live @ big
         q = np.linalg.eigh((comp + dagger(comp)) / 2)[1]
         va[live] = _schmidt_frames(q[..., 0].reshape(-1, d_a, 2).swapaxes(-1, -2))[1]
         # optimize over B side with A frame fixed; psi lives on C^2 (x) C^dB
-        big = qmat.embed(va[live], d_b, "A")
+        big = qmat.kron(va[live], np.eye(d_b))
         comp = dagger(big) @ x_live @ big
         w, q = np.linalg.eigh((comp + dagger(comp)) / 2)
         psi[live] = q[..., 0]
@@ -113,14 +113,14 @@ def one_distillable_many(rhos: list[DensityMatrix], seeds: list[int], restarts: 
     stack, as the module docstring describes.  Raises ValueError as :func:`~wernerlab.states.grid_rows` does,
     and when a local dimension is below 2, where no Schmidt-rank-2 vector exists.
     """
-    (d_a, d_b), x, (ua, ub) = grid_rows(rhos, seeds, restarts, lambda rho: partial_transpose(rho, "A"), [(1, 0), (1, 1)])
+    (d_a, d_b), x, (ua, ub) = grid_rows(rhos, seeds, restarts, partial_transpose, [(1, 0), (1, 1)])
     if min(d_a, d_b) < 2:
         raise ValueError(f"a Schmidt-rank-2 vector needs local dimensions of at least 2, got ({d_a}, {d_b})")
     val, va, psi = _distill_descent(x, ua[:, 0, :, :2], ub[:, 0, :, :2])
     certs = []
     for seed, best in zip(seeds, grid_best(val, restarts, np.argmin)):
         best_val = float(val[best])
-        best_psi = (qmat.embed(va[best], d_b, "A") @ psi[best]).ravel()
+        best_psi = (qmat.kron(va[best], np.eye(d_b)) @ psi[best]).ravel()
         verdict = PASS if best_val < -1e-6 else INCONCLUSIVE
         certs.append(Certificate("one_distillable", best_val, 0.0, verdict, {"psi": best_psi}, seed, restarts))
     return certs
@@ -283,7 +283,7 @@ def chsh_horodecki(rho: DensityMatrix) -> Certificate:
 
 def dense_coding_delta(rho: DensityMatrix) -> Certificate:
     """Dense-coding advantage delta = S(rho_B) - S(rho_AB) in bits."""
-    s_b = qmat.von_neumann_entropy(partial_trace(rho, "A"))
+    s_b = qmat.von_neumann_entropy(partial_trace(rho))
     s_ab = qmat.von_neumann_entropy(rho)
     value = s_b - s_ab
     verdict = PASS if value > 1e-9 else FAIL

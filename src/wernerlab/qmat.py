@@ -84,32 +84,18 @@ def as_state(mat: np.ndarray, dimA: int, dimB: int, clip_tol: float = 1e-8) -> D
     return DensityMatrix(dimA, dimB, h)
 
 
-def check_side(side: str) -> None:
-    """Raise ValueError unless ``side`` names a subsystem, 'A' or 'B'."""
-    if side not in ("A", "B"):
-        raise ValueError("side must be 'A' or 'B'")
-
-
-def partial_trace(rho: DensityMatrix, side: str) -> np.ndarray:
-    """Trace out the given subsystem ('A' or 'B') of a bipartite state."""
-    check_side(side)
+def partial_trace(rho: DensityMatrix) -> np.ndarray:
+    """Trace out subsystem A: the reduced state of B.  A's is that of :func:`swap_parties` of rho."""
     t = rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
-    return np.einsum("ijil->jl" if side == "A" else "ijkj->ik", t)
+    return np.einsum("ijil->jl", t)
 
 
-def embed(op: np.ndarray, d_other: int, side: str) -> np.ndarray:
-    """``op`` acting on ``side`` ('A' or 'B') of a bipartite space, the identity on the d_other-level other side."""
-    check_side(side)
-    return kron(op, np.eye(d_other)) if side == "A" else kron(np.eye(d_other), op)
-
-
-def partial_transpose(rho: DensityMatrix, side: str) -> np.ndarray:
-    """Partial transpose with respect to subsystem A or B.
+def partial_transpose(rho: DensityMatrix) -> np.ndarray:
+    """Partial transpose with respect to subsystem A; B's is that of :func:`swap_parties` of rho.
 
     Pure index permutation: applying it twice returns the input bit-for-bit.
     """
-    check_side(side)
-    return partial_transpose_dims(rho.mat, [rho.dimA, rho.dimB], [0 if side == "A" else 1])
+    return partial_transpose_dims(rho.mat, [rho.dimA, rho.dimB], [0])
 
 
 def swap_parties(rho: DensityMatrix) -> DensityMatrix:

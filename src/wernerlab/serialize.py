@@ -23,8 +23,15 @@ def state_from_json(text: str) -> DensityMatrix:
     obj = json.loads(text)
     if not isinstance(obj, dict) or not {"dimA", "dimB", "entries"} <= obj.keys():
         raise ValueError("a state must be a JSON object with keys dimA, dimB and entries")
-    d = obj["dimA"] * obj["dimB"]
-    flat = np.array([complex(re, im) for re, im in obj["entries"]], dtype=complex)
+    dims, entries = (obj["dimA"], obj["dimB"]), obj["entries"]
+    if not all(type(n) is int and n > 0 for n in dims):
+        raise ValueError(f"dimA and dimB must be positive integers, got {dims}")
+    if not isinstance(entries, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(type(x) in (int, float) for x in pair) for pair in entries
+    ):
+        raise ValueError("entries must be a list of [re, im] pairs of numbers")
+    d = dims[0] * dims[1]
+    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
     if flat.size != d * d:
         raise ValueError("entry count does not match matrix shape")
-    return DensityMatrix(obj["dimA"], obj["dimB"], flat.reshape(d, d))
+    return DensityMatrix(*dims, flat.reshape(d, d))

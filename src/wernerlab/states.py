@@ -190,8 +190,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.depol <= 1.0:
             raise ValueError("depol must lie in [0, 1]")
-        if self.coherent_eps < 0:
-            raise ValueError("coherent_eps must be nonnegative")
+        if not 0.0 <= self.coherent_eps < np.inf:
+            raise ValueError(f"coherent_eps must be nonnegative and finite, got {self.coherent_eps}")
 
 
 def experiment_like_noise(v: float, seed: int = 97) -> NoiseSpec:

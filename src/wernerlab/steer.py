@@ -165,14 +165,16 @@ def _tensor(rho: DensityMatrix) -> np.ndarray:
     return rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
 
 
-def _contract(r: np.ndarray, ops: np.ndarray, side: str) -> np.ndarray:
-    """Hermitian part of tr_side[(op on side) rho] for each op of a (..., x, a, d, d) stack:
-    the operators left on the other side.  ``r`` is rho as a :func:`_tensor`, or a stack
-    of them with one state per leading index of ``ops``."""
-    if side == "A":
-        red = np.einsum("...xaiI,...Ijil->...xajl", ops, r)
-    else:
-        red = np.einsum("...xajJ,...iJkj->...xaik", ops, r)
+def _swapped(r: np.ndarray) -> np.ndarray:
+    """:func:`~wernerlab.qmat.swap_parties` of each :func:`_tensor` of ``r``, as a strided view."""
+    return r.swapaxes(-4, -3).swapaxes(-2, -1)
+
+
+def _contract(r: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Hermitian part of tr_A[(op on A) rho] for each op of a (..., x, a, d, d) stack:
+    the operators left on B.  ``r`` is rho as a :func:`_tensor`, or a stack of them with
+    one state per leading index of ``ops``; B is contracted as A of :func:`_swapped` ``r``."""
+    red = np.einsum("...xaiI,...Ijil->...xajl", ops, r)
     return (red + dagger(red)) / 2
 
 
@@ -180,7 +182,7 @@ def assemblage_from(rho: DensityMatrix, meas: MeasurementSet) -> Assemblage:
     """Conditional states of B when A is measured; B steers A in ``qmat.swap_parties(rho)``."""
     if meas.dim != rho.dimA:
         raise ValueError("measurement dimension does not match side A")
-    return Assemblage(_contract(_tensor(rho), meas.effects, "A"))
+    return Assemblage(_contract(_tensor(rho), meas.effects))
 
 
 @lru_cache(maxsize=32)
@@ -321,7 +323,7 @@ def sr_state_lower_bound(
 
     def solve_round(rows, effects):
         """Value (-inf unless the solve ended OPTIMAL), y and gap of each row's SDP."""
-        b = vec_real(_contract(state[rows], effects, "A")).reshape(len(rows), -1)
+        b = vec_real(_contract(state[rows], effects)).reshape(len(rows), -1)
         sols = family.solve_many(b, tol=sdp_tol)
         value = [float(sol.primal_obj) - 1.0 if sol.status == "OPTIMAL" else -np.inf for sol in sols]
         return np.array(value), np.stack([sol.y for sol in sols]), np.array([sol.gap for sol in sols])
@@ -335,7 +337,7 @@ def sr_state_lower_bound(
         if not live.size:
             break
         # G_{a|x} = tr_B[(F_{a|x} on B) rho]: the dual value is sum tr(M_{a|x} G_{a|x}) - 1
-        response = _contract(state[live], _sr_duals(y[live], shape), "B")
+        response = _contract(_swapped(state[live]), _sr_duals(y[live], shape))
         new_effects = _update_measurements(effects[live], response)
         new_value, new_y, new_gap = solve_round(live, new_effects)
         accept = new_value > value[live] + 1e-7
@@ -362,12 +364,10 @@ class Correlation:
         sums = arr.sum(axis=(2, 3))
         if np.max(np.abs(sums - 1.0)) > 1e-8:
             raise ValueError("per-setting distributions must be normalized")
-        marg_a = arr.sum(axis=3)  # (x, y, a)
-        if np.max(np.abs(marg_a - marg_a[:, :1, :])) > 1e-8:
-            raise ValueError("signaling from B to A detected")
-        marg_b = arr.sum(axis=2)
-        if np.max(np.abs(marg_b - marg_b[:1, :, :])) > 1e-8:
-            raise ValueError("signaling from A to B detected")
+        for q, direction in ((arr, "B to A"), (arr.transpose(1, 0, 3, 2), "A to B")):
+            marg = q.sum(axis=3)  # the first party's marginal, (x, y, a) of q
+            if np.max(np.abs(marg - marg[:, :1, :])) > 1e-8:
+                raise ValueError(f"signaling from {direction} detected")
         object.__setattr__(self, "p", arr)
 
     @property
@@ -436,13 +436,13 @@ def chsh_coefficients() -> np.ndarray:
     return np.multiply.outer(np.array([[1.0, 1.0], [1.0, -1.0]]), 2.0 * np.eye(2) - 1.0)
 
 
-def _bell_response(r: np.ndarray, coefficients: np.ndarray, other_effects: np.ndarray, side: str) -> np.ndarray:
-    """G_{a|x} of ``side`` with sum_ax tr(M_{a|x} G_{a|x}) the Bell value against the other
-    side's (..., y, b, d, d) effects, as a matching (..., x, a, d, d) stack; ``r`` is rho as
-    a :func:`_tensor`, or a stack of them matching the leading axes."""
-    table = coefficients if side == "A" else coefficients.transpose(1, 0, 3, 2)
-    ops = np.einsum("xyab,...ybij->...xaij", table, other_effects)  # on the other side
-    return _contract(r, ops, "B" if side == "A" else "A")
+def _bell_response(r: np.ndarray, table: np.ndarray, effects_b: np.ndarray) -> np.ndarray:
+    """G_{a|x} of A with sum_ax tr(M_{a|x} G_{a|x}) the Bell value of the (x, y, a, b) table
+    against B's (..., y, b, d, d) effects, as a matching (..., x, a, d, d) stack; ``r`` is rho
+    as a :func:`_tensor`, or a stack of them matching the leading axes.  B's is A's of
+    :func:`_swapped` ``r`` and the table transposed (1, 0, 3, 2)."""
+    ops = np.einsum("xyab,...ybij->...xaij", table, effects_b)  # on B
+    return _contract(_swapped(r), ops)
 
 
 def _exact_two_outcome_update(response: np.ndarray) -> np.ndarray:
@@ -466,24 +466,27 @@ def _seesaw_bell_rows(
 
     ``r`` is the state of every row, an (R, dA, dB, dA, dB) stack of :func:`_tensor`s, or
     one tensor that all rows share.  Each half-step updates one side of every row still
-    improving in one stacked call per kernel; a row stops when a round gains less than
-    1e-9, or after 500 rounds."""
-    axes = (-4, -3, -2, -1)
+    improving in one stacked call per kernel; B's half-step is A's on the :func:`_swapped`
+    tensor and transposed table.  A row stops when a round gains less than 1e-9, or after
+    500 rounds."""
     r = np.broadcast_to(r, (len(effects_a),) + r.shape[-4:])
 
-    def values(r_rows, eff_a, eff_b):
-        return np.sum(_correlations(r_rows, eff_a, eff_b) * coefficients, axis=axes)
+    def values(r_rows, table, mine, other):
+        return np.sum(_correlations(r_rows, mine, other) * table, axis=(-4, -3, -2, -1))
 
     effects_a, effects_b = effects_a.copy(), effects_b.copy()
+    halves = (
+        (r, coefficients, effects_a, effects_b),
+        (_swapped(r), coefficients.transpose(1, 0, 3, 2), effects_b, effects_a),
+    )
     live = np.arange(len(effects_a))
-    value = values(r[live], effects_a, effects_b)
+    value = values(r[live], coefficients, effects_a, effects_b)
     for _ in range(500):
         start = cur = value[live]
-        r_live = r[live]
-        for side in ("A", "B"):
-            mine, other = (effects_a, effects_b) if side == "A" else (effects_b, effects_a)
-            new = _best_povm_update(mine[live], _bell_response(r_live, coefficients, other[live], side))
-            new_value = values(r_live, new, other[live]) if side == "A" else values(r_live, other[live], new)
+        for tensor, table, mine, other in halves:
+            t_live = tensor[live]
+            new = _best_povm_update(mine[live], _bell_response(t_live, table, other[live]))
+            new_value = values(t_live, table, new, other[live])
             keep = new_value >= cur - 1e-12
             mine[live[keep]] = new[keep]
             cur = np.where(keep, np.maximum(new_value, cur), cur)

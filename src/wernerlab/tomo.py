@@ -143,6 +143,9 @@ class CountsRecord:
             raise ValueError(f"counts of frame {self.frame_name!r} must be a {size}x{size} table, not {arr.shape}")
         if not (np.all(np.isfinite(arr)) and np.all(arr >= 0) and np.all(arr == np.round(arr))):
             raise ValueError("counts must be nonnegative integers")
+        for name, value, low in (("shots", self.shots, 1), ("seed", self.seed, 0)):
+            if type(value) is not int or value < low:  # bool excluded; the sidecar writes Python ints
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
         object.__setattr__(self, "counts", arr.astype(np.int64))
 
     @property

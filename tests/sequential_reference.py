@@ -40,9 +40,7 @@ from wernerlab.states import haar_unitaries, max_entangled_ket, werner
 from wernerlab.steer import (
     Correlation,
     MeasurementSet,
-    _contract,
     _response_table,
-    _tensor,
     _update_measurements,
     correlation_from,
     random_grouped_projective,
@@ -78,7 +76,8 @@ def contract(rho: DensityMatrix, op: np.ndarray, side: str) -> np.ndarray:
     """Hermitian part of tr_side[(op on side) rho]: the operator left on the other side."""
     on_a = side == "A"
     dims = [rho.dimA, rho.dimB]
-    red = trace_out(qmat.embed(op, dims[1] if on_a else dims[0], side) @ rho.mat, dims, [0 if on_a else 1])
+    big = np.kron(op, np.eye(dims[1])) if on_a else np.kron(np.eye(dims[0]), op)
+    red = trace_out(big @ rho.mat, dims, [0 if on_a else 1])
     return (red + dagger(red)) / 2
 
 
@@ -116,7 +115,7 @@ def _schmidt_frame(psi_block):
 def one_distillable_by_restarts(rho, restarts, seed):
     """Per-restart values of the alternating eigen-step search over Schmidt-rank-2 vectors."""
     d_a, d_b = rho.dimA, rho.dimB
-    x = partial_transpose(rho, "A")
+    x = partial_transpose(rho)
     values = []
     for r in range(restarts):
         rng = np.random.default_rng(seed ^ r)
@@ -124,11 +123,11 @@ def one_distillable_by_restarts(rho, restarts, seed):
         vb = haar_unitary(d_b, rng)[:, :2]
         val_prev = np.inf
         for _ in range(100):
-            big = qmat.embed(vb, d_a, "B")
+            big = np.kron(np.eye(d_a), vb)
             comp = dagger(big) @ x @ big
             w, q = np.linalg.eigh((comp + dagger(comp)) / 2)
             va = _schmidt_frame(q[:, 0].reshape(d_a, 2).T)
-            big = qmat.embed(va, d_b, "A")
+            big = np.kron(va, np.eye(d_b))
             comp = dagger(big) @ x @ big
             w, q = np.linalg.eigh((comp + dagger(comp)) / 2)
             vb = _schmidt_frame(q[:, 0].reshape(2, d_b))
@@ -212,7 +211,7 @@ def fef_ascent_to_step_floor(rho_mat, u):
 def _bell_response(rho, coefficients, other_meas, side):
     table = coefficients if side == "A" else coefficients.transpose(1, 0, 3, 2)
     ops = np.einsum("xyab,ybij->xaij", table, other_meas.effects)
-    return _contract(_tensor(rho), ops, "B" if side == "A" else "A")
+    return np.array([[contract(rho, op, "B" if side == "A" else "A") for op in setting] for setting in ops])
 
 
 def _best_povm_update(meas, response):
@@ -492,7 +491,7 @@ def fef_embedding_check(rho: DensityMatrix, d: int) -> bool:
     big = np.zeros((d * d, d * d), dtype=complex)
     levels = [0, 1, d, d + 1]  # i*d + j for i, j in {0, 1}
     big[np.ix_(levels, levels)] = rho.mat
-    psi_d = qmat.embed(u_d, d, "B") @ max_entangled_ket(d)
+    psi_d = np.kron(np.eye(d), u_d) @ max_entangled_ket(d)
     attained = float(np.real(np.vdot(psi_d, big @ psi_d)))
     if attained < (2.0 / d) * f2 - 1e-10:
         raise RuntimeError("embedded unitary attains less than (2/d) F_2")

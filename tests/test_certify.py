@@ -80,7 +80,7 @@ def test_one_distillable_singlet_and_rayleigh_bound():
     for seed in range(5):
         rho = random_two_qubit(100 + seed)
         c = one_distillable(rho, restarts=8, seed=seed)
-        min_eig = np.linalg.eigvalsh(certify.partial_transpose(rho, "A"))[0]
+        min_eig = np.linalg.eigvalsh(certify.partial_transpose(rho))[0]
         assert c.value >= min_eig - 1e-10
 
 
@@ -377,7 +377,7 @@ def test_one_distillable_matches_sequential_reference(state):
         assert np.allclose(ua[r, 0], haar_unitary(rho.dimA, rng), rtol=0, atol=1e-12), r
         assert np.allclose(ub[r, 0], haar_unitary(rho.dimB, rng), rtol=0, atol=1e-12), r
     frames = ua[:, 0, :, :2], ub[:, 0, :, :2]
-    x = partial_transpose(rho, "A")
+    x = partial_transpose(rho)
     assert np.allclose(certify._distill_descent(x, *frames)[0], want, rtol=0, atol=1e-12)
     cert = one_distillable(rho, restarts=restarts, seed=seed)
     assert cert.value == pytest.approx(min(want), rel=0, abs=1e-12)

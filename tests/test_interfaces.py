@@ -26,22 +26,12 @@ from wernerlab.filterops import (
     replay_protocol,
     rotated_filtered_state,
 )
-from wernerlab.qmat import DensityMatrix, as_state, embed, partial_transpose, partial_transpose_dims
+from wernerlab.qmat import DensityMatrix, as_state, partial_transpose_dims
 from wernerlab.serialize import state_from_json
 from wernerlab.solver import Block, ConicProgram, load_program, solve
 from wernerlab.states import NoiseSpec, noisy_surrogate, werner
 
 from lp_oracle import lp_vertex_enumeration_check
-
-
-@pytest.mark.parametrize("entry", ["partial_transpose", "embed"])
-def test_side_other_than_a_or_b_is_rejected_before_any_draw(entry):
-    calls = {
-        "partial_transpose": lambda: partial_transpose(werner(3, 0.1), "a"),
-        "embed": lambda: embed(np.eye(3), 3, "left"),
-    }
-    with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
-        calls[entry]()
 
 
 DUMP = "CONICPROG 1\nBLOCKS 1\nnonneg 2\nOBJ 0\nA 1 2 0\nRHS 0\nEND\n"
@@ -62,6 +52,11 @@ def _raising_calls():
     far = DensityMatrix(3, 3, far)
     keep01 = qubit_projection(3, (0, 1))
     qubits = steer.mub_qubit_measurements(2)
+    counts = tomo.counts_to_csv(tomo.expected_counts_record(werner(3, 0.0), 100))
+
+    def sidecar(n, seed):
+        return json.dumps({"N": n, "seed": seed, "frame": "qutrit9"})
+
     return {
         "gurvits_ball": (lambda: certify.gurvits_ball(rect), "equal local dimensions"),
         "gurvits_ball-1x1": (lambda: certify.gurvits_ball(DensityMatrix(1, 1, np.eye(1))), "at least 2"),
@@ -89,10 +84,27 @@ def _raising_calls():
         ),
         "state_from_json-missing-key": (lambda: state_from_json('{"dimA": 2}'), "keys dimA, dimB and entries"),
         "state_from_json-not-object": (lambda: state_from_json("[1, 2]"), "must be a JSON object"),
+        "state_from_json-dim-string": (
+            lambda: state_from_json('{"dimA": "a", "dimB": 2, "entries": []}'), "dimA and dimB must be positive"
+        ),
+        "state_from_json-dim-fraction": (
+            lambda: state_from_json('{"dimA": 1.5, "dimB": 2, "entries": []}'), "dimA and dimB must be positive"
+        ),
+        "state_from_json-entries-not-pairs": (
+            lambda: state_from_json('{"dimA": 1, "dimB": 1, "entries": [1, 2]}'), r"\[re, im\] pairs of numbers"
+        ),
         "counts_from_csv-missing-key": (
             lambda: tomo.counts_from_csv("", '{"frame": "qutrit9"}'), "keys N, seed and frame"
         ),
         "counts_from_csv-not-object": (lambda: tomo.counts_from_csv("", "[1, 2]"), "must be a JSON object"),
+        "counts_from_csv-N-string": (lambda: tomo.counts_from_csv(counts, sidecar("x", 0)), "shots must be an integer"),
+        "counts_from_csv-N-negative-seed-fraction": (
+            lambda: tomo.counts_from_csv(counts, sidecar(-5, 0.5)), "shots must be an integer of at least 1, got -5"
+        ),
+        "counts_from_csv-N-bool": (lambda: tomo.counts_from_csv(counts, sidecar(True, 0)), "shots must be an integer"),
+        "counts_from_csv-seed-fraction": (
+            lambda: tomo.counts_from_csv(counts, sidecar(100, 0.5)), "seed must be an integer of at least 0, got 0.5"
+        ),
         "Block": (lambda: Block("free", 0), "block size must be positive"),
         "ConicProgram": (
             lambda: ConicProgram([Block("free", 2)], np.zeros(2), sp.csr_matrix((1, 3)), np.zeros(1)),
@@ -106,6 +118,8 @@ def _raising_calls():
         ),
         "NoiseSpec-depol": (lambda: NoiseSpec(depol=1.5), "depol must lie in"),
         "NoiseSpec-coherent_eps": (lambda: NoiseSpec(coherent_eps=-0.1), "coherent_eps must be nonnegative"),
+        "NoiseSpec-coherent_eps-nan": (lambda: NoiseSpec(coherent_eps=float("nan")), "coherent_eps"),
+        "NoiseSpec-coherent_eps-inf": (lambda: NoiseSpec(coherent_eps=float("inf")), "coherent_eps"),
         "Correlation-shape": (lambda: steer.Correlation(np.full((1, 2, 2), 0.25)), "must have shape"),
         "Correlation-negative": (
             lambda: _correlation((1, 1, 2, 2), {(0, 0, 0, 0): 1.5, (0, 0, 0, 1): -0.5}), "negative probabilities"

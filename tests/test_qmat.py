@@ -63,15 +63,15 @@ def test_kron_index_convention():
 def test_partial_trace_max_entangled():
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     rho = DensityMatrix(2, 2, np.outer(phi, phi.conj()))
-    assert np.allclose(qmat.partial_trace(rho, "A"), np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(qmat.partial_trace(rho), np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_product():
     rho_a = random_density(3, 1)
     rho_b = random_density(2, 2)
     rho = DensityMatrix(3, 2, np.kron(rho_a, rho_b))
-    assert np.allclose(qmat.partial_trace(rho, "B"), rho_a, atol=1e-12)
-    assert np.allclose(qmat.partial_trace(rho, "A"), rho_b, atol=1e-12)
+    assert np.allclose(qmat.partial_trace(qmat.swap_parties(rho)), rho_a, atol=1e-12)
+    assert np.allclose(qmat.partial_trace(rho), rho_b, atol=1e-12)
 
 
 def test_partial_trace_werner_marginal():
@@ -83,7 +83,7 @@ def test_partial_trace_werner_marginal():
             for l in range(3):
                 marg[j, l] = sum(m[i * 3 + j, i * 3 + l] for i in range(3))
         assert np.allclose(marg, np.eye(3) / 3, atol=1e-12)
-        out = qmat.partial_trace(werner(3, v), "A")
+        out = qmat.partial_trace(werner(3, v))
         assert np.allclose(out, np.eye(3) / 3, atol=1e-10)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
 
@@ -92,7 +92,7 @@ def test_partial_transpose_product():
     rho_a = random_density(2, 3)
     rho_b = random_density(3, 4)
     rho = DensityMatrix(2, 3, np.kron(rho_a, rho_b))
-    assert np.allclose(qmat.partial_transpose(rho, "A"), np.kron(rho_a.T, rho_b), atol=1e-14)
+    assert np.allclose(qmat.partial_transpose(rho), np.kron(rho_a.T, rho_b), atol=1e-14)
 
 
 def test_partial_transpose_involution_exact():
@@ -119,9 +119,9 @@ def test_swap_parties_exchanges_the_parties_and_involutes_exactly():
 
 def test_partial_transpose_werner_min_eig():
     # oracle: V^T_A = d |Phi+><Phi+| gives min eig (2v-1)/3 at d=3
-    w0 = qmat.partial_transpose(werner(3, 0.0), "A")
+    w0 = qmat.partial_transpose(werner(3, 0.0))
     assert np.linalg.eigvalsh(w0)[0] == pytest.approx(-1 / 3, abs=1e-12)
-    w_half = qmat.partial_transpose(werner(3, 0.5), "A")
+    w_half = qmat.partial_transpose(werner(3, 0.5))
     assert np.linalg.eigvalsh(w_half)[0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -172,9 +172,9 @@ def test_fidelity_symmetric():
 def test_trace_out_matches_bipartite():
     rho = random_density(12, 51)
     t_b = trace_out(rho, [3, 4], [1])
-    assert np.allclose(t_b, qmat.partial_trace(DensityMatrix(3, 4, rho), "B"), atol=1e-13)
+    assert np.allclose(t_b, qmat.partial_trace(qmat.swap_parties(DensityMatrix(3, 4, rho))), atol=1e-13)
     t_a = trace_out(rho, [3, 4], [0])
-    assert np.allclose(t_a, qmat.partial_trace(DensityMatrix(3, 4, rho), "A"), atol=1e-13)
+    assert np.allclose(t_a, qmat.partial_trace(DensityMatrix(3, 4, rho)), atol=1e-13)
 
 
 def test_trace_out_multipartite_consistency():

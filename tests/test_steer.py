@@ -662,6 +662,12 @@ def update_measurements_by_loops(effects, response):
     return np.array(new_settings)
 
 
+def tensor_measured_on(rho, side):
+    """rho's tensor with ``side`` first: side B is contracted as A of the swapped tensor."""
+    r = steer._tensor(rho)
+    return r if side == "A" else steer._swapped(r)
+
+
 @pytest.mark.parametrize("d_a, d_b, side", [(3, 3, "A"), (2, 3, "B"), (3, 2, "A"), (3, 2, "B")])
 def test_seesaw_kernels_match_loop_reference(d_a, d_b, side):
     # the see-saw's stacked contraction and measurement update against one call per effect
@@ -670,13 +676,13 @@ def test_seesaw_kernels_match_loop_reference(d_a, d_b, side):
     d = d_a if side == "A" else d_b
     other = "B" if side == "A" else "A"
     effects = np.array([random_projective(d, 2, rng).effects for _ in range(3)])
-    sigma = steer._contract(steer._tensor(rho), effects, side)
+    sigma = steer._contract(tensor_measured_on(rho, side), effects)
     want = [[[contract(rho, e, side) for e in setting] for setting in restart] for restart in effects]
     assert np.allclose(sigma, want, rtol=0, atol=1e-14)
     # duals F_{a|x} on the unmeasured side: any Hermitian operators
     g = rng.standard_normal(sigma.shape) + 1j * rng.standard_normal(sigma.shape)
     duals = g + g.conj().swapaxes(-1, -2)
-    response = steer._contract(steer._tensor(rho), duals, other)
+    response = steer._contract(tensor_measured_on(rho, other), duals)
     want = [[[contract(rho, f, other) for f in row] for row in restart] for restart in duals]
     assert np.allclose(response, want, rtol=0, atol=1e-14)
     got = steer._update_measurements(effects, response)
@@ -719,13 +725,16 @@ def test_bell_kernels_match_loop_reference(d_a, d_b, n_oa, n_ob):
     assert p.shape == (2, 3, n_oa, n_ob)
     assert np.allclose(p, correlation_by_loops(rho, meas_a, meas_b), rtol=0, atol=1e-14)
     coefficients = rng.standard_normal((2, 3, n_oa, n_ob))
-    for side, other_meas in (("A", meas_b), ("B", meas_a)):
+    for side, other_meas, table in (
+        ("A", meas_b, coefficients),
+        ("B", meas_a, coefficients.transpose(1, 0, 3, 2)),
+    ):
         want = bell_response_by_loops(rho, coefficients, other_meas, side)
-        got = steer._bell_response(steer._tensor(rho), coefficients, other_meas.effects, side)
+        got = steer._bell_response(tensor_measured_on(rho, side), table, other_meas.effects)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0, atol=1e-14)
     # sum_ax tr(M_{a|x} G_{a|x}) is the Bell value
-    response_a = steer._bell_response(steer._tensor(rho), coefficients, meas_b.effects, "A")
+    response_a = steer._bell_response(steer._tensor(rho), coefficients, meas_b.effects)
     value = sum(np.trace(meas_a.effects[x, a] @ response_a[x, a]).real for x in range(2) for a in range(n_oa))
     assert value == pytest.approx(bell_value(Correlation(p), coefficients), abs=1e-12)
 
