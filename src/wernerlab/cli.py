@@ -133,16 +133,22 @@ def sweep_chsh(args, task_seed):
 
 
 def sweep_sr(args, task_seed):
+    """The closed form where ``steer.sr_closed_form`` has one, with gap 0, and the see-saw otherwise;
+    every row checks the see-saw's arguments first, whichever way it is answered."""
     rows = []
     for i, v in enumerate(args.v_grid):
         seed = task_seed ^ i
         for filtered in (0, 1):
             rho = filterops.rotated_filtered_state(v) if filtered else states.werner(3, v)
-            res = steer.sr_state_lower_bound(
-                rho, args.n_settings, restarts=args.restarts, seed=seed, sdp_tol=args.sdp_tol,
-                max_rounds=args.max_rounds,
-            )
-            rows.append([float(v), args.n_settings, filtered, res.best, res.best_gap, args.restarts, seed])
+            steer.check_seesaw_args(rho, args.n_settings, args.restarts, args.sdp_tol, args.max_rounds)
+            value, gap = steer.sr_closed_form(rho, args.n_settings), 0.0
+            if value is None:
+                res = steer.sr_state_lower_bound(
+                    rho, args.n_settings, restarts=args.restarts, seed=seed, sdp_tol=args.sdp_tol,
+                    max_rounds=args.max_rounds,
+                )
+                value, gap = res.best, res.best_gap
+            rows.append([float(v), args.n_settings, filtered, value, gap, args.restarts, seed])
     return ["v", "n_s", "filtered", "SR", "gap", "restarts", "seed"], rows
 
 

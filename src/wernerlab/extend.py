@@ -32,7 +32,7 @@ so tr_others(Q^(T_S)) = (tr_others Q)^(T_(S & kept)), and only the four
 two-party transposes are ever built.
 
 A Werner input (dimA = dimB and rho equal to its U(x)U twirl alpha I + beta F
-to 1e-12 entrywise, :func:`werner_swap`) needs no program, whatever the flavor
+to 1e-12 entrywise, :func:`~wernerlab.states.twirl_class`) needs no program, whatever the flavor
 (Eggeling & Werner 2001; Doherty, Parrilo & Spedalieri 2004; Johnson & Viola
 2013).  Let D = d^2, s = tr(rho F) and J = sum_i F_{0i}, the swaps of party 0
 with each copy.  Every flavor's dual reads: maximize sum_i <Y_i, rho - I/D>
@@ -65,7 +65,7 @@ only that one, SE-B with W on the copies' symmetric subspace).
     (0,) at every k.
 
 :func:`werner_t_star` returns this exact rational with no solve and no
-dimension cap.  Other inputs solve the SDP, which :func:`build_program` refuses
+dimension cap.  Other inputs, isotropic ones included, solve the SDP, which :func:`build_program` refuses
 when prod(dims) > ``MAX_EXTENSION_DIM``; SQE needs k <= 4 on every input.
 """
 
@@ -79,7 +79,7 @@ import numpy as np
 
 from .qmat import DensityMatrix, partial_transpose_dims
 from .solver import Block, ConicProgram, solve, sp, vec_real, vec_real_map
-from .states import swap_operator
+from .states import WERNER, twirl_class
 
 MAX_EXTENSION_DIM = 243
 
@@ -328,24 +328,6 @@ def build_program(q: ExtensionQuery) -> ConicProgram:
     return _assemble(q, rows, [prod(q.dims)] * (1 + len(parts)))
 
 
-def werner_swap(rho: DensityMatrix) -> float | None:
-    """tr(rho F) when rho is a Werner operator, i.e. dimA = dimB and rho equals its U(x)U twirl
-    alpha I + beta F to 1e-12 entrywise; None otherwise.
-
-    The twirl keeps tr rho and tr(rho F), which fix alpha and beta."""
-    if rho.dimA != rho.dimB:
-        return None
-    d, dd = rho.dimA, rho.dim
-    swap = swap_operator(d)
-    tr_rho = np.trace(rho.mat).real
-    tr_swap = np.vdot(swap, rho.mat).real  # F is real symmetric, so this is tr(rho F)
-    alpha = (dd * tr_rho - d * tr_swap) / (dd * dd - dd)
-    beta = (dd * tr_swap - d * tr_rho) / (dd * dd - dd)
-    if np.abs(rho.mat - alpha * np.eye(dd) - beta * swap).max() > 1e-12:
-        return None
-    return float(tr_swap)
-
-
 def werner_t_star(d: int, k: int, flavor: str, swap: Fraction) -> Fraction:
     """Exact optimum t* = (s - 1/d)/(mu/k - 1/d) of ``flavor`` on a Werner input with
     s = tr(rho F) = ``swap``, where mu, the extreme eigenvalue of J = sum_i F_{0i} and of every
@@ -359,15 +341,15 @@ def werner_t_star(d: int, k: int, flavor: str, swap: Fraction) -> Fraction:
 
 def run_query(q: ExtensionQuery, tol: float = 1e-7, max_iter: int = 200000) -> ExtensionResult:
     """Optimal t* of the query: :func:`werner_t_star` with no program and no solve (status
-    OPTIMAL, gap 0, 0 iterations) on a Werner input, whatever the flavor, and otherwise the
-    optimum of its SDP.  t* <= 1 means the extension exists, and t*_SQE <= t*_SE <= t*_SE_B.
+    OPTIMAL, gap 0, 0 iterations) on an input that :func:`~wernerlab.states.twirl_class` reads as
+    Werner, whatever the flavor, and otherwise, isotropic inputs included, the optimum of its SDP.  t* <= 1 means the extension exists, and t*_SQE <= t*_SE <= t*_SE_B.
     Raises ValueError unless ``tol`` is finite and positive, as a solve does, whichever way t*
     is found."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
-    swap = werner_swap(q.rho)
-    if swap is not None:
-        t_star = float(werner_t_star(q.rho.dimA, q.k, q.flavor, Fraction(swap)))
+    twirl = twirl_class(q.rho)
+    if twirl is not None and twirl[0] == WERNER:
+        t_star = float(werner_t_star(q.rho.dimA, q.k, q.flavor, Fraction(twirl[1])))
         status, gap, iterations = "OPTIMAL", 0.0, 0
     else:
         sol = solve(build_program(q), tol=tol, max_iter=max_iter)

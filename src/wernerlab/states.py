@@ -127,6 +127,33 @@ def max_entangled_ket(d: int) -> np.ndarray:
     return psi
 
 
+WERNER = "werner"
+ISOTROPIC = "isotropic"
+
+
+def twirl_class(rho: DensityMatrix) -> tuple[str, float] | None:
+    """(WERNER, s = tr(rho F)) when dimA = dimB and rho equals its U(x)U twirl alpha I + beta F
+    to 1e-12 entrywise, else (ISOTROPIC, f = <Phi+|rho|Phi+>) when it equals its U(x)conj(U)
+    twirl alpha I + beta |Phi+><Phi+| to 1e-12; None otherwise.  I/D is both, and reads as Werner.
+
+    Each twirl keeps tr rho and tr(rho G), G = F or |Phi+><Phi+|, which fix alpha and beta
+    (Johnson & Viola 2013 treat both families)."""
+    if rho.dimA != rho.dimB:
+        return None
+    d, dd = rho.dimA, rho.dim
+    proj = np.zeros((dd, dd))  # |Phi+><Phi+|
+    proj[:: d + 1, :: d + 1] = 1.0 / d
+    tr_rho = np.trace(rho.mat).real
+    for kind, op, tr_op, tr_op2 in ((WERNER, swap_operator(d), d, dd), (ISOTROPIC, proj, 1, 1)):
+        overlap = np.vdot(op, rho.mat).real  # G is real symmetric, so this is tr(rho G)
+        det = dd * tr_op2 - tr_op * tr_op
+        alpha = (tr_op2 * tr_rho - tr_op * overlap) / det
+        beta = (dd * overlap - tr_op * tr_rho) / det
+        if np.abs(rho.mat - alpha * np.eye(dd) - beta * op).max() <= 1e-12:
+            return kind, float(overlap)
+    return None
+
+
 def haar_unitaries(normals: np.ndarray) -> np.ndarray:
     """Haar-random unitaries from an (..., 2, d, d) stack of standard normals, the real and
     imaginary parts of each complex Gaussian: one QR of the whole stack, with phase-fixed diagonals."""

@@ -20,19 +20,26 @@ A and c depend on the scenario alone, so each call holds one
 :class:`~wernerlab.solver.Family` of them, and each round stacks the right-hand
 sides of every restart still improving into one
 :meth:`~wernerlab.solver.Family.solve_many` call.
+
+Two kinds of input need no SDP (:func:`sr_closed_form`, which holds the
+proof): a Werner state that is n-extendible has SR 0 with n settings, and a
+two-qubit isotropic state has a closed-form SR with two or three mutually
+unbiased bases.  The steering-robustness SDP stays the reference for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
+from .extend import SE, werner_t_star
 from .qmat import DensityMatrix, dagger
 from .solver import Block, ConicProgram, Family, KronMap, mat_real, solve, sp, vec_real
-from .states import grid_best, grid_rows, haar_unitaries
+from .states import WERNER, grid_best, grid_rows, haar_unitaries, twirl_class
 
 MAX_LAMBDA = 4096
 
@@ -210,6 +217,11 @@ class SRResult:
         self.duals = np.asarray(self.duals, dtype=complex)
 
 
+def _check_lambda_budget(n_s: int, n_o: int) -> None:
+    if n_o**n_s > MAX_LAMBDA:
+        raise ValueError(f"lambda space {n_o}^{n_s} exceeds {MAX_LAMBDA}")
+
+
 @lru_cache(maxsize=16)
 def _sr_program(n_s: int, n_o: int, d: int) -> tuple[tuple[Block, ...], np.ndarray, KronMap]:
     """Blocks, c and A of the steering-robustness SDP, which depend on the scenario alone.
@@ -217,8 +229,7 @@ def _sr_program(n_s: int, n_o: int, d: int) -> tuple[tuple[Block, ...], np.ndarr
     The variable is the n_lambda blocks sigma_lambda, then one slack per (x, a), each the
     vec_real of a d x d matrix, and A = kron([H, -I], I_{d^2}) for the response table H.
     Cached, so its arrays are read-only; each solve supplies only b."""
-    if n_o**n_s > MAX_LAMBDA:
-        raise ValueError(f"lambda space {n_o}^{n_s} exceeds {MAX_LAMBDA}")
+    _check_lambda_budget(n_s, n_o)
     h = _response_table(n_s, n_o)
     n_lam, n_rows = h.shape[1], n_s * n_o  # one PSD slack per (x, a)
     a_map = KronMap(np.hstack([h, -np.eye(n_rows)]), d * d)
@@ -296,6 +307,61 @@ class SRLowerBound:
     best_gap: float = 0.0
 
 
+def check_seesaw_args(rho: DensityMatrix, n_settings: int, restarts: int, sdp_tol: float, max_rounds: int) -> None:
+    """Raise ValueError, in this order, when ``n_settings`` is below 1, ``max_rounds`` below 0,
+    the lambda space dimA^n_settings larger than ``MAX_LAMBDA``, ``restarts`` below 1 or
+    ``sdp_tol`` not finite and positive: each argument check of :func:`sr_state_lower_bound`."""
+    if n_settings < 1:
+        raise ValueError(f"n_settings must be at least 1, got {n_settings}")
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be at least 0, got {max_rounds}")
+    _check_lambda_budget(n_settings, rho.dimA)
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if not (np.isfinite(sdp_tol) and sdp_tol > 0):
+        raise ValueError("tol must be finite and positive")
+
+
+def sr_closed_form(rho: DensityMatrix, n_settings: int) -> float | None:
+    """The steering robustness of rho with ``n_settings`` measurements of A where a closed form
+    gives it, else None: on the two classes of :func:`~wernerlab.states.twirl_class` below, and
+    for an input within 1e-12 of its twirl, the twirl's value.  Each case has a primal point
+    sigma_lambda and a dual point F_{a|x} (the SDP's dual: F_{a|x} >= 0 and
+    sum_x F_{lambda_x|x} <= I for every lambda, of value sum tr(F_{a|x} sigma_{a|x}) - 1) of equal value.
+
+    * Werner, with t*_SE(d, n, s) <= 1 (:func:`~wernerlab.extend.werner_t_star`): 0, for every
+      choice of n measurements.  rho then has an n-copy symmetric extension X on A, since rho
+      commutes with the swap and B's copies serve as A's.  The primal point
+      sigma_lambda = tr_{A_1..A_n}[(M_{lambda_1|1} (x) ... (x) M_{lambda_n|n} (x) I) X] is PSD and
+      sums over lambda_x = a to sigma_{a|x}, with total trace 1 (Terhal, Doherty & Schwab 2003);
+      the dual point F_{a|x} = I/n has value 0.
+    * Two-qubit isotropic, f = <Phi+|rho|Phi+>, with n = 2 or 3: (sqrt(n) w - 1)^+/(sqrt(n) + 1),
+      w = (4f - 1)/3, the exact SR of n mutually unbiased bases (:func:`mub_qubit_measurements`),
+      and so a lower bound on the state's.  They leave sigma_{a|x} = (I + (-1)^a w n_x.sigma)/4,
+      with orthonormal Bloch vectors n_x (Z, X and -Y: tr_A[(M (x) I) Phi+] = M^T/2), and
+      m_lambda = sum_x (-1)^lambda_x n_x / sqrt(n) is a unit vector.  When sqrt(n) w >= 1, take
+      beta = sqrt(n)(1 + w)/(sqrt(n) + 1):
+      - primal: sigma_lambda = (beta/2^n)(I + m_lambda.sigma)/2 sums over lambda_x = a to
+        (beta/4)(I + (-1)^a n_x.sigma/sqrt(n)) >= sigma_{a|x}, with total trace beta;
+      - dual: F_{a|x} = (I + (-1)^a n_x.sigma)/(n + sqrt(n)) gives
+        sum_x F_{lambda_x|x} = (n I + sqrt(n) m_lambda.sigma)/(n + sqrt(n)) <= I, of value beta - 1.
+      When sqrt(n) w < 1, sigma_lambda = 2^-n (I + sqrt(n) w m_lambda.sigma)/2 sums to
+      sigma_{a|x} exactly, and F_{a|x} = I/n has value 0.  Any n orthonormal Bloch directions give
+      the same value, as rho is U (x) conj(U) invariant.
+
+    Other inputs, and other n, return None."""
+    twirl = twirl_class(rho)
+    if twirl is None:
+        return None
+    kind, overlap = twirl
+    if kind == WERNER:
+        return 0.0 if werner_t_star(rho.dimA, n_settings, SE, Fraction(overlap)) <= 1 else None
+    if rho.dimA != 2 or n_settings not in (2, 3):
+        return None
+    root, w = np.sqrt(n_settings), (4 * overlap - 1) / 3
+    return float(max(root * w - 1, 0.0) / (root + 1))
+
+
 def sr_state_lower_bound(
     rho: DensityMatrix,
     n_settings: int,
@@ -311,14 +377,11 @@ def sr_state_lower_bound(
     the module docstring describes the lockstep.  Only SDP solves that ended OPTIMAL count,
     and a round counts only when it improves the value by more than 1e-7: a restart keeps
     the value, the measurements and the solution of its last accepted round together.
-    Raises ValueError as :func:`~wernerlab.states.grid_rows` does, and on ``max_rounds`` below 0.
+    Raises ValueError as :func:`check_seesaw_args` does, before any draw or solve.
     """
-    if n_settings < 1:
-        raise ValueError(f"n_settings must be at least 1, got {n_settings}")
-    if max_rounds < 0:
-        raise ValueError(f"max_rounds must be at least 0, got {max_rounds}")
+    check_seesaw_args(rho, n_settings, restarts, sdp_tol, max_rounds)
     shape = (n_settings, rho.dimA, rho.dimB)
-    family = Family(*_sr_program(*shape))  # checks the lambda budget before any draw
+    family = Family(*_sr_program(*shape))
     _, state, (u,) = grid_rows([rho], [seed], restarts, _tensor, [(n_settings, 0)])
 
     def solve_round(rows, effects):

@@ -114,10 +114,9 @@ FRAMES = {"qutrit9": qutrit_bases, "qubit6": qubit_bases}
 
 
 def frame_for(name: str) -> TomoFrame:
-    try:
-        return FRAMES[name]()
-    except KeyError:
-        raise ValueError(f"unknown tomography frame {name!r}") from None
+    if not isinstance(name, str) or name not in FRAMES:  # a list is unhashable, so test the type first
+        raise ValueError(f"unknown tomography frame {name!r}")
+    return FRAMES[name]()
 
 
 def frame_rank(frame: TomoFrame) -> int:
@@ -146,6 +145,8 @@ class CountsRecord:
         for name, value, low in (("shots", self.shots, 1), ("seed", self.seed, 0)):
             if type(value) is not int or value < low:  # bool excluded; the sidecar writes Python ints
                 raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+        if not isinstance(self.state_tag, str):
+            raise ValueError(f"state_tag must be a string, got {self.state_tag!r}")
         object.__setattr__(self, "counts", arr.astype(np.int64))
 
     @property

@@ -85,7 +85,7 @@ def test_sweep_ppt_matches_closed_form(tmp_path):
     "task, options",
     [
         ("ppt", []),
-        ("sr", ["--restarts", "3", "--max-rounds", "5"]),
+        ("sr", ["--restarts", "3", "--max-rounds", "5", "--n-settings", "3"]),  # the v = 0 Werner row solves
         ("ppt", ["--noisy", "--v-grid", "0,0.2"]),
     ],
     ids=["ppt", "sr", "ppt-noisy"],
@@ -183,9 +183,29 @@ def test_sweep_sr_solves_at_the_given_tolerance(tmp_path, monkeypatch, sdp_tol):
     tols = []
     solve_many = solver.Family.solve_many
     monkeypatch.setattr(solver.Family, "solve_many", lambda self, b, tol: tols.append(tol) or solve_many(self, b, tol))
-    argv = ["sweep", "--task", "sr", "--v-grid", "0.1", "--restarts", "1", "--max-rounds", "2"]
+    # with three settings the Werner row at v = 0.1 < 1/6 has no closed form, so the see-saw solves it
+    argv = ["sweep", "--task", "sr", "--v-grid", "0.1", "--restarts", "1", "--max-rounds", "2", "--n-settings", "3"]
     assert main([*argv, "--sdp-tol", str(sdp_tol), "--out", str(tmp_path)]) == 0
     assert tols and set(tols) == {sdp_tol}
+
+
+def test_sweep_sr_checks_sdp_tol_without_a_solve(tmp_path, capsys, monkeypatch):
+    # both rows of the default two settings take the closed form, which solves nothing
+    monkeypatch.setattr(solver.Family, "solve_many", lambda *args, **kwargs: pytest.fail("solved"))
+    out = tmp_path / "run"
+    assert main(["sweep", "--task", "sr", "--sdp-tol", "0", "--v-grid", "0.1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: tol must be finite and positive\n"
+    assert not out.exists()
+
+
+def test_sweep_sr_answers_ideal_rows_in_closed_form(tmp_path, monkeypatch):
+    # the unfiltered Werner rows are 2-extendible and the filtered rows isotropic: no row solves
+    monkeypatch.setattr(solver.Family, "solve_many", lambda *args, **kwargs: pytest.fail("solved"))
+    assert main(["sweep", "--task", "sr", "--v-grid", "0,0.1", "--restarts", "1", "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "sr_d3.csv")
+    assert [row[2:5] for row in rows] == [
+        ["0", "0", "0"], ["1", "0.171572875254", "0"], ["0", "0", "0"], ["1", "0.059994506182", "0"]
+    ]
 
 
 @pytest.mark.parametrize("task", ["sr", "chsh", "tomo", "dc"])

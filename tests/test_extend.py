@@ -26,7 +26,8 @@ from wernerlab.extend import (
     werner_t_star,
     young_orthogonal_form,
 )
-from wernerlab.qmat import DensityMatrix, partial_transpose_dims, swap_parties
+from wernerlab.filterops import rotated_filtered_state
+from wernerlab.qmat import PAULI_Y, DensityMatrix, kron, partial_transpose_dims, swap_parties
 from wernerlab.solver import Block, ConicProgram, mat_real, presolve, solve, vec_real, vec_real_map
 from wernerlab.states import (
     NoiseSpec,
@@ -557,6 +558,18 @@ def test_werner_inputs_call_no_solver(flavor, monkeypatch):
         assert len(built) == len(solved) == 1 and built[0] is q
         assert any(bl.kind == "psd" for bl in solved[0].blocks)
         assert res.iterations > 0
+
+
+@pytest.mark.parametrize("v", [0.0, 0.1, 0.3])
+def test_isotropic_inputs_solve_their_program(v, monkeypatch):
+    # I (x) sigma_y maps the isotropic filtered state onto a Werner state with the same t*,
+    # since sigma_y conj(U) sigma_y = U on SU(2); the query still solves its SDP
+    rho = rotated_filtered_state(v)
+    flip = kron(np.eye(2), PAULI_Y)
+    swap = np.trace(flip @ rho.mat @ flip @ swap_operator(2)).real
+    built, solved, res = solver_calls(ExtensionQuery(rho, 2, SE), monkeypatch)
+    assert len(built) == len(solved) == 1 and res.iterations > 0
+    assert res.t_star == pytest.approx(float(werner_t_star(2, 2, SE, Fraction(swap))), abs=1e-6)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -54,8 +54,8 @@ def _raising_calls():
     qubits = steer.mub_qubit_measurements(2)
     counts = tomo.counts_to_csv(tomo.expected_counts_record(werner(3, 0.0), 100))
 
-    def sidecar(n, seed):
-        return json.dumps({"N": n, "seed": seed, "frame": "qutrit9"})
+    def sidecar(n, seed, **extra):
+        return json.dumps({"N": n, "seed": seed, "frame": "qutrit9", **extra})
 
     return {
         "gurvits_ball": (lambda: certify.gurvits_ball(rect), "equal local dimensions"),
@@ -104,6 +104,12 @@ def _raising_calls():
         "counts_from_csv-N-bool": (lambda: tomo.counts_from_csv(counts, sidecar(True, 0)), "shots must be an integer"),
         "counts_from_csv-seed-fraction": (
             lambda: tomo.counts_from_csv(counts, sidecar(100, 0.5)), "seed must be an integer of at least 0, got 0.5"
+        ),
+        "counts_from_csv-frame-list": (
+            lambda: tomo.counts_from_csv(counts, sidecar(100, 0, frame=[])), r"unknown tomography frame \[\]"
+        ),
+        "counts_from_csv-state_tag-list": (
+            lambda: tomo.counts_from_csv(counts, sidecar(100, 0, state_tag=[1])), r"state_tag must be a string, got \[1\]"
         ),
         "Block": (lambda: Block("free", 0), "block size must be positive"),
         "ConicProgram": (

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from wernerlab import serialize, states
+from wernerlab.filterops import rotated_filtered_state
 from wernerlab.qmat import DensityMatrix, kron, uhlmann_fidelity
 from wernerlab.states import (
+    ISOTROPIC,
+    WERNER,
     NoiseSpec,
     WernerParams,
     grid_rows,
@@ -14,6 +17,7 @@ from wernerlab.states import (
     noisy_surrogate,
     qubit_block,
     swap_operator,
+    twirl_class,
     werner,
     werner_all_v,
     werner_from_qubit_mixture,
@@ -103,6 +107,51 @@ def test_twirl_invariance():
             u = haar_unitary(d, rng)
             uu = kron(u, u)
             assert np.linalg.norm(uu @ w @ uu.conj().T - w) <= 1e-9
+
+
+def isotropic(d, f):
+    """f |Phi+><Phi+| + (1 - f) (I - |Phi+><Phi+|)/(D - 1), whose overlap with Phi+ is f."""
+    phi = max_entangled_ket(d)
+    proj = np.outer(phi, phi.conj())
+    return DensityMatrix(d, d, f * proj + (1 - f) * (np.eye(d * d) - proj) / (d * d - 1))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_twirl_class_survives_its_twirl(d):
+    rng = np.random.default_rng(5)
+    for kind, rho, value in (
+        (WERNER, werner(d, 0.3), np.trace(werner(d, 0.3).mat @ swap_operator(d)).real),
+        (ISOTROPIC, isotropic(d, 0.7), 0.7),
+        (ISOTROPIC, isotropic(d, 0.0), 0.0),
+    ):
+        for _ in range(5):
+            u = haar_unitary(d, rng)
+            uu = kron(u, u if kind == WERNER else u.conj())
+            got = twirl_class(DensityMatrix(d, d, uu @ rho.mat @ uu.conj().T))
+            assert got[0] == kind
+            assert got[1] == pytest.approx(value, abs=1e-12)
+
+
+def test_twirl_class_reads_each_family():
+    assert twirl_class(werner(3, 0.1)) == (WERNER, pytest.approx(2 * 0.1 - 1, abs=1e-15))
+    for v in (0.0, 0.1, 0.3):
+        # <Phi+|rho|Phi+> = 4(1 - v)/(4 + 2v)
+        assert twirl_class(rotated_filtered_state(v)) == (ISOTROPIC, pytest.approx(4 * (1 - v) / (4 + 2 * v), abs=1e-15))
+    assert twirl_class(DensityMatrix(3, 3, np.eye(9) / 9)) == (WERNER, pytest.approx(1 / 3, abs=1e-15))  # both, read as Werner
+    # depolarizing alone keeps the twirl form
+    assert twirl_class(noisy_surrogate(werner(3, 0.2), NoiseSpec(depol=0.1)))[0] == WERNER
+
+
+def test_twirl_class_is_none_off_both_families():
+    rng = np.random.default_rng(9)
+    for d_a, d_b in ((2, 2), (3, 3), (2, 3)):
+        g = rng.standard_normal((d_a * d_b,) * 2) + 1j * rng.standard_normal((d_a * d_b,) * 2)
+        m = g @ g.conj().T
+        assert twirl_class(DensityMatrix(d_a, d_b, m / np.trace(m))) is None
+    assert twirl_class(DensityMatrix(2, 3, np.eye(6) / 6)) is None  # twirl-invariant, not square
+    for rho in (werner(3, 0.1), werner(2, 0.4), rotated_filtered_state(0.1), isotropic(3, 0.6)):
+        assert twirl_class(noisy_surrogate(rho, SURROGATE_SPEC)) is None
+        assert twirl_class(noisy_surrogate(rho, states.experiment_like_noise(0.1))) is None
 
 
 def test_swap_invariance_and_weight_recovery():

@@ -25,6 +25,7 @@ from wernerlab.steer import (
     random_projective,
     seesaw_bell,
     seesaw_bell_many,
+    sr_closed_form,
     sr_solve,
     sr_state_lower_bound,
     steering_robustness,
@@ -227,6 +228,51 @@ def test_sr_state_lower_bound_rejects_negative_rounds_before_any_draw_or_solve(m
 def test_sr_lambda_budget():
     with pytest.raises(ValueError, match="lambda space"):
         sr_state_lower_bound(werner(3, 0.1), 8, restarts=1, seed=0)
+
+
+V_GRID = [round(0.05 * i, 2) for i in range(7)]  # 0:0.05:0.3
+
+
+@pytest.mark.parametrize("n_s", [2, 3])
+@pytest.mark.parametrize("v", V_GRID)
+def test_sr_closed_form_is_the_mub_sdp_optimum(n_s, v):
+    rho = rotated_filtered_state(v)
+    exact = sr_closed_form(rho, n_s)
+    res = sr_solve(assemblage_from(rho, mub_qubit_measurements(n_s)), tol=1e-10)
+    assert res.status == "OPTIMAL"
+    assert exact == pytest.approx(res.value, abs=1e-9)
+
+
+def test_sr_closed_form_keeps_the_singlet_pin():
+    assert sr_closed_form(rotated_filtered_state(0.0), 2) == pytest.approx(SINGLET_2MUB_SR, rel=0, abs=1e-12)
+    assert sr_closed_form(rotated_filtered_state(0.0), 3) == pytest.approx(2 - np.sqrt(3), rel=0, abs=1e-12)
+
+
+def test_sr_closed_form_answers_only_its_two_cases():
+    assert sr_closed_form(werner(3, 0.1), 2) == 0.0  # t*_SE(3, 2) = 1 - 3v/2 <= 1 for every v
+    assert sr_closed_form(werner(3, 0.2), 3) == 0.0  # t*_SE(3, 3) = 4/3 - 2v <= 1 from v = 1/6
+    assert sr_closed_form(werner(3, 0.1), 3) is None
+    assert sr_closed_form(rotated_filtered_state(0.1), 4) is None  # no closed form past three MUBs
+    assert sr_closed_form(noisy_surrogate(rotated_filtered_state(0.1), NoiseSpec(0.05, 0.02, 3)), 2) is None
+    phi = states.max_entangled_ket(3)
+    iso3 = DensityMatrix(3, 3, 0.8 * np.outer(phi, phi.conj()) + 0.2 * np.eye(9) / 9)
+    assert sr_closed_form(iso3, 2) is None  # isotropic, but not two qubits
+
+
+@pytest.mark.parametrize("v", [0.0, 0.1, 0.2])
+@pytest.mark.parametrize("n_s", [2, 3])
+def test_see_saw_stays_below_the_filtered_closed_form(v, n_s):
+    rho = rotated_filtered_state(v)
+    res = sr_state_lower_bound(rho, n_s, restarts=3, seed=11, max_rounds=30)
+    assert res.best <= sr_closed_form(rho, n_s) + 1e-7
+
+
+@pytest.mark.parametrize("n_s, v", [(2, 0.0), (2, 0.1), (2, 0.3), (3, 0.2), (3, 0.3)])
+def test_see_saw_finds_nothing_where_the_werner_closed_form_is_zero(n_s, v):
+    rho = werner(3, v)
+    assert sr_closed_form(rho, n_s) == 0.0
+    res = sr_state_lower_bound(rho, n_s, restarts=3, seed=5, max_rounds=30)
+    assert res.best <= 2e-6
 
 
 def test_correlation_validation_and_singlet_chsh_angles():
