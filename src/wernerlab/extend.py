@@ -65,8 +65,9 @@ only that one, SE-B with W on the copies' symmetric subspace).
     (0,) at every k.
 
 :func:`werner_t_star` returns this exact rational with no solve and no
-dimension cap.  Other inputs, isotropic ones included, solve the SDP, which :func:`build_program` refuses
-when prod(dims) > ``MAX_EXTENSION_DIM``; SQE needs k <= 4 on every input.
+dimension cap.  Other inputs, isotropic ones included, solve the SDP, which
+:func:`build_program` refuses when prod(dims) > ``MAX_EXTENSION_DIM``; SQE
+needs k <= 4 on every input.
 """
 
 from __future__ import annotations
@@ -342,7 +343,8 @@ def werner_t_star(d: int, k: int, flavor: str, swap: Fraction) -> Fraction:
 def run_query(q: ExtensionQuery, tol: float = 1e-7, max_iter: int = 200000) -> ExtensionResult:
     """Optimal t* of the query: :func:`werner_t_star` with no program and no solve (status
     OPTIMAL, gap 0, 0 iterations) on an input that :func:`~wernerlab.states.twirl_class` reads as
-    Werner, whatever the flavor, and otherwise, isotropic inputs included, the optimum of its SDP.  t* <= 1 means the extension exists, and t*_SQE <= t*_SE <= t*_SE_B.
+    Werner, whatever the flavor, and otherwise, isotropic inputs included, the optimum of its
+    SDP.  t* <= 1 means the extension exists, and t*_SQE <= t*_SE <= t*_SE_B.
     Raises ValueError unless ``tol`` is finite and positive, as a solve does, whichever way t*
     is found."""
     if not (np.isfinite(tol) and tol > 0):
