@@ -86,9 +86,14 @@ def _state_for(d, v, noisy, seed):
     return states.noisy_surrogate(ideal, states.experiment_like_noise(v, seed=seed))
 
 
+def _grid_seeds(task_seed, grid):
+    """The seed of each grid point: the i-th is seeded by ``task_seed ^ i``."""
+    return [task_seed ^ i for i in range(len(grid))]
+
+
 def _grid_states(args, task_seed):
-    """The seed and the state of each grid point: the i-th v is seeded by ``task_seed ^ i``."""
-    seeds = [task_seed ^ i for i in range(len(args.v_grid))]
+    """The seed and the state of each v of the grid."""
+    seeds = _grid_seeds(task_seed, args.v_grid)
     return seeds, [_state_for(args.d, v, args.noisy, seed) for v, seed in zip(args.v_grid, seeds)]
 
 
@@ -122,7 +127,7 @@ def sweep_fef(args, task_seed):
 
 
 def sweep_chsh(args, task_seed):
-    seeds = [task_seed ^ i for i in range(len(args.v_grid))]
+    seeds = _grid_seeds(task_seed, args.v_grid)
     rhos = [filterops.rotated_filtered_state(v) for v in args.v_grid]
     found = steer.seesaw_bell_many(rhos, steer.chsh_coefficients(), seeds, restarts=args.restarts)
     rows = [
@@ -136,8 +141,7 @@ def sweep_sr(args, task_seed):
     """The closed form where ``steer.sr_closed_form`` has one, with gap 0, and the see-saw otherwise;
     every row checks the see-saw's arguments first, whichever way it is answered."""
     rows = []
-    for i, v in enumerate(args.v_grid):
-        seed = task_seed ^ i
+    for v, seed in zip(args.v_grid, _grid_seeds(task_seed, args.v_grid)):
         for filtered in (0, 1):
             rho = filterops.rotated_filtered_state(v) if filtered else states.werner(3, v)
             steer.check_seesaw_args(rho, args.n_settings, args.restarts, args.sdp_tol, args.max_rounds)
@@ -153,9 +157,8 @@ def sweep_sr(args, task_seed):
 
 
 def sweep_dc(args, task_seed):
-    rows = []
-    for i, d in enumerate(args.d_grid):
-        rows.append([int(d), task_seed ^ i, certify.dc_threshold(int(d), tol=1e-7)])
+    seeds = _grid_seeds(task_seed, args.d_grid)
+    rows = [[int(d), seed, certify.dc_threshold(int(d), tol=1e-7)] for d, seed in zip(args.d_grid, seeds)]
     return ["d", "seed", "v_dc"], rows
 
 
@@ -307,8 +310,25 @@ def _cert_entry(cert: certify.Certificate, std: float | None = None) -> dict:
     return entry
 
 
-def _mle_entry(history: tomo.LikelihoodTrace) -> dict:
-    return {"gap_nats": history.gap, "steps": len(history) - 1, "capped": history.capped}
+def _certify_measured(rho, args, seeds, headline, check, **tag) -> tuple[qmat.DensityMatrix, dict]:
+    """Measure rho with ``args.shots`` shots, reconstruct it, and certify the reconstruction: ``check`` is
+    the ``headline`` certificate, which alone carries a bootstrap std.  ``seeds`` seed the counts, the
+    bootstrap and the steering see-saw; ``tag`` goes to ``simulate_counts``.  Returns the
+    reconstruction and its half of the report: ``mle``, ``certificates`` and ``steering_robustness``."""
+    counts_seed, boot_seed, sr_seed = seeds
+    counts = tomo.simulate_counts(rho, args.shots, counts_seed, **tag)
+    recon, history = tomo.mle_reconstruct_with_history(counts, max_iter=3000)
+    _, std = tomo.bootstrap_error(counts, lambda r: check(r).value, n_boot=args.bootstrap, seed=boot_seed)
+    sr = steer.sr_state_lower_bound(recon, args.n_settings, restarts=args.sr_restarts, seed=sr_seed)
+    return recon, {
+        "mle": {"gap_nats": history.gap, "steps": len(history) - 1, "capped": history.capped},
+        "certificates": {
+            headline: _cert_entry(check(recon), std),
+            "dense_coding": _cert_entry(certify.dense_coding_delta(recon)),
+            "gurvits_ball": _cert_entry(certify.gurvits_ball(recon)),
+        },
+        "steering_robustness": sr.best,
+    }
 
 
 def run_pipeline(args) -> int:
@@ -319,40 +339,24 @@ def run_pipeline(args) -> int:
     ideal = states.werner(3, v)
     surrogate = states.noisy_surrogate(ideal, spec)
 
-    counts = tomo.simulate_counts(surrogate, args.shots, seed ^ 1, state_tag=f"w3v{v}")
-    recon, history = tomo.mle_reconstruct_with_history(counts, max_iter=3000)
-
-    ppt = certify.ppt_min_eig(recon)
-    _, ppt_std = tomo.bootstrap_error(
-        counts, lambda rho: certify.ppt_min_eig(rho).value, n_boot=args.bootstrap, seed=seed ^ 2
+    recon, unfiltered = _certify_measured(
+        surrogate, args, (seed ^ 1, seed ^ 2, seed ^ 5), "ppt", certify.ppt_min_eig, state_tag=f"w3v{v}"
     )
-    distill = certify.one_distillable(recon, restarts=args.restarts, seed=seed ^ 3)
-    fef_cert = certify.fef(recon, restarts=max(args.restarts // 2, 4), seed=seed ^ 4)
-    dc_before = certify.dense_coding_delta(recon)
-    gurvits_before = certify.gurvits_ball(recon)
-    sr_before = steer.sr_state_lower_bound(
-        recon, args.n_settings, restarts=args.sr_restarts, seed=seed ^ 5
-    ).best
+    unfiltered["fidelity_vs_ideal"] = qmat.uhlmann_fidelity(recon, ideal)
+    certs = unfiltered["certificates"]
+    certs["one_distillable"] = _cert_entry(certify.one_distillable(recon, restarts=args.restarts, seed=seed ^ 3))
+    certs["fef"] = _cert_entry(certify.fef(recon, restarts=max(args.restarts // 2, 4), seed=seed ^ 4))
 
     # single-copy filtering of the reconstructed state, then qubit rotations
     pi = filterops.qubit_projection(3, (1, 2))
     filtered_raw, success_prob = filterops.apply_filter(recon, pi, pi)
     rot = qmat.kron(qmat.PAULI_X, qmat.PAULI_Z)
-    filtered = qmat.as_state(rot @ filtered_raw.mat @ rot.conj().T, 2, 2)
-    target_f = filterops.rotated_filtered_state(v)
-
-    counts_f = tomo.simulate_counts(filtered, args.shots, seed ^ 6, frame=tomo.qubit_bases())
-    recon_f, history_f = tomo.mle_reconstruct_with_history(counts_f, max_iter=3000)
-    chsh = certify.chsh_horodecki(recon_f)
-    _, chsh_std = tomo.bootstrap_error(
-        counts_f, lambda rho: certify.chsh_horodecki(rho).value, n_boot=args.bootstrap, seed=seed ^ 7
+    filtered_state = qmat.as_state(rot @ filtered_raw.mat @ rot.conj().T, 2, 2)
+    recon_f, filtered = _certify_measured(
+        filtered_state, args, (seed ^ 6, seed ^ 7, seed ^ 8), "chsh", certify.chsh_horodecki
     )
-    f2 = certify.fef2_exact(recon_f)
-    dc_after = certify.dense_coding_delta(recon_f)
-    gurvits_after = certify.gurvits_ball(recon_f)
-    sr_after = steer.sr_state_lower_bound(
-        recon_f, args.n_settings, restarts=args.sr_restarts, seed=seed ^ 8
-    ).best
+    filtered["fidelity_vs_target"] = qmat.uhlmann_fidelity(recon_f, filterops.rotated_filtered_state(v))
+    filtered["fef2_exact"] = certify.fef2_exact(recon_f)
 
     report = {
         "schema_version": 1,
@@ -365,30 +369,9 @@ def run_pipeline(args) -> int:
             "derived_seed": seed,
             "n_settings": args.n_settings,
         },
-        "unfiltered": {
-            "fidelity_vs_ideal": qmat.uhlmann_fidelity(recon, ideal),
-            "mle": _mle_entry(history),
-            "certificates": {
-                "ppt": _cert_entry(ppt, ppt_std),
-                "one_distillable": _cert_entry(distill),
-                "fef": _cert_entry(fef_cert),
-                "dense_coding": _cert_entry(dc_before),
-                "gurvits_ball": _cert_entry(gurvits_before),
-            },
-            "steering_robustness": sr_before,
-        },
+        "unfiltered": unfiltered,
         "filter": {"success_prob": success_prob, "kept_levels": [1, 2]},
-        "filtered": {
-            "fidelity_vs_target": qmat.uhlmann_fidelity(recon_f, target_f),
-            "mle": _mle_entry(history_f),
-            "certificates": {
-                "chsh": _cert_entry(chsh, chsh_std),
-                "dense_coding": _cert_entry(dc_after),
-                "gurvits_ball": _cert_entry(gurvits_after),
-            },
-            "fef2_exact": f2,
-            "steering_robustness": sr_after,
-        },
+        "filtered": filtered,
         "wall_time_s": time.perf_counter() - t_start,
     }
     text = json.dumps(report, indent=2, sort_keys=True)

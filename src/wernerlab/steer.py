@@ -307,12 +307,16 @@ class SRLowerBound:
     best_gap: float = 0.0
 
 
+def _check_n_settings(n_settings: int) -> None:
+    if n_settings < 1:
+        raise ValueError(f"n_settings must be at least 1, got {n_settings}")
+
+
 def check_seesaw_args(rho: DensityMatrix, n_settings: int, restarts: int, sdp_tol: float, max_rounds: int) -> None:
     """Raise ValueError, in this order, when ``n_settings`` is below 1, ``max_rounds`` below 0,
     the lambda space dimA^n_settings larger than ``MAX_LAMBDA``, ``restarts`` below 1 or
     ``sdp_tol`` not finite and positive: each argument check of :func:`sr_state_lower_bound`."""
-    if n_settings < 1:
-        raise ValueError(f"n_settings must be at least 1, got {n_settings}")
+    _check_n_settings(n_settings)
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be at least 0, got {max_rounds}")
     _check_lambda_budget(n_settings, rho.dimA)
@@ -349,7 +353,8 @@ def sr_closed_form(rho: DensityMatrix, n_settings: int) -> float | None:
       sigma_{a|x} exactly, and F_{a|x} = I/n has value 0.  Any n orthonormal Bloch directions give
       the same value, as rho is U (x) conj(U) invariant.
 
-    Other inputs, and other n, return None."""
+    Other inputs, and other n, return None; n below 1 raises ValueError, whatever the input."""
+    _check_n_settings(n_settings)
     twirl = twirl_class(rho)
     if twirl is None:
         return None

@@ -652,6 +652,85 @@ def test_pipeline_report_and_verdicts(tmp_path):
     assert 0 < report["filter"]["success_prob"] <= 1
 
 
+def test_pipeline_report_follows_its_recipe(tmp_path):
+    """Every value of a small pipeline report (wall_time_s excepted), rebuilt by calling the library in
+    the recipe's order with the seeds derived from the global seed: this checks the seed schedule and
+    the report's shape without pinning a float that may differ on another CPU."""
+    from wernerlab import filterops, qmat, states
+
+    report_file = tmp_path / "r.json"
+    flags = ["--v", "0.1", "--shots", "20000", "--restarts", "4", "--sr-restarts", "2", "--bootstrap", "10"]
+    assert main(["pipeline", *flags, "--seed", "1", "--out", str(report_file)]) == 0
+    report = json.loads(report_file.read_text())
+    del report["wall_time_s"]
+
+    def entry(cert, std=None):
+        fields = {"value": cert.value, "threshold": cert.threshold, "verdict": cert.verdict}
+        return fields if std is None else {**fields, "std": std}
+
+    def mle(history):
+        return {"gap_nats": history.gap, "steps": len(history) - 1, "capped": history.capped}
+
+    v, shots, n_s = 0.1, 20000, 2
+    seed = derive_seed(1, f"pipeline:{v}")
+    ideal = werner(3, v)
+    surrogate = states.noisy_surrogate(ideal, states.NoiseSpec(depol=0.05, coherent_eps=0.03, seed=seed))
+    counts = tomo.simulate_counts(surrogate, shots, seed ^ 1, state_tag=f"w3v{v}")
+    recon, history = tomo.mle_reconstruct_with_history(counts, max_iter=3000)
+    ppt = certify.ppt_min_eig(recon)
+    _, ppt_std = tomo.bootstrap_error(counts, lambda rho: certify.ppt_min_eig(rho).value, n_boot=10, seed=seed ^ 2)
+    distill = certify.one_distillable(recon, restarts=4, seed=seed ^ 3)
+    fef = certify.fef(recon, restarts=4, seed=seed ^ 4)
+    dc, gurvits = certify.dense_coding_delta(recon), certify.gurvits_ball(recon)
+    sr = steer.sr_state_lower_bound(recon, n_s, restarts=2, seed=seed ^ 5).best
+
+    pi = filterops.qubit_projection(3, (1, 2))
+    filtered_raw, success_prob = filterops.apply_filter(recon, pi, pi)
+    rot = qmat.kron(qmat.PAULI_X, qmat.PAULI_Z)
+    filtered = qmat.as_state(rot @ filtered_raw.mat @ rot.conj().T, 2, 2)
+    counts_f = tomo.simulate_counts(filtered, shots, seed ^ 6, frame=tomo.qubit_bases())
+    recon_f, history_f = tomo.mle_reconstruct_with_history(counts_f, max_iter=3000)
+    chsh = certify.chsh_horodecki(recon_f)
+    _, chsh_std = tomo.bootstrap_error(
+        counts_f, lambda rho: certify.chsh_horodecki(rho).value, n_boot=10, seed=seed ^ 7
+    )
+    f2 = certify.fef2_exact(recon_f)
+    dc_f, gurvits_f = certify.dense_coding_delta(recon_f), certify.gurvits_ball(recon_f)
+    sr_f = steer.sr_state_lower_bound(recon_f, n_s, restarts=2, seed=seed ^ 8).best
+
+    assert report == {
+        "schema_version": 1,
+        "params": {
+            "v": v, "depol": 0.05, "eps": 0.03, "shots": shots, "n_settings": n_s,
+            "global_seed": 1, "derived_seed": seed,
+        },
+        "unfiltered": {
+            "fidelity_vs_ideal": uhlmann_fidelity(recon, ideal),
+            "mle": mle(history),
+            "certificates": {
+                "ppt": entry(ppt, ppt_std),
+                "one_distillable": entry(distill),
+                "fef": entry(fef),
+                "dense_coding": entry(dc),
+                "gurvits_ball": entry(gurvits),
+            },
+            "steering_robustness": sr,
+        },
+        "filter": {"success_prob": success_prob, "kept_levels": [1, 2]},
+        "filtered": {
+            "fidelity_vs_target": uhlmann_fidelity(recon_f, rotated_filtered_state(v)),
+            "mle": mle(history_f),
+            "certificates": {
+                "chsh": entry(chsh, chsh_std),
+                "dense_coding": entry(dc_f),
+                "gurvits_ball": entry(gurvits_f),
+            },
+            "fef2_exact": f2,
+            "steering_robustness": sr_f,
+        },
+    }
+
+
 def test_pipeline_without_out_prints_its_report(capsys):
     argv = ["pipeline", "--shots", "2000", "--restarts", "4", "--sr-restarts", "2", "--bootstrap", "10"]
     assert main(argv) == 0

@@ -257,6 +257,9 @@ def test_sr_closed_form_answers_only_its_two_cases():
     phi = states.max_entangled_ket(3)
     iso3 = DensityMatrix(3, 3, 0.8 * np.outer(phi, phi.conj()) + 0.2 * np.eye(9) / 9)
     assert sr_closed_form(iso3, 2) is None  # isotropic, but not two qubits
+    for n in (0, -1):  # rejected before the input is classified, as the see-saw rejects them
+        with pytest.raises(ValueError, match=f"^n_settings must be at least 1, got {n}$"):
+            sr_closed_form(werner(3, 0.1), n)
 
 
 @pytest.mark.parametrize("v", [0.0, 0.1, 0.2])
