@@ -68,38 +68,30 @@ def ppt_min_eig(rho: DensityMatrix) -> Certificate:
     return Certificate("ppt", value, 0.0, verdict)
 
 
-def _schmidt_frames(psi_block: np.ndarray, rank: int = 2):
-    """Left/right orthonormal frames of each (rank x n) coefficient matrix of a stack."""
-    u, s, vdag = np.linalg.svd(psi_block, full_matrices=False)
-    return u[..., :rank], dagger(vdag)[..., :rank], s
-
-
 def _distill_descent(x: np.ndarray, va: np.ndarray, vb: np.ndarray):
     """Alternating eigen-steps from each frame pair of two (R, d, 2) stacks, in lockstep.
 
-    ``x`` is the partial transpose of each row's state, an (R, D, D) stack, or one that
-    every row shares.  Returns each row's final value, A frame and psi on C^2 (x) C^dB; a
-    row stops when its value improves by less than 1e-12 or after 100 rounds.
+    ``x`` is the partial transpose of each row's state, an (R, D, D) stack, or one that every
+    row shares.  A half-step fixes one party's frame; the bottom eigenvector of the operator
+    compressed by kron(frame, I) lives on C^2 (x) C^d, and its top two right singular vectors
+    are the other party's new frame.  A's half-step is B's on :func:`~wernerlab.qmat.swapped`
+    ``x``.  Returns each row's final value, A frame and psi on C^2 (x) C^dB; a row stops when
+    its value improves by less than 1e-12 or after 100 rounds.
     """
-    d_a, d_b = va.shape[1], vb.shape[1]
+    (n, d_a, _), d_b = va.shape, vb.shape[1]
     va, vb = va.copy(), vb.copy()
-    x = np.broadcast_to(x, (len(va),) + x.shape[-2:])
-    val = np.full(len(va), np.inf)
-    psi = np.empty((len(va), 2 * d_b), dtype=complex)
-    live = np.arange(len(va))
+    x = np.broadcast_to(x, (n,) + x.shape[-2:]).reshape(n, d_a, d_b, d_a, d_b)
+    val = np.full(n, np.inf)
+    psi = np.empty((n, 2 * d_b), dtype=complex)
+    live = np.arange(n)
     for _ in range(100):
-        x_live = x[live]
-        # optimize over A side with B frame fixed; the bottom eigenvector lives on C^dA (x) C^2
-        big = qmat.kron(np.eye(d_a), vb[live])
-        comp = dagger(big) @ x_live @ big
-        q = np.linalg.eigh((comp + dagger(comp)) / 2)[1]
-        va[live] = _schmidt_frames(q[..., 0].reshape(-1, d_a, 2).swapaxes(-1, -2))[1]
-        # optimize over B side with A frame fixed; psi lives on C^2 (x) C^dB
-        big = qmat.kron(va[live], np.eye(d_b))
-        comp = dagger(big) @ x_live @ big
-        w, q = np.linalg.eigh((comp + dagger(comp)) / 2)
+        for op, fixed, free in ((qmat.swapped(x), vb, va), (x, va, vb)):
+            d = free.shape[1]
+            big = qmat.kron(fixed[live], np.eye(d))
+            comp = dagger(big) @ op[live].reshape(-1, big.shape[1], big.shape[1]) @ big
+            w, q = np.linalg.eigh((comp + dagger(comp)) / 2)
+            free[live] = dagger(np.linalg.svd(q[..., 0].reshape(-1, 2, d), full_matrices=False)[2])
         psi[live] = q[..., 0]
-        vb[live] = _schmidt_frames(q[..., 0].reshape(-1, 2, d_b))[1]
         improving = ~(val[live] - w[:, 0] < 1e-12)
         val[live] = w[:, 0]
         live = live[improving]
@@ -268,7 +260,7 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """3x3 two-qubit correlation matrix T_mn = tr[rho sigma_m (x) sigma_n]."""
     if rho.dimA != 2 or rho.dimB != 2:
         raise ValueError("correlation matrix defined for two-qubit states")
-    return np.einsum("ijkl,mki,nlj->mn", rho.mat.reshape(2, 2, 2, 2), qmat.PAULIS, qmat.PAULIS).real
+    return np.einsum("ijkl,mki,nlj->mn", qmat.tensor(rho), qmat.PAULIS, qmat.PAULIS).real
 
 
 def chsh_horodecki(rho: DensityMatrix) -> Certificate:

@@ -84,10 +84,19 @@ def as_state(mat: np.ndarray, dimA: int, dimB: int, clip_tol: float = 1e-8) -> D
     return DensityMatrix(dimA, dimB, h)
 
 
+def tensor(rho: DensityMatrix) -> np.ndarray:
+    """rho as a (dA, dB, dA, dB) tensor: the one place the bipartite index layout is written."""
+    return rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
+
+
+def swapped(t: np.ndarray) -> np.ndarray:
+    """:func:`swap_parties` of each :func:`tensor` of a (..., dA, dB, dA, dB) stack, as a strided view."""
+    return t.swapaxes(-4, -3).swapaxes(-2, -1)
+
+
 def partial_trace(rho: DensityMatrix) -> np.ndarray:
     """Trace out subsystem A: the reduced state of B.  A's is that of :func:`swap_parties` of rho."""
-    t = rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
-    return np.einsum("ijil->jl", t)
+    return np.einsum("ijil->jl", tensor(rho))
 
 
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:
@@ -100,8 +109,7 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
 
 def swap_parties(rho: DensityMatrix) -> DensityMatrix:
     """SWAP rho SWAP on C^dimB (x) C^dimA; a pure index permutation, so applying it twice returns rho bit-for-bit."""
-    t = rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB).transpose(1, 0, 3, 2)
-    return DensityMatrix(rho.dimB, rho.dimA, t.reshape(rho.dim, rho.dim))
+    return DensityMatrix(rho.dimB, rho.dimA, swapped(tensor(rho)).reshape(rho.dim, rho.dim))
 
 
 def partial_transpose_dims(mat: np.ndarray, dims: list[int], subsystems: list[int]) -> np.ndarray:

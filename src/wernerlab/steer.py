@@ -36,6 +36,7 @@ from itertools import product
 
 import numpy as np
 
+from . import qmat
 from .extend import SE, werner_t_star
 from .qmat import DensityMatrix, dagger
 from .solver import Block, ConicProgram, Family, KronMap, mat_real, solve, sp, vec_real
@@ -167,20 +168,11 @@ class Assemblage:
         return self.sigma.shape[-1]
 
 
-def _tensor(rho: DensityMatrix) -> np.ndarray:
-    """rho as a (dA, dB, dA, dB) tensor, the form the contractions take."""
-    return rho.mat.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
-
-
-def _swapped(r: np.ndarray) -> np.ndarray:
-    """:func:`~wernerlab.qmat.swap_parties` of each :func:`_tensor` of ``r``, as a strided view."""
-    return r.swapaxes(-4, -3).swapaxes(-2, -1)
-
-
 def _contract(r: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Hermitian part of tr_A[(op on A) rho] for each op of a (..., x, a, d, d) stack:
-    the operators left on B.  ``r`` is rho as a :func:`_tensor`, or a stack of them with
-    one state per leading index of ``ops``; B is contracted as A of :func:`_swapped` ``r``."""
+    the operators left on B.  ``r`` is rho as a :func:`~wernerlab.qmat.tensor`, or a stack of them
+    with one state per leading index of ``ops``; B is contracted as A of
+    :func:`~wernerlab.qmat.swapped` ``r``."""
     red = np.einsum("...xaiI,...Ijil->...xajl", ops, r)
     return (red + dagger(red)) / 2
 
@@ -189,7 +181,7 @@ def assemblage_from(rho: DensityMatrix, meas: MeasurementSet) -> Assemblage:
     """Conditional states of B when A is measured; B steers A in ``qmat.swap_parties(rho)``."""
     if meas.dim != rho.dimA:
         raise ValueError("measurement dimension does not match side A")
-    return Assemblage(_contract(_tensor(rho), meas.effects))
+    return Assemblage(_contract(qmat.tensor(rho), meas.effects))
 
 
 @lru_cache(maxsize=32)
@@ -387,7 +379,7 @@ def sr_state_lower_bound(
     check_seesaw_args(rho, n_settings, restarts, sdp_tol, max_rounds)
     shape = (n_settings, rho.dimA, rho.dimB)
     family = Family(*_sr_program(*shape))
-    _, state, (u,) = grid_rows([rho], [seed], restarts, _tensor, [(n_settings, 0)])
+    _, state, (u,) = grid_rows([rho], [seed], restarts, qmat.tensor, [(n_settings, 0)])
 
     def solve_round(rows, effects):
         """Value (-inf unless the solve ended OPTIMAL), y and gap of each row's SDP."""
@@ -405,7 +397,7 @@ def sr_state_lower_bound(
         if not live.size:
             break
         # G_{a|x} = tr_B[(F_{a|x} on B) rho]: the dual value is sum tr(M_{a|x} G_{a|x}) - 1
-        response = _contract(_swapped(state[live]), _sr_duals(y[live], shape))
+        response = _contract(qmat.swapped(state[live]), _sr_duals(y[live], shape))
         new_effects = _update_measurements(effects[live], response)
         new_value, new_y, new_gap = solve_round(live, new_effects)
         accept = new_value > value[live] + 1e-7
@@ -445,7 +437,8 @@ class Correlation:
 
 def _correlations(r: np.ndarray, effects_a: np.ndarray, effects_b: np.ndarray) -> np.ndarray:
     """P(a,b|x,y) = tr[rho M_{a|x} (x) M_{b|y}] for matching (..., x, a, d, d) stacks of both sides'
-    effects; ``r`` is rho as a :func:`_tensor`, or a stack of them matching the leading axes."""
+    effects; ``r`` is rho as a :func:`~wernerlab.qmat.tensor`, or a stack of them matching the
+    leading axes."""
     # tr[rho (M_a (x) M_b)] = sum rho[(i,j),(k,l)] M_a[k,i] M_b[l,j]
     return np.einsum("...ijkl,...xaki,...yblj->...xyab", r, effects_a, effects_b).real
 
@@ -454,7 +447,7 @@ def correlation_from(rho: DensityMatrix, meas_a: MeasurementSet, meas_b: Measure
     """P(a,b|x,y) = tr[rho M_{a|x} (x) M_{b|y}]."""
     if meas_a.dim != rho.dimA or meas_b.dim != rho.dimB:
         raise ValueError("measurement dimensions do not match the state")
-    return Correlation(_correlations(_tensor(rho), meas_a.effects, meas_b.effects))
+    return Correlation(_correlations(qmat.tensor(rho), meas_a.effects, meas_b.effects))
 
 
 def nonlocal_content(corr: Correlation, tol: float = 1e-9) -> float:
@@ -507,10 +500,10 @@ def chsh_coefficients() -> np.ndarray:
 def _bell_response(r: np.ndarray, table: np.ndarray, effects_b: np.ndarray) -> np.ndarray:
     """G_{a|x} of A with sum_ax tr(M_{a|x} G_{a|x}) the Bell value of the (x, y, a, b) table
     against B's (..., y, b, d, d) effects, as a matching (..., x, a, d, d) stack; ``r`` is rho
-    as a :func:`_tensor`, or a stack of them matching the leading axes.  B's is A's of
-    :func:`_swapped` ``r`` and the table transposed (1, 0, 3, 2)."""
+    as a :func:`~wernerlab.qmat.tensor`, or a stack of them matching the leading axes.  B's is A's of
+    :func:`~wernerlab.qmat.swapped` ``r`` and the table transposed (1, 0, 3, 2)."""
     ops = np.einsum("xyab,...ybij->...xaij", table, effects_b)  # on B
-    return _contract(_swapped(r), ops)
+    return _contract(qmat.swapped(r), ops)
 
 
 def _exact_two_outcome_update(response: np.ndarray) -> np.ndarray:
@@ -532,11 +525,11 @@ def _seesaw_bell_rows(
 ) -> np.ndarray:
     """Final Bell value of the see-saw from each start of two (R, x, a, d, d) effect stacks, in lockstep.
 
-    ``r`` is the state of every row, an (R, dA, dB, dA, dB) stack of :func:`_tensor`s, or
-    one tensor that all rows share.  Each half-step updates one side of every row still
-    improving in one stacked call per kernel; B's half-step is A's on the :func:`_swapped`
-    tensor and transposed table.  A row stops when a round gains less than 1e-9, or after
-    500 rounds."""
+    ``r`` is the state of every row, an (R, dA, dB, dA, dB) stack of
+    :func:`~wernerlab.qmat.tensor`s, or one tensor that all rows share.  Each half-step
+    updates one side of every row still improving in one stacked call per kernel; B's
+    half-step is A's on the :func:`~wernerlab.qmat.swapped` tensor and transposed table.  A
+    row stops when a round gains less than 1e-9, or after 500 rounds."""
     r = np.broadcast_to(r, (len(effects_a),) + r.shape[-4:])
 
     def values(r_rows, table, mine, other):
@@ -545,14 +538,14 @@ def _seesaw_bell_rows(
     effects_a, effects_b = effects_a.copy(), effects_b.copy()
     halves = (
         (r, coefficients, effects_a, effects_b),
-        (_swapped(r), coefficients.transpose(1, 0, 3, 2), effects_b, effects_a),
+        (qmat.swapped(r), coefficients.transpose(1, 0, 3, 2), effects_b, effects_a),
     )
     live = np.arange(len(effects_a))
     value = values(r[live], coefficients, effects_a, effects_b)
     for _ in range(500):
         start = cur = value[live]
-        for tensor, table, mine, other in halves:
-            t_live = tensor[live]
+        for state, table, mine, other in halves:
+            t_live = state[live]
             new = _best_povm_update(mine[live], _bell_response(t_live, table, other[live]))
             new_value = values(t_live, table, new, other[live])
             keep = new_value >= cur - 1e-12
@@ -578,14 +571,14 @@ def seesaw_bell_many(
     n_sa, n_sb, n_oa, n_ob = coefficients.shape
     if n_oa ** n_sa * n_ob ** n_sb > 10**6:
         raise ValueError("scenario too large")
-    (d_a, d_b), r, (ua, ub) = grid_rows(rhos, seeds, restarts, _tensor, [(n_sa, 0), (n_sb, 1)])
-    for side, n_o, dim in (("A", n_oa, d_a), ("B", n_ob, d_b)):
+    (d_a, d_b), r, (ua, ub) = grid_rows(rhos, seeds, restarts, qmat.tensor, [(n_sa, 0), (n_sb, 1)])
+    effects = []
+    for side, n_o, dim, u in (("A", n_oa, d_a, ua), ("B", n_ob, d_b, ub)):
         if n_o not in (2, dim):  # the pairwise update needs rank-1 effects
             raise ValueError(f"side {side} has {n_o} outcomes in dimension {dim}; the see-saw needs 2 or {dim}")
-    effects_a, effects_b = _effects_from_unitaries(ua, n_oa), _effects_from_unitaries(ub, n_ob)
-    _check_effects(effects_a)
-    _check_effects(effects_b)
-    value = _seesaw_bell_rows(r, coefficients, effects_a, effects_b)
+        effects.append(_effects_from_unitaries(u, n_o))
+        _check_effects(effects[-1])
+    value = _seesaw_bell_rows(r, coefficients, *effects)
     return [float(v) for v in value[grid_best(value, restarts, np.argmax)]]
 
 

@@ -416,13 +416,12 @@ def mle_reconstruct_many(
     # pts[0] is each row's extrapolated point nu, pts[1] its iterate mu; probs holds their p_k
     pts = np.stack([(1 - START_MIX) * guess + START_MIX * np.eye(d2) / d2] * 2)
     probs = engine.probabilities(pts)
-    start_ll = _loglik(freqs, probs[1]).tolist()
+    trails = [[ll] for ll in _loglik(freqs, probs[1]).tolist()]  # each row's start and accepted steps
     unobserved = freqs == 0
     theta = np.ones(len(rows))  # FISTA's theta; beta is 0 from theta = 1, so nu is mu while theta < 2
     step = np.ones(len(rows))
     gap = total * engine.gap(freqs, probs[1], pts[1])
     final_mu, final_gap, final_tries = np.empty_like(pts[1]), np.empty(len(rows)), np.empty(len(rows), int)
-    accepted = [(rows[:0], step[:0])]  # (rows, log-likelihoods) of each tick's accepted steps
     leave = gap <= tol
     tick = 0  # every live row has tried this many steps
     while True:
@@ -459,7 +458,8 @@ def mle_reconstruct_many(
         ahead_p = cand_p + beta[:, None] * (cand_p - probs[1])
         usable = took & ((ahead_p > 0) | unobserved).all(axis=1)
         back = (took & ~usable) | restart  # nu returns to the (new) iterate
-        accepted.append((rows[took], _loglik(freqs[took], cand_p[took])))
+        for row, ll in zip(rows[took], _loglik(freqs[took], cand_p[took]).tolist()):
+            trails[row].append(ll)
         np.copyto(pts[0], cand + beta[:, None, None] * delta[1], where=usable[:, None, None])
         np.copyto(probs[0], ahead_p, where=usable[:, None])
         np.copyto(pts[1], cand, where=took[:, None, None])
@@ -472,14 +472,11 @@ def mle_reconstruct_many(
             gap = total * engine.gap(freqs, probs[1], pts[1])
             stalled = (theta < 2) & (step * _norm(engine.r_operator(freqs, probs[1])) <= EPS * _norm(pts[1]))
             leave = (gap <= tol) | (tick == max_iter) | stalled
-    order = np.argsort(np.concatenate([a for a, _ in accepted]), kind="stable")
-    moves = np.bincount(np.concatenate([a for a, _ in accepted]), minlength=len(final_gap))
-    trails = np.split(np.concatenate([b for _, b in accepted])[order], np.cumsum(moves)[:-1])
     rhos = engine.g_isqrt @ final_mu @ engine.g_isqrt
     dim = engine.frame.dim
     out = []
-    for first, trail, rho, g, tries in zip(start_ll, trails, rhos, final_gap, final_tries):
-        history = LikelihoodTrace([first, *trail.tolist()], float(g), bool(g > tol), int(tries))
+    for trail, rho, g, tries in zip(trails, rhos, final_gap, final_tries):
+        history = LikelihoodTrace(trail, float(g), bool(g > tol), int(tries))
         if any(b < a - 1e-12 for a, b in zip(history, history[1:])):
             raise RuntimeError("likelihood decreased")
         out.append((as_state(rho, dim, dim, clip_tol=1e-6), history))
@@ -536,6 +533,8 @@ def counts_from_csv(csv_text: str, metadata_json: str) -> CountsRecord:
         raise ValueError("counts metadata must be a JSON object with keys N, seed and frame")
     frame = frame_for(meta["frame"])
     lines = [ln for ln in csv_text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("CSV has no header row")
     header = lines[0].split(",")
     if tuple(header[1:]) != frame.labels:
         raise ValueError("CSV header does not match the frame labels")
@@ -546,6 +545,8 @@ def counts_from_csv(csv_text: str, metadata_json: str) -> CountsRecord:
         cells = line.split(",")
         if cells[0] != label:
             raise ValueError("row label mismatch")
+        if len(cells) != len(header):
+            raise ValueError(f"count row {label!r} has {len(cells) - 1} cells; the header has {len(header) - 1}")
         rows.append([int(c) for c in cells[1:]])
     return CountsRecord(
         np.asarray(rows, dtype=np.int64), meta["N"], meta["seed"], meta["frame"], meta.get("state_tag", "")

@@ -19,8 +19,9 @@ reference for the stacked one.
 ``sr_program_csr`` builds the steering-robustness program with scipy's sparse
 ``kron``, as CSR; it is the reference for the structured map of
 ``wernerlab.steer._sr_program``.
-``blocks_of``, ``bell_value``, ``fidelity_to``, ``fef_embedding_check`` and
-``extension_threshold`` are helpers that only tests call.
+``blocks_of``, ``bell_value``, ``random_state``, ``singlet``, ``fidelity_to``,
+``fef_embedding_check`` and ``extension_threshold`` are helpers that only tests
+call.
 """
 
 from __future__ import annotations
@@ -455,6 +456,20 @@ def blocks_of(sol: ConicSolution, prog: ConicProgram) -> list[np.ndarray]:
 
 def bell_value(corr: Correlation, coefficients: np.ndarray) -> float:
     return float(np.sum(corr.p * coefficients))
+
+
+def random_state(d_a, d_b, seed):
+    """The state m / tr m on C^d_a (x) C^d_b, m = g g^dag for a seeded complex Gaussian matrix g."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d_a * d_b, d_a * d_b)) + 1j * rng.standard_normal((d_a * d_b, d_a * d_b))
+    m = g @ g.conj().T
+    return DensityMatrix(d_a, d_b, m / np.trace(m))
+
+
+def singlet():
+    """The two-qubit singlet (|01> - |10>) / sqrt(2)."""
+    psi = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+    return DensityMatrix(2, 2, np.outer(psi, psi.conj()))
 
 
 def fidelity_to(target: DensityMatrix):

@@ -15,15 +15,12 @@ import pytest
 from wernerlab import certify, extend, filterops, qmat, states, steer, tomo
 from wernerlab.qmat import DensityMatrix
 
+from sequential_reference import singlet
+
 
 def report(criterion: str, ok: bool, detail: str = ""):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"criterion {criterion} failed: {detail}"
-
-
-def singlet():
-    psi = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-    return DensityMatrix(2, 2, np.outer(psi, psi.conj()))
 
 
 def test_criterion_01_ppt_law():

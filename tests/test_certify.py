@@ -38,6 +38,8 @@ from sequential_reference import (
     fef_embedding_check,
     haar_unitary,
     one_distillable_by_restarts,
+    random_state,
+    singlet,
 )
 
 
@@ -46,11 +48,6 @@ def random_two_qubit(seed):
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     m = g @ g.conj().T
     return DensityMatrix(2, 2, m / np.trace(m))
-
-
-def singlet():
-    psi = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-    return DensityMatrix(2, 2, np.outer(psi, psi.conj()))
 
 
 def test_ppt_werner_law():
@@ -258,13 +255,6 @@ def test_dc_threshold_below_the_float_spacing_stops_at_adjacent_floats(tol):
     below, above = np.nextafter(root, 0.0), np.nextafter(root, 1.0)
     assert filtered_delta(3, below) > 0 >= filtered_delta(3, above)
     assert abs(root - dc_threshold(3, 1e-7)) < 1e-7
-
-
-def random_state(d_a, d_b, seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d_a * d_b, d_a * d_b)) + 1j * rng.standard_normal((d_a * d_b, d_a * d_b))
-    m = g @ g.conj().T
-    return DensityMatrix(d_a, d_b, m / np.trace(m))
 
 
 # certificates that depend on the state only up to local unitaries U (x) V, per local dimension

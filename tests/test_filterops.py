@@ -18,12 +18,7 @@ from wernerlab.filterops import (
 from wernerlab.qmat import DensityMatrix, kron, swap_parties, uhlmann_fidelity
 from wernerlab.states import antisym_projector, werner
 
-
-def random_state(d_a, d_b, seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d_a * d_b, d_a * d_b)) + 1j * rng.standard_normal((d_a * d_b, d_a * d_b))
-    m = g @ g.conj().T
-    return DensityMatrix(d_a, d_b, m / np.trace(m))
+from sequential_reference import random_state
 
 
 def test_qubit_projection_rows():

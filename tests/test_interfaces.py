@@ -53,6 +53,8 @@ def _raising_calls():
     keep01 = qubit_projection(3, (0, 1))
     qubits = steer.mub_qubit_measurements(2)
     counts = tomo.counts_to_csv(tomo.expected_counts_record(werner(3, 0.0), 100))
+    lines = counts.splitlines()
+    ragged = "\n".join([lines[0], lines[1] + ",7", *lines[2:]])  # one count row with an extra cell
 
     def sidecar(n, seed, **extra):
         return json.dumps({"N": n, "seed": seed, "frame": "qutrit9", **extra})
@@ -107,6 +109,13 @@ def _raising_calls():
         ),
         "counts_from_csv-frame-list": (
             lambda: tomo.counts_from_csv(counts, sidecar(100, 0, frame=[])), r"unknown tomography frame \[\]"
+        ),
+        "counts_from_csv-empty": (
+            lambda: tomo.counts_from_csv("", '{"N": 1, "seed": 0, "frame": "qubit6"}'), "no header row"
+        ),
+        "counts_from_csv-blank": (lambda: tomo.counts_from_csv(" \n\n", sidecar(100, 0)), "no header row"),
+        "counts_from_csv-extra-cell": (
+            lambda: tomo.counts_from_csv(ragged, sidecar(100, 0)), "count row 'M1' has 10 cells; the header has 9"
         ),
         "counts_from_csv-state_tag-list": (
             lambda: tomo.counts_from_csv(counts, sidecar(100, 0, state_tag=[1])), r"state_tag must be a string, got \[1\]"

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wernerlab import solver, states, steer
+from wernerlab import qmat, solver, states, steer
 from wernerlab.filterops import rotated_filtered_state
 from wernerlab.qmat import DensityMatrix, kron, swap_parties
 from wernerlab.solver import Block, vec_real
@@ -35,16 +35,13 @@ from sequential_reference import (
     assert_rows_bitwise_alone,
     bell_value,
     contract,
+    random_state,
     seesaw_bell_by_restarts,
+    singlet,
     sr_program_csr,
 )
 
 SINGLET_2MUB_SR = 3 - 2 * np.sqrt(2)  # proven optimal; see decisions ledger
-
-
-def singlet():
-    psi = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-    return DensityMatrix(2, 2, np.outer(psi, psi.conj()))
 
 
 def bloch_measurement(*directions):
@@ -58,13 +55,6 @@ def bloch_measurement(*directions):
         op = sum(ni * p for ni, p in zip(n, paulis))
         settings.append(((np.eye(2) + op) / 2, (np.eye(2) - op) / 2))
     return MeasurementSet(tuple(settings))
-
-
-def random_state(d_a, d_b, seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d_a * d_b, d_a * d_b)) + 1j * rng.standard_normal((d_a * d_b, d_a * d_b))
-    m = g @ g.conj().T
-    return DensityMatrix(d_a, d_b, m / np.trace(m))
 
 
 DIMS = st.sampled_from([(2, 2), (3, 3), (2, 3), (3, 2)])
@@ -713,8 +703,8 @@ def update_measurements_by_loops(effects, response):
 
 def tensor_measured_on(rho, side):
     """rho's tensor with ``side`` first: side B is contracted as A of the swapped tensor."""
-    r = steer._tensor(rho)
-    return r if side == "A" else steer._swapped(r)
+    r = qmat.tensor(rho)
+    return r if side == "A" else qmat.swapped(r)
 
 
 @pytest.mark.parametrize("d_a, d_b, side", [(3, 3, "A"), (2, 3, "B"), (3, 2, "A"), (3, 2, "B")])
@@ -783,7 +773,7 @@ def test_bell_kernels_match_loop_reference(d_a, d_b, n_oa, n_ob):
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0, atol=1e-14)
     # sum_ax tr(M_{a|x} G_{a|x}) is the Bell value
-    response_a = steer._bell_response(steer._tensor(rho), coefficients, meas_b.effects)
+    response_a = steer._bell_response(qmat.tensor(rho), coefficients, meas_b.effects)
     value = sum(np.trace(meas_a.effects[x, a] @ response_a[x, a]).real for x in range(2) for a in range(n_oa))
     assert value == pytest.approx(bell_value(Correlation(p), coefficients), abs=1e-12)
 
@@ -880,14 +870,14 @@ def test_seesaw_bell_matches_sequential_reference(state, table):
     for rho_side, table_side in ((rho, coefficients), (swap_parties(rho), coefficients.transpose(1, 0, 3, 2))):
         want = seesaw_bell_by_restarts(rho_side, table_side, restarts, seed)
         n_sa, n_sb, n_oa, n_ob = table_side.shape
-        _, _, (ua, ub) = grid_rows([rho_side], [seed], restarts, steer._tensor, [(n_sa, 0), (n_sb, 1)])
+        _, _, (ua, ub) = grid_rows([rho_side], [seed], restarts, qmat.tensor, [(n_sa, 0), (n_sb, 1)])
         starts = steer._effects_from_unitaries(ua, n_oa), steer._effects_from_unitaries(ub, n_ob)
-        rows = steer._seesaw_bell_rows(steer._tensor(rho_side), table_side, *starts)
+        rows = steer._seesaw_bell_rows(qmat.tensor(rho_side), table_side, *starts)
         assert np.allclose(rows, want, rtol=0, atol=1e-12)
         best = seesaw_bell(rho_side, table_side, restarts=restarts, seed=seed)
         assert best == pytest.approx(max(want), rel=0, abs=1e-12)
         for r in range(restarts):
-            alone = steer._seesaw_bell_rows(steer._tensor(rho_side), table_side, *(s[r : r + 1] for s in starts))
+            alone = steer._seesaw_bell_rows(qmat.tensor(rho_side), table_side, *(s[r : r + 1] for s in starts))
             assert alone.tobytes() == rows[r : r + 1].tobytes()
 
 
