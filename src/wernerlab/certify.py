@@ -15,6 +15,13 @@ A witness holds the arrays the search found: ``one_distillable``'s Schmidt-rank-
 ``psi``, ``fef``'s ``unitary``, and ``chsh``'s ``singular_values`` with the
 ``alice_plane`` and ``bob_plane`` rows that span the optimal measurement planes.
 
+Closed forms.  On a Werner input (:func:`~wernerlab.states.twirl_class`) the
+fully-entangled fraction and the 1-distillability value need no search:
+:func:`fef_closed_form` and :func:`one_distillable_closed_form` hold the proofs and
+return None on any other input.  Their witnesses attain the value: the
+``unitary`` is I or a sum of 2x2 blocks [[0, 1], [-1, 0]] (plus a 1 when d is odd),
+and ``psi`` is (|00> + |11>)/sqrt(2) or |01>.  The searches stay the reference.
+
 Lockstep.  The package's multi-start searches -- ``one_distillable`` and
 ``fef`` here, the Bell and steering see-saws of :mod:`~wernerlab.steer` -- and
 its MLE (:func:`~wernerlab.tomo.mle_reconstruct_many`) run their rows in
@@ -43,7 +50,7 @@ import numpy as np
 from . import qmat
 from .filterops import filtered_weight
 from .qmat import DensityMatrix, dagger, partial_trace, partial_transpose
-from .states import grid_best, grid_rows
+from .states import WERNER, grid_best, grid_rows, twirl_class
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -127,6 +134,45 @@ def one_distillable(rho: DensityMatrix, restarts: int = 64, seed: int = 0) -> Ce
     :func:`one_distillable_many`; the module docstring describes the lockstep.
     """
     return one_distillable_many([rho], [seed], restarts=restarts)[0]
+
+
+def _werner_weights(rho: DensityMatrix) -> tuple[int, float, float] | None:
+    """(d, alpha, beta) with rho = alpha I + beta F when :func:`~wernerlab.states.twirl_class` reads
+    rho as Werner, from s = tr(rho F): alpha = (d - s)/(d(d^2 - 1)), beta = (sd - 1)/(d(d^2 - 1)).
+    None on any other input."""
+    twirl = twirl_class(rho)
+    if twirl is None or twirl[0] != WERNER:
+        return None
+    d, s = rho.dimA, twirl[1]
+    den = d * (d * d - 1)
+    return d, (d - s) / den, (s * d - 1) / den
+
+
+def one_distillable_closed_form(rho: DensityMatrix) -> Certificate | None:
+    """The exact minimum of <psi| rho^T_A |psi> over Schmidt-rank-2 unit vectors psi on a Werner
+    input rho = alpha I + beta F (:func:`_werner_weights`), else None (DiVincenzo, Shor, Smolin,
+    Terhal & Thapliyal, PRA 61, 062312 (2000)).  For an input within 1e-12 of its twirl, the
+    twirl's value.
+
+    The value is alpha + min(0, 2 beta).  Proof: F^T_A = d P+, with P+ = |Phi+><Phi+|, so
+    rho^T_A = alpha I + beta d P+.  A unit psi with coefficient matrix C of Schmidt rank at most 2
+    has <Phi+|psi> = tr C / sqrt(d), and |tr C| <= sigma_1 + sigma_2 <= sqrt(2) by the triangle
+    inequality and Cauchy-Schwarz on its two singular values, so <P+> lies in [0, 2/d].  The
+    witness ``psi`` attains the minimum: (|00> + |11>)/sqrt(2), with <P+> = 2/d, when beta < 0,
+    and |01>, with <P+> = 0, otherwise.  The value crosses 0 at v = (d + 1)/(4d - 2) on
+    ``states.werner(d, v)``, 0.4 at d = 3.  The verdict is the search's (:func:`one_distillable`)."""
+    weights = _werner_weights(rho)
+    if weights is None:
+        return None
+    d, alpha, beta = weights
+    psi = np.zeros(d * d, dtype=complex)
+    if beta < 0:
+        psi[0] = psi[d + 1] = 1 / np.sqrt(2)
+    else:
+        psi[1] = 1.0
+    value = float(alpha + min(0.0, 2 * beta))
+    verdict = PASS if value < -1e-6 else INCONCLUSIVE
+    return Certificate("one_distillable", value, 0.0, verdict, {"psi": psi})
 
 
 def gurvits_ball(rho: DensityMatrix) -> Certificate:
@@ -234,6 +280,34 @@ def fef(rho: DensityMatrix, restarts: int = 32, seed: int = 0) -> Certificate:
     one of :func:`fef_many`; the module docstring describes the lockstep.
     """
     return fef_many([rho], [seed], restarts=restarts)[0]
+
+
+def fef_closed_form(rho: DensityMatrix) -> Certificate | None:
+    """The exact fully-entangled fraction max_U <Phi_U|rho|Phi_U>, Phi_U = (I x U)|Phi+>, of a
+    Werner input rho = alpha I + beta F (:func:`_werner_weights`), else None (Horodecki &
+    Horodecki, PRA 59, 4206 (1999)).  For an input within 1e-12 of its twirl, the twirl's value.
+
+    The value is alpha + beta f, with f the maximum of <Phi_U|F|Phi_U> = 1 - 2 <Pi->, Pi- the
+    antisymmetric projector, when beta >= 0 and its minimum otherwise.  The maximum is 1, at
+    U = I, as Phi+ is symmetric.  For the minimum: Phi_U has coefficient matrix M = U^T/sqrt(d)
+    and <Pi-> = ||(M - M^T)/2||_F^2.  That antisymmetric part has operator norm at most
+    ||M|| = 1/sqrt(d) and even rank, so <Pi-> <= 1 when d is even and <= (d - 1)/d when d is
+    odd: f is -1 for even d and -(d - 2)/d for odd d.  The witness ``unitary`` attains it: the
+    direct sum of 2x2 blocks [[0, 1], [-1, 0]], plus a 1 when d is odd, makes M antisymmetric
+    on every block.  The verdict is the search's (:func:`fef`)."""
+    weights = _werner_weights(rho)
+    if weights is None:
+        return None
+    d, alpha, beta = weights
+    u = np.eye(d, dtype=complex)
+    f = 1.0
+    if beta < 0:
+        for i in range(0, d - 1, 2):
+            u[i : i + 2, i : i + 2] = [[0, 1], [-1, 0]]
+        f = -1.0 if d % 2 == 0 else -(d - 2) / d
+    value = float(alpha + beta * f)
+    verdict = PASS if value > 1.0 / d + 1e-9 else INCONCLUSIVE
+    return Certificate("fef", value, 1.0 / d, verdict, {"unitary": u})
 
 
 def _magic_basis() -> np.ndarray:

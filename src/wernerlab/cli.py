@@ -106,9 +106,26 @@ def sweep_ppt(args, task_seed):
     return ["d", "v", "seed", "min_eig", "verdict"], rows
 
 
-def sweep_distill(args, task_seed):
+def _closed_form_or_search(args, task_seed, closed_form, search):
+    """The seed and the certificate of each v of the grid: ``closed_form``'s where it has one, and
+    one ``search`` stack over the other rows, each with its own seed, so a row's bits do not
+    depend on which rows join the stack.  ``--restarts`` is checked first, whichever way the
+    rows are answered."""
+    states.check_restarts(args.restarts)
     seeds, rhos = _grid_states(args, task_seed)
-    certs = certify.one_distillable_many(rhos, seeds, restarts=args.restarts)
+    certs = [closed_form(rho) for rho in rhos]
+    rest = [i for i, cert in enumerate(certs) if cert is None]
+    if rest:
+        found = search([rhos[i] for i in rest], [seeds[i] for i in rest], restarts=args.restarts)
+        for i, cert in zip(rest, found):
+            certs[i] = cert
+    return seeds, certs
+
+
+def sweep_distill(args, task_seed):
+    seeds, certs = _closed_form_or_search(
+        args, task_seed, certify.one_distillable_closed_form, certify.one_distillable_many
+    )
     rows = [
         [args.d, float(v), seed, cert.value, cert.verdict, args.restarts]
         for v, seed, cert in zip(args.v_grid, seeds, certs)
@@ -117,8 +134,7 @@ def sweep_distill(args, task_seed):
 
 
 def sweep_fef(args, task_seed):
-    seeds, rhos = _grid_states(args, task_seed)
-    certs = certify.fef_many(rhos, seeds, restarts=args.restarts)
+    seeds, certs = _closed_form_or_search(args, task_seed, certify.fef_closed_form, certify.fef_many)
     rows = []
     for v, seed, cert in zip(args.v_grid, seeds, certs):
         filtered_f2 = certify.fef2_exact(filterops.rotated_filtered_state(v)) if args.d == 3 else float("nan")

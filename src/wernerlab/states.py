@@ -175,6 +175,12 @@ def haar_restarts(seeds: list[int], sides: list[tuple[int, int]]) -> list[np.nda
     return [haar_unitaries(np.reshape(draws, (len(seeds), k, 2, d, d))) for draws, (k, d) in zip(normals, sides)]
 
 
+def check_restarts(restarts: int) -> None:
+    """Raise ValueError when a seeded search is asked for fewer than one restart."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+
+
 def grid_rows(
     rhos: list[DensityMatrix], seeds: list[int], restarts: int, form, sides: list[tuple[int, int]]
 ) -> tuple[tuple[int, int], np.ndarray, list[np.ndarray]]:
@@ -192,8 +198,7 @@ def grid_rows(
     dims = sorted({(rho.dimA, rho.dimB) for rho in rhos})
     if len(dims) > 1:
         raise ValueError(f"states searched together must share their dimensions, got {dims}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    check_restarts(restarts)
     restart_seeds = [seed ^ r for seed in seeds for r in range(restarts)]
     draws = haar_restarts(restart_seeds, [(k, dims[0][party]) for k, party in sides])
     return dims[0], np.repeat(np.stack([form(rho) for rho in rhos]), restarts, axis=0), draws

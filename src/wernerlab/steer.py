@@ -40,7 +40,7 @@ from . import qmat
 from .extend import SE, werner_t_star
 from .qmat import DensityMatrix, dagger
 from .solver import Block, ConicProgram, Family, KronMap, mat_real, solve, sp, vec_real
-from .states import WERNER, grid_best, grid_rows, haar_unitaries, twirl_class
+from .states import WERNER, check_restarts, grid_best, grid_rows, haar_unitaries, twirl_class
 
 MAX_LAMBDA = 4096
 
@@ -312,8 +312,7 @@ def check_seesaw_args(rho: DensityMatrix, n_settings: int, restarts: int, sdp_to
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be at least 0, got {max_rounds}")
     _check_lambda_budget(n_settings, rho.dimA)
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    check_restarts(restarts)
     if not (np.isfinite(sdp_tol) and sdp_tol > 0):
         raise ValueError("tol must be finite and positive")
 

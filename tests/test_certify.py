@@ -19,17 +19,19 @@ from wernerlab.certify import (
     dense_coding_delta,
     fef,
     fef2_exact,
+    fef_closed_form,
     fef_many,
     filtered_delta,
     gurvits_ball,
     one_distillable,
+    one_distillable_closed_form,
     one_distillable_many,
     ppt_min_eig,
     werner_delta,
 )
 from wernerlab.filterops import apply_filter, filtered_weight, qubit_projection, rotated_filtered_state
 from wernerlab.qmat import DensityMatrix, partial_transpose
-from wernerlab.states import grid_rows, haar_unitaries, werner
+from wernerlab.states import experiment_like_noise, grid_rows, haar_unitaries, noisy_surrogate, werner
 from wernerlab.steer import chsh_coefficients, seesaw_bell_many
 from sequential_reference import (
     assert_rows_bitwise_alone,
@@ -432,6 +434,70 @@ def test_grid_search_rejects_mixed_dimensions_and_empty_lists(many):
 def test_certificate_searches_reject_zero_restarts(check):
     with pytest.raises(ValueError, match="restarts must be at least 1"):
         check()
+
+
+WERNER_GRID = [round(0.05 * i, 12) for i in range(21)]  # 0:0.05:1
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "closed_form, many", [(fef_closed_form, fef_many), (one_distillable_closed_form, one_distillable_many)],
+    ids=["fef", "one_distillable"],
+)
+def test_closed_forms_match_the_searches_on_werner_states(d, closed_form, many):
+    rhos = [werner(d, v) for v in WERNER_GRID]
+    found = many(rhos, list(range(len(rhos))), restarts=64)
+    for v, rho, search in zip(WERNER_GRID, rhos, found):
+        exact = closed_form(rho)
+        assert exact.value == pytest.approx(search.value, rel=0, abs=1e-9), v
+        assert (exact.name, exact.threshold, exact.verdict) == (search.name, search.threshold, search.verdict), v
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_closed_form_witnesses_attain_their_values(d):
+    phi = np.eye(d).ravel() / np.sqrt(d)
+    for v in WERNER_GRID:
+        rho = werner(d, v)
+        cert = fef_closed_form(rho)
+        u = cert.witness["unitary"]
+        assert np.allclose(u @ u.conj().T, np.eye(d), rtol=0, atol=1e-15)
+        psi = np.kron(np.eye(d), u) @ phi  # (I x U)|Phi+>
+        assert np.vdot(psi, rho.mat @ psi).real == pytest.approx(cert.value, rel=0, abs=1e-15), v
+        cert = one_distillable_closed_form(rho)
+        psi = cert.witness["psi"]
+        assert np.linalg.norm(psi) == pytest.approx(1.0, rel=0, abs=1e-15)
+        assert np.linalg.matrix_rank(psi.reshape(d, d)) <= 2
+        assert np.vdot(psi, partial_transpose(rho) @ psi).real == pytest.approx(cert.value, rel=0, abs=1e-15), v
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        noisy_surrogate(werner(3, 0.2), experiment_like_noise(0.2, seed=5)),
+        random_state(3, 3, 11),
+        rotated_filtered_state(0.1),  # two-qubit isotropic, not Werner
+    ],
+    ids=["noisy", "random", "isotropic"],
+)
+def test_closed_forms_answer_werner_inputs_only(rho):
+    assert fef_closed_form(rho) is None
+    assert one_distillable_closed_form(rho) is None
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_closed_form_distillability_crosses_zero_at_the_boundary(d):
+    cert = one_distillable_closed_form(werner(d, (d + 1) / (4 * d - 2)))
+    assert abs(cert.value) <= 1e-15
+    assert cert.verdict == "INCONCLUSIVE"
+    assert one_distillable_closed_form(werner(d, 0.99 * (d + 1) / (4 * d - 2))).verdict == "PASS"
+
+
+def test_closed_form_fef_of_qutrit_werner_states_stays_below_one_third():
+    # paper criterion 06: without filtering no two-qutrit Werner state is useful for teleportation
+    for v in np.linspace(0.0, 1.0, 101):
+        cert = fef_closed_form(werner(3, v))
+        assert cert.value < 1 / 3 and cert.verdict == "INCONCLUSIVE"
+        assert cert.value == pytest.approx(max((4 - 3 * v) / 18, v / 6), rel=0, abs=1e-15)
 
 
 def random_anti_hermitian(rng, shape):

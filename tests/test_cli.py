@@ -366,6 +366,34 @@ def test_grid_tasks_write_the_bytes_of_a_loop_over_solo_calls(tmp_path):
     for task, header in headers.items():
         cli.write_csv(tmp_path / f"{task}_solo.csv", header, rows[task])
         assert (tmp_path / f"{task}_d3.csv").read_bytes() == (tmp_path / f"{task}_solo.csv").read_bytes()
+    # ideal fef and distill rows are closed form; noisy ones run the fef_many and one_distillable_many stacks
+    noisy = tmp_path / "noisy"
+    argv = ["sweep", "--task", "fef,distill", "--noisy", "--v-grid", "0:0.25:0.5", "--restarts", "4", "--out", str(noisy)]
+    assert main(argv) == 0
+    rows = {"fef": [], "distill": []}
+    for i, v in enumerate([0.0, 0.25, 0.5]):
+        seed = seeds["fef"] ^ i
+        found = certify.fef(cli._state_for(3, v, True, seed), restarts=4, seed=seed).value
+        rows["fef"].append([3, v, seed, found, 1 / 3, certify.fef2_exact(rotated_filtered_state(v))])
+        seed = seeds["distill"] ^ i
+        cert = certify.one_distillable(cli._state_for(3, v, True, seed), restarts=4, seed=seed)
+        rows["distill"].append([3, v, seed, cert.value, cert.verdict, 4])
+    for task in rows:
+        cli.write_csv(noisy / f"{task}_solo.csv", headers[task], rows[task])
+        assert (noisy / f"{task}_d3.csv").read_bytes() == (noisy / f"{task}_solo.csv").read_bytes()
+
+
+def test_ideal_fef_and_distill_rows_run_no_search(tmp_path, monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(certify, "fef_many", search)
+    monkeypatch.setattr(certify, "one_distillable_many", search)
+    assert main(["sweep", "--task", "fef,distill", "--d", "4", "--v-grid", "0:0.25:1", "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "distill_d4.csv")
+    assert [row[4] for row in rows] == ["PASS", "PASS"] + ["INCONCLUSIVE"] * 3  # the boundary is v = 5/14
+    _, rows = read_csv(tmp_path / "fef_d4.csv")
+    assert len(rows) == 5 and all(float(row[3]) < 0.25 for row in rows)
 
 
 def test_sweep_tomo_writes_the_bytes_of_solo_reconstructions(tmp_path, capsys):
