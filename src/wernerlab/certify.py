@@ -377,10 +377,13 @@ def dc_threshold(d: int, tol: float = 1e-5) -> float:
     """Root of filtered_delta(d, .) on [0, 0.5] by bisection.
 
     The bracket holds for every d >= 2: filtered delta is 1 at v = 0, and at v = 0.5 the
-    filtered weight is at least 1/2, above the two-qubit root near 0.189.  A d below 2
-    raises ValueError in :func:`~wernerlab.filterops.filtered_weight`, and so does a ``tol`` that
-    is not finite and positive.  A ``tol`` below the float spacing stops at adjacent floats.
+    filtered weight is at least 1/2, above the two-qubit root near 0.189.  Raises ValueError
+    on a d that is not an integer, on a d below 2 (in :func:`~wernerlab.filterops.filtered_weight`)
+    and on a ``tol`` that is not finite and positive.  A ``tol`` below the float spacing stops at
+    adjacent floats.
     """
+    if not float(d).is_integer():
+        raise ValueError(f"d must be an integer, got {d}")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     lo, hi = 0.0, 0.5

@@ -5,6 +5,7 @@ Protocols replay on party A; B's replay on A of ``qmat.swap_parties(rho)``."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,10 +79,17 @@ def rotated_filtered_state(v: float) -> DensityMatrix:
     rotating with sigma_x (x) sigma_z.
 
     Closed form [4(1-v) P + 2v (I - P)] / N with N = 4(1-v) + 6v, where P
-    projects onto the maximally entangled vector of the kept qubit pair.
+    projects onto the maximally entangled vector of the kept qubit pair.  ``v`` is checked
+    first; each state is then built and validated once per process, and later calls share
+    its read-only instance.
     """
     if not 0.0 <= v <= 1.0:
         raise ValueError("v must lie in [0, 1]")
+    return _rotated_filtered_state(float(v))
+
+
+@lru_cache(maxsize=64)
+def _rotated_filtered_state(v: float) -> DensityMatrix:
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     proj = np.outer(phi, phi.conj())
     n = 4.0 * (1 - v) + 6.0 * v

@@ -38,7 +38,8 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Bipartite density matrix on C^dimA (x) C^dimB."""
+    """Bipartite density matrix on C^dimA (x) C^dimB.  ``mat`` is a read-only copy of the
+    input, so an instance can be shared: no holder can change what another reads."""
 
     dimA: int
     dimB: int
@@ -46,7 +47,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         d = self.dimA * self.dimB
-        m = np.asarray(self.mat, dtype=complex)
+        m = np.array(self.mat, dtype=complex)
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match dims ({self.dimA},{self.dimB})")
         if not np.all(np.isfinite(m)):
@@ -59,6 +60,7 @@ class DensityMatrix:
         w = np.linalg.eigvalsh((m + dagger(m)) / 2)
         if w[0] < -PSD_TOL:
             raise ValueError(f"minimum eigenvalue {w[0]} below -1e-9")
+        m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
     @property

@@ -14,6 +14,8 @@ All agree entrywise to machine precision on their common domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -30,6 +32,8 @@ class WernerParams:
     v: float
 
     def __post_init__(self):
+        if not isinstance(self.d, Integral):
+            raise TypeError(f"local dimension must be an integer, got {self.d!r}")
         if self.d < 2:
             raise ValueError("local dimension must be at least 2")
         if not 0.0 <= self.v <= 1.0:
@@ -60,11 +64,19 @@ def antisym_projector(d: int) -> np.ndarray:
 
 
 def werner(d: int, v: float) -> DensityMatrix:
-    """Werner state: v-weighted mixture of the normalized Pi+ and Pi- projectors."""
-    params = WernerParams(d, v)
+    """Werner state: v-weighted mixture of the normalized Pi+ and Pi- projectors.
+
+    The arguments are checked first (:class:`WernerParams`); each state is then built and
+    validated once per process, and later calls share its read-only instance."""
+    WernerParams(d, v)
+    return _werner(int(d), float(v))
+
+
+@lru_cache(maxsize=64)
+def _werner(d: int, v: float) -> DensityMatrix:
     n_plus = d * (d + 1) / 2
     n_minus = d * (d - 1) / 2
-    mat = (params.v / n_plus) * sym_projector(d) + ((1 - params.v) / n_minus) * antisym_projector(d)
+    mat = (v / n_plus) * sym_projector(d) + ((1 - v) / n_minus) * antisym_projector(d)
     return DensityMatrix(d, d, mat)
 
 

@@ -45,9 +45,23 @@ from .states import WERNER, check_restarts, grid_best, grid_rows, haar_unitaries
 MAX_LAMBDA = 4096
 
 
+def _qubit_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m and r >= 0 of the eigenvalues m -+ r of each Hermitian matrix of a (..., 2, 2) stack:
+    m = (a + d)/2 and r = sqrt(((a - d)/2)^2 + |b|^2) for [[a, b], [conj(b), d]], the closed
+    form that :func:`~wernerlab.solver._project_psd2` uses."""
+    a, d, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
+    half = (a - d) / 2
+    return (a + d) / 2, np.sqrt(half * half + b.real * b.real + b.imag * b.imag)
+
+
 def _min_eigenvalues(ops: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part of each operator of a (..., d, d) stack, in one call."""
-    return np.linalg.eigvalsh((ops + dagger(ops)) / 2)[..., 0]
+    """Smallest eigenvalue of the Hermitian part of each operator of a (..., d, d) stack, in one
+    call: m - r (:func:`_qubit_spectrum`) for d = 2, else one stacked eigvalsh."""
+    h = (ops + dagger(ops)) / 2
+    if h.shape[-1] == 2:
+        m, r = _qubit_spectrum(h)
+        return m - r
+    return np.linalg.eigvalsh(h)[..., 0]
 
 
 def _check_effects(effects: np.ndarray) -> None:
@@ -436,10 +450,15 @@ class Correlation:
 
 def _correlations(r: np.ndarray, effects_a: np.ndarray, effects_b: np.ndarray) -> np.ndarray:
     """P(a,b|x,y) = tr[rho M_{a|x} (x) M_{b|y}] for matching (..., x, a, d, d) stacks of both sides'
-    effects; ``r`` is rho as a :func:`~wernerlab.qmat.tensor`, or a stack of them matching the
-    leading axes."""
-    # tr[rho (M_a (x) M_b)] = sum rho[(i,j),(k,l)] M_a[k,i] M_b[l,j]
-    return np.einsum("...ijkl,...xaki,...yblj->...xyab", r, effects_a, effects_b).real
+    effects; ``r`` is rho as a :func:`~wernerlab.qmat.tensor`, or a stack of them matching (or
+    broadcasting against) the leading axes."""
+    # tr[rho (M_a (x) M_b)] = sum rho[(i,j),(k,l)] M_a[k,i] M_b[l,j]: one matmul over (k, i), one over (j, l)
+    (n_x, n_a, d_a), (n_y, n_b, d_b) = effects_a.shape[-4:-1], effects_b.shape[-4:-1]
+    rho = np.moveaxis(r, -2, -4).reshape(r.shape[:-4] + (d_a * d_a, d_b * d_b))  # rows (k, i), columns (j, l)
+    left = effects_a.reshape(effects_a.shape[:-4] + (n_x * n_a, d_a * d_a)) @ rho
+    right = effects_b.swapaxes(-1, -2).reshape(effects_b.shape[:-4] + (n_y * n_b, d_b * d_b)).swapaxes(-1, -2)
+    p = left @ right
+    return p.real.reshape(p.shape[:-2] + (n_x, n_a, n_y, n_b)).swapaxes(-3, -2)
 
 
 def correlation_from(rho: DensityMatrix, meas_a: MeasurementSet, meas_b: MeasurementSet) -> Correlation:
@@ -506,10 +525,23 @@ def _bell_response(r: np.ndarray, table: np.ndarray, effects_b: np.ndarray) -> n
 
 
 def _exact_two_outcome_update(response: np.ndarray) -> np.ndarray:
-    """Optimal POVM per setting for two outcomes: positive part of G_0 - G_1 and its complement."""
-    w, q = np.linalg.eigh(response[..., 0, :, :] - response[..., 1, :, :])
-    pos = (q * (w > 0)[..., None, :]) @ dagger(q)
-    return np.stack([pos, np.eye(pos.shape[-1], dtype=complex) - pos], axis=-3)
+    """Optimal POVM per setting for two outcomes: the projector onto the eigenspace of
+    H = G_0 - G_1 with eigenvalues above 0, and its complement.
+
+    For d = 2, with H's eigenvalues m -+ r (:func:`_qubit_spectrum`), the projector is I when
+    m - r > 0, 0 when m + r <= 0, and otherwise (H - (m - r) I)/(2r), the top eigenvector's
+    (r > 0 there).  Other d take one stacked eigh."""
+    h = response[..., 0, :, :] - response[..., 1, :, :]
+    eye = np.eye(h.shape[-1], dtype=complex)
+    if h.shape[-1] == 2:
+        m, r = (x[..., None, None] for x in _qubit_spectrum(h))
+        lo = m - r
+        straddle = (lo <= 0) & (m + r > 0)
+        pos = np.where(straddle, (h - lo * eye) / np.where(straddle, 2 * r, 1.0), (lo > 0) * eye)
+    else:
+        w, q = np.linalg.eigh(h)
+        pos = (q * (w > 0)[..., None, :]) @ dagger(q)
+    return np.stack([pos, eye - pos], axis=-3)
 
 
 def _best_povm_update(effects: np.ndarray, response: np.ndarray) -> np.ndarray:
@@ -564,9 +596,13 @@ def seesaw_bell_many(
     restarts: int = 20,
 ) -> list[float]:
     """:func:`seesaw_bell` for a grid of states, state i seeded by ``seeds[i]``: one lockstep stack,
-    as the :mod:`~wernerlab.certify` module docstring describes.  Raises ValueError as
-    :func:`~wernerlab.states.grid_rows` does, and on a scenario the see-saw does not support.
+    as the :mod:`~wernerlab.certify` module docstring describes.  Raises ValueError on a
+    coefficient table that is not a finite (x, y, a, b) array, as :func:`~wernerlab.states.grid_rows`
+    does, and on a scenario the see-saw does not support.
     """
+    coefficients = np.asarray(coefficients, dtype=float)
+    if coefficients.ndim != 4 or not np.isfinite(coefficients).all():
+        raise ValueError(f"coefficient table must be a finite (x, y, a, b) array, got shape {coefficients.shape}")
     n_sa, n_sb, n_oa, n_ob = coefficients.shape
     if n_oa ** n_sa * n_ob ** n_sb > 10**6:
         raise ValueError("scenario too large")
@@ -574,7 +610,8 @@ def seesaw_bell_many(
     effects = []
     for side, n_o, dim, u in (("A", n_oa, d_a, ua), ("B", n_ob, d_b, ub)):
         if n_o not in (2, dim):  # the pairwise update needs rank-1 effects
-            raise ValueError(f"side {side} has {n_o} outcomes in dimension {dim}; the see-saw needs 2 or {dim}")
+            needs = "2" if dim == 2 else f"2 or {dim}"
+            raise ValueError(f"side {side} has {n_o} outcomes in dimension {dim}; the see-saw needs {needs}")
         effects.append(_effects_from_unitaries(u, n_o))
         _check_effects(effects[-1])
     value = _seesaw_bell_rows(r, coefficients, *effects)

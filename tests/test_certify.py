@@ -250,6 +250,17 @@ def test_dc_threshold_rejects_a_tol_that_is_not_finite_and_positive(tol):
         dc_threshold(3, tol)
 
 
+@pytest.mark.parametrize("d", [2.5, 3.5, float("nan"), float("inf")])
+def test_dc_threshold_rejects_a_d_that_is_not_an_integer(d):
+    # 2.5 gave 0.15369..., the root of a formula that has no state behind it
+    with pytest.raises(ValueError, match="d must be an integer"):
+        dc_threshold(d)
+
+
+def test_dc_threshold_takes_an_integral_float_as_its_integer():
+    assert dc_threshold(3.0, 1e-7) == dc_threshold(3, 1e-7)
+
+
 @pytest.mark.parametrize("tol", [1e-20, 5e-324])
 def test_dc_threshold_below_the_float_spacing_stops_at_adjacent_floats(tol):
     # the bracket lo < hi shrinks to adjacent floats, where no midpoint lies strictly between

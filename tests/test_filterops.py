@@ -185,3 +185,12 @@ def test_protocol_replay_on_side_b_matches_apply_filter(d_in, d_out, d_other, se
     assert (replayed.dimA, replayed.dimB) == (d_other, d_out)
     assert p_replay == pytest.approx(p_direct, abs=1e-12)
     assert np.max(np.abs(replayed.mat - direct.mat)) < 1e-12
+
+
+def test_cached_rotated_filtered_states_are_shared_and_read_only():
+    rho = rotated_filtered_state(0.25)
+    assert rotated_filtered_state(np.float64(0.25)) is rho
+    with pytest.raises(ValueError, match="read-only"):
+        rho.mat[0, 0] = 1.0
+    with pytest.raises(ValueError, match="v must lie in"):
+        rotated_filtered_state(float("nan"))

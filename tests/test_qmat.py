@@ -185,6 +185,15 @@ def test_trace_out_multipartite_consistency():
     assert np.allclose(step, joint, atol=1e-13)
 
 
+def test_density_matrix_holds_a_read_only_copy():
+    m = np.eye(4, dtype=complex) / 4
+    rho = DensityMatrix(2, 2, m)
+    m[0, 0] = 1.0  # the caller's array stays writeable and apart
+    assert rho.mat[0, 0] == 0.25
+    with pytest.raises(ValueError, match="read-only"):
+        rho.mat[0, 0] = 1.0
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix(2, 2, np.eye(4) / 4 + 1e-8 * np.array([[0, 1j, 0, 0]] + [[0] * 4] * 3))

@@ -260,3 +260,27 @@ def test_werner_params_validation():
     p = WernerParams(3, 0.25)
     assert p.p == pytest.approx(1 / 3)
     assert p.q == pytest.approx(1 - 1.5 * 0.25)
+
+
+def test_cached_werner_states_are_shared_and_read_only():
+    w = werner(3, 0.5)
+    assert werner(3, 0.5) is w and werner(np.int64(3), np.float64(0.5)) is w
+    with pytest.raises(ValueError, match="read-only"):
+        w.mat[0, 0] = 1.0
+
+
+def test_werner_checks_its_arguments_before_the_cache():
+    werner(3, 0.5)  # cached; 3.0 == 3 and hashes alike, so a cache on the raw arguments would return it
+    with pytest.raises(TypeError, match="local dimension must be an integer"):
+        werner(3.0, 0.5)
+    with pytest.raises(ValueError, match="symmetric weight"):
+        werner(3, 1.5)
+
+
+@pytest.mark.parametrize("spec", [SURROGATE_SPEC, NoiseSpec(depol=0.2)], ids=["coherent", "depolarizing"])
+def test_noisy_surrogate_leaves_the_cached_state_unchanged(spec):
+    ideal = werner(3, 0.3)
+    before = ideal.mat.copy()
+    noisy = noisy_surrogate(ideal, spec)
+    assert not np.array_equal(noisy.mat, before)
+    assert werner(3, 0.3) is ideal and np.array_equal(ideal.mat, before)

@@ -968,3 +968,88 @@ def test_seesaw_bell_runs_with_two_or_dimension_many_outcomes(d):
         table = np.random.default_rng(d).standard_normal((2, 2, o_a, o_b))
         value = seesaw_bell(werner(d, 0.1), table, restarts=2, seed=1)
         assert np.isfinite(value) and abs(value) <= np.abs(table).sum()
+
+
+# eigenvalues of a qubit block: exact zeros and, unrotated, r = 0 blocks come up often
+QUBIT_EIGENVALUE = st.one_of(st.just(0.0), st.sampled_from([-1.0, 0.5, 2.0]), st.floats(-4, 4))
+
+
+def qubit_stack(blocks, sign):
+    """H = U diag(w) U^dag for each (w0, w1, rotate, seed) of ``blocks``, with U = I when ``rotate``
+    is false, so that zero eigenvalues and equal ones (r = 0) stay exact; ``sign`` +1 or -1 makes
+    every eigenvalue at least 1/4 away from 0 on that side."""
+    out = []
+    for w0, w1, rotate, seed in blocks:
+        w = np.array([w0, w1]) if sign == 0 else sign * (np.abs([w0, w1]) + 0.25)
+        u = states.haar_unitaries(np.random.default_rng(seed).standard_normal((2, 2, 2))) if rotate else np.eye(2)
+        h = (u * w) @ u.conj().T
+        out.append((h + h.conj().T) / 2)
+    return np.array(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(QUBIT_EIGENVALUE, QUBIT_EIGENVALUE, st.booleans(), SEEDS), min_size=1, max_size=6),
+    st.sampled_from([0, 1, -1]),
+)
+def test_qubit_closed_forms_match_eigh(blocks, sign):
+    h = qubit_stack(blocks, sign)
+    w, q = np.linalg.eigh(h)
+    m, r = steer._qubit_spectrum(h)
+    assert np.allclose(np.stack([m - r, m + r], axis=-1), w, rtol=0, atol=1e-12)
+    assert np.allclose(steer._min_eigenvalues(h), np.linalg.eigvalsh(h)[:, 0], rtol=0, atol=1e-12)
+    # the positive-part projector of H = G_0 - G_1, from a (x, a, 2, 2) response per block
+    pos, neg = steer._exact_two_outcome_update(np.stack([h, np.zeros_like(h)], axis=1)[:, None]).swapaxes(0, 2)[:, 0]
+    assert np.array_equal(pos + neg, np.broadcast_to(np.eye(2), pos.shape))
+    if sign:  # definite stacks give I or 0 exactly
+        assert np.array_equal(pos, np.broadcast_to(np.eye(2) * (sign > 0), pos.shape))
+    clear = np.all(np.abs(w) > 1e-9, axis=-1)  # a zero eigenvalue may go either way
+    want = (q * (w > 0)[..., None, :]) @ q.conj().swapaxes(-1, -2)
+    assert np.allclose(pos[clear], want[clear], rtol=0, atol=1e-12)
+    # wherever it goes, the projector attains the positive part's value
+    assert np.allclose(np.trace(pos @ h, axis1=-2, axis2=-1).real, np.clip(w, 0, None).sum(axis=-1), rtol=0, atol=1e-12)
+    assert np.allclose(pos @ pos, pos, rtol=0, atol=1e-12)
+
+
+def test_qubit_min_eigenvalue_takes_the_hermitian_part():
+    ops = np.array([[[1.0, 2.0], [0.0, -1.0]], [[0.0, 1j], [0.0, 0.0]]])
+    want = np.linalg.eigvalsh((ops + ops.conj().swapaxes(-1, -2)) / 2)[:, 0]
+    assert np.allclose(steer._min_eigenvalues(ops), want, rtol=0, atol=1e-15)
+
+
+def correlations_by_einsum(r, effects_a, effects_b):
+    """The one-call three-operand einsum of P(a,b|x,y) = sum rho[(i,j),(k,l)] M_a[k,i] M_b[l,j]."""
+    return np.einsum("...ijkl,...xaki,...yblj->...xyab", r, effects_a, effects_b).real
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (3, 3), (2, 3)])
+def test_correlations_match_the_einsum_reference(d_a, d_b):
+    rng = np.random.default_rng(10 * d_a + d_b)
+    rhos = [random_state(d_a, d_b, seed) for seed in range(3)]
+    effects_a = np.array([steer.random_grouped_projective(d_a, 2, 2, rng).effects for _ in rhos])
+    effects_b = np.array([random_projective(d_b, 3, rng).effects for _ in rhos])
+    stack = np.stack([qmat.tensor(rho) for rho in rhos])
+    got = steer._correlations(stack, effects_a, effects_b)
+    assert got.shape == (3, 2, 3, 2, d_b)
+    assert np.allclose(got, correlations_by_einsum(stack, effects_a, effects_b), rtol=0, atol=1e-14)
+    # one state broadcast against every row's effects, as the see-saw passes it
+    one = qmat.tensor(rhos[0])
+    got = steer._correlations(np.broadcast_to(one, stack.shape), effects_a, effects_b)
+    assert np.allclose(got, correlations_by_einsum(one, effects_a, effects_b), rtol=0, atol=1e-14)
+    assert np.allclose(steer._correlations(one, effects_a, effects_b), got, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [chsh_coefficients()[0], np.where(chsh_coefficients() > 0, np.nan, -1.0), np.full((2, 2, 2, 2), np.inf)],
+    ids=["3-D", "nan", "inf"],
+)
+def test_seesaw_bell_rejects_a_malformed_coefficient_table(table):
+    with pytest.raises(ValueError, match=r"coefficient table must be a finite \(x, y, a, b\) array"):
+        seesaw_bell_many([rotated_filtered_state(0.1)], table, [1], restarts=2)
+
+
+def test_seesaw_bell_names_two_outcomes_for_qubits():
+    table = np.zeros((2, 2, 3, 2))
+    with pytest.raises(ValueError, match="side A has 3 outcomes in dimension 2; the see-saw needs 2$"):
+        seesaw_bell(rotated_filtered_state(0.1), table, restarts=2, seed=1)
