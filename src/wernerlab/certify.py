@@ -50,6 +50,7 @@ import numpy as np
 from . import qmat
 from .filterops import filtered_weight
 from .qmat import DensityMatrix, dagger, partial_trace, partial_transpose
+from .solver import check_tol
 from .states import WERNER, grid_best, grid_rows, twirl_class
 
 PASS = "PASS"
@@ -378,14 +379,12 @@ def dc_threshold(d: int, tol: float = 1e-5) -> float:
 
     The bracket holds for every d >= 2: filtered delta is 1 at v = 0, and at v = 0.5 the
     filtered weight is at least 1/2, above the two-qubit root near 0.189.  Raises ValueError
-    on a d that is not an integer, on a d below 2 (in :func:`~wernerlab.filterops.filtered_weight`)
-    and on a ``tol`` that is not finite and positive.  A ``tol`` below the float spacing stops at
-    adjacent floats.
+    on a d that is not an integer or is below 2 (in :func:`~wernerlab.filterops.filtered_weight`),
+    whatever ``tol`` is, then on a ``tol`` that is not finite and positive.  A ``tol`` below
+    the float spacing stops at adjacent floats.
     """
-    if not float(d).is_integer():
-        raise ValueError(f"d must be an integer, got {d}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
+    filtered_weight(d, 0.0)  # checks d even where no bisection step runs
+    check_tol(tol)
     lo, hi = 0.0, 0.5
     while hi - lo > tol and lo < (lo + hi) / 2 < hi:
         mid = (lo + hi) / 2

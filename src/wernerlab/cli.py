@@ -21,6 +21,7 @@ import os
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -106,26 +107,20 @@ def sweep_ppt(args, task_seed):
     return ["d", "v", "seed", "min_eig", "verdict"], rows
 
 
-def _closed_form_or_search(args, task_seed, closed_form, search):
-    """The seed and the certificate of each v of the grid: ``closed_form``'s where it has one, and
-    one ``search`` stack over the other rows, each with its own seed, so a row's bits do not
-    depend on which rows join the stack.  ``--restarts`` is checked first, whichever way the
-    rows are answered."""
-    states.check_restarts(args.restarts)
-    seeds, rhos = _grid_states(args, task_seed)
-    certs = [closed_form(rho) for rho in rhos]
-    rest = [i for i, cert in enumerate(certs) if cert is None]
-    if rest:
-        found = search([rhos[i] for i in rest], [seeds[i] for i in rest], restarts=args.restarts)
-        for i, cert in zip(rest, found):
-            certs[i] = cert
-    return seeds, certs
+def _closed_form_or_search(rhos, seeds, closed_form, search):
+    """``closed_form``'s result for each state where it has one, else that of one ``search(rhos, seeds)``
+    call over the rest, which seeds each row alone, so its bits do not depend on the other rows."""
+    found = [closed_form(rho) for rho in rhos]
+    rest = [i for i, res in enumerate(found) if res is None]
+    searched = iter(search([rhos[i] for i in rest], [seeds[i] for i in rest]) if rest else [])
+    return [next(searched) if res is None else res for res in found]
 
 
 def sweep_distill(args, task_seed):
-    seeds, certs = _closed_form_or_search(
-        args, task_seed, certify.one_distillable_closed_form, certify.one_distillable_many
-    )
+    states.check_restarts(args.restarts)  # whichever way the rows are answered
+    seeds, rhos = _grid_states(args, task_seed)
+    search = partial(certify.one_distillable_many, restarts=args.restarts)
+    certs = _closed_form_or_search(rhos, seeds, certify.one_distillable_closed_form, search)
     rows = [
         [args.d, float(v), seed, cert.value, cert.verdict, args.restarts]
         for v, seed, cert in zip(args.v_grid, seeds, certs)
@@ -134,7 +129,9 @@ def sweep_distill(args, task_seed):
 
 
 def sweep_fef(args, task_seed):
-    seeds, certs = _closed_form_or_search(args, task_seed, certify.fef_closed_form, certify.fef_many)
+    states.check_restarts(args.restarts)  # whichever way the rows are answered
+    seeds, rhos = _grid_states(args, task_seed)
+    certs = _closed_form_or_search(rhos, seeds, certify.fef_closed_form, partial(certify.fef_many, restarts=args.restarts))
     rows = []
     for v, seed, cert in zip(args.v_grid, seeds, certs):
         filtered_f2 = certify.fef2_exact(filterops.rotated_filtered_state(v)) if args.d == 3 else float("nan")
@@ -154,21 +151,21 @@ def sweep_chsh(args, task_seed):
 
 
 def sweep_sr(args, task_seed):
-    """The closed form where ``steer.sr_closed_form`` has one, with gap 0, and the see-saw otherwise;
-    every row checks the see-saw's arguments first, whichever way it is answered."""
-    rows = []
-    for v, seed in zip(args.v_grid, _grid_seeds(task_seed, args.v_grid)):
-        for filtered in (0, 1):
-            rho = filterops.rotated_filtered_state(v) if filtered else states.werner(3, v)
-            steer.check_seesaw_args(rho, args.n_settings, args.restarts, args.sdp_tol, args.max_rounds)
-            value, gap = steer.sr_closed_form(rho, args.n_settings), 0.0
-            if value is None:
-                res = steer.sr_state_lower_bound(
-                    rho, args.n_settings, restarts=args.restarts, seed=seed, sdp_tol=args.sdp_tol,
-                    max_rounds=args.max_rounds,
-                )
-                value, gap = res.best, res.best_gap
-            rows.append([float(v), args.n_settings, filtered, value, gap, args.restarts, seed])
+    """Werner then filtered row per v, both with that v's seed; every row is checked before any is answered."""
+    keys = [(v, seed, f) for v, seed in zip(args.v_grid, _grid_seeds(task_seed, args.v_grid)) for f in (0, 1)]
+    rhos = []
+    for v, _, filtered in keys:
+        rhos.append(filterops.rotated_filtered_state(v) if filtered else states.werner(3, v))
+        steer.check_seesaw_args(rhos[-1], args.n_settings, args.restarts, args.sdp_tol, args.max_rounds)
+    kw = {"restarts": args.restarts, "sdp_tol": args.sdp_tol, "max_rounds": args.max_rounds}
+    found = _closed_form_or_search(
+        rhos, [seed for _, seed, _ in keys], lambda rho: steer.sr_closed_form(rho, args.n_settings),
+        lambda rhos, seeds: [steer.sr_state_lower_bound(r, args.n_settings, seed=s, **kw) for r, s in zip(rhos, seeds)],
+    )
+    rows = [
+        [float(v), args.n_settings, filtered, res.best, res.best_gap, args.restarts, seed]
+        for (v, seed, filtered), res in zip(keys, found)
+    ]
     return ["v", "n_s", "filtered", "SR", "gap", "restarts", "seed"], rows
 
 

@@ -79,7 +79,7 @@ from math import prod
 import numpy as np
 
 from .qmat import DensityMatrix, partial_transpose_dims
-from .solver import Block, ConicProgram, solve, sp, vec_real, vec_real_map
+from .solver import Block, ConicProgram, check_tol, solve, sp, vec_real, vec_real_map
 from .states import WERNER, twirl_class
 
 MAX_EXTENSION_DIM = 243
@@ -347,8 +347,7 @@ def run_query(q: ExtensionQuery, tol: float = 1e-7, max_iter: int = 200000) -> E
     SDP.  t* <= 1 means the extension exists, and t*_SQE <= t*_SE <= t*_SE_B.
     Raises ValueError unless ``tol`` is finite and positive, as a solve does, whichever way t*
     is found."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
+    check_tol(tol)
     twirl = twirl_class(q.rho)
     if twirl is not None and twirl[0] == WERNER:
         t_star = float(werner_t_star(q.rho.dimA, q.k, q.flavor, Fraction(twirl[1])))

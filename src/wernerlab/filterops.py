@@ -68,7 +68,9 @@ def apply_filter(
 
 
 def filtered_weight(d: int, v: float) -> float:
-    """Symmetric weight v' of the two-qubit Werner state left by a qubit projection."""
+    """Symmetric weight v' of the two-qubit Werner state left by a qubit projection (3.0 reads as d = 3)."""
+    if not float(d).is_integer():
+        raise ValueError(f"d must be an integer, got {d}")
     if d < 2 or not 0.0 <= v <= 1.0:
         raise ValueError("need d >= 2 and v in [0, 1]")
     return 3.0 * (d - 1) * v / ((d + 1) * (1 - v) + 3.0 * (d - 1) * v)

@@ -382,6 +382,12 @@ class _CSRMap:
         return (self.a @ self.at).toarray(), 1
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless a solve tolerance is finite and positive."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+
+
 class Family:
     """Programs that share blocks, A and c and differ only in b, prepared once: the column
     scale, the scaled A and c, the inverse of I + A A^T and the cone plan.
@@ -440,8 +446,7 @@ class Family:
         n, m = len(self.c), self.A.shape[0]
         if b.ndim != 2 or b.shape[1] != m or not np.all(np.isfinite(b)):
             raise ValueError(f"b must be a finite (R, {m}) array, got shape {b.shape}")
-        if not (np.isfinite(tol) and tol > 0):
-            raise ValueError("tol must be finite and positive")
+        check_tol(tol)
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         norm = np.sqrt(np.vecdot(b, b))

@@ -39,8 +39,8 @@ import numpy as np
 from . import qmat
 from .extend import SE, werner_t_star
 from .qmat import DensityMatrix, dagger
-from .solver import Block, ConicProgram, Family, KronMap, mat_real, solve, sp, vec_real
-from .states import WERNER, check_restarts, grid_best, grid_rows, haar_unitaries, twirl_class
+from .solver import Block, ConicProgram, Family, KronMap, check_tol, mat_real, solve, sp, vec_real
+from .states import ISOTROPIC, WERNER, check_restarts, grid_best, grid_rows, haar_unitaries, twirl_class
 
 MAX_LAMBDA = 4096
 
@@ -305,7 +305,7 @@ def _update_measurements(effects: np.ndarray, response: np.ndarray) -> np.ndarra
 
 @dataclass
 class SRLowerBound:
-    """``per_restart`` has one value per restart whose first SDP solve ended OPTIMAL."""
+    """``per_restart`` has one value per restart whose first SDP solve ended OPTIMAL, none in closed form."""
 
     best: float
     per_restart: list[float]
@@ -327,16 +327,16 @@ def check_seesaw_args(rho: DensityMatrix, n_settings: int, restarts: int, sdp_to
         raise ValueError(f"max_rounds must be at least 0, got {max_rounds}")
     _check_lambda_budget(n_settings, rho.dimA)
     check_restarts(restarts)
-    if not (np.isfinite(sdp_tol) and sdp_tol > 0):
-        raise ValueError("tol must be finite and positive")
+    check_tol(sdp_tol)
 
 
-def sr_closed_form(rho: DensityMatrix, n_settings: int) -> float | None:
+def sr_closed_form(rho: DensityMatrix, n_settings: int) -> SRLowerBound | None:
     """The steering robustness of rho with ``n_settings`` measurements of A where a closed form
     gives it, else None: on the two classes of :func:`~wernerlab.states.twirl_class` below, and
-    for an input within 1e-12 of its twirl, the twirl's value.  Each case has a primal point
-    sigma_lambda and a dual point F_{a|x} (the SDP's dual: F_{a|x} >= 0 and
-    sum_x F_{lambda_x|x} <= I for every lambda, of value sum tr(F_{a|x} sigma_{a|x}) - 1) of equal value.
+    for an input within 1e-12 of its twirl, the twirl's value: the see-saw's :class:`SRLowerBound`, with
+    no restarts, gap 0 and, where the value is positive, the witness :func:`mub_qubit_measurements`.
+    Each case has a primal point sigma_lambda and a dual point F_{a|x} (the SDP's dual: F_{a|x} >= 0
+    and sum_x F_{lambda_x|x} <= I for every lambda, of value sum tr(F_{a|x} sigma_{a|x}) - 1) of equal value.
 
     * Werner, with t*_SE(d, n, s) <= 1 (:func:`~wernerlab.extend.werner_t_star`): 0, for every
       choice of n measurements.  rho then has an n-copy symmetric extension X on A, since rho
@@ -360,16 +360,14 @@ def sr_closed_form(rho: DensityMatrix, n_settings: int) -> float | None:
 
     Other inputs, and other n, return None; n below 1 raises ValueError, whatever the input."""
     _check_n_settings(n_settings)
-    twirl = twirl_class(rho)
-    if twirl is None:
-        return None
-    kind, overlap = twirl
+    kind, overlap = twirl_class(rho) or (None, 0.0)
     if kind == WERNER:
-        return 0.0 if werner_t_star(rho.dimA, n_settings, SE, Fraction(overlap)) <= 1 else None
-    if rho.dimA != 2 or n_settings not in (2, 3):
+        return SRLowerBound(0.0, []) if werner_t_star(rho.dimA, n_settings, SE, Fraction(overlap)) <= 1 else None
+    if kind != ISOTROPIC or rho.dimA != 2 or n_settings not in (2, 3):
         return None
     root, w = np.sqrt(n_settings), (4 * overlap - 1) / 3
-    return float(max(root * w - 1, 0.0) / (root + 1))
+    best = float(max(root * w - 1, 0.0) / (root + 1))
+    return SRLowerBound(best, [], mub_qubit_measurements(n_settings) if best > 0 else None)
 
 
 def sr_state_lower_bound(

@@ -42,6 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .qmat import DensityMatrix, as_state, dagger
+from .solver import check_tol
 
 
 @dataclass(frozen=True)
@@ -397,8 +398,7 @@ def mle_reconstruct_many(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
+    check_tol(tol)
     if not records:
         raise ValueError("no counts records to reconstruct")
     names = {rec.frame_name for rec in records}

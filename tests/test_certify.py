@@ -252,13 +252,26 @@ def test_dc_threshold_rejects_a_tol_that_is_not_finite_and_positive(tol):
 
 @pytest.mark.parametrize("d", [2.5, 3.5, float("nan"), float("inf")])
 def test_dc_threshold_rejects_a_d_that_is_not_an_integer(d):
-    # 2.5 gave 0.15369..., the root of a formula that has no state behind it
-    with pytest.raises(ValueError, match="d must be an integer"):
-        dc_threshold(d)
+    # 2.5 gave 0.15369..., the root of a formula that has no state behind it; filtered_weight(2.5, 0.3)
+    # gave 0.3553 and filtered_delta(2.5, 0.1) 0.2583.  A tol of 1 runs no bisection step.
+    for call in (lambda: dc_threshold(d), lambda: dc_threshold(d, tol=1), lambda: filtered_weight(d, 0.3),
+                 lambda: filtered_delta(d, 0.1)):
+        with pytest.raises(ValueError, match=f"^d must be an integer, got {d}$"):
+            call()
 
 
 def test_dc_threshold_takes_an_integral_float_as_its_integer():
     assert dc_threshold(3.0, 1e-7) == dc_threshold(3, 1e-7)
+
+
+def test_filtered_closed_forms_take_an_integral_float_as_its_integer():
+    assert filtered_weight(3.0, 0.3) == filtered_weight(3, 0.3)
+    assert filtered_delta(3.0, 0.1) == filtered_delta(3, 0.1)
+
+
+def test_dc_threshold_checks_d_where_no_bisection_step_runs():
+    with pytest.raises(ValueError, match="need d >= 2"):  # gave 0.25, the midpoint of the bracket
+        dc_threshold(1, tol=1)
 
 
 @pytest.mark.parametrize("tol", [1e-20, 5e-324])

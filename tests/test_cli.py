@@ -342,6 +342,30 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys, key):
     assert not out.exists()
 
 
+def test_sweep_sr_writes_the_bytes_of_a_loop_over_solo_calls(tmp_path):
+    # with three settings the v = 0.1 Werner row is searched and the other three rows are closed form
+    argv = ["sweep", "--task", "sr", "--n-settings", "3", "--v-grid", "0.1,0.2", "--restarts", "1", "--max-rounds", "2"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    rows, closed = [], []
+    for i, v in enumerate([0.1, 0.2]):
+        seed = derive_seed(2024, "sr") ^ i
+        for filtered, rho in enumerate([werner(3, v), rotated_filtered_state(v)]):
+            closed.append(steer.sr_closed_form(rho, 3) is not None)
+            res = steer.sr_closed_form(rho, 3) or steer.sr_state_lower_bound(rho, 3, restarts=1, seed=seed, max_rounds=2)
+            rows.append([v, 3, filtered, res.best, res.best_gap, 1, seed])
+    assert closed == [False, True, True, True]
+    cli.write_csv(tmp_path / "solo.csv", ["v", "n_s", "filtered", "SR", "gap", "restarts", "seed"], rows)
+    assert (tmp_path / "sr_d3.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
+
+
+def test_sweep_sr_checks_every_row_before_answering_any(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(steer, "sr_closed_form", lambda *args: pytest.fail("a row was answered"))
+    out = tmp_path / "run"
+    assert main(["sweep", "--task", "sr", "--sdp-tol", "0", "--v-grid", "0,0.1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: tol must be finite and positive\n"
+    assert not out.exists()
+
+
 def test_grid_tasks_write_the_bytes_of_a_loop_over_solo_calls(tmp_path):
     argv = ["sweep", "--task", "fef,distill,chsh", "--v-grid", "0:0.25:0.5", "--restarts", "4", "--out", str(tmp_path)]
     assert main(argv) == 0

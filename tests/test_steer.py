@@ -227,20 +227,20 @@ V_GRID = [round(0.05 * i, 2) for i in range(7)]  # 0:0.05:0.3
 @pytest.mark.parametrize("v", V_GRID)
 def test_sr_closed_form_is_the_mub_sdp_optimum(n_s, v):
     rho = rotated_filtered_state(v)
-    exact = sr_closed_form(rho, n_s)
+    exact = sr_closed_form(rho, n_s).best
     res = sr_solve(assemblage_from(rho, mub_qubit_measurements(n_s)), tol=1e-10)
     assert res.status == "OPTIMAL"
     assert exact == pytest.approx(res.value, abs=1e-9)
 
 
 def test_sr_closed_form_keeps_the_singlet_pin():
-    assert sr_closed_form(rotated_filtered_state(0.0), 2) == pytest.approx(SINGLET_2MUB_SR, rel=0, abs=1e-12)
-    assert sr_closed_form(rotated_filtered_state(0.0), 3) == pytest.approx(2 - np.sqrt(3), rel=0, abs=1e-12)
+    assert sr_closed_form(rotated_filtered_state(0.0), 2).best == pytest.approx(SINGLET_2MUB_SR, rel=0, abs=1e-12)
+    assert sr_closed_form(rotated_filtered_state(0.0), 3).best == pytest.approx(2 - np.sqrt(3), rel=0, abs=1e-12)
 
 
 def test_sr_closed_form_answers_only_its_two_cases():
-    assert sr_closed_form(werner(3, 0.1), 2) == 0.0  # t*_SE(3, 2) = 1 - 3v/2 <= 1 for every v
-    assert sr_closed_form(werner(3, 0.2), 3) == 0.0  # t*_SE(3, 3) = 4/3 - 2v <= 1 from v = 1/6
+    assert sr_closed_form(werner(3, 0.1), 2).best == 0.0  # t*_SE(3, 2) = 1 - 3v/2 <= 1 for every v
+    assert sr_closed_form(werner(3, 0.2), 3).best == 0.0  # t*_SE(3, 3) = 4/3 - 2v <= 1 from v = 1/6
     assert sr_closed_form(werner(3, 0.1), 3) is None
     assert sr_closed_form(rotated_filtered_state(0.1), 4) is None  # no closed form past three MUBs
     assert sr_closed_form(noisy_surrogate(rotated_filtered_state(0.1), NoiseSpec(0.05, 0.02, 3)), 2) is None
@@ -252,18 +252,32 @@ def test_sr_closed_form_answers_only_its_two_cases():
             sr_closed_form(werner(3, 0.1), n)
 
 
+@pytest.mark.parametrize("n_s", [2, 3])
+@pytest.mark.parametrize("filtered, v", [(1, v) for v in V_GRID] + [(0, 0.2), (0, 0.3)])
+def test_sr_closed_form_returns_the_see_saws_result_with_its_witness(filtered, v, n_s):
+    rho = rotated_filtered_state(v) if filtered else werner(3, v)
+    res = sr_closed_form(rho, n_s)
+    assert isinstance(res, steer.SRLowerBound)
+    assert res.per_restart == [] and res.best_gap == 0.0
+    assert (res.best_measurements is None) == (res.best == 0.0)
+    if res.best_measurements is not None:  # the witness's own SR is the value
+        sol = sr_solve(assemblage_from(rho, res.best_measurements), tol=1e-10)
+        assert sol.status == "OPTIMAL"
+        assert sol.value == pytest.approx(res.best, rel=0, abs=1e-8)
+
+
 @pytest.mark.parametrize("v", [0.0, 0.1, 0.2])
 @pytest.mark.parametrize("n_s", [2, 3])
 def test_see_saw_stays_below_the_filtered_closed_form(v, n_s):
     rho = rotated_filtered_state(v)
     res = sr_state_lower_bound(rho, n_s, restarts=3, seed=11, max_rounds=30)
-    assert res.best <= sr_closed_form(rho, n_s) + 1e-7
+    assert res.best <= sr_closed_form(rho, n_s).best + 1e-7
 
 
 @pytest.mark.parametrize("n_s, v", [(2, 0.0), (2, 0.1), (2, 0.3), (3, 0.2), (3, 0.3)])
 def test_see_saw_finds_nothing_where_the_werner_closed_form_is_zero(n_s, v):
     rho = werner(3, v)
-    assert sr_closed_form(rho, n_s) == 0.0
+    assert sr_closed_form(rho, n_s).best == 0.0
     res = sr_state_lower_bound(rho, n_s, restarts=3, seed=5, max_rounds=30)
     assert res.best <= 2e-6
 
