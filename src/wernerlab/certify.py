@@ -335,7 +335,8 @@ def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """3x3 two-qubit correlation matrix T_mn = tr[rho sigma_m (x) sigma_n]."""
     if rho.dimA != 2 or rho.dimB != 2:
         raise ValueError("correlation matrix defined for two-qubit states")
-    return np.einsum("ijkl,mki,nlj->mn", qmat.tensor(rho), qmat.PAULIS, qmat.PAULIS).real
+    paulis = np.array(qmat.PAULIS)[:, None]  # three settings of one effect each
+    return qmat.correlations(qmat.tensor(rho), paulis, paulis)[:, :, 0, 0]
 
 
 def chsh_horodecki(rho: DensityMatrix) -> Certificate:

@@ -96,9 +96,30 @@ def swapped(t: np.ndarray) -> np.ndarray:
     return t.swapaxes(-4, -3).swapaxes(-2, -1)
 
 
+def contract(t: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Hermitian part of tr_A[(op on A) rho] for each op of a (..., x, a, dA, dA) stack: the
+    operators left on B.  ``t`` is a :func:`tensor`, or a stack of them with one state per
+    leading index of ``ops``; B is contracted as A of :func:`swapped` ``t``."""
+    red = np.einsum("...xaiI,...Ijil->...xajl", ops, t)
+    return (red + dagger(red)) / 2
+
+
+def correlations(t: np.ndarray, effects_a: np.ndarray, effects_b: np.ndarray) -> np.ndarray:
+    """P(a,b|x,y) = tr[rho M_{a|x} (x) M_{b|y}], an (..., x, y, a, b) stack, for matching (..., x, a, d, d)
+    stacks of both sides' effects; ``t`` is a :func:`tensor`, or a stack of them matching (or
+    broadcasting against) the leading axes."""
+    # sum rho[(i,j),(k,l)] M_a[k,i] M_b[l,j]: one matmul over (k, i), one over (j, l)
+    (n_x, n_a, d_a), (n_y, n_b, d_b) = effects_a.shape[-4:-1], effects_b.shape[-4:-1]
+    rho = np.moveaxis(t, -2, -4).reshape(t.shape[:-4] + (d_a * d_a, d_b * d_b))  # rows (k, i), columns (j, l)
+    left = effects_a.reshape(effects_a.shape[:-4] + (n_x * n_a, d_a * d_a)) @ rho
+    right = effects_b.swapaxes(-1, -2).reshape(effects_b.shape[:-4] + (n_y * n_b, d_b * d_b)).swapaxes(-1, -2)
+    p = left @ right
+    return p.real.reshape(p.shape[:-2] + (n_x, n_a, n_y, n_b)).swapaxes(-3, -2)
+
+
 def partial_trace(rho: DensityMatrix) -> np.ndarray:
     """Trace out subsystem A: the reduced state of B.  A's is that of :func:`swap_parties` of rho."""
-    return np.einsum("ijil->jl", tensor(rho))
+    return contract(tensor(rho), np.eye(rho.dimA)[None, None])[0, 0]
 
 
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:

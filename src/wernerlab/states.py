@@ -177,14 +177,12 @@ def haar_unitaries(normals: np.ndarray) -> np.ndarray:
 def haar_restarts(seeds: list[int], sides: list[tuple[int, int]]) -> list[np.ndarray]:
     """Haar unitaries for seeded restarts, one (R, k, d, d) stack per (k, d) of ``sides``.
 
-    Restart r draws k standard-normal (2, d, d) arrays from ``default_rng(seeds[r])`` for
-    each side in turn, and one :func:`haar_unitaries` QR covers each side's stack."""
-    normals = [[] for _ in sides]
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        for draws, (k, d) in zip(normals, sides):
-            draws.append(rng.standard_normal((k, 2, d, d)))
-    return [haar_unitaries(np.reshape(draws, (len(seeds), k, 2, d, d))) for draws, (k, d) in zip(normals, sides)]
+    Restart r draws the k standard-normal (2, d, d) arrays of every side, in turn, in one
+    ``default_rng(seeds[r]).standard_normal`` call, and one :func:`haar_unitaries` QR covers each side's stack."""
+    sizes = [k * 2 * d * d for k, d in sides]
+    normals = np.array([np.random.default_rng(seed).standard_normal(sum(sizes)) for seed in seeds])
+    parts = np.split(normals.reshape(len(seeds), sum(sizes)), np.cumsum(sizes)[:-1], axis=1)
+    return [haar_unitaries(part.reshape(len(seeds), k, 2, d, d)) for part, (k, d) in zip(parts, sides)]
 
 
 def check_restarts(restarts: int) -> None:

@@ -24,7 +24,8 @@ sides of every restart still improving into one
 Two kinds of input need no SDP (:func:`sr_closed_form`, which holds the
 proof): a Werner state that is n-extendible has SR 0 with n settings, and a
 two-qubit isotropic state has a closed-form SR with two or three mutually
-unbiased bases.  The steering-robustness SDP stays the reference for both.
+unbiased bases.  The steering-robustness SDP stays the reference for both.  Every
+state tensor is contracted by :func:`~wernerlab.qmat.contract` or :func:`~wernerlab.qmat.correlations`.
 """
 
 from __future__ import annotations
@@ -182,20 +183,11 @@ class Assemblage:
         return self.sigma.shape[-1]
 
 
-def _contract(r: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Hermitian part of tr_A[(op on A) rho] for each op of a (..., x, a, d, d) stack:
-    the operators left on B.  ``r`` is rho as a :func:`~wernerlab.qmat.tensor`, or a stack of them
-    with one state per leading index of ``ops``; B is contracted as A of
-    :func:`~wernerlab.qmat.swapped` ``r``."""
-    red = np.einsum("...xaiI,...Ijil->...xajl", ops, r)
-    return (red + dagger(red)) / 2
-
-
 def assemblage_from(rho: DensityMatrix, meas: MeasurementSet) -> Assemblage:
     """Conditional states of B when A is measured; B steers A in ``qmat.swap_parties(rho)``."""
     if meas.dim != rho.dimA:
         raise ValueError("measurement dimension does not match side A")
-    return Assemblage(_contract(qmat.tensor(rho), meas.effects))
+    return Assemblage(qmat.contract(qmat.tensor(rho), meas.effects))
 
 
 @lru_cache(maxsize=32)
@@ -268,17 +260,17 @@ def steering_robustness(assemblage: Assemblage, tol: float = 1e-7) -> float:
     return res.value
 
 
-def _pairwise_basis_update(vectors: np.ndarray, response: np.ndarray, sweeps: int = 3) -> np.ndarray:
+def _pairwise_basis_update(vectors: np.ndarray, response: np.ndarray) -> np.ndarray:
     """Improve orthonormal outcome bases against sum_a <m_a|G_a|m_a>.
 
     ``vectors`` is a (..., d, a) stack of bases (one column per outcome) and ``response``
-    the matching (..., a, d, d) stack of G_a.  Each (a, a') pair is rotated to the
-    eigenbasis of the restriction of G_a - G_a' onto their span: an exact
+    the matching (..., a, d, d) stack of G_a.  In each of three sweeps, each (a, a') pair is
+    rotated to the eigenbasis of the restriction of G_a - G_a' onto their span: an exact
     two-dimensional ascent step.
     """
     m = vectors.copy()
     n_o = m.shape[-1]
-    for _ in range(sweeps):
+    for _ in range(3):
         for a in range(n_o):
             for ap in range(a + 1, n_o):
                 span = m[..., [a, ap]]
@@ -394,7 +386,7 @@ def sr_state_lower_bound(
 
     def solve_round(rows, effects):
         """Value (-inf unless the solve ended OPTIMAL), y and gap of each row's SDP."""
-        b = vec_real(_contract(state[rows], effects)).reshape(len(rows), -1)
+        b = vec_real(qmat.contract(state[rows], effects)).reshape(len(rows), -1)
         sols = family.solve_many(b, tol=sdp_tol)
         value = [float(sol.primal_obj) - 1.0 if sol.status == "OPTIMAL" else -np.inf for sol in sols]
         return np.array(value), np.stack([sol.y for sol in sols]), np.array([sol.gap for sol in sols])
@@ -408,7 +400,7 @@ def sr_state_lower_bound(
         if not live.size:
             break
         # G_{a|x} = tr_B[(F_{a|x} on B) rho]: the dual value is sum tr(M_{a|x} G_{a|x}) - 1
-        response = _contract(qmat.swapped(state[live]), _sr_duals(y[live], shape))
+        response = qmat.contract(qmat.swapped(state[live]), _sr_duals(y[live], shape))
         new_effects = _update_measurements(effects[live], response)
         new_value, new_y, new_gap = solve_round(live, new_effects)
         accept = new_value > value[live] + 1e-7
@@ -446,24 +438,11 @@ class Correlation:
         return self.p.shape
 
 
-def _correlations(r: np.ndarray, effects_a: np.ndarray, effects_b: np.ndarray) -> np.ndarray:
-    """P(a,b|x,y) = tr[rho M_{a|x} (x) M_{b|y}] for matching (..., x, a, d, d) stacks of both sides'
-    effects; ``r`` is rho as a :func:`~wernerlab.qmat.tensor`, or a stack of them matching (or
-    broadcasting against) the leading axes."""
-    # tr[rho (M_a (x) M_b)] = sum rho[(i,j),(k,l)] M_a[k,i] M_b[l,j]: one matmul over (k, i), one over (j, l)
-    (n_x, n_a, d_a), (n_y, n_b, d_b) = effects_a.shape[-4:-1], effects_b.shape[-4:-1]
-    rho = np.moveaxis(r, -2, -4).reshape(r.shape[:-4] + (d_a * d_a, d_b * d_b))  # rows (k, i), columns (j, l)
-    left = effects_a.reshape(effects_a.shape[:-4] + (n_x * n_a, d_a * d_a)) @ rho
-    right = effects_b.swapaxes(-1, -2).reshape(effects_b.shape[:-4] + (n_y * n_b, d_b * d_b)).swapaxes(-1, -2)
-    p = left @ right
-    return p.real.reshape(p.shape[:-2] + (n_x, n_a, n_y, n_b)).swapaxes(-3, -2)
-
-
 def correlation_from(rho: DensityMatrix, meas_a: MeasurementSet, meas_b: MeasurementSet) -> Correlation:
     """P(a,b|x,y) = tr[rho M_{a|x} (x) M_{b|y}]."""
     if meas_a.dim != rho.dimA or meas_b.dim != rho.dimB:
         raise ValueError("measurement dimensions do not match the state")
-    return Correlation(_correlations(qmat.tensor(rho), meas_a.effects, meas_b.effects))
+    return Correlation(qmat.correlations(qmat.tensor(rho), meas_a.effects, meas_b.effects))
 
 
 def nonlocal_content(corr: Correlation, tol: float = 1e-9) -> float:
@@ -516,10 +495,11 @@ def chsh_coefficients() -> np.ndarray:
 def _bell_response(r: np.ndarray, table: np.ndarray, effects_b: np.ndarray) -> np.ndarray:
     """G_{a|x} of A with sum_ax tr(M_{a|x} G_{a|x}) the Bell value of the (x, y, a, b) table
     against B's (..., y, b, d, d) effects, as a matching (..., x, a, d, d) stack; ``r`` is rho
-    as a :func:`~wernerlab.qmat.tensor`, or a stack of them matching the leading axes.  B's is A's of
-    :func:`~wernerlab.qmat.swapped` ``r`` and the table transposed (1, 0, 3, 2)."""
+    as a :func:`~wernerlab.qmat.tensor`, or a stack of them matching the leading axes: the table mixes
+    B's effects into one operator on B per (x, a), and :func:`~wernerlab.qmat.contract` traces B out.
+    B's is A's of :func:`~wernerlab.qmat.swapped` ``r`` and the table transposed (1, 0, 3, 2)."""
     ops = np.einsum("xyab,...ybij->...xaij", table, effects_b)  # on B
-    return _contract(qmat.swapped(r), ops)
+    return qmat.contract(qmat.swapped(r), ops)
 
 
 def _exact_two_outcome_update(response: np.ndarray) -> np.ndarray:
@@ -562,7 +542,7 @@ def _seesaw_bell_rows(
     r = np.broadcast_to(r, (len(effects_a),) + r.shape[-4:])
 
     def values(r_rows, table, mine, other):
-        return np.sum(_correlations(r_rows, mine, other) * table, axis=(-4, -3, -2, -1))
+        return np.sum(qmat.correlations(r_rows, mine, other) * table, axis=(-4, -3, -2, -1))
 
     effects_a, effects_b = effects_a.copy(), effects_b.copy()
     halves = (

@@ -8,7 +8,7 @@ projected-gradient MLE of ``wernerlab.tomo`` one record at a time, with its
 kernels (overlaps, gradient, projection, and both dual points of the gap)
 written for one matrix.  ``fef_ascent_to_step_floor`` is
 ``wernerlab.certify._fef_ascent`` without its no-gain exit.
-``trace_out`` and ``contract`` (the reference for ``wernerlab.steer._contract``)
+``trace_out`` and ``contract`` (the reference for ``wernerlab.qmat.contract``)
 and ``haar_unitary`` (the reference for ``wernerlab.states.haar_restarts``) are
 the one-call-at-a-time primitives the stacked kernels replaced, and
 ``symmetric_isometry_by_multisets`` is the loop-built reference for

@@ -11,7 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wernerlab import certify, cli
+from wernerlab import certify, cli, qmat
 from wernerlab.certify import (
     chsh_horodecki,
     correlation_matrix,
@@ -170,6 +170,15 @@ def test_chsh_witness_planes_diagonalise_the_correlation_matrix():
         alice, bob, s = w["alice_plane"], w["bob_plane"], w["singular_values"]
         assert np.allclose(alice @ alice.T, np.eye(2), atol=1e-12) and np.allclose(bob @ bob.T, np.eye(2), atol=1e-12)
         assert np.allclose(alice @ correlation_matrix(rho) @ bob.T, np.diag(s[:2]), atol=1e-12)
+
+
+def test_correlation_matrix_is_the_pauli_correlations():
+    paulis = np.array(qmat.PAULIS)[:, None]
+    for rho in [singlet(), rotated_filtered_state(0.1), *(random_two_qubit(s) for s in range(5))]:
+        t = correlation_matrix(rho)
+        assert np.array_equal(t, qmat.correlations(qmat.tensor(rho), paulis, paulis)[:, :, 0, 0])
+        want = np.einsum("ijkl,mki,nlj->mn", qmat.tensor(rho), qmat.PAULIS, qmat.PAULIS).real
+        assert np.allclose(t, want, rtol=0, atol=1e-15)
 
 
 def test_chsh_filtered_values():

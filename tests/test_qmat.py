@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from wernerlab import qmat
+from wernerlab import qmat, steer
 from wernerlab.qmat import DensityMatrix
-from wernerlab.states import werner
+from wernerlab.states import haar_unitaries, werner
 
-from sequential_reference import trace_out
+from sequential_reference import random_state, trace_out
 
 
 def werner_matrix_oracle(d, v):
@@ -175,6 +175,24 @@ def test_trace_out_matches_bipartite():
     assert np.allclose(t_b, qmat.partial_trace(qmat.swap_parties(DensityMatrix(3, 4, rho))), atol=1e-13)
     t_a = trace_out(rho, [3, 4], [0])
     assert np.allclose(t_a, qmat.partial_trace(DensityMatrix(3, 4, rho)), atol=1e-13)
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_contract_and_correlations_are_local_unitary_covariant(d_a, d_b):
+    # contract((U (x) V) rho (U (x) V)^dag, U M U^dag) = V contract(rho, M) V^dag, and P(a,b|x,y) is invariant
+    rng = np.random.default_rng(10 * d_a + d_b)
+    rho = random_state(d_a, d_b, 7 * d_a + d_b)
+    u, v = haar_unitaries(rng.standard_normal((2, d_a, d_a))), haar_unitaries(rng.standard_normal((2, d_b, d_b)))
+    uv = qmat.kron(u, v)
+    moved = qmat.tensor(DensityMatrix(d_a, d_b, uv @ rho.mat @ qmat.dagger(uv)))
+    ops = rng.standard_normal((3, 2, d_a, d_a)) + 1j * rng.standard_normal((3, 2, d_a, d_a))
+    got = qmat.contract(moved, u @ ops @ qmat.dagger(u))
+    assert np.allclose(got, v @ qmat.contract(qmat.tensor(rho), ops) @ qmat.dagger(v), rtol=0, atol=1e-12)
+    effects_a = steer.random_projective(d_a, 2, rng).effects
+    effects_b = steer.random_projective(d_b, 3, rng).effects
+    want = qmat.correlations(qmat.tensor(rho), effects_a, effects_b)
+    got = qmat.correlations(moved, u @ effects_a @ qmat.dagger(u), v @ effects_b @ qmat.dagger(v))
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_trace_out_multipartite_consistency():

@@ -729,13 +729,13 @@ def test_seesaw_kernels_match_loop_reference(d_a, d_b, side):
     d = d_a if side == "A" else d_b
     other = "B" if side == "A" else "A"
     effects = np.array([random_projective(d, 2, rng).effects for _ in range(3)])
-    sigma = steer._contract(tensor_measured_on(rho, side), effects)
+    sigma = qmat.contract(tensor_measured_on(rho, side), effects)
     want = [[[contract(rho, e, side) for e in setting] for setting in restart] for restart in effects]
     assert np.allclose(sigma, want, rtol=0, atol=1e-14)
     # duals F_{a|x} on the unmeasured side: any Hermitian operators
     g = rng.standard_normal(sigma.shape) + 1j * rng.standard_normal(sigma.shape)
     duals = g + g.conj().swapaxes(-1, -2)
-    response = steer._contract(tensor_measured_on(rho, other), duals)
+    response = qmat.contract(tensor_measured_on(rho, other), duals)
     want = [[[contract(rho, f, other) for f in row] for row in restart] for restart in duals]
     assert np.allclose(response, want, rtol=0, atol=1e-14)
     got = steer._update_measurements(effects, response)
@@ -1043,14 +1043,14 @@ def test_correlations_match_the_einsum_reference(d_a, d_b):
     effects_a = np.array([steer.random_grouped_projective(d_a, 2, 2, rng).effects for _ in rhos])
     effects_b = np.array([random_projective(d_b, 3, rng).effects for _ in rhos])
     stack = np.stack([qmat.tensor(rho) for rho in rhos])
-    got = steer._correlations(stack, effects_a, effects_b)
+    got = qmat.correlations(stack, effects_a, effects_b)
     assert got.shape == (3, 2, 3, 2, d_b)
     assert np.allclose(got, correlations_by_einsum(stack, effects_a, effects_b), rtol=0, atol=1e-14)
     # one state broadcast against every row's effects, as the see-saw passes it
     one = qmat.tensor(rhos[0])
-    got = steer._correlations(np.broadcast_to(one, stack.shape), effects_a, effects_b)
+    got = qmat.correlations(np.broadcast_to(one, stack.shape), effects_a, effects_b)
     assert np.allclose(got, correlations_by_einsum(one, effects_a, effects_b), rtol=0, atol=1e-14)
-    assert np.allclose(steer._correlations(one, effects_a, effects_b), got, rtol=0, atol=1e-14)
+    assert np.allclose(qmat.correlations(one, effects_a, effects_b), got, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize(
